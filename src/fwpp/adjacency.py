@@ -11,16 +11,20 @@ fake weighted projective planes, the *slices*, with 2x3 generator matrices
 Two planes are *adjacent* when they arise this way from a common surface.
 Given a plane whose fixed point ``z(k)`` is a T-singularity, the surface
 data is reconstructed uniquely: ``l1`` is the local Gorenstein index at the
-point, ``d0 = -w_k / l1**2``, and ``d1`` is pinned down by the requirement
-that ``P1`` corresponds to the given degree matrix.  The partner's weight
-triple is the one-step mutation of the original at that slot, so the
-adjacency graphs refine the mutation trees of the squared Markov equations.
+point, ``d0 = -w_k / l1**2``, ``l2 = l1*(w_i + w_j) / w_k``, and ``d1`` is
+pinned down by the requirement that ``P1`` corresponds to the given degree
+matrix.  Integrality of ``d2`` is a linear congruence in ``d1``, solved by a
+modular inverse, which leaves at most ``gcd(l1, l2)`` candidates to test
+rather than all of ``[0, l1)``.  The partner's weight triple is the
+one-step mutation of the original at that slot, so the adjacency graphs
+refine the mutation trees of the squared Markov equations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from . import abelian, markov, planes
@@ -173,8 +177,11 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     and return the adjacent pair of planes it degenerates to.
 
     Raises :class:`NotDegenerableError` when the point is not a
-    T-singularity.  The slice data is otherwise guaranteed to exist and the
-    search for ``d1`` must hit exactly once.
+    T-singularity.  The slice data is otherwise guaranteed to exist: of all
+    ``d1`` in ``[0, l1)``, exactly one must pass the primitivity and
+    annihilation tests, or an ``AssertionError`` is raised.  Only the
+    ``gcd(l1, l2) <= mu`` values making ``d2`` integral are tested, so the
+    cost does not grow with ``l1``.
     """
     q_canon, _ = planes.adjust(q)
     w = planes.fake_weights_of_degree_matrix(q)
@@ -196,8 +203,15 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
         raise NotDegenerableError(f"second isotropy order of {q} at slot {slot} is not integral")
     l2 = num // wp[2]
 
+    # With w2 = d*l1**2 and l1*(w0 + w1) = l2*w2, w2 divides d2_num exactly
+    # when d1*l2 == w1 (mod l1).  That leaves g = gcd(l1, l2) values of d1 in
+    # [0, l1), or none; a solvable g divides every weight, hence mu, which is
+    # at most 9 at the integral degree that adjust above requires.
+    g = gcd(l1, l2)
+    step = l1 // g
+    first = (wp[1] // g) * pow(l2 // g, -1, step) % step if wp[1] % g == 0 else l1
     hits = []
-    for d1 in range(l1):
+    for d1 in range(first, l1, step):
         if l1 > 1 and (d1 == 0 or gcd(l1, d1) != 1):
             continue
         d2_num = d1 * (wp[0] + wp[1]) + d0 * l1 * wp[1]
@@ -300,11 +314,12 @@ class AdjacencyGraph:
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
+    @cached_property
+    def _node_index(self) -> dict[DegreeMatrix, GraphNode]:
+        return {node.key: node for node in self.nodes}
+
     def node_by_key(self, key: DegreeMatrix) -> GraphNode:
-        for node in self.nodes:
-            if node.key == key:
-                return node
-        raise KeyError(key)
+        return self._node_index[key]
 
     def edge_keys(self) -> set[frozenset]:
         return {frozenset((e.a, e.b)) for e in self.edges}

@@ -244,9 +244,21 @@ def cone_gorenstein_index(v: tuple[int, int], vp: tuple[int, int]) -> int:
 
 
 def _hirzebruch_jung_length(m: int, k: int) -> int:
-    """Length of the negative continued fraction expansion of m/k."""
+    """Length of the negative continued fraction expansion of m/k.
+
+    While ``k > m - k`` the next entry is 2 and the step keeps ``r = m - k``
+    fixed while lowering ``m`` and ``k`` by ``r``, so a run of ``(k-1)//r``
+    entries 2 is taken at once.  Steps are then bounded by those of the
+    Euclidean algorithm, O(log m).
+    """
     count = 0
     while k > 0:
+        r = m - k
+        if 0 < r < k:
+            n = (k - 1) // r
+            m, k = m - n * r, k - n * r
+            count += n
+            continue
         b = -(-m // k)
         m, k = k, b * k - m
         count += 1
@@ -403,31 +415,45 @@ def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
     return best[1], best[2]
 
 
-def is_adjusted(q: DegreeMatrix) -> bool:
-    adjusted, _ = adjust(q)
-    return adjusted == q
-
-
 def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
     """A pair ``(phi, perm)`` with ``phi(q1)`` a column permutation of
     ``q2``, or ``None`` when the planes are not isomorphic.
 
-    Only positivity-preserving automorphisms can match positive free parts,
-    so the search space is ``mu * phi(mu)`` maps times six permutations.
+    Only positivity-preserving maps ``(k, m) -> (k, a*k + c*m)`` can match
+    positive free parts.  For each of the six column orders whose free
+    parts agree, ``(a, c)`` is solved from the first two columns by
+    Cramer's rule mod ``mu``; the determinant ``u_x*eta_y - u_y*eta_x`` is
+    a unit because any two columns generate ``K`` (for ``mu = 1`` the
+    solve gives the identity).  A solution with ``c`` a unit is then
+    checked on all three columns.  Of all witnesses the one with the least
+    ``(a, c, perm)`` is returned, so at most 18 column images are formed,
+    whatever ``mu``.
     """
     if q1.mu != q2.mu:
         return None
-    if sorted(q1.u) != sorted(q2.u):
-        return None
     ctx = q1.context
+    mu = ctx.mu
     cols1 = q1.columns
     cols2 = q2.columns
-    for phi in abelian.automorphisms(ctx, positive_only=True):
-        image = [abelian.apply_automorphism(phi, col, ctx) for col in cols1]
-        for perm in permutations(range(3)):
-            if tuple(image[perm[j]] for j in range(3)) == cols2:
-                return phi, perm
-    return None
+    e0, e1 = q2.eta[0], q2.eta[1]
+    found = []
+    for i, j, k in permutations(range(3)):
+        if (q1.u[i], q1.u[j], q1.u[k]) != q2.u:
+            continue
+        x, y = cols1[i], cols1[j]
+        det_inv = ctx.inverse((x.free * y.tors - y.free * x.tors) % mu)
+        a = (e0 * y.tors - e1 * x.tors) * det_inv % mu
+        c = (x.free * e1 - y.free * e0) * det_inv % mu
+        if gcd(c, mu) != 1:
+            continue
+        phi = KAutomorphism(1, a, c)
+        image = tuple(abelian.apply_automorphism(phi, cols1[n], ctx) for n in (i, j, k))
+        if image == cols2:
+            found.append((a, c, (i, j, k)))
+    if not found:
+        return None
+    a, c, perm = min(found)
+    return KAutomorphism(1, a, c), perm
 
 
 def is_isomorphic(q1: DegreeMatrix, q2: DegreeMatrix) -> bool:
@@ -461,7 +487,7 @@ def classify(a: int, norm_bound: int) -> list[ClassifiedPlane]:
 
     One entry per isomorphism class, keyed by the canonical adjusted degree
     matrix; the per-node eta lists are deduplicated through :func:`adjust`
-    and the grouping is re-verified against the isomorphism search.
+    and the grouping is re-verified with :func:`is_isomorphic`.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")

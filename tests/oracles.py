@@ -3,15 +3,19 @@
 These deliberately avoid the library's own algorithms: solutions are found
 by scanning all triples, group membership by scanning all multiples and
 resolution data by convex hull geometry, so agreement with the fast paths
-is meaningful.
+is meaningful.  The isomorphism witness is found by trying every positive
+automorphism against every column order, and the K*-surface data over a
+T-singular point by scanning every ``d1`` in ``[0, l1)``.
 """
 
 from __future__ import annotations
 
+from itertools import permutations
 from math import gcd
 
-from fwpp import planes
+from fwpp import abelian, planes
 from fwpp.abelian import KContext, KElement
+from fwpp.adjacency import KStarData
 
 
 def brute_solutions(a: int, norm_bound: int) -> set[tuple[int, int, int]]:
@@ -162,3 +166,44 @@ def brute_initial_triples(a: int, cap: int) -> set[tuple[int, int, int]]:
                 if (u0 + u1 + u2) ** 2 == a * u0 * u1 * u2:
                     out.add((u0, u1, u2))
     return out
+
+
+def brute_isomorphism_witness(q1: planes.DegreeMatrix, q2: planes.DegreeMatrix):
+    """First ``(phi, perm)`` in the order positive automorphism (``a``, then
+    unit ``c``), then column order, with ``phi(q1)`` permuted equal to ``q2``."""
+    if q1.mu != q2.mu or sorted(q1.u) != sorted(q2.u):
+        return None
+    ctx = q1.context
+    for phi in abelian.automorphisms(ctx, positive_only=True):
+        image = [abelian.apply_automorphism(phi, col, ctx) for col in q1.columns]
+        for perm in permutations(range(3)):
+            if tuple(image[perm[j]] for j in range(3)) == q2.columns:
+                return phi, perm
+    return None
+
+
+def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
+    """K*-surface data over the T-singular point ``z(slot)`` by scanning
+    every ``d1`` in ``[0, l1)``; asserts exactly one admissible value."""
+    w = planes.fake_weights_of_degree_matrix(q)
+    rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
+    perm = (rest[0], rest[1], slot)
+    qp = q.permuted(perm)
+    w0, w1, w2 = (w[i] for i in perm)
+    l1 = brute_gorenstein_index(qp, 2)
+    assert w2 % (l1 * l1) == 0, "not a T-singular point"
+    d0 = -(w2 // (l1 * l1))
+    assert (l1 * (w0 + w1)) % w2 == 0
+    l2 = l1 * (w0 + w1) // w2
+    hits = []
+    for d1 in range(l1):
+        if l1 > 1 and (d1 == 0 or gcd(l1, d1) != 1):
+            continue
+        d2_num = d1 * (w0 + w1) + d0 * l1 * w1
+        if d2_num % w2:
+            continue
+        d2 = -(d2_num // w2)
+        if gcd(l2, d2) == 1 and planes.annihilates(qp, ((l1, l1, -l2), (d1, d1 + l1 * d0, d2))):
+            hits.append(KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2))
+    assert len(hits) == 1, f"d1 scan at slot {slot} of {q} found {hits}"
+    return hits[0]

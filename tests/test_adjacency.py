@@ -1,10 +1,12 @@
 """K*-surface data, adjacent partners, graphs and the self-adjacency census."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
 import golden
+import oracles
 from fwpp import adjacency, markov, planes
 from fwpp.adjacency import KStarData
 from fwpp.planes import DegreeMatrix
@@ -137,6 +139,48 @@ class TestAdjacentPartner:
                     flag, _ = planes.is_t_singular(pair.q2_raw, 2)
                     assert flag
                     assert planes.local_gorenstein_index(pair.q2_raw, 2) == pair.kstar.l2
+
+
+class TestPartnerReconstruction:
+    def test_agrees_with_the_d1_scan_on_every_graph_node(self):
+        # every T-point of every family's graph nodes; the scan is O(l1)
+        largest_gcd = 1
+        for (a, mu) in planes.SERIES_FAMILIES:
+            graph = adjacency.adjacency_graph(a, mu, 10**5 if a == 1 else 10**8)
+            for node in graph.nodes:
+                q = node.plane.matrix
+                for slot in range(3):
+                    if not planes.is_t_singular(q, slot)[0]:
+                        continue
+                    kstar = adjacency.adjacent_partner(q, slot).kstar
+                    assert kstar == oracles.scan_partner_kstar(q, slot)
+                    largest_gcd = max(largest_gcd, gcd(kstar.l1, kstar.l2))
+        assert largest_gcd > 1
+
+    def test_isotropy_orders_with_common_factor(self):
+        q = mk(9, (1, 1, 1), (0, 1, 2))
+        pair = adjacency.adjacent_partner(q, 2)
+        assert pair.kstar == KStarData(l1=3, l2=6, d0=-1, d1=1, d2=1)
+        assert pair.kstar == oracles.scan_partner_kstar(q, 2)
+
+    def test_large_index_tests_few_candidates(self, monkeypatch):
+        # l1 = 3,071,217 at norm 9.4 * 10^12, where a d1 scan runs 3 * 10^6 steps
+        rows_tested = []
+        real = planes.annihilates
+
+        def counting(q, rows):
+            rows_tested.append(rows)
+            return real(q, rows)
+
+        monkeypatch.setattr(planes, "annihilates", counting)
+        q = mk(3, (5365416001, 98, 3144124620363), (0, 1, 2))
+        pair = adjacency.adjacent_partner(q, 2)
+        assert pair.kstar == KStarData(l1=3071217, l2=5241, d0=-1, d1=663350, d2=4109)
+        # at most gcd(l1, l2) = 3 candidate values of d1, then the correspondence test
+        assert len(rows_tested) <= 4
+        w = planes.fake_weights_of_degree_matrix(q)
+        mutated = sorted([w[0], w[1], (w[0] + w[1]) ** 2 // w[2]])
+        assert sorted(planes.fake_weights_of_degree_matrix(pair.q2)) == mutated
 
 
 class TestCanDegenerate:

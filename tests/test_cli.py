@@ -175,6 +175,14 @@ class TestIso:
         assert code == 1
         assert json.loads(out) == {"isomorphic": False}
 
+    def test_false_verdict_at_large_mu(self, capsys):
+        # mu * phi(mu) is about 10^12 here, out of reach of an enumeration
+        first = '{"mu":1000003,"u":["1","1","1"],"eta":[0,1,2]}'
+        second = '{"mu":1000003,"u":["1","1","1"],"eta":[0,1,3]}'
+        code, out, _ = run(capsys, "iso", first, second)
+        assert code == 1
+        assert json.loads(out) == {"isomorphic": False}
+
     def test_mu_mismatch(self, capsys):
         code, out, _ = run(capsys, "iso", MATRIX_183, '{"mu":4,"u":["1","1","2"],"eta":[0,1,3]}')
         assert code == 1

@@ -1,13 +1,16 @@
 """Degree/generator matrices, adjusted forms, isomorphism, classification."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import golden
+import oracles
 from fwpp import abelian, markov, planes
+from fwpp.abelian import KAutomorphism
 from fwpp.planes import DegreeMatrix, GeneratorMatrix, SeriesId
 
 
@@ -138,6 +141,43 @@ class TestIsomorphism:
         image = [abelian.apply_automorphism(phi, col, ctx) for col in q1.columns]
         assert tuple(image[perm[j]] for j in range(3)) == q2.columns
 
+    def test_witness_forms_at_most_18_column_images(self, monkeypatch):
+        # six column orders, three images each, whatever mu is
+        images = []
+        real = abelian.apply_automorphism
+
+        def counting(phi, q, ctx):
+            images.append(q)
+            return real(phi, q, ctx)
+
+        monkeypatch.setattr(abelian, "apply_automorphism", counting)
+        pairs = [
+            (mk(9, (1, 1, 1), (0, 1, 2)), mk(9, (1, 1, 1), (0, 1, 5))),
+            (mk(9, (1, 4, 25), (0, 1, 2)), mk(9, (1, 4, 25), (0, 1, 5))),
+            (mk(1_000_003, (1, 1, 1), (0, 1, 2)), mk(1_000_003, (1, 1, 1), (0, 1, 3))),
+            (mk(1_000_003, (1, 1, 1), (0, 1, 2)), mk(1_000_003, (1, 1, 1), (0, 2, 4))),
+        ]
+        for q1, q2 in pairs:
+            images.clear()
+            planes.isomorphism_witness(q1, q2)
+            assert 0 < len(images) <= 18
+        assert planes.isomorphism_witness(*pairs[2]) is None
+        assert planes.isomorphism_witness(*pairs[3]) == (KAutomorphism(1, 0, 2), (0, 1, 2))
+
+    def test_witness_matches_oracle_on_classified_pairs(self):
+        # distinct classes sharing a weight vector are the hard negatives;
+        # every series presentation of a class is a positive
+        classes = [c for a in (1, 2, 3, 8, 9) for c in planes.classify(a, 400)]
+        for x in classes:
+            for y in classes:
+                if (x.matrix.mu, x.matrix.u) == (y.matrix.mu, y.matrix.u):
+                    assert planes.isomorphism_witness(x.matrix, y.matrix) == oracles.brute_isomorphism_witness(x.matrix, y.matrix)
+            for sid in x.all_series:
+                q = mk(x.matrix.mu, x.matrix.u, (0, 1 % x.matrix.mu, sid.eta))
+                witness = planes.isomorphism_witness(q, x.matrix)
+                assert witness is not None
+                assert witness == oracles.brute_isomorphism_witness(q, x.matrix)
+
     def test_equivalence_relation_on_samples(self):
         sample = []
         for u in ((1, 1, 1), (1, 1, 4)):
@@ -243,6 +283,57 @@ def test_adjust_recovers_canonical_from_any_presentation(data):
     adjusted, _ = planes.adjust(q)
     assert adjusted == c.matrix
     assert planes.is_isomorphic(q, c.matrix)
+
+
+@st.composite
+def degree_matrices(draw, max_mu=29):
+    """Small valid degree matrices: pairwise coprime free parts and torsion
+    parts kept when every pair of columns generates the group."""
+    mu = draw(st.integers(1, max_mu))
+    u0 = draw(st.integers(1, 12))
+    u1 = draw(st.sampled_from([x for x in range(1, 13) if gcd(x, u0) == 1]))
+    u2 = draw(st.sampled_from([x for x in range(1, 13) if gcd(x, u0 * u1) == 1]))
+    eta = draw(st.tuples(*[st.integers(0, mu - 1)] * 3))
+    try:
+        return DegreeMatrix(mu, (u0, u1, u2), eta)
+    except ValueError:
+        reject()
+
+
+def image_of(q, phi, perm):
+    ctx = q.context
+    cols = [abelian.apply_automorphism(phi, col, ctx) for col in q.columns]
+    cols = [cols[i] for i in perm]
+    return DegreeMatrix(q.mu, tuple(x.free for x in cols), tuple(x.tors for x in cols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_matrices(), st.data())
+def test_witness_matches_oracle_on_isomorphic_images(q, data):
+    phi = KAutomorphism(1, data.draw(st.integers(0, q.mu - 1)), data.draw(st.sampled_from(q.context.units())))
+    q2 = image_of(q, phi, data.draw(st.permutations(range(3))))
+    witness = planes.isomorphism_witness(q, q2)
+    assert witness is not None
+    assert witness == oracles.brute_isomorphism_witness(q, q2)
+
+
+@settings(max_examples=150, deadline=None)
+@given(degree_matrices(), st.permutations(range(3)), st.data())
+def test_witness_matches_oracle_on_random_pairs(q, perm, data):
+    eta = data.draw(st.tuples(*[st.integers(0, q.mu - 1)] * 3))
+    try:
+        q2 = DegreeMatrix(q.mu, tuple(q.u[i] for i in perm), eta)
+    except ValueError:
+        reject()
+    assert planes.isomorphism_witness(q, q2) == oracles.brute_isomorphism_witness(q, q2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(degree_matrices(max_mu=1), st.permutations(range(3)))
+def test_witness_matches_oracle_at_mu_one(q, perm):
+    witness = planes.isomorphism_witness(q, q.permuted(perm))
+    assert witness == oracles.brute_isomorphism_witness(q, q.permuted(perm))
+    assert witness[0] == KAutomorphism(1, 0, 0)
 
 
 class TestSerialization:

@@ -6,6 +6,8 @@ generator matrix) and by a fourth, modular route on adjusted matrices;
 resolution counts are cross-checked against a convex hull oracle.
 """
 
+from math import gcd
+
 import pytest
 
 import golden
@@ -119,6 +121,20 @@ class TestResolutionCounts:
             for k in range(3):
                 v, vp = p.cone_of_fixed_point(k)
                 assert planes.resolution_curve_count(v, vp) == oracles.hull_resolution_count(v, vp)
+
+    def test_hull_oracle_on_every_small_cone_type(self):
+        # cone(e1, (m - k, m)) is the cyclic quotient singularity of type (m, k)
+        for m in range(2, 36):
+            for k in range(1, m):
+                if gcd(m, k) == 1:
+                    cone = ((1, 0), (m - k, m))
+                    assert planes.resolution_curve_count(*cone) == oracles.hull_resolution_count(*cone)
+
+    def test_long_chain_of_twos(self):
+        # type (10^40 + 1, 10^40) resolves by a chain of 10^40 curves
+        assert planes.resolution_curve_count((1, 0), (1, 10**40 + 1)) == 10**40
+        n = 10**40
+        assert planes.singularity_report(DegreeMatrix(1, (1, n, n + 1), (0, 0, 0))).res_curves == (0, 1, n)
 
 
 class TestWorkedExamples:
