@@ -299,6 +299,23 @@ def k_membership_multiple(w: KElement, q: KElement, ctx: KContext) -> int:
 # ---------------------------------------------------------------------------
 
 
+def bezout(a: int, c: int) -> tuple[int, int]:
+    """Coefficients ``(s, r)`` with ``s*a + r*c == 1`` for coprime a, c."""
+    old_r, r = a, c
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        quotient = old_r // r
+        old_r, r = r, old_r - quotient * r
+        old_s, s = s, old_s - quotient * s
+        old_t, t = t, old_t - quotient * t
+    if old_r == 1:
+        return old_s, old_t
+    if old_r == -1:
+        return -old_s, -old_t
+    raise ValueError(f"{a} and {c} are not coprime")
+
+
 class NotGeneratorMatrixError(ValueError):
     pass
 
@@ -335,34 +352,38 @@ def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int
 
 
 def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElement]]:
-    """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix.
+    """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix, in closed form.
 
-    Returns the torsion context (``mu`` equals the gcd of the three 2x2
-    minors) together with the images of the standard basis vectors, i.e. the
-    columns of a degree matrix corresponding to ``p``.  Free parts are the
-    fake weights divided by ``mu``.
+    Returns the torsion context (``mu`` is the gcd of the fake weights, the
+    absolute 2x2 minors) together with the images of the standard basis
+    vectors, i.e. the columns of a degree matrix corresponding to ``p``.
+
+    The free row is ``w / mu``: the fake weight vector spans the kernel of
+    ``P``.  For the torsion row, ``s . v_0 = 1`` (``v_0`` is primitive)
+    puts ``(1, c_1, c_2)`` with ``c_j = s . v_j`` into the row lattice, and
+    ``alpha*u_1 + beta*u_2 = 1`` (``gcd(u_1, u_2) = 1``) completes
+    ``(u_1, u_2)`` to a basis of ``Z^2``; the torsion row is then
+    ``(beta*c_1 - alpha*c_2, -beta, alpha) mod mu``.  Both rows are checked
+    to annihilate ``P``, and the first two columns to generate ``K``, which
+    together certify the cokernel.
     """
     weights = validate_generator_matrix(p)
-    u_mat, s, _ = smith_normal_form(transpose(p))
-    if s[0][0] != 1:
-        raise NotGeneratorMatrixError(f"first invariant factor of {p} is {s[0][0]}, not 1")
-    mu = abs(s[1][1])
-    if mu != gcd(gcd(weights[0], weights[1]), weights[2]):
-        raise AssertionError("torsion order disagrees with the fake weight gcd")
-    free_row = u_mat[2]
-    if all(x < 0 for x in free_row):
-        free_row = [-x for x in free_row]
-    if not all(x > 0 for x in free_row):
-        raise AssertionError(f"cokernel free parts are not positive: {free_row}")
-    tors_row = [x % mu for x in u_mat[1]]
+    mu = gcd(gcd(weights[0], weights[1]), weights[2])
+    free_row = [w // mu for w in weights]
+    (x0, x1, x2), (y0, y1, y2) = p
+    s0, s1 = bezout(x0, y0)
+    c1, c2 = s0 * x1 + s1 * y1, s0 * x2 + s1 * y2
+    alpha, beta = bezout(free_row[1], free_row[2])
+    tors_row = [(beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu]
+    for row in p:
+        free = sum(x * f for x, f in zip(row, free_row))
+        tors = sum(x * t for x, t in zip(row, tors_row))
+        if free or tors % mu:
+            raise AssertionError(f"cokernel projection does not annihilate row {row}")
     ctx = KContext(mu)
     cols = [KElement(free_row[j], tors_row[j]) for j in range(3)]
-    for row in p:
-        total = ctx.zero()
-        for coeff, q in zip(row, cols):
-            total = ctx.add(total, ctx.scale(coeff, q))
-        if total != ctx.zero():
-            raise AssertionError(f"cokernel projection does not annihilate row {row}")
+    if not pair_generates(cols[0], cols[1], ctx):
+        raise AssertionError(f"cokernel projection of {p} is not onto")
     return ctx, cols
 
 

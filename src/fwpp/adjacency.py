@@ -15,9 +15,13 @@ point, ``d0 = -w_k / l1**2``, ``l2 = l1*(w_i + w_j) / w_k``, and ``d1`` is
 pinned down by the requirement that ``P1`` corresponds to the given degree
 matrix.  Integrality of ``d2`` is a linear congruence in ``d1``, solved by a
 modular inverse, which leaves at most ``gcd(l1, l2)`` candidates to test
-rather than all of ``[0, l1)``.  The partner's weight triple is the
-one-step mutation of the original at that slot, so the adjacency graphs
-refine the mutation trees of the squared Markov equations.
+rather than all of ``[0, l1)``.  The partner's degree matrix is the
+cokernel of ``P2``, read off in closed form by
+:func:`fwpp.abelian.cokernel_structure`, and adjusted once.  Its weight
+triple is the one-step mutation of the original at that slot, so the
+adjacency graphs refine the mutation trees of the squared Markov equations.
+A graph classifies only its own ``(degree, mu)`` family, and its nodes are
+the adjusted matrices :func:`fwpp.planes.classify` returns.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ from functools import cached_property
 from math import gcd
 
 from . import abelian, markov, planes
+from .markov import _decimal_str
 from .planes import ClassifiedPlane, DegreeMatrix, GeneratorMatrix, SeriesId
 
 Triple = tuple[int, int, int]
@@ -100,7 +105,13 @@ class KStarData:
         )
 
     def to_json_obj(self) -> dict:
-        return {"l1": self.l1, "l2": self.l2, "d0": str(self.d0), "d1": str(self.d1), "d2": str(self.d2)}
+        return {
+            "l1": self.l1,
+            "l2": self.l2,
+            "d0": _decimal_str(self.d0),
+            "d1": _decimal_str(self.d1),
+            "d2": _decimal_str(self.d2),
+        }
 
 
 def slice_matrices(kstar: KStarData) -> tuple[GeneratorMatrix, GeneratorMatrix]:
@@ -259,11 +270,12 @@ def adjacency_neighbors(q: DegreeMatrix) -> tuple[list[tuple[DegreeMatrix, Adjac
     """Adjacent partner classes over all T-singular fixed points.
 
     Returns ``(neighbors, self_pairs)``: partners isomorphic to ``q``
-    itself are reported separately and never enter the edge set.
+    itself (``pair.q2 == pair.q1``, both adjusted by
+    :func:`adjacent_partner`) are reported separately and never enter the
+    edge set.
     Toric pairs count; adjacency does not require the common surface to be
     non-toric.
     """
-    q_canon, _ = planes.adjust(q)
     neighbors: dict[DegreeMatrix, AdjacentPair] = {}
     self_pairs: list[AdjacentPair] = []
     for slot in range(3):
@@ -271,7 +283,7 @@ def adjacency_neighbors(q: DegreeMatrix) -> tuple[list[tuple[DegreeMatrix, Adjac
         if not flag:
             continue
         pair = adjacent_partner(q, slot)
-        if pair.q2 == q_canon:
+        if pair.self_adjacent:
             self_pairs.append(pair)
         else:
             neighbors.setdefault(pair.q2, pair)
@@ -349,12 +361,12 @@ class AdjacencyGraph:
         return {
             "a": self.a,
             "mu": self.mu,
-            "normBound": str(self.norm_bound),
+            "normBound": _decimal_str(self.norm_bound),
             "nodes": [
                 {
                     "label": n.label(),
                     "series": [str(s) for s in n.plane.all_series],
-                    "u": [str(x) for x in n.plane.matrix.u],
+                    "u": [_decimal_str(x) for x in n.plane.matrix.u],
                     "eta": list(n.plane.matrix.eta),
                     "selfAdjacent": n.self_adjacent,
                     "nonToricSelf": n.non_toric_self,
@@ -401,7 +413,7 @@ def adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
     """
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {a} with torsion order {mu}")
-    classified = [c for c in planes.classify(a, norm_bound) if c.matrix.mu == mu]
+    classified = planes.classify(a, norm_bound, mu=mu)
     by_key = {c.matrix: c for c in classified}
     nodes = []
     edges: dict[frozenset, bool] = {}
@@ -450,8 +462,8 @@ def self_adjacency_census() -> list[CensusEntry]:
     out = []
     for (a, mu) in planes.SERIES_FAMILIES:
         base_norm = min(t.norm for t in markov.initial_solutions(mu * a))
-        for c in planes.classify(a, mu * base_norm):
-            if c.matrix.mu != mu or c.norm != mu * base_norm:
+        for c in planes.classify(a, mu * base_norm, mu=mu):
+            if c.norm != mu * base_norm:
                 continue
             _, self_pairs = adjacency_neighbors(c.matrix)
             if self_pairs:

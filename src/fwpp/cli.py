@@ -164,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p, formats, default_format):
         p.add_argument("--bound", type=int, default=DEFAULT_NORM_BOUND, help="norm bound on the fake weight vector")
         p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="abort when the enumeration grows past this many nodes")
-        p.add_argument("--jobs", type=int, default=1, help="worker hint; results are independent of it")
         p.add_argument("--format", choices=formats, default=default_format)
 
     p_solve = sub.add_parser("solve", help="enumerate equation solutions up to a norm bound")
@@ -204,9 +203,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
-    if getattr(args, "jobs", 1) < 1:
-        print("--jobs must be at least 1", file=sys.stderr)
-        return USAGE_ERROR
     try:
         return args.func(args)
     except (_InputError, ValueError) as exc:

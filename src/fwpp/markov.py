@@ -20,6 +20,7 @@ steps below ``(1, 4, 5)`` for ``a = 5``).
 
 from __future__ import annotations
 
+import decimal
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -38,6 +39,18 @@ REDUCED_PARAMETERS = (5, 6, 8, 9)
 REDUCED_XI = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 1, 5)}
 
 Triple = tuple[int, int, int]
+
+
+def _decimal_str(n: int) -> str:
+    """Decimal text of ``n`` at any size.
+
+    ``str(int)`` refuses integers longer than ``sys.get_int_max_str_digits()``
+    (4,300 digits by default); ``Decimal`` converts those without the limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(decimal.Decimal(n))
 
 
 def is_solution(u, a: int) -> bool:
@@ -151,15 +164,15 @@ class MutationTree:
 
     def to_json_obj(self) -> dict:
         def enc(u):
-            return [str(c) for c in u]
+            return [_decimal_str(c) for c in u]
 
         return {
             "a": self.a,
-            "normBound": str(self.norm_bound),
+            "normBound": _decimal_str(self.norm_bound),
             "depthBound": self.depth_bound,
             "roots": [enc(r) for r in self.roots],
             "nodes": [
-                {"u": enc(u), "norm": str(norm(u)), "depth": self.depths[u]}
+                {"u": enc(u), "norm": _decimal_str(norm(u)), "depth": self.depths[u]}
                 for u in self.nodes
             ],
             "edges": [[enc(x), enc(y)] for x, y in self.edges],
@@ -347,4 +360,4 @@ def decompose(t: SolutionTriple) -> SquareDecomposition:
 
 def triples_to_json(triples) -> str:
     """JSON array of triples, entries as decimal strings."""
-    return json.dumps([[str(c) for c in u] for u in triples])
+    return json.dumps([[_decimal_str(c) for c in u] for u in triples])

@@ -24,7 +24,7 @@ geometry of the fan cones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -32,6 +32,7 @@ from typing import Iterable, Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, KContext, KElement
+from .markov import _decimal_str
 
 Triple = tuple[int, int, int]
 
@@ -74,11 +75,17 @@ class SeriesId:
 
 @dataclass(frozen=True, order=True)
 class DegreeMatrix:
-    """Grading data ``(u_i, eta_i)`` of a plane with ``Cl = Z + Z/mu``."""
+    """Grading data ``(u_i, eta_i)`` of a plane with ``Cl = Z + Z/mu``.
+
+    ``context`` and ``columns`` are derived once, at construction; they take
+    no part in equality, hashing or order.
+    """
 
     mu: int
     u: Triple
     eta: Triple
+    context: KContext = field(init=False, compare=False, repr=False)
+    columns: tuple[KElement, KElement, KElement] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mu < 1:
@@ -89,8 +96,10 @@ class DegreeMatrix:
             raise ValueError(f"free parts must be positive, got {self.u}")
         if any(not 0 <= e < self.mu for e in self.eta):
             raise ValueError(f"torsion parts must be reduced mod {self.mu}, got {self.eta}")
-        ctx = self.context
-        cols = self.columns
+        ctx = KContext(self.mu)
+        cols = tuple(KElement(self.u[i], self.eta[i]) for i in range(3))
+        object.__setattr__(self, "context", ctx)
+        object.__setattr__(self, "columns", cols)
         for i in range(3):
             for j in range(i + 1, 3):
                 if not abelian.pair_generates(cols[i], cols[j], ctx):
@@ -98,14 +107,6 @@ class DegreeMatrix:
                         f"columns {i},{j} of (mu={self.mu}, u={self.u}, eta={self.eta})"
                         " fail to generate the class group"
                     )
-
-    @property
-    def context(self) -> KContext:
-        return KContext(self.mu)
-
-    @property
-    def columns(self) -> tuple[KElement, KElement, KElement]:
-        return tuple(KElement(self.u[i], self.eta[i]) for i in range(3))
 
     def permuted(self, perm: Sequence[int]) -> "DegreeMatrix":
         return DegreeMatrix(
@@ -117,7 +118,7 @@ class DegreeMatrix:
     def to_json_obj(self) -> dict:
         return {
             "mu": self.mu,
-            "u": [str(x) for x in self.u],
+            "u": [_decimal_str(x) for x in self.u],
             "eta": list(self.eta),
         }
 
@@ -286,7 +287,7 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
     if gcd(a, c) != 1 or gcd(b, d) != 1:
         raise ValueError("cone generators must be primitive")
     # unimodular map sending v to (1, 0)
-    s, r = _bezout(a, c)
+    s, r = abelian.bezout(a, c)
     x = s * b + r * d
     y = -c * b + a * d
     if y < 0:
@@ -298,23 +299,6 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
     if k == 0 or gcd(k, m) != 1:
         raise AssertionError(f"normalized cone type ({m}, {k}) is not reduced")
     return _hirzebruch_jung_length(m, k)
-
-
-def _bezout(a: int, c: int) -> tuple[int, int]:
-    """Coefficients ``(s, r)`` with ``s*a + r*c == 1`` for coprime a, c."""
-    old_r, r = a, c
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r == 1:
-        return old_s, old_t
-    if old_r == -1:
-        return -old_s, -old_t
-    raise ValueError(f"{a} and {c} are not coprime")
 
 
 # ---------------------------------------------------------------------------
@@ -411,8 +395,9 @@ def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
         eta_n, phi = _normalize_second_row(u_p, eta_p, q.context)
         candidate = (eta_n[2], perm)
         if best is None or candidate < best[0]:
-            best = (candidate, DegreeMatrix(q.mu, u_p, eta_n), AdjustTransform(perm, phi))
-    return best[1], best[2]
+            best = (candidate, u_p, eta_n, phi)
+    (_, perm), u_p, eta_n, phi = best
+    return DegreeMatrix(q.mu, u_p, eta_n), AdjustTransform(perm, phi)
 
 
 def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
@@ -482,34 +467,35 @@ class ClassifiedPlane:
         return sum(self.weights)
 
 
-def classify(a: int, norm_bound: int) -> list[ClassifiedPlane]:
+def classify(a: int, norm_bound: int, mu: int | None = None) -> list[ClassifiedPlane]:
     """All planes of integral degree ``a`` with fake weight norm <= bound.
 
-    One entry per isomorphism class, keyed by the canonical adjusted degree
-    matrix; the per-node eta lists are deduplicated through :func:`adjust`
-    and the grouping is re-verified with :func:`is_isomorphic`.
+    With ``mu`` given, only the ``(a, mu)`` family is enumerated (an empty
+    list when it carries no series); the result is the ``mu`` part of the
+    unfiltered one.  One entry per isomorphism class, keyed by the
+    canonical adjusted degree matrix; the per-node eta lists are
+    deduplicated through :func:`adjust` and the grouping is re-verified
+    with :func:`is_isomorphic`.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")
     out: list[ClassifiedPlane] = []
-    for (deg, mu) in SERIES_FAMILIES:
-        if deg != a:
+    for (deg, fam_mu) in SERIES_FAMILIES:
+        if deg != a or (mu is not None and fam_mu != mu):
             continue
-        etas = SERIES_ETAS[(deg, mu)]
-        tree = markov.enumerate_tree(mu * a, norm_bound // mu)
+        etas = SERIES_ETAS[(deg, fam_mu)]
+        tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu)
         for u_sorted in tree.nodes:
-            u_arr, _ = markov.arrange(u_sorted, mu * a)
-            second = (0, 1 % mu, 0)
-            groups: dict[DegreeMatrix, list[int]] = {}
+            u_arr, _ = markov.arrange(u_sorted, fam_mu * a)
+            groups: dict[DegreeMatrix, list[tuple[int, DegreeMatrix]]] = {}
             for eta in etas:
-                q = DegreeMatrix(mu, u_arr, (second[0], second[1], eta % mu))
+                q = DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu))
                 canonical, _ = adjust(q)
-                groups.setdefault(canonical, []).append(eta)
+                groups.setdefault(canonical, []).append((eta, q))
             canon_list = sorted(groups)
             for canonical in canon_list:
                 merged = groups[canonical]
-                for eta in merged:
-                    q = DegreeMatrix(mu, u_arr, (second[0], second[1], eta % mu))
+                for eta, q in merged:
                     if not is_isomorphic(q, canonical):
                         raise AssertionError(f"adjusted merge of eta={eta} at {u_arr} is wrong")
                 for other in canon_list:
@@ -521,7 +507,7 @@ def classify(a: int, norm_bound: int) -> list[ClassifiedPlane]:
                     ClassifiedPlane(
                         series=series_id(canonical),
                         matrix=canonical,
-                        all_series=tuple(SeriesId(a, mu, e) for e in sorted(merged)),
+                        all_series=tuple(sorted(SeriesId(a, fam_mu, eta) for eta, _ in merged)),
                     )
                 )
     out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
@@ -559,10 +545,10 @@ class SingularityReport:
 
     def to_json_obj(self) -> dict:
         return {
-            "cl": [str(x) for x in self.cl],
-            "iota": [str(x) for x in self.iota],
+            "cl": [_decimal_str(x) for x in self.cl],
+            "iota": [_decimal_str(x) for x in self.iota],
             "isT": list(self.is_t),
-            "d": [None if x is None else str(x) for x in self.d],
+            "d": [None if x is None else _decimal_str(x) for x in self.d],
             "resCurves": list(self.res_curves),
         }
 
@@ -592,9 +578,9 @@ def plane_json_obj(c: ClassifiedPlane, with_report: bool = False) -> dict:
     obj = {
         "series": str(c.series),
         "mu": c.matrix.mu,
-        "u": [str(x) for x in c.matrix.u],
+        "u": [_decimal_str(x) for x in c.matrix.u],
         "eta": list(c.matrix.eta),
-        "weights": [str(w) for w in c.weights],
+        "weights": [_decimal_str(w) for w in c.weights],
         "degree": str(integral_degree(c.matrix)),
     }
     if len(c.all_series) > 1:

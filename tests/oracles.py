@@ -5,7 +5,8 @@ by scanning all triples, group membership by scanning all multiples and
 resolution data by convex hull geometry, so agreement with the fast paths
 is meaningful.  The isomorphism witness is found by trying every positive
 automorphism against every column order, and the K*-surface data over a
-T-singular point by scanning every ``d1`` in ``[0, l1)``.
+T-singular point by scanning every ``d1`` in ``[0, l1)``.  The cokernel
+of a generator matrix is read off a general Smith normal form.
 """
 
 from __future__ import annotations
@@ -207,3 +208,17 @@ def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
             hits.append(KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2))
     assert len(hits) == 1, f"d1 scan at slot {slot} of {q} found {hits}"
     return hits[0]
+
+
+def snf_cokernel_structure(p):
+    """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix from the Smith
+    normal form ``U * P^T * V``: row 1 of ``U`` is the torsion row, row 2
+    (sign-normalized) the free row."""
+    weights = abelian.validate_generator_matrix(p)
+    u_mat, s, _ = abelian.smith_normal_form(abelian.transpose(p))
+    assert s[0][0] == 1, f"first invariant factor of {p} is {s[0][0]}"
+    mu = s[1][1]
+    assert mu == gcd(gcd(weights[0], weights[1]), weights[2])
+    free_row = u_mat[2] if u_mat[2][0] > 0 else [-x for x in u_mat[2]]
+    assert all(x > 0 for x in free_row)
+    return KContext(mu), [KElement(free_row[j], u_mat[1][j] % mu) for j in range(3)]

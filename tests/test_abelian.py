@@ -1,11 +1,13 @@
 """Normal forms, cokernels and the arithmetic of Z + Z/mu."""
 
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fwpp import abelian
+from fwpp import abelian, planes
 from fwpp.abelian import KAutomorphism, KContext, KElement
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -17,6 +19,31 @@ def matrices(rows, cols):
         min_size=rows,
         max_size=rows,
     )
+
+
+def primitive(x, y):
+    g = gcd(x, y)
+    return x // g, y // g
+
+
+@st.composite
+def generator_matrices(draw, entry=25):
+    """Valid 2x3 generator matrices: two primitive, independent columns and
+    a third on a primitive ray inside the negative of their cone, which is
+    every matrix whose columns positively span the plane.  Degenerate draws
+    are repaired rather than rejected."""
+    pairs = st.tuples(st.integers(-entry, entry), st.integers(-entry, entry))
+    v0 = draw(pairs)
+    v0 = primitive(*v0) if v0 != (0, 0) else (1, 0)
+    v1 = draw(pairs)
+    v1 = primitive(*v1) if v1[0] * v0[1] != v1[1] * v0[0] else (-v0[1], v0[0])
+    alpha, beta = draw(st.integers(1, entry)), draw(st.integers(1, entry))
+    v2 = primitive(-(alpha * v0[0] + beta * v1[0]), -(alpha * v0[1] + beta * v1[1]))
+    return [[v0[0], v1[0], v2[0]], [v0[1], v1[1], v2[1]]]
+
+
+def as_degree_matrix(ctx, cols):
+    return planes.DegreeMatrix(ctx.mu, tuple(c.free for c in cols), tuple(c.tors for c in cols))
 
 
 class TestSmithNormalForm:
@@ -108,6 +135,26 @@ class TestCokernel:
             abelian.cokernel_structure([[2, 1, -1], [0, 1, -1]])  # imprimitive column
         with pytest.raises(abelian.NotGeneratorMatrixError):
             abelian.cokernel_structure([[1, 1, -2], [0, 0, 0]])  # collinear columns
+
+    @settings(max_examples=300, deadline=None)
+    @given(generator_matrices())
+    def test_closed_form_matches_smith_normal_form(self, p):
+        # same torsion order and free parts; the torsion rows may differ by
+        # an automorphism of K, so the degree matrices are compared up to
+        # isomorphism (constructing them checks pairwise generation)
+        ctx, cols = abelian.cokernel_structure(p)
+        ctx_ref, cols_ref = oracles.snf_cokernel_structure(p)
+        assert ctx.mu == ctx_ref.mu
+        assert [c.free for c in cols] == [c.free for c in cols_ref]
+        assert planes.is_isomorphic(as_degree_matrix(ctx, cols), as_degree_matrix(ctx_ref, cols_ref))
+
+    def test_closed_form_runs_no_smith_normal_form(self, monkeypatch):
+        def forbidden(m):
+            raise AssertionError("cokernel_structure ran a Smith normal form")
+
+        monkeypatch.setattr(abelian, "smith_normal_form", forbidden)
+        ctx, cols = abelian.cokernel_structure([[3, 3, -6], [1, -2, 1]])
+        assert ctx.mu == 9 and [c.free for c in cols] == [1, 1, 1]
 
 
 class TestKernelBasis:

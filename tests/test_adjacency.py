@@ -7,7 +7,7 @@ import pytest
 
 import golden
 import oracles
-from fwpp import adjacency, markov, planes
+from fwpp import abelian, adjacency, markov, planes
 from fwpp.adjacency import KStarData
 from fwpp.planes import DegreeMatrix
 
@@ -183,6 +183,30 @@ class TestPartnerReconstruction:
         assert sorted(planes.fake_weights_of_degree_matrix(pair.q2)) == mutated
 
 
+class TestSliceCokernel:
+    def test_closed_form_matches_smith_normal_form_on_every_graph_partner(self):
+        # the second slice of every T-point of every family's graph nodes
+        slices = 0
+        for (a, mu) in planes.SERIES_FAMILIES:
+            graph = adjacency.adjacency_graph(a, mu, 10**5 if a == 1 else 10**8)
+            for node in graph.nodes:
+                q = node.plane.matrix
+                for slot in range(3):
+                    if not planes.is_t_singular(q, slot)[0]:
+                        continue
+                    pair = adjacency.adjacent_partner(q, slot)
+                    _, p2 = adjacency.slice_matrices(pair.kstar)
+                    ctx, cols = abelian.cokernel_structure(p2.rows)
+                    ctx_ref, cols_ref = oracles.snf_cokernel_structure(p2.rows)
+                    assert ctx.mu == ctx_ref.mu == pair.q2_raw.mu
+                    assert tuple(c.free for c in cols) == tuple(c.free for c in cols_ref) == pair.q2_raw.u
+                    q_ref = DegreeMatrix(ctx_ref.mu, pair.q2_raw.u, tuple(c.tors for c in cols_ref))
+                    assert planes.is_isomorphic(pair.q2_raw, q_ref)
+                    assert planes.adjust(q_ref)[0] == pair.q2
+                    slices += 1
+        assert slices > 1000
+
+
 class TestCanDegenerate:
     def test_smooth_plane_cannot(self):
         for slot in range(3):
@@ -342,6 +366,21 @@ class TestGlobalInvariants:
                     key = (pair.q1.mu, tuple(sorted([(pair.q1.u, pair.q1.eta), (pair.q2.u, pair.q2.eta)])))
                     data = (tuple(sorted((pair.kstar.l1, pair.kstar.l2))), pair.kstar.d0)
                     assert seen.setdefault(key, data) == data
+
+
+class TestClassifyOneFamily:
+    def test_graph_enumerates_one_family(self, monkeypatch):
+        trees = []
+        real = markov.enumerate_tree
+
+        def counting(*args, **kwargs):
+            trees.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(markov, "enumerate_tree", counting)
+        graph = adjacency.adjacency_graph(1, 8, 10**5)
+        assert len(trees) == 1
+        assert len(graph.nodes) == len(planes.classify(1, 10**5, mu=8))
 
 
 class TestCensus:

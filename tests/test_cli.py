@@ -220,7 +220,6 @@ class TestDeterminism:
         second = run(capsys, *argv)
         assert first == second
 
-    def test_jobs_flag_does_not_change_output(self, capsys):
-        base = run(capsys, "classify", "--a", "2", "--bound", "100")
-        jobs = run(capsys, "classify", "--a", "2", "--bound", "100", "--jobs", "4")
-        assert base == jobs
+    def test_jobs_flag_is_rejected(self, capsys):
+        code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "100", "--jobs", "4")
+        assert code == 2 and out == ""

@@ -1,5 +1,7 @@
 """Degree/generator matrices, adjusted forms, isomorphism, classification."""
 
+import decimal
+import json
 from fractions import Fraction
 from math import gcd
 
@@ -9,8 +11,8 @@ from hypothesis import strategies as st
 
 import golden
 import oracles
-from fwpp import abelian, markov, planes
-from fwpp.abelian import KAutomorphism
+from fwpp import abelian, adjacency, markov, planes
+from fwpp.abelian import KAutomorphism, KContext, KElement
 from fwpp.planes import DegreeMatrix, GeneratorMatrix, SeriesId
 
 
@@ -239,6 +241,22 @@ class TestClassify:
         with pytest.raises(ValueError):
             planes.classify(0, 10)
 
+    @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6, 8, 9])
+    def test_mu_filter_partitions_the_classification(self, a):
+        bound = 10**5 if a == 1 else 10**6
+        parts = []
+        for deg, mu in planes.SERIES_FAMILIES:
+            if deg == a:
+                part = planes.classify(a, bound, mu=mu)
+                assert part and all(c.matrix.mu == mu for c in part)
+                parts.extend(part)
+        parts.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
+        assert planes.classify(a, bound) == parts
+
+    def test_mu_filter_without_a_family(self):
+        assert planes.classify(1, 10**4, mu=7) == []
+        assert planes.classify(7, 10**4, mu=1) == []
+
 
 class TestSeriesId:
     def test_examples(self):
@@ -285,19 +303,32 @@ def test_adjust_recovers_canonical_from_any_presentation(data):
     assert planes.is_isomorphic(q, c.matrix)
 
 
+def draw_eta(draw, mu, u):
+    """Torsion row drawn entry by entry among the residues that keep every
+    column pair generating; rejects only when no residue is left, so every
+    valid row stays reachable."""
+    ctx = KContext(mu)
+    eta = []
+    for k in range(3):
+        allowed = [
+            e for e in range(mu)
+            if all(abelian.pair_generates(KElement(u[j], eta[j]), KElement(u[k], e), ctx) for j in range(k))
+        ]
+        if not allowed:
+            reject()
+        eta.append(draw(st.sampled_from(allowed)))
+    return tuple(eta)
+
+
 @st.composite
 def degree_matrices(draw, max_mu=29):
     """Small valid degree matrices: pairwise coprime free parts and torsion
-    parts kept when every pair of columns generates the group."""
+    parts with every pair of columns generating the group."""
     mu = draw(st.integers(1, max_mu))
     u0 = draw(st.integers(1, 12))
     u1 = draw(st.sampled_from([x for x in range(1, 13) if gcd(x, u0) == 1]))
     u2 = draw(st.sampled_from([x for x in range(1, 13) if gcd(x, u0 * u1) == 1]))
-    eta = draw(st.tuples(*[st.integers(0, mu - 1)] * 3))
-    try:
-        return DegreeMatrix(mu, (u0, u1, u2), eta)
-    except ValueError:
-        reject()
+    return DegreeMatrix(mu, (u0, u1, u2), draw_eta(draw, mu, (u0, u1, u2)))
 
 
 def image_of(q, phi, perm):
@@ -320,11 +351,8 @@ def test_witness_matches_oracle_on_isomorphic_images(q, data):
 @settings(max_examples=150, deadline=None)
 @given(degree_matrices(), st.permutations(range(3)), st.data())
 def test_witness_matches_oracle_on_random_pairs(q, perm, data):
-    eta = data.draw(st.tuples(*[st.integers(0, q.mu - 1)] * 3))
-    try:
-        q2 = DegreeMatrix(q.mu, tuple(q.u[i] for i in perm), eta)
-    except ValueError:
-        reject()
+    u2 = tuple(q.u[i] for i in perm)
+    q2 = DegreeMatrix(q.mu, u2, draw_eta(data.draw, q.mu, u2))
     assert planes.isomorphism_witness(q, q2) == oracles.brute_isomorphism_witness(q, q2)
 
 
@@ -347,6 +375,30 @@ class TestSerialization:
         assert obj["series"] in {"2-4-1", "2-4-3", "2-3-1", "2-3-2"}
         assert all(isinstance(x, str) for x in obj["weights"])
         assert set(obj["report"]) == {"cl", "iota", "isT", "d", "resCurves"}
+
+    def test_integers_past_the_str_digit_limit(self):
+        # str(int) refuses more than 4,300 digits by default; 18 mutations
+        # of the smallest entry of (1, 1, 1) at a = 9 pass 10^5000
+        u = (1, 1, 1)
+        while u[2] < 10**5000:
+            u = tuple(sorted((u[1], u[2], (u[1] + u[2]) ** 2 // u[0])))
+        assert markov.is_solution(u, 9) and u[2] > 10**4300
+
+        def parsed(texts):
+            return [int(decimal.Decimal(x)) for x in texts]
+
+        assert parsed(json.loads(markov.triples_to_json([u]))[0]) == list(u)
+        tree = markov.MutationTree(9, markov.norm(u), None, (u,), (u,), (), {u: 18})
+        node = tree.to_json_obj()["nodes"][0]
+        assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
+        q, _ = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
+        assert parsed(q.to_json_obj()["u"]) == list(q.u)
+        c = planes.ClassifiedPlane(planes.series_id(q), q, (planes.series_id(q),))
+        obj = planes.plane_json_obj(c, with_report=True)
+        assert parsed(obj["weights"]) == list(c.weights)
+        assert parsed(obj["report"]["cl"]) == list(c.weights)
+        kstar = adjacency.KStarData(1, 1, -u[2], 1, 0)
+        assert parsed([kstar.to_json_obj()["d0"]]) == [-u[2]]
 
     def test_markdown_table(self):
         rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
