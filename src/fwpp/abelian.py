@@ -1,10 +1,13 @@
 """Exact integer matrix normal forms and the groups ``Z + Z/mu``.
 
 Matrices are lists of row lists of plain Python integers; all operations are
-exact.  The sizes that occur here are tiny (at most 4x4), so the normal form
-routines favour determinism over asymptotics: pivots are chosen as the
-entry of smallest absolute value, scanning rows then columns, so repeated
-runs produce identical transformation matrices.
+exact.  The Smith and Hermite normal forms are public helpers that favour
+determinism over asymptotics: pivots are chosen as the entry of smallest
+absolute value, scanning rows then columns, so repeated runs produce
+identical transformation matrices.  The library itself does not call
+them: the cokernel of a generator matrix and the kernel of a grading map
+are both read off in closed form from Bezout coefficients and modular
+inverses.
 
 The group ``K = Z + Z/mu`` is represented by :class:`KContext` (carrying
 ``mu``) and :class:`KElement` (a free part and a torsion residue).  ``mu = 1``
@@ -175,14 +178,6 @@ def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
                     u[i] = [x - q * y for x, y in zip(u[i], u[r])]
             r += 1
     return h, u
-
-
-def integer_kernel_basis(m: Sequence[Sequence[int]]) -> list[list[int]]:
-    """Basis of ``{x : M x == 0}`` as a list of column vectors."""
-    u, s, v = smith_normal_form(m)
-    rows, cols = len(m), len(m[0])
-    rank = sum(1 for t in range(min(rows, cols)) if s[t][t] != 0)
-    return [[v[r][j] for r in range(cols)] for j in range(rank, cols)]
 
 
 # ---------------------------------------------------------------------------
@@ -390,25 +385,34 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElem
 def kernel_basis(cols: Sequence[KElement], ctx: KContext) -> Matrix:
     """Basis of ``{m in Z^3 : sum m_i q_i == 0 in K}`` as a 3x2 matrix.
 
-    The two basis vectors are returned as columns; their transpose is a
-    projective generator matrix for the same plane, canonicalized by the
-    Hermite normal form of its rows.  Raises if some pair of columns fails
-    to generate ``K``.
+    The columns are the rows of the lattice's row Hermite normal form
+    ``[[1, x, y], [0, mu*u_2, -mu*u_1]]``, a projective generator matrix for
+    the same plane.  Raises ``ValueError`` if a column pair fails to generate
+    ``K``.
+
+    With ``q_i = (u_i, eta_i)``, the pair checks force ``gcd(u_1, u_2) = 1``
+    and make ``D = u_1*eta_2 - u_2*eta_1`` a unit mod ``mu``.  Kernel vectors
+    ``(0, t*u_2, -t*u_1)`` have torsion ``-t*D``, so ``mu | t``: the second
+    row.  With ``alpha*u_1 + beta*u_2 = 1``, ``x_0 = -u_0*alpha`` and
+    ``y_0 = -u_0*beta``, the vector ``(1, x_0 + t*u_2, y_0 - t*u_1)`` has
+    free part 0 and torsion ``E - t*D``, ``E = eta_0 + x_0*eta_1 +
+    y_0*eta_2``, which vanishes for ``t = E/D mod mu``.  Reducing ``x`` into
+    ``[0, mu*u_2)`` gives the first row in Hermite form.
     """
     for i in range(3):
         for j in range(i + 1, 3):
             if not pair_generates(cols[i], cols[j], ctx):
                 raise ValueError(f"columns {i},{j} do not generate the full group")
-    lift = [
-        [cols[0].free, cols[1].free, cols[2].free, 0],
-        [cols[0].tors, cols[1].tors, cols[2].tors, ctx.mu],
-    ]
-    basis = integer_kernel_basis(lift)
-    if len(basis) != 2:
-        raise AssertionError(f"kernel rank {len(basis)} != 2 for columns {cols}")
-    rows = [[vec[0], vec[1], vec[2]] for vec in basis]
-    h, _ = hermite_normal_form(rows)
-    return transpose(h)
+    mu = ctx.mu
+    (u0, e0), (u1, e1), (u2, e2) = ((c.free, c.tors) for c in cols)
+    alpha, beta = bezout(u1, u2)
+    x0, y0 = -u0 * alpha, -u0 * beta
+    s = (e0 + x0 * e1 + y0 * e2) * pow(u1 * e2 - u2 * e1, -1, mu) % mu
+    x = (x0 + s * u2) % (mu * u2)
+    y, rem = divmod(-(u0 + x * u1), u2)
+    if rem:
+        raise AssertionError(f"kernel basis of {cols} has no integral first row")
+    return [[1, 0], [x, mu * u2], [y, -mu * u1]]
 
 
 def pair_generates(x: KElement, y: KElement, ctx: KContext) -> bool:

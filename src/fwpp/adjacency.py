@@ -29,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from math import gcd, isqrt
 
 from . import abelian, markov, planes
 from .markov import _decimal_str
@@ -204,8 +204,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     flag, d = planes.is_t_singular(qp, 2)
     if not flag:
         raise NotDegenerableError(f"fixed point {slot} of {q} is not a T-singularity")
-    iota = planes.local_gorenstein_index(qp, 2)
-    l1 = iota
+    l1 = isqrt(wp[2] // d)  # the local Gorenstein index: cl = w_k = d * iota**2
     d0 = -d
     if -d0 * l1 * l1 != wp[2]:
         raise AssertionError("T-singularity data is inconsistent with the weights")
@@ -256,17 +255,24 @@ def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
     Requires a T-singularity with local Gorenstein index above one and the
     norm inequality making the second isotropy order exceed one as well.
     """
-    flag, _ = planes.is_t_singular(q, slot)
+    flag, d = planes.is_t_singular(q, slot)
     if not flag:
         return False
-    iota = planes.local_gorenstein_index(q, slot)
+    w = planes.fake_weights_of_degree_matrix(q)
+    iota = isqrt(w[slot] // d)
     if iota == 1:
         return False
-    w = planes.fake_weights_of_degree_matrix(q)
     return iota * sum(w) > (iota + 1) * w[slot]
 
 
-def adjacency_neighbors(q: DegreeMatrix) -> tuple[list[tuple[DegreeMatrix, AdjacentPair]], list[AdjacentPair]]:
+def _t_singular_slots(q: DegreeMatrix) -> tuple[bool, bool, bool]:
+    """The T-singularity flags of the three fixed points of ``q``."""
+    return tuple(planes.is_t_singular(q, k)[0] for k in range(3))
+
+
+def adjacency_neighbors(
+    q: DegreeMatrix, t_slots: tuple[bool, bool, bool] | None = None
+) -> tuple[list[tuple[DegreeMatrix, AdjacentPair]], list[AdjacentPair]]:
     """Adjacent partner classes over all T-singular fixed points.
 
     Returns ``(neighbors, self_pairs)``: partners isomorphic to ``q``
@@ -274,13 +280,15 @@ def adjacency_neighbors(q: DegreeMatrix) -> tuple[list[tuple[DegreeMatrix, Adjac
     :func:`adjacent_partner`) are reported separately and never enter the
     edge set.
     Toric pairs count; adjacency does not require the common surface to be
-    non-toric.
+    non-toric.  ``t_slots`` passes the T-singularity flags of the three
+    fixed points when the caller has them.
     """
+    if t_slots is None:
+        t_slots = _t_singular_slots(q)
     neighbors: dict[DegreeMatrix, AdjacentPair] = {}
     self_pairs: list[AdjacentPair] = []
     for slot in range(3):
-        flag, _ = planes.is_t_singular(q, slot)
-        if not flag:
+        if not t_slots[slot]:
             continue
         pair = adjacent_partner(q, slot)
         if pair.self_adjacent:
@@ -419,13 +427,14 @@ def adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
     edges: dict[frozenset, bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}
     for c in classified:
-        neighbor_pairs, self_pairs = adjacency_neighbors(c.matrix)
+        t_slots = _t_singular_slots(c.matrix)
+        neighbor_pairs, self_pairs = adjacency_neighbors(c.matrix, t_slots)
         nodes.append(
             GraphNode(
                 plane=c,
                 self_adjacent=bool(self_pairs),
                 non_toric_self=any(p.non_toric for p in self_pairs),
-                all_t=all(planes.is_t_singular(c.matrix, k)[0] for k in range(3)),
+                all_t=all(t_slots),
             )
         )
         for partner_key, _pair in neighbor_pairs:

@@ -56,7 +56,7 @@ def cmd_solve(args) -> int:
     if args.a < 1:
         raise _InputError(f"--a must be a positive integer, got {args.a}")
     tree = _capped_tree(args.a, args.bound, args.depth, args.max_nodes)
-    rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u))
+    rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u)) if args.format in ("tsv", "md") else ()
     if args.format == "json":
         print(json.dumps(tree.to_json_obj(), indent=None, separators=(",", ":")))
     elif args.format == "dot":

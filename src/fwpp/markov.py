@@ -219,9 +219,14 @@ def enumerate_tree(
         u = queue.popleft()
         if depth_bound is not None and depths[u] >= depth_bound:
             continue
-        for slot in range(3):
-            v = _play(u, a, slot)
-            if v == u or norm(v) > norm_bound:
+        u0, u1, u2 = u
+        # slot order 0, 1, 2: the kept pair (ascending) and the mutated entry
+        for p, q, old in ((u1, u2, u0), (u0, u2, u1), (u0, u1, u2)):
+            new = a * p * q - 2 * p - 2 * q - old
+            if p + q + new > norm_bound:
+                continue
+            v = (new, p, q) if new < p else (p, new, q) if new < q else (p, q, new)
+            if v == u:
                 continue
             edges.add((min(u, v), max(u, v)))
             if v not in depths:
@@ -264,6 +269,18 @@ def scaled_solution_class(t: SolutionTriple) -> tuple[int, int]:
     return b, reduced_a
 
 
+#: The six column orders, in ``itertools.permutations`` order.
+_PERMUTATIONS = tuple(permutations(range(3)))
+
+#: Whether ``(x, y, z)`` has the arranged shape, per reduced class.
+_ARRANGED_SHAPE = {
+    9: lambda x, y, z: x <= y <= z,
+    8: lambda x, y, z: x <= y and z % 2 == 0,
+    6: lambda x, y, z: y % 2 == 0 and z % 3 == 0,
+    5: lambda x, y, z: x <= y and z % 5 == 0,
+}
+
+
 def admissible_arrangements(u, reduced_a: int) -> list[tuple[int, int, int]]:
     """Column orders putting ``u`` into the canonical arranged shape.
 
@@ -277,23 +294,13 @@ def admissible_arrangements(u, reduced_a: int) -> list[tuple[int, int, int]]:
     Several orders are admissible exactly when two arrangeable entries are
     equal; all of them produce the same arranged triple.
     """
-
-    def ok(v):
-        if reduced_a == 9:
-            return v[0] <= v[1] <= v[2]
-        if reduced_a == 8:
-            return v[0] <= v[1] and v[2] % 2 == 0
-        if reduced_a == 6:
-            return v[1] % 2 == 0 and v[2] % 3 == 0
-        if reduced_a == 5:
-            return v[0] <= v[1] and v[2] % 5 == 0
+    ok = _ARRANGED_SHAPE.get(reduced_a)
+    if ok is None:
         raise ValueError(f"not a reduced parameter: {reduced_a}")
-
-    perms = [p for p in permutations(range(3)) if ok(tuple(u[i] for i in p))]
+    perms = [p for p in _PERMUTATIONS if ok(u[p[0]], u[p[1]], u[p[2]])]
     if not perms:
         raise ValueError(f"{u} admits no arranged order for class {reduced_a}")
-    arranged = {tuple(u[i] for i in p) for p in perms}
-    if len(arranged) != 1:
+    if len(perms) > 1 and len({tuple(u[i] for i in p) for p in perms}) != 1:
         raise AssertionError(f"ambiguous arrangement of {u} in class {reduced_a}")
     return perms
 

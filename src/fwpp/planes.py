@@ -132,12 +132,17 @@ class DegreeMatrix:
 
 @dataclass(frozen=True, order=True)
 class GeneratorMatrix:
-    """2x3 integer matrix with primitive columns positively spanning Q^2."""
+    """2x3 integer matrix with primitive columns positively spanning Q^2.
+
+    ``weights``, the fake weight vector, is the result of validating the
+    rows at construction; it takes no part in equality, hashing or order.
+    """
 
     rows: tuple[tuple[int, int, int], tuple[int, int, int]]
+    weights: Triple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        abelian.validate_generator_matrix(self.rows)
+        object.__setattr__(self, "weights", abelian.validate_generator_matrix(self.rows))
 
     def column(self, j: int) -> tuple[int, int]:
         return (self.rows[0][j], self.rows[1][j])
@@ -154,7 +159,7 @@ class GeneratorMatrix:
 
 def fake_weights_of_generator(p: GeneratorMatrix) -> Triple:
     """Absolute 2x2 minors ``w_i = |det(v_j ; j != i)|``."""
-    return abelian.validate_generator_matrix(p.rows)
+    return p.weights
 
 
 def fake_weights_of_degree_matrix(q: DegreeMatrix) -> Triple:
@@ -170,10 +175,11 @@ def degree(weights) -> Fraction:
 
 
 def integral_degree(q: DegreeMatrix) -> int:
-    d = degree(fake_weights_of_degree_matrix(q))
-    if d.denominator != 1:
-        raise ValueError(f"degree {d} of {q} is not integral")
-    return d.numerator
+    w = fake_weights_of_degree_matrix(q)
+    a, rem = divmod(sum(w) ** 2, w[0] * w[1] * w[2])
+    if rem:
+        raise ValueError(f"degree {degree(w)} of {q} is not integral")
+    return a
 
 
 def anticanonical_class(q: DegreeMatrix) -> KElement:
@@ -204,11 +210,12 @@ def is_t_singular(q: DegreeMatrix, k: int) -> tuple[bool, int | None]:
 
     Returns ``(flag, d)`` where ``d = cl / iota^2`` when the test holds.
     """
-    iota = local_gorenstein_index(q, k)
-    cl = local_class_group_order(q, k)
-    if cl % (iota * iota) == 0:
-        return True, cl // (iota * iota)
-    return False, None
+    return _t_test(local_class_group_order(q, k), local_gorenstein_index(q, k))
+
+
+def _t_test(cl: int, iota: int) -> tuple[bool, int | None]:
+    d, rem = divmod(cl, iota * iota)
+    return (True, d) if rem == 0 else (False, None)
 
 
 def t_singular_chart(iota: int, d: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
@@ -383,7 +390,8 @@ def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
     several admissible column orders, the candidate with the smallest
     ``eta`` wins; this resolves the sporadic coincidences among small
     series members, so equality of adjusted matrices is equivalent to
-    isomorphism of the planes.
+    isomorphism of the planes.  An input already in adjusted form is
+    returned itself, not rebuilt.
     """
     a = integral_degree(q)
     reduced_a = q.mu * a
@@ -397,6 +405,8 @@ def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
         if best is None or candidate < best[0]:
             best = (candidate, u_p, eta_n, phi)
     (_, perm), u_p, eta_n, phi = best
+    if u_p == q.u and eta_n == q.eta:
+        return q, AdjustTransform(perm, phi)
     return DegreeMatrix(q.mu, u_p, eta_n), AdjustTransform(perm, phi)
 
 
@@ -557,19 +567,14 @@ def singularity_report(q: DegreeMatrix) -> SingularityReport:
     p = generator_of(q)
     cl = tuple(local_class_group_order(q, k) for k in range(3))
     iota = tuple(local_gorenstein_index(q, k) for k in range(3))
-    flags = []
-    ds = []
-    for k in range(3):
-        flag, d = is_t_singular(q, k)
-        flags.append(flag)
-        ds.append(d)
+    flags, ds = zip(*(_t_test(cl[k], iota[k]) for k in range(3)))
     curves = tuple(resolution_curve_count(*p.cone_of_fixed_point(k)) for k in range(3))
     return SingularityReport(
         matrix=q,
         cl=cl,
         iota=iota,
-        is_t=tuple(flags),
-        d=tuple(ds),
+        is_t=flags,
+        d=ds,
         res_curves=curves,
     )
 

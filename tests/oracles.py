@@ -6,15 +6,18 @@ resolution data by convex hull geometry, so agreement with the fast paths
 is meaningful.  The isomorphism witness is found by trying every positive
 automorphism against every column order, and the K*-surface data over a
 T-singular point by scanning every ``d1`` in ``[0, l1)``.  The cokernel
-of a generator matrix is read off a general Smith normal form.
+of a generator matrix and the kernel basis of a degree matrix are read off
+general Smith and Hermite normal forms.  The mutation tree is enumerated by
+sorting every mutated triple, and arrangements by testing whole tuples.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import permutations
 from math import gcd
 
-from fwpp import abelian, planes
+from fwpp import abelian, markov, planes
 from fwpp.abelian import KContext, KElement
 from fwpp.adjacency import KStarData
 
@@ -222,3 +225,69 @@ def snf_cokernel_structure(p):
     free_row = u_mat[2] if u_mat[2][0] > 0 else [-x for x in u_mat[2]]
     assert all(x > 0 for x in free_row)
     return KContext(mu), [KElement(free_row[j], u_mat[1][j] % mu) for j in range(3)]
+
+
+def hnf_kernel_basis(cols, ctx: KContext):
+    """Kernel basis of a degree matrix's grading map as a 3x2 matrix: the
+    kernel of the lift ``[[u, 0], [eta, mu]]`` from a Smith normal form,
+    cut to its first three coordinates and put into row Hermite form."""
+    for i in range(3):
+        for j in range(i + 1, 3):
+            if not abelian.pair_generates(cols[i], cols[j], ctx):
+                raise ValueError(f"columns {i},{j} do not generate the full group")
+    lift = [[c.free for c in cols] + [0], [c.tors for c in cols] + [ctx.mu]]
+    _, s, v = abelian.smith_normal_form(lift)
+    rank = sum(1 for t in range(2) if s[t][t] != 0)
+    assert rank == 2
+    rows = [[v[r][j] for r in range(3)] for j in range(rank, 4)]
+    h, _ = abelian.hermite_normal_form(rows)
+    return abelian.transpose(h)
+
+
+def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
+    """``(nodes, edges, depths)`` of the mutation forest by breadth-first
+    search, sorting every mutated triple (``markov._play``, which the
+    library's enumeration does not call) before testing the bound; raises
+    ``EnumerationCapExceeded`` where the library's enumeration must."""
+    roots = sorted(t.u for t in markov.initial_solutions(a) if t.norm <= norm_bound)
+    depths = {r: 0 for r in roots}
+    edges = set()
+    queue = deque(roots)
+    while queue:
+        u = queue.popleft()
+        if depth_bound is not None and depths[u] >= depth_bound:
+            continue
+        for slot in range(3):
+            v = markov._play(u, a, slot)
+            if v == u or sum(v) > norm_bound:
+                continue
+            edges.add((min(u, v), max(u, v)))
+            if v not in depths:
+                if max_nodes is not None and len(depths) >= max_nodes:
+                    raise markov.EnumerationCapExceeded(f"more than {max_nodes} nodes")
+                depths[v] = depths[u] + 1
+                queue.append(v)
+    return tuple(sorted(depths)), tuple(sorted(edges)), depths
+
+
+def tuple_admissible_arrangements(u, reduced_a: int):
+    """Column orders with the arranged shape, testing each permuted tuple
+    with a predicate that dispatches on the class at every call."""
+
+    def ok(v):
+        if reduced_a == 9:
+            return v[0] <= v[1] <= v[2]
+        if reduced_a == 8:
+            return v[0] <= v[1] and v[2] % 2 == 0
+        if reduced_a == 6:
+            return v[1] % 2 == 0 and v[2] % 3 == 0
+        if reduced_a == 5:
+            return v[0] <= v[1] and v[2] % 5 == 0
+        raise ValueError(f"not a reduced parameter: {reduced_a}")
+
+    perms = [p for p in permutations(range(3)) if ok(tuple(u[i] for i in p))]
+    if not perms:
+        raise ValueError(f"{u} admits no arranged order for class {reduced_a}")
+    if len({tuple(u[i] for i in p) for p in perms}) != 1:
+        raise AssertionError(f"ambiguous arrangement of {u} in class {reduced_a}")
+    return perms

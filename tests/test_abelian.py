@@ -3,11 +3,11 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
-from fwpp import abelian, planes
+from fwpp import abelian, markov, planes
 from fwpp.abelian import KAutomorphism, KContext, KElement
 
 small_entries = st.integers(min_value=-30, max_value=30)
@@ -40,6 +40,31 @@ def generator_matrices(draw, entry=25):
     alpha, beta = draw(st.integers(1, entry)), draw(st.integers(1, entry))
     v2 = primitive(-(alpha * v0[0] + beta * v1[0]), -(alpha * v0[1] + beta * v1[1]))
     return [[v0[0], v1[0], v2[0]], [v0[1], v1[1], v2[1]]]
+
+
+@st.composite
+def valid_columns(draw, max_mu=59, entry=10**30):
+    """Columns ``(u_i, eta_i)`` of a valid degree matrix: pairwise coprime
+    free parts, each at most 30 or between ``entry / 10**10`` and ``entry``
+    (then moved up to the next value coprime to the earlier ones), and
+    torsion parts drawn among the residues that keep every column pair
+    generating."""
+    mu = draw(st.integers(1, max_mu))
+    ctx = KContext(mu)
+    u, eta = [], []
+    for k in range(3):
+        x = draw(st.integers(1, 30) | st.integers(entry // 10**10, entry))
+        while any(gcd(x, y) != 1 for y in u):
+            x += 1
+        allowed = [
+            e for e in range(mu)
+            if all(abelian.pair_generates(KElement(u[j], eta[j]), KElement(x, e), ctx) for j in range(k))
+        ]
+        if not allowed:
+            reject()
+        u.append(x)
+        eta.append(draw(st.sampled_from(allowed)))
+    return ctx, [KElement(u[k], eta[k]) for k in range(3)]
 
 
 def as_degree_matrix(ctx, cols):
@@ -170,6 +195,40 @@ class TestKernelBasis:
         cols = [KElement(1, 0), KElement(1, 1), KElement(4, 1)]
         with pytest.raises(ValueError):
             abelian.kernel_basis(cols, ctx)
+
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 2), (1, 2)])
+    def test_each_failing_pair_is_rejected(self, bad):
+        # every pair of this valid matrix generates; copying column i over
+        # column j leaves a pair whose 2x2 minor is 0, and both routes refuse
+        ctx = KContext(9)
+        cols = [KElement(1, 0), KElement(1, 1), KElement(1, 2)]
+        i, j = bad
+        cols[j] = KElement(cols[i].free, cols[i].tors)
+        with pytest.raises(ValueError):
+            abelian.kernel_basis(cols, ctx)
+        with pytest.raises(ValueError):
+            oracles.hnf_kernel_basis(cols, ctx)
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_columns())
+    def test_closed_form_matches_hermite_route(self, data):
+        ctx, cols = data
+        assert abelian.kernel_basis(cols, ctx) == oracles.hnf_kernel_basis(cols, ctx)
+
+    def test_closed_form_matches_hermite_route_on_classified_planes(self):
+        for a in markov.SOLVABLE_PARAMETERS:
+            for c in planes.classify(a, 10**8 if a == 1 else 10**12):
+                q = c.matrix
+                assert abelian.kernel_basis(q.columns, q.context) == oracles.hnf_kernel_basis(q.columns, q.context)
+
+    def test_generator_of_runs_no_normal_form(self, monkeypatch):
+        def forbidden(m):
+            raise AssertionError("generator_of ran a general normal form")
+
+        monkeypatch.setattr(abelian, "smith_normal_form", forbidden)
+        monkeypatch.setattr(abelian, "hermite_normal_form", forbidden)
+        q = planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))
+        assert planes.generator_of(q).rows == ((1, 13, -7), (0, 16, -8))
 
     def test_duality_roundtrip(self):
         # cokernel of the kernel reproduces the original columns up to

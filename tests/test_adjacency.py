@@ -382,6 +382,29 @@ class TestClassifyOneFamily:
         assert len(trees) == 1
         assert len(graph.nodes) == len(planes.classify(1, 10**5, mu=8))
 
+    def test_t_point_data_is_derived_once(self, monkeypatch):
+        # one Gorenstein index per node slot and one per partner; each
+        # partner validates P1 and P2 once at construction and P2 once more
+        # inside cokernel_structure
+        counts = {"iota": 0, "validate": 0, "partner": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                counts[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(planes, "local_gorenstein_index", "iota")
+        counted(abelian, "validate_generator_matrix", "validate")
+        counted(adjacency, "adjacent_partner", "partner")
+        graph = adjacency.adjacency_graph(1, 8, 10**5)
+        assert counts["partner"] > len(graph.nodes)
+        assert counts["iota"] == 3 * len(graph.nodes) + counts["partner"]
+        assert counts["validate"] == 3 * counts["partner"]
+
 
 class TestCensus:
     def test_sixteen_series(self):

@@ -266,3 +266,45 @@ def test_arrangement_errors():
         markov.arrange((1, 3, 5), 8)  # no even entry
     with pytest.raises(ValueError):
         markov.arrange((1, 2, 3), 7)  # not a reduced class
+
+
+class TestAgainstSortingOracles:
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("depth_bound", [None, 4])
+    def test_tree_matches_sorting_bfs(self, a, depth_bound):
+        tree = markov.enumerate_tree(a, 10**24, depth_bound)
+        nodes, edges, depths = oracles.bfs_tree(a, 10**24, depth_bound)
+        assert tree.nodes == nodes and tree.edges == edges and tree.depths == depths
+
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    def test_node_cap_raises_at_the_same_size(self, a):
+        n = len(markov.enumerate_tree(a, 10**24).nodes)
+        for cap in (1, n // 2, n - 1):
+            with pytest.raises(markov.EnumerationCapExceeded):
+                markov.enumerate_tree(a, 10**24, max_nodes=cap)
+            with pytest.raises(markov.EnumerationCapExceeded):
+                oracles.bfs_tree(a, 10**24, max_nodes=cap)
+        assert markov.enumerate_tree(a, 10**24, max_nodes=n).nodes == oracles.bfs_tree(a, 10**24, max_nodes=n)[0]
+
+
+def arrangement_outcome(fn, u, reduced_a):
+    try:
+        return fn(u, reduced_a)
+    except (ValueError, AssertionError) as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(markov.REDUCED_PARAMETERS), st.tuples(*[st.integers(1, 40)] * 3))
+def test_arrangements_match_tuple_oracle(reduced_a, u):
+    assert arrangement_outcome(markov.admissible_arrangements, u, reduced_a) == arrangement_outcome(
+        oracles.tuple_admissible_arrangements, u, reduced_a
+    )
+
+
+@pytest.mark.parametrize("reduced_a", markov.REDUCED_PARAMETERS + (7,))
+@pytest.mark.parametrize("u", [(1, 1, 1), (1, 1, 2), (2, 2, 1), (5, 1, 1), (1, 2, 3), (6, 6, 6), (2, 6, 3), (10, 10, 5)])
+def test_arrangements_match_tuple_oracle_on_ties(reduced_a, u):
+    assert arrangement_outcome(markov.admissible_arrangements, u, reduced_a) == arrangement_outcome(
+        oracles.tuple_admissible_arrangements, u, reduced_a
+    )

@@ -111,6 +111,19 @@ class TestAdjust:
         with pytest.raises(ValueError):
             planes.adjust(mk(1, (2, 3, 5)))
 
+    def test_adjusted_input_is_returned_itself(self):
+        for a in markov.SOLVABLE_PARAMETERS:
+            for c in planes.classify(a, 10**6):
+                assert planes.adjust(c.matrix)[0] is c.matrix
+
+    def test_non_integral_degree_message(self):
+        q = mk(1, (2, 3, 5))
+        expected = f"degree {Fraction(100, 30)} of {q} is not integral"
+        assert expected == "degree 10/3 of DegreeMatrix(mu=1, u=(2, 3, 5), eta=(0, 0, 0)) is not integral"
+        with pytest.raises(ValueError) as info:
+            planes.integral_degree(q)
+        assert str(info.value) == expected
+
     def test_adjust_is_isomorphic_to_input(self):
         for c in planes.classify(1, 300):
             for eta in planes.SERIES_ETAS[(1, c.matrix.mu)]:
@@ -252,6 +265,22 @@ class TestClassify:
                 parts.extend(part)
         parts.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
         assert planes.classify(a, bound) == parts
+
+    def test_builds_one_matrix_per_node(self, monkeypatch):
+        # degree 5 has one family with one eta and no ties among the
+        # entries: the node's matrix is already adjusted, so neither adjust
+        # nor series_id builds another
+        built = []
+        post_init = DegreeMatrix.__post_init__
+
+        def counting(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(DegreeMatrix, "__post_init__", counting)
+        classes = planes.classify(5, 10**12)
+        assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == 125
+        assert len(built) == 125
 
     def test_mu_filter_without_a_family(self):
         assert planes.classify(1, 10**4, mu=7) == []
