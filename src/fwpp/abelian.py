@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 Matrix = list[list[int]]
 
@@ -198,15 +198,6 @@ class KContext:
     def element(self, free: int, tors: int = 0) -> "KElement":
         return KElement(free, tors % self.mu)
 
-    def add(self, x: "KElement", y: "KElement") -> "KElement":
-        return KElement(x.free + y.free, (x.tors + y.tors) % self.mu)
-
-    def scale(self, n: int, x: "KElement") -> "KElement":
-        return KElement(n * x.free, (n * x.tors) % self.mu)
-
-    def zero(self) -> "KElement":
-        return KElement(0, 0)
-
     def units(self) -> list[int]:
         """Residues coprime to ``mu``; the single unit of Z/1 is 0."""
         if self.mu == 1:
@@ -346,6 +337,15 @@ def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int
     return tuple(abs(k) for k in kernel)
 
 
+def annihilates(rows: Iterable[Sequence[int]], free: Sequence[int], tors: Sequence[int], mu: int) -> bool:
+    """Whether ``sum_i row[i] * (free[i], tors[i]) == 0`` in ``Z + Z/mu``
+    for every row: the free sum is 0 and ``mu`` divides the torsion sum."""
+    for row in rows:
+        if sum(x * f for x, f in zip(row, free)) or sum(x * t for x, t in zip(row, tors)) % mu:
+            return False
+    return True
+
+
 def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElement]]:
     """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix, in closed form.
 
@@ -370,11 +370,8 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElem
     c1, c2 = s0 * x1 + s1 * y1, s0 * x2 + s1 * y2
     alpha, beta = bezout(free_row[1], free_row[2])
     tors_row = [(beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu]
-    for row in p:
-        free = sum(x * f for x, f in zip(row, free_row))
-        tors = sum(x * t for x, t in zip(row, tors_row))
-        if free or tors % mu:
-            raise AssertionError(f"cokernel projection does not annihilate row {row}")
+    if not annihilates(p, free_row, tors_row, mu):
+        raise AssertionError(f"cokernel projection does not annihilate the rows of {p}")
     ctx = KContext(mu)
     cols = [KElement(free_row[j], tors_row[j]) for j in range(3)]
     if not pair_generates(cols[0], cols[1], ctx):

@@ -184,11 +184,7 @@ def integral_degree(q: DegreeMatrix) -> int:
 
 def anticanonical_class(q: DegreeMatrix) -> KElement:
     """Sum of the three columns in ``K``; the anticanonical divisor class."""
-    ctx = q.context
-    total = ctx.zero()
-    for col in q.columns:
-        total = ctx.add(total, col)
-    return total
+    return KElement(sum(q.u), sum(q.eta) % q.mu)
 
 
 def local_class_group_order(q: DegreeMatrix, k: int) -> int:
@@ -329,23 +325,17 @@ def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
 
 
 def annihilates(q: DegreeMatrix, rows: Iterable[Sequence[int]]) -> bool:
-    """Whether ``sum_i row[i] * q_i == 0`` in ``K`` for every given row."""
-    ctx = q.context
-    for row in rows:
-        total = ctx.zero()
-        for coeff, col in zip(row, q.columns):
-            total = ctx.add(total, ctx.scale(coeff, col))
-        if total != ctx.zero():
-            return False
-    return True
+    """Whether ``sum_i row[i] * q_i == 0`` in ``K`` for every given row,
+    evaluated in plain integers by :func:`fwpp.abelian.annihilates`."""
+    return abelian.annihilates(rows, q.u, q.eta, q.mu)
 
 
 def corresponds(q: DegreeMatrix, p: GeneratorMatrix) -> bool:
     """Correspondence test: same fake weights and ``q`` annihilates ``p``.
 
     For matrices sharing the fake weight vector, annihilation of both rows
-    already forces the cokernel projection to agree with ``q`` up to
-    automorphism, so this is an if-and-only-if test.
+    (by :func:`annihilates`) already forces the cokernel projection to
+    agree with ``q`` up to automorphism, so this is an if-and-only-if test.
     """
     if fake_weights_of_generator(p) != fake_weights_of_degree_matrix(q):
         return False
@@ -511,11 +501,12 @@ def classify(a: int, norm_bound: int, mu: int | None = None) -> list[ClassifiedP
                 for other in canon_list:
                     if other != canonical and is_isomorphic(other, canonical):
                         raise AssertionError(f"missed isomorphism between {other} and {canonical}")
-                if integral_degree(canonical) != a:
+                sid = series_id(canonical)
+                if sid.a != a:
                     raise AssertionError(f"classified matrix {canonical} has wrong degree")
                 out.append(
                     ClassifiedPlane(
-                        series=series_id(canonical),
+                        series=sid,
                         matrix=canonical,
                         all_series=tuple(sorted(SeriesId(a, fam_mu, eta) for eta, _ in merged)),
                     )
@@ -602,7 +593,10 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
     lines = [header, sep]
     for rep in reports:
         q = rep.matrix
-        sid = str(series_id(q)) if _has_series(q) else "-"
+        try:
+            sid = str(series_id(q))
+        except ValueError:  # not adjusted, or not of integral degree
+            sid = "-"
         group = "Z" if q.mu == 1 else f"Z + Z/{q.mu}"
         qtxt = "[{},{},{}]".format(*q.u)
         if q.mu > 1:
@@ -614,11 +608,3 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
         curves = "({},{},{})".format(*rep.res_curves)
         lines.append(f"| {sid} | {group} | {qtxt} | {wz_txt} | {iota} | {signs} | {curves} |")
     return "\n".join(lines) + "\n"
-
-
-def _has_series(q: DegreeMatrix) -> bool:
-    try:
-        series_id(q)
-        return True
-    except (ValueError, AssertionError):
-        return False

@@ -9,6 +9,7 @@ T-singular point by scanning every ``d1`` in ``[0, l1)``.  The cokernel
 of a generator matrix and the kernel basis of a degree matrix are read off
 general Smith and Hermite normal forms.  The mutation tree is enumerated by
 sorting every mutated triple, and arrangements by testing whole tuples.
+Annihilation of integer rows in ``K`` is summed element by element.
 """
 
 from __future__ import annotations
@@ -184,6 +185,19 @@ def brute_isomorphism_witness(q1: planes.DegreeMatrix, q2: planes.DegreeMatrix):
             if tuple(image[perm[j]] for j in range(3)) == q2.columns:
                 return phi, perm
     return None
+
+
+def k_annihilates(q: planes.DegreeMatrix, rows) -> bool:
+    """Whether ``sum_i row[i] * q_i == 0`` in ``K`` for every row, adding
+    the ``KElement`` multiples of the columns one at a time."""
+    zero = KElement(0, 0)
+    for row in rows:
+        total = zero
+        for coeff, col in zip(row, q.columns):
+            total = KElement(total.free + coeff * col.free, (total.tors + coeff * col.tors) % q.mu)
+        if total != zero:
+            return False
+    return True
 
 
 def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):

@@ -145,6 +145,18 @@ class TestSing:
         code, out, _ = run(capsys, "sing", MATRIX_183, "--format", "md")
         assert code == 0 and "| 1-8-3 |" in out
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the md table labels the raw matrix, while the json output adjusts it first; "
+        "mending it changes pinned benchmark reference bytes",
+    )
+    def test_md_table_labels_unadjusted_input_like_json(self, capsys):
+        matrix = '{"mu":8,"u":["1","1","2"],"eta":[0,1,7]}'
+        code, out, _ = run(capsys, "sing", matrix)
+        assert code == 0 and json.loads(out)["series"] == "1-8-3"
+        code, out, _ = run(capsys, "sing", matrix, "--format", "md")
+        assert code == 0 and "| 1-8-3 |" in out
+
 
 class TestGraph:
     def test_dot(self, capsys):

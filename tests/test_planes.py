@@ -393,6 +393,37 @@ def test_witness_matches_oracle_at_mu_one(q, perm):
     assert witness[0] == KAutomorphism(1, 0, 0)
 
 
+#: row entries for the annihilation differential: small, and of 20 to 31 digits
+ROW_ENTRIES = st.one_of(st.integers(-60, 60), st.integers(10**19, 10**30), st.integers(-(10**30), -(10**19)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(degree_matrices(), degree_matrices(max_mu=1)), st.data())
+def test_integer_annihilation_matches_element_sum(q, data):
+    # rows are random, integer combinations of the kernel rows (always
+    # annihilating), or such combinations shifted by a row of free sum zero,
+    # which annihilates only when mu divides its torsion sum
+    k1, k2 = planes.generator_of(q).rows
+    free_zero = (q.u[1], -q.u[0], 0)
+    rows, kinds = [], set()
+    for _ in range(data.draw(st.integers(1, 3))):
+        kind = data.draw(st.sampled_from(["random", "kernel", "free_zero"]))
+        if kind == "random":
+            row = tuple(data.draw(ROW_ENTRIES) for _ in range(3))
+        else:
+            a, b, t = (data.draw(ROW_ENTRIES) for _ in range(3))
+            row = tuple(a * x + b * y for x, y in zip(k1, k2))
+            if kind == "free_zero":
+                row = tuple(r + t * z for r, z in zip(row, free_zero))
+        rows.append(row)
+        kinds.add(kind)
+    expected = oracles.k_annihilates(q, rows)
+    assert abelian.annihilates(rows, q.u, q.eta, q.mu) == expected
+    assert planes.annihilates(q, rows) == expected
+    if kinds == {"kernel"}:
+        assert expected
+
+
 class TestSerialization:
     def test_degree_matrix_json_roundtrip(self):
         q = mk(8, (1, 9, 2), (0, 1, 5))
@@ -433,3 +464,22 @@ class TestSerialization:
         rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
         text = planes.report_markdown([rep])
         assert "| 1-8-3 |" in text and "(2,1,4)" in text
+
+    def test_markdown_table_does_not_swallow_invariant_failures(self, monkeypatch):
+        # only a ValueError (unadjusted input, non-integral degree) means "no label"
+        rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
+
+        def broken(q):
+            raise AssertionError("series invariant failed")
+
+        monkeypatch.setattr(planes, "series_id", broken)
+        with pytest.raises(AssertionError, match="series invariant failed"):
+            planes.report_markdown([rep])
+
+    def test_markdown_table_labels_only_adjusted_integral_rows(self):
+        reps = [
+            planes.singularity_report(mk(1, (2, 3, 5))),
+            planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 7))),
+        ]
+        rows = planes.report_markdown(reps).splitlines()[2:]
+        assert [row.split(" | ")[0] for row in rows] == ["| -", "| -"]
