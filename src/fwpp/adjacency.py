@@ -32,7 +32,7 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from . import abelian, markov, planes
-from .markov import _decimal_str
+from .markov import _decimal_join, _decimal_str
 from .planes import ClassifiedPlane, DegreeMatrix, GeneratorMatrix, SeriesId
 
 Triple = tuple[int, int, int]
@@ -312,10 +312,8 @@ class GraphNode:
         return self.plane.matrix
 
     def label(self) -> str:
-        u = self.plane.matrix.u
-        if self.plane.matrix.mu == 1:
-            return "({},{},{})".format(*u)
-        return "({},{},{}; {})".format(*u, self.plane.matrix.eta[2])
+        tail = "" if self.plane.matrix.mu == 1 else f"; {self.plane.matrix.eta[2]}"
+        return f"({_decimal_join(self.plane.matrix.u)}{tail})"
 
 
 @dataclass(frozen=True)
@@ -413,17 +411,17 @@ class AdjacencyGraph:
         return "\n".join(lines) + "\n"
 
 
-def adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
+def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = None) -> AdjacencyGraph:
     """Graph on the classified planes of one family, edges by adjacency.
 
     Nodes carry all isomorphic series labels; an edge is a *jump* when its
     endpoints share no series label.  Self-adjacency is a node attribute,
-    never an edge.
+    never an edge.  ``max_nodes`` caps the family's tree as in
+    :func:`fwpp.planes.classify`.
     """
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {a} with torsion order {mu}")
-    classified = planes.classify(a, norm_bound, mu=mu)
-    by_key = {c.matrix: c for c in classified}
+    classified = planes.classify(a, norm_bound, mu=mu, max_nodes=max_nodes)
     nodes = []
     edges: dict[frozenset, bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}
@@ -439,15 +437,12 @@ def adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
             )
         )
         for partner_key, _pair in neighbor_pairs:
-            if partner_key not in by_key:
+            if partner_key not in series_of:
                 continue  # partner lies beyond the norm bound
             key = frozenset((c.matrix, partner_key))
             jump = not (series_of[c.matrix] & series_of[partner_key])
             edges[key] = jump
-    edge_list = []
-    for key in edges:
-        pair = sorted(key, key=lambda m: (m.u, m.eta))
-        edge_list.append(GraphEdge(a=pair[0], b=pair[1], jump=edges[key]))
+    edge_list = [GraphEdge(*sorted(key, key=lambda m: (m.u, m.eta)), jump=jump) for key, jump in edges.items()]
     edge_list.sort(key=lambda e: (e.a.u, e.a.eta, e.b.u, e.b.eta))
     return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=tuple(edge_list))
 

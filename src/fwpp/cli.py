@@ -21,6 +21,7 @@ import json
 import sys
 
 from . import adjacency, markov, planes
+from .markov import _decimal_join, _decimal_str
 
 USAGE_ERROR = 2
 DEFAULT_NORM_BOUND = 10**6
@@ -31,23 +32,18 @@ class _InputError(Exception):
     pass
 
 
-def _parse_degree_matrix(text: str) -> planes.DegreeMatrix:
+def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
+    text = sys.stdin.read() if value == "-" else value
     try:
-        obj = json.loads(text)
-        return planes.DegreeMatrix.from_json_obj(obj)
+        return planes.DegreeMatrix.from_json_obj(json.loads(text))
     except (ValueError, KeyError, TypeError) as exc:
         raise _InputError(f"not a degree matrix: {exc}") from exc
 
 
-def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
-    if value == "-":
-        return _parse_degree_matrix(sys.stdin.read())
-    return _parse_degree_matrix(value)
-
-
-def _capped_tree(a: int, bound: int, depth: int | None, max_nodes: int) -> markov.MutationTree:
+def _capped(build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its enumeration cap hit turned into an input error."""
     try:
-        return markov.enumerate_tree(a, bound, depth, max_nodes=max_nodes)
+        return build(*args, **kwargs)
     except markov.EnumerationCapExceeded as exc:
         raise _InputError(f"{exc}; raise --max-nodes to continue") from exc
 
@@ -55,47 +51,38 @@ def _capped_tree(a: int, bound: int, depth: int | None, max_nodes: int) -> marko
 def cmd_solve(args) -> int:
     if args.a < 1:
         raise _InputError(f"--a must be a positive integer, got {args.a}")
-    tree = _capped_tree(args.a, args.bound, args.depth, args.max_nodes)
+    tree = _capped(markov.enumerate_tree, args.a, args.bound, args.depth, max_nodes=args.max_nodes)
     rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u)) if args.format in ("tsv", "md") else ()
     if args.format == "json":
         print(json.dumps(tree.to_json_obj(), indent=None, separators=(",", ":")))
     elif args.format == "dot":
         sys.stdout.write(tree.to_dot())
     elif args.format == "md":
-        print("| u | norm | initial |")
-        print("|---|---|---|")
+        print("| u | norm | initial |\n|---|---|---|")
         for u in rows:
-            initial = u[2] <= u[0] + u[1]
-            print(f"| ({u[0]},{u[1]},{u[2]}) | {markov.norm(u)} | {'yes' if initial else 'no'} |")
+            print(f"| ({_decimal_join(u)}) | {_decimal_str(markov.norm(u))} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |")
     else:
         for u in rows:
-            print(f"{u[0]}\t{u[1]}\t{u[2]}\t{markov.norm(u)}")
+            print(_decimal_join((*u, markov.norm(u)), "\t"))
     return 0
 
 
 def cmd_classify(args) -> int:
     if args.a < 1:
         raise _InputError(f"--a must be a positive integer, got {args.a}")
-    classes = planes.classify(args.a, args.bound)
+    classes = _capped(planes.classify, args.a, args.bound, max_nodes=args.max_nodes)
     if len(classes) > args.max_nodes:
         raise _InputError(f"{len(classes)} classes exceed the --max-nodes cap {args.max_nodes}")
     if args.format == "json":
         payload = [planes.plane_json_obj(c, with_report=args.report) for c in classes]
         print(json.dumps(payload, separators=(",", ":")))
-    elif args.format == "md":
-        print("| series | u | eta | weights | degree |")
-        print("|---|---|---|---|---|")
-        for c in classes:
-            u = "({},{},{})".format(*c.matrix.u)
-            eta = "({},{},{})".format(*c.matrix.eta)
-            w = "({},{},{})".format(*c.weights)
-            print(f"| {c.series} | {u} | {eta} | {w} | {args.a} |")
     else:
+        row = "{}\t{}\t{}\t{}\t{}"
+        if args.format == "md":
+            print("| series | u | eta | weights | degree |\n|---|---|---|---|---|")
+            row = "| {} | ({}) | ({}) | ({}) | {} |"
         for c in classes:
-            u = ",".join(str(x) for x in c.matrix.u)
-            eta = ",".join(str(x) for x in c.matrix.eta)
-            w = ",".join(str(x) for x in c.weights)
-            print(f"{c.series}\t{u}\t{eta}\t{w}\t{args.a}")
+            print(row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a))
     return 0
 
 
@@ -106,16 +93,19 @@ def cmd_sing(args) -> int:
         sys.stdout.write(planes.report_markdown([report]))
     elif args.format == "tsv":
         for k in range(3):
-            d = report.d[k] if report.d[k] is not None else "-"
-            print(f"z({k})\t{report.cl[k]}\t{report.iota[k]}\t{'+' if report.is_t[k] else '-'}\t{d}\t{report.res_curves[k]}")
+            d = _decimal_str(report.d[k]) if report.d[k] is not None else "-"
+            cl, iota = _decimal_str(report.cl[k]), _decimal_str(report.iota[k])
+            print(f"z({k})\t{cl}\t{iota}\t{'+' if report.is_t[k] else '-'}\t{d}\t{report.res_curves[k]}")
     else:
         obj = q.to_json_obj()
         try:
             obj["series"] = str(planes.series_id(planes.adjust(q)[0]))
         except ValueError:
             pass  # non-integral degree has no series label
-        obj["weights"] = [str(w) for w in planes.fake_weights_of_degree_matrix(q)]
-        obj["degree"] = str(planes.degree(planes.fake_weights_of_degree_matrix(q)))
+        weights = planes.fake_weights_of_degree_matrix(q)
+        deg = planes.degree(weights)
+        obj["weights"] = [_decimal_str(w) for w in weights]
+        obj["degree"] = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
         obj["report"] = report.to_json_obj()
         print(json.dumps(obj, separators=(",", ":")))
     return 0
@@ -124,7 +114,7 @@ def cmd_sing(args) -> int:
 def cmd_graph(args) -> int:
     if (args.a, args.mu) not in planes.SERIES_ETAS:
         raise _InputError(f"no series family for degree {args.a} with torsion order {args.mu}")
-    graph = adjacency.adjacency_graph(args.a, args.mu, args.bound)
+    graph = _capped(adjacency.adjacency_graph, args.a, args.mu, args.bound, max_nodes=args.max_nodes)
     if len(graph.nodes) > args.max_nodes:
         raise _InputError(f"{len(graph.nodes)} nodes exceed the --max-nodes cap {args.max_nodes}")
     if args.format == "json":

@@ -53,6 +53,21 @@ def _decimal_str(n: int) -> str:
         return str(decimal.Decimal(n))
 
 
+def _decimal_join(values, sep: str = ",") -> str:
+    """``sep``-joined decimal text of integers of any size."""
+    return sep.join(map(_decimal_str, values))
+
+
+def _decimal_int(x) -> int:
+    """``int(x)``, reading ASCII digit strings at any length like :func:`_decimal_str` writes them."""
+    try:
+        return int(x)
+    except ValueError:  # past the str-to-int digit limit, or not an integer
+        if not (isinstance(x, str) and x.isascii() and x.isdigit()):
+            raise
+        return int(decimal.Decimal(x))
+
+
 def is_solution(u, a: int) -> bool:
     """True iff all entries of ``u`` are positive and the equation holds."""
     u0, u1, u2 = u
@@ -180,7 +195,7 @@ class MutationTree:
 
     def to_dot(self) -> str:
         def label(u):
-            return "({},{},{})".format(*u)
+            return f"({_decimal_join(u)})"
 
         lines = [f"graph mutation_tree_{self.a} {{"]
         for u in self.nodes:

@@ -11,9 +11,9 @@ The canonical self-intersection degree is ``(w0+w1+w2)^2 / (w0*w1*w2)`` for
 the fake weight vector ``w``; it is an integer exactly when ``w`` solves the
 squared Markov type equation with parameter equal to the degree.  The planes
 of integral degree fall into 24 series indexed by ``(degree, mu, eta)``;
-:func:`classify` enumerates them below a norm bound, with the sporadic
-isomorphisms among small members deduplicated by the canonical adjusted
-form of :func:`adjust`.
+:func:`classify` enumerates them below a norm bound, merging the sporadic
+isomorphisms among small members by the adjusted form of :func:`adjust`;
+the tests check every such merge against :func:`isomorphism_witness`.
 
 Singularity data at the three toric fixed points (local class group order,
 local Gorenstein index, T-singularity test and the exceptional curve count
@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, KContext, KElement
-from .markov import _decimal_str
+from .markov import _decimal_int, _decimal_join, _decimal_str
 
 Triple = tuple[int, int, int]
 
@@ -125,7 +125,7 @@ class DegreeMatrix:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
         mu = int(obj["mu"])
-        u = tuple(int(x) for x in obj["u"])
+        u = tuple(_decimal_int(x) for x in obj["u"])
         eta = tuple(int(x) for x in obj.get("eta", (0, 0, 0)))
         return cls(mu, u, tuple(e % mu for e in eta))
 
@@ -146,10 +146,6 @@ class GeneratorMatrix:
 
     def column(self, j: int) -> tuple[int, int]:
         return (self.rows[0][j], self.rows[1][j])
-
-    @property
-    def columns(self):
-        return tuple(self.column(j) for j in range(3))
 
     def cone_of_fixed_point(self, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Generators of the fan cone carrying the k-th toric fixed point."""
@@ -371,6 +367,27 @@ def _normalize_second_row(u: Triple, eta: Triple, ctx: KContext) -> tuple[Triple
     return final, KAutomorphism(1, (scale * shift) % mu, scale)
 
 
+def _arrangements(q: DegreeMatrix) -> tuple[int, list[tuple[int, int, int]]]:
+    """Integral degree of ``q`` and the orders arranging ``u``, for any ``eta``."""
+    a = integral_degree(q)
+    return a, markov.admissible_arrangements(q.u, q.mu * a)
+
+
+def _normalize(q: DegreeMatrix, perms) -> tuple[DegreeMatrix, AdjustTransform]:
+    """:func:`adjust` of ``q`` over its admissible column orders ``perms``."""
+    best = None
+    for perm in perms:
+        u_p = tuple(q.u[i] for i in perm)
+        eta_p = tuple(q.eta[i] for i in perm)
+        eta_n, phi = _normalize_second_row(u_p, eta_p, q.context)
+        candidate = (eta_n[2], perm)
+        if best is None or candidate < best[0]:
+            best = (candidate, u_p, eta_n, phi)
+    (_, perm), u_p, eta_n, phi = best
+    unchanged = u_p == q.u and eta_n == q.eta
+    return (q if unchanged else DegreeMatrix(q.mu, u_p, eta_n)), AdjustTransform(perm, phi)
+
+
 def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
     """Canonical adjusted representative of the isomorphism class of ``q``.
 
@@ -383,21 +400,7 @@ def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
     isomorphism of the planes.  An input already in adjusted form is
     returned itself, not rebuilt.
     """
-    a = integral_degree(q)
-    reduced_a = q.mu * a
-    perms = markov.admissible_arrangements(q.u, reduced_a)
-    best = None
-    for perm in perms:
-        u_p = tuple(q.u[i] for i in perm)
-        eta_p = tuple(q.eta[i] for i in perm)
-        eta_n, phi = _normalize_second_row(u_p, eta_p, q.context)
-        candidate = (eta_n[2], perm)
-        if best is None or candidate < best[0]:
-            best = (candidate, u_p, eta_n, phi)
-    (_, perm), u_p, eta_n, phi = best
-    if u_p == q.u and eta_n == q.eta:
-        return q, AdjustTransform(perm, phi)
-    return DegreeMatrix(q.mu, u_p, eta_n), AdjustTransform(perm, phi)
+    return _normalize(q, _arrangements(q)[1])
 
 
 def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
@@ -451,31 +454,32 @@ class ClassifiedPlane:
 
     ``series`` is the canonical label; ``all_series`` collects every series
     label whose member at this weight vector is isomorphic to it (more than
-    one only for the three sporadic coincidence sets).
+    one only for the three sporadic coincidence sets).  ``weights`` is
+    derived once, at construction, and takes no part in equality.
     """
 
     series: SeriesId
     matrix: DegreeMatrix
     all_series: tuple[SeriesId, ...]
+    weights: Triple = field(init=False, compare=False, repr=False)
 
-    @property
-    def weights(self) -> Triple:
-        return fake_weights_of_degree_matrix(self.matrix)
+    def __post_init__(self):
+        object.__setattr__(self, "weights", fake_weights_of_degree_matrix(self.matrix))
 
     @property
     def norm(self) -> int:
         return sum(self.weights)
 
 
-def classify(a: int, norm_bound: int, mu: int | None = None) -> list[ClassifiedPlane]:
+def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | None = None) -> list[ClassifiedPlane]:
     """All planes of integral degree ``a`` with fake weight norm <= bound.
 
     With ``mu`` given, only the ``(a, mu)`` family is enumerated (an empty
     list when it carries no series); the result is the ``mu`` part of the
     unfiltered one.  One entry per isomorphism class, keyed by the
-    canonical adjusted degree matrix; the per-node eta lists are
-    deduplicated through :func:`adjust` and the grouping is re-verified
-    with :func:`is_isomorphic`.
+    canonical adjusted degree matrix: each tree node is arranged once, and
+    its series etas with equal normalized forms merge.  ``max_nodes`` caps
+    each family's tree as in :func:`fwpp.markov.enumerate_tree`.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")
@@ -484,35 +488,35 @@ def classify(a: int, norm_bound: int, mu: int | None = None) -> list[ClassifiedP
         if deg != a or (mu is not None and fam_mu != mu):
             continue
         etas = SERIES_ETAS[(deg, fam_mu)]
-        tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu)
+        tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu, max_nodes=max_nodes)
         for u_sorted in tree.nodes:
             u_arr, _ = markov.arrange(u_sorted, fam_mu * a)
-            groups: dict[DegreeMatrix, list[tuple[int, DegreeMatrix]]] = {}
-            for eta in etas:
-                q = DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu))
-                canonical, _ = adjust(q)
-                groups.setdefault(canonical, []).append((eta, q))
-            canon_list = sorted(groups)
-            for canonical in canon_list:
-                merged = groups[canonical]
-                for eta, q in merged:
-                    if not is_isomorphic(q, canonical):
-                        raise AssertionError(f"adjusted merge of eta={eta} at {u_arr} is wrong")
-                for other in canon_list:
-                    if other != canonical and is_isomorphic(other, canonical):
-                        raise AssertionError(f"missed isomorphism between {other} and {canonical}")
-                sid = series_id(canonical)
-                if sid.a != a:
-                    raise AssertionError(f"classified matrix {canonical} has wrong degree")
+            qs = [DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu)) for eta in etas]
+            node_a, perms = _arrangements(qs[0])
+            if node_a != a:
+                raise AssertionError(f"classified matrix {qs[0]} has wrong degree")
+            groups: dict[DegreeMatrix, list[int]] = {}
+            for eta, q in zip(etas, qs):
+                groups.setdefault(_normalize(q, perms)[0], []).append(eta)
+            for canonical in sorted(groups):
                 out.append(
                     ClassifiedPlane(
-                        series=sid,
+                        series=_series_label(canonical, a),
                         matrix=canonical,
-                        all_series=tuple(sorted(SeriesId(a, fam_mu, eta) for eta, _ in merged)),
+                        all_series=tuple(sorted(SeriesId(a, fam_mu, eta) for eta in groups[canonical])),
                     )
                 )
     out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
     return out
+
+
+def _series_label(q: DegreeMatrix, a: int) -> SeriesId:
+    """Series label of ``q``, an adjusted matrix of integral degree ``a``."""
+    eta = q.eta[2] if q.mu > 1 else 0
+    sid = SeriesId(a, q.mu, eta)
+    if eta not in SERIES_ETAS.get((a, q.mu), ()):
+        raise AssertionError(f"adjusted matrix {q} maps to unknown series {sid}")
+    return sid
 
 
 def series_id(q: DegreeMatrix) -> SeriesId:
@@ -520,12 +524,7 @@ def series_id(q: DegreeMatrix) -> SeriesId:
     adjusted, _ = adjust(q)
     if adjusted != q:
         raise ValueError(f"{q} is not in adjusted form")
-    a = integral_degree(q)
-    eta = q.eta[2] if q.mu > 1 else 0
-    sid = SeriesId(a, q.mu, eta)
-    if (a, q.mu) not in SERIES_ETAS or eta not in SERIES_ETAS[(a, q.mu)]:
-        raise AssertionError(f"adjusted matrix {q} maps to unknown series {sid}")
-    return sid
+    return _series_label(q, integral_degree(q))
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +576,7 @@ def plane_json_obj(c: ClassifiedPlane, with_report: bool = False) -> dict:
         "u": [_decimal_str(x) for x in c.matrix.u],
         "eta": list(c.matrix.eta),
         "weights": [_decimal_str(w) for w in c.weights],
-        "degree": str(integral_degree(c.matrix)),
+        "degree": str(c.series.a),
     }
     if len(c.all_series) > 1:
         obj["mergedSeries"] = [str(s) for s in c.all_series]
@@ -598,13 +597,13 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
         except ValueError:  # not adjusted, or not of integral degree
             sid = "-"
         group = "Z" if q.mu == 1 else f"Z + Z/{q.mu}"
-        qtxt = "[{},{},{}]".format(*q.u)
+        qtxt = f"[{_decimal_join(q.u)}]"
         if q.mu > 1:
-            qtxt += "/[{},{},{}]".format(*q.eta)
+            qtxt += f"/[{_decimal_join(q.eta)}]"
         wz = anticanonical_class(q)
-        wz_txt = f"({wz.free}, {wz.tors})" if q.mu > 1 else f"({wz.free})"
-        iota = "({},{},{})".format(*rep.iota)
+        wz_txt = f"({_decimal_join((wz.free, wz.tors), ', ')})" if q.mu > 1 else f"({_decimal_str(wz.free)})"
+        iota = f"({_decimal_join(rep.iota)})"
         signs = "({},{},{})".format(*["+" if f else "-" for f in rep.is_t])
-        curves = "({},{},{})".format(*rep.res_curves)
+        curves = f"({_decimal_join(rep.res_curves)})"
         lines.append(f"| {sid} | {group} | {qtxt} | {wz_txt} | {iota} | {signs} | {curves} |")
     return "\n".join(lines) + "\n"

@@ -131,6 +131,37 @@ def test_criterion_5_classification_table():
     report(5, "24 series, sporadic merges verified, 21 table pairs correspond")
 
 
+def test_criterion_5_merges_are_exactly_the_isomorphisms():
+    # classify merges the etas of a tree node by equal adjusted forms; at
+    # every node of every family, each eta presentation must be isomorphic
+    # to its class's matrix and distinct classes must not be, by the closed
+    # form witness and by the brute-force oracle alike
+    checked = 0
+    for a, mu in planes.SERIES_FAMILIES:
+        bound = 10**5 if a == 1 else 10**8
+        by_node = {}
+        for c in planes.classify(a, bound, mu=mu):
+            by_node.setdefault(c.matrix.u, []).append(c)
+        tree = markov.enumerate_tree(mu * a, bound // mu)
+        assert len(by_node) == len(tree.nodes)
+        for u_sorted in tree.nodes:
+            u, _ = markov.arrange(u_sorted, mu * a)
+            classes = by_node[u]
+            for eta in planes.SERIES_ETAS[(a, mu)]:
+                q = DegreeMatrix(mu, u, (0, 1 % mu, eta % mu))
+                [home] = [c for c in classes if planes.SeriesId(a, mu, eta) in c.all_series]
+                assert planes.isomorphism_witness(q, home.matrix) is not None
+                assert oracles.brute_isomorphism_witness(q, home.matrix) is not None
+                checked += 1
+            for x in classes:
+                for y in classes:
+                    if x is not y:
+                        assert planes.isomorphism_witness(x.matrix, y.matrix) is None
+                        assert oracles.brute_isomorphism_witness(x.matrix, y.matrix) is None
+    assert checked == 571
+    report(5, f"every merge of {checked} node presentations is an isomorphism, and only those")
+
+
 def test_criterion_6_singularity_tables():
     checked = 0
     seen_series = set()

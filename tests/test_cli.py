@@ -1,10 +1,11 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import decimal
 import json
 
 import pytest
 
-from fwpp import cli
+from fwpp import cli, markov, planes
 
 
 def run(capsys, *argv):
@@ -17,6 +18,27 @@ MATRIX_183 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,3]}'
 MATRIX_187 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,7]}'
 MATRIX_181 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,1]}'
 MATRIX_SMOOTH = '{"mu":1,"u":["1","1","1"],"eta":[0,0,0]}'
+
+
+def past_the_digit_limit():
+    """The degree-9 triple 18 mutations below (1, 1, 1): 2,009, 3,251 and
+    5,261 digits, past the 4,300 that ``str(int)`` converts by default."""
+    u = (1, 1, 1)
+    while u[2] < 10**5000:
+        u = tuple(sorted((u[1], u[2], (u[1] + u[2]) ** 2 // u[0])))
+    return u
+
+
+def count_matrices_built(monkeypatch):
+    built = []
+    post_init = planes.DegreeMatrix.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(planes.DegreeMatrix, "__post_init__", counting)
+    return built
 
 
 class TestSolve:
@@ -88,6 +110,19 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--a", "1", "--bound", "600", "--max-nodes", "3")
         assert code == 2 and "max-nodes" in err
 
+    def test_max_nodes_cap_refuses_during_enumeration(self, capsys, monkeypatch):
+        built = count_matrices_built(monkeypatch)
+        code, out, err = run(capsys, "classify", "--a", "1", "--bound", str(10**96), "--max-nodes", "10")
+        assert code == 2 and out == "" and "max-nodes" in err
+        assert built == []
+
+    def test_max_nodes_cap_counts_classes_past_the_trees(self, capsys):
+        # each degree-1 tree at 600 has at most 5 nodes, but the classes
+        # of all four families together exceed the cap
+        assert all(len(markov.enumerate_tree(mu, 600 // mu).nodes) <= 5 for mu in (5, 6, 8, 9))
+        code, _, err = run(capsys, "classify", "--a", "1", "--bound", "600", "--max-nodes", "5")
+        assert code == 2 and "classes exceed the --max-nodes cap 5" in err
+
 
 class TestSing:
     def test_report(self, capsys):
@@ -158,6 +193,29 @@ class TestSing:
         assert code == 0 and "| 1-8-3 |" in out
 
 
+    @pytest.mark.parametrize("fmt", ["json", "tsv", "md"])
+    def test_integers_past_the_str_digit_limit(self, capsys, fmt):
+        u = past_the_digit_limit()
+        text = [str(decimal.Decimal(x)) for x in u]
+        matrix = json.dumps({"mu": 1, "u": text, "eta": [0, 0, 0]})
+        code, out, err = run(capsys, "sing", matrix, "--format", fmt)
+        assert code == 0 and err == ""
+        if fmt == "json":
+            obj = json.loads(out)
+            assert obj["u"] == obj["weights"] == obj["report"]["cl"] == text
+            assert obj["series"] == "9-1-0" and obj["degree"] == "9"
+        elif fmt == "tsv":
+            assert [row.split("\t")[1] for row in out.splitlines()] == text
+        else:
+            row = out.splitlines()[2]
+            assert row.startswith(f"| 9-1-0 | Z | [{','.join(text)}] | ({decimal.Decimal(sum(u))}) |")
+
+    @pytest.mark.parametrize("bad", ["1e5", "+-1", "-5", "0", "1.5", "9" * 5000 + "x", "-" + "9" * 5000])
+    def test_free_parts_that_are_not_positive_integers_are_refused(self, capsys, bad):
+        code, out, err = run(capsys, "sing", json.dumps({"mu": 1, "u": [bad, "1", "1"], "eta": [0, 0, 0]}))
+        assert code == 2 and out == "" and err.startswith("error:")
+
+
 class TestGraph:
     def test_dot(self, capsys):
         code, out, _ = run(capsys, "graph", "--a", "9", "--mu", "1", "--bound", "40")
@@ -212,6 +270,12 @@ class TestIso:
     def test_graph_max_nodes_cap(self, capsys):
         code, _, err = run(capsys, "graph", "--a", "1", "--mu", "5", "--bound", "3000", "--max-nodes", "2")
         assert code == 2 and "max-nodes" in err
+
+    def test_graph_max_nodes_cap_refuses_during_enumeration(self, capsys, monkeypatch):
+        built = count_matrices_built(monkeypatch)
+        code, out, err = run(capsys, "graph", "--a", "1", "--mu", "8", "--bound", str(10**96), "--max-nodes", "10")
+        assert code == 2 and out == "" and "max-nodes" in err
+        assert built == []
 
 
 class TestDeterminism:

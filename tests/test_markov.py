@@ -261,6 +261,18 @@ def test_sorted_and_json_helpers():
     assert markov.triples_to_json([(1, 1, 2), (1, 2, 9)]) == '[["1", "1", "2"], ["1", "2", "9"]]'
 
 
+def test_decimal_text_helpers():
+    assert markov._decimal_join((1, 22, 333)) == "1,22,333"
+    assert markov._decimal_join((4, 5), "\t") == "4\t5"
+    assert markov._decimal_int("12") == markov._decimal_int(12) == 12
+    big = "7" * 5000
+    assert markov._decimal_int(big) == int(big[:2500]) * 10**2500 + int(big[2500:])
+    assert markov._decimal_str(markov._decimal_int(big)) == big
+    for bad in ("x", "1e3", "7" * 5000 + "\n7", "-" + big):
+        with pytest.raises(ValueError):
+            markov._decimal_int(bad)
+
+
 def test_arrangement_errors():
     with pytest.raises(ValueError):
         markov.arrange((1, 3, 5), 8)  # no even entry

@@ -282,6 +282,38 @@ class TestClassify:
         assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == 125
         assert len(built) == 125
 
+    def test_one_canonical_pass_per_node(self, monkeypatch):
+        # no runtime witness search, no public adjust or series_id, and the
+        # arrangement computed at most twice per node: once by
+        # markov.arrange, once for all of the node's etas
+        calls = {"witness": 0, "arrangements": 0, "adjust": 0, "series_id": 0}
+
+        def counted(module, name, key):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(planes, "isomorphism_witness", "witness")
+        counted(markov, "admissible_arrangements", "arrangements")
+        counted(planes, "adjust", "adjust")
+        counted(planes, "series_id", "series_id")
+        classes = planes.classify(1, 10**12)
+        nodes = sum(len(markov.enumerate_tree(mu, 10**12 // mu).nodes) for a, mu in planes.SERIES_FAMILIES if a == 1)
+        assert len(classes) >= nodes > 0
+        assert calls["witness"] == calls["adjust"] == calls["series_id"] == 0
+        assert 0 < calls["arrangements"] <= 2 * nodes
+
+    def test_weights_are_stored_once(self, monkeypatch):
+        c = planes.classify(2, 100)[0]
+        assert c == planes.ClassifiedPlane(c.series, c.matrix, c.all_series)
+        monkeypatch.setattr(planes, "fake_weights_of_degree_matrix", None)
+        assert c.weights == tuple(c.matrix.mu * x for x in c.matrix.u)
+        assert c.norm == sum(c.weights)
+
     def test_mu_filter_without_a_family(self):
         assert planes.classify(1, 10**4, mu=7) == []
         assert planes.classify(7, 10**4, mu=1) == []
@@ -330,6 +362,46 @@ def test_adjust_recovers_canonical_from_any_presentation(data):
     adjusted, _ = planes.adjust(q)
     assert adjusted == c.matrix
     assert planes.is_isomorphic(q, c.matrix)
+
+
+def same_weight_classes():
+    """Classes of :func:`sample_classes` keyed by torsion order and sorted
+    free parts: the distinct classes within a key are the hard negatives."""
+    groups = {}
+    for c in sample_classes():
+        groups.setdefault((c.matrix.mu, tuple(sorted(c.matrix.u))), []).append(c)
+    return groups
+
+
+def random_presentation(data, q):
+    """``q`` under a drawn positive automorphism and column order."""
+    ctx = q.context
+    phi = data.draw(st.sampled_from(list(abelian.automorphisms(ctx, positive_only=True))))
+    return image_of(q, phi, data.draw(st.permutations(range(3))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_witness_exists_exactly_when_adjusted_forms_agree(data):
+    # the criterion classify merges by: on inputs of integral degree, equal
+    # adjusted forms are equivalent to isomorphism, and the two adjusting
+    # transforms compose to a witness
+    c1 = data.draw(st.sampled_from(sample_classes()))
+    group = same_weight_classes()[(c1.matrix.mu, tuple(sorted(c1.matrix.u)))]
+    c2 = data.draw(st.one_of(st.sampled_from(group), st.sampled_from(sample_classes())))
+    q1 = random_presentation(data, c1.matrix)
+    q2 = random_presentation(data, c2.matrix)
+    (adj1, t1), (adj2, t2) = planes.adjust(q1), planes.adjust(q2)
+    witness = planes.isomorphism_witness(q1, q2)
+    assert (witness is not None) == (adj1 == adj2) == (c1 == c2)
+    assert witness == oracles.brute_isomorphism_witness(q1, q2)
+    if witness is None:
+        return
+    # adjusted column i is t.phi of input column t.perm[i], for both inputs
+    ctx = q1.context
+    psi = abelian.compose_automorphisms(abelian.invert_automorphism(t2.phi, ctx), t1.phi, ctx)
+    image = [abelian.apply_automorphism(psi, q1.columns[t1.perm[i]], ctx) for i in range(3)]
+    assert image == [q2.columns[t2.perm[i]] for i in range(3)]
 
 
 def draw_eta(draw, mu, u):
@@ -459,6 +531,15 @@ class TestSerialization:
         assert parsed(obj["report"]["cl"]) == list(c.weights)
         kstar = adjacency.KStarData(1, 1, -u[2], 1, 0)
         assert parsed([kstar.to_json_obj()["d0"]]) == [-u[2]]
+        # text output: labels, tables and the parser reading them back
+        text = [str(decimal.Decimal(x)) for x in u]
+        assert [markov._decimal_int(x) for x in text] == list(u)
+        assert markov._decimal_join(u, "\t") == "\t".join(text)
+        assert f'"({",".join(text)})";' in tree.to_dot()
+        node = adjacency.GraphNode(c, False, False, True)
+        assert node.label() == f"({','.join(text)})"
+        md = planes.report_markdown([planes.singularity_report(q)])
+        assert f"| 9-1-0 | Z | [{','.join(text)}] |" in md
 
     def test_markdown_table(self):
         rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
