@@ -28,6 +28,7 @@ from .adjacency import (
 )
 from .markov import (
     EnumerationCapExceeded,
+    InvariantError,
     MutationTree,
     SolutionTriple,
     SquareDecomposition,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Iterator, Sequence
 
+from .markov import InvariantError
+
 Matrix = list[list[int]]
 
 
@@ -371,11 +373,11 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElem
     alpha, beta = bezout(free_row[1], free_row[2])
     tors_row = [(beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu]
     if not annihilates(p, free_row, tors_row, mu):
-        raise AssertionError(f"cokernel projection does not annihilate the rows of {p}")
+        raise InvariantError(f"cokernel projection does not annihilate the rows of {p}")
     ctx = KContext(mu)
     cols = [KElement(free_row[j], tors_row[j]) for j in range(3)]
     if not pair_generates(cols[0], cols[1], ctx):
-        raise AssertionError(f"cokernel projection of {p} is not onto")
+        raise InvariantError(f"cokernel projection of {p} is not onto")
     return ctx, cols
 
 
@@ -408,7 +410,7 @@ def kernel_basis(cols: Sequence[KElement], ctx: KContext) -> Matrix:
     x = (x0 + s * u2) % (mu * u2)
     y, rem = divmod(-(u0 + x * u1), u2)
     if rem:
-        raise AssertionError(f"kernel basis of {cols} has no integral first row")
+        raise InvariantError(f"kernel basis of {cols} has no integral first row")
     return [[1, 0], [x, mu * u2], [y, -mu * u1]]
 
 

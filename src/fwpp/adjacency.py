@@ -32,7 +32,7 @@ from functools import cached_property
 from math import gcd, isqrt
 
 from . import abelian, markov, planes
-from .markov import _decimal_join, _decimal_str
+from .markov import InvariantError, _decimal_join, _decimal_str
 from .planes import ClassifiedPlane, DegreeMatrix, GeneratorMatrix, SeriesId
 
 Triple = tuple[int, int, int]
@@ -190,7 +190,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     Raises :class:`NotDegenerableError` when the point is not a
     T-singularity.  The slice data is otherwise guaranteed to exist: of all
     ``d1`` in ``[0, l1)``, exactly one must pass the primitivity and
-    annihilation tests, or an ``AssertionError`` is raised.  Only the
+    annihilation tests, or an ``InvariantError`` is raised.  Only the
     ``gcd(l1, l2) <= mu`` values making ``d2`` integral are tested, so the
     cost does not grow with ``l1``.  The hit's annihilation test and the
     weight check on ``P1`` make up its correspondence with ``q``; the
@@ -210,7 +210,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     l1 = isqrt(wp[2] // d)  # the local Gorenstein index: cl = w_k = d * iota**2
     d0 = -d
     if -d0 * l1 * l1 != wp[2]:
-        raise AssertionError("T-singularity data is inconsistent with the weights")
+        raise InvariantError("T-singularity data is inconsistent with the weights")
     num = l1 * (wp[0] + wp[1])
     if num % wp[2]:
         raise NotDegenerableError(f"second isotropy order of {q} at slot {slot} is not integral")
@@ -237,13 +237,13 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
         if abelian.annihilates(p1_rows, up, etap, q.mu):
             hits.append((d1, d2))
     if len(hits) != 1:
-        raise AssertionError(f"slice reconstruction of {q} at slot {slot} found {hits}")
+        raise InvariantError(f"slice reconstruction of {q} at slot {slot} found {hits}")
     d1, d2 = hits[0]
     kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
 
     p1, p2 = slice_matrices(kstar)
     if planes.fake_weights_of_generator(p1) != wp:
-        raise AssertionError("first slice does not have the expected weights")
+        raise InvariantError("first slice does not have the expected weights")
     ctx2, cols2 = abelian.cokernel_structure(p2.rows)
     q2_raw = DegreeMatrix(ctx2.mu, tuple(c.free for c in cols2), tuple(c.tors for c in cols2))
     q2_canon, _ = planes.adjust(q2_raw)

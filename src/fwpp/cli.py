@@ -12,11 +12,15 @@ Exit codes: 0 success (including empty results), 1 negative verdict from
 ``iso``, 2 usage or input errors.  All big integers are serialized as
 decimal strings in JSON output so downstream 64-bit consumers cannot
 truncate them; output is byte-identical across runs.
+
+:func:`build_parser` builds one parser per process and returns that same
+shared object on every call, :func:`main` included; callers must not mutate it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -98,12 +102,12 @@ def cmd_sing(args) -> int:
             print(f"z({k})\t{cl}\t{iota}\t{'+' if report.is_t[k] else '-'}\t{d}\t{report.res_curves[k]}")
     else:
         obj = q.to_json_obj()
-        try:
-            obj["series"] = str(planes.series_id(planes.adjust(q)[0]))
-        except ValueError:
-            pass  # non-integral degree has no series label
         weights = planes.fake_weights_of_degree_matrix(q)
         deg = planes.degree(weights)
+        try:
+            obj["series"] = str(planes._series_label(planes.adjust(q)[0], deg.numerator))
+        except ValueError:
+            pass  # non-integral degree has no series label
         obj["weights"] = [_decimal_str(w) for w in weights]
         obj["degree"] = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
         obj["report"] = report.to_json_obj()
@@ -135,15 +139,15 @@ def cmd_iso(args) -> int:
             obj["automorphism"] = {"eps": phi.eps, "a": phi.a, "c": phi.c}
             obj["columnPermutation"] = list(perm)
         print(json.dumps(obj, separators=(",", ":")))
+    elif witness is None:
+        print("not isomorphic")
     else:
-        if witness is None:
-            print("not isomorphic")
-        else:
-            phi, perm = witness
-            print(f"isomorphic\tphi=(eps={phi.eps},a={phi.a},c={phi.c})\tperm={list(perm)}")
+        phi, perm = witness
+        print(f"isomorphic\tphi=(eps={phi.eps},a={phi.a},c={phi.c})\tperm={list(perm)}")
     return 0 if witness is not None else 1
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fwpp",

@@ -59,13 +59,16 @@ def _decimal_join(values, sep: str = ",") -> str:
 
 
 def _decimal_int(x) -> int:
-    """``int(x)``, reading ASCII digit strings at any length like :func:`_decimal_str` writes them."""
+    """``int(x)`` at any length: past the str-to-int digit limit, strings are read under
+    the grammar ``int()`` applies below it (whitespace, a sign, single ``_`` between digits)."""
     try:
         return int(x)
     except ValueError:  # past the str-to-int digit limit, or not an integer
-        if not (isinstance(x, str) and x.isascii() and x.isdigit()):
+        text = x.strip() if isinstance(x, str) else ""
+        digits = text[1:] if text[:1] in ("+", "-") else text
+        if not digits.replace("_", "").isdecimal() or "__" in f"_{digits}_":
             raise
-        return int(decimal.Decimal(x))
+        return int(decimal.Decimal(text.replace("_", "")))
 
 
 def is_solution(u, a: int) -> bool:
@@ -206,6 +209,10 @@ class MutationTree:
         return "\n".join(lines) + "\n"
 
 
+class InvariantError(AssertionError):
+    """An internal invariant failed: a defect of the library, never of its input."""
+
+
 class EnumerationCapExceeded(RuntimeError):
     """Raised when a tree enumeration grows past its node cap."""
 
@@ -277,10 +284,10 @@ def scaled_solution_class(t: SolutionTriple) -> tuple[int, int]:
     b = gcd(gcd(t.u[0], t.u[1]), t.u[2])
     reduced_a = t.a * b
     if reduced_a not in REDUCED_PARAMETERS:
-        raise AssertionError(f"scaling of {t.u} left the reduced classes: {reduced_a}")
+        raise InvariantError(f"scaling of {t.u} left the reduced classes: {reduced_a}")
     reduced = tuple(c // b for c in t.u)
     if not is_solution(reduced, reduced_a):
-        raise AssertionError(f"{t.u}/{b} is not a solution for a'={reduced_a}")
+        raise InvariantError(f"{t.u}/{b} is not a solution for a'={reduced_a}")
     return b, reduced_a
 
 
@@ -316,7 +323,7 @@ def admissible_arrangements(u, reduced_a: int) -> list[tuple[int, int, int]]:
     if not perms:
         raise ValueError(f"{u} admits no arranged order for class {reduced_a}")
     if len(perms) > 1 and len({tuple(u[i] for i in p) for p in perms}) != 1:
-        raise AssertionError(f"ambiguous arrangement of {u} in class {reduced_a}")
+        raise InvariantError(f"ambiguous arrangement of {u} in class {reduced_a}")
     return perms
 
 
@@ -365,18 +372,18 @@ def decompose(t: SolutionTriple) -> SquareDecomposition:
     for i in range(3):
         quotient, remainder = divmod(v[perm[i]], xi[i])
         if remainder:
-            raise AssertionError(f"{v[perm[i]]} is not divisible by cofactor {xi[i]}")
+            raise InvariantError(f"{v[perm[i]]} is not divisible by cofactor {xi[i]}")
         root = isqrt(quotient)
         if root * root != quotient:
-            raise AssertionError(f"{quotient} is not a perfect square in {t.u}")
+            raise InvariantError(f"{quotient} is not a perfect square in {t.u}")
         xs.append(root)
     x = tuple(xs)
     coeff = isqrt(reduced_a * xi[0] * xi[1] * xi[2])
     if coeff**2 != reduced_a * xi[0] * xi[1] * xi[2]:
-        raise AssertionError("reduced equation coefficient is not a square")
+        raise InvariantError("reduced equation coefficient is not a square")
     lhs = xi[0] * x[0] ** 2 + xi[1] * x[1] ** 2 + xi[2] * x[2] ** 2
     if lhs != coeff * x[0] * x[1] * x[2]:
-        raise AssertionError(f"square decomposition of {t.u} fails its equation")
+        raise InvariantError(f"square decomposition of {t.u} fails its equation")
     return SquareDecomposition(x=x, xi=xi, perm=perm, scale=b)
 
 

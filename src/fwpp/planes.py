@@ -32,7 +32,7 @@ from typing import Iterable, Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, KContext, KElement
-from .markov import _decimal_int, _decimal_join, _decimal_str
+from .markov import InvariantError, _decimal_int, _decimal_join, _decimal_str
 
 Triple = tuple[int, int, int]
 
@@ -239,7 +239,7 @@ def cone_gorenstein_index(v: tuple[int, int], vp: tuple[int, int]) -> int:
         raise ValueError("cone generators must be primitive")
     denom = gcd(c - d, b - a)
     if abs(det) % denom:
-        raise AssertionError("Gorenstein index formula produced a non-integer")
+        raise InvariantError("Gorenstein index formula produced a non-integer")
     return abs(det) // denom
 
 
@@ -263,7 +263,7 @@ def _hirzebruch_jung_length(m: int, k: int) -> int:
         m, k = k, b * k - m
         count += 1
     if m != 1:
-        raise AssertionError("continued fraction expansion did not terminate at 1")
+        raise InvariantError("continued fraction expansion did not terminate at 1")
     return count
 
 
@@ -292,11 +292,11 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
     if y < 0:
         y = -y
     if y != m:
-        raise AssertionError("normalization lost the cone determinant")
+        raise InvariantError("normalization lost the cone determinant")
     t = x % m
     k = (m - t) % m
     if k == 0 or gcd(k, m) != 1:
-        raise AssertionError(f"normalized cone type ({m}, {k}) is not reduced")
+        raise InvariantError(f"normalized cone type ({m}, {k}) is not reduced")
     return _hirzebruch_jung_length(m, k)
 
 
@@ -316,7 +316,7 @@ def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
     rows = abelian.transpose(basis)
     p = GeneratorMatrix((tuple(rows[0]), tuple(rows[1])))
     if not corresponds(q, p):
-        raise AssertionError(f"kernel basis of {q} fails the correspondence test")
+        raise InvariantError(f"kernel basis of {q} fails the correspondence test")
     return p
 
 
@@ -494,7 +494,7 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
             qs = [DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu)) for eta in etas]
             node_a, perms = _arrangements(qs[0])
             if node_a != a:
-                raise AssertionError(f"classified matrix {qs[0]} has wrong degree")
+                raise InvariantError(f"classified matrix {qs[0]} has wrong degree")
             groups: dict[DegreeMatrix, list[int]] = {}
             for eta, q in zip(etas, qs):
                 groups.setdefault(_normalize(q, perms)[0], []).append(eta)
@@ -515,7 +515,7 @@ def _series_label(q: DegreeMatrix, a: int) -> SeriesId:
     eta = q.eta[2] if q.mu > 1 else 0
     sid = SeriesId(a, q.mu, eta)
     if eta not in SERIES_ETAS.get((a, q.mu), ()):
-        raise AssertionError(f"adjusted matrix {q} maps to unknown series {sid}")
+        raise InvariantError(f"adjusted matrix {q} maps to unknown series {sid}")
     return sid
 
 
@@ -559,14 +559,7 @@ def singularity_report(q: DegreeMatrix) -> SingularityReport:
     iota = tuple(local_gorenstein_index(q, k) for k in range(3))
     flags, ds = zip(*(_t_test(cl[k], iota[k]) for k in range(3)))
     curves = tuple(resolution_curve_count(*p.cone_of_fixed_point(k)) for k in range(3))
-    return SingularityReport(
-        matrix=q,
-        cl=cl,
-        iota=iota,
-        is_t=flags,
-        d=ds,
-        res_curves=curves,
-    )
+    return SingularityReport(q, cl, iota, flags, ds, curves)
 
 
 def plane_json_obj(c: ClassifiedPlane, with_report: bool = False) -> dict:

@@ -303,5 +303,5 @@ def tuple_admissible_arrangements(u, reduced_a: int):
     if not perms:
         raise ValueError(f"{u} admits no arranged order for class {reduced_a}")
     if len({tuple(u[i] for i in p) for p in perms}) != 1:
-        raise AssertionError(f"ambiguous arrangement of {u} in class {reduced_a}")
+        raise markov.InvariantError(f"ambiguous arrangement of {u} in class {reduced_a}")
     return perms

@@ -4,6 +4,8 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import golden
 import oracles
@@ -139,6 +141,39 @@ class TestAdjacentPartner:
                     flag, _ = planes.is_t_singular(pair.q2_raw, 2)
                     assert flag
                     assert planes.local_gorenstein_index(pair.q2_raw, 2) == pair.kstar.l2
+
+
+@st.composite
+def deep_series_members(draw, max_digits=60):
+    """A series member reached by a random norm-increasing mutation walk from
+    an initial triple, until its largest entry has at least the drawn number
+    of digits (at most ``max_digits``); the last step may overshoot it."""
+    a, mu = draw(st.sampled_from(planes.SERIES_FAMILIES))
+    t = draw(st.sampled_from(sorted(markov.initial_solutions(a * mu))))
+    digits = draw(st.integers(1, max_digits))
+    while len(str(t.u[2])) < digits:
+        ups = [s for s in markov.one_step_mutations(t) if markov.norm(s.u) > markov.norm(t.u)]
+        t = draw(st.sampled_from(sorted(ups)))
+    eta = draw(st.sampled_from(planes.SERIES_ETAS[(a, mu)]))
+    return DegreeMatrix(mu, markov.arrange(t.u, a * mu)[0], (0, 1 % mu, eta % mu))
+
+
+class TestDeepPartners:
+    @settings(max_examples=150, deadline=None)
+    @given(deep_series_members())
+    def test_partner_is_an_involution_by_the_slot_mutation(self, q):
+        w = planes.fake_weights_of_degree_matrix(q)
+        q_canon, _ = planes.adjust(q)
+        for slot in range(3):
+            if not planes.is_t_singular(q, slot)[0]:
+                continue
+            pair = adjacency.adjacent_partner(q, slot)
+            assert pair.q1 == q_canon
+            assert adjacency.adjacent_partner(pair.q2_raw, 2).q2 == q_canon
+            r0, r1 = (w[j] for j in range(3) if j != slot)
+            new, rem = divmod((r0 + r1) ** 2, w[slot])
+            assert rem == 0
+            assert sorted(planes.fake_weights_of_degree_matrix(pair.q2)) == sorted((r0, r1, new))
 
 
 class TestPartnerReconstruction:

@@ -1,5 +1,6 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import argparse
 import decimal
 import json
 
@@ -210,10 +211,38 @@ class TestSing:
             row = out.splitlines()[2]
             assert row.startswith(f"| 9-1-0 | Z | [{','.join(text)}] | ({decimal.Decimal(sum(u))}) |")
 
-    @pytest.mark.parametrize("bad", ["1e5", "+-1", "-5", "0", "1.5", "9" * 5000 + "x", "-" + "9" * 5000])
+    @pytest.mark.parametrize(
+        "bad",
+        ["1e5", "+-1", "-5", "0", "1.5", "9" * 5000 + "x", "-" + "9" * 5000]
+        + [s.format("9" * 50) for s in ("{}e5", "{}.5", "{}x", "-{}")]
+        + ["9" * 5000 + "e5", "9" * 5000 + ".5", "0" * 50, "0" * 5000],
+    )
     def test_free_parts_that_are_not_positive_integers_are_refused(self, capsys, bad):
         code, out, err = run(capsys, "sing", json.dumps({"mu": 1, "u": [bad, "1", "1"], "eta": [0, 0, 0]}))
         assert code == 2 and out == "" and err.startswith("error:")
+
+    @pytest.mark.parametrize("digits", [50, 5000])
+    @pytest.mark.parametrize(
+        "spell", [lambda d: d + "\n", lambda d: "+" + d, lambda d: d[:9] + "_" + d[9:]], ids=["newline", "plus", "underscore"]
+    )
+    def test_free_part_spellings_read_alike_at_every_length(self, capsys, digits, spell):
+        plain = "9" * digits
+        first = run(capsys, "sing", json.dumps({"mu": 1, "u": [plain, "1", "1"], "eta": [0, 0, 0]}))
+        assert first[0] == 0
+        assert run(capsys, "sing", json.dumps({"mu": 1, "u": [spell(plain), "1", "1"], "eta": [0, 0, 0]})) == first
+
+    def test_json_adjusts_the_matrix_once(self, capsys, monkeypatch):
+        adjusted = []
+        adjust = planes.adjust
+        monkeypatch.setattr(planes, "adjust", lambda q: adjusted.append(q) or adjust(q))
+        code, out, _ = run(capsys, "sing", MATRIX_187)
+        assert code == 0 and json.loads(out)["series"] == "1-8-3"
+        assert len(adjusted) == 1
+
+    def test_unknown_series_is_an_invariant_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr(planes, "SERIES_ETAS", {k: v for k, v in planes.SERIES_ETAS.items() if k != (1, 8)})
+        with pytest.raises(markov.InvariantError, match="unknown series"):
+            cli.main(["sing", MATRIX_183])
 
 
 class TestGraph:
@@ -276,6 +305,51 @@ class TestIso:
         code, out, err = run(capsys, "graph", "--a", "1", "--mu", "8", "--bound", str(10**96), "--max-nodes", "10")
         assert code == 2 and out == "" and "max-nodes" in err
         assert built == []
+
+
+class TestParserReuse:
+    """``build_parser`` is cached: every ``main`` call parses with one parser."""
+
+    SEQUENCE = [
+        ("sing", MATRIX_183),
+        ("iso", MATRIX_183, MATRIX_187, "--format", "tsv"),
+        ("solve", "--a", "6", "--bound", "600", "--format", "md"),
+        ("--help",),
+        ("iso", MATRIX_181, MATRIX_187),
+        ("nosuch",),
+        ("solve", "--help"),
+        ("classify", "--a", "2", "--bound", "100"),
+        ("solve", "--a", "x"),
+        ("graph", "--a", "1", "--mu", "5", "--bound", "300", "--format", "json"),
+        ("sing", "not json"),
+        ("sing", MATRIX_183, "--format", "md"),
+    ]
+
+    def test_interleaved_calls_match_fresh_parsers(self, capsys):
+        cached = [run(capsys, *argv) for argv in self.SEQUENCE * 2]
+        fresh = []
+        for argv in self.SEQUENCE * 2:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        assert cached == fresh
+        assert [code for code, _, _ in cached[: len(self.SEQUENCE)]] == [0, 0, 0, 0, 1, 2, 0, 0, 2, 0, 2, 0]
+
+    def test_fifty_calls_build_one_parser_tree(self, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli.build_parser.cache_clear()
+        for _ in range(50):
+            assert run(capsys, "iso", MATRIX_183, MATRIX_187)[0] == 0
+        assert len(built) == 6  # the top-level parser and its five subcommands
+
+    def test_one_shared_parser(self):
+        assert cli.build_parser() is cli.build_parser()
 
 
 class TestDeterminism:

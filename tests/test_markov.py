@@ -1,5 +1,6 @@
 """Solver, mutation and enumeration tests for the squared equations."""
 
+import decimal
 import random
 from math import gcd
 
@@ -268,9 +269,18 @@ def test_decimal_text_helpers():
     big = "7" * 5000
     assert markov._decimal_int(big) == int(big[:2500]) * 10**2500 + int(big[2500:])
     assert markov._decimal_str(markov._decimal_int(big)) == big
-    for bad in ("x", "1e3", "7" * 5000 + "\n7", "-" + big):
+    for bad in ("x", "1e3", "7" * 5000 + "\n7", "-" + big + "x", "_" + big, big + "_", "7__" + big):
         with pytest.raises(ValueError):
             markov._decimal_int(bad)
+
+
+@pytest.mark.parametrize("digits", [50, 5000])
+@pytest.mark.parametrize("text", ["{}\n", " +{} ", "-{}", "7_{}", "\u0661{}"])
+def test_decimal_int_reads_the_int_grammar_at_every_length(digits, text):
+    """Past the str-to-int digit limit a string reads as ``int()`` reads it below."""
+    body = "7" * digits
+    expected = decimal.Decimal(text.format(body).replace("_", "").replace("\u0661", "1"))
+    assert markov._decimal_int(text.format(body)) == int(expected)
 
 
 def test_arrangement_errors():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import fwpp
 import golden
 import oracles
 from fwpp import abelian, adjacency, markov, planes
@@ -328,6 +329,13 @@ class TestSeriesId:
     def test_rejects_unadjusted(self):
         with pytest.raises(ValueError):
             planes.series_id(mk(9, (1, 1, 1), (0, 1, 5)))
+
+    def test_unknown_series_raises_the_typed_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(planes, "SERIES_ETAS", {(2, 4): (1,)})
+        with pytest.raises(AssertionError) as info:
+            planes.series_id(mk(4, (1, 1, 2), (0, 1, 3)))
+        assert type(info.value) is fwpp.InvariantError is markov.InvariantError
+        assert str(info.value) == "adjusted matrix DegreeMatrix(mu=4, u=(1, 1, 2), eta=(0, 1, 3)) maps to unknown series 2-4-3"
 
     def test_parse_roundtrip(self):
         sid = SeriesId.parse("1-8-3")
