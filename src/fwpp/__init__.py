@@ -6,12 +6,9 @@ from .abelian import (
     KContext,
     KElement,
     apply_automorphism,
-    automorphisms,
     cokernel_structure,
-    hermite_normal_form,
     k_membership_multiple,
     kernel_basis,
-    smith_normal_form,
 )
 from .adjacency import (
     AdjacencyGraph,
@@ -22,7 +19,6 @@ from .adjacency import (
     adjacent_partner,
     assemble_3x4,
     can_degenerate,
-    kstar_degree,
     self_adjacency_census,
     slice_matrices,
 )

@@ -1,11 +1,7 @@
-"""Exact integer matrix normal forms and the groups ``Z + Z/mu``.
+"""Closed-form integer arithmetic of generator matrices and the groups ``Z + Z/mu``.
 
 Matrices are lists of row lists of plain Python integers; all operations are
-exact.  The Smith and Hermite normal forms are public helpers that favour
-determinism over asymptotics: pivots are chosen as the entry of smallest
-absolute value, scanning rows then columns, so repeated runs produce
-identical transformation matrices.  The library itself does not call
-them: the cokernel of a generator matrix and the kernel of a grading map
+exact.  The cokernel of a generator matrix and the kernel of a grading map
 are both read off in closed form from Bezout coefficients and modular
 inverses.
 
@@ -18,23 +14,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .markov import InvariantError
 
 Matrix = list[list[int]]
-
-
-def identity_matrix(n: int) -> Matrix:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
-    rows, inner, cols = len(a), len(b), len(b[0])
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
-        for i in range(rows)
-    ]
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
@@ -59,129 +43,6 @@ def det_unimodular(m: Sequence[Sequence[int]]) -> int:
     return total
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
-    """Return ``(U, S, V)`` with ``U*M*V == S``, U and V unimodular.
-
-    ``S`` is diagonal with nonnegative entries d1 | d2 | ... .  The pivot is
-    always the smallest nonzero entry in absolute value of the remaining
-    block (ties broken by row-major position), so the output is reproducible.
-    """
-    s = [list(row) for row in m]
-    rows = len(s)
-    cols = len(s[0]) if rows else 0
-    u = identity_matrix(rows)
-    v = identity_matrix(cols)
-
-    def row_op(i, j, q):  # row_i -= q * row_j, in S and U
-        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
-        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j, in S and V
-        for r in range(rows):
-            s[r][i] -= q * s[r][j]
-        for r in range(cols):
-            v[r][i] -= q * v[r][j]
-
-    def swap_rows(i, j):
-        s[i], s[j] = s[j], s[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in range(rows):
-            s[r][i], s[r][j] = s[r][j], s[r][i]
-        for r in range(cols):
-            v[r][i], v[r][j] = v[r][j], v[r][i]
-
-    for t in range(min(rows, cols)):
-        while True:
-            pivot = None
-            for i in range(t, rows):
-                for j in range(t, cols):
-                    if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
-                        pivot = (i, j)
-            if pivot is None:
-                break
-            if pivot != (t, t):
-                if pivot[0] != t:
-                    swap_rows(t, pivot[0])
-                if pivot[1] != t:
-                    swap_cols(t, pivot[1])
-            dirty = False
-            for i in range(t + 1, rows):
-                if s[i][t]:
-                    row_op(i, t, s[i][t] // s[t][t])
-                    if s[i][t]:
-                        dirty = True
-            for j in range(t + 1, cols):
-                if s[t][j]:
-                    col_op(j, t, s[t][j] // s[t][t])
-                    if s[t][j]:
-                        dirty = True
-            if dirty:
-                continue
-            # pivot divides everything it cleared; enforce divisibility of the rest
-            offender = None
-            for i in range(t + 1, rows):
-                for j in range(t + 1, cols):
-                    if s[i][j] % s[t][t]:
-                        offender = i
-                        break
-                if offender is not None:
-                    break
-            if offender is None:
-                break
-            row_op(t, offender, -1)
-        if t < rows and t < cols and s[t][t] < 0:
-            s[t] = [-x for x in s[t]]
-            u[t] = [-x for x in u[t]]
-    return u, s, v
-
-
-def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
-    """Row Hermite normal form: ``(H, U)`` with ``H == U*M``, U unimodular.
-
-    Pivots are positive, entries above a pivot are reduced into
-    ``[0, pivot)``; H is the canonical basis of the row lattice of M.
-    """
-    h = [list(row) for row in m]
-    rows = len(h)
-    cols = len(h[0]) if rows else 0
-    u = identity_matrix(rows)
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        while True:
-            live = [i for i in range(r, rows) if h[i][c] != 0]
-            if not live:
-                break
-            p = min(live, key=lambda i: (abs(h[i][c]), i))
-            if p != r:
-                h[r], h[p] = h[p], h[r]
-                u[r], u[p] = u[p], u[r]
-            done = True
-            for i in range(r + 1, rows):
-                if h[i][c]:
-                    q = h[i][c] // h[r][c]
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-                    if h[i][c]:
-                        done = False
-            if done:
-                break
-        if r < rows and h[r][c] != 0:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
-            for i in range(r):
-                q = h[i][c] // h[r][c]
-                if q:
-                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
-                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
-            r += 1
-    return h, u
-
-
 # ---------------------------------------------------------------------------
 # The groups K = Z + Z/mu
 # ---------------------------------------------------------------------------
@@ -196,15 +57,6 @@ class KContext:
     def __post_init__(self):
         if self.mu < 1:
             raise ValueError(f"torsion order must be >= 1, got {self.mu}")
-
-    def element(self, free: int, tors: int = 0) -> "KElement":
-        return KElement(free, tors % self.mu)
-
-    def units(self) -> list[int]:
-        """Residues coprime to ``mu``; the single unit of Z/1 is 0."""
-        if self.mu == 1:
-            return [0]
-        return [c for c in range(self.mu) if gcd(c, self.mu) == 1]
 
     def inverse(self, c: int) -> int:
         if self.mu == 1:
@@ -233,35 +85,8 @@ class KAutomorphism:
     c: int
 
 
-def automorphisms(ctx: KContext, positive_only: bool = False) -> Iterator[KAutomorphism]:
-    """All automorphisms of ``Z + Z/mu``; ``positive_only`` keeps ``eps = 1``.
-
-    Only the ``eps = 1`` maps preserve positivity of free parts, which is
-    what matters when acting on degree matrices.
-    """
-    signs = (1,) if positive_only else (1, -1)
-    for eps in signs:
-        for a in range(ctx.mu):
-            for c in ctx.units():
-                yield KAutomorphism(eps, a, c)
-
-
 def apply_automorphism(phi: KAutomorphism, q: KElement, ctx: KContext) -> KElement:
     return KElement(phi.eps * q.free, (phi.a * q.free + phi.c * q.tors) % ctx.mu)
-
-
-def compose_automorphisms(phi: KAutomorphism, psi: KAutomorphism, ctx: KContext) -> KAutomorphism:
-    """The map applying ``psi`` first and then ``phi``."""
-    return KAutomorphism(
-        phi.eps * psi.eps,
-        (phi.a * psi.eps + phi.c * psi.a) % ctx.mu,
-        (phi.c * psi.c) % ctx.mu if ctx.mu > 1 else 0,
-    )
-
-
-def invert_automorphism(phi: KAutomorphism, ctx: KContext) -> KAutomorphism:
-    c_inv = ctx.inverse(phi.c)
-    return KAutomorphism(phi.eps, (-phi.eps * c_inv * phi.a) % ctx.mu, c_inv)
 
 
 def k_membership_multiple(w: KElement, q: KElement, ctx: KContext) -> int:

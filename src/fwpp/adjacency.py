@@ -150,10 +150,6 @@ def weights_of_3x4(p: list[list[int]]) -> tuple[int, int, int, int]:
     return tuple(out)
 
 
-def kstar_degree(kstar: KStarData) -> Fraction:
-    return kstar.degree()
-
-
 @dataclass(frozen=True)
 class AdjacentPair:
     """A pair of planes degenerating from a common K*-surface.
@@ -339,9 +335,6 @@ class AdjacencyGraph:
 
     def node_by_key(self, key: DegreeMatrix) -> GraphNode:
         return self._node_index[key]
-
-    def edge_keys(self) -> set[frozenset]:
-        return {frozenset((e.a, e.b)) for e in self.edges}
 
     def connected_components(self) -> list[set[DegreeMatrix]]:
         remaining = {n.key for n in self.nodes}

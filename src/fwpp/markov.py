@@ -176,10 +176,6 @@ class MutationTree:
     edges: tuple[tuple[Triple, Triple], ...]
     depths: dict[Triple, int] = field(repr=False)
 
-    def neighbors(self, u: Triple) -> tuple[Triple, ...]:
-        out = [b for (x, b) in self.edges if x == u] + [x for (x, b) in self.edges if b == u]
-        return tuple(sorted(out))
-
     def to_json_obj(self) -> dict:
         def enc(u):
             return [_decimal_str(c) for c in u]

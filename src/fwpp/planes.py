@@ -67,11 +67,6 @@ class SeriesId:
     def __str__(self):
         return f"{self.a}-{self.mu}-{self.eta}"
 
-    @classmethod
-    def parse(cls, text: str) -> "SeriesId":
-        a, mu, eta = (int(part) for part in text.split("-"))
-        return cls(a, mu, eta)
-
 
 @dataclass(frozen=True, order=True)
 class DegreeMatrix:
@@ -108,13 +103,6 @@ class DegreeMatrix:
                         " fail to generate the class group"
                     )
 
-    def permuted(self, perm: Sequence[int]) -> "DegreeMatrix":
-        return DegreeMatrix(
-            self.mu,
-            tuple(self.u[i] for i in perm),
-            tuple(self.eta[i] for i in perm),
-        )
-
     def to_json_obj(self) -> dict:
         return {
             "mu": self.mu,
@@ -124,6 +112,11 @@ class DegreeMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
+        """Read ``mu``, ``u`` and ``eta`` given as integers or integer strings;
+        ``int()`` would truncate a float and read a bool, so both are refused."""
+        for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
+            if isinstance(x, (bool, float)):
+                raise ValueError(f"degree matrix entries must be integers, got {x!r}")
         mu = int(obj["mu"])
         u = tuple(_decimal_int(x) for x in obj["u"])
         eta = tuple(int(x) for x in obj.get("eta", (0, 0, 0)))
@@ -285,15 +278,10 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
         return 0
     if gcd(a, c) != 1 or gcd(b, d) != 1:
         raise ValueError("cone generators must be primitive")
-    # unimodular map sending v to (1, 0)
+    # the unimodular map [[s, r], [-c, a]] sends v to (1, 0) and vp to
+    # (s*b + r*d, a*d - b*c), whose second entry is +-m
     s, r = abelian.bezout(a, c)
-    x = s * b + r * d
-    y = -c * b + a * d
-    if y < 0:
-        y = -y
-    if y != m:
-        raise InvariantError("normalization lost the cone determinant")
-    t = x % m
+    t = (s * b + r * d) % m
     k = (m - t) % m
     if k == 0 or gcd(k, m) != 1:
         raise InvariantError(f"normalized cone type ({m}, {k}) is not reduced")

@@ -7,7 +7,9 @@ is meaningful.  The isomorphism witness is found by trying every positive
 automorphism against every column order, and the K*-surface data over a
 T-singular point by scanning every ``d1`` in ``[0, l1)``.  The cokernel
 of a generator matrix and the kernel basis of a degree matrix are read off
-general Smith and Hermite normal forms.  The mutation tree is enumerated by
+general Smith and Hermite normal forms, which live here and not in the
+library, as do the enumeration, composition and inversion of the
+automorphisms of ``Z + Z/mu``.  The mutation tree is enumerated by
 sorting every mutated triple, and arrangements by testing whole tuples.
 Annihilation of integer rows in ``K`` is summed element by element.
 """
@@ -17,10 +19,185 @@ from __future__ import annotations
 from collections import deque
 from itertools import permutations
 from math import gcd
+from typing import Iterator, Sequence
 
 from fwpp import abelian, markov, planes
-from fwpp.abelian import KContext, KElement
+from fwpp.abelian import KAutomorphism, KContext, KElement, Matrix
 from fwpp.adjacency import KStarData
+
+
+def identity_matrix(n: int) -> Matrix:
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
+    rows, inner, cols = len(a), len(b), len(b[0])
+    return [
+        [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
+        for i in range(rows)
+    ]
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
+    """Return ``(U, S, V)`` with ``U*M*V == S``, U and V unimodular.
+
+    ``S`` is diagonal with nonnegative entries d1 | d2 | ... .  The pivot is
+    always the smallest nonzero entry in absolute value of the remaining
+    block (ties broken by row-major position), so the output is reproducible.
+    """
+    s = [list(row) for row in m]
+    rows = len(s)
+    cols = len(s[0]) if rows else 0
+    u = identity_matrix(rows)
+    v = identity_matrix(cols)
+
+    def row_op(i, j, q):  # row_i -= q * row_j, in S and U
+        s[i] = [x - q * y for x, y in zip(s[i], s[j])]
+        u[i] = [x - q * y for x, y in zip(u[i], u[j])]
+
+    def col_op(i, j, q):  # col_i -= q * col_j, in S and V
+        for r in range(rows):
+            s[r][i] -= q * s[r][j]
+        for r in range(cols):
+            v[r][i] -= q * v[r][j]
+
+    def swap_rows(i, j):
+        s[i], s[j] = s[j], s[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in range(rows):
+            s[r][i], s[r][j] = s[r][j], s[r][i]
+        for r in range(cols):
+            v[r][i], v[r][j] = v[r][j], v[r][i]
+
+    for t in range(min(rows, cols)):
+        while True:
+            pivot = None
+            for i in range(t, rows):
+                for j in range(t, cols):
+                    if s[i][j] != 0 and (pivot is None or abs(s[i][j]) < abs(s[pivot[0]][pivot[1]])):
+                        pivot = (i, j)
+            if pivot is None:
+                break
+            if pivot != (t, t):
+                if pivot[0] != t:
+                    swap_rows(t, pivot[0])
+                if pivot[1] != t:
+                    swap_cols(t, pivot[1])
+            dirty = False
+            for i in range(t + 1, rows):
+                if s[i][t]:
+                    row_op(i, t, s[i][t] // s[t][t])
+                    if s[i][t]:
+                        dirty = True
+            for j in range(t + 1, cols):
+                if s[t][j]:
+                    col_op(j, t, s[t][j] // s[t][t])
+                    if s[t][j]:
+                        dirty = True
+            if dirty:
+                continue
+            # pivot divides everything it cleared; enforce divisibility of the rest
+            offender = None
+            for i in range(t + 1, rows):
+                for j in range(t + 1, cols):
+                    if s[i][j] % s[t][t]:
+                        offender = i
+                        break
+                if offender is not None:
+                    break
+            if offender is None:
+                break
+            row_op(t, offender, -1)
+        if t < rows and t < cols and s[t][t] < 0:
+            s[t] = [-x for x in s[t]]
+            u[t] = [-x for x in u[t]]
+    return u, s, v
+
+
+def hermite_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix]:
+    """Row Hermite normal form: ``(H, U)`` with ``H == U*M``, U unimodular.
+
+    Pivots are positive, entries above a pivot are reduced into
+    ``[0, pivot)``; H is the canonical basis of the row lattice of M.
+    """
+    h = [list(row) for row in m]
+    rows = len(h)
+    cols = len(h[0]) if rows else 0
+    u = identity_matrix(rows)
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        while True:
+            live = [i for i in range(r, rows) if h[i][c] != 0]
+            if not live:
+                break
+            p = min(live, key=lambda i: (abs(h[i][c]), i))
+            if p != r:
+                h[r], h[p] = h[p], h[r]
+                u[r], u[p] = u[p], u[r]
+            done = True
+            for i in range(r + 1, rows):
+                if h[i][c]:
+                    q = h[i][c] // h[r][c]
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+                    if h[i][c]:
+                        done = False
+            if done:
+                break
+        if r < rows and h[r][c] != 0:
+            if h[r][c] < 0:
+                h[r] = [-x for x in h[r]]
+                u[r] = [-x for x in u[r]]
+            for i in range(r):
+                q = h[i][c] // h[r][c]
+                if q:
+                    h[i] = [x - q * y for x, y in zip(h[i], h[r])]
+                    u[i] = [x - q * y for x, y in zip(u[i], u[r])]
+            r += 1
+    return h, u
+
+
+def units(mu: int) -> list[int]:
+    """Residues coprime to ``mu``; the single unit of Z/1 is 0."""
+    if mu == 1:
+        return [0]
+    return [c for c in range(mu) if gcd(c, mu) == 1]
+
+
+def automorphisms(ctx: KContext, positive_only: bool = False) -> Iterator[KAutomorphism]:
+    """All automorphisms of ``Z + Z/mu``; ``positive_only`` keeps ``eps = 1``.
+
+    Only the ``eps = 1`` maps preserve positivity of free parts, which is
+    what matters when acting on degree matrices.
+    """
+    signs = (1,) if positive_only else (1, -1)
+    for eps in signs:
+        for a in range(ctx.mu):
+            for c in units(ctx.mu):
+                yield KAutomorphism(eps, a, c)
+
+
+def compose_automorphisms(phi: KAutomorphism, psi: KAutomorphism, ctx: KContext) -> KAutomorphism:
+    """The map applying ``psi`` first and then ``phi``."""
+    return KAutomorphism(
+        phi.eps * psi.eps,
+        (phi.a * psi.eps + phi.c * psi.a) % ctx.mu,
+        (phi.c * psi.c) % ctx.mu if ctx.mu > 1 else 0,
+    )
+
+
+def invert_automorphism(phi: KAutomorphism, ctx: KContext) -> KAutomorphism:
+    c_inv = ctx.inverse(phi.c)
+    return KAutomorphism(phi.eps, (-phi.eps * c_inv * phi.a) % ctx.mu, c_inv)
+
+
+def permuted(q: planes.DegreeMatrix, perm) -> planes.DegreeMatrix:
+    """``q`` with its columns taken in the order ``perm``."""
+    return planes.DegreeMatrix(q.mu, tuple(q.u[i] for i in perm), tuple(q.eta[i] for i in perm))
 
 
 def brute_solutions(a: int, norm_bound: int) -> set[tuple[int, int, int]]:
@@ -179,7 +356,7 @@ def brute_isomorphism_witness(q1: planes.DegreeMatrix, q2: planes.DegreeMatrix):
     if q1.mu != q2.mu or sorted(q1.u) != sorted(q2.u):
         return None
     ctx = q1.context
-    for phi in abelian.automorphisms(ctx, positive_only=True):
+    for phi in automorphisms(ctx, positive_only=True):
         image = [abelian.apply_automorphism(phi, col, ctx) for col in q1.columns]
         for perm in permutations(range(3)):
             if tuple(image[perm[j]] for j in range(3)) == q2.columns:
@@ -206,7 +383,7 @@ def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
     w = planes.fake_weights_of_degree_matrix(q)
     rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
     perm = (rest[0], rest[1], slot)
-    qp = q.permuted(perm)
+    qp = permuted(q, perm)
     w0, w1, w2 = (w[i] for i in perm)
     l1 = brute_gorenstein_index(qp, 2)
     assert w2 % (l1 * l1) == 0, "not a T-singular point"
@@ -232,7 +409,7 @@ def snf_cokernel_structure(p):
     normal form ``U * P^T * V``: row 1 of ``U`` is the torsion row, row 2
     (sign-normalized) the free row."""
     weights = abelian.validate_generator_matrix(p)
-    u_mat, s, _ = abelian.smith_normal_form(abelian.transpose(p))
+    u_mat, s, _ = smith_normal_form(abelian.transpose(p))
     assert s[0][0] == 1, f"first invariant factor of {p} is {s[0][0]}"
     mu = s[1][1]
     assert mu == gcd(gcd(weights[0], weights[1]), weights[2])
@@ -250,11 +427,11 @@ def hnf_kernel_basis(cols, ctx: KContext):
             if not abelian.pair_generates(cols[i], cols[j], ctx):
                 raise ValueError(f"columns {i},{j} do not generate the full group")
     lift = [[c.free for c in cols] + [0], [c.tors for c in cols] + [ctx.mu]]
-    _, s, v = abelian.smith_normal_form(lift)
+    _, s, v = smith_normal_form(lift)
     rank = sum(1 for t in range(2) if s[t][t] != 0)
     assert rank == 2
     rows = [[v[r][j] for r in range(3)] for j in range(rank, 4)]
-    h, _ = abelian.hermite_normal_form(rows)
+    h, _ = hermite_normal_form(rows)
     return abelian.transpose(h)
 
 

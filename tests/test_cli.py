@@ -221,6 +221,27 @@ class TestSing:
         code, out, err = run(capsys, "sing", json.dumps({"mu": 1, "u": [bad, "1", "1"], "eta": [0, 0, 0]}))
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            '{"mu":1,"u":[1.5,1,1],"eta":[0,0,0]}',
+            '{"mu":1,"u":[true,true,true]}',
+            '{"mu":8.7,"u":["1","1","2"],"eta":[0,1,3]}',
+            '{"mu":true,"u":["1","1","1"]}',
+            '{"mu":8,"u":["1","1","2"],"eta":[0,1.0,3]}',
+            '{"mu":8,"u":["1","1","2"],"eta":[false,true,3]}',
+        ],
+    )
+    def test_float_and_bool_entries_are_refused(self, capsys, matrix):
+        # int() would truncate the floats and read the bools as 0 and 1
+        code, out, err = run(capsys, "sing", matrix)
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, "iso", matrix, MATRIX_183)
+        assert code == 2 and out == "" and err.startswith("error:")
+
+    def test_integer_entries_read_like_strings(self, capsys):
+        assert run(capsys, "sing", '{"mu":"8","u":[1,1,2],"eta":["0","1","3"]}') == run(capsys, "sing", MATRIX_183)
+
     @pytest.mark.parametrize("digits", [50, 5000])
     @pytest.mark.parametrize(
         "spell", [lambda d: d + "\n", lambda d: "+" + d, lambda d: d[:9] + "_" + d[9:]], ids=["newline", "plus", "underscore"]

@@ -159,7 +159,7 @@ class TestEnumerateTree:
         assert '"(1,1,1)" -- "(1,1,4)"' in dot
         obj = tree.to_json_obj()
         assert obj["nodes"][0]["u"] == ["1", "1", "1"]
-        assert tree.neighbors((1, 1, 4)) == ((1, 1, 1), (1, 4, 25))
+        assert [e for e in tree.edges if (1, 1, 4) in e] == [((1, 1, 1), (1, 1, 4)), ((1, 1, 4), (1, 4, 25))]
 
 
 class TestModularFacts:
