@@ -3,8 +3,6 @@ planes of integral degree, their singularities and adjacency graphs."""
 
 from .abelian import (
     KAutomorphism,
-    KContext,
-    KElement,
     apply_automorphism,
     cokernel_structure,
     k_membership_multiple,

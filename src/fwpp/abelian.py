@@ -5,8 +5,8 @@ exact.  The cokernel of a generator matrix and the kernel of a grading map
 are both read off in closed form from Bezout coefficients and modular
 inverses.
 
-The group ``K = Z + Z/mu`` is represented by :class:`KContext` (carrying
-``mu``) and :class:`KElement` (a free part and a torsion residue).  ``mu = 1``
+An element of the group ``K = Z + Z/mu`` is an integer pair ``(free, tors)``
+with ``0 <= tors < mu``, and the group is given by ``mu`` itself.  ``mu = 1``
 means the free group; torsion residues are then identically zero.
 """
 
@@ -19,6 +19,8 @@ from typing import Iterable, Sequence
 from .markov import InvariantError
 
 Matrix = list[list[int]]
+#: An element ``(free, tors)`` of ``Z + Z/mu``.
+Pair = tuple[int, int]
 
 
 def transpose(a: Sequence[Sequence[int]]) -> Matrix:
@@ -49,30 +51,6 @@ def det_unimodular(m: Sequence[Sequence[int]]) -> int:
 
 
 @dataclass(frozen=True)
-class KContext:
-    """Carries the torsion order ``mu`` of ``K = Z + Z/mu`` (``mu >= 1``)."""
-
-    mu: int
-
-    def __post_init__(self):
-        if self.mu < 1:
-            raise ValueError(f"torsion order must be >= 1, got {self.mu}")
-
-    def inverse(self, c: int) -> int:
-        if self.mu == 1:
-            return 0
-        return pow(c, -1, self.mu)
-
-
-@dataclass(frozen=True, order=True)
-class KElement:
-    """An element of ``Z + Z/mu``: free part and reduced torsion residue."""
-
-    free: int
-    tors: int
-
-
-@dataclass(frozen=True)
 class KAutomorphism:
     """The automorphism ``(k, m) -> (eps*k, a*k + c*m)`` of ``Z + Z/mu``.
 
@@ -85,24 +63,25 @@ class KAutomorphism:
     c: int
 
 
-def apply_automorphism(phi: KAutomorphism, q: KElement, ctx: KContext) -> KElement:
-    return KElement(phi.eps * q.free, (phi.a * q.free + phi.c * q.tors) % ctx.mu)
+def apply_automorphism(phi: KAutomorphism, x: Pair, mu: int) -> Pair:
+    free, tors = x
+    return phi.eps * free, (phi.a * free + phi.c * tors) % mu
 
 
-def k_membership_multiple(w: KElement, q: KElement, ctx: KContext) -> int:
+def k_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
     """Smallest ``n >= 1`` with ``n*w`` an integer multiple of ``q``.
 
-    Requires ``q.free > 0``.  The multiplier is forced on free parts, so the
-    answer is ``step * m`` where ``step = q.free / gcd(w.free, q.free)`` and
-    ``m`` kills the residual torsion defect.  Never exceeds ``mu * q.free``,
-    the order of the quotient group.
+    Requires a positive free part ``q_f`` of ``q``.  The multiplier is
+    forced on free parts, so the answer is ``step * m`` where
+    ``step = q_f / gcd(w_f, q_f)`` and ``m`` kills the residual torsion
+    defect.  Never exceeds ``mu * q_f``, the order of the quotient group.
     """
-    if q.free <= 0:
-        raise ValueError(f"membership engine needs a positive free part, got {q.free}")
-    mu = ctx.mu
-    g = gcd(abs(w.free), q.free)
-    step = q.free // g
-    defect = (step * w.tors - (w.free // g) * q.tors) % mu
+    (w_free, w_tors), (q_free, q_tors) = w, q
+    if q_free <= 0:
+        raise ValueError(f"membership engine needs a positive free part, got {q_free}")
+    g = gcd(abs(w_free), q_free)
+    step = q_free // g
+    defect = (step * w_tors - (w_free // g) * q_tors) % mu
     m = mu // gcd(defect, mu)
     return step * m
 
@@ -173,12 +152,13 @@ def annihilates(rows: Iterable[Sequence[int]], free: Sequence[int], tors: Sequen
     return True
 
 
-def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElement]]:
+def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
     """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix, in closed form.
 
-    Returns the torsion context (``mu`` is the gcd of the fake weights, the
-    absolute 2x2 minors) together with the images of the standard basis
-    vectors, i.e. the columns of a degree matrix corresponding to ``p``.
+    Returns ``(mu, u, eta)``: the torsion order (the gcd of the fake
+    weights, the absolute 2x2 minors) and the free and torsion rows of the
+    images of the standard basis vectors, i.e. a degree matrix
+    corresponding to ``p``.
 
     The free row is ``w / mu``: the fake weight vector spans the kernel of
     ``P``.  For the torsion row, ``s . v_0 = 1`` (``v_0`` is primitive)
@@ -191,22 +171,20 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[KContext, list[KElem
     """
     weights = validate_generator_matrix(p)
     mu = gcd(gcd(weights[0], weights[1]), weights[2])
-    free_row = [w // mu for w in weights]
+    free_row = tuple(w // mu for w in weights)
     (x0, x1, x2), (y0, y1, y2) = p
     s0, s1 = bezout(x0, y0)
     c1, c2 = s0 * x1 + s1 * y1, s0 * x2 + s1 * y2
     alpha, beta = bezout(free_row[1], free_row[2])
-    tors_row = [(beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu]
+    tors_row = ((beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu)
     if not annihilates(p, free_row, tors_row, mu):
         raise InvariantError(f"cokernel projection does not annihilate the rows of {p}")
-    ctx = KContext(mu)
-    cols = [KElement(free_row[j], tors_row[j]) for j in range(3)]
-    if not pair_generates(cols[0], cols[1], ctx):
+    if not pair_generates((free_row[0], tors_row[0]), (free_row[1], tors_row[1]), mu):
         raise InvariantError(f"cokernel projection of {p} is not onto")
-    return ctx, cols
+    return mu, free_row, tors_row
 
 
-def kernel_basis(cols: Sequence[KElement], ctx: KContext) -> Matrix:
+def kernel_basis(u: Sequence[int], eta: Sequence[int], mu: int) -> Matrix:
     """Basis of ``{m in Z^3 : sum m_i q_i == 0 in K}`` as a 3x2 matrix.
 
     The columns are the rows of the lattice's row Hermite normal form
@@ -225,25 +203,24 @@ def kernel_basis(cols: Sequence[KElement], ctx: KContext) -> Matrix:
     """
     for i in range(3):
         for j in range(i + 1, 3):
-            if not pair_generates(cols[i], cols[j], ctx):
+            if not pair_generates((u[i], eta[i]), (u[j], eta[j]), mu):
                 raise ValueError(f"columns {i},{j} do not generate the full group")
-    mu = ctx.mu
-    (u0, e0), (u1, e1), (u2, e2) = ((c.free, c.tors) for c in cols)
+    (u0, u1, u2), (e0, e1, e2) = u, eta
     alpha, beta = bezout(u1, u2)
     x0, y0 = -u0 * alpha, -u0 * beta
     s = (e0 + x0 * e1 + y0 * e2) * pow(u1 * e2 - u2 * e1, -1, mu) % mu
     x = (x0 + s * u2) % (mu * u2)
     y, rem = divmod(-(u0 + x * u1), u2)
     if rem:
-        raise InvariantError(f"kernel basis of {cols} has no integral first row")
+        raise InvariantError(f"kernel basis of (mu={mu}, u={u}, eta={eta}) has no integral first row")
     return [[1, 0], [x, mu * u2], [y, -mu * u1]]
 
 
-def pair_generates(x: KElement, y: KElement, ctx: KContext) -> bool:
+def pair_generates(x: Pair, y: Pair, mu: int) -> bool:
     """Whether two elements generate all of ``Z + Z/mu``.
 
     The subgroup generated by ``x``, ``y`` and ``(0, mu)`` in the lift
     ``Z^2`` is everything iff the gcd of the 2x2 minors of the lift is 1.
     """
-    minor = x.free * y.tors - y.free * x.tors
-    return gcd(minor, ctx.mu * gcd(x.free, y.free)) == 1
+    (x_free, x_tors), (y_free, y_tors) = x, y
+    return gcd(x_free * y_tors - y_free * x_tors, mu * gcd(x_free, y_free)) == 1

@@ -48,8 +48,9 @@ class KStarData:
 
     ``gcd(l_i, d_i) = 1`` keeps the slice columns primitive and the slope
     inequalities ``d0 + d1/l1 + d2/l2 < 0 < d1/l1 + d2/l2`` make all four
-    fake weights positive.  ``d1`` is normalized into ``[0, l1)``; it can be
-    zero only in the toric case ``l1 = 1``.
+    fake weights positive.  ``d1`` is normalized into ``[0, l1)``, except in
+    the toric case ``l1 = 1``, where both ``d1 = 0`` and ``d1 = 1`` are
+    accepted.
     """
 
     l1: int
@@ -240,8 +241,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     p1, p2 = slice_matrices(kstar)
     if planes.fake_weights_of_generator(p1) != wp:
         raise InvariantError("first slice does not have the expected weights")
-    ctx2, cols2 = abelian.cokernel_structure(p2.rows)
-    q2_raw = DegreeMatrix(ctx2.mu, tuple(c.free for c in cols2), tuple(c.tors for c in cols2))
+    q2_raw = DegreeMatrix(*abelian.cokernel_structure(p2.rows))
     q2_canon, _ = planes.adjust(q2_raw)
     return AdjacentPair(q1=q_canon, q2=q2_canon, q2_raw=q2_raw, kstar=kstar, perm=perm)
 

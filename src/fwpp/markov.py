@@ -21,7 +21,6 @@ steps below ``(1, 4, 5)`` for ``a = 5``).
 from __future__ import annotations
 
 import decimal
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -381,8 +380,3 @@ def decompose(t: SolutionTriple) -> SquareDecomposition:
     if lhs != coeff * x[0] * x[1] * x[2]:
         raise InvariantError(f"square decomposition of {t.u} fails its equation")
     return SquareDecomposition(x=x, xi=xi, perm=perm, scale=b)
-
-
-def triples_to_json(triples) -> str:
-    """JSON array of triples, entries as decimal strings."""
-    return json.dumps([[_decimal_str(c) for c in u] for u in triples])

@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from . import abelian, markov
-from .abelian import KAutomorphism, KContext, KElement
+from .abelian import KAutomorphism, Pair
 from .markov import InvariantError, _decimal_int, _decimal_join, _decimal_str
 
 Triple = tuple[int, int, int]
@@ -70,17 +70,14 @@ class SeriesId:
 
 @dataclass(frozen=True, order=True)
 class DegreeMatrix:
-    """Grading data ``(u_i, eta_i)`` of a plane with ``Cl = Z + Z/mu``.
-
-    ``context`` and ``columns`` are derived once, at construction; they take
-    no part in equality, hashing or order.
-    """
+    """A plane with ``Cl = K = Z + Z/mu``, given by its integers alone: the
+    torsion order ``mu >= 1`` and three columns ``(u_i, eta_i)`` of ``K``,
+    free parts in ``u`` and reduced residues in ``eta``, any two of which
+    generate ``K``."""
 
     mu: int
     u: Triple
     eta: Triple
-    context: KContext = field(init=False, compare=False, repr=False)
-    columns: tuple[KElement, KElement, KElement] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if self.mu < 1:
@@ -91,13 +88,9 @@ class DegreeMatrix:
             raise ValueError(f"free parts must be positive, got {self.u}")
         if any(not 0 <= e < self.mu for e in self.eta):
             raise ValueError(f"torsion parts must be reduced mod {self.mu}, got {self.eta}")
-        ctx = KContext(self.mu)
-        cols = tuple(KElement(self.u[i], self.eta[i]) for i in range(3))
-        object.__setattr__(self, "context", ctx)
-        object.__setattr__(self, "columns", cols)
         for i in range(3):
             for j in range(i + 1, 3):
-                if not abelian.pair_generates(cols[i], cols[j], ctx):
+                if not abelian.pair_generates((self.u[i], self.eta[i]), (self.u[j], self.eta[j]), self.mu):
                     raise ValueError(
                         f"columns {i},{j} of (mu={self.mu}, u={self.u}, eta={self.eta})"
                         " fail to generate the class group"
@@ -112,8 +105,11 @@ class DegreeMatrix:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
-        """Read ``mu``, ``u`` and ``eta`` given as integers or integer strings;
-        ``int()`` would truncate a float and read a bool, so both are refused."""
+        """Read ``mu`` and the arrays ``u`` and ``eta`` of integers or integer
+        strings; a float or bool entry (``int()`` would truncate or read it)
+        and a ``u`` or ``eta`` that is not an array are refused."""
+        if not isinstance(obj["u"], list) or not isinstance(obj.get("eta", []), list):
+            raise ValueError("degree matrix columns u and eta must be JSON arrays")
         for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
             if isinstance(x, (bool, float)):
                 raise ValueError(f"degree matrix entries must be integers, got {x!r}")
@@ -171,9 +167,9 @@ def integral_degree(q: DegreeMatrix) -> int:
     return a
 
 
-def anticanonical_class(q: DegreeMatrix) -> KElement:
+def anticanonical_class(q: DegreeMatrix) -> Pair:
     """Sum of the three columns in ``K``; the anticanonical divisor class."""
-    return KElement(sum(q.u), sum(q.eta) % q.mu)
+    return sum(q.u), sum(q.eta) % q.mu
 
 
 def local_class_group_order(q: DegreeMatrix, k: int) -> int:
@@ -187,7 +183,7 @@ def local_gorenstein_index(q: DegreeMatrix, k: int) -> int:
     This is the least ``n >= 1`` with ``n * w_Z`` in the subgroup generated
     by the k-th column.
     """
-    return abelian.k_membership_multiple(anticanonical_class(q), q.columns[k], q.context)
+    return abelian.k_membership_multiple(anticanonical_class(q), (q.u[k], q.eta[k]), q.mu)
 
 
 def is_t_singular(q: DegreeMatrix, k: int) -> tuple[bool, int | None]:
@@ -300,7 +296,7 @@ def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
     grading map, so column ``j`` of the result pairs with column ``j`` of
     ``q`` and per-fixed-point data line up.
     """
-    basis = abelian.kernel_basis(q.columns, q.context)
+    basis = abelian.kernel_basis(q.u, q.eta, q.mu)
     rows = abelian.transpose(basis)
     p = GeneratorMatrix((tuple(rows[0]), tuple(rows[1])))
     if not corresponds(q, p):
@@ -308,22 +304,17 @@ def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
     return p
 
 
-def annihilates(q: DegreeMatrix, rows: Iterable[Sequence[int]]) -> bool:
-    """Whether ``sum_i row[i] * q_i == 0`` in ``K`` for every given row,
-    evaluated in plain integers by :func:`fwpp.abelian.annihilates`."""
-    return abelian.annihilates(rows, q.u, q.eta, q.mu)
-
-
 def corresponds(q: DegreeMatrix, p: GeneratorMatrix) -> bool:
     """Correspondence test: same fake weights and ``q`` annihilates ``p``.
 
     For matrices sharing the fake weight vector, annihilation of both rows
-    (by :func:`annihilates`) already forces the cokernel projection to
-    agree with ``q`` up to automorphism, so this is an if-and-only-if test.
+    (by :func:`fwpp.abelian.annihilates`) already forces the cokernel
+    projection to agree with ``q`` up to automorphism, so this is an
+    if-and-only-if test.
     """
     if fake_weights_of_generator(p) != fake_weights_of_degree_matrix(q):
         return False
-    return annihilates(q, p.rows)
+    return abelian.annihilates(p.rows, q.u, q.eta, q.mu)
 
 
 # ---------------------------------------------------------------------------
@@ -339,18 +330,16 @@ class AdjustTransform:
     phi: KAutomorphism
 
 
-def _normalize_second_row(u: Triple, eta: Triple, ctx: KContext) -> tuple[Triple, KAutomorphism]:
-    """Positive automorphism turning the torsion row into ``(0, 1, eta)``."""
-    mu = ctx.mu
-    if mu == 1:
-        return (0, 0, 0), KAutomorphism(1, 0, 0)
+def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> tuple[Triple, KAutomorphism]:
+    """Positive automorphism turning the torsion row into ``(0, 1, eta)``;
+    at ``mu = 1``, where every residue and inverse is 0, the identity."""
     if gcd(u[0], mu) != 1:
         raise ValueError(f"leading free part {u[0]} is not coprime to mu={mu}")
-    shift = (-eta[0] * ctx.inverse(u[0] % mu)) % mu
+    shift = (-eta[0] * pow(u[0], -1, mu)) % mu
     shifted = tuple((eta[i] + shift * u[i]) % mu for i in range(3))
     if gcd(shifted[1], mu) != 1:
         raise ValueError(f"second torsion entry {shifted[1]} is not a unit mod {mu}")
-    scale = ctx.inverse(shifted[1])
+    scale = pow(shifted[1], -1, mu)
     final = tuple((scale * e) % mu for e in shifted)
     return final, KAutomorphism(1, (scale * shift) % mu, scale)
 
@@ -367,7 +356,7 @@ def _normalize(q: DegreeMatrix, perms) -> tuple[DegreeMatrix, AdjustTransform]:
     for perm in perms:
         u_p = tuple(q.u[i] for i in perm)
         eta_p = tuple(q.eta[i] for i in perm)
-        eta_n, phi = _normalize_second_row(u_p, eta_p, q.context)
+        eta_n, phi = _normalize_second_row(u_p, eta_p, q.mu)
         candidate = (eta_n[2], perm)
         if best is None or candidate < best[0]:
             best = (candidate, u_p, eta_n, phi)
@@ -407,23 +396,22 @@ def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
     """
     if q1.mu != q2.mu:
         return None
-    ctx = q1.context
-    mu = ctx.mu
-    cols1 = q1.columns
-    cols2 = q2.columns
+    mu = q1.mu
+    cols1 = tuple(zip(q1.u, q1.eta))
+    cols2 = tuple(zip(q2.u, q2.eta))
     e0, e1 = q2.eta[0], q2.eta[1]
     found = []
     for i, j, k in permutations(range(3)):
         if (q1.u[i], q1.u[j], q1.u[k]) != q2.u:
             continue
-        x, y = cols1[i], cols1[j]
-        det_inv = ctx.inverse((x.free * y.tors - y.free * x.tors) % mu)
-        a = (e0 * y.tors - e1 * x.tors) * det_inv % mu
-        c = (x.free * e1 - y.free * e0) * det_inv % mu
+        (xf, xt), (yf, yt) = cols1[i], cols1[j]
+        det_inv = pow(xf * yt - yf * xt, -1, mu)
+        a = (e0 * yt - e1 * xt) * det_inv % mu
+        c = (xf * e1 - yf * e0) * det_inv % mu
         if gcd(c, mu) != 1:
             continue
         phi = KAutomorphism(1, a, c)
-        image = tuple(abelian.apply_automorphism(phi, cols1[n], ctx) for n in (i, j, k))
+        image = tuple(abelian.apply_automorphism(phi, cols1[n], mu) for n in (i, j, k))
         if image == cols2:
             found.append((a, c, (i, j, k)))
     if not found:
@@ -582,7 +570,7 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
         if q.mu > 1:
             qtxt += f"/[{_decimal_join(q.eta)}]"
         wz = anticanonical_class(q)
-        wz_txt = f"({_decimal_join((wz.free, wz.tors), ', ')})" if q.mu > 1 else f"({_decimal_str(wz.free)})"
+        wz_txt = f"({_decimal_join(wz, ', ')})" if q.mu > 1 else f"({_decimal_str(wz[0])})"
         iota = f"({_decimal_join(rep.iota)})"
         signs = "({},{},{})".format(*["+" if f else "-" for f in rep.is_t])
         curves = f"({_decimal_join(rep.res_curves)})"

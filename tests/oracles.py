@@ -22,7 +22,7 @@ from math import gcd
 from typing import Iterator, Sequence
 
 from fwpp import abelian, markov, planes
-from fwpp.abelian import KAutomorphism, KContext, KElement, Matrix
+from fwpp.abelian import KAutomorphism, Matrix, Pair
 from fwpp.adjacency import KStarData
 
 
@@ -168,7 +168,7 @@ def units(mu: int) -> list[int]:
     return [c for c in range(mu) if gcd(c, mu) == 1]
 
 
-def automorphisms(ctx: KContext, positive_only: bool = False) -> Iterator[KAutomorphism]:
+def automorphisms(mu: int, positive_only: bool = False) -> Iterator[KAutomorphism]:
     """All automorphisms of ``Z + Z/mu``; ``positive_only`` keeps ``eps = 1``.
 
     Only the ``eps = 1`` maps preserve positivity of free parts, which is
@@ -176,23 +176,23 @@ def automorphisms(ctx: KContext, positive_only: bool = False) -> Iterator[KAutom
     """
     signs = (1,) if positive_only else (1, -1)
     for eps in signs:
-        for a in range(ctx.mu):
-            for c in units(ctx.mu):
+        for a in range(mu):
+            for c in units(mu):
                 yield KAutomorphism(eps, a, c)
 
 
-def compose_automorphisms(phi: KAutomorphism, psi: KAutomorphism, ctx: KContext) -> KAutomorphism:
+def compose_automorphisms(phi: KAutomorphism, psi: KAutomorphism, mu: int) -> KAutomorphism:
     """The map applying ``psi`` first and then ``phi``."""
     return KAutomorphism(
         phi.eps * psi.eps,
-        (phi.a * psi.eps + phi.c * psi.a) % ctx.mu,
-        (phi.c * psi.c) % ctx.mu if ctx.mu > 1 else 0,
+        (phi.a * psi.eps + phi.c * psi.a) % mu,
+        (phi.c * psi.c) % mu if mu > 1 else 0,
     )
 
 
-def invert_automorphism(phi: KAutomorphism, ctx: KContext) -> KAutomorphism:
-    c_inv = ctx.inverse(phi.c)
-    return KAutomorphism(phi.eps, (-phi.eps * c_inv * phi.a) % ctx.mu, c_inv)
+def invert_automorphism(phi: KAutomorphism, mu: int) -> KAutomorphism:
+    c_inv = pow(phi.c, -1, mu)
+    return KAutomorphism(phi.eps, (-phi.eps * c_inv * phi.a) % mu, c_inv)
 
 
 def permuted(q: planes.DegreeMatrix, perm) -> planes.DegreeMatrix:
@@ -211,19 +211,20 @@ def brute_solutions(a: int, norm_bound: int) -> set[tuple[int, int, int]]:
     return out
 
 
-def brute_membership_multiple(w: KElement, q: KElement, ctx: KContext) -> int:
-    """Smallest n >= 1 with n*w in Z*q, scanning n = 1..mu*q.free."""
-    for n in range(1, ctx.mu * q.free + 1):
-        if (n * w.free) % q.free:
+def brute_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
+    """Smallest n >= 1 with n*w in Z*q, scanning n = 1..mu*q_free."""
+    (w_free, w_tors), (q_free, q_tors) = w, q
+    for n in range(1, mu * q_free + 1):
+        if (n * w_free) % q_free:
             continue
-        beta = (n * w.free) // q.free
-        if (n * w.tors - beta * q.tors) % ctx.mu == 0:
+        beta = (n * w_free) // q_free
+        if (n * w_tors - beta * q_tors) % mu == 0:
             return n
     raise AssertionError(f"no multiple of {w} lies in Z*{q} below the group order")
 
 
 def brute_gorenstein_index(q: planes.DegreeMatrix, k: int) -> int:
-    return brute_membership_multiple(planes.anticanonical_class(q), q.columns[k], q.context)
+    return brute_membership_multiple(planes.anticanonical_class(q), (q.u[k], q.eta[k]), q.mu)
 
 
 def modular_gorenstein_index(q: planes.DegreeMatrix, k: int) -> int:
@@ -355,24 +356,23 @@ def brute_isomorphism_witness(q1: planes.DegreeMatrix, q2: planes.DegreeMatrix):
     unit ``c``), then column order, with ``phi(q1)`` permuted equal to ``q2``."""
     if q1.mu != q2.mu or sorted(q1.u) != sorted(q2.u):
         return None
-    ctx = q1.context
-    for phi in automorphisms(ctx, positive_only=True):
-        image = [abelian.apply_automorphism(phi, col, ctx) for col in q1.columns]
+    cols2 = tuple(zip(q2.u, q2.eta))
+    for phi in automorphisms(q1.mu, positive_only=True):
+        image = [abelian.apply_automorphism(phi, col, q1.mu) for col in zip(q1.u, q1.eta)]
         for perm in permutations(range(3)):
-            if tuple(image[perm[j]] for j in range(3)) == q2.columns:
+            if tuple(image[perm[j]] for j in range(3)) == cols2:
                 return phi, perm
     return None
 
 
 def k_annihilates(q: planes.DegreeMatrix, rows) -> bool:
     """Whether ``sum_i row[i] * q_i == 0`` in ``K`` for every row, adding
-    the ``KElement`` multiples of the columns one at a time."""
-    zero = KElement(0, 0)
+    the multiples of the columns ``(u_i, eta_i)`` one at a time."""
     for row in rows:
-        total = zero
-        for coeff, col in zip(row, q.columns):
-            total = KElement(total.free + coeff * col.free, (total.tors + coeff * col.tors) % q.mu)
-        if total != zero:
+        total = (0, 0)
+        for coeff, free, tors in zip(row, q.u, q.eta):
+            total = (total[0] + coeff * free, (total[1] + coeff * tors) % q.mu)
+        if total != (0, 0):
             return False
     return True
 
@@ -398,7 +398,8 @@ def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
         if d2_num % w2:
             continue
         d2 = -(d2_num // w2)
-        if gcd(l2, d2) == 1 and planes.annihilates(qp, ((l1, l1, -l2), (d1, d1 + l1 * d0, d2))):
+        rows = ((l1, l1, -l2), (d1, d1 + l1 * d0, d2))
+        if gcd(l2, d2) == 1 and abelian.annihilates(rows, qp.u, qp.eta, qp.mu):
             hits.append(KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2))
     assert len(hits) == 1, f"d1 scan at slot {slot} of {q} found {hits}"
     return hits[0]
@@ -406,8 +407,8 @@ def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
 
 def snf_cokernel_structure(p):
     """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix from the Smith
-    normal form ``U * P^T * V``: row 1 of ``U`` is the torsion row, row 2
-    (sign-normalized) the free row."""
+    normal form ``U * P^T * V``, as ``(mu, u, eta)``: row 1 of ``U`` is the
+    torsion row, row 2 (sign-normalized) the free row."""
     weights = abelian.validate_generator_matrix(p)
     u_mat, s, _ = smith_normal_form(abelian.transpose(p))
     assert s[0][0] == 1, f"first invariant factor of {p} is {s[0][0]}"
@@ -415,18 +416,18 @@ def snf_cokernel_structure(p):
     assert mu == gcd(gcd(weights[0], weights[1]), weights[2])
     free_row = u_mat[2] if u_mat[2][0] > 0 else [-x for x in u_mat[2]]
     assert all(x > 0 for x in free_row)
-    return KContext(mu), [KElement(free_row[j], u_mat[1][j] % mu) for j in range(3)]
+    return mu, tuple(free_row), tuple(x % mu for x in u_mat[1])
 
 
-def hnf_kernel_basis(cols, ctx: KContext):
+def hnf_kernel_basis(u, eta, mu: int):
     """Kernel basis of a degree matrix's grading map as a 3x2 matrix: the
     kernel of the lift ``[[u, 0], [eta, mu]]`` from a Smith normal form,
     cut to its first three coordinates and put into row Hermite form."""
     for i in range(3):
         for j in range(i + 1, 3):
-            if not abelian.pair_generates(cols[i], cols[j], ctx):
+            if not abelian.pair_generates((u[i], eta[i]), (u[j], eta[j]), mu):
                 raise ValueError(f"columns {i},{j} do not generate the full group")
-    lift = [[c.free for c in cols] + [0], [c.tors for c in cols] + [ctx.mu]]
+    lift = [list(u) + [0], list(eta) + [mu]]
     _, s, v = smith_normal_form(lift)
     rank = sum(1 for t in range(2) if s[t][t] != 0)
     assert rank == 2

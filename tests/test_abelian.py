@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 import fwpp
 import oracles
 from fwpp import abelian, markov, planes
-from fwpp.abelian import KAutomorphism, KContext, KElement
+from fwpp.abelian import KAutomorphism
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -45,13 +45,12 @@ def generator_matrices(draw, entry=25):
 
 @st.composite
 def valid_columns(draw, max_mu=59, entry=10**30):
-    """Columns ``(u_i, eta_i)`` of a valid degree matrix: pairwise coprime
-    free parts, each at most 30 or between ``entry / 10**10`` and ``entry``
+    """The integers ``(u, eta, mu)`` of a valid degree matrix, the
+    argument order of ``kernel_basis``: pairwise coprime free parts, each at most 30 or between ``entry / 10**10`` and ``entry``
     (then moved up to the next value coprime to the earlier ones), and
     torsion parts drawn among the residues that keep every column pair
     generating."""
     mu = draw(st.integers(1, max_mu))
-    ctx = KContext(mu)
     u, eta = [], []
     for k in range(3):
         x = draw(st.integers(1, 30) | st.integers(entry // 10**10, entry))
@@ -59,17 +58,13 @@ def valid_columns(draw, max_mu=59, entry=10**30):
             x += 1
         allowed = [
             e for e in range(mu)
-            if all(abelian.pair_generates(KElement(u[j], eta[j]), KElement(x, e), ctx) for j in range(k))
+            if all(abelian.pair_generates((u[j], eta[j]), (x, e), mu) for j in range(k))
         ]
         if not allowed:
             reject()
         u.append(x)
         eta.append(draw(st.sampled_from(allowed)))
-    return ctx, [KElement(u[k], eta[k]) for k in range(3)]
-
-
-def as_degree_matrix(ctx, cols):
-    return planes.DegreeMatrix(ctx.mu, tuple(c.free for c in cols), tuple(c.tors for c in cols))
+    return tuple(u), tuple(eta), mu
 
 
 def sympy_invariant_factors(p):
@@ -87,7 +82,7 @@ def test_public_names():
     # live in tests/oracles.py, not in the package namespace
     assert sorted(fwpp.__all__) == [
         "AdjacencyGraph", "AdjacentPair", "ClassifiedPlane", "DegreeMatrix", "EnumerationCapExceeded",
-        "GeneratorMatrix", "InvariantError", "KAutomorphism", "KContext", "KElement", "KStarData",
+        "GeneratorMatrix", "InvariantError", "KAutomorphism", "KStarData",
         "MutationTree", "SeriesId", "SingularityReport", "SolutionTriple", "SquareDecomposition",
         "abelian", "adjacency", "adjacency_graph", "adjacency_neighbors", "adjacent_partner", "adjust",
         "anticanonical_class", "apply_automorphism", "assemble_3x4", "can_degenerate", "classify",
@@ -164,24 +159,24 @@ class TestHermiteNormalForm:
 
 class TestCokernel:
     def test_free_case(self):
-        ctx, cols = abelian.cokernel_structure([[1, 1, -1], [0, -5, 4]])
-        assert ctx.mu == 1
-        assert tuple(c.free for c in cols) == (1, 4, 5)
+        mu, u, _ = abelian.cokernel_structure([[1, 1, -1], [0, -5, 4]])
+        assert mu == 1
+        assert u == (1, 4, 5)
 
     def test_torsion_nine(self):
-        ctx, cols = abelian.cokernel_structure([[3, 3, -6], [1, -2, 1]])
-        assert ctx.mu == 9
-        assert tuple(c.free for c in cols) == (1, 1, 1)
+        mu, u, _ = abelian.cokernel_structure([[3, 3, -6], [1, -2, 1]])
+        assert mu == 9
+        assert u == (1, 1, 1)
 
     def test_torsion_two(self):
-        ctx, cols = abelian.cokernel_structure([[1, 1, -1], [0, -4, 2]])
-        assert ctx.mu == 2
-        assert tuple(c.free for c in cols) == (1, 1, 2)
+        mu, u, eta = abelian.cokernel_structure([[1, 1, -1], [0, -4, 2]])
+        assert mu == 2
+        assert u == (1, 1, 2)
         # second row equivalent to (0, 1, 1) up to automorphism: all columns
         # pairwise generate the group
         for i in range(3):
             for j in range(i + 1, 3):
-                assert abelian.pair_generates(cols[i], cols[j], ctx)
+                assert abelian.pair_generates((u[i], eta[i]), (u[j], eta[j]), mu)
 
     def test_rejects_bad_matrices(self):
         with pytest.raises(abelian.NotGeneratorMatrixError):
@@ -197,62 +192,56 @@ class TestCokernel:
         # same torsion order and free parts; the torsion rows may differ by
         # an automorphism of K, so the degree matrices are compared up to
         # isomorphism (constructing them checks pairwise generation)
-        ctx, cols = abelian.cokernel_structure(p)
-        ctx_ref, cols_ref = oracles.snf_cokernel_structure(p)
-        assert ctx.mu == ctx_ref.mu
-        assert [c.free for c in cols] == [c.free for c in cols_ref]
-        assert planes.is_isomorphic(as_degree_matrix(ctx, cols), as_degree_matrix(ctx_ref, cols_ref))
+        mu, u, eta = abelian.cokernel_structure(p)
+        mu_ref, u_ref, eta_ref = oracles.snf_cokernel_structure(p)
+        assert mu == mu_ref
+        assert u == u_ref
+        assert planes.is_isomorphic(planes.DegreeMatrix(mu, u, eta), planes.DegreeMatrix(mu_ref, u_ref, eta_ref))
 
     @settings(max_examples=200, deadline=None)
     @given(generator_matrices())
     def test_torsion_order_matches_sympy(self, p):
-        ctx, _ = abelian.cokernel_structure(p)
-        assert sympy_invariant_factors(p) == (1, ctx.mu)
+        mu, _, _ = abelian.cokernel_structure(p)
+        assert sympy_invariant_factors(p) == (1, mu)
 
     def test_closed_form_runs_no_smith_normal_form(self):
         assert not hasattr(abelian, "smith_normal_form")
-        ctx, cols = abelian.cokernel_structure([[3, 3, -6], [1, -2, 1]])
-        assert ctx.mu == 9 and [c.free for c in cols] == [1, 1, 1]
+        mu, u, _ = abelian.cokernel_structure([[3, 3, -6], [1, -2, 1]])
+        assert mu == 9 and u == (1, 1, 1)
 
 
 class TestKernelBasis:
     def test_free_projective_plane(self):
-        ctx = KContext(1)
-        cols = [KElement(1, 0), KElement(1, 0), KElement(1, 0)]
-        basis = abelian.kernel_basis(cols, ctx)
+        basis = abelian.kernel_basis((1, 1, 1), (0, 0, 0), 1)
         rows = abelian.transpose(basis)
         assert rows == [[1, 0, -1], [0, 1, -1]]
 
     def test_degenerate_pair_rejected(self):
-        ctx = KContext(9)
-        cols = [KElement(1, 0), KElement(1, 1), KElement(4, 1)]
         with pytest.raises(ValueError):
-            abelian.kernel_basis(cols, ctx)
+            abelian.kernel_basis((1, 1, 4), (0, 1, 1), 9)
 
     @pytest.mark.parametrize("bad", [(0, 1), (0, 2), (1, 2)])
     def test_each_failing_pair_is_rejected(self, bad):
         # every pair of this valid matrix generates; copying column i over
         # column j leaves a pair whose 2x2 minor is 0, and both routes refuse
-        ctx = KContext(9)
-        cols = [KElement(1, 0), KElement(1, 1), KElement(1, 2)]
+        u, eta = [1, 1, 1], [0, 1, 2]
         i, j = bad
-        cols[j] = KElement(cols[i].free, cols[i].tors)
+        u[j], eta[j] = u[i], eta[i]
         with pytest.raises(ValueError):
-            abelian.kernel_basis(cols, ctx)
+            abelian.kernel_basis(u, eta, 9)
         with pytest.raises(ValueError):
-            oracles.hnf_kernel_basis(cols, ctx)
+            oracles.hnf_kernel_basis(u, eta, 9)
 
     @settings(max_examples=300, deadline=None)
     @given(valid_columns())
     def test_closed_form_matches_hermite_route(self, data):
-        ctx, cols = data
-        assert abelian.kernel_basis(cols, ctx) == oracles.hnf_kernel_basis(cols, ctx)
+        assert abelian.kernel_basis(*data) == oracles.hnf_kernel_basis(*data)
 
     def test_closed_form_matches_hermite_route_on_classified_planes(self):
         for a in markov.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**8 if a == 1 else 10**12):
                 q = c.matrix
-                assert abelian.kernel_basis(q.columns, q.context) == oracles.hnf_kernel_basis(q.columns, q.context)
+                assert abelian.kernel_basis(q.u, q.eta, q.mu) == oracles.hnf_kernel_basis(q.u, q.eta, q.mu)
 
     def test_generator_of_classified_planes_matches_sympy(self):
         # the rows of generator_of(q) span the kernel of q's grading map, so
@@ -271,13 +260,11 @@ class TestKernelBasis:
     def test_duality_roundtrip(self):
         # cokernel of the kernel reproduces the original columns up to
         # automorphism; checked via annihilation plus equal free parts
-        ctx = KContext(8)
-        cols = [KElement(1, 0), KElement(1, 1), KElement(2, 3)]
-        basis = abelian.kernel_basis(cols, ctx)
+        basis = abelian.kernel_basis((1, 1, 2), (0, 1, 3), 8)
         rows = abelian.transpose(basis)
-        ctx2, cols2 = abelian.cokernel_structure(rows)
-        assert ctx2.mu == ctx.mu
-        assert [c.free for c in cols2] == [c.free for c in cols]
+        mu, u, _ = abelian.cokernel_structure(rows)
+        assert mu == 8
+        assert u == (1, 1, 2)
 
 
 class TestMembershipMultiple:
@@ -290,70 +277,56 @@ class TestMembershipMultiple:
         ],
     )
     def test_examples(self, w, q, mu, expected):
-        ctx = KContext(mu)
-        assert abelian.k_membership_multiple(KElement(*w), KElement(*q), ctx) == expected
+        assert abelian.k_membership_multiple(w, q, mu) == expected
 
     def test_agrees_with_brute_scan(self):
         for mu in (1, 2, 3, 4, 5, 6, 8, 9, 12):
-            ctx = KContext(mu)
             for wf in range(0, 7):
                 for wt in range(mu):
                     for qf in range(1, 7):
                         for qt in range(mu):
-                            w, q = KElement(wf, wt), KElement(qf, qt)
-                            fast = abelian.k_membership_multiple(w, q, ctx)
-                            assert fast == oracles.brute_membership_multiple(w, q, ctx)
+                            w, q = (wf, wt), (qf, qt)
+                            fast = abelian.k_membership_multiple(w, q, mu)
+                            assert fast == oracles.brute_membership_multiple(w, q, mu)
 
     def test_requires_positive_free_part(self):
         with pytest.raises(ValueError):
-            abelian.k_membership_multiple(KElement(1, 0), KElement(0, 1), KContext(4))
-
-
-class TestContext:
-    def test_invalid_torsion_order(self):
-        with pytest.raises(ValueError):
-            KContext(0)
+            abelian.k_membership_multiple((1, 0), (0, 1), 4)
 
 
 class TestAutomorphisms:
     def test_counts(self):
-        assert len(list(oracles.automorphisms(KContext(1), positive_only=True))) == 1
-        assert len(list(oracles.automorphisms(KContext(3)))) == 12
-        assert len(list(oracles.automorphisms(KContext(8), positive_only=True))) == 32
+        assert len(list(oracles.automorphisms(1, positive_only=True))) == 1
+        assert len(list(oracles.automorphisms(3))) == 12
+        assert len(list(oracles.automorphisms(8, positive_only=True))) == 32
 
     def test_identity_application(self):
-        ctx = KContext(7)
-        q = KElement(5, 3)
-        assert abelian.apply_automorphism(KAutomorphism(1, 0, 1), q, ctx) == q
+        assert abelian.apply_automorphism(KAutomorphism(1, 0, 1), (5, 3), 7) == (5, 3)
 
     def test_examples(self):
-        ctx = KContext(9)
-        assert abelian.apply_automorphism(KAutomorphism(1, 8, 1), KElement(1, 1), ctx) == KElement(1, 0)
-        ctx = KContext(2)
-        assert abelian.apply_automorphism(KAutomorphism(1, 1, 1), KElement(2, 1), ctx) == KElement(2, 1)
+        assert abelian.apply_automorphism(KAutomorphism(1, 8, 1), (1, 1), 9) == (1, 0)
+        assert abelian.apply_automorphism(KAutomorphism(1, 1, 1), (2, 1), 2) == (2, 1)
 
     @pytest.mark.parametrize("mu", [1, 2, 3, 4, 5, 6, 8, 9])
     def test_distinct_and_invertible(self, mu):
-        ctx = KContext(mu)
-        probes = [KElement(1, 0), KElement(0, 1 % mu), KElement(3, (mu - 1) % mu)]
+        probes = [(1, 0), (0, 1 % mu), (3, (mu - 1) % mu)]
         seen = set()
-        for phi in oracles.automorphisms(ctx):
-            signature = tuple(abelian.apply_automorphism(phi, p, ctx) for p in probes)
+        for phi in oracles.automorphisms(mu):
+            signature = tuple(abelian.apply_automorphism(phi, p, mu) for p in probes)
             assert signature not in seen
             seen.add(signature)
-            inv = oracles.invert_automorphism(phi, ctx)
+            inv = oracles.invert_automorphism(phi, mu)
             for p in probes:
-                roundtrip = abelian.apply_automorphism(inv, abelian.apply_automorphism(phi, p, ctx), ctx)
+                roundtrip = abelian.apply_automorphism(inv, abelian.apply_automorphism(phi, p, mu), mu)
                 assert roundtrip == p
 
     @pytest.mark.parametrize("mu", [2, 5, 8, 9])
     def test_composition_formula(self, mu):
-        ctx = KContext(mu)
-        autos = list(oracles.automorphisms(ctx))[:10]
-        probes = [KElement(1, 0), KElement(0, 1), KElement(2, mu - 1)]
+        autos = list(oracles.automorphisms(mu))[:10]
+        probes = [(1, 0), (0, 1), (2, mu - 1)]
         for phi in autos:
             for psi in autos:
-                composed = oracles.compose_automorphisms(phi, psi, ctx)
+                composed = oracles.compose_automorphisms(phi, psi, mu)
                 for p in probes:
-                    step = abelian.apply_automorphism(psi, p, ctx)
-                    assert abelian.apply_automorphism(phi, step, ctx) == abelian.apply_automorphism(composed, p, ctx)
+                    step = abelian.apply_automorphism(psi, p, mu)
+                    assert abelian.apply_automorphism(phi, step, mu) == abelian.apply_automorphism(composed, p, mu)

@@ -239,6 +239,23 @@ class TestSing:
         code, out, err = run(capsys, "iso", matrix, MATRIX_183)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        [
+            '{"mu":8,"u":"112","eta":"013"}',
+            '{"mu":8,"u":"112","eta":[0,1,3]}',
+            '{"mu":8,"u":["1","1","2"],"eta":"013"}',
+            '{"mu":1,"u":{"1":0,"2":0,"3":0}}',
+            '{"mu":8,"u":["1","1","2"],"eta":{"0":0,"1":1,"3":3}}',
+        ],
+    )
+    def test_columns_that_are_not_arrays_are_refused(self, capsys, matrix):
+        # iterating a string reads its characters and a dict its keys
+        code, out, err = run(capsys, "sing", matrix)
+        assert code == 2 and out == "" and err.startswith("error:")
+        code, out, err = run(capsys, "iso", MATRIX_183, matrix)
+        assert code == 2 and out == "" and err.startswith("error:")
+
     def test_integer_entries_read_like_strings(self, capsys):
         assert run(capsys, "sing", '{"mu":"8","u":[1,1,2],"eta":["0","1","3"]}') == run(capsys, "sing", MATRIX_183)
 

@@ -259,7 +259,6 @@ def test_enumeration_cap():
 def test_sorted_and_json_helpers():
     t = SolutionTriple(8, (1, 9, 2))
     assert t.sorted().u == (1, 2, 9)
-    assert markov.triples_to_json([(1, 1, 2), (1, 2, 9)]) == '[["1", "1", "2"], ["1", "2", "9"]]'
 
 
 def test_decimal_text_helpers():

@@ -1,7 +1,7 @@
 """Degree/generator matrices, adjusted forms, isomorphism, classification."""
 
+import dataclasses
 import decimal
-import json
 from fractions import Fraction
 from math import gcd
 
@@ -13,12 +13,17 @@ import fwpp
 import golden
 import oracles
 from fwpp import abelian, adjacency, markov, planes
-from fwpp.abelian import KAutomorphism, KContext, KElement
+from fwpp.abelian import KAutomorphism
 from fwpp.planes import DegreeMatrix, GeneratorMatrix
 
 
 def mk(mu, u, eta=None):
     return DegreeMatrix(mu, tuple(u), tuple(eta) if eta else (0, 0, 0))
+
+
+def columns(q):
+    """The columns ``(u_i, eta_i)`` of a degree matrix, as pairs."""
+    return tuple(zip(q.u, q.eta))
 
 
 class TestWeightsAndDegree:
@@ -44,6 +49,12 @@ class TestWeightsAndDegree:
             mk(1, (1, 2, 4))  # gcd(2, 4) > 1 in the free group
         with pytest.raises(ValueError):
             mk(4, (1, 1, -2), (0, 1, 1))
+        for mu in (0, -3):
+            with pytest.raises(ValueError, match="torsion order"):
+                mk(mu, (1, 1, 1))
+
+    def test_degree_matrix_fields_are_its_integers(self):
+        assert [f.name for f in dataclasses.fields(DegreeMatrix)] == ["mu", "u", "eta"]
 
     def test_generator_validation(self):
         with pytest.raises(ValueError):
@@ -117,6 +128,17 @@ class TestAdjust:
             for c in planes.classify(a, 10**6):
                 assert planes.adjust(c.matrix)[0] is c.matrix
 
+    def test_free_group_needs_the_identity_automorphism(self):
+        # at mu = 1 every residue and modular inverse is 0, so normalizing
+        # the torsion row applies (k, m) -> (k, 0), in every column order
+        classes = [c for a in markov.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**6, mu=1)]
+        assert {c.series.a for c in classes} == {5, 6, 8, 9}
+        for c in classes:
+            for perm in ((0, 1, 2), (2, 0, 1)):
+                adjusted, transform = planes.adjust(oracles.permuted(c.matrix, perm))
+                assert adjusted == c.matrix and adjusted.eta == (0, 0, 0)
+                assert transform.phi == KAutomorphism(1, 0, 0)
+
     def test_non_integral_degree_message(self):
         q = mk(1, (2, 3, 5))
         expected = f"degree {Fraction(100, 30)} of {q} is not integral"
@@ -153,18 +175,17 @@ class TestIsomorphism:
         q1 = mk(9, (1, 1, 4), (0, 1, 5))
         q2 = mk(9, (1, 1, 4), (0, 1, 8))
         phi, perm = planes.isomorphism_witness(q1, q2)
-        ctx = q1.context
-        image = [abelian.apply_automorphism(phi, col, ctx) for col in q1.columns]
-        assert tuple(image[perm[j]] for j in range(3)) == q2.columns
+        image = [abelian.apply_automorphism(phi, col, q1.mu) for col in columns(q1)]
+        assert tuple(image[perm[j]] for j in range(3)) == columns(q2)
 
     def test_witness_forms_at_most_18_column_images(self, monkeypatch):
         # six column orders, three images each, whatever mu is
         images = []
         real = abelian.apply_automorphism
 
-        def counting(phi, q, ctx):
-            images.append(q)
-            return real(phi, q, ctx)
+        def counting(phi, x, mu):
+            images.append(x)
+            return real(phi, x, mu)
 
         monkeypatch.setattr(abelian, "apply_automorphism", counting)
         pairs = [
@@ -240,8 +261,7 @@ class TestClassify:
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
             for c in planes.classify(a, 300):
                 p = planes.generator_of(c.matrix)
-                ctx, cols = abelian.cokernel_structure([list(r) for r in p.rows])
-                q2 = DegreeMatrix(ctx.mu, tuple(x.free for x in cols), tuple(x.tors for x in cols))
+                q2 = DegreeMatrix(*abelian.cokernel_structure([list(r) for r in p.rows]))
                 assert planes.is_isomorphic(c.matrix, q2)
 
     def test_weights_solve_scaled_equation(self):
@@ -356,12 +376,12 @@ def test_adjust_recovers_canonical_from_any_presentation(data):
     # equality of adjusted matrices characterizes isomorphism: any
     # automorphism-and-permutation presentation adjusts back to the class
     c = data.draw(st.sampled_from(sample_classes()))
-    ctx = c.matrix.context
-    phi = data.draw(st.sampled_from(list(oracles.automorphisms(ctx, positive_only=True))))
+    mu = c.matrix.mu
+    phi = data.draw(st.sampled_from(list(oracles.automorphisms(mu, positive_only=True))))
     perm = data.draw(st.permutations(range(3)))
-    cols = [abelian.apply_automorphism(phi, col, ctx) for col in c.matrix.columns]
+    cols = [abelian.apply_automorphism(phi, col, mu) for col in columns(c.matrix)]
     cols = [cols[i] for i in perm]
-    q = DegreeMatrix(ctx.mu, tuple(x.free for x in cols), tuple(x.tors for x in cols))
+    q = DegreeMatrix(mu, tuple(x[0] for x in cols), tuple(x[1] for x in cols))
     adjusted, _ = planes.adjust(q)
     assert adjusted == c.matrix
     assert planes.is_isomorphic(q, c.matrix)
@@ -378,8 +398,7 @@ def same_weight_classes():
 
 def random_presentation(data, q):
     """``q`` under a drawn positive automorphism and column order."""
-    ctx = q.context
-    phi = data.draw(st.sampled_from(list(oracles.automorphisms(ctx, positive_only=True))))
+    phi = data.draw(st.sampled_from(list(oracles.automorphisms(q.mu, positive_only=True))))
     return image_of(q, phi, data.draw(st.permutations(range(3))))
 
 
@@ -401,22 +420,21 @@ def test_witness_exists_exactly_when_adjusted_forms_agree(data):
     if witness is None:
         return
     # adjusted column i is t.phi of input column t.perm[i], for both inputs
-    ctx = q1.context
-    psi = oracles.compose_automorphisms(oracles.invert_automorphism(t2.phi, ctx), t1.phi, ctx)
-    image = [abelian.apply_automorphism(psi, q1.columns[t1.perm[i]], ctx) for i in range(3)]
-    assert image == [q2.columns[t2.perm[i]] for i in range(3)]
+    mu = q1.mu
+    psi = oracles.compose_automorphisms(oracles.invert_automorphism(t2.phi, mu), t1.phi, mu)
+    image = [abelian.apply_automorphism(psi, columns(q1)[t1.perm[i]], mu) for i in range(3)]
+    assert image == [columns(q2)[t2.perm[i]] for i in range(3)]
 
 
 def draw_eta(draw, mu, u):
     """Torsion row drawn entry by entry among the residues that keep every
     column pair generating; rejects only when no residue is left, so every
     valid row stays reachable."""
-    ctx = KContext(mu)
     eta = []
     for k in range(3):
         allowed = [
             e for e in range(mu)
-            if all(abelian.pair_generates(KElement(u[j], eta[j]), KElement(u[k], e), ctx) for j in range(k))
+            if all(abelian.pair_generates((u[j], eta[j]), (u[k], e), mu) for j in range(k))
         ]
         if not allowed:
             reject()
@@ -436,10 +454,9 @@ def degree_matrices(draw, max_mu=29):
 
 
 def image_of(q, phi, perm):
-    ctx = q.context
-    cols = [abelian.apply_automorphism(phi, col, ctx) for col in q.columns]
+    cols = [abelian.apply_automorphism(phi, col, q.mu) for col in columns(q)]
     cols = [cols[i] for i in perm]
-    return DegreeMatrix(q.mu, tuple(x.free for x in cols), tuple(x.tors for x in cols))
+    return DegreeMatrix(q.mu, tuple(x[0] for x in cols), tuple(x[1] for x in cols))
 
 
 @settings(max_examples=150, deadline=None)
@@ -495,7 +512,6 @@ def test_integer_annihilation_matches_element_sum(q, data):
         kinds.add(kind)
     expected = oracles.k_annihilates(q, rows)
     assert abelian.annihilates(rows, q.u, q.eta, q.mu) == expected
-    assert planes.annihilates(q, rows) == expected
     if kinds == {"kernel"}:
         assert expected
 
@@ -523,7 +539,6 @@ class TestSerialization:
         def parsed(texts):
             return [int(decimal.Decimal(x)) for x in texts]
 
-        assert parsed(json.loads(markov.triples_to_json([u]))[0]) == list(u)
         tree = markov.MutationTree(9, markov.norm(u), None, (u,), (u,), (), {u: 18})
         node = tree.to_json_obj()["nodes"][0]
         assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
