@@ -294,6 +294,13 @@ class TestMembershipMultiple:
             abelian.k_membership_multiple((1, 0), (0, 1), 4)
 
 
+class TestContext:
+    def test_invalid_torsion_order(self):
+        # The group Z + Z/mu is the integer mu; a degree matrix refuses mu < 1.
+        with pytest.raises(ValueError):
+            planes.DegreeMatrix(0, (1, 1, 1), (0, 0, 0))
+
+
 class TestAutomorphisms:
     def test_counts(self):
         assert len(list(oracles.automorphisms(1, positive_only=True))) == 1
