@@ -48,7 +48,6 @@ from .planes import (
     corresponds,
     degree,
     fake_weights_of_degree_matrix,
-    fake_weights_of_generator,
     generator_of,
     is_isomorphic,
     is_t_singular,

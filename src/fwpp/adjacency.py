@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from math import gcd, isqrt
 
 from . import abelian, markov, planes
@@ -153,27 +152,17 @@ def weights_of_3x4(p: list[list[int]]) -> tuple[int, int, int, int]:
 
 @dataclass(frozen=True)
 class AdjacentPair:
-    """A pair of planes degenerating from a common K*-surface.
+    """A pair of planes degenerating from a common K*-surface ``kstar``.
 
-    ``perm`` records which column of ``q1`` was moved into the last slot
-    (and the weight-sorted order of the other two) before reconstructing
-    the surface data; ``q1`` and ``q2`` are canonical adjusted matrices,
-    ``q2_raw`` keeps the second slice's column order for per-slot checks.
+    ``q1`` and ``q2`` are canonical adjusted matrices; ``q2_raw`` keeps the
+    second slice's column order for per-slot checks.  Whether the surface
+    is ordered or non-toric is read from ``kstar``.
     """
 
     q1: DegreeMatrix
     q2: DegreeMatrix
     q2_raw: DegreeMatrix
     kstar: KStarData
-    perm: tuple[int, int, int]
-
-    @property
-    def ordered(self) -> bool:
-        return self.kstar.ordered
-
-    @property
-    def non_toric(self) -> bool:
-        return self.kstar.non_toric
 
     @property
     def self_adjacent(self) -> bool:
@@ -193,7 +182,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     weight check on ``P1`` make up its correspondence with ``q``; the
     partner is certified by :func:`fwpp.abelian.cokernel_structure`.
     """
-    q_canon, _ = planes.adjust(q)
+    q_canon = planes.adjust(q)
     w = planes.fake_weights_of_degree_matrix(q)
     rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
     perm = (rest[0], rest[1], slot)
@@ -239,11 +228,10 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
 
     p1, p2 = slice_matrices(kstar)
-    if planes.fake_weights_of_generator(p1) != wp:
+    if p1.weights != wp:
         raise InvariantError("first slice does not have the expected weights")
     q2_raw = DegreeMatrix(*abelian.cokernel_structure(p2.rows))
-    q2_canon, _ = planes.adjust(q2_raw)
-    return AdjacentPair(q1=q_canon, q2=q2_canon, q2_raw=q2_raw, kstar=kstar, perm=perm)
+    return AdjacentPair(q1=q_canon, q2=planes.adjust(q2_raw), q2_raw=q2_raw, kstar=kstar)
 
 
 def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
@@ -269,13 +257,14 @@ def _t_singular_slots(q: DegreeMatrix) -> tuple[bool, bool, bool]:
 
 def adjacency_neighbors(
     q: DegreeMatrix, t_slots: tuple[bool, bool, bool] | None = None
-) -> tuple[list[tuple[DegreeMatrix, AdjacentPair]], list[AdjacentPair]]:
+) -> tuple[list[AdjacentPair], list[AdjacentPair]]:
     """Adjacent partner classes over all T-singular fixed points.
 
-    Returns ``(neighbors, self_pairs)``: partners isomorphic to ``q``
-    itself (``pair.q2 == pair.q1``, both adjusted by
-    :func:`adjacent_partner`) are reported separately and never enter the
-    edge set.
+    Returns ``(neighbors, self_pairs)``: ``neighbors`` holds one pair per
+    partner class ``pair.q2``, sorted by its columns; partners isomorphic
+    to ``q`` itself (``pair.q2 == pair.q1``, both adjusted by
+    :func:`adjacent_partner`) are reported separately in ``self_pairs``
+    and never enter the edge set.
     Toric pairs count; adjacency does not require the common surface to be
     non-toric.  ``t_slots`` passes the T-singularity flags of the three
     fixed points when the caller has them.
@@ -292,7 +281,7 @@ def adjacency_neighbors(
             self_pairs.append(pair)
         else:
             neighbors.setdefault(pair.q2, pair)
-    ordered = sorted(neighbors.items(), key=lambda kv: (kv[0].u, kv[0].eta))
+    ordered = sorted(neighbors.values(), key=lambda p: (p.q2.u, p.q2.eta))
     return ordered, self_pairs
 
 
@@ -303,13 +292,11 @@ class GraphNode:
     non_toric_self: bool
     all_t: bool  # every fixed point is at most a T-singularity
 
-    @property
-    def key(self) -> DegreeMatrix:
-        return self.plane.matrix
 
-    def label(self) -> str:
-        tail = "" if self.plane.matrix.mu == 1 else f"; {self.plane.matrix.eta[2]}"
-        return f"({_decimal_join(self.plane.matrix.u)}{tail})"
+def _label(q: DegreeMatrix) -> str:
+    """Node label ``(u0,u1,u2; eta2)`` of an adjusted matrix; ``(u0,u1,u2)`` at ``mu = 1``."""
+    tail = "" if q.mu == 1 else f"; {q.eta[2]}"
+    return f"({_decimal_join(q.u)}{tail})"
 
 
 @dataclass(frozen=True)
@@ -329,16 +316,9 @@ class AdjacencyGraph:
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
-    @cached_property
-    def _node_index(self) -> dict[DegreeMatrix, GraphNode]:
-        return {node.key: node for node in self.nodes}
-
-    def node_by_key(self, key: DegreeMatrix) -> GraphNode:
-        return self._node_index[key]
-
     def connected_components(self) -> list[set[DegreeMatrix]]:
-        remaining = {n.key for n in self.nodes}
-        adj: dict[DegreeMatrix, set[DegreeMatrix]] = {n.key: set() for n in self.nodes}
+        remaining = {n.plane.matrix for n in self.nodes}
+        adj: dict[DegreeMatrix, set[DegreeMatrix]] = {m: set() for m in remaining}
         for e in self.edges:
             adj[e.a].add(e.b)
             adj[e.b].add(e.a)
@@ -364,7 +344,7 @@ class AdjacencyGraph:
             "normBound": _decimal_str(self.norm_bound),
             "nodes": [
                 {
-                    "label": n.label(),
+                    "label": _label(n.plane.matrix),
                     "series": [str(s) for s in n.plane.all_series],
                     "u": [_decimal_str(x) for x in n.plane.matrix.u],
                     "eta": list(n.plane.matrix.eta),
@@ -376,13 +356,13 @@ class AdjacencyGraph:
             ],
             "edges": [
                 {
-                    "from": self.node_by_key(e.a).label(),
-                    "to": self.node_by_key(e.b).label(),
+                    "from": _label(e.a),
+                    "to": _label(e.b),
                     "jump": e.jump,
                 }
                 for e in self.edges
             ],
-            "selfAdjacent": [n.label() for n in self.nodes if n.self_adjacent],
+            "selfAdjacent": [_label(n.plane.matrix) for n in self.nodes if n.self_adjacent],
         }
 
     def to_dot(self) -> str:
@@ -394,12 +374,10 @@ class AdjacencyGraph:
             if n.non_toric_self:
                 attrs.append('comment="non-toric self-adjacency"')
             attr_txt = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'  "{n.label()}"{attr_txt};')
+            lines.append(f'  "{_label(n.plane.matrix)}"{attr_txt};')
         for e in self.edges:
-            la = self.node_by_key(e.a).label()
-            lb = self.node_by_key(e.b).label()
             style = " [color=red]" if e.jump else ""
-            lines.append(f'  "{la}" -- "{lb}"{style};')
+            lines.append(f'  "{_label(e.a)}" -- "{_label(e.b)}"{style};')
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -425,15 +403,15 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
             GraphNode(
                 plane=c,
                 self_adjacent=bool(self_pairs),
-                non_toric_self=any(p.non_toric for p in self_pairs),
+                non_toric_self=any(p.kstar.non_toric for p in self_pairs),
                 all_t=all(t_slots),
             )
         )
-        for partner_key, _pair in neighbor_pairs:
-            if partner_key not in series_of:
+        for pair in neighbor_pairs:
+            if pair.q2 not in series_of:
                 continue  # partner lies beyond the norm bound
-            key = frozenset((c.matrix, partner_key))
-            jump = not (series_of[c.matrix] & series_of[partner_key])
+            key = frozenset((c.matrix, pair.q2))
+            jump = not (series_of[c.matrix] & series_of[pair.q2])
             edges[key] = jump
     edge_list = [GraphEdge(*sorted(key, key=lambda m: (m.u, m.eta)), jump=jump) for key, jump in edges.items()]
     edge_list.sort(key=lambda e: (e.a.u, e.a.eta, e.b.u, e.b.eta))
@@ -444,10 +422,6 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
 class CensusEntry:
     series: SeriesId
     kstar: KStarData
-
-    @property
-    def non_toric(self) -> bool:
-        return self.kstar.non_toric
 
 
 def self_adjacency_census() -> list[CensusEntry]:
@@ -465,7 +439,7 @@ def self_adjacency_census() -> list[CensusEntry]:
                 continue
             _, self_pairs = adjacency_neighbors(c.matrix)
             if self_pairs:
-                best = min(self_pairs, key=lambda p: not p.non_toric)
+                best = min(self_pairs, key=lambda p: not p.kstar.non_toric)
                 out.append(CensusEntry(series=c.series, kstar=best.kstar))
     out.sort(key=lambda e: (-e.series.a, e.series.mu, e.series.eta))
     return out

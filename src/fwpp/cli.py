@@ -9,9 +9,10 @@ Subcommands::
     iso       isomorphism test for two degree matrices
 
 Exit codes: 0 success (including empty results), 1 negative verdict from
-``iso``, 2 usage or input errors.  All big integers are serialized as
-decimal strings in JSON output so downstream 64-bit consumers cannot
-truncate them; output is byte-identical across runs.
+``iso``, 2 usage or input errors.  JSON output writes free parts, weights
+and orders as decimal strings so 64-bit consumers cannot truncate them
+(``mu``, ``eta``, curve counts and ``iso``'s automorphism stay numbers);
+text formats print integers of any size.  Output is byte-identical across runs.
 
 :func:`build_parser` builds one parser per process and returns that same
 shared object on every call, :func:`main` included; callers must not mutate it.
@@ -99,13 +100,13 @@ def cmd_sing(args) -> int:
         for k in range(3):
             d = _decimal_str(report.d[k]) if report.d[k] is not None else "-"
             cl, iota = _decimal_str(report.cl[k]), _decimal_str(report.iota[k])
-            print(f"z({k})\t{cl}\t{iota}\t{'+' if report.is_t[k] else '-'}\t{d}\t{report.res_curves[k]}")
+            print(f"z({k})\t{cl}\t{iota}\t{'+' if report.is_t[k] else '-'}\t{d}\t{_decimal_str(report.res_curves[k])}")
     else:
         obj = q.to_json_obj()
         weights = planes.fake_weights_of_degree_matrix(q)
         deg = planes.degree(weights)
         try:
-            obj["series"] = str(planes._series_label(planes.adjust(q)[0], deg.numerator))
+            obj["series"] = str(planes._series_label(planes.adjust(q), deg.numerator))
         except ValueError:
             pass  # non-integral degree has no series label
         obj["weights"] = [_decimal_str(w) for w in weights]
@@ -143,7 +144,7 @@ def cmd_iso(args) -> int:
         print("not isomorphic")
     else:
         phi, perm = witness
-        print(f"isomorphic\tphi=(eps={phi.eps},a={phi.a},c={phi.c})\tperm={list(perm)}")
+        print(f"isomorphic\tphi=(eps={phi.eps},a={_decimal_str(phi.a)},c={_decimal_str(phi.c)})\tperm={list(perm)}")
     return 0 if witness is not None else 1
 
 
@@ -155,38 +156,41 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, formats, default_format):
+    def bounded(p):
+        """The flags of the commands that enumerate: solve, classify and graph."""
         p.add_argument("--bound", type=int, default=DEFAULT_NORM_BOUND, help="norm bound on the fake weight vector")
         p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="abort when the enumeration grows past this many nodes")
-        p.add_argument("--format", choices=formats, default=default_format)
 
     p_solve = sub.add_parser("solve", help="enumerate equation solutions up to a norm bound")
     p_solve.add_argument("--a", type=int, required=True)
     p_solve.add_argument("--depth", type=int, default=None, help="optional mutation-depth truncation")
-    common(p_solve, ("tsv", "json", "md", "dot"), "tsv")
+    bounded(p_solve)
+    p_solve.add_argument("--format", choices=("tsv", "json", "md", "dot"), default="tsv")
     p_solve.set_defaults(func=cmd_solve)
 
     p_classify = sub.add_parser("classify", help="list plane classes of one integral degree")
     p_classify.add_argument("--a", type=int, required=True)
     p_classify.add_argument("--report", action="store_true", help="attach singularity reports (json format)")
-    common(p_classify, ("tsv", "json", "md"), "tsv")
+    bounded(p_classify)
+    p_classify.add_argument("--format", choices=("tsv", "json", "md"), default="tsv")
     p_classify.set_defaults(func=cmd_classify)
 
     p_sing = sub.add_parser("sing", help="singularity report for one degree matrix")
     p_sing.add_argument("matrix", help='degree matrix JSON, e.g. \'{"mu":8,"u":["1","1","2"],"eta":[0,1,3]}\'; "-" reads stdin')
-    common(p_sing, ("json", "md", "tsv"), "json")
+    p_sing.add_argument("--format", choices=("json", "md", "tsv"), default="json")
     p_sing.set_defaults(func=cmd_sing)
 
     p_graph = sub.add_parser("graph", help="adjacency graph of one (degree, mu) family")
     p_graph.add_argument("--a", type=int, required=True)
     p_graph.add_argument("--mu", type=int, required=True)
-    common(p_graph, ("dot", "json"), "dot")
+    bounded(p_graph)
+    p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
     p_graph.set_defaults(func=cmd_graph)
 
     p_iso = sub.add_parser("iso", help="isomorphism test for two degree matrices")
     p_iso.add_argument("first")
     p_iso.add_argument("second")
-    common(p_iso, ("json", "tsv"), "json")
+    p_iso.add_argument("--format", choices=("json", "tsv"), default="json")
     p_iso.set_defaults(func=cmd_iso)
     return parser
 

@@ -106,16 +106,17 @@ class DegreeMatrix:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
         """Read ``mu`` and the arrays ``u`` and ``eta`` of integers or integer
-        strings; a float or bool entry (``int()`` would truncate or read it)
-        and a ``u`` or ``eta`` that is not an array are refused."""
+        strings of any length; a float or bool entry (``int()`` would
+        truncate or read it) and a ``u`` or ``eta`` that is not an array
+        are refused."""
         if not isinstance(obj["u"], list) or not isinstance(obj.get("eta", []), list):
             raise ValueError("degree matrix columns u and eta must be JSON arrays")
         for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
             if isinstance(x, (bool, float)):
                 raise ValueError(f"degree matrix entries must be integers, got {x!r}")
-        mu = int(obj["mu"])
+        mu = _decimal_int(obj["mu"])
         u = tuple(_decimal_int(x) for x in obj["u"])
-        eta = tuple(int(x) for x in obj.get("eta", (0, 0, 0)))
+        eta = tuple(_decimal_int(x) for x in obj.get("eta", (0, 0, 0)))
         return cls(mu, u, tuple(e % mu for e in eta))
 
 
@@ -140,11 +141,6 @@ class GeneratorMatrix:
         """Generators of the fan cone carrying the k-th toric fixed point."""
         j1, j2 = (j for j in range(3) if j != k)
         return self.column(j1), self.column(j2)
-
-
-def fake_weights_of_generator(p: GeneratorMatrix) -> Triple:
-    """Absolute 2x2 minors ``w_i = |det(v_j ; j != i)|``."""
-    return p.weights
 
 
 def fake_weights_of_degree_matrix(q: DegreeMatrix) -> Triple:
@@ -312,7 +308,7 @@ def corresponds(q: DegreeMatrix, p: GeneratorMatrix) -> bool:
     projection to agree with ``q`` up to automorphism, so this is an
     if-and-only-if test.
     """
-    if fake_weights_of_generator(p) != fake_weights_of_degree_matrix(q):
+    if p.weights != fake_weights_of_degree_matrix(q):
         return False
     return abelian.annihilates(p.rows, q.u, q.eta, q.mu)
 
@@ -322,17 +318,9 @@ def corresponds(q: DegreeMatrix, p: GeneratorMatrix) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class AdjustTransform:
-    """Column order and automorphism carrying a matrix to its adjusted form."""
-
-    perm: tuple[int, int, int]
-    phi: KAutomorphism
-
-
-def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> tuple[Triple, KAutomorphism]:
-    """Positive automorphism turning the torsion row into ``(0, 1, eta)``;
-    at ``mu = 1``, where every residue and inverse is 0, the identity."""
+def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> Triple:
+    """The torsion row turned into ``(0, 1, eta)`` by a positive
+    automorphism; at ``mu = 1``, where every residue is 0, ``(0, 0, 0)``."""
     if gcd(u[0], mu) != 1:
         raise ValueError(f"leading free part {u[0]} is not coprime to mu={mu}")
     shift = (-eta[0] * pow(u[0], -1, mu)) % mu
@@ -340,8 +328,7 @@ def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> tuple[Triple, KAut
     if gcd(shifted[1], mu) != 1:
         raise ValueError(f"second torsion entry {shifted[1]} is not a unit mod {mu}")
     scale = pow(shifted[1], -1, mu)
-    final = tuple((scale * e) % mu for e in shifted)
-    return final, KAutomorphism(1, (scale * shift) % mu, scale)
+    return tuple((scale * e) % mu for e in shifted)
 
 
 def _arrangements(q: DegreeMatrix) -> tuple[int, list[tuple[int, int, int]]]:
@@ -350,22 +337,22 @@ def _arrangements(q: DegreeMatrix) -> tuple[int, list[tuple[int, int, int]]]:
     return a, markov.admissible_arrangements(q.u, q.mu * a)
 
 
-def _normalize(q: DegreeMatrix, perms) -> tuple[DegreeMatrix, AdjustTransform]:
+def _normalize(q: DegreeMatrix, perms) -> DegreeMatrix:
     """:func:`adjust` of ``q`` over its admissible column orders ``perms``."""
     best = None
     for perm in perms:
         u_p = tuple(q.u[i] for i in perm)
         eta_p = tuple(q.eta[i] for i in perm)
-        eta_n, phi = _normalize_second_row(u_p, eta_p, q.mu)
+        eta_n = _normalize_second_row(u_p, eta_p, q.mu)
         candidate = (eta_n[2], perm)
         if best is None or candidate < best[0]:
-            best = (candidate, u_p, eta_n, phi)
-    (_, perm), u_p, eta_n, phi = best
+            best = (candidate, u_p, eta_n)
+    _, u_p, eta_n = best
     unchanged = u_p == q.u and eta_n == q.eta
-    return (q if unchanged else DegreeMatrix(q.mu, u_p, eta_n)), AdjustTransform(perm, phi)
+    return q if unchanged else DegreeMatrix(q.mu, u_p, eta_n)
 
 
-def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
+def adjust(q: DegreeMatrix) -> DegreeMatrix:
     """Canonical adjusted representative of the isomorphism class of ``q``.
 
     The columns are permuted so the fake weight vector is arranged for its
@@ -374,8 +361,9 @@ def adjust(q: DegreeMatrix) -> tuple[DegreeMatrix, AdjustTransform]:
     several admissible column orders, the candidate with the smallest
     ``eta`` wins; this resolves the sporadic coincidences among small
     series members, so equality of adjusted matrices is equivalent to
-    isomorphism of the planes.  An input already in adjusted form is
-    returned itself, not rebuilt.
+    isomorphism of the planes.  Only the adjusted matrix is returned; the
+    map from ``q`` to it is :func:`isomorphism_witness` of the two.  An
+    input already in adjusted form is returned itself, not rebuilt.
     """
     return _normalize(q, _arrangements(q)[1])
 
@@ -473,7 +461,7 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
                 raise InvariantError(f"classified matrix {qs[0]} has wrong degree")
             groups: dict[DegreeMatrix, list[int]] = {}
             for eta, q in zip(etas, qs):
-                groups.setdefault(_normalize(q, perms)[0], []).append(eta)
+                groups.setdefault(_normalize(q, perms), []).append(eta)
             for canonical in sorted(groups):
                 out.append(
                     ClassifiedPlane(
@@ -497,8 +485,7 @@ def _series_label(q: DegreeMatrix, a: int) -> SeriesId:
 
 def series_id(q: DegreeMatrix) -> SeriesId:
     """Series label ``degree-mu-eta`` of an adjusted degree matrix."""
-    adjusted, _ = adjust(q)
-    if adjusted != q:
+    if adjust(q) != q:
         raise ValueError(f"{q} is not in adjusted form")
     return _series_label(q, integral_degree(q))
 
@@ -565,7 +552,7 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
             sid = str(series_id(q))
         except ValueError:  # not adjusted, or not of integral degree
             sid = "-"
-        group = "Z" if q.mu == 1 else f"Z + Z/{q.mu}"
+        group = "Z" if q.mu == 1 else f"Z + Z/{_decimal_str(q.mu)}"
         qtxt = f"[{_decimal_join(q.u)}]"
         if q.mu > 1:
             qtxt += f"/[{_decimal_join(q.eta)}]"

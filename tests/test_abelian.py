@@ -87,7 +87,7 @@ def test_public_names():
         "abelian", "adjacency", "adjacency_graph", "adjacency_neighbors", "adjacent_partner", "adjust",
         "anticanonical_class", "apply_automorphism", "assemble_3x4", "can_degenerate", "classify",
         "cokernel_structure", "cone_gorenstein_index", "corresponds", "decompose", "degree",
-        "enumerate_tree", "fake_weights_of_degree_matrix", "fake_weights_of_generator", "generator_of",
+        "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",
         "initial_solutions", "is_initial", "is_isomorphic", "is_solution", "is_t_singular",
         "isomorphism_witness", "k_membership_multiple", "kernel_basis", "local_class_group_order",
         "local_gorenstein_index", "markov", "mutate", "one_step_mutations", "planes",

@@ -108,11 +108,11 @@ def test_criterion_5_classification_table():
     ]
     for mu, u, etas, class_count in exception_sets:
         members = [DegreeMatrix(mu, u, (0, 1, e)) for e in etas]
-        canon = {planes.adjust(m)[0] for m in members}
+        canon = {planes.adjust(m) for m in members}
         assert len(canon) == class_count
         for m1 in members:
             for m2 in members:
-                same = planes.adjust(m1)[0] == planes.adjust(m2)[0]
+                same = planes.adjust(m1) == planes.adjust(m2)
                 assert planes.is_isomorphic(m1, m2) == same
     # the published sporadic sets are isomorphic pairwise
     for mu, u, group in [
@@ -199,7 +199,7 @@ def test_criterion_7_worked_examples():
             printed = GeneratorMatrix(rows)
             assert planes.corresponds(q, printed)
             computed = planes.generator_of(q)
-            assert planes.fake_weights_of_generator(computed) == planes.fake_weights_of_degree_matrix(q)
+            assert computed.weights == planes.fake_weights_of_degree_matrix(q)
             rep = planes.singularity_report(q)
             assert rep.iota == iota and rep.is_t == flags and rep.res_curves == curves
         got_pairs = {
@@ -231,7 +231,7 @@ def test_criterion_8_adjacency():
                 if pair.self_adjacent:
                     assert back_self
                 else:
-                    assert any(key == pair.q1 for key, _ in back)
+                    assert any(other.q2 == pair.q1 for other in back)
                 pairs_checked += 1
 
     # figure reproductions
@@ -247,7 +247,7 @@ def test_criterion_8_adjacency():
         mu = fig["mu"]
         bound = max(mu * sum(u) for (u, _) in fig["nodes"])
         graph = adjacency.adjacency_graph(fig["a"], mu, bound)
-        labels = {(n.key.u, n.key.eta[2]): n.key for n in graph.nodes}
+        labels = {(n.plane.matrix.u, n.plane.matrix.eta[2]): n.plane.matrix for n in graph.nodes}
         assert all(key in labels for key in fig["nodes"])
         wanted = {labels[key] for key in fig["nodes"]}
         expected = {frozenset((labels[x], labels[y])): jump for (x, y, jump) in fig["edges"]}
@@ -262,7 +262,7 @@ def test_criterion_8_adjacency():
     bound = max(8 * sum(u) for (u, _) in golden.ADJ_FIGURE_1_8["nodes"])
     graph = adjacency.adjacency_graph(1, 8, bound)
     for e in graph.edges:
-        eta_pair = {graph.node_by_key(e.a).key.eta[2], graph.node_by_key(e.b).key.eta[2]}
+        eta_pair = {e.a.eta[2], e.b.eta[2]}
         assert eta_pair <= {3, 7} or eta_pair == {1} or eta_pair == {5}
 
     # T(2,4) splits into two components
@@ -278,7 +278,7 @@ def test_criterion_8_adjacency():
         tree_edges = {frozenset((x, y)) for x, y in tree.edges}
         for (a, mu) in families:
             graph = adjacency.adjacency_graph(a, mu, 300 * mu)
-            keep = {n.key for n in graph.nodes if n.all_t}
+            keep = {n.plane.matrix for n in graph.nodes if n.all_t}
             assert {tuple(sorted(k.u)) for k in keep} == set(tree.nodes)
             got = {
                 frozenset((tuple(sorted(e.a.u)), tuple(sorted(e.b.u))))
@@ -293,7 +293,7 @@ def test_criterion_9_self_adjacency_census():
     census = adjacency.self_adjacency_census()
     assert len(census) == 16
     assert {str(e.series) for e in census} == golden.SELF_ADJACENT_SERIES
-    non_toric = {str(e.series) for e in census if e.non_toric}
+    non_toric = {str(e.series) for e in census if e.kstar.non_toric}
     assert len(non_toric) == 6
     assert non_toric == golden.NON_TORIC_SELF_ADJACENT
     report(9, "census: the 16 self-adjacent series and their 6 non-toric members, exact")

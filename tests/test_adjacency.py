@@ -52,14 +52,14 @@ class TestSlices:
 
     def test_toric_slice_still_valid(self):
         p1, p2 = adjacency.slice_matrices(KStarData(1, 2, -1, 0, 1))
-        assert planes.fake_weights_of_generator(p1) == (1, 1, 1)
-        assert planes.fake_weights_of_generator(p2) == (1, 1, 4)
+        assert p1.weights == (1, 1, 1)
+        assert p2.weights == (1, 1, 4)
 
     def test_slice_weights_follow_the_mutation(self):
         for kstar in (KStarData(2, 6, -2, 1, 5), KStarData(2, 10, -4, 1, 31), KStarData(3, 9, -1, 1, 2)):
             p1, p2 = adjacency.slice_matrices(kstar)
-            w1 = planes.fake_weights_of_generator(p1)
-            w2 = planes.fake_weights_of_generator(p2)
+            w1 = p1.weights
+            w2 = p2.weights
             assert w1[:2] == w2[:2]
             assert w1[2] == -kstar.d0 * kstar.l1**2
             assert w2[2] == -kstar.d0 * kstar.l2**2
@@ -75,8 +75,8 @@ class TestKStarDegree:
         for kstar in (KStarData(2, 2, -2, 1, 1), KStarData(1, 2, -1, 0, 1), KStarData(2, 6, -2, 1, 5)):
             p1, p2 = adjacency.slice_matrices(kstar)
             d = kstar.degree()
-            assert d == planes.degree(planes.fake_weights_of_generator(p1))
-            assert d == planes.degree(planes.fake_weights_of_generator(p2))
+            assert d == planes.degree(p1.weights)
+            assert d == planes.degree(p2.weights)
 
     def test_closed_forms_agree(self):
         for kstar in (KStarData(2, 2, -2, 1, 1), KStarData(3, 3, -1, 1, 1), KStarData(2, 10, -4, 1, 31)):
@@ -101,17 +101,17 @@ class TestAdjacentPartner:
     def test_self_adjacent_2_4_3(self):
         pair = adjacency.adjacent_partner(mk(4, (1, 1, 2), (0, 1, 3)), 2)
         assert pair.kstar == KStarData(2, 2, -2, 1, 1)
-        assert pair.self_adjacent and pair.non_toric and pair.ordered
+        assert pair.self_adjacent and pair.kstar.non_toric and pair.kstar.ordered
 
     def test_self_adjacent_1_8_3(self):
         pair = adjacency.adjacent_partner(mk(8, (1, 1, 2), (0, 1, 3)), 2)
         assert pair.kstar == KStarData(4, 4, -1, 1, 1)
-        assert pair.self_adjacent and pair.non_toric
+        assert pair.self_adjacent and pair.kstar.non_toric
 
     def test_projective_plane_partner_is_toric(self):
         pair = adjacency.adjacent_partner(mk(1, (1, 1, 1)), 2)
         assert pair.q2.u == (1, 1, 4)
-        assert pair.kstar.l1 == 1 and not pair.non_toric
+        assert pair.kstar.l1 == 1 and not pair.kstar.non_toric
 
     def test_not_t_singular_slot_rejected(self):
         with pytest.raises(adjacency.NotDegenerableError):
@@ -163,7 +163,7 @@ class TestDeepPartners:
     @given(deep_series_members())
     def test_partner_is_an_involution_by_the_slot_mutation(self, q):
         w = planes.fake_weights_of_degree_matrix(q)
-        q_canon, _ = planes.adjust(q)
+        q_canon = planes.adjust(q)
         for slot in range(3):
             if not planes.is_t_singular(q, slot)[0]:
                 continue
@@ -238,7 +238,7 @@ class TestSliceCokernel:
                     assert u == u_ref == pair.q2_raw.u
                     q_ref = DegreeMatrix(mu_ref, u_ref, eta_ref)
                     assert planes.is_isomorphic(pair.q2_raw, q_ref)
-                    assert planes.adjust(q_ref)[0] == pair.q2
+                    assert planes.adjust(q_ref) == pair.q2
                     slices += 1
         assert slices > 1000
 
@@ -271,37 +271,37 @@ class TestCanDegenerate:
                 for slot in range(3):
                     if planes.is_t_singular(c.matrix, slot)[0]:
                         pair = adjacency.adjacent_partner(c.matrix, slot)
-                        assert adjacency.can_degenerate(c.matrix, slot) == pair.non_toric
+                        assert adjacency.can_degenerate(c.matrix, slot) == pair.kstar.non_toric
 
 
 class TestNeighbors:
     def test_2_3_1_node(self):
         nbrs, selfp = adjacency.adjacency_neighbors(mk(3, (1, 8, 3), (0, 1, 1)))
-        assert [(k.u, k.eta[2]) for k, _ in nbrs] == [((1, 8, 27), 1)]
+        assert [(p.q2.u, p.q2.eta[2]) for p in nbrs] == [((1, 8, 27), 1)]
         assert not selfp
 
     def test_1_5_red_edge(self):
         nbrs, selfp = adjacency.adjacency_neighbors(mk(5, (1, 4, 5), (0, 1, 2)))
-        assert [(k.u, k.eta[2]) for k, _ in nbrs] == [((1, 4, 5), 3)]
+        assert [(p.q2.u, p.q2.eta[2]) for p in nbrs] == [((1, 4, 5), 3)]
         assert not selfp
 
     def test_smooth_plane_neighbor(self):
         nbrs, selfp = adjacency.adjacency_neighbors(mk(1, (1, 1, 1)))
-        assert [k.u for k, _ in nbrs] == [(1, 1, 4)]
+        assert [p.q2.u for p in nbrs] == [(1, 1, 4)]
         assert not selfp
 
     def test_merged_base_has_both_eta_partners(self):
         nbrs, selfp = adjacency.adjacency_neighbors(mk(8, (1, 1, 2), (0, 1, 3)))
-        assert {(k.u, k.eta[2]) for k, _ in nbrs} == {((1, 9, 2), 3), ((1, 9, 2), 7)}
-        assert len(selfp) == 1 and selfp[0].non_toric
+        assert {(p.q2.u, p.q2.eta[2]) for p in nbrs} == {((1, 9, 2), 3), ((1, 9, 2), 7)}
+        assert len(selfp) == 1 and selfp[0].kstar.non_toric
 
     def test_symmetry(self):
         for a in (1, 2, 5, 9):
             for c in planes.classify(a, 700):
                 nbrs, _ = adjacency.adjacency_neighbors(c.matrix)
-                for key, _pair in nbrs:
-                    back, _ = adjacency.adjacency_neighbors(key)
-                    assert any(other == c.matrix for other, _ in back)
+                for pair in nbrs:
+                    back, _ = adjacency.adjacency_neighbors(pair.q2)
+                    assert any(other.q2 == c.matrix for other in back)
 
 
 class TestGraphs:
@@ -317,8 +317,8 @@ class TestGraphs:
             tree_edges = {frozenset((x, y)) for x, y in tree.edges}
             for (a, mu) in families:
                 graph = adjacency.adjacency_graph(a, mu, 400 * mu)
-                keep = {n.key for n in graph.nodes if n.all_t}
-                assert {tuple(sorted(n.key.u)) for n in graph.nodes if n.all_t} == set(tree.nodes)
+                keep = {n.plane.matrix for n in graph.nodes if n.all_t}
+                assert {tuple(sorted(n.plane.matrix.u)) for n in graph.nodes if n.all_t} == set(tree.nodes)
                 got = {
                     frozenset((tuple(sorted(e.a.u)), tuple(sorted(e.b.u))))
                     for e in graph.edges
@@ -338,8 +338,8 @@ class TestGraphs:
         for comp in comps:
             assert len({m.eta[2] for m in comp}) == 1
         assert len({frozenset((e.a, e.b)) for e in graph.edges}) == len(graph.edges)
-        with pytest.raises(KeyError):
-            graph.node_by_key(oracles.permuted(mk(4, (1, 1, 2), (0, 1, 3)), (2, 0, 1)))
+        # nodes are adjusted matrices only, not other presentations of them
+        assert oracles.permuted(mk(4, (1, 1, 2), (0, 1, 3)), (2, 0, 1)) not in {n.plane.matrix for n in graph.nodes}
 
     def test_figure(self):
         self._check_figure(golden.ADJ_FIGURE_2_3_1)
@@ -350,7 +350,7 @@ class TestGraphs:
         mu = fig["mu"]
         bound = max(mu * sum(u) for (u, _) in fig["nodes"])
         graph = adjacency.adjacency_graph(fig["a"], mu, bound)
-        labels = {(n.key.u, n.key.eta[2]): n.key for n in graph.nodes}
+        labels = {(n.plane.matrix.u, n.plane.matrix.eta[2]): n.plane.matrix for n in graph.nodes}
         wanted = set()
         for (u, eta) in fig["nodes"]:
             assert (u, eta) in labels, f"figure node {(u, eta)} missing"
@@ -369,7 +369,7 @@ class TestGraphs:
         # all three eta branches of the mu = 9 family form one component,
         # glued through the sporadic base identifications and jump edges
         graph = adjacency.adjacency_graph(1, 9, 12000)
-        assert sorted({n.key.eta[2] for n in graph.nodes}) == [2, 5, 8]
+        assert sorted({n.plane.matrix.eta[2] for n in graph.nodes}) == [2, 5, 8]
         assert len(graph.connected_components()) == 1
         assert any(e.jump for e in graph.edges)
 
@@ -397,7 +397,7 @@ class TestGlobalInvariants:
                     if not planes.is_t_singular(c.matrix, slot)[0]:
                         continue
                     pair = adjacency.adjacent_partner(c.matrix, slot)
-                    if not pair.non_toric:
+                    if not pair.kstar.non_toric:
                         continue
                     key = (pair.q1.mu, tuple(sorted([(pair.q1.u, pair.q1.eta), (pair.q2.u, pair.q2.eta)])))
                     data = (tuple(sorted((pair.kstar.l1, pair.kstar.l2))), pair.kstar.d0)
@@ -450,7 +450,7 @@ class TestCensus:
 
     def test_non_toric_sublist(self):
         census = adjacency.self_adjacency_census()
-        assert {str(e.series) for e in census if e.non_toric} == golden.NON_TORIC_SELF_ADJACENT
+        assert {str(e.series) for e in census if e.kstar.non_toric} == golden.NON_TORIC_SELF_ADJACENT
 
     def test_9_1_0_not_self_adjacent(self):
         nbrs, selfp = adjacency.adjacency_neighbors(mk(1, (1, 1, 1)))

@@ -19,6 +19,8 @@ MATRIX_183 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,3]}'
 MATRIX_187 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,7]}'
 MATRIX_181 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,1]}'
 MATRIX_SMOOTH = '{"mu":1,"u":["1","1","1"],"eta":[0,0,0]}'
+#: torsion order 3 * 10^4999 + 1: 5,000 digits, past the 4,300 that ``int(str)`` reads by default
+MU_PAST_THE_LIMIT = "3" + "0" * 4998 + "1"
 
 
 def past_the_digit_limit():
@@ -256,6 +258,52 @@ class TestSing:
         code, out, err = run(capsys, "iso", MATRIX_183, matrix)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
+    def test_resolution_count_past_the_str_digit_limit(self, capsys, fmt):
+        # z(2) is resolved by a 5,000-digit number of curves; json writes the
+        # count as a JSON number, which json.dumps refuses past the limit
+        u = ("1", "1" + "0" * 4999, "1" + "0" * 4998 + "1")
+        q = planes.DegreeMatrix(1, tuple(map(markov._decimal_int, u)), (0, 0, 0))
+        curves = markov._decimal_str(planes.singularity_report(q).res_curves[2])
+        assert len(curves) == 5000
+        code, out, err = run(capsys, "sing", json.dumps({"mu": 1, "u": list(u), "eta": [0, 0, 0]}), "--format", fmt)
+        if fmt == "json":
+            assert code == 2 and out == "" and err.startswith("error:")
+        elif fmt == "tsv":
+            assert code == 0 and err == ""
+            assert [row.split("\t")[5] for row in out.splitlines()][2] == curves
+        else:
+            assert code == 0 and err == ""
+            assert out.splitlines()[2].endswith(f",{curves}) |")
+
+    @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
+    def test_torsion_order_past_the_str_digit_limit(self, capsys, fmt):
+        # json writes mu as a JSON number, which json.dumps refuses past the limit
+        matrix = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        code, out, err = run(capsys, "sing", matrix, "--format", fmt)
+        if fmt == "json":
+            assert code == 2 and out == "" and err.startswith("error:")
+        elif fmt == "tsv":
+            assert code == 0 and err == ""
+            assert [row.split("\t")[1] for row in out.splitlines()] == [MU_PAST_THE_LIMIT] * 3
+        else:
+            assert code == 0 and err == ""
+            assert out.splitlines()[2].startswith(f"| - | Z + Z/{MU_PAST_THE_LIMIT} | [1,1,1]/[0,1,2] |")
+
+    @pytest.mark.parametrize("flag", [("--bound", "5"), ("--max-nodes", "-3")])
+    def test_enumeration_flags_are_refused(self, capsys, flag):
+        # only solve, classify and graph enumerate, and only they take these flags
+        code, out, err = run(capsys, "sing", MATRIX_183, *flag)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+        code, out, err = run(capsys, "iso", MATRIX_183, MATRIX_187, *flag)
+        assert code == 2 and out == "" and "unrecognized arguments" in err
+
+    @pytest.mark.parametrize("command", ["sing", "iso"])
+    def test_help_lists_no_enumeration_flags(self, capsys, command):
+        code, out, _ = run(capsys, command, "--help")
+        assert code == 0 and "--format" in out
+        assert "--bound" not in out and "--max-nodes" not in out
+
     def test_integer_entries_read_like_strings(self, capsys):
         assert run(capsys, "sing", '{"mu":"8","u":[1,1,2],"eta":["0","1","3"]}') == run(capsys, "sing", MATRIX_183)
 
@@ -319,6 +367,30 @@ class TestIso:
         code, out, _ = run(capsys, "iso", first, second)
         assert code == 1
         assert json.loads(out) == {"isomorphic": False}
+
+    def test_torsion_order_past_the_str_digit_limit(self, capsys):
+        first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 3]})
+        code, out, _ = run(capsys, "iso", first, first)
+        assert code == 0
+        assert json.loads(out) == {"isomorphic": True, "automorphism": {"eps": 1, "a": 0, "c": 1}, "columnPermutation": [0, 1, 2]}
+        code, out, _ = run(capsys, "iso", first, second)
+        assert code == 1 and json.loads(out) == {"isomorphic": False}
+
+    @pytest.mark.parametrize("fmt", ["tsv", "json"])
+    def test_automorphism_past_the_str_digit_limit(self, capsys, fmt):
+        # (k, m) -> (k, a*k + m) with a 4,991-digit a; json writes a as a JSON
+        # number, which json.dumps refuses past the limit
+        a_text = "1" + "0" * 4990
+        mu = markov._decimal_int(MU_PAST_THE_LIMIT)
+        eta = [markov._decimal_str((markov._decimal_int(a_text) + e) % mu) for e in (0, 1, 2)]
+        first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": eta})
+        code, out, err = run(capsys, "iso", first, second, "--format", fmt)
+        if fmt == "json":
+            assert code == 2 and out == "" and err.startswith("error:")
+        else:
+            assert (code, out, err) == (0, f"isomorphic\tphi=(eps=1,a={a_text},c=1)\tperm=[0, 1, 2]\n", "")
 
     def test_mu_mismatch(self, capsys):
         code, out, _ = run(capsys, "iso", MATRIX_183, '{"mu":4,"u":["1","1","2"],"eta":[0,1,3]}')

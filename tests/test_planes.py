@@ -28,9 +28,9 @@ def columns(q):
 
 class TestWeightsAndDegree:
     def test_generator_weights(self):
-        assert planes.fake_weights_of_generator(GeneratorMatrix(((1, 1, -2), (0, 1, -1)))) == (1, 1, 1)
-        assert planes.fake_weights_of_generator(GeneratorMatrix(((4, 4, -4), (1, -3, 1)))) == (8, 8, 16)
-        assert planes.fake_weights_of_generator(GeneratorMatrix(((15, 15, -3), (2, -13, 2)))) == (9, 36, 225)
+        assert GeneratorMatrix(((1, 1, -2), (0, 1, -1))).weights == (1, 1, 1)
+        assert GeneratorMatrix(((4, 4, -4), (1, -3, 1))).weights == (8, 8, 16)
+        assert GeneratorMatrix(((15, 15, -3), (2, -13, 2))).weights == (9, 36, 225)
 
     def test_degree_matrix_weights(self):
         assert planes.fake_weights_of_degree_matrix(mk(2, (1, 1, 2), (0, 1, 1))) == (2, 2, 4)
@@ -100,24 +100,21 @@ class TestCorrespondence:
 class TestAdjust:
     def test_idempotent(self):
         q = mk(4, (1, 1, 2), (0, 1, 1))
-        adjusted, transform = planes.adjust(q)
-        assert adjusted == q
-        assert transform.perm == (0, 1, 2)
-        again, _ = planes.adjust(adjusted)
-        assert again == adjusted
+        adjusted = planes.adjust(q)
+        assert adjusted is q  # already adjusted: same column order, returned itself
+        assert planes.adjust(adjusted) == adjusted
 
     def test_permutes_and_normalizes(self):
         q = mk(2, (2, 1, 1), (1, 0, 1))
-        adjusted, _ = planes.adjust(q)
-        assert adjusted == mk(2, (1, 1, 2), (0, 1, 1))
+        assert planes.adjust(q) == mk(2, (1, 1, 2), (0, 1, 1))
 
     def test_sporadic_merges(self):
-        assert planes.adjust(mk(9, (1, 1, 1), (0, 1, 5)))[0] == mk(9, (1, 1, 1), (0, 1, 2))
-        assert planes.adjust(mk(9, (1, 1, 1), (0, 1, 8)))[0] == mk(9, (1, 1, 1), (0, 1, 2))
-        assert planes.adjust(mk(9, (1, 1, 4), (0, 1, 8)))[0] == mk(9, (1, 1, 4), (0, 1, 5))
-        assert planes.adjust(mk(9, (1, 1, 4), (0, 1, 2)))[0] == mk(9, (1, 1, 4), (0, 1, 2))
-        assert planes.adjust(mk(8, (1, 1, 2), (0, 1, 7)))[0] == mk(8, (1, 1, 2), (0, 1, 3))
-        assert planes.adjust(mk(8, (1, 1, 2), (0, 1, 1)))[0] == mk(8, (1, 1, 2), (0, 1, 1))
+        assert planes.adjust(mk(9, (1, 1, 1), (0, 1, 5))) == mk(9, (1, 1, 1), (0, 1, 2))
+        assert planes.adjust(mk(9, (1, 1, 1), (0, 1, 8))) == mk(9, (1, 1, 1), (0, 1, 2))
+        assert planes.adjust(mk(9, (1, 1, 4), (0, 1, 8))) == mk(9, (1, 1, 4), (0, 1, 5))
+        assert planes.adjust(mk(9, (1, 1, 4), (0, 1, 2))) == mk(9, (1, 1, 4), (0, 1, 2))
+        assert planes.adjust(mk(8, (1, 1, 2), (0, 1, 7))) == mk(8, (1, 1, 2), (0, 1, 3))
+        assert planes.adjust(mk(8, (1, 1, 2), (0, 1, 1))) == mk(8, (1, 1, 2), (0, 1, 1))
 
     def test_non_integral_degree_rejected(self):
         with pytest.raises(ValueError):
@@ -126,7 +123,7 @@ class TestAdjust:
     def test_adjusted_input_is_returned_itself(self):
         for a in markov.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**6):
-                assert planes.adjust(c.matrix)[0] is c.matrix
+                assert planes.adjust(c.matrix) is c.matrix
 
     def test_free_group_needs_the_identity_automorphism(self):
         # at mu = 1 every residue and modular inverse is 0, so normalizing
@@ -135,9 +132,10 @@ class TestAdjust:
         assert {c.series.a for c in classes} == {5, 6, 8, 9}
         for c in classes:
             for perm in ((0, 1, 2), (2, 0, 1)):
-                adjusted, transform = planes.adjust(oracles.permuted(c.matrix, perm))
+                permuted = oracles.permuted(c.matrix, perm)
+                adjusted = planes.adjust(permuted)
                 assert adjusted == c.matrix and adjusted.eta == (0, 0, 0)
-                assert transform.phi == KAutomorphism(1, 0, 0)
+                assert planes.isomorphism_witness(permuted, adjusted)[0] == KAutomorphism(1, 0, 0)
 
     def test_non_integral_degree_message(self):
         q = mk(1, (2, 3, 5))
@@ -154,8 +152,7 @@ class TestAdjust:
                     q = mk(c.matrix.mu, c.matrix.u, (0, 1, eta))
                 except ValueError:
                     continue
-                adjusted, _ = planes.adjust(q)
-                assert planes.is_isomorphic(q, adjusted)
+                assert planes.is_isomorphic(q, planes.adjust(q))
 
 
 class TestIsomorphism:
@@ -382,8 +379,7 @@ def test_adjust_recovers_canonical_from_any_presentation(data):
     cols = [abelian.apply_automorphism(phi, col, mu) for col in columns(c.matrix)]
     cols = [cols[i] for i in perm]
     q = DegreeMatrix(mu, tuple(x[0] for x in cols), tuple(x[1] for x in cols))
-    adjusted, _ = planes.adjust(q)
-    assert adjusted == c.matrix
+    assert planes.adjust(q) == c.matrix
     assert planes.is_isomorphic(q, c.matrix)
 
 
@@ -406,24 +402,19 @@ def random_presentation(data, q):
 @given(st.data())
 def test_witness_exists_exactly_when_adjusted_forms_agree(data):
     # the criterion classify merges by: on inputs of integral degree, equal
-    # adjusted forms are equivalent to isomorphism, and the two adjusting
-    # transforms compose to a witness
+    # adjusted forms are equivalent to isomorphism, and each input is
+    # isomorphic to its adjusted form
     c1 = data.draw(st.sampled_from(sample_classes()))
     group = same_weight_classes()[(c1.matrix.mu, tuple(sorted(c1.matrix.u)))]
     c2 = data.draw(st.one_of(st.sampled_from(group), st.sampled_from(sample_classes())))
     q1 = random_presentation(data, c1.matrix)
     q2 = random_presentation(data, c2.matrix)
-    (adj1, t1), (adj2, t2) = planes.adjust(q1), planes.adjust(q2)
+    adj1, adj2 = planes.adjust(q1), planes.adjust(q2)
     witness = planes.isomorphism_witness(q1, q2)
     assert (witness is not None) == (adj1 == adj2) == (c1 == c2)
     assert witness == oracles.brute_isomorphism_witness(q1, q2)
-    if witness is None:
-        return
-    # adjusted column i is t.phi of input column t.perm[i], for both inputs
-    mu = q1.mu
-    psi = oracles.compose_automorphisms(oracles.invert_automorphism(t2.phi, mu), t1.phi, mu)
-    image = [abelian.apply_automorphism(psi, columns(q1)[t1.perm[i]], mu) for i in range(3)]
-    assert image == [columns(q2)[t2.perm[i]] for i in range(3)]
+    assert planes.isomorphism_witness(q1, adj1) is not None
+    assert planes.isomorphism_witness(q2, adj2) is not None
 
 
 def draw_eta(draw, mu, u):
@@ -528,6 +519,13 @@ class TestSerialization:
         assert all(isinstance(x, str) for x in obj["weights"])
         assert set(obj["report"]) == {"cl", "iota", "isT", "d", "resCurves"}
 
+    def test_torsion_order_past_the_str_digit_limit(self):
+        mu_text = "3" + "0" * 4998 + "1"
+        q = DegreeMatrix.from_json_obj({"mu": mu_text, "u": ["1", "1", "1"], "eta": ["0", "1", "2"]})
+        assert q == DegreeMatrix(3 * 10**4999 + 1, (1, 1, 1), (0, 1, 2))
+        md = planes.report_markdown([planes.singularity_report(q)])
+        assert md.splitlines()[2].startswith(f"| - | Z + Z/{mu_text} | [1,1,1]/[0,1,2] |")
+
     def test_integers_past_the_str_digit_limit(self):
         # str(int) refuses more than 4,300 digits by default; 18 mutations
         # of the smallest entry of (1, 1, 1) at a = 9 pass 10^5000
@@ -542,7 +540,7 @@ class TestSerialization:
         tree = markov.MutationTree(9, markov.norm(u), None, (u,), (u,), (), {u: 18})
         node = tree.to_json_obj()["nodes"][0]
         assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
-        q, _ = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
+        q = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
         assert parsed(q.to_json_obj()["u"]) == list(q.u)
         c = planes.ClassifiedPlane(planes.series_id(q), q, (planes.series_id(q),))
         obj = planes.plane_json_obj(c, with_report=True)
@@ -555,8 +553,7 @@ class TestSerialization:
         assert [markov._decimal_int(x) for x in text] == list(u)
         assert markov._decimal_join(u, "\t") == "\t".join(text)
         assert f'"({",".join(text)})";' in tree.to_dot()
-        node = adjacency.GraphNode(c, False, False, True)
-        assert node.label() == f"({','.join(text)})"
+        assert adjacency._label(q) == f"({','.join(text)})"
         md = planes.report_markdown([planes.singularity_report(q)])
         assert f"| 9-1-0 | Z | [{','.join(text)}] |" in md
 

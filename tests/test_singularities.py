@@ -143,7 +143,7 @@ class TestWorkedExamples:
             printed = GeneratorMatrix(rows)
             assert planes.corresponds(q, printed)
             computed = planes.generator_of(q)
-            assert planes.fake_weights_of_generator(computed) == planes.fake_weights_of_degree_matrix(q)
+            assert computed.weights == planes.fake_weights_of_degree_matrix(q)
             rep = planes.singularity_report(q)
             assert rep.iota == iota
             assert rep.is_t == flags
