@@ -31,20 +31,6 @@ def det2(a: int, b: int, c: int, d: int) -> int:
     return a * d - b * c
 
 
-def det_unimodular(m: Sequence[Sequence[int]]) -> int:
-    """Determinant by cofactor expansion; only used on tiny matrices."""
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    if n == 2:
-        return det2(m[0][0], m[0][1], m[1][0], m[1][1])
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * det_unimodular(minor)
-    return total
-
-
 # ---------------------------------------------------------------------------
 # The groups K = Z + Z/mu
 # ---------------------------------------------------------------------------

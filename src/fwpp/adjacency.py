@@ -140,49 +140,36 @@ def assemble_3x4(kstar: KStarData) -> list[list[int]]:
     ]
 
 
-def weights_of_3x4(p: list[list[int]]) -> tuple[int, int, int, int]:
-    """Absolute 3x3 minors of a 3x4 matrix, one per omitted column."""
-    out = []
-    for skip in range(4):
-        cols = [j for j in range(4) if j != skip]
-        minor = [[p[i][j] for j in cols] for i in range(3)]
-        out.append(abs(abelian.det_unimodular(minor)))
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class AdjacentPair:
-    """A pair of planes degenerating from a common K*-surface ``kstar``.
+    """The partner of a plane ``q`` over a common K*-surface ``kstar``.
 
-    ``q1`` and ``q2`` are canonical adjusted matrices; ``q2_raw`` keeps the
-    second slice's column order for per-slot checks.  Whether the surface
-    is ordered or non-toric is read from ``kstar``.
+    ``q2`` is the partner's canonical adjusted matrix, so the pair is a
+    self-adjacency exactly when ``q2 == planes.adjust(q)``; ``q2_raw`` keeps
+    the second slice's column order for per-slot checks.  Whether the
+    surface is ordered or non-toric is read from ``kstar``.
     """
 
-    q1: DegreeMatrix
     q2: DegreeMatrix
     q2_raw: DegreeMatrix
     kstar: KStarData
 
-    @property
-    def self_adjacent(self) -> bool:
-        return self.q1 == self.q2
-
 
 def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     """Reconstruct the K*-surface over the T-singular point ``z(slot)``
-    and return the adjacent pair of planes it degenerates to.
+    and return the partner plane it degenerates to, with the surface.
 
-    Raises :class:`NotDegenerableError` when the point is not a
-    T-singularity.  The slice data is otherwise guaranteed to exist: of all
-    ``d1`` in ``[0, l1)``, exactly one must pass the primitivity and
-    annihilation tests, or an ``InvariantError`` is raised.  Only the
+    Raises ``ValueError`` when ``q`` has no integral degree and
+    :class:`NotDegenerableError` when the point is not a T-singularity.
+    The slice data is otherwise guaranteed to exist: of all ``d1`` in
+    ``[0, l1)``, exactly one must pass the primitivity and annihilation
+    tests, or an ``InvariantError`` is raised.  Only the
     ``gcd(l1, l2) <= mu`` values making ``d2`` integral are tested, so the
     cost does not grow with ``l1``.  The hit's annihilation test and the
     weight check on ``P1`` make up its correspondence with ``q``; the
     partner is certified by :func:`fwpp.abelian.cokernel_structure`.
     """
-    q_canon = planes.adjust(q)
+    planes.integral_degree(q)  # refuses a non-integral degree, which would not bound the d1 scan below
     w = planes.fake_weights_of_degree_matrix(q)
     rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
     perm = (rest[0], rest[1], slot)
@@ -205,7 +192,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     # With w2 = d*l1**2 and l1*(w0 + w1) = l2*w2, w2 divides d2_num exactly
     # when d1*l2 == w1 (mod l1).  That leaves g = gcd(l1, l2) values of d1 in
     # [0, l1), or none; a solvable g divides every weight, hence mu, which is
-    # at most 9 at the integral degree that adjust above requires.
+    # at most 9 at the integral degree required above.
     g = gcd(l1, l2)
     step = l1 // g
     first = (wp[1] // g) * pow(l2 // g, -1, step) % step if wp[1] % g == 0 else l1
@@ -231,7 +218,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     if p1.weights != wp:
         raise InvariantError("first slice does not have the expected weights")
     q2_raw = DegreeMatrix(*abelian.cokernel_structure(p2.rows))
-    return AdjacentPair(q1=q_canon, q2=planes.adjust(q2_raw), q2_raw=q2_raw, kstar=kstar)
+    return AdjacentPair(q2=planes.adjust(q2_raw), q2_raw=q2_raw, kstar=kstar)
 
 
 def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
@@ -262,22 +249,22 @@ def adjacency_neighbors(
 
     Returns ``(neighbors, self_pairs)``: ``neighbors`` holds one pair per
     partner class ``pair.q2``, sorted by its columns; partners isomorphic
-    to ``q`` itself (``pair.q2 == pair.q1``, both adjusted by
-    :func:`adjacent_partner`) are reported separately in ``self_pairs``
-    and never enter the edge set.
+    to ``q`` itself (``pair.q2`` equal to ``q`` adjusted, once per call)
+    are reported separately in ``self_pairs`` and never enter the edge set.
     Toric pairs count; adjacency does not require the common surface to be
     non-toric.  ``t_slots`` passes the T-singularity flags of the three
     fixed points when the caller has them.
     """
     if t_slots is None:
         t_slots = _t_singular_slots(q)
+    q_canon = planes.adjust(q)
     neighbors: dict[DegreeMatrix, AdjacentPair] = {}
     self_pairs: list[AdjacentPair] = []
     for slot in range(3):
         if not t_slots[slot]:
             continue
         pair = adjacent_partner(q, slot)
-        if pair.self_adjacent:
+        if pair.q2 == q_canon:
             self_pairs.append(pair)
         else:
             neighbors.setdefault(pair.q2, pair)
@@ -433,10 +420,8 @@ def self_adjacency_census() -> list[CensusEntry]:
     """
     out = []
     for (a, mu) in planes.SERIES_FAMILIES:
-        base_norm = min(t.norm for t in markov.initial_solutions(mu * a))
+        base_norm = markov.norm(markov.REDUCED_ROOTS[mu * a])
         for c in planes.classify(a, mu * base_norm, mu=mu):
-            if c.norm != mu * base_norm:
-                continue
             _, self_pairs = adjacency_neighbors(c.matrix)
             if self_pairs:
                 best = min(self_pairs, key=lambda p: not p.kstar.non_toric)

@@ -54,8 +54,6 @@ def _capped(build, *args, **kwargs):
 
 
 def cmd_solve(args) -> int:
-    if args.a < 1:
-        raise _InputError(f"--a must be a positive integer, got {args.a}")
     tree = _capped(markov.enumerate_tree, args.a, args.bound, args.depth, max_nodes=args.max_nodes)
     rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u)) if args.format in ("tsv", "md") else ()
     if args.format == "json":
@@ -73,8 +71,6 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    if args.a < 1:
-        raise _InputError(f"--a must be a positive integer, got {args.a}")
     classes = _capped(planes.classify, args.a, args.bound, max_nodes=args.max_nodes)
     if len(classes) > args.max_nodes:
         raise _InputError(f"{len(classes)} classes exceed the --max-nodes cap {args.max_nodes}")
@@ -117,8 +113,6 @@ def cmd_sing(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    if (args.a, args.mu) not in planes.SERIES_ETAS:
-        raise _InputError(f"no series family for degree {args.a} with torsion order {args.mu}")
     graph = _capped(adjacency.adjacency_graph, args.a, args.mu, args.bound, max_nodes=args.max_nodes)
     if len(graph.nodes) > args.max_nodes:
         raise _InputError(f"{len(graph.nodes)} nodes exceed the --max-nodes cap {args.max_nodes}")

@@ -37,6 +37,9 @@ REDUCED_PARAMETERS = (5, 6, 8, 9)
 #: ``(xi0*x0**2, xi1*x1**2, xi2*x2**2)`` with ``xi = REDUCED_XI[A]``.
 REDUCED_XI = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 1, 5)}
 
+#: The single initial triple of each reduced parameter.
+REDUCED_ROOTS = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 4, 5)}
+
 Triple = tuple[int, int, int]
 
 
@@ -138,24 +141,17 @@ def is_initial(t: SolutionTriple) -> bool:
 def initial_solutions(a: int) -> frozenset[SolutionTriple]:
     """The finite set of initial triples for parameter ``a``.
 
-    The search space is cut down by the discriminant bounds: for ``a >= 5``
-    an initial triple has ``u2 <= 12 // (a - 4)``, and for ``a = 4, 3, 2, 1``
-    one has ``u0 >= 2, 2, 3, 5`` and ``u2 <= 6, 12, 18, 60`` respectively.
-    Empty for every other positive ``a``.
+    Every solution for ``a`` is ``b = A // a`` times one for a reduced
+    parameter ``A = a*b``, and scaling commutes with mutation (see
+    :func:`scaled_solution_class`), so these are the scaled
+    ``REDUCED_ROOTS[A]`` for each ``A`` divisible by ``a``; empty for every
+    other positive ``a``.
     """
     if a < 1:
         raise ValueError(f"parameter must be a positive integer, got {a}")
-    if a >= 5:
-        u0_min, u2_max = 1, 12 // (a - 4)
-    else:
-        u0_min, u2_max = {4: (2, 6), 3: (2, 12), 2: (3, 18), 1: (5, 60)}[a]
-    found = set()
-    for u0 in range(u0_min, u2_max + 1):
-        for u1 in range(u0, u2_max + 1):
-            for u2 in range(u1, min(u0 + u1, u2_max) + 1):
-                if (u0 + u1 + u2) ** 2 == a * u0 * u1 * u2:
-                    found.add(SolutionTriple(a, (u0, u1, u2)))
-    return frozenset(found)
+    return frozenset(
+        SolutionTriple(a, tuple(A // a * c for c in root)) for A, root in REDUCED_ROOTS.items() if A % a == 0
+    )
 
 
 @dataclass
@@ -164,7 +160,10 @@ class MutationTree:
 
     Nodes are ascendingly sorted triples; two nodes are joined when one is a
     one-step mutation of the other.  For parameters with a single initial
-    triple this is a tree, otherwise a disjoint union of trees.
+    triple this is a tree, otherwise a disjoint union of trees.  Norms grow
+    strictly away from the roots, so each edge joins a non-root node to its
+    parent, the mutation of its largest entry: ``edges`` lists those
+    ``(parent, node)`` pairs, sorted.
     """
 
     a: int
@@ -172,8 +171,11 @@ class MutationTree:
     depth_bound: int | None
     roots: tuple[Triple, ...]
     nodes: tuple[Triple, ...]
-    edges: tuple[tuple[Triple, Triple], ...]
     depths: dict[Triple, int] = field(repr=False)
+
+    @property
+    def edges(self) -> tuple[tuple[Triple, Triple], ...]:
+        return tuple(sorted((_play(v, self.a, 2), v) for v in self.nodes if self.depths[v]))
 
     def to_json_obj(self) -> dict:
         def enc(u):
@@ -227,7 +229,6 @@ def enumerate_tree(
     """
     roots = sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound)
     depths: dict[Triple, int] = {}
-    edges: set[tuple[Triple, Triple]] = set()
     queue: deque[Triple] = deque()
     for r in roots:
         depths[r] = 0
@@ -243,9 +244,6 @@ def enumerate_tree(
             if p + q + new > norm_bound:
                 continue
             v = (new, p, q) if new < p else (p, new, q) if new < q else (p, q, new)
-            if v == u:
-                continue
-            edges.add((min(u, v), max(u, v)))
             if v not in depths:
                 if max_nodes is not None and len(depths) >= max_nodes:
                     raise EnumerationCapExceeded(
@@ -259,7 +257,6 @@ def enumerate_tree(
         depth_bound=depth_bound,
         roots=tuple(roots),
         nodes=tuple(sorted(depths)),
-        edges=tuple(sorted(edges)),
         depths=depths,
     )
 

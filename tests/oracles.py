@@ -11,7 +11,8 @@ general Smith and Hermite normal forms, which live here and not in the
 library, as do the enumeration, composition and inversion of the
 automorphisms of ``Z + Z/mu``.  The mutation tree is enumerated by
 sorting every mutated triple, and arrangements by testing whole tuples.
-Annihilation of integer rows in ``K`` is summed element by element.
+Annihilation of integer rows in ``K`` is summed element by element, and
+the minors of the ambient 3x4 matrix come from cofactor expansion.
 """
 
 from __future__ import annotations
@@ -36,6 +37,30 @@ def mat_mul(a: Sequence[Sequence[int]], b: Sequence[Sequence[int]]) -> Matrix:
         [sum(a[i][k] * b[k][j] for k in range(inner)) for j in range(cols)]
         for i in range(rows)
     ]
+
+
+def det_unimodular(m: Sequence[Sequence[int]]) -> int:
+    """Determinant by cofactor expansion; only used on tiny matrices."""
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    if n == 2:
+        return abelian.det2(m[0][0], m[0][1], m[1][0], m[1][1])
+    total = 0
+    for j in range(n):
+        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
+        total += (-1) ** j * m[0][j] * det_unimodular(minor)
+    return total
+
+
+def weights_of_3x4(p: list[list[int]]) -> tuple[int, int, int, int]:
+    """Absolute 3x3 minors of a 3x4 matrix, one per omitted column."""
+    out = []
+    for skip in range(4):
+        cols = [j for j in range(4) if j != skip]
+        minor = [[p[i][j] for j in cols] for i in range(3)]
+        out.append(abs(det_unimodular(minor)))
+    return tuple(out)
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
@@ -438,8 +463,8 @@ def hnf_kernel_basis(u, eta, mu: int):
 
 def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
     """``(nodes, edges, depths)`` of the mutation forest by breadth-first
-    search, sorting every mutated triple (``markov._play``, which the
-    library's enumeration does not call) before testing the bound; raises
+    search, sorting every mutated triple before testing the bound and
+    reaching each edge from both ends, over all three slots; raises
     ``EnumerationCapExceeded`` where the library's enumeration must."""
     roots = sorted(t.u for t in markov.initial_solutions(a) if t.norm <= norm_bound)
     depths = {r: 0 for r in roots}

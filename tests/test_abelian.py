@@ -106,8 +106,8 @@ class TestSmithNormalForm:
         u, s, v = oracles.smith_normal_form(m)
         assert [s[0][0], s[1][1]] == [1, 6]
         assert oracles.mat_mul(oracles.mat_mul(u, m), v) == s
-        assert abs(abelian.det_unimodular(u)) == 1
-        assert abs(abelian.det_unimodular(v)) == 1
+        assert abs(oracles.det_unimodular(u)) == 1
+        assert abs(oracles.det_unimodular(v)) == 1
 
     def test_transpose_of_plane_generator_is_free(self):
         m = abelian.transpose([[1, 1, -2], [0, 1, -1]])
@@ -119,8 +119,8 @@ class TestSmithNormalForm:
     def test_roundtrip_and_divisibility(self, m):
         u, s, v = oracles.smith_normal_form(m)
         assert oracles.mat_mul(oracles.mat_mul(u, m), v) == s
-        assert abs(abelian.det_unimodular(u)) == 1
-        assert abs(abelian.det_unimodular(v)) == 1
+        assert abs(oracles.det_unimodular(u)) == 1
+        assert abs(oracles.det_unimodular(v)) == 1
         diag = [s[t][t] for t in range(min(len(s), len(s[0])))]
         for i in range(len(s)):
             for j in range(len(s[0])):
@@ -146,7 +146,7 @@ class TestHermiteNormalForm:
     def test_transform_and_idempotence(self, m):
         h, u = oracles.hermite_normal_form(m)
         assert oracles.mat_mul(u, m) == h
-        assert abs(abelian.det_unimodular(u)) == 1
+        assert abs(oracles.det_unimodular(u)) == 1
         again, _ = oracles.hermite_normal_form(h)
         assert again == h
 

@@ -228,10 +228,10 @@ def test_criterion_8_adjacency():
                 mutated = tuple(sorted(rest + [(rest[0] + rest[1]) ** 2 // w[slot]]))
                 assert tuple(sorted(w2)) == mutated
                 back, back_self = adjacency.adjacency_neighbors(pair.q2)
-                if pair.self_adjacent:
+                if pair.q2 == c.matrix:
                     assert back_self
                 else:
-                    assert any(other.q2 == pair.q1 for other in back)
+                    assert any(other.q2 == c.matrix for other in back)
                 pairs_checked += 1
 
     # figure reproductions

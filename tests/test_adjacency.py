@@ -89,7 +89,7 @@ class TestAssemble3x4:
     def test_minors_match_weight_formula(self):
         for kstar in (KStarData(2, 2, -2, 1, 1), KStarData(4, 4, -1, 1, 1), KStarData(1, 1, -3, 0, 1)):
             p = adjacency.assemble_3x4(kstar)
-            assert adjacency.weights_of_3x4(p) == kstar.weight_4vector()
+            assert oracles.weights_of_3x4(p) == kstar.weight_4vector()
 
     def test_hyperbolic_charts(self):
         charts = KStarData(2, 2, -2, 1, 1).hyperbolic_charts()
@@ -99,14 +99,16 @@ class TestAssemble3x4:
 
 class TestAdjacentPartner:
     def test_self_adjacent_2_4_3(self):
-        pair = adjacency.adjacent_partner(mk(4, (1, 1, 2), (0, 1, 3)), 2)
+        q = mk(4, (1, 1, 2), (0, 1, 3))
+        pair = adjacency.adjacent_partner(q, 2)
         assert pair.kstar == KStarData(2, 2, -2, 1, 1)
-        assert pair.self_adjacent and pair.kstar.non_toric and pair.kstar.ordered
+        assert pair.q2 == planes.adjust(q) and pair.kstar.non_toric and pair.kstar.ordered
 
     def test_self_adjacent_1_8_3(self):
-        pair = adjacency.adjacent_partner(mk(8, (1, 1, 2), (0, 1, 3)), 2)
+        q = mk(8, (1, 1, 2), (0, 1, 3))
+        pair = adjacency.adjacent_partner(q, 2)
         assert pair.kstar == KStarData(4, 4, -1, 1, 1)
-        assert pair.self_adjacent and pair.kstar.non_toric
+        assert pair.q2 == planes.adjust(q) and pair.kstar.non_toric
 
     def test_projective_plane_partner_is_toric(self):
         pair = adjacency.adjacent_partner(mk(1, (1, 1, 1)), 2)
@@ -116,6 +118,19 @@ class TestAdjacentPartner:
     def test_not_t_singular_slot_rejected(self):
         with pytest.raises(adjacency.NotDegenerableError):
             adjacency.adjacent_partner(mk(3, (1, 2, 3), (0, 1, 1)), 0)
+
+    def test_non_integral_degree_refused_before_the_d1_scan(self, monkeypatch):
+        # mu = n**2 makes z(2) T-singular with l1 = n and l2 = 2n, so the
+        # d1 scan would test candidates in a number growing with sqrt(mu)
+        rows_tested = []
+        real = abelian.annihilates
+        monkeypatch.setattr(abelian, "annihilates", lambda *args: rows_tested.append(args) or real(*args))
+        n = 10**4 + 1
+        q = mk(n * n, (1, 1, 1), (1, n - 1, 0))
+        assert planes.is_t_singular(q, 2) == (True, 1) and planes.local_gorenstein_index(q, 2) == n
+        with pytest.raises(ValueError, match="not integral"):
+            adjacency.adjacent_partner(q, 2)
+        assert rows_tested == []
 
     def test_worked_slice_for_1_8_1_deep_node(self):
         pair = adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
@@ -168,7 +183,6 @@ class TestDeepPartners:
             if not planes.is_t_singular(q, slot)[0]:
                 continue
             pair = adjacency.adjacent_partner(q, slot)
-            assert pair.q1 == q_canon
             assert adjacency.adjacent_partner(pair.q2_raw, 2).q2 == q_canon
             r0, r1 = (w[j] for j in range(3) if j != slot)
             new, rem = divmod((r0 + r1) ** 2, w[slot])
@@ -399,7 +413,7 @@ class TestGlobalInvariants:
                     pair = adjacency.adjacent_partner(c.matrix, slot)
                     if not pair.kstar.non_toric:
                         continue
-                    key = (pair.q1.mu, tuple(sorted([(pair.q1.u, pair.q1.eta), (pair.q2.u, pair.q2.eta)])))
+                    key = (c.matrix.mu, tuple(sorted([(c.matrix.u, c.matrix.eta), (pair.q2.u, pair.q2.eta)])))
                     data = (tuple(sorted((pair.kstar.l1, pair.kstar.l2))), pair.kstar.d0)
                     assert seen.setdefault(key, data) == data
 

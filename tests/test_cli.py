@@ -109,6 +109,10 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--a", "-3")
         assert code == 2
 
+    def test_invalid_degree(self, capsys):
+        code, out, err = run(capsys, "classify", "--a", "0")
+        assert (code, out, err) == (2, "", "error: degree must be a positive integer, got 0\n")
+
     def test_max_nodes_cap(self, capsys):
         code, _, err = run(capsys, "classify", "--a", "1", "--bound", "600", "--max-nodes", "3")
         assert code == 2 and "max-nodes" in err

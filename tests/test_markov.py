@@ -152,6 +152,7 @@ class TestEnumerateTree:
                 shallow, deep = sorted((x, y), key=lambda u: tree.depths[u])
                 assert tree.depths[deep] == tree.depths[shallow] + 1
                 assert markov.norm(deep) > markov.norm(shallow)
+                assert shallow == markov._play(deep, a, 2)
 
     def test_dot_and_json(self):
         tree = markov.enumerate_tree(9, 40)
