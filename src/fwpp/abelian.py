@@ -79,19 +79,12 @@ def k_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
 
 def bezout(a: int, c: int) -> tuple[int, int]:
     """Coefficients ``(s, r)`` with ``s*a + r*c == 1`` for coprime a, c."""
-    old_r, r = a, c
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        quotient = old_r // r
-        old_r, r = r, old_r - quotient * r
-        old_s, s = s, old_s - quotient * s
-        old_t, t = t, old_t - quotient * t
-    if old_r == 1:
-        return old_s, old_t
-    if old_r == -1:
-        return -old_s, -old_t
-    raise ValueError(f"{a} and {c} are not coprime")
+    if c == 0:  # pow refuses modulus 0, and only a = +-1 is coprime to 0
+        if abs(a) != 1:
+            raise ValueError(f"{a} and {c} are not coprime")
+        return a, 0
+    s = pow(a, -1, abs(c))  # a ValueError unless gcd(a, c) == 1
+    return s, (1 - s * a) // c
 
 
 class NotGeneratorMatrixError(ValueError):

@@ -104,15 +104,6 @@ class KStarData:
             ((self.l2, self.l2), (self.d2, self.d2 + self.d0 * self.l2)),
         )
 
-    def to_json_obj(self) -> dict:
-        return {
-            "l1": self.l1,
-            "l2": self.l2,
-            "d0": _decimal_str(self.d0),
-            "d1": _decimal_str(self.d1),
-            "d2": _decimal_str(self.d2),
-        }
-
 
 def slice_matrices(kstar: KStarData) -> tuple[GeneratorMatrix, GeneratorMatrix]:
     """Generator matrices of the two degenerate fibers."""
@@ -237,39 +228,14 @@ def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
     return iota * sum(w) > (iota + 1) * w[slot]
 
 
-def _t_singular_slots(q: DegreeMatrix) -> tuple[bool, bool, bool]:
-    """The T-singularity flags of the three fixed points of ``q``."""
-    return tuple(planes.is_t_singular(q, k)[0] for k in range(3))
+def adjacency_neighbors(q: DegreeMatrix) -> list[AdjacentPair]:
+    """The partner over each T-singular fixed point of ``q``, in slot order.
 
-
-def adjacency_neighbors(
-    q: DegreeMatrix, t_slots: tuple[bool, bool, bool] | None = None
-) -> tuple[list[AdjacentPair], list[AdjacentPair]]:
-    """Adjacent partner classes over all T-singular fixed points.
-
-    Returns ``(neighbors, self_pairs)``: ``neighbors`` holds one pair per
-    partner class ``pair.q2``, sorted by its columns; partners isomorphic
-    to ``q`` itself (``pair.q2`` equal to ``q`` adjusted, once per call)
-    are reported separately in ``self_pairs`` and never enter the edge set.
-    Toric pairs count; adjacency does not require the common surface to be
-    non-toric.  ``t_slots`` passes the T-singularity flags of the three
-    fixed points when the caller has them.
+    A pair is a self-adjacency when ``pair.q2 == planes.adjust(q)``, and
+    several slots may reach the same partner class.  Toric pairs count;
+    adjacency does not require the common surface to be non-toric.
     """
-    if t_slots is None:
-        t_slots = _t_singular_slots(q)
-    q_canon = planes.adjust(q)
-    neighbors: dict[DegreeMatrix, AdjacentPair] = {}
-    self_pairs: list[AdjacentPair] = []
-    for slot in range(3):
-        if not t_slots[slot]:
-            continue
-        pair = adjacent_partner(q, slot)
-        if pair.q2 == q_canon:
-            self_pairs.append(pair)
-        else:
-            neighbors.setdefault(pair.q2, pair)
-    ordered = sorted(neighbors.values(), key=lambda p: (p.q2.u, p.q2.eta))
-    return ordered, self_pairs
+    return [adjacent_partner(q, k) for k in range(3) if planes.is_t_singular(q, k)[0]]
 
 
 @dataclass(frozen=True)
@@ -302,27 +268,6 @@ class AdjacencyGraph:
     norm_bound: int
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
-
-    def connected_components(self) -> list[set[DegreeMatrix]]:
-        remaining = {n.plane.matrix for n in self.nodes}
-        adj: dict[DegreeMatrix, set[DegreeMatrix]] = {m: set() for m in remaining}
-        for e in self.edges:
-            adj[e.a].add(e.b)
-            adj[e.b].add(e.a)
-        components = []
-        while remaining:
-            seed = remaining.pop()
-            comp = {seed}
-            frontier = [seed]
-            while frontier:
-                current = frontier.pop()
-                for other in adj[current]:
-                    if other not in comp:
-                        comp.add(other)
-                        remaining.discard(other)
-                        frontier.append(other)
-            components.append(comp)
-        return components
 
     def to_json_obj(self) -> dict:
         return {
@@ -384,19 +329,19 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     edges: dict[frozenset, bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}
     for c in classified:
-        t_slots = _t_singular_slots(c.matrix)
-        neighbor_pairs, self_pairs = adjacency_neighbors(c.matrix, t_slots)
+        pairs = adjacency_neighbors(c.matrix)
+        self_pairs = [p for p in pairs if p.q2 == c.matrix]
         nodes.append(
             GraphNode(
                 plane=c,
                 self_adjacent=bool(self_pairs),
                 non_toric_self=any(p.kstar.non_toric for p in self_pairs),
-                all_t=all(t_slots),
+                all_t=len(pairs) == 3,
             )
         )
-        for pair in neighbor_pairs:
-            if pair.q2 not in series_of:
-                continue  # partner lies beyond the norm bound
+        for pair in pairs:
+            if pair.q2 == c.matrix or pair.q2 not in series_of:
+                continue  # a self-adjacency, or a partner beyond the norm bound
             key = frozenset((c.matrix, pair.q2))
             jump = not (series_of[c.matrix] & series_of[pair.q2])
             edges[key] = jump
@@ -422,7 +367,7 @@ def self_adjacency_census() -> list[CensusEntry]:
     for (a, mu) in planes.SERIES_FAMILIES:
         base_norm = markov.norm(markov.REDUCED_ROOTS[mu * a])
         for c in planes.classify(a, mu * base_norm, mu=mu):
-            _, self_pairs = adjacency_neighbors(c.matrix)
+            self_pairs = [p for p in adjacency_neighbors(c.matrix) if p.q2 == c.matrix]
             if self_pairs:
                 best = min(self_pairs, key=lambda p: not p.kstar.non_toric)
                 out.append(CensusEntry(series=c.series, kstar=best.kstar))

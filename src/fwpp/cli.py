@@ -12,7 +12,9 @@ Exit codes: 0 success (including empty results), 1 negative verdict from
 ``iso``, 2 usage or input errors.  JSON output writes free parts, weights
 and orders as decimal strings so 64-bit consumers cannot truncate them
 (``mu``, ``eta``, curve counts and ``iso``'s automorphism stay numbers);
-text formats print integers of any size.  Output is byte-identical across runs.
+every format prints integers of any size.  Output is byte-identical across runs.
+While it writes JSON, :func:`main` lifts the process-wide ``int``-to-``str``
+digit limit (``sys.set_int_max_str_digits``) and restores it afterwards.
 
 :func:`build_parser` builds one parser per process and returns that same
 shared object on every call, :func:`main` included; callers must not mutate it.
@@ -45,6 +47,23 @@ def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
         raise _InputError(f"not a degree matrix: {exc}") from exc
 
 
+def _print_json(obj) -> None:
+    """Print ``obj`` as compact JSON, with integers of any size as JSON numbers.
+
+    Python 3.10.7 and later refuse to write an ``int`` of more than 4,300
+    digits by default; that limit is lifted only while ``json.dumps`` runs.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        text = json.dumps(obj, separators=(",", ":"))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+    print(text)
+
+
 def _capped(build, *args, **kwargs):
     """``build(*args, **kwargs)``, its enumeration cap hit turned into an input error."""
     try:
@@ -57,7 +76,7 @@ def cmd_solve(args) -> int:
     tree = _capped(markov.enumerate_tree, args.a, args.bound, args.depth, max_nodes=args.max_nodes)
     rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u)) if args.format in ("tsv", "md") else ()
     if args.format == "json":
-        print(json.dumps(tree.to_json_obj(), indent=None, separators=(",", ":")))
+        _print_json(tree.to_json_obj())
     elif args.format == "dot":
         sys.stdout.write(tree.to_dot())
     elif args.format == "md":
@@ -76,7 +95,7 @@ def cmd_classify(args) -> int:
         raise _InputError(f"{len(classes)} classes exceed the --max-nodes cap {args.max_nodes}")
     if args.format == "json":
         payload = [planes.plane_json_obj(c, with_report=args.report) for c in classes]
-        print(json.dumps(payload, separators=(",", ":")))
+        _print_json(payload)
     else:
         row = "{}\t{}\t{}\t{}\t{}"
         if args.format == "md":
@@ -108,7 +127,7 @@ def cmd_sing(args) -> int:
         obj["weights"] = [_decimal_str(w) for w in weights]
         obj["degree"] = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
         obj["report"] = report.to_json_obj()
-        print(json.dumps(obj, separators=(",", ":")))
+        _print_json(obj)
     return 0
 
 
@@ -117,7 +136,7 @@ def cmd_graph(args) -> int:
     if len(graph.nodes) > args.max_nodes:
         raise _InputError(f"{len(graph.nodes)} nodes exceed the --max-nodes cap {args.max_nodes}")
     if args.format == "json":
-        print(json.dumps(graph.to_json_obj(), separators=(",", ":")))
+        _print_json(graph.to_json_obj())
     else:
         sys.stdout.write(graph.to_dot())
     return 0
@@ -133,7 +152,7 @@ def cmd_iso(args) -> int:
             phi, perm = witness
             obj["automorphism"] = {"eps": phi.eps, "a": phi.a, "c": phi.c}
             obj["columnPermutation"] = list(perm)
-        print(json.dumps(obj, separators=(",", ":")))
+        _print_json(obj)
     elif witness is None:
         print("not isomorphic")
     else:

@@ -12,7 +12,8 @@ library, as do the enumeration, composition and inversion of the
 automorphisms of ``Z + Z/mu``.  The mutation tree is enumerated by
 sorting every mutated triple, and arrangements by testing whole tuples.
 Annihilation of integer rows in ``K`` is summed element by element, and
-the minors of the ambient 3x4 matrix come from cofactor expansion.
+the minors of the ambient 3x4 matrix come from cofactor expansion.  The
+connected components of an adjacency graph come from ``networkx``.
 """
 
 from __future__ import annotations
@@ -508,3 +509,13 @@ def tuple_admissible_arrangements(u, reduced_a: int):
     if len({tuple(u[i] for i in p) for p in perms}) != 1:
         raise markov.InvariantError(f"ambiguous arrangement of {u} in class {reduced_a}")
     return perms
+
+
+def graph_components(graph) -> list[set[planes.DegreeMatrix]]:
+    """Connected components of an adjacency graph, isolated nodes included."""
+    import networkx
+
+    g = networkx.Graph()
+    g.add_nodes_from(n.plane.matrix for n in graph.nodes)
+    g.add_edges_from((e.a, e.b) for e in graph.edges)
+    return list(networkx.connected_components(g))

@@ -3,7 +3,7 @@
 from math import gcd
 
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import fwpp
@@ -155,6 +155,29 @@ class TestHermiteNormalForm:
     def test_row_lattice_invariance(self, m, t):
         transformed = oracles.mat_mul(t, m)
         assert oracles.hermite_normal_form(m)[0] == oracles.hermite_normal_form(transformed)[0]
+
+
+#: small entries, 0 and +-1 among them, and entries of 200 digits of either sign
+bezout_entries = small_entries | st.integers(10**199, 10**200 - 1) | st.integers(-(10**200) + 1, -(10**199))
+
+
+class TestBezout:
+    @given(bezout_entries, bezout_entries)
+    @example(0, 1)
+    @example(0, -1)
+    @example(1, 0)
+    @example(-1, 0)
+    @example(0, 0)
+    @example(2, 0)
+    @example(10**199, 10**199 + 1)
+    @example(6 * 10**199, -(10**199))
+    def test_coefficients_or_refusal(self, a, c):
+        if gcd(a, c) == 1:
+            s, r = abelian.bezout(a, c)
+            assert s * a + r * c == 1
+        else:
+            with pytest.raises(ValueError):
+                abelian.bezout(a, c)
 
 
 class TestCokernel:

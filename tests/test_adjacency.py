@@ -18,6 +18,19 @@ def mk(mu, u, eta=None):
     return DegreeMatrix(mu, tuple(u), tuple(eta) if eta else (0, 0, 0))
 
 
+def split_neighbors(q):
+    """``(neighbors, self_pairs)`` of ``q``: one pair per partner class other
+    than ``q``, sorted by its columns, and the pairs back to ``q`` itself."""
+    q_canon = planes.adjust(q)
+    pairs = adjacency.adjacency_neighbors(q)
+    neighbors = {}
+    for pair in pairs:
+        if pair.q2 != q_canon:
+            neighbors.setdefault(pair.q2, pair)
+    ordered = sorted(neighbors.values(), key=lambda p: (p.q2.u, p.q2.eta))
+    return ordered, [p for p in pairs if p.q2 == q_canon]
+
+
 class TestKStarData:
     def test_validation(self):
         KStarData(2, 2, -2, 1, 1)
@@ -36,10 +49,6 @@ class TestKStarData:
     def test_fixed_point_orders(self):
         k = KStarData(2, 2, -2, 1, 1)
         assert k.fixed_point_orders() == (2, 4, 4)
-
-    def test_json_obj(self):
-        obj = KStarData(2, 2, -2, 1, 1).to_json_obj()
-        assert obj == {"l1": 2, "l2": 2, "d0": "-2", "d1": "1", "d2": "1"}
 
 
 class TestSlices:
@@ -289,32 +298,39 @@ class TestCanDegenerate:
 
 
 class TestNeighbors:
+    def test_one_pair_per_t_singular_slot(self):
+        for a in (1, 2, 5, 9):
+            for c in planes.classify(a, 700):
+                slots = [k for k in range(3) if planes.is_t_singular(c.matrix, k)[0]]
+                pairs = adjacency.adjacency_neighbors(c.matrix)
+                assert pairs == [adjacency.adjacent_partner(c.matrix, k) for k in slots]
+
     def test_2_3_1_node(self):
-        nbrs, selfp = adjacency.adjacency_neighbors(mk(3, (1, 8, 3), (0, 1, 1)))
+        nbrs, selfp = split_neighbors(mk(3, (1, 8, 3), (0, 1, 1)))
         assert [(p.q2.u, p.q2.eta[2]) for p in nbrs] == [((1, 8, 27), 1)]
         assert not selfp
 
     def test_1_5_red_edge(self):
-        nbrs, selfp = adjacency.adjacency_neighbors(mk(5, (1, 4, 5), (0, 1, 2)))
+        nbrs, selfp = split_neighbors(mk(5, (1, 4, 5), (0, 1, 2)))
         assert [(p.q2.u, p.q2.eta[2]) for p in nbrs] == [((1, 4, 5), 3)]
         assert not selfp
 
     def test_smooth_plane_neighbor(self):
-        nbrs, selfp = adjacency.adjacency_neighbors(mk(1, (1, 1, 1)))
+        nbrs, selfp = split_neighbors(mk(1, (1, 1, 1)))
         assert [p.q2.u for p in nbrs] == [(1, 1, 4)]
         assert not selfp
 
     def test_merged_base_has_both_eta_partners(self):
-        nbrs, selfp = adjacency.adjacency_neighbors(mk(8, (1, 1, 2), (0, 1, 3)))
+        nbrs, selfp = split_neighbors(mk(8, (1, 1, 2), (0, 1, 3)))
         assert {(p.q2.u, p.q2.eta[2]) for p in nbrs} == {((1, 9, 2), 3), ((1, 9, 2), 7)}
         assert len(selfp) == 1 and selfp[0].kstar.non_toric
 
     def test_symmetry(self):
         for a in (1, 2, 5, 9):
             for c in planes.classify(a, 700):
-                nbrs, _ = adjacency.adjacency_neighbors(c.matrix)
+                nbrs, _ = split_neighbors(c.matrix)
                 for pair in nbrs:
-                    back, _ = adjacency.adjacency_neighbors(pair.q2)
+                    back, _ = split_neighbors(pair.q2)
                     assert any(other.q2 == c.matrix for other in back)
 
 
@@ -345,7 +361,7 @@ class TestGraphs:
 
     def test_t24_two_components(self):
         graph = adjacency.adjacency_graph(2, 4, 200)
-        comps = graph.connected_components()
+        comps = oracles.graph_components(graph)
         assert len(comps) == 2
         etas = sorted({m.eta[2] for comp in comps for m in comp})
         assert etas == [1, 3]
@@ -384,7 +400,7 @@ class TestGraphs:
         # glued through the sporadic base identifications and jump edges
         graph = adjacency.adjacency_graph(1, 9, 12000)
         assert sorted({n.plane.matrix.eta[2] for n in graph.nodes}) == [2, 5, 8]
-        assert len(graph.connected_components()) == 1
+        assert len(oracles.graph_components(graph)) == 1
         assert any(e.jump for e in graph.edges)
 
     def test_dot_output_styles_jumps(self):
@@ -398,7 +414,7 @@ class TestGlobalInvariants:
     def test_every_class_has_a_partner_or_self_loop(self):
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
             for c in planes.classify(a, 700):
-                nbrs, selfp = adjacency.adjacency_neighbors(c.matrix)
+                nbrs, selfp = split_neighbors(c.matrix)
                 assert nbrs or selfp
 
     def test_nontoric_pair_keys_determine_the_surface_data(self):
@@ -436,7 +452,7 @@ class TestClassifyOneFamily:
         # one Gorenstein index per node slot and one per partner; each
         # partner validates P1 and P2 once at construction and P2 once more
         # inside cokernel_structure
-        counts = {"iota": 0, "validate": 0, "partner": 0}
+        counts = {"iota": 0, "validate": 0, "partner": 0, "adjust": 0}
 
         def counted(module, name, key):
             real = getattr(module, name)
@@ -450,10 +466,13 @@ class TestClassifyOneFamily:
         counted(planes, "local_gorenstein_index", "iota")
         counted(abelian, "validate_generator_matrix", "validate")
         counted(adjacency, "adjacent_partner", "partner")
+        counted(planes, "adjust", "adjust")
         graph = adjacency.adjacency_graph(1, 8, 10**5)
         assert counts["partner"] > len(graph.nodes)
         assert counts["iota"] == 3 * len(graph.nodes) + counts["partner"]
         assert counts["validate"] == 3 * counts["partner"]
+        # nodes come adjusted from classify; only each partner is adjusted
+        assert counts["adjust"] == counts["partner"]
 
 
 class TestCensus:
@@ -467,5 +486,5 @@ class TestCensus:
         assert {str(e.series) for e in census if e.kstar.non_toric} == golden.NON_TORIC_SELF_ADJACENT
 
     def test_9_1_0_not_self_adjacent(self):
-        nbrs, selfp = adjacency.adjacency_neighbors(mk(1, (1, 1, 1)))
+        nbrs, selfp = split_neighbors(mk(1, (1, 1, 1)))
         assert not selfp

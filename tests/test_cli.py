@@ -3,6 +3,7 @@
 import argparse
 import decimal
 import json
+import sys
 
 import pytest
 
@@ -15,12 +16,19 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def read_json(out):
+    """Parse CLI json output, reading numbers of any size."""
+    return json.loads(out, parse_int=markov._decimal_int)
+
+
 MATRIX_183 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,3]}'
 MATRIX_187 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,7]}'
 MATRIX_181 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,1]}'
 MATRIX_SMOOTH = '{"mu":1,"u":["1","1","1"],"eta":[0,0,0]}'
 #: torsion order 3 * 10^4999 + 1: 5,000 digits, past the 4,300 that ``int(str)`` reads by default
 MU_PAST_THE_LIMIT = "3" + "0" * 4998 + "1"
+#: z(2) of this plane is resolved by a 5,000-digit number of curves
+MATRIX_5000_CURVES = json.dumps({"mu": 1, "u": ["1", "1" + "0" * 4999, "1" + "0" * 4998 + "1"], "eta": [0, 0, 0]})
 
 
 def past_the_digit_limit():
@@ -265,14 +273,17 @@ class TestSing:
     @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
     def test_resolution_count_past_the_str_digit_limit(self, capsys, fmt):
         # z(2) is resolved by a 5,000-digit number of curves; json writes the
-        # count as a JSON number, which json.dumps refuses past the limit
-        u = ("1", "1" + "0" * 4999, "1" + "0" * 4998 + "1")
-        q = planes.DegreeMatrix(1, tuple(map(markov._decimal_int, u)), (0, 0, 0))
+        # count as a JSON number past the str-to-int digit limit
+        q = planes.DegreeMatrix.from_json_obj(json.loads(MATRIX_5000_CURVES))
         curves = markov._decimal_str(planes.singularity_report(q).res_curves[2])
         assert len(curves) == 5000
-        code, out, err = run(capsys, "sing", json.dumps({"mu": 1, "u": list(u), "eta": [0, 0, 0]}), "--format", fmt)
+        limit = sys.get_int_max_str_digits()
+        code, out, err = run(capsys, "sing", MATRIX_5000_CURVES, "--format", fmt)
+        assert sys.get_int_max_str_digits() == limit
         if fmt == "json":
-            assert code == 2 and out == "" and err.startswith("error:")
+            assert code == 0 and err == ""
+            assert f",{curves}]" in out
+            assert markov._decimal_str(read_json(out)["report"]["resCurves"][2]) == curves
         elif fmt == "tsv":
             assert code == 0 and err == ""
             assert [row.split("\t")[5] for row in out.splitlines()][2] == curves
@@ -282,11 +293,16 @@ class TestSing:
 
     @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
     def test_torsion_order_past_the_str_digit_limit(self, capsys, fmt):
-        # json writes mu as a JSON number, which json.dumps refuses past the limit
+        # json writes mu as a JSON number past the str-to-int digit limit
         matrix = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        limit = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "sing", matrix, "--format", fmt)
+        assert sys.get_int_max_str_digits() == limit
         if fmt == "json":
-            assert code == 2 and out == "" and err.startswith("error:")
+            assert code == 0 and err == ""
+            assert out.startswith(f'{{"mu":{MU_PAST_THE_LIMIT},"u":["1","1","1"],"eta":[0,1,2],')
+            obj = read_json(out)
+            assert obj["mu"] == markov._decimal_int(MU_PAST_THE_LIMIT) and obj["eta"] == [0, 1, 2]
         elif fmt == "tsv":
             assert code == 0 and err == ""
             assert [row.split("\t")[1] for row in out.splitlines()] == [MU_PAST_THE_LIMIT] * 3
@@ -384,15 +400,19 @@ class TestIso:
     @pytest.mark.parametrize("fmt", ["tsv", "json"])
     def test_automorphism_past_the_str_digit_limit(self, capsys, fmt):
         # (k, m) -> (k, a*k + m) with a 4,991-digit a; json writes a as a JSON
-        # number, which json.dumps refuses past the limit
+        # number past the str-to-int digit limit
         a_text = "1" + "0" * 4990
         mu = markov._decimal_int(MU_PAST_THE_LIMIT)
         eta = [markov._decimal_str((markov._decimal_int(a_text) + e) % mu) for e in (0, 1, 2)]
         first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
         second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": eta})
+        limit = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "iso", first, second, "--format", fmt)
+        assert sys.get_int_max_str_digits() == limit
         if fmt == "json":
-            assert code == 2 and out == "" and err.startswith("error:")
+            assert (code, err) == (0, "")
+            assert out == f'{{"isomorphic":true,"automorphism":{{"eps":1,"a":{a_text},"c":1}},"columnPermutation":[0,1,2]}}\n'
+            assert read_json(out)["automorphism"]["a"] == markov._decimal_int(a_text)
         else:
             assert (code, out, err) == (0, f"isomorphic\tphi=(eps=1,a={a_text},c=1)\tperm=[0, 1, 2]\n", "")
 
@@ -419,6 +439,41 @@ class TestIso:
         code, out, err = run(capsys, "graph", "--a", "1", "--mu", "8", "--bound", str(10**96), "--max-nodes", "10")
         assert code == 2 and out == "" and "max-nodes" in err
         assert built == []
+
+
+class TestJsonDigitLimit:
+    """``main`` lifts the str-to-int digit limit only while it writes JSON;
+    the json tests past the limit check that it is restored after success."""
+
+    def test_limit_is_restored_after_exit_2(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "sing", "garbage")
+        assert (code, out) == (2, "") and sys.get_int_max_str_digits() == limit
+
+        def refuse(*args, **kwargs):
+            raise ValueError("refused")
+
+        monkeypatch.setattr(json, "dumps", refuse)  # fails while the limit is lifted
+        code, out, err = run(capsys, "sing", MATRIX_183)
+        assert (code, out, err) == (2, "", "error: refused\n")
+        assert sys.get_int_max_str_digits() == limit
+
+    def test_a_lowered_limit_is_restored(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            code, out, _ = run(capsys, "sing", MATRIX_5000_CURVES)
+            assert code == 0 and sys.get_int_max_str_digits() == 640
+        finally:
+            sys.set_int_max_str_digits(limit)
+        assert len(markov._decimal_str(read_json(out)["report"]["resCurves"][2])) == 5000
+
+    def test_python_without_the_limit(self, capsys, monkeypatch):
+        # Python before 3.10.7 has neither the limit nor its setter
+        expected = run(capsys, "sing", MATRIX_183)
+        monkeypatch.delattr(sys, "get_int_max_str_digits")
+        monkeypatch.delattr(sys, "set_int_max_str_digits")
+        assert run(capsys, "sing", MATRIX_183) == expected and expected[0] == 0
 
 
 class TestParserReuse:

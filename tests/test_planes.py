@@ -546,8 +546,6 @@ class TestSerialization:
         obj = planes.plane_json_obj(c, with_report=True)
         assert parsed(obj["weights"]) == list(c.weights)
         assert parsed(obj["report"]["cl"]) == list(c.weights)
-        kstar = adjacency.KStarData(1, 1, -u[2], 1, 0)
-        assert parsed([kstar.to_json_obj()["d0"]]) == [-u[2]]
         # text output: labels, tables and the parser reading them back
         text = [str(decimal.Decimal(x)) for x in u]
         assert [markov._decimal_int(x) for x in text] == list(u)
