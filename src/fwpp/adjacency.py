@@ -21,7 +21,8 @@ cokernel of ``P2``, read off in closed form by
 triple is the one-step mutation of the original at that slot, so the
 adjacency graphs refine the mutation trees of the squared Markov equations.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
-the adjusted matrices :func:`fwpp.planes.classify` returns.
+the adjusted matrices :func:`fwpp.planes.classify` returns; it rebuilds a
+partner only when the mutation puts its norm between the node's and the bound.
 """
 
 from __future__ import annotations
@@ -320,28 +321,36 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     Nodes carry all isomorphic series labels; an edge is a *jump* when its
     endpoints share no series label.  Self-adjacency is a node attribute,
     never an edge.  ``max_nodes`` caps the family's tree as in
-    :func:`fwpp.planes.classify`.
+    :func:`fwpp.planes.classify`, then the class count before any partner
+    is built.  The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only
+    those of norm in ``[N, norm_bound]`` are built and checked: one per edge,
+    from its lower end, and the self-pairs.  Unreported ones are not checked.
     """
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {a} with torsion order {mu}")
     classified = planes.classify(a, norm_bound, mu=mu, max_nodes=max_nodes)
+    if max_nodes is not None and len(classified) > max_nodes:
+        raise markov.EnumerationCapExceeded(f"{len(classified)} nodes exceed the node cap {max_nodes}")
     nodes = []
     edges: dict[frozenset, bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}
     for c in classified:
-        pairs = adjacency_neighbors(c.matrix)
+        w, n = c.weights, c.norm
+        t_slots = [k for k in range(3) if planes.is_t_singular(c.matrix, k)[0]]
+        # w[k - 1] and w[k - 2] are the two weights other than w[k]
+        pairs = [adjacent_partner(c.matrix, k) for k in t_slots if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
         self_pairs = [p for p in pairs if p.q2 == c.matrix]
         nodes.append(
             GraphNode(
                 plane=c,
                 self_adjacent=bool(self_pairs),
                 non_toric_self=any(p.kstar.non_toric for p in self_pairs),
-                all_t=len(pairs) == 3,
+                all_t=len(t_slots) == 3,
             )
         )
         for pair in pairs:
             if pair.q2 == c.matrix or pair.q2 not in series_of:
-                continue  # a self-adjacency, or a partner beyond the norm bound
+                continue  # a self-adjacency, or a partner classify did not list
             key = frozenset((c.matrix, pair.q2))
             jump = not (series_of[c.matrix] & series_of[pair.q2])
             edges[key] = jump

@@ -133,8 +133,6 @@ def cmd_sing(args) -> int:
 
 def cmd_graph(args) -> int:
     graph = _capped(adjacency.adjacency_graph, args.a, args.mu, args.bound, max_nodes=args.max_nodes)
-    if len(graph.nodes) > args.max_nodes:
-        raise _InputError(f"{len(graph.nodes)} nodes exceed the --max-nodes cap {args.max_nodes}")
     if args.format == "json":
         _print_json(graph.to_json_obj())
     else:

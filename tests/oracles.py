@@ -13,7 +13,8 @@ automorphisms of ``Z + Z/mu``.  The mutation tree is enumerated by
 sorting every mutated triple, and arrangements by testing whole tuples.
 Annihilation of integer rows in ``K`` is summed element by element, and
 the minors of the ambient 3x4 matrix come from cofactor expansion.  The
-connected components of an adjacency graph come from ``networkx``.
+connected components of an adjacency graph come from ``networkx``, and the
+unpruned graph rebuilds the partner at every T-singular point of every node.
 """
 
 from __future__ import annotations
@@ -23,9 +24,9 @@ from itertools import permutations
 from math import gcd
 from typing import Iterator, Sequence
 
-from fwpp import abelian, markov, planes
+from fwpp import abelian, adjacency, markov, planes
 from fwpp.abelian import KAutomorphism, Matrix, Pair
-from fwpp.adjacency import KStarData
+from fwpp.adjacency import AdjacencyGraph, GraphEdge, GraphNode, KStarData
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -519,3 +520,29 @@ def graph_components(graph) -> list[set[planes.DegreeMatrix]]:
     g.add_nodes_from(n.plane.matrix for n in graph.nodes)
     g.add_edges_from((e.a, e.b) for e in graph.edges)
     return list(networkx.connected_components(g))
+
+
+def full_adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
+    """The adjacency graph with every partner reconstructed: each edge from
+    both ends, and every partner past the bound built and then dropped."""
+    classified = planes.classify(a, norm_bound, mu=mu)
+    nodes = []
+    edges: dict[frozenset, bool] = {}
+    series_of = {c.matrix: set(c.all_series) for c in classified}
+    for c in classified:
+        pairs = adjacency.adjacency_neighbors(c.matrix)
+        self_pairs = [p for p in pairs if p.q2 == c.matrix]
+        nodes.append(
+            GraphNode(
+                plane=c,
+                self_adjacent=bool(self_pairs),
+                non_toric_self=any(p.kstar.non_toric for p in self_pairs),
+                all_t=len(pairs) == 3,
+            )
+        )
+        for pair in pairs:
+            if pair.q2 != c.matrix and pair.q2 in series_of:
+                edges[frozenset((c.matrix, pair.q2))] = not (series_of[c.matrix] & series_of[pair.q2])
+    edge_list = [GraphEdge(*sorted(key, key=lambda m: (m.u, m.eta)), jump=jump) for key, jump in edges.items()]
+    edge_list.sort(key=lambda e: (e.a.u, e.a.eta, e.b.u, e.b.eta))
+    return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=tuple(edge_list))

@@ -197,6 +197,9 @@ class TestDeepPartners:
             new, rem = divmod((r0 + r1) ** 2, w[slot])
             assert rem == 0
             assert sorted(planes.fake_weights_of_degree_matrix(pair.q2)) == sorted((r0, r1, new))
+            # the partner's norm in closed form, as adjacency_graph prunes by it
+            a = planes.integral_degree(q)
+            assert sum(planes.fake_weights_of_degree_matrix(pair.q2)) == a * r0 * r1 - sum(w)
 
 
 class TestPartnerReconstruction:
@@ -410,6 +413,50 @@ class TestGraphs:
         assert "peripheries=2" in dot  # the self-adjacent base of (1-5-1)
 
 
+def graph_bound(a):
+    return 10**5 if a == 1 else 10**16
+
+
+class TestPrunedGraph:
+    """The graph builds only the partners of norm in ``[N, bound]``."""
+
+    @pytest.mark.parametrize("a, mu", planes.SERIES_FAMILIES)
+    def test_equals_the_unpruned_graph(self, a, mu):
+        graph = adjacency.adjacency_graph(a, mu, graph_bound(a))
+        full = oracles.full_adjacency_graph(a, mu, graph_bound(a))
+        assert graph.nodes == full.nodes
+        assert graph.edges == full.edges
+        assert graph.to_dot() == full.to_dot()
+        assert graph.to_json_obj() == full.to_json_obj()
+
+    def test_partner_norm_is_closed_form(self):
+        for (a, mu) in planes.SERIES_FAMILIES:
+            for node in adjacency.adjacency_graph(a, mu, graph_bound(a)).nodes:
+                q, w, n = node.plane.matrix, node.plane.weights, node.plane.norm
+                for k in range(3):
+                    if not planes.is_t_singular(q, k)[0]:
+                        continue
+                    wi, wj = (w[j] for j in range(3) if j != k)
+                    partner = adjacency.adjacent_partner(q, k).q2
+                    assert sum(planes.fake_weights_of_degree_matrix(partner)) == a * wi * wj - n
+
+    def test_node_cap_refuses_before_any_partner(self, monkeypatch):
+        # the tree of (2, 3) has 30 nodes below 10^6, its classes 60
+        partners = []
+        real = adjacency.adjacent_partner
+
+        def counting(*args):
+            partners.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(adjacency, "adjacent_partner", counting)
+        with pytest.raises(markov.EnumerationCapExceeded, match="60 nodes"):
+            adjacency.adjacency_graph(2, 3, 10**6, max_nodes=40)
+        assert partners == []
+        assert len(adjacency.adjacency_graph(2, 3, 10**6, max_nodes=60).nodes) == 60
+        assert partners
+
+
 class TestGlobalInvariants:
     def test_every_class_has_a_partner_or_self_loop(self):
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
@@ -449,6 +496,15 @@ class TestClassifyOneFamily:
         assert len(graph.nodes) == len(planes.classify(1, 10**5, mu=8))
 
     def test_t_point_data_is_derived_once(self, monkeypatch):
+        # one partner per edge and self-pair: 24 + 3
+        self._check_t_point_work(monkeypatch, 10**5, 27)
+
+    def test_one_partner_per_edge_at_48_digits(self, monkeypatch):
+        # 2,214 edges + 3 self-pairs; rebuilding every T-point made 6,645
+        self._check_t_point_work(monkeypatch, 10**48, 2217)
+
+    @staticmethod
+    def _check_t_point_work(monkeypatch, bound, partners):
         # one Gorenstein index per node slot and one per partner; each
         # partner validates P1 and P2 once at construction and P2 once more
         # inside cokernel_structure
@@ -467,8 +523,8 @@ class TestClassifyOneFamily:
         counted(abelian, "validate_generator_matrix", "validate")
         counted(adjacency, "adjacent_partner", "partner")
         counted(planes, "adjust", "adjust")
-        graph = adjacency.adjacency_graph(1, 8, 10**5)
-        assert counts["partner"] > len(graph.nodes)
+        graph = adjacency.adjacency_graph(1, 8, bound)
+        assert counts["partner"] == partners == len(graph.edges) + sum(n.self_adjacent for n in graph.nodes)
         assert counts["iota"] == 3 * len(graph.nodes) + counts["partner"]
         assert counts["validate"] == 3 * counts["partner"]
         # nodes come adjusted from classify; only each partner is adjusted

@@ -440,6 +440,11 @@ class TestIso:
         assert code == 2 and out == "" and "max-nodes" in err
         assert built == []
 
+    def test_graph_max_nodes_cap_counts_nodes_past_the_tree(self, capsys):
+        # the 30 tree nodes below 10^6 fit the cap, their 60 classes do not
+        code, out, err = run(capsys, "graph", "--a", "2", "--mu", "3", "--bound", str(10**6), "--max-nodes", "40")
+        assert code == 2 and out == "" and "60 nodes exceed" in err and "max-nodes" in err
+
 
 class TestJsonDigitLimit:
     """``main`` lifts the str-to-int digit limit only while it writes JSON;
