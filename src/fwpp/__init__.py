@@ -13,7 +13,6 @@ from .adjacency import (
     AdjacentPair,
     KStarData,
     adjacency_graph,
-    adjacency_neighbors,
     adjacent_partner,
     assemble_3x4,
     can_degenerate,

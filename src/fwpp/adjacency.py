@@ -23,6 +23,8 @@ adjacency graphs refine the mutation trees of the squared Markov equations.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
 the adjusted matrices :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
+That loop is the only caller of :func:`adjacent_partner`: the
+self-adjacency census is the graph of each family at its base norm.
 """
 
 from __future__ import annotations
@@ -229,21 +231,10 @@ def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
     return iota * sum(w) > (iota + 1) * w[slot]
 
 
-def adjacency_neighbors(q: DegreeMatrix) -> list[AdjacentPair]:
-    """The partner over each T-singular fixed point of ``q``, in slot order.
-
-    A pair is a self-adjacency when ``pair.q2 == planes.adjust(q)``, and
-    several slots may reach the same partner class.  Toric pairs count;
-    adjacency does not require the common surface to be non-toric.
-    """
-    return [adjacent_partner(q, k) for k in range(3) if planes.is_t_singular(q, k)[0]]
-
-
 @dataclass(frozen=True)
 class GraphNode:
     plane: ClassifiedPlane
-    self_adjacent: bool
-    non_toric_self: bool
+    self_kstar: KStarData | None  # the surface of a self-pair, a non-toric one first
     all_t: bool  # every fixed point is at most a T-singularity
 
 
@@ -281,8 +272,8 @@ class AdjacencyGraph:
                     "series": [str(s) for s in n.plane.all_series],
                     "u": [_decimal_str(x) for x in n.plane.matrix.u],
                     "eta": list(n.plane.matrix.eta),
-                    "selfAdjacent": n.self_adjacent,
-                    "nonToricSelf": n.non_toric_self,
+                    "selfAdjacent": n.self_kstar is not None,
+                    "nonToricSelf": n.self_kstar is not None and n.self_kstar.non_toric,
                     "allT": n.all_t,
                 }
                 for n in self.nodes
@@ -295,17 +286,17 @@ class AdjacencyGraph:
                 }
                 for e in self.edges
             ],
-            "selfAdjacent": [_label(n.plane.matrix) for n in self.nodes if n.self_adjacent],
+            "selfAdjacent": [_label(n.plane.matrix) for n in self.nodes if n.self_kstar is not None],
         }
 
     def to_dot(self) -> str:
         lines = [f"graph adjacency_{self.a}_{self.mu} {{"]
         for n in self.nodes:
             attrs = []
-            if n.self_adjacent:
+            if n.self_kstar is not None:
                 attrs.append("peripheries=2")
-            if n.non_toric_self:
-                attrs.append('comment="non-toric self-adjacency"')
+                if n.self_kstar.non_toric:
+                    attrs.append('comment="non-toric self-adjacency"')
             attr_txt = f" [{', '.join(attrs)}]" if attrs else ""
             lines.append(f'  "{_label(n.plane.matrix)}"{attr_txt};')
         for e in self.edges:
@@ -324,7 +315,8 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     :func:`fwpp.planes.classify`, then the class count before any partner
     is built.  The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only
     those of norm in ``[N, norm_bound]`` are built and checked: one per edge,
-    from its lower end, and the self-pairs.  Unreported ones are not checked.
+    from its lower end, and the self-pairs.  Unreported ones are not checked;
+    a partner built but not classified raises ``InvariantError``.
     """
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {a} with torsion order {mu}")
@@ -332,31 +324,24 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     if max_nodes is not None and len(classified) > max_nodes:
         raise markov.EnumerationCapExceeded(f"{len(classified)} nodes exceed the node cap {max_nodes}")
     nodes = []
-    edges: dict[frozenset, bool] = {}
+    edges: dict[tuple[DegreeMatrix, DegreeMatrix], bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}
     for c in classified:
         w, n = c.weights, c.norm
         t_slots = [k for k in range(3) if planes.is_t_singular(c.matrix, k)[0]]
         # w[k - 1] and w[k - 2] are the two weights other than w[k]
         pairs = [adjacent_partner(c.matrix, k) for k in t_slots if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
-        self_pairs = [p for p in pairs if p.q2 == c.matrix]
-        nodes.append(
-            GraphNode(
-                plane=c,
-                self_adjacent=bool(self_pairs),
-                non_toric_self=any(p.kstar.non_toric for p in self_pairs),
-                all_t=len(t_slots) == 3,
-            )
-        )
+        self_kstar = min((p.kstar for p in pairs if p.q2 == c.matrix), key=lambda k: not k.non_toric, default=None)
+        nodes.append(GraphNode(plane=c, self_kstar=self_kstar, all_t=len(t_slots) == 3))
         for pair in pairs:
-            if pair.q2 == c.matrix or pair.q2 not in series_of:
-                continue  # a self-adjacency, or a partner classify did not list
-            key = frozenset((c.matrix, pair.q2))
-            jump = not (series_of[c.matrix] & series_of[pair.q2])
-            edges[key] = jump
-    edge_list = [GraphEdge(*sorted(key, key=lambda m: (m.u, m.eta)), jump=jump) for key, jump in edges.items()]
-    edge_list.sort(key=lambda e: (e.a.u, e.a.eta, e.b.u, e.b.eta))
-    return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=tuple(edge_list))
+            if pair.q2 == c.matrix:
+                continue
+            if pair.q2 not in series_of:
+                raise InvariantError(f"partner {pair.q2} of {c.matrix} is within the bound but not classified")
+            # one family shares mu, so the DegreeMatrix order is the (u, eta) order
+            edges[min(c.matrix, pair.q2), max(c.matrix, pair.q2)] = not (series_of[c.matrix] & series_of[pair.q2])
+    edge_list = tuple(GraphEdge(x, y, jump) for (x, y), jump in sorted(edges.items()))
+    return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=edge_list)
 
 
 @dataclass(frozen=True)
@@ -368,17 +353,15 @@ class CensusEntry:
 def self_adjacency_census() -> list[CensusEntry]:
     """Series whose smallest member is adjacent to itself.
 
-    Scans the base node of every series family (the unique initial triple
-    of the scaled equation); a class is self-adjacent exactly when the
-    partner over one of its T-singular points is the class itself.
+    Reads the graph of every series family at its base norm, the norm of
+    the unique initial triple of the scaled equation: there it builds only
+    the partners of that norm, among them every self-pair.  A class is
+    self-adjacent exactly when the partner over one of its T-singular
+    points is the class itself.
     """
     out = []
     for (a, mu) in planes.SERIES_FAMILIES:
-        base_norm = markov.norm(markov.REDUCED_ROOTS[mu * a])
-        for c in planes.classify(a, mu * base_norm, mu=mu):
-            self_pairs = [p for p in adjacency_neighbors(c.matrix) if p.q2 == c.matrix]
-            if self_pairs:
-                best = min(self_pairs, key=lambda p: not p.kstar.non_toric)
-                out.append(CensusEntry(series=c.series, kstar=best.kstar))
+        graph = adjacency_graph(a, mu, mu * markov.norm(markov.REDUCED_ROOTS[mu * a]))
+        out += [CensusEntry(series=n.plane.series, kstar=n.self_kstar) for n in graph.nodes if n.self_kstar is not None]
     out.sort(key=lambda e: (-e.series.a, e.series.mu, e.series.eta))
     return out

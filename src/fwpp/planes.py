@@ -443,7 +443,8 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     unfiltered one.  One entry per isomorphism class, keyed by the
     canonical adjusted degree matrix: each tree node is arranged once, and
     its series etas with equal normalized forms merge.  ``max_nodes`` caps
-    each family's tree as in :func:`fwpp.markov.enumerate_tree`.
+    each family's tree as in :func:`fwpp.markov.enumerate_tree`; its error
+    names ``a``, the family's ``mu`` and ``norm_bound`` as given here.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")
@@ -452,7 +453,12 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
         if deg != a or (mu is not None and fam_mu != mu):
             continue
         etas = SERIES_ETAS[(deg, fam_mu)]
-        tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu, max_nodes=max_nodes)
+        try:
+            tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu, max_nodes=max_nodes)
+        except markov.EnumerationCapExceeded as exc:  # name the caller's degree and bound, not the scaled ones
+            raise markov.EnumerationCapExceeded(
+                f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for degree {a}, mu {fam_mu}"
+            ) from exc
         for u_sorted in tree.nodes:
             u_arr, _ = markov.arrange(u_sorted, fam_mu * a)
             qs = [DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu)) for eta in etas]

@@ -14,7 +14,8 @@ sorting every mutated triple, and arrangements by testing whole tuples.
 Annihilation of integer rows in ``K`` is summed element by element, and
 the minors of the ambient 3x4 matrix come from cofactor expansion.  The
 connected components of an adjacency graph come from ``networkx``, and the
-unpruned graph rebuilds the partner at every T-singular point of every node.
+unpruned graph and neighbour lists rebuild the partner at every T-singular
+point of every node.
 """
 
 from __future__ import annotations
@@ -522,6 +523,23 @@ def graph_components(graph) -> list[set[planes.DegreeMatrix]]:
     return list(networkx.connected_components(g))
 
 
+def adjacency_neighbors(q: planes.DegreeMatrix) -> list[adjacency.AdjacentPair]:
+    """The partner over each T-singular fixed point of ``q``, in slot order.
+
+    A pair is a self-adjacency when ``pair.q2 == planes.adjust(q)``, and
+    several slots may reach the same partner class.  Toric pairs count;
+    adjacency does not require the common surface to be non-toric.
+    """
+    return [adjacency.adjacent_partner(q, k) for k in range(3) if planes.is_t_singular(q, k)[0]]
+
+
+def self_kstar(q: planes.DegreeMatrix, pairs) -> KStarData | None:
+    """The surface of the first non-toric self-pair of ``q`` among ``pairs``,
+    else of the first self-pair, else ``None``."""
+    kstars = [p.kstar for p in pairs if p.q2 == q]
+    return next((k for k in kstars if k.non_toric), kstars[0] if kstars else None)
+
+
 def full_adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
     """The adjacency graph with every partner reconstructed: each edge from
     both ends, and every partner past the bound built and then dropped."""
@@ -530,19 +548,23 @@ def full_adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
     edges: dict[frozenset, bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}
     for c in classified:
-        pairs = adjacency.adjacency_neighbors(c.matrix)
-        self_pairs = [p for p in pairs if p.q2 == c.matrix]
-        nodes.append(
-            GraphNode(
-                plane=c,
-                self_adjacent=bool(self_pairs),
-                non_toric_self=any(p.kstar.non_toric for p in self_pairs),
-                all_t=len(pairs) == 3,
-            )
-        )
+        pairs = adjacency_neighbors(c.matrix)
+        nodes.append(GraphNode(plane=c, self_kstar=self_kstar(c.matrix, pairs), all_t=len(pairs) == 3))
         for pair in pairs:
             if pair.q2 != c.matrix and pair.q2 in series_of:
                 edges[frozenset((c.matrix, pair.q2))] = not (series_of[c.matrix] & series_of[pair.q2])
     edge_list = [GraphEdge(*sorted(key, key=lambda m: (m.u, m.eta)), jump=jump) for key, jump in edges.items()]
     edge_list.sort(key=lambda e: (e.a.u, e.a.eta, e.b.u, e.b.eta))
     return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=tuple(edge_list))
+
+
+def census(a: int, mu: int) -> list[adjacency.CensusEntry]:
+    """Self-adjacent series of the ``(a, mu)`` family, from the unpruned
+    neighbours of every class at the family's base norm, in classify order."""
+    base_norm = mu * markov.norm(markov.REDUCED_ROOTS[mu * a])
+    out = []
+    for c in planes.classify(a, base_norm, mu=mu):
+        kstar = self_kstar(c.matrix, adjacency_neighbors(c.matrix))
+        if kstar is not None:
+            out.append(adjacency.CensusEntry(series=c.series, kstar=kstar))
+    return out

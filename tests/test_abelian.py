@@ -84,7 +84,7 @@ def test_public_names():
         "AdjacencyGraph", "AdjacentPair", "ClassifiedPlane", "DegreeMatrix", "EnumerationCapExceeded",
         "GeneratorMatrix", "InvariantError", "KAutomorphism", "KStarData",
         "MutationTree", "SeriesId", "SingularityReport", "SolutionTriple", "SquareDecomposition",
-        "abelian", "adjacency", "adjacency_graph", "adjacency_neighbors", "adjacent_partner", "adjust",
+        "abelian", "adjacency", "adjacency_graph", "adjacent_partner", "adjust",
         "anticanonical_class", "apply_automorphism", "assemble_3x4", "can_degenerate", "classify",
         "cokernel_structure", "cone_gorenstein_index", "corresponds", "decompose", "degree",
         "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",

@@ -227,7 +227,7 @@ def test_criterion_8_adjacency():
                 rest = [w[j] for j in range(3) if j != slot]
                 mutated = tuple(sorted(rest + [(rest[0] + rest[1]) ** 2 // w[slot]]))
                 assert tuple(sorted(w2)) == mutated
-                back = adjacency.adjacency_neighbors(pair.q2)
+                back = oracles.adjacency_neighbors(pair.q2)
                 back_self = [p for p in back if p.q2 == pair.q2]  # pair.q2 is adjusted
                 if pair.q2 == c.matrix:
                     assert back_self

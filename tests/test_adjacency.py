@@ -22,7 +22,7 @@ def split_neighbors(q):
     """``(neighbors, self_pairs)`` of ``q``: one pair per partner class other
     than ``q``, sorted by its columns, and the pairs back to ``q`` itself."""
     q_canon = planes.adjust(q)
-    pairs = adjacency.adjacency_neighbors(q)
+    pairs = oracles.adjacency_neighbors(q)
     neighbors = {}
     for pair in pairs:
         if pair.q2 != q_canon:
@@ -305,7 +305,7 @@ class TestNeighbors:
         for a in (1, 2, 5, 9):
             for c in planes.classify(a, 700):
                 slots = [k for k in range(3) if planes.is_t_singular(c.matrix, k)[0]]
-                pairs = adjacency.adjacency_neighbors(c.matrix)
+                pairs = oracles.adjacency_neighbors(c.matrix)
                 assert pairs == [adjacency.adjacent_partner(c.matrix, k) for k in slots]
 
     def test_2_3_1_node(self):
@@ -425,6 +425,7 @@ class TestPrunedGraph:
         graph = adjacency.adjacency_graph(a, mu, graph_bound(a))
         full = oracles.full_adjacency_graph(a, mu, graph_bound(a))
         assert graph.nodes == full.nodes
+        assert [n.self_kstar for n in graph.nodes] == [n.self_kstar for n in full.nodes]
         assert graph.edges == full.edges
         assert graph.to_dot() == full.to_dot()
         assert graph.to_json_obj() == full.to_json_obj()
@@ -455,6 +456,20 @@ class TestPrunedGraph:
         assert partners == []
         assert len(adjacency.adjacency_graph(2, 3, 10**6, max_nodes=60).nodes) == 60
         assert partners
+
+    def test_unclassified_partner_is_a_defect(self, monkeypatch):
+        # (1, 9, 2; 3) is a partner of the base node (1, 1, 2; 3) of (1, 8);
+        # a classify that loses it must not lose the edge silently
+        lost = mk(8, (1, 9, 2), (0, 1, 3))
+        real = planes.classify
+
+        def lossy(*args, **kwargs):
+            return [c for c in real(*args, **kwargs) if c.matrix != lost]
+
+        assert lost in {e.b for e in adjacency.adjacency_graph(1, 8, 10**5).edges}
+        monkeypatch.setattr(adjacency.planes, "classify", lossy)
+        with pytest.raises(markov.InvariantError, match=r"u=\(1, 9, 2\).*u=\(1, 1, 2\)"):
+            adjacency.adjacency_graph(1, 8, 10**5)
 
 
 class TestGlobalInvariants:
@@ -524,7 +539,7 @@ class TestClassifyOneFamily:
         counted(adjacency, "adjacent_partner", "partner")
         counted(planes, "adjust", "adjust")
         graph = adjacency.adjacency_graph(1, 8, bound)
-        assert counts["partner"] == partners == len(graph.edges) + sum(n.self_adjacent for n in graph.nodes)
+        assert counts["partner"] == partners == len(graph.edges) + sum(n.self_kstar is not None for n in graph.nodes)
         assert counts["iota"] == 3 * len(graph.nodes) + counts["partner"]
         assert counts["validate"] == 3 * counts["partner"]
         # nodes come adjusted from classify; only each partner is adjusted
@@ -540,6 +555,22 @@ class TestCensus:
     def test_non_toric_sublist(self):
         census = adjacency.self_adjacency_census()
         assert {str(e.series) for e in census if e.kstar.non_toric} == golden.NON_TORIC_SELF_ADJACENT
+
+    def test_equals_the_unpruned_census(self, monkeypatch):
+        # the census is the pruned graph at each family's base norm, so it
+        # builds only the 18 partners of that norm; the unpruned scan of
+        # every T-singular point of the base classes builds 49
+        expected = [e for (a, mu) in planes.SERIES_FAMILIES for e in oracles.census(a, mu)]
+        partners = []
+        real = adjacency.adjacent_partner
+
+        def counting(*args):
+            partners.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(adjacency, "adjacent_partner", counting)
+        assert adjacency.self_adjacency_census() == expected
+        assert len(partners) == 18
 
     def test_9_1_0_not_self_adjacent(self):
         nbrs, selfp = split_neighbors(mk(1, (1, 1, 1)))

@@ -128,7 +128,9 @@ class TestClassify:
     def test_max_nodes_cap_refuses_during_enumeration(self, capsys, monkeypatch):
         built = count_matrices_built(monkeypatch)
         code, out, err = run(capsys, "classify", "--a", "1", "--bound", str(10**96), "--max-nodes", "10")
-        assert code == 2 and out == "" and "max-nodes" in err
+        # the message names the degree and bound asked for, not the scaled equation's
+        assert (code, out) == (2, "")
+        assert err == f"error: more than 10 nodes below norm {10**96} for degree 1, mu 5; raise --max-nodes to continue\n"
         assert built == []
 
     def test_max_nodes_cap_counts_classes_past_the_trees(self, capsys):
@@ -437,7 +439,8 @@ class TestIso:
     def test_graph_max_nodes_cap_refuses_during_enumeration(self, capsys, monkeypatch):
         built = count_matrices_built(monkeypatch)
         code, out, err = run(capsys, "graph", "--a", "1", "--mu", "8", "--bound", str(10**96), "--max-nodes", "10")
-        assert code == 2 and out == "" and "max-nodes" in err
+        assert (code, out) == (2, "")
+        assert err == f"error: more than 10 nodes below norm {10**96} for degree 1, mu 8; raise --max-nodes to continue\n"
         assert built == []
 
     def test_graph_max_nodes_cap_counts_nodes_past_the_tree(self, capsys):
