@@ -74,18 +74,18 @@ def _capped(build, *args, **kwargs):
 
 def cmd_solve(args) -> int:
     tree = _capped(markov.enumerate_tree, args.a, args.bound, args.depth, max_nodes=args.max_nodes)
-    rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u)) if args.format in ("tsv", "md") else ()
     if args.format == "json":
         _print_json(tree.to_json_obj())
     elif args.format == "dot":
         sys.stdout.write(tree.to_dot())
-    elif args.format == "md":
-        print("| u | norm | initial |\n|---|---|---|")
-        for u in rows:
-            print(f"| ({_decimal_join(u)}) | {_decimal_str(markov.norm(u))} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |")
     else:
-        for u in rows:
-            print(_decimal_join((*u, markov.norm(u)), "\t"))
+        rows = sorted((markov.norm(u), u) for u in tree.nodes)
+        if args.format == "md":
+            lines = ["| u | norm | initial |\n|---|---|---|\n"]
+            lines += [f"| ({_decimal_join(u)}) | {_decimal_str(n)} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |\n" for n, u in rows]
+        else:
+            lines = [_decimal_join((*u, n), "\t") + "\n" for n, u in rows]
+        sys.stdout.write("".join(lines))
     return 0
 
 

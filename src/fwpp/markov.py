@@ -56,8 +56,11 @@ def _decimal_str(n: int) -> str:
 
 
 def _decimal_join(values, sep: str = ",") -> str:
-    """``sep``-joined decimal text of integers of any size."""
-    return sep.join(map(_decimal_str, values))
+    """``sep``-joined decimal text of a sequence of integers of any size."""
+    try:
+        return sep.join(map(str, values))
+    except ValueError:  # an entry past the int-to-str digit limit
+        return sep.join(map(_decimal_str, values))
 
 
 def _decimal_int(x) -> int:
@@ -163,7 +166,7 @@ class MutationTree:
     triple this is a tree, otherwise a disjoint union of trees.  Norms grow
     strictly away from the roots, so each edge joins a non-root node to its
     parent, the mutation of its largest entry: ``edges`` lists those
-    ``(parent, node)`` pairs, sorted.
+    ``(parent, node)`` pairs, sorted, each parent computed in closed form.
     """
 
     a: int
@@ -175,33 +178,33 @@ class MutationTree:
 
     @property
     def edges(self) -> tuple[tuple[Triple, Triple], ...]:
-        return tuple(sorted((_play(v, self.a, 2), v) for v in self.nodes if self.depths[v]))
+        a, pairs = self.a, []
+        for v in self.nodes:
+            if self.depths[v]:
+                p, q, old = v
+                new = a * p * q - 2 * p - 2 * q - old
+                pairs.append(((new, p, q) if new < p else (p, new, q) if new < q else (p, q, new), v))
+        return tuple(sorted(pairs))
 
     def to_json_obj(self) -> dict:
-        def enc(u):
-            return [_decimal_str(c) for c in u]
-
+        text = {u: _decimal_join(u).split(",") for u in self.nodes}
         return {
             "a": self.a,
             "normBound": _decimal_str(self.norm_bound),
             "depthBound": self.depth_bound,
-            "roots": [enc(r) for r in self.roots],
+            "roots": [text[r][:] for r in self.roots],
             "nodes": [
-                {"u": enc(u), "norm": _decimal_str(norm(u)), "depth": self.depths[u]}
+                {"u": text[u], "norm": _decimal_str(norm(u)), "depth": self.depths[u]}
                 for u in self.nodes
             ],
-            "edges": [[enc(x), enc(y)] for x, y in self.edges],
+            "edges": [[text[x][:], text[y][:]] for x, y in self.edges],
         }
 
     def to_dot(self) -> str:
-        def label(u):
-            return f"({_decimal_join(u)})"
-
+        label = {u: f'"({_decimal_join(u)})"' for u in self.nodes}
         lines = [f"graph mutation_tree_{self.a} {{"]
-        for u in self.nodes:
-            lines.append(f'  "{label(u)}";')
-        for x, y in self.edges:
-            lines.append(f'  "{label(x)}" -- "{label(y)}";')
+        lines.extend(f"  {label[u]};" for u in self.nodes)
+        lines.extend(f"  {label[x]} -- {label[y]};" for x, y in self.edges)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -226,39 +229,35 @@ def enumerate_tree(
     fixed mutation distance from the roots.  Termination is guaranteed by
     the norm bound because norms strictly increase away from initial nodes;
     ``max_nodes`` aborts early anyway when the enumeration grows past it.
+    Only slots 0 and 1 are mutated: a slot's two values multiply to the
+    square of the kept pair's sum, so the new entry exceeds ``u2``.  Slot 2
+    gives back a non-root's parent, and at a root the root itself or, for the
+    scaled ``(1, 1, 1)``, the slot-0 child.  Negative bounds raise ``ValueError``.
     """
+    if depth_bound is not None and depth_bound < 0:
+        raise ValueError(f"depth bound must be non-negative, got {depth_bound}")
+    if max_nodes is not None and max_nodes < 0:
+        raise ValueError(f"node cap must be non-negative, got {max_nodes}")
     roots = sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound)
-    depths: dict[Triple, int] = {}
-    queue: deque[Triple] = deque()
-    for r in roots:
-        depths[r] = 0
-        queue.append(r)
+    depths: dict[Triple, int] = dict.fromkeys(roots, 0)
+    queue = deque(roots)
     while queue:
         u = queue.popleft()
-        if depth_bound is not None and depths[u] >= depth_bound:
+        d = depths[u]
+        if depth_bound is not None and d >= depth_bound:
             continue
         u0, u1, u2 = u
-        # slot order 0, 1, 2: the kept pair (ascending) and the mutated entry
-        for p, q, old in ((u1, u2, u0), (u0, u2, u1), (u0, u1, u2)):
-            new = a * p * q - 2 * p - 2 * q - old
-            if p + q + new > norm_bound:
+        for p, old in ((u1, u0), (u0, u1)):  # slot 0, then slot 1; ``u2`` is kept by both
+            new = a * p * u2 - 2 * p - 2 * u2 - old
+            if p + u2 + new > norm_bound:
                 continue
-            v = (new, p, q) if new < p else (p, new, q) if new < q else (p, q, new)
+            v = (p, u2, new)
             if v not in depths:
                 if max_nodes is not None and len(depths) >= max_nodes:
-                    raise EnumerationCapExceeded(
-                        f"more than {max_nodes} nodes below norm {norm_bound} for a={a}"
-                    )
-                depths[v] = depths[u] + 1
+                    raise EnumerationCapExceeded(f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for a={a}")
+                depths[v] = d + 1
                 queue.append(v)
-    return MutationTree(
-        a=a,
-        norm_bound=norm_bound,
-        depth_bound=depth_bound,
-        roots=tuple(roots),
-        nodes=tuple(sorted(depths)),
-        depths=depths,
-    )
+    return MutationTree(a, norm_bound, depth_bound, roots=tuple(roots), nodes=tuple(sorted(depths)), depths=depths)
 
 
 def scaled_solution_class(t: SolutionTriple) -> tuple[int, int]:

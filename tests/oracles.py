@@ -10,7 +10,9 @@ of a generator matrix and the kernel basis of a degree matrix are read off
 general Smith and Hermite normal forms, which live here and not in the
 library, as do the enumeration, composition and inversion of the
 automorphisms of ``Z + Z/mu``.  The mutation tree is enumerated by
-sorting every mutated triple, and arrangements by testing whole tuples.
+sorting every mutated triple, and its ``solve`` text is written with a
+parent found by ``_play`` and a label built for every occurrence of a
+triple; arrangements are found by testing whole tuples.
 Annihilation of integer rows in ``K`` is summed element by element, and
 the minors of the ambient 3x4 matrix come from cofactor expansion.  The
 connected components of an adjacency graph come from ``networkx``, and the
@@ -20,6 +22,9 @@ point of every node.
 
 from __future__ import annotations
 
+import contextlib
+import io
+import json
 from collections import deque
 from itertools import permutations
 from math import gcd
@@ -488,6 +493,56 @@ def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
                 depths[v] = depths[u] + 1
                 queue.append(v)
     return tuple(sorted(depths)), tuple(sorted(edges)), depths
+
+
+def tree_text(tree: markov.MutationTree, fmt: str) -> str:
+    """What ``fwpp solve --format fmt`` prints for ``tree``: each edge's parent
+    by ``_play``, each triple's text built wherever it occurs, one ``print``
+    per row."""
+    _decimal_str = markov._decimal_str
+
+    def _decimal_join(values, sep=","):
+        return sep.join(map(_decimal_str, values))
+
+    def enc(u):
+        return [_decimal_str(c) for c in u]
+
+    def label(u):
+        return f"({_decimal_join(u)})"
+
+    edges = tuple(sorted((markov._play(v, tree.a, 2), v) for v in tree.nodes if tree.depths[v]))
+    rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        if fmt == "json":
+            obj = {
+                "a": tree.a,
+                "normBound": _decimal_str(tree.norm_bound),
+                "depthBound": tree.depth_bound,
+                "roots": [enc(r) for r in tree.roots],
+                "nodes": [
+                    {"u": enc(u), "norm": _decimal_str(markov.norm(u)), "depth": tree.depths[u]}
+                    for u in tree.nodes
+                ],
+                "edges": [[enc(x), enc(y)] for x, y in edges],
+            }
+            print(json.dumps(obj, separators=(",", ":")))
+        elif fmt == "dot":
+            lines = [f"graph mutation_tree_{tree.a} {{"]
+            for u in tree.nodes:
+                lines.append(f'  "{label(u)}";')
+            for x, y in edges:
+                lines.append(f'  "{label(x)}" -- "{label(y)}";')
+            lines.append("}")
+            print("\n".join(lines))
+        elif fmt == "md":
+            print("| u | norm | initial |\n|---|---|---|")
+            for u in rows:
+                print(f"| ({_decimal_join(u)}) | {_decimal_str(markov.norm(u))} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |")
+        else:
+            for u in rows:
+                print(_decimal_join((*u, markov.norm(u)), "\t"))
+    return out.getvalue()
 
 
 def tuple_admissible_arrangements(u, reduced_a: int):

@@ -7,6 +7,7 @@ import sys
 
 import pytest
 
+import oracles
 from fwpp import cli, markov, planes
 
 
@@ -93,6 +94,22 @@ class TestSolve:
         assert "| (1,1,1) | 3 | yes |" in out
         assert "| (1,1,4) | 6 | no |" in out
 
+    @pytest.mark.parametrize("fmt", ["tsv", "json", "md", "dot"])
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("depth", [None, 3])
+    def test_text_matches_the_per_row_oracle(self, capsys, fmt, a, depth):
+        depth_flag = () if depth is None else ("--depth", str(depth))
+        argv = ("solve", "--a", str(a), "--bound", str(10**48), "--max-nodes", "20000", *depth_flag, "--format", fmt)
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert out == oracles.tree_text(markov.enumerate_tree(a, 10**48, depth), fmt)
+
+    @pytest.mark.parametrize("flag", ["--depth", "--max-nodes"])
+    def test_negative_bounds_are_refused(self, capsys, flag):
+        code, out, err = run(capsys, "solve", "--a", "9", flag, "-1")
+        name = "depth bound" if flag == "--depth" else "node cap"
+        assert (code, out, err) == (2, "", f"error: {name} must be non-negative, got -1\n")
+
 
 class TestClassify:
     def test_base_series_of_degree_2(self, capsys):
@@ -132,6 +149,10 @@ class TestClassify:
         assert (code, out) == (2, "")
         assert err == f"error: more than 10 nodes below norm {10**96} for degree 1, mu 5; raise --max-nodes to continue\n"
         assert built == []
+
+    def test_negative_max_nodes_is_refused(self, capsys):
+        code, out, err = run(capsys, "classify", "--a", "1", "--max-nodes", "-1")
+        assert (code, out, err) == (2, "", "error: node cap must be non-negative, got -1\n")
 
     def test_max_nodes_cap_counts_classes_past_the_trees(self, capsys):
         # each degree-1 tree at 600 has at most 5 nodes, but the classes
@@ -442,6 +463,10 @@ class TestIso:
         assert (code, out) == (2, "")
         assert err == f"error: more than 10 nodes below norm {10**96} for degree 1, mu 8; raise --max-nodes to continue\n"
         assert built == []
+
+    def test_graph_negative_max_nodes_is_refused(self, capsys):
+        code, out, err = run(capsys, "graph", "--a", "1", "--mu", "8", "--max-nodes", "-1")
+        assert (code, out, err) == (2, "", "error: node cap must be non-negative, got -1\n")
 
     def test_graph_max_nodes_cap_counts_nodes_past_the_tree(self, capsys):
         # the 30 tree nodes below 10^6 fit the cap, their 60 classes do not

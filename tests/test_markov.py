@@ -255,6 +255,21 @@ def test_enumeration_cap():
         markov.enumerate_tree(6, 10**6, max_nodes=4)
     tree = markov.enumerate_tree(6, 30, max_nodes=4)
     assert tree.nodes == ((1, 2, 3), (1, 3, 8), (2, 3, 25))
+    assert markov.enumerate_tree(6, 11, max_nodes=0).nodes == ((1, 2, 3),)
+    with pytest.raises(markov.EnumerationCapExceeded):
+        markov.enumerate_tree(6, 12, max_nodes=0)
+
+
+def test_enumeration_cap_names_a_bound_past_the_str_digit_limit():
+    with pytest.raises(markov.EnumerationCapExceeded) as info:
+        markov.enumerate_tree(9, 10**4400, max_nodes=5)
+    assert str(info.value) == f"more than 5 nodes below norm 1{'0' * 4400} for a=9"
+
+
+@pytest.mark.parametrize("flags", [{"depth_bound": -1}, {"max_nodes": -1}, {"depth_bound": -3, "max_nodes": 10}])
+def test_negative_bounds_are_refused(flags):
+    with pytest.raises(ValueError, match="must be non-negative"):
+        markov.enumerate_tree(9, 10**6, **flags)
 
 
 def test_sorted_and_json_helpers():
@@ -267,11 +282,46 @@ def test_decimal_text_helpers():
     assert markov._decimal_join((4, 5), "\t") == "4\t5"
     assert markov._decimal_int("12") == markov._decimal_int(12) == 12
     big = "7" * 5000
-    assert markov._decimal_int(big) == int(big[:2500]) * 10**2500 + int(big[2500:])
+    assert markov._decimal_int(big) == 7 * (10**5000 - 1) // 9
     assert markov._decimal_str(markov._decimal_int(big)) == big
     for bad in ("x", "1e3", "7" * 5000 + "\n7", "-" + big + "x", "_" + big, big + "_", "7__" + big):
         with pytest.raises(ValueError):
             markov._decimal_int(bad)
+
+
+def walk_past_the_digit_limit():
+    """Mutate the smallest entry from ``(1, 1, 1)`` (``a = 9``) until the largest
+    passes 4,300 digits: the last two nodes of that walk, parent and child."""
+    parent, child = None, (1, 1, 1)
+    while child[2] < 10**4400:
+        parent, child = child, markov._play(child, 9, 0)
+    return parent, child
+
+
+def test_decimal_join_mixes_short_and_long_entries():
+    long = 3 * 10**4500 + 7
+    text = "3" + "0" * 4499 + "7"
+    assert markov._decimal_join((5, long, 12)) == f"5,{text},12"
+    assert markov._decimal_join([long, 1], "\t") == f"{text}\t1"
+
+
+def test_tree_text_past_the_str_digit_limit():
+    parent, child = walk_past_the_digit_limit()
+    tree = markov.MutationTree(9, markov.norm(child), None, (parent,), (parent, child), {parent: 0, child: 1})
+    assert tree.edges == ((parent, child),)
+    text = {u: [str(decimal.Decimal(c)) for c in u] for u in (parent, child)}
+    assert len(text[child][2]) > 4300
+    edge_line = f'  "({",".join(text[parent])})" -- "({",".join(text[child])})";'
+    assert tree.to_dot().splitlines()[-2] == edge_line
+    obj = tree.to_json_obj()
+    assert obj["edges"] == [[text[parent], text[child]]]
+    assert [n["u"] for n in obj["nodes"]] == [text[parent], text[child]]
+
+
+def test_json_tree_holds_no_list_twice():
+    obj = markov.enumerate_tree(1, 10**12).to_json_obj()
+    lists = [*obj["roots"], *(n["u"] for n in obj["nodes"]), *(end for e in obj["edges"] for end in (e, *e))]
+    assert len({id(x) for x in lists}) == len(lists)
 
 
 @pytest.mark.parametrize("digits", [50, 5000])
@@ -293,20 +343,31 @@ def test_arrangement_errors():
 class TestAgainstSortingOracles:
     @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
     @pytest.mark.parametrize("depth_bound", [None, 4])
-    def test_tree_matches_sorting_bfs(self, a, depth_bound):
-        tree = markov.enumerate_tree(a, 10**24, depth_bound)
-        nodes, edges, depths = oracles.bfs_tree(a, 10**24, depth_bound)
+    def test_tree_matches_sorting_bfs(self, a, depth_bound, bound=10**24):
+        tree = markov.enumerate_tree(a, bound, depth_bound)
+        nodes, edges, depths = oracles.bfs_tree(a, bound, depth_bound)
         assert tree.nodes == nodes and tree.edges == edges and tree.depths == depths
 
+    @pytest.mark.parametrize("digits", [48, 96])
     @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
-    def test_node_cap_raises_at_the_same_size(self, a):
-        n = len(markov.enumerate_tree(a, 10**24).nodes)
+    @pytest.mark.parametrize("depth_bound", [None, 4])
+    def test_tree_matches_sorting_bfs_at_longer_bounds(self, a, depth_bound, digits):
+        self.test_tree_matches_sorting_bfs(a, depth_bound, 10**digits)
+
+    @pytest.mark.parametrize("digits", [48, 96])
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    def test_node_cap_raises_at_the_same_size_at_longer_bounds(self, a, digits):
+        self.test_node_cap_raises_at_the_same_size(a, 10**digits)
+
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    def test_node_cap_raises_at_the_same_size(self, a, bound=10**24):
+        n = len(markov.enumerate_tree(a, bound).nodes)
         for cap in (1, n // 2, n - 1):
             with pytest.raises(markov.EnumerationCapExceeded):
-                markov.enumerate_tree(a, 10**24, max_nodes=cap)
+                markov.enumerate_tree(a, bound, max_nodes=cap)
             with pytest.raises(markov.EnumerationCapExceeded):
-                oracles.bfs_tree(a, 10**24, max_nodes=cap)
-        assert markov.enumerate_tree(a, 10**24, max_nodes=n).nodes == oracles.bfs_tree(a, 10**24, max_nodes=n)[0]
+                oracles.bfs_tree(a, bound, max_nodes=cap)
+        assert markov.enumerate_tree(a, bound, max_nodes=n).nodes == oracles.bfs_tree(a, bound, max_nodes=n)[0]
 
 
 def arrangement_outcome(fn, u, reduced_a):
