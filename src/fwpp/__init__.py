@@ -4,7 +4,6 @@ planes of integral degree, their singularities and adjacency graphs."""
 from .abelian import (
     KAutomorphism,
     apply_automorphism,
-    cokernel_structure,
     k_membership_multiple,
     kernel_basis,
 )
@@ -43,7 +42,6 @@ from .planes import (
     adjust,
     anticanonical_class,
     classify,
-    cone_gorenstein_index,
     corresponds,
     degree,
     fake_weights_of_degree_matrix,

@@ -1,9 +1,8 @@
 """Closed-form integer arithmetic of generator matrices and the groups ``Z + Z/mu``.
 
 Matrices are lists of row lists of plain Python integers; all operations are
-exact.  The cokernel of a generator matrix and the kernel of a grading map
-are both read off in closed form from Bezout coefficients and modular
-inverses.
+exact.  The kernel of a grading map is read off in closed form from Bezout
+coefficients and modular inverses.
 
 An element of the group ``K = Z + Z/mu`` is an integer pair ``(free, tors)``
 with ``0 <= tors < mu``, and the group is given by ``mu`` itself.  ``mu = 1``
@@ -73,7 +72,7 @@ def k_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generator matrices and their cokernels
+# Generator matrices and kernels of grading maps
 # ---------------------------------------------------------------------------
 
 
@@ -129,38 +128,6 @@ def annihilates(rows: Iterable[Sequence[int]], free: Sequence[int], tors: Sequen
         if sum(x * f for x, f in zip(row, free)) or sum(x * t for x, t in zip(row, tors)) % mu:
             return False
     return True
-
-
-def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
-    """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix, in closed form.
-
-    Returns ``(mu, u, eta)``: the torsion order (the gcd of the fake
-    weights, the absolute 2x2 minors) and the free and torsion rows of the
-    images of the standard basis vectors, i.e. a degree matrix
-    corresponding to ``p``.
-
-    The free row is ``w / mu``: the fake weight vector spans the kernel of
-    ``P``.  For the torsion row, ``s . v_0 = 1`` (``v_0`` is primitive)
-    puts ``(1, c_1, c_2)`` with ``c_j = s . v_j`` into the row lattice, and
-    ``alpha*u_1 + beta*u_2 = 1`` (``gcd(u_1, u_2) = 1``) completes
-    ``(u_1, u_2)`` to a basis of ``Z^2``; the torsion row is then
-    ``(beta*c_1 - alpha*c_2, -beta, alpha) mod mu``.  Both rows are checked
-    to annihilate ``P``, and the first two columns to generate ``K``, which
-    together certify the cokernel.
-    """
-    weights = validate_generator_matrix(p)
-    mu = gcd(gcd(weights[0], weights[1]), weights[2])
-    free_row = tuple(w // mu for w in weights)
-    (x0, x1, x2), (y0, y1, y2) = p
-    s0, s1 = bezout(x0, y0)
-    c1, c2 = s0 * x1 + s1 * y1, s0 * x2 + s1 * y2
-    alpha, beta = bezout(free_row[1], free_row[2])
-    tors_row = ((beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu)
-    if not annihilates(p, free_row, tors_row, mu):
-        raise InvariantError(f"cokernel projection does not annihilate the rows of {p}")
-    if not pair_generates((free_row[0], tors_row[0]), (free_row[1], tors_row[1]), mu):
-        raise InvariantError(f"cokernel projection of {p} is not onto")
-    return mu, free_row, tors_row
 
 
 def kernel_basis(u: Sequence[int], eta: Sequence[int], mu: int) -> Matrix:

@@ -15,11 +15,13 @@ point, ``d0 = -w_k / l1**2``, ``l2 = l1*(w_i + w_j) / w_k``, and ``d1`` is
 pinned down by the requirement that ``P1`` corresponds to the given degree
 matrix.  Integrality of ``d2`` is a linear congruence in ``d1``, solved by a
 modular inverse, which leaves at most ``gcd(l1, l2)`` candidates to test
-rather than all of ``[0, l1)``.  The partner's degree matrix is the
-cokernel of ``P2``, read off in closed form by
-:func:`fwpp.abelian.cokernel_structure`, and adjusted once.  Its weight
-triple is the one-step mutation of the original at that slot, so the
-adjacency graphs refine the mutation trees of the squared Markov equations.
+rather than all of ``[0, l1)``.  The partner keeps the columns ``i`` and
+``j`` of the given degree matrix; its new column is the one element of
+``K`` that makes both rows of ``P2`` relations, solved with a Bezout pair of
+``l1`` and ``d1``, so the partner is the grading by the cokernel of ``P2``
+without building ``P2``.  It is adjusted once.  Its weight triple is the
+one-step mutation of the original at that slot, so the adjacency graphs
+refine the mutation trees of the squared Markov equations.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
 the adjusted matrices :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
@@ -153,16 +155,39 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     """Reconstruct the K*-surface over the T-singular point ``z(slot)``
     and return the partner plane it degenerates to, with the surface.
 
-    Raises ``ValueError`` when ``q`` has no integral degree and
-    :class:`NotDegenerableError` when the point is not a T-singularity.
-    The slice data is otherwise guaranteed to exist: of all ``d1`` in
-    ``[0, l1)``, exactly one must pass the primitivity and annihilation
-    tests, or an ``InvariantError`` is raised.  Only the
+    Raises ``ValueError`` for a slot outside ``{0, 1, 2}`` or when ``q`` has
+    no integral degree, and :class:`NotDegenerableError` when the point is
+    not a T-singularity.  The slice data is otherwise guaranteed to exist:
+    of all ``d1`` in ``[0, l1)``, exactly one must pass the primitivity and
+    annihilation tests, or an ``InvariantError`` is raised.  Only the
     ``gcd(l1, l2) <= mu`` values making ``d2`` integral are tested, so the
-    cost does not grow with ``l1``.  The hit's annihilation test and the
-    weight check on ``P1`` make up its correspondence with ``q``; the
-    partner is certified by :func:`fwpp.abelian.cokernel_structure`.
+    cost does not grow with ``l1``.  The hit's annihilation test makes up
+    the correspondence of ``P1`` with ``q``: its weights are ``w`` by the
+    formulas for ``l2`` and ``d2``, and :class:`KStarData` checks the gcds
+    and slope inequalities, the sign conditions of ``P1`` and ``P2``.
+
+    The partner needs no second slice.  Write ``perm = (i, j, k)``,
+    ``q_n = (u_n, eta_n)`` in ``K = Z + Z/mu`` and ``x*l1 + y*d1 = 1``
+    (``gcd(l1, d1) = 1``), and set
+
+        q'_k = x*l2*(q_i + q_j) - y*(d2*q_i + (d2 + l2*d0)*q_j).
+
+    Applied to ``(q_i, q_j, q'_k)``, the first row of ``P2`` gives
+    ``y*(w_j*q_i - w_i*q_j)`` and the second ``x*(w_j*q_i - w_i*q_j)``; that
+    element is 0 in ``K`` because ``w = mu*u``.  So ``e_n -> q_i, q_j,
+    q'_k`` induces a map ``Z^3 / im(P2^T) -> K``, onto because ``q_i`` and
+    ``q_j`` generate ``K``.  Both groups are ``Z + Z/mu``: the torsion
+    order of the cokernel is the gcd of the weights of ``P2``, and
+    ``gcd(w_i, w_j) = mu`` divides ``w'_k``.  A surjection of ``Z + Z/mu``
+    onto itself is an isomorphism, so ``(mu; u_i, u_j, u'_k; eta_i, eta_j,
+    e)`` with ``(u'_k, e) = q'_k`` is a degree matrix of ``P2``.  Its
+    certificates run on every partner: ``u'_k`` must be ``(u_i + u_j)**2 /
+    u_k`` and both rows of ``P2`` must be annihilated, or an
+    ``InvariantError`` is raised, and :class:`~fwpp.planes.DegreeMatrix`
+    checks that every column pair generates ``K``.
     """
+    if slot not in (0, 1, 2):
+        raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
     planes.integral_degree(q)  # refuses a non-integral degree, which would not bound the d1 scan below
     w = planes.fake_weights_of_degree_matrix(q)
     rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
@@ -208,10 +233,17 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     d1, d2 = hits[0]
     kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
 
-    p1, p2 = slice_matrices(kstar)
-    if p1.weights != wp:
-        raise InvariantError("first slice does not have the expected weights")
-    q2_raw = DegreeMatrix(*abelian.cokernel_structure(p2.rows))
+    # the partner's column k, solved from both rows of P2 as in the docstring
+    x, y = abelian.bezout(l1, d1)
+    ci, cj = d2, d2 + l2 * d0
+    (ui, uj, uk), (ei, ej, _) = up, etap
+    uk2 = x * l2 * (ui + uj) - y * (ci * ui + cj * uj)
+    if uk2 * uk != (ui + uj) ** 2:
+        raise InvariantError(f"partner column of {q} at slot {slot} has free part {uk2}, not the mutation's")
+    u2, eta2 = (ui, uj, uk2), (ei, ej, (x * l2 * (ei + ej) - y * (ci * ei + cj * ej)) % q.mu)
+    if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, q.mu):
+        raise InvariantError(f"partner columns {u2}, {eta2} of {q} do not annihilate the second slice")
+    q2_raw = DegreeMatrix(q.mu, u2, eta2)
     return AdjacentPair(q2=planes.adjust(q2_raw), q2_raw=q2_raw, kstar=kstar)
 
 
@@ -220,7 +252,10 @@ def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
 
     Requires a T-singularity with local Gorenstein index above one and the
     norm inequality making the second isotropy order exceed one as well.
+    Raises ``ValueError`` for a slot outside ``{0, 1, 2}``.
     """
+    if slot not in (0, 1, 2):
+        raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
     flag, d = planes.is_t_singular(q, slot)
     if not flag:
         return False

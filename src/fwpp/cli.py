@@ -97,12 +97,13 @@ def cmd_classify(args) -> int:
         payload = [planes.plane_json_obj(c, with_report=args.report) for c in classes]
         _print_json(payload)
     else:
-        row = "{}\t{}\t{}\t{}\t{}"
+        row = "{}\t{}\t{}\t{}\t{}\n"
+        lines = []
         if args.format == "md":
-            print("| series | u | eta | weights | degree |\n|---|---|---|---|---|")
-            row = "| {} | ({}) | ({}) | ({}) | {} |"
-        for c in classes:
-            print(row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a))
+            lines.append("| series | u | eta | weights | degree |\n|---|---|---|---|---|\n")
+            row = "| {} | ({}) | ({}) | ({}) | {} |\n"
+        lines += [row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a) for c in classes]
+        sys.stdout.write("".join(lines))
     return 0
 
 

@@ -17,9 +17,9 @@ the tests check every such merge against :func:`isomorphism_witness`.
 
 Singularity data at the three toric fixed points (local class group order,
 local Gorenstein index, T-singularity test and the exceptional curve count
-of the minimal resolution) are computed exactly, by two independent routes
-where the callers want cross-checks: group arithmetic in ``K`` and lattice
-geometry of the fan cones.
+of the minimal resolution) are computed exactly: orders and indices by
+group arithmetic in ``K``, curve counts by lattice geometry of the fan
+cones.
 """
 
 from __future__ import annotations
@@ -206,26 +206,6 @@ def t_singular_chart(iota: int, d: int, b: int) -> tuple[tuple[int, int], tuple[
     if gcd(b, iota) != 1:
         raise ValueError(f"gcd({b}, {iota}) != 1: chart columns would be imprimitive")
     return ((iota, iota), (d * iota + b, b))
-
-
-def cone_gorenstein_index(v: tuple[int, int], vp: tuple[int, int]) -> int:
-    """Gorenstein index of the fixed point of the cone spanned by v, vp.
-
-    For primitive generators ``(a, c)`` and ``(b, d)`` the index is
-    ``|a*d - b*c| / gcd(c - d, b - a)``; this is the lattice-geometry route,
-    independent of the class-group computation.
-    """
-    a, c = v
-    b, d = vp
-    det = a * d - b * c
-    if det == 0:
-        raise ValueError(f"vectors {v}, {vp} are collinear")
-    if gcd(a, c) != 1 or gcd(b, d) != 1:
-        raise ValueError("cone generators must be primitive")
-    denom = gcd(c - d, b - a)
-    if abs(det) % denom:
-        raise InvariantError("Gorenstein index formula produced a non-integer")
-    return abs(det) // denom
 
 
 def _hirzebruch_jung_length(m: int, k: int) -> int:
@@ -448,6 +428,8 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")
+    if max_nodes is not None and max_nodes < 0:  # a degree with no family never reaches the tree's check
+        raise ValueError(f"node cap must be non-negative, got {max_nodes}")
     out: list[ClassifiedPlane] = []
     for (deg, fam_mu) in SERIES_FAMILIES:
         if deg != a or (mu is not None and fam_mu != mu):

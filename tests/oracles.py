@@ -9,10 +9,12 @@ T-singular point by scanning every ``d1`` in ``[0, l1)``.  The cokernel
 of a generator matrix and the kernel basis of a degree matrix are read off
 general Smith and Hermite normal forms, which live here and not in the
 library, as do the enumeration, composition and inversion of the
-automorphisms of ``Z + Z/mu``.  The mutation tree is enumerated by
-sorting every mutated triple, and its ``solve`` text is written with a
-parent found by ``_play`` and a label built for every occurrence of a
-triple; arrangements are found by testing whole tuples.
+automorphisms of ``Z + Z/mu``.  So do the closed-form cokernel of a
+generator matrix, the partner read off the second slice by it, and the
+lattice-geometry route to the Gorenstein index of a cone.  The mutation
+tree is enumerated by sorting every mutated triple, and its ``solve`` text
+is written with a parent found by ``_play`` and a label built for every
+occurrence of a triple; arrangements are found by testing whole tuples.
 Annihilation of integer rows in ``K`` is summed element by element, and
 the minors of the ambient 3x4 matrix come from cofactor expansion.  The
 connected components of an adjacency graph come from ``networkx``, and the
@@ -299,6 +301,26 @@ def modular_gorenstein_index(q: planes.DegreeMatrix, k: int) -> int:
     raise AssertionError("modular index scan found nothing up to mu")
 
 
+def cone_gorenstein_index(v: tuple[int, int], vp: tuple[int, int]) -> int:
+    """Gorenstein index of the fixed point of the cone spanned by v, vp.
+
+    For primitive generators ``(a, c)`` and ``(b, d)`` the index is
+    ``|a*d - b*c| / gcd(c - d, b - a)``; this is the lattice-geometry route,
+    independent of the class-group computation.
+    """
+    a, c = v
+    b, d = vp
+    det = a * d - b * c
+    if det == 0:
+        raise ValueError(f"vectors {v}, {vp} are collinear")
+    if gcd(a, c) != 1 or gcd(b, d) != 1:
+        raise ValueError("cone generators must be primitive")
+    denom = gcd(c - d, b - a)
+    if abs(det) % denom:
+        raise markov.InvariantError("Gorenstein index formula produced a non-integer")
+    return abs(det) // denom
+
+
 def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
@@ -438,6 +460,50 @@ def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
     return hits[0]
 
 
+def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
+    """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix, in closed form.
+
+    Returns ``(mu, u, eta)``: the torsion order (the gcd of the fake
+    weights, the absolute 2x2 minors) and the free and torsion rows of the
+    images of the standard basis vectors, i.e. a degree matrix
+    corresponding to ``p``.
+
+    The free row is ``w / mu``: the fake weight vector spans the kernel of
+    ``P``.  For the torsion row, ``s . v_0 = 1`` (``v_0`` is primitive)
+    puts ``(1, c_1, c_2)`` with ``c_j = s . v_j`` into the row lattice, and
+    ``alpha*u_1 + beta*u_2 = 1`` (``gcd(u_1, u_2) = 1``) completes
+    ``(u_1, u_2)`` to a basis of ``Z^2``; the torsion row is then
+    ``(beta*c_1 - alpha*c_2, -beta, alpha) mod mu``.  Both rows are checked
+    to annihilate ``P``, and the first two columns to generate ``K``, which
+    together certify the cokernel.
+    """
+    weights = abelian.validate_generator_matrix(p)
+    mu = gcd(gcd(weights[0], weights[1]), weights[2])
+    free_row = tuple(w // mu for w in weights)
+    (x0, x1, x2), (y0, y1, y2) = p
+    s0, s1 = abelian.bezout(x0, y0)
+    c1, c2 = s0 * x1 + s1 * y1, s0 * x2 + s1 * y2
+    alpha, beta = abelian.bezout(free_row[1], free_row[2])
+    tors_row = ((beta * c1 - alpha * c2) % mu, -beta % mu, alpha % mu)
+    if not abelian.annihilates(p, free_row, tors_row, mu):
+        raise markov.InvariantError(f"cokernel projection does not annihilate the rows of {p}")
+    if not abelian.pair_generates((free_row[0], tors_row[0]), (free_row[1], tors_row[1]), mu):
+        raise markov.InvariantError(f"cokernel projection of {p} is not onto")
+    return mu, free_row, tors_row
+
+
+def cokernel_partner(q: planes.DegreeMatrix, slot: int) -> planes.DegreeMatrix:
+    """The adjusted partner over ``z(slot)`` read off the second slice: the
+    surface data of :func:`fwpp.adjacency.adjacent_partner`, both slice
+    generator matrices built and checked, the cokernel of ``P2`` in closed
+    form, then adjusted."""
+    kstar = adjacency.adjacent_partner(q, slot).kstar
+    p1, p2 = adjacency.slice_matrices(kstar)
+    w = planes.fake_weights_of_degree_matrix(q)
+    assert p1.weights[2] == w[slot] and sorted(p1.weights[:2]) == sorted(w[n] for n in range(3) if n != slot)
+    return planes.adjust(planes.DegreeMatrix(*cokernel_structure(p2.rows)))
+
+
 def snf_cokernel_structure(p):
     """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix from the Smith
     normal form ``U * P^T * V``, as ``(mu, u, eta)``: row 1 of ``U`` is the
@@ -542,6 +608,22 @@ def tree_text(tree: markov.MutationTree, fmt: str) -> str:
         else:
             for u in rows:
                 print(_decimal_join((*u, markov.norm(u)), "\t"))
+    return out.getvalue()
+
+
+def classify_text(classes, a: int, fmt: str) -> str:
+    """What ``fwpp classify --format fmt`` prints for ``classes`` in tsv or
+    md: one ``print`` per row."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        row = "{}\t{}\t{}\t{}\t{}"
+        if fmt == "md":
+            print("| series | u | eta | weights | degree |")
+            print("|---|---|---|---|---|")
+            row = "| {} | ({}) | ({}) | ({}) | {} |"
+        for c in classes:
+            cols = (",".join(map(str, v)) for v in (c.matrix.u, c.matrix.eta, c.weights))
+            print(row.format(c.series, *cols, a))
     return out.getvalue()
 
 

@@ -181,7 +181,7 @@ def test_criterion_6_singularity_tables():
             for k in range(3):
                 group_route = planes.local_gorenstein_index(q, k)
                 assert group_route == oracles.brute_gorenstein_index(q, k)
-                assert group_route == planes.cone_gorenstein_index(*p.cone_of_fixed_point(k))
+                assert group_route == oracles.cone_gorenstein_index(*p.cone_of_fixed_point(k))
                 assert rep.cl[k] % group_route == 0
                 assert group_route % d.x[k] == 0
             checked += 1

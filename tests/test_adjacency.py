@@ -237,8 +237,8 @@ class TestPartnerReconstruction:
         q = mk(3, (5365416001, 98, 3144124620363), (0, 1, 2))
         pair = adjacency.adjacent_partner(q, 2)
         assert pair.kstar == KStarData(l1=3071217, l2=5241, d0=-1, d1=663350, d2=4109)
-        # at most gcd(l1, l2) = 3 candidate values of d1, then the cokernel
-        # certification; a count of 0 would mean the patch no longer sees the calls
+        # at most gcd(l1, l2) = 3 candidate values of d1, then the partner's
+        # annihilation certificate; a count of 0 would mean the patch no longer sees the calls
         assert 0 < len(rows_tested) <= 4
         w = planes.fake_weights_of_degree_matrix(q)
         mutated = sorted([w[0], w[1], (w[0] + w[1]) ** 2 // w[2]])
@@ -258,7 +258,7 @@ class TestSliceCokernel:
                         continue
                     pair = adjacency.adjacent_partner(q, slot)
                     _, p2 = adjacency.slice_matrices(pair.kstar)
-                    mu, u, _ = abelian.cokernel_structure(p2.rows)
+                    mu, u, _ = oracles.cokernel_structure(p2.rows)
                     mu_ref, u_ref, eta_ref = oracles.snf_cokernel_structure(p2.rows)
                     assert mu == mu_ref == pair.q2_raw.mu
                     assert u == u_ref == pair.q2_raw.u
@@ -267,6 +267,71 @@ class TestSliceCokernel:
                     assert planes.adjust(q_ref) == pair.q2
                     slices += 1
         assert slices > 1000
+
+
+def partner_slots():
+    """``(q, k)`` for every T-singular slot of every class of the 13
+    families: degree 1 below 10^12, the others below 10^24."""
+    for (a, mu) in planes.SERIES_FAMILIES:
+        for c in planes.classify(a, 10**12 if a == 1 else 10**24, mu=mu):
+            for k in range(3):
+                if planes.is_t_singular(c.matrix, k)[0]:
+                    yield c.matrix, k
+
+
+class TestClosedFormPartner:
+    """The partner solved in ``K`` against the cokernel of the second slice."""
+
+    def test_equals_the_slice_cokernel_and_keeps_columns_i_and_j(self):
+        slots = 0
+        for q, k in partner_slots():
+            pair = adjacency.adjacent_partner(q, k)
+            assert pair.q2 == oracles.cokernel_partner(q, k)
+            raw, mu = pair.q2_raw, q.mu
+            i, j = sorted((n for n in range(3) if n != k), key=lambda n: (mu * q.u[n], n))
+            assert (raw.u[:2], raw.eta[:2]) == ((q.u[i], q.u[j]), (q.eta[i], q.eta[j]))
+            # the two congruences of the torsion column mutation
+            e, eta = raw.eta[2], q.eta
+            l1, l2 = pair.kstar.l1, pair.kstar.l2
+            assert (e * eta[k] - (eta[i] + eta[j]) ** 2) % mu == 0
+            assert (l1 * l1 * e - l2 * l2 * eta[k]) % mu == 0
+            slots += 1
+        assert slots == 11084
+
+    def test_no_slice_generator_matrix_is_built(self, monkeypatch):
+        validated = []
+        real = abelian.validate_generator_matrix
+        monkeypatch.setattr(abelian, "validate_generator_matrix", lambda p: validated.append(p) or real(p))
+        pair = adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+        assert pair.q2.u == (1, 9, 50) and validated == []
+        adjacency.slice_matrices(pair.kstar)
+        assert len(validated) == 2
+
+    def test_a_wrong_partner_column_is_refused(self, monkeypatch):
+        # a Bezout pair that is not one gives a column off the mutation
+        monkeypatch.setattr(abelian, "bezout", lambda a, c: (0, 0))
+        with pytest.raises(markov.InvariantError, match="free part"):
+            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+
+    def test_a_partner_off_the_second_slice_is_refused(self, monkeypatch):
+        # l1 = 2 and l2 = 10 here, so rows starting with 10 are those of P2
+        real = abelian.annihilates
+        monkeypatch.setattr(abelian, "annihilates", lambda rows, *args: rows[0][0] != 10 and real(rows, *args))
+        with pytest.raises(markov.InvariantError, match="do not annihilate the second slice"):
+            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+
+
+class TestSlotRange:
+    @pytest.mark.parametrize("slot", [-1, 3])
+    def test_adjacent_partner_refuses(self, slot):
+        # -1 used to index slot 2 and return its partner; 3 raised IndexError
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            adjacency.adjacent_partner(mk(4, (1, 1, 2), (0, 1, 3)), slot)
+
+    @pytest.mark.parametrize("slot", [-1, 3])
+    def test_can_degenerate_refuses(self, slot):
+        with pytest.raises(ValueError, match="0, 1 or 2"):
+            adjacency.can_degenerate(mk(8, (1, 9, 2), (0, 1, 1)), slot)
 
 
 class TestCanDegenerate:
@@ -520,9 +585,8 @@ class TestClassifyOneFamily:
 
     @staticmethod
     def _check_t_point_work(monkeypatch, bound, partners):
-        # one Gorenstein index per node slot and one per partner; each
-        # partner validates P1 and P2 once at construction and P2 once more
-        # inside cokernel_structure
+        # one Gorenstein index per node slot and one per partner; a partner
+        # is solved in K, so no slice generator matrix is built or validated
         counts = {"iota": 0, "validate": 0, "partner": 0, "adjust": 0}
 
         def counted(module, name, key):
@@ -541,7 +605,7 @@ class TestClassifyOneFamily:
         graph = adjacency.adjacency_graph(1, 8, bound)
         assert counts["partner"] == partners == len(graph.edges) + sum(n.self_kstar is not None for n in graph.nodes)
         assert counts["iota"] == 3 * len(graph.nodes) + counts["partner"]
-        assert counts["validate"] == 3 * counts["partner"]
+        assert counts["validate"] == 0
         # nodes come adjusted from classify; only each partner is adjusted
         assert counts["adjust"] == counts["partner"]
 

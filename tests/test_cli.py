@@ -154,6 +154,18 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--a", "1", "--max-nodes", "-1")
         assert (code, out, err) == (2, "", "error: node cap must be non-negative, got -1\n")
 
+    def test_negative_max_nodes_is_refused_for_a_degree_without_families(self, capsys):
+        # degree 7 has no series, so no tree is enumerated to refuse the cap
+        code, out, err = run(capsys, "classify", "--a", "7", "--max-nodes", "-1")
+        assert (code, out, err) == (2, "", "error: node cap must be non-negative, got -1\n")
+
+    @pytest.mark.parametrize("fmt", ["tsv", "md"])
+    def test_text_formats_match_the_per_row_writer(self, capsys, fmt):
+        for a in markov.SOLVABLE_PARAMETERS:
+            code, out, _ = run(capsys, "classify", "--a", str(a), "--bound", str(10**24), "--max-nodes", "100000", "--format", fmt)
+            assert code == 0
+            assert out == oracles.classify_text(planes.classify(a, 10**24), a, fmt)
+
     def test_max_nodes_cap_counts_classes_past_the_trees(self, capsys):
         # each degree-1 tree at 600 has at most 5 nodes, but the classes
         # of all four families together exceed the cap

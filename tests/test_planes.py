@@ -258,7 +258,7 @@ class TestClassify:
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
             for c in planes.classify(a, 300):
                 p = planes.generator_of(c.matrix)
-                q2 = DegreeMatrix(*abelian.cokernel_structure([list(r) for r in p.rows]))
+                q2 = DegreeMatrix(*oracles.cokernel_structure([list(r) for r in p.rows]))
                 assert planes.is_isomorphic(c.matrix, q2)
 
     def test_weights_solve_scaled_equation(self):
@@ -271,6 +271,12 @@ class TestClassify:
     def test_invalid_degree(self):
         with pytest.raises(ValueError):
             planes.classify(0, 10)
+
+    @pytest.mark.parametrize("a", [7, 9])
+    def test_negative_node_cap_is_refused(self, a):
+        # 7 has no family, whose tree would refuse the cap; 9 has one
+        with pytest.raises(ValueError, match="node cap must be non-negative, got -1"):
+            planes.classify(a, 10, max_nodes=-1)
 
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6, 8, 9])
     def test_mu_filter_partitions_the_classification(self, a):
