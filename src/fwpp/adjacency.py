@@ -13,15 +13,16 @@ Given a plane whose fixed point ``z(k)`` is a T-singularity, the surface
 data is reconstructed uniquely: ``l1`` is the local Gorenstein index at the
 point, ``d0 = -w_k / l1**2``, ``l2 = l1*(w_i + w_j) / w_k``, and ``d1`` is
 pinned down by the requirement that ``P1`` corresponds to the given degree
-matrix.  Integrality of ``d2`` is a linear congruence in ``d1``, solved by a
-modular inverse, which leaves at most ``gcd(l1, l2)`` candidates to test
-rather than all of ``[0, l1)``.  The partner keeps the columns ``i`` and
-``j`` of the given degree matrix; its new column is the one element of
-``K`` that makes both rows of ``P2`` relations, solved with a Bezout pair of
-``l1`` and ``d1``, so the partner is the grading by the cokernel of ``P2``
-without building ``P2``.  It is adjusted once.  Its weight triple is the
-one-step mutation of the original at that slot, so the adjacency graphs
-refine the mutation trees of the squared Markov equations.
+matrix.  Integrality of ``d2`` is a linear congruence fixing ``d1`` modulo
+``l1 / gcd(l1, l2)``, and the torsion of ``P1``'s second row fixes the lift,
+each solved by a modular inverse, so no value of ``d1`` is searched.  The
+partner keeps the columns ``i`` and ``j`` of the given degree matrix; its
+new column is the one element of ``K`` that makes both rows of ``P2``
+relations, solved with a Bezout pair of ``l1`` and ``d1``, so the partner
+is the grading by the cokernel of ``P2`` without building ``P2``.  It is
+adjusted once.  Its weight triple is the one-step mutation of the original
+at that slot, so the adjacency graphs refine the mutation trees of the
+squared Markov equations.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
 the adjusted matrices :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd
 
 from . import abelian, markov, planes
 from .markov import InvariantError, _decimal_join, _decimal_str
@@ -157,18 +158,32 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
 
     Raises ``ValueError`` for a slot outside ``{0, 1, 2}`` or when ``q`` has
     no integral degree, and :class:`NotDegenerableError` when the point is
-    not a T-singularity.  The slice data is otherwise guaranteed to exist:
-    of all ``d1`` in ``[0, l1)``, exactly one must pass the primitivity and
-    annihilation tests, or an ``InvariantError`` is raised.  Only the
-    ``gcd(l1, l2) <= mu`` values making ``d2`` integral are tested, so the
-    cost does not grow with ``l1``.  The hit's annihilation test makes up
-    the correspondence of ``P1`` with ``q``: its weights are ``w`` by the
-    formulas for ``l2`` and ``d2``, and :class:`KStarData` checks the gcds
-    and slope inequalities, the sign conditions of ``P1`` and ``P2``.
+    not a T-singularity.  The slice data is otherwise guaranteed to exist,
+    and it is solved, not searched.  Write ``perm = (i, j, k)``, ``w =
+    mu*u``, ``e = eta`` and ``g = gcd(l1, l2)``.  As ``w_k = d*l1**2`` and
+    ``l2*w_k = l1*(w_i + w_j)``, the second row of ``P1`` has free part 0
+    for ``d2 = (w_j - d1*l2) / l1``, integral exactly when ``d1*l2 == w_j
+    (mod l1)``: ``d1 == d1_0 (mod l1/g)``, if ``g`` divides ``w_j``.  The
+    first row of ``P1`` has torsion ``h*mu = l1*(e_i + e_j) - l2*e_k``, and
+    the lift ``d1_0 + t*l1/g`` lowers ``d2`` by ``t*l2/g``, so it moves the
+    torsion ``R`` of the second row by ``t*h*mu/g``.  The lift that
+    annihilates is ``t = -r * h**-1 (mod g)``, ``r = R(d1_0) / (mu/g)``.
 
-    The partner needs no second slice.  Write ``perm = (i, j, k)``,
-    ``q_n = (u_n, eta_n)`` in ``K = Z + Z/mu`` and ``x*l1 + y*d1 = 1``
-    (``gcd(l1, d1) = 1``), and set
+    ``h`` is a unit mod ``g``.  The rows of ``P1`` span the whole relation
+    lattice of ``q``, by the surjection argument below for ``P2``.  If a
+    prime ``p`` divided both ``h`` and ``g``, then ``(l1, l1, -l2)/p`` would
+    be a relation.  The columns 0 and 1 of ``P1`` differ only by ``l1*d0 !=
+    0``, so a combination of the rows equal to it takes none of the second
+    row and ``1/p`` of the first, which is not an integer combination.
+
+    Each step is certified, or an ``InvariantError`` is raised: ``g``
+    divides ``w_j``, ``mu`` divides ``h*mu`` and ``mu/g`` divides
+    ``R(d1_0)``; ``gcd(h, g) = 1``; :class:`KStarData` accepts the gcds and
+    the slope inequalities, the sign conditions of ``P1`` and ``P2``; and
+    both rows of ``P1`` annihilate ``q``, so ``P1`` corresponds to ``q``.
+
+    The partner needs no second slice.  Write ``q_n = (u_n, eta_n)`` in
+    ``K = Z + Z/mu`` and ``x*l1 + y*d1 = 1`` (``gcd(l1, d1) = 1``), and set
 
         q'_k = x*l2*(q_i + q_j) - y*(d2*q_i + (d2 + l2*d0)*q_j).
 
@@ -188,62 +203,52 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     """
     if slot not in (0, 1, 2):
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
-    planes.integral_degree(q)  # refuses a non-integral degree, which would not bound the d1 scan below
+    # refuses a non-integral degree, where a failed certificate below would report bad input as a defect
+    planes.integral_degree(q)
     w = planes.fake_weights_of_degree_matrix(q)
     rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
     perm = (rest[0], rest[1], slot)
-    wp = tuple(w[i] for i in perm)
-    up = tuple(q.u[i] for i in perm)
-    etap = tuple(q.eta[i] for i in perm)
+    (wi, wj, wk), up, etap = (tuple(v[n] for n in perm) for v in (w, q.u, q.eta))
+    (ui, uj, uk), (ei, ej, ek), mu = up, etap, q.mu
 
-    flag, d = planes.is_t_singular(q, slot)
-    if not flag:
+    l1 = planes.local_gorenstein_index(q, slot)
+    d0, rem = divmod(-wk, l1 * l1)  # d0 = -w_k / l1**2 at a T-singularity
+    if rem:
         raise NotDegenerableError(f"fixed point {slot} of {q} is not a T-singularity")
-    l1 = isqrt(wp[2] // d)  # the local Gorenstein index: cl = w_k = d * iota**2
-    d0 = -d
-    if -d0 * l1 * l1 != wp[2]:
-        raise InvariantError("T-singularity data is inconsistent with the weights")
-    num = l1 * (wp[0] + wp[1])
-    if num % wp[2]:
+    l2, rem = divmod(l1 * (wi + wj), wk)
+    if rem:
         raise NotDegenerableError(f"second isotropy order of {q} at slot {slot} is not integral")
-    l2 = num // wp[2]
 
-    # With w2 = d*l1**2 and l1*(w0 + w1) = l2*w2, w2 divides d2_num exactly
-    # when d1*l2 == w1 (mod l1).  That leaves g = gcd(l1, l2) values of d1 in
-    # [0, l1), or none; a solvable g divides every weight, hence mu, which is
-    # at most 9 at the integral degree required above.
+    # d1_0, then its lift, solved as in the docstring; g | w_j makes g divide
+    # every weight, hence mu, so r = R(d1_0) / (mu/g) = g*R(d1_0) / mu
     g = gcd(l1, l2)
     step = l1 // g
-    first = (wp[1] // g) * pow(l2 // g, -1, step) % step if wp[1] % g == 0 else l1
-    hits = []
-    for d1 in range(first, l1, step):
-        if l1 > 1 and (d1 == 0 or gcd(l1, d1) != 1):
-            continue
-        d2_num = d1 * (wp[0] + wp[1]) + d0 * l1 * wp[1]
-        if d2_num % wp[2]:
-            continue
-        d2 = -(d2_num // wp[2])
-        if gcd(l2, d2) != 1:
-            continue
-        p1_rows = ((l1, l1, -l2), (d1, d1 + l1 * d0, d2))
-        if abelian.annihilates(p1_rows, up, etap, q.mu):
-            hits.append((d1, d2))
-    if len(hits) != 1:
-        raise InvariantError(f"slice reconstruction of {q} at slot {slot} found {hits}")
-    d1, d2 = hits[0]
-    kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
+    d1 = (wj // g) * pow(l2 // g, -1, step) % step
+    h, h_rem = divmod(l1 * (ei + ej) - l2 * ek, mu)
+    r, r_rem = divmod(g * (d1 * ei + (d1 + l1 * d0) * ej + (wj - d1 * l2) // l1 * ek), mu)
+    if wj % g or h_rem or r_rem:
+        raise InvariantError(f"slice congruences of {q} at slot {slot} have no solution")
+    if gcd(h, g) != 1:
+        raise InvariantError(f"first slice torsion {h} of {q} at slot {slot} is not a unit mod {g}")
+    d1 += -r * pow(h, -1, g) % g * step
+    d2 = (wj - d1 * l2) // l1
+    try:
+        kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
+    except ValueError as exc:
+        raise InvariantError(f"slice data of {q} at slot {slot}: {exc}") from exc
+    if not abelian.annihilates(((l1, l1, -l2), (d1, d1 + l1 * d0, d2)), up, etap, mu):
+        raise InvariantError(f"slice data {kstar} does not annihilate the columns of {q}")
 
     # the partner's column k, solved from both rows of P2 as in the docstring
     x, y = abelian.bezout(l1, d1)
     ci, cj = d2, d2 + l2 * d0
-    (ui, uj, uk), (ei, ej, _) = up, etap
     uk2 = x * l2 * (ui + uj) - y * (ci * ui + cj * uj)
     if uk2 * uk != (ui + uj) ** 2:
         raise InvariantError(f"partner column of {q} at slot {slot} has free part {uk2}, not the mutation's")
-    u2, eta2 = (ui, uj, uk2), (ei, ej, (x * l2 * (ei + ej) - y * (ci * ei + cj * ej)) % q.mu)
-    if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, q.mu):
+    u2, eta2 = (ui, uj, uk2), (ei, ej, (x * l2 * (ei + ej) - y * (ci * ei + cj * ej)) % mu)
+    if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, mu):
         raise InvariantError(f"partner columns {u2}, {eta2} of {q} do not annihilate the second slice")
-    q2_raw = DegreeMatrix(q.mu, u2, eta2)
+    q2_raw = DegreeMatrix(mu, u2, eta2)
     return AdjacentPair(q2=planes.adjust(q2_raw), q2_raw=q2_raw, kstar=kstar)
 
 
@@ -256,14 +261,9 @@ def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
     """
     if slot not in (0, 1, 2):
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
-    flag, d = planes.is_t_singular(q, slot)
-    if not flag:
-        return False
+    iota = planes.local_gorenstein_index(q, slot)
     w = planes.fake_weights_of_degree_matrix(q)
-    iota = isqrt(w[slot] // d)
-    if iota == 1:
-        return False
-    return iota * sum(w) > (iota + 1) * w[slot]
+    return iota > 1 and w[slot] % (iota * iota) == 0 and iota * sum(w) > (iota + 1) * w[slot]
 
 
 @dataclass(frozen=True)
@@ -346,9 +346,8 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
 
     Nodes carry all isomorphic series labels; an edge is a *jump* when its
     endpoints share no series label.  Self-adjacency is a node attribute,
-    never an edge.  ``max_nodes`` caps the family's tree as in
-    :func:`fwpp.planes.classify`, then the class count before any partner
-    is built.  The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only
+    never an edge.  ``max_nodes`` caps the family's tree and then its class
+    count in :func:`fwpp.planes.classify`, before any partner is built.  The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only
     those of norm in ``[N, norm_bound]`` are built and checked: one per edge,
     from its lower end, and the self-pairs.  Unreported ones are not checked;
     a partner built but not classified raises ``InvariantError``.
@@ -356,8 +355,6 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {a} with torsion order {mu}")
     classified = planes.classify(a, norm_bound, mu=mu, max_nodes=max_nodes)
-    if max_nodes is not None and len(classified) > max_nodes:
-        raise markov.EnumerationCapExceeded(f"{len(classified)} nodes exceed the node cap {max_nodes}")
     nodes = []
     edges: dict[tuple[DegreeMatrix, DegreeMatrix], bool] = {}
     series_of = {c.matrix: set(c.all_series) for c in classified}

@@ -47,6 +47,11 @@ def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
         raise _InputError(f"not a degree matrix: {exc}") from exc
 
 
+def integer(text: str) -> int:
+    """``int(text)`` at any length, for ``--bound``; argparse names the type in its refusal."""
+    return markov._decimal_int(text)
+
+
 def _print_json(obj) -> None:
     """Print ``obj`` as compact JSON, with integers of any size as JSON numbers.
 
@@ -64,16 +69,8 @@ def _print_json(obj) -> None:
     print(text)
 
 
-def _capped(build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its enumeration cap hit turned into an input error."""
-    try:
-        return build(*args, **kwargs)
-    except markov.EnumerationCapExceeded as exc:
-        raise _InputError(f"{exc}; raise --max-nodes to continue") from exc
-
-
 def cmd_solve(args) -> int:
-    tree = _capped(markov.enumerate_tree, args.a, args.bound, args.depth, max_nodes=args.max_nodes)
+    tree = markov.enumerate_tree(args.a, args.bound, args.depth, max_nodes=args.max_nodes)
     if args.format == "json":
         _print_json(tree.to_json_obj())
     elif args.format == "dot":
@@ -90,9 +87,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    classes = _capped(planes.classify, args.a, args.bound, max_nodes=args.max_nodes)
-    if len(classes) > args.max_nodes:
-        raise _InputError(f"{len(classes)} classes exceed the --max-nodes cap {args.max_nodes}")
+    classes = planes.classify(args.a, args.bound, max_nodes=args.max_nodes)
     if args.format == "json":
         payload = [planes.plane_json_obj(c, with_report=args.report) for c in classes]
         _print_json(payload)
@@ -133,7 +128,7 @@ def cmd_sing(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    graph = _capped(adjacency.adjacency_graph, args.a, args.mu, args.bound, max_nodes=args.max_nodes)
+    graph = adjacency.adjacency_graph(args.a, args.mu, args.bound, max_nodes=args.max_nodes)
     if args.format == "json":
         _print_json(graph.to_json_obj())
     else:
@@ -170,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def bounded(p):
         """The flags of the commands that enumerate: solve, classify and graph."""
-        p.add_argument("--bound", type=int, default=DEFAULT_NORM_BOUND, help="norm bound on the fake weight vector")
+        p.add_argument("--bound", type=integer, default=DEFAULT_NORM_BOUND, help="norm bound on the fake weight vector")
         p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="abort when the enumeration grows past this many nodes")
 
     p_solve = sub.add_parser("solve", help="enumerate equation solutions up to a norm bound")
@@ -217,6 +212,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (_InputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
+    except markov.EnumerationCapExceeded as exc:
+        print(f"error: {exc}; raise --max-nodes to continue", file=sys.stderr)
         return USAGE_ERROR
 
 

@@ -424,7 +424,8 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     canonical adjusted degree matrix: each tree node is arranged once, and
     its series etas with equal normalized forms merge.  ``max_nodes`` caps
     each family's tree as in :func:`fwpp.markov.enumerate_tree`; its error
-    names ``a``, the family's ``mu`` and ``norm_bound`` as given here.
+    names ``a``, the family's ``mu`` and ``norm_bound`` as given here.  It
+    then caps the class total, with the same ``EnumerationCapExceeded``.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")
@@ -458,6 +459,8 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
                         all_series=tuple(sorted(SeriesId(a, fam_mu, eta) for eta in groups[canonical])),
                     )
                 )
+    if max_nodes is not None and len(out) > max_nodes:
+        raise markov.EnumerationCapExceeded(f"{len(out)} classes exceed the node cap {max_nodes}")
     out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
     return out
 

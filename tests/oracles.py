@@ -5,7 +5,8 @@ by scanning all triples, group membership by scanning all multiples and
 resolution data by convex hull geometry, so agreement with the fast paths
 is meaningful.  The isomorphism witness is found by trying every positive
 automorphism against every column order, and the K*-surface data over a
-T-singular point by scanning every ``d1`` in ``[0, l1)``.  The cokernel
+T-singular point by scanning every ``d1`` in ``[0, l1)``, or by testing
+each of the ``gcd(l1, l2)`` lifts that make ``d2`` integral.  The cokernel
 of a generator matrix and the kernel basis of a degree matrix are read off
 general Smith and Hermite normal forms, which live here and not in the
 library, as do the enumeration, composition and inversion of the
@@ -29,7 +30,7 @@ import io
 import json
 from collections import deque
 from itertools import permutations
-from math import gcd
+from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from fwpp import abelian, adjacency, markov, planes
@@ -457,6 +458,45 @@ def scan_partner_kstar(q: planes.DegreeMatrix, slot: int):
         if gcd(l2, d2) == 1 and abelian.annihilates(rows, qp.u, qp.eta, qp.mu):
             hits.append(KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2))
     assert len(hits) == 1, f"d1 scan at slot {slot} of {q} found {hits}"
+    return hits[0]
+
+
+def lift_partner_kstar(q: planes.DegreeMatrix, slot: int) -> KStarData:
+    """K*-surface data over the T-singular point ``z(slot)`` by testing each
+    of the ``gcd(l1, l2)`` values of ``d1`` in ``[0, l1)`` that make ``d2``
+    integral, with ``l1`` rebuilt as ``isqrt(w_k / d)`` from the T-test's
+    ``d``; asserts exactly one value passes the primitivity and annihilation
+    tests."""
+    w = planes.fake_weights_of_degree_matrix(q)
+    rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
+    perm = (rest[0], rest[1], slot)
+    wp = tuple(w[i] for i in perm)
+    up = tuple(q.u[i] for i in perm)
+    etap = tuple(q.eta[i] for i in perm)
+    flag, d = planes.is_t_singular(q, slot)
+    assert flag, "not a T-singular point"
+    l1 = isqrt(wp[2] // d)
+    d0 = -d
+    assert -d0 * l1 * l1 == wp[2]
+    num = l1 * (wp[0] + wp[1])
+    assert num % wp[2] == 0
+    l2 = num // wp[2]
+    g = gcd(l1, l2)
+    step = l1 // g
+    first = (wp[1] // g) * pow(l2 // g, -1, step) % step if wp[1] % g == 0 else l1
+    hits = []
+    for d1 in range(first, l1, step):
+        if l1 > 1 and (d1 == 0 or gcd(l1, d1) != 1):
+            continue
+        d2_num = d1 * (wp[0] + wp[1]) + d0 * l1 * wp[1]
+        if d2_num % wp[2]:
+            continue
+        d2 = -(d2_num // wp[2])
+        if gcd(l2, d2) != 1:
+            continue
+        if abelian.annihilates(((l1, l1, -l2), (d1, d1 + l1 * d0, d2)), up, etap, q.mu):
+            hits.append(KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2))
+    assert len(hits) == 1, f"d1 lifts at slot {slot} of {q} found {hits}"
     return hits[0]
 
 

@@ -237,8 +237,8 @@ class TestPartnerReconstruction:
         q = mk(3, (5365416001, 98, 3144124620363), (0, 1, 2))
         pair = adjacency.adjacent_partner(q, 2)
         assert pair.kstar == KStarData(l1=3071217, l2=5241, d0=-1, d1=663350, d2=4109)
-        # at most gcd(l1, l2) = 3 candidate values of d1, then the partner's
-        # annihilation certificate; a count of 0 would mean the patch no longer sees the calls
+        # no value of d1 is tested: one call certifies the first slice and one
+        # the partner's second; a count of 0 would mean the patch no longer sees the calls
         assert 0 < len(rows_tested) <= 4
         w = planes.fake_weights_of_degree_matrix(q)
         mutated = sorted([w[0], w[1], (w[0] + w[1]) ** 2 // w[2]])
@@ -287,6 +287,7 @@ class TestClosedFormPartner:
         for q, k in partner_slots():
             pair = adjacency.adjacent_partner(q, k)
             assert pair.q2 == oracles.cokernel_partner(q, k)
+            assert pair.kstar == oracles.lift_partner_kstar(q, k)
             raw, mu = pair.q2_raw, q.mu
             i, j = sorted((n for n in range(3) if n != k), key=lambda n: (mu * q.u[n], n))
             assert (raw.u[:2], raw.eta[:2]) == ((q.u[i], q.u[j]), (q.eta[i], q.eta[j]))
@@ -311,6 +312,30 @@ class TestClosedFormPartner:
         # a Bezout pair that is not one gives a column off the mutation
         monkeypatch.setattr(abelian, "bezout", lambda a, c: (0, 0))
         with pytest.raises(markov.InvariantError, match="free part"):
+            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+
+    def test_two_annihilation_certificates_per_partner(self, monkeypatch):
+        # the first slice, then the second: no d1 candidate is tested
+        calls = []
+        real = abelian.annihilates
+        monkeypatch.setattr(abelian, "annihilates", lambda rows, *args: calls.append(rows) or real(rows, *args))
+        partners = 0
+        for (a, mu) in planes.SERIES_FAMILIES:
+            for c in planes.classify(a, 10**8, mu=mu):
+                for k in range(3):
+                    if planes.is_t_singular(c.matrix, k)[0]:
+                        del calls[:]
+                        kstar = adjacency.adjacent_partner(c.matrix, k).kstar
+                        p1, p2 = (p.rows for p in adjacency.slice_matrices(kstar))
+                        assert calls == [p1, p2]
+                        partners += 1
+        assert partners == 1926
+
+    def test_data_off_the_first_slice_is_refused(self, monkeypatch):
+        # l1 = 2 and l2 = 10 here, so rows starting with 2 are those of P1
+        real = abelian.annihilates
+        monkeypatch.setattr(abelian, "annihilates", lambda rows, *args: rows[0][0] != 2 and real(rows, *args))
+        with pytest.raises(markov.InvariantError, match="does not annihilate the columns"):
             adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
     def test_a_partner_off_the_second_slice_is_refused(self, monkeypatch):
@@ -516,7 +541,7 @@ class TestPrunedGraph:
             return real(*args)
 
         monkeypatch.setattr(adjacency, "adjacent_partner", counting)
-        with pytest.raises(markov.EnumerationCapExceeded, match="60 nodes"):
+        with pytest.raises(markov.EnumerationCapExceeded, match="60 classes exceed the node cap 40"):
             adjacency.adjacency_graph(2, 3, 10**6, max_nodes=40)
         assert partners == []
         assert len(adjacency.adjacency_graph(2, 3, 10**6, max_nodes=60).nodes) == 60

@@ -3,7 +3,10 @@
 import argparse
 import decimal
 import json
+import re
+import shlex
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -83,6 +86,18 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--a", "9", "--bound", str(10**9), "--depth", "2")
         assert code == 0
         assert len(out.strip().splitlines()) == 3
+
+    def test_bound_past_the_str_digit_limit(self, capsys):
+        # int() refuses the 5,001 digits of 10^5000; the library takes the bound at any size
+        code, out, err = run(capsys, "solve", "--a", "9", "--bound", "1" + "0" * 5000, "--depth", "2")
+        rows = sorted((markov.norm(u), u) for u in markov.enumerate_tree(9, 10**5000, depth_bound=2).nodes)
+        assert len(rows) == 3
+        assert code == 0 and err == "" and out == "".join(f"{u[0]}\t{u[1]}\t{u[2]}\t{n}\n" for n, u in rows)
+
+    @pytest.mark.parametrize("bound", ["1e5", "1.5", "abc"])
+    def test_bound_that_is_not_an_integer_is_refused(self, capsys, bound):
+        code, out, err = run(capsys, "solve", "--a", "9", "--bound", bound)
+        assert code == 2 and out == "" and f"argument --bound: invalid integer value: '{bound}'" in err
 
     def test_max_nodes_cap(self, capsys):
         code, _, err = run(capsys, "solve", "--a", "9", "--bound", str(10**6), "--max-nodes", "2")
@@ -171,7 +186,7 @@ class TestClassify:
         # of all four families together exceed the cap
         assert all(len(markov.enumerate_tree(mu, 600 // mu).nodes) <= 5 for mu in (5, 6, 8, 9))
         code, _, err = run(capsys, "classify", "--a", "1", "--bound", "600", "--max-nodes", "5")
-        assert code == 2 and "classes exceed the --max-nodes cap 5" in err
+        assert code == 2 and "45 classes exceed the node cap 5; raise --max-nodes to continue" in err
 
 
 class TestSing:
@@ -483,7 +498,7 @@ class TestIso:
     def test_graph_max_nodes_cap_counts_nodes_past_the_tree(self, capsys):
         # the 30 tree nodes below 10^6 fit the cap, their 60 classes do not
         code, out, err = run(capsys, "graph", "--a", "2", "--mu", "3", "--bound", str(10**6), "--max-nodes", "40")
-        assert code == 2 and out == "" and "60 nodes exceed" in err and "max-nodes" in err
+        assert code == 2 and out == "" and "60 classes exceed the node cap 40; raise --max-nodes to continue" in err
 
 
 class TestJsonDigitLimit:
@@ -587,3 +602,18 @@ class TestDeterminism:
     def test_jobs_flag_is_rejected(self, capsys):
         code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "100", "--jobs", "4")
         assert code == 2 and out == ""
+
+
+class TestReadmeExamples:
+    def test_every_example_exits_0(self, capsys):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        examples = []
+        for block in re.findall(r"```sh\n(.*?)```", readme, re.S):
+            for line in block.replace("\\\n", " ").splitlines():
+                argv = shlex.split(line, comments=True)
+                if argv[:1] == ["fwpp"]:
+                    examples.append(argv[1:])
+        assert len(examples) == 9
+        for argv in examples:
+            code, out, err = run(capsys, *argv)
+            assert code == 0 and out and err == "", argv

@@ -278,6 +278,12 @@ class TestClassify:
         with pytest.raises(ValueError, match="node cap must be non-negative, got -1"):
             planes.classify(a, 10, max_nodes=-1)
 
+    def test_node_cap_counts_classes_past_the_trees(self):
+        # each degree-1 tree at 600 has at most 5 nodes; the four families have 45 classes
+        with pytest.raises(markov.EnumerationCapExceeded, match="^45 classes exceed the node cap 5$"):
+            planes.classify(1, 600, max_nodes=5)
+        assert len(planes.classify(1, 600, max_nodes=45)) == 45
+
     @pytest.mark.parametrize("a", [1, 2, 3, 4, 5, 6, 8, 9])
     def test_mu_filter_partitions_the_classification(self, a):
         bound = 10**5 if a == 1 else 10**6
