@@ -199,12 +199,14 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     certificates run on every partner: ``u'_k`` must be ``(u_i + u_j)**2 /
     u_k`` and both rows of ``P2`` must be annihilated, or an
     ``InvariantError`` is raised, and :class:`~fwpp.planes.DegreeMatrix`
-    checks that every column pair generates ``K``.
+    checks that every column pair generates ``K``.  By Vieta, the first makes
+    ``w'_k`` the other root of ``q``'s equation in slot ``k``, so the partner
+    is adjusted over its arrangements for ``q``'s degree.
     """
     if slot not in (0, 1, 2):
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
     # refuses a non-integral degree, where a failed certificate below would report bad input as a defect
-    planes.integral_degree(q)
+    a = planes.integral_degree(q)
     w = planes.fake_weights_of_degree_matrix(q)
     rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
     perm = (rest[0], rest[1], slot)
@@ -249,7 +251,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, mu):
         raise InvariantError(f"partner columns {u2}, {eta2} of {q} do not annihilate the second slice")
     q2_raw = DegreeMatrix(mu, u2, eta2)
-    return AdjacentPair(q2=planes.adjust(q2_raw), q2_raw=q2_raw, kstar=kstar)
+    return AdjacentPair(q2=planes._normalize(q2_raw, markov.admissible_arrangements(u2, mu * a)), q2_raw=q2_raw, kstar=kstar)
 
 
 def can_degenerate(q: DegreeMatrix, slot: int) -> bool:

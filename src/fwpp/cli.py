@@ -48,7 +48,7 @@ def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
 
 
 def integer(text: str) -> int:
-    """``int(text)`` at any length, for ``--bound``; argparse names the type in its refusal."""
+    """``int(text)`` at any length, for ``--bound``, ``--depth`` and ``--max-nodes``; argparse names the type in its refusal."""
     return markov._decimal_int(text)
 
 
@@ -166,11 +166,11 @@ def build_parser() -> argparse.ArgumentParser:
     def bounded(p):
         """The flags of the commands that enumerate: solve, classify and graph."""
         p.add_argument("--bound", type=integer, default=DEFAULT_NORM_BOUND, help="norm bound on the fake weight vector")
-        p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES, help="abort when the enumeration grows past this many nodes")
+        p.add_argument("--max-nodes", type=integer, default=DEFAULT_MAX_NODES, help="abort when the enumeration grows past this many nodes")
 
     p_solve = sub.add_parser("solve", help="enumerate equation solutions up to a norm bound")
     p_solve.add_argument("--a", type=int, required=True)
-    p_solve.add_argument("--depth", type=int, default=None, help="optional mutation-depth truncation")
+    p_solve.add_argument("--depth", type=integer, default=None, help="optional mutation-depth truncation")
     bounded(p_solve)
     p_solve.add_argument("--format", choices=("tsv", "json", "md", "dot"), default="tsv")
     p_solve.set_defaults(func=cmd_solve)

@@ -235,9 +235,9 @@ def enumerate_tree(
     scaled ``(1, 1, 1)``, the slot-0 child.  Negative bounds raise ``ValueError``.
     """
     if depth_bound is not None and depth_bound < 0:
-        raise ValueError(f"depth bound must be non-negative, got {depth_bound}")
+        raise ValueError(f"depth bound must be non-negative, got {_decimal_str(depth_bound)}")
     if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"node cap must be non-negative, got {max_nodes}")
+        raise ValueError(f"node cap must be non-negative, got {_decimal_str(max_nodes)}")
     roots = sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound)
     depths: dict[Triple, int] = dict.fromkeys(roots, 0)
     queue = deque(roots)

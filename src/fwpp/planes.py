@@ -311,12 +311,6 @@ def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> Triple:
     return tuple((scale * e) % mu for e in shifted)
 
 
-def _arrangements(q: DegreeMatrix) -> tuple[int, list[tuple[int, int, int]]]:
-    """Integral degree of ``q`` and the orders arranging ``u``, for any ``eta``."""
-    a = integral_degree(q)
-    return a, markov.admissible_arrangements(q.u, q.mu * a)
-
-
 def _normalize(q: DegreeMatrix, perms) -> DegreeMatrix:
     """:func:`adjust` of ``q`` over its admissible column orders ``perms``."""
     best = None
@@ -345,7 +339,7 @@ def adjust(q: DegreeMatrix) -> DegreeMatrix:
     map from ``q`` to it is :func:`isomorphism_witness` of the two.  An
     input already in adjusted form is returned itself, not rebuilt.
     """
-    return _normalize(q, _arrangements(q)[1])
+    return _normalize(q, markov.admissible_arrangements(q.u, q.mu * integral_degree(q)))
 
 
 def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
@@ -421,16 +415,23 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     With ``mu`` given, only the ``(a, mu)`` family is enumerated (an empty
     list when it carries no series); the result is the ``mu`` part of the
     unfiltered one.  One entry per isomorphism class, keyed by the
-    canonical adjusted degree matrix: each tree node is arranged once, and
-    its series etas with equal normalized forms merge.  ``max_nodes`` caps
-    each family's tree as in :func:`fwpp.markov.enumerate_tree`; its error
-    names ``a``, the family's ``mu`` and ``norm_bound`` as given here.  It
-    then caps the class total, with the same ``EnumerationCapExceeded``.
+    canonical adjusted degree matrix.  Each tree node is arranged, and its
+    degree checked, once.  At a node with one admissible order,
+    ``(u_arr; 0, 1, eta)`` is already adjusted for every series eta: the
+    identity is its only order, and ``(0, 1, eta)`` normalizes with shift 0
+    and scale 1 (``gcd(u_0, mu) = 1`` by the constructor's check on columns
+    0 and 1, of determinant ``u_0``); distinct etas stay distinct, so
+    nothing merges.  Only a node with tied entries normalizes its etas over
+    its several orders and merges equal forms.
+    ``max_nodes`` caps each family's tree as in
+    :func:`fwpp.markov.enumerate_tree`; its error names ``a``, the family's
+    ``mu`` and ``norm_bound`` as given here.  It then caps the class total,
+    with the same ``EnumerationCapExceeded``.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {a}")
     if max_nodes is not None and max_nodes < 0:  # a degree with no family never reaches the tree's check
-        raise ValueError(f"node cap must be non-negative, got {max_nodes}")
+        raise ValueError(f"node cap must be non-negative, got {_decimal_str(max_nodes)}")
     out: list[ClassifiedPlane] = []
     for (deg, fam_mu) in SERIES_FAMILIES:
         if deg != a or (mu is not None and fam_mu != mu):
@@ -443,22 +444,18 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
                 f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for degree {a}, mu {fam_mu}"
             ) from exc
         for u_sorted in tree.nodes:
-            u_arr, _ = markov.arrange(u_sorted, fam_mu * a)
+            perms = markov.admissible_arrangements(u_sorted, fam_mu * a)
+            u_arr = tuple(u_sorted[i] for i in perms[0])
             qs = [DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu)) for eta in etas]
-            node_a, perms = _arrangements(qs[0])
-            if node_a != a:
+            if integral_degree(qs[0]) != a:
                 raise InvariantError(f"classified matrix {qs[0]} has wrong degree")
-            groups: dict[DegreeMatrix, list[int]] = {}
+            if len(perms) == 1:
+                out.extend(ClassifiedPlane(_series_label(q, a), q, (SeriesId(a, fam_mu, eta),)) for eta, q in zip(etas, qs))
+                continue
+            perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on qs
             for eta, q in zip(etas, qs):
-                groups.setdefault(_normalize(q, perms), []).append(eta)
-            for canonical in sorted(groups):
-                out.append(
-                    ClassifiedPlane(
-                        series=_series_label(canonical, a),
-                        matrix=canonical,
-                        all_series=tuple(sorted(SeriesId(a, fam_mu, eta) for eta in groups[canonical])),
-                    )
-                )
+                groups.setdefault(_normalize(q, perms), []).append(SeriesId(a, fam_mu, eta))
+            out.extend(ClassifiedPlane(_series_label(q, a), q, tuple(sorted(ids))) for q, ids in groups.items())
     if max_nodes is not None and len(out) > max_nodes:
         raise markov.EnumerationCapExceeded(f"{len(out)} classes exceed the node cap {max_nodes}")
     out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))

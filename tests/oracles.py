@@ -16,6 +16,8 @@ lattice-geometry route to the Gorenstein index of a cone.  The mutation
 tree is enumerated by sorting every mutated triple, and its ``solve`` text
 is written with a parent found by ``_play`` and a label built for every
 occurrence of a triple; arrangements are found by testing whole tuples.
+The classification adjusts every series eta of every tree node and merges
+equal adjusted forms, tied entries or not.
 Annihilation of integer rows in ``K`` is summed element by element, and
 the minors of the ambient 3x4 matrix come from cofactor expansion.  The
 connected components of an adjacency graph come from ``networkx``, and the
@@ -651,9 +653,36 @@ def tree_text(tree: markov.MutationTree, fmt: str) -> str:
     return out.getvalue()
 
 
-def classify_text(classes, a: int, fmt: str) -> str:
-    """What ``fwpp classify --format fmt`` prints for ``classes`` in tsv or
-    md: one ``print`` per row."""
+def normalizing_classify(a: int, norm_bound: int, mu: int | None = None) -> list[planes.ClassifiedPlane]:
+    """The classification with every series eta of every tree node adjusted
+    and equal adjusted forms merged, whether or not the node has tied
+    entries; no node cap."""
+    out = []
+    for deg, fam_mu in planes.SERIES_FAMILIES:
+        if deg != a or (mu is not None and fam_mu != mu):
+            continue
+        etas = planes.SERIES_ETAS[(deg, fam_mu)]
+        for u_sorted in markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu).nodes:
+            u_arr, _ = markov.arrange(u_sorted, fam_mu * a)
+            groups: dict[planes.DegreeMatrix, list[int]] = {}
+            for eta in etas:
+                q = planes.DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu))
+                if planes.integral_degree(q) != a:
+                    raise markov.InvariantError(f"classified matrix {q} has wrong degree")
+                groups.setdefault(planes.adjust(q), []).append(eta)
+            for canonical in sorted(groups):
+                series = tuple(sorted(planes.SeriesId(a, fam_mu, eta) for eta in groups[canonical]))
+                out.append(planes.ClassifiedPlane(planes._series_label(canonical, a), canonical, series))
+    out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
+    return out
+
+
+def classify_text(classes, a: int, fmt: str, report: bool = False) -> str:
+    """What ``fwpp classify --format fmt`` prints for ``classes``: in tsv or
+    md one ``print`` per row, in json one ``json.dumps`` of every plane's
+    object, with its singularity report when ``report`` is set."""
+    if fmt == "json":
+        return json.dumps([planes.plane_json_obj(c, with_report=report) for c in classes], separators=(",", ":")) + "\n"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         row = "{}\t{}\t{}\t{}\t{}"

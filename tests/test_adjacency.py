@@ -612,7 +612,7 @@ class TestClassifyOneFamily:
     def _check_t_point_work(monkeypatch, bound, partners):
         # one Gorenstein index per node slot and one per partner; a partner
         # is solved in K, so no slice generator matrix is built or validated
-        counts = {"iota": 0, "validate": 0, "partner": 0, "adjust": 0}
+        counts = {"iota": 0, "validate": 0, "partner": 0, "adjust": 0, "normalize": 0, "degree": 0}
 
         def counted(module, name, key):
             real = getattr(module, name)
@@ -627,12 +627,19 @@ class TestClassifyOneFamily:
         counted(abelian, "validate_generator_matrix", "validate")
         counted(adjacency, "adjacent_partner", "partner")
         counted(planes, "adjust", "adjust")
+        counted(planes, "_normalize", "normalize")
+        counted(planes, "integral_degree", "degree")
         graph = adjacency.adjacency_graph(1, 8, bound)
         assert counts["partner"] == partners == len(graph.edges) + sum(n.self_kstar is not None for n in graph.nodes)
         assert counts["iota"] == 3 * len(graph.nodes) + counts["partner"]
         assert counts["validate"] == 0
-        # nodes come adjusted from classify; only each partner is adjusted
-        assert counts["adjust"] == counts["partner"]
+        # nodes come adjusted from classify, which checks each node's degree
+        # once and normalizes the four etas of its one tied node, (1, 1, 2);
+        # each partner is normalized once, over the arrangements for its
+        # input's degree, which it derives once
+        assert counts["adjust"] == 0
+        assert counts["normalize"] == 4 + counts["partner"]
+        assert counts["degree"] == len(markov.enumerate_tree(8, bound // 8).nodes) + counts["partner"]
 
 
 class TestCensus:

@@ -2,6 +2,7 @@
 
 import argparse
 import decimal
+import functools
 import json
 import re
 import shlex
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from fwpp import cli, markov, planes
+from fwpp import adjacency, cli, markov, planes
 
 
 def run(capsys, *argv):
@@ -23,6 +24,12 @@ def run(capsys, *argv):
 def read_json(out):
     """Parse CLI json output, reading numbers of any size."""
     return json.loads(out, parse_int=markov._decimal_int)
+
+
+@functools.cache
+def normalized_classes(a, bound):
+    """``oracles.normalizing_classify(a, bound)``, cached across the tests that compare against it."""
+    return oracles.normalizing_classify(a, bound)
 
 
 MATRIX_183 = '{"mu":8,"u":["1","1","2"],"eta":[0,1,3]}'
@@ -126,6 +133,41 @@ class TestSolve:
         assert (code, out, err) == (2, "", f"error: {name} must be non-negative, got -1\n")
 
 
+HUGE_CAP = "1" + "0" * 5000  # past int()'s str-to-int digit limit, and never reached
+
+
+class TestCapsOfAnyLength:
+    @pytest.mark.parametrize("fmt", ["tsv", "md", "dot"])
+    @pytest.mark.parametrize("flag", ["--depth", "--max-nodes"])
+    def test_solve_cap_past_the_str_digit_limit_is_no_cap(self, capsys, flag, fmt):
+        code, out, err = run(capsys, "solve", "--a", "9", "--bound", str(10**24), flag, HUGE_CAP, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == oracles.tree_text(markov.enumerate_tree(9, 10**24), fmt)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "md"])
+    def test_classify_cap_past_the_str_digit_limit_is_no_cap(self, capsys, fmt):
+        code, out, err = run(capsys, "classify", "--a", "2", "--bound", str(10**24), "--max-nodes", HUGE_CAP, "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == oracles.classify_text(planes.classify(2, 10**24), 2, fmt)
+
+    def test_graph_cap_past_the_str_digit_limit_is_no_cap(self, capsys):
+        code, out, err = run(capsys, "graph", "--a", "2", "--mu", "3", "--bound", str(10**12), "--max-nodes", HUGE_CAP)
+        assert (code, err) == (0, "")
+        assert out == adjacency.adjacency_graph(2, 3, 10**12).to_dot()
+
+    @pytest.mark.parametrize("argv", [("solve", "--a", "9", "--depth"), ("solve", "--a", "9", "--max-nodes"),
+                                      ("classify", "--a", "2", "--max-nodes"), ("graph", "--a", "2", "--mu", "3", "--max-nodes")])
+    @pytest.mark.parametrize("value", ["-1", "-" + HUGE_CAP, "abc"])
+    def test_negative_or_non_integer_cap_is_refused(self, capsys, argv, value):
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        if value == "abc":
+            assert f"argument {argv[-1]}: invalid integer value: 'abc'" in err
+        else:
+            name = "depth bound" if argv[-1] == "--depth" else "node cap"
+            assert err == f"error: {name} must be non-negative, got {value}\n"
+
+
 class TestClassify:
     def test_base_series_of_degree_2(self, capsys):
         code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "50")
@@ -180,6 +222,19 @@ class TestClassify:
             code, out, _ = run(capsys, "classify", "--a", str(a), "--bound", str(10**24), "--max-nodes", "100000", "--format", fmt)
             assert code == 0
             assert out == oracles.classify_text(planes.classify(a, 10**24), a, fmt)
+
+    @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    def test_stdout_equals_the_normalizing_oracle(self, capsys, a, fmt):
+        code, out, err = run(capsys, "classify", "--a", str(a), "--bound", str(10**48), "--max-nodes", "100000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert out == oracles.classify_text(normalized_classes(a, 10**48), a, fmt)
+
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    def test_report_json_equals_the_normalizing_oracle(self, capsys, a):
+        code, out, err = run(capsys, "classify", "--a", str(a), "--bound", str(10**12), "--report", "--format", "json")
+        assert (code, err) == (0, "")
+        assert out == oracles.classify_text(normalized_classes(a, 10**12), a, "json", report=True)
 
     def test_max_nodes_cap_counts_classes_past_the_trees(self, capsys):
         # each degree-1 tree at 600 has at most 5 nodes, but the classes

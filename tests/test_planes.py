@@ -312,11 +312,30 @@ class TestClassify:
         assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == 125
         assert len(built) == 125
 
+    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    def test_equals_the_normalizing_oracle(self, a):
+        # same classes, matrices, labels, merged labels and order as adjusting
+        # every eta of every node: ClassifiedPlane equality compares series,
+        # matrix and all_series
+        assert planes.classify(a, 10**48) == oracles.normalizing_classify(a, 10**48)
+        for deg, mu in planes.SERIES_FAMILIES:
+            if deg == a:
+                assert planes.classify(a, 10**24, mu=mu) == oracles.normalizing_classify(a, 10**24, mu=mu)
+
     def test_one_canonical_pass_per_node(self, monkeypatch):
-        # no runtime witness search, no public adjust or series_id, and the
-        # arrangement computed at most twice per node: once by
-        # markov.arrange, once for all of the node's etas
+        # no runtime witness search, no public adjust or series_id; each
+        # node is arranged once, and only a node with tied entries is
+        # arranged again, for the orders of its arranged triple, and
+        # normalizes its etas
         calls = {"witness": 0, "arrangements": 0, "adjust": 0, "series_id": 0}
+        normalized = []
+        real_normalize = planes._normalize
+
+        def normalizing(q, perms):
+            normalized.append(q.u)
+            return real_normalize(q, perms)
+
+        monkeypatch.setattr(planes, "_normalize", normalizing)
 
         def counted(module, name, key):
             real = getattr(module, name)
@@ -332,10 +351,16 @@ class TestClassify:
         counted(planes, "adjust", "adjust")
         counted(planes, "series_id", "series_id")
         classes = planes.classify(1, 10**12)
-        nodes = sum(len(markov.enumerate_tree(mu, 10**12 // mu).nodes) for a, mu in planes.SERIES_FAMILIES if a == 1)
+        arrangements = calls["arrangements"]
+        trees = [(mu, markov.enumerate_tree(mu, 10**12 // mu).nodes) for a, mu in planes.SERIES_FAMILIES if a == 1]
+        nodes = sum(len(t) for _, t in trees)
+        tied = [(markov.arrange(u, mu)[0], mu) for mu, t in trees for u in t if len(markov.admissible_arrangements(u, mu)) > 1]
         assert len(classes) >= nodes > 0
         assert calls["witness"] == calls["adjust"] == calls["series_id"] == 0
-        assert 0 < calls["arrangements"] <= 2 * nodes
+        assert sorted(tied) == [((1, 1, 1), 9), ((1, 1, 2), 8), ((1, 1, 4), 9)]
+        assert arrangements == nodes + len(tied)
+        # each tied node normalizes each of its family's etas, and no other node normalizes
+        assert sorted(normalized) == sorted(u for u, mu in tied for _ in planes.SERIES_ETAS[(1, mu)])
 
     def test_weights_are_stored_once(self, monkeypatch):
         c = planes.classify(2, 100)[0]
