@@ -1,12 +1,7 @@
 """Exact enumeration of squared Markov equations, fake weighted projective
 planes of integral degree, their singularities and adjacency graphs."""
 
-from .abelian import (
-    KAutomorphism,
-    apply_automorphism,
-    k_membership_multiple,
-    kernel_basis,
-)
+from .abelian import KAutomorphism, apply_automorphism, k_membership_multiple
 from .adjacency import (
     AdjacencyGraph,
     AdjacentPair,

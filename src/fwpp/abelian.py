@@ -1,8 +1,8 @@
 """Closed-form integer arithmetic of generator matrices and the groups ``Z + Z/mu``.
 
-Matrices are lists of row lists of plain Python integers; all operations are
-exact.  The kernel of a grading map is read off in closed form from Bezout
-coefficients and modular inverses.
+All operations are exact on plain Python integers: the validation of a 2x3
+generator matrix, Bezout coefficients, annihilation and pair generation in
+``K``, and membership multiples.
 
 An element of the group ``K = Z + Z/mu`` is an integer pair ``(free, tors)``
 with ``0 <= tors < mu``, and the group is given by ``mu`` itself.  ``mu = 1``
@@ -15,19 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
-from .markov import InvariantError
-
-Matrix = list[list[int]]
 #: An element ``(free, tors)`` of ``Z + Z/mu``.
 Pair = tuple[int, int]
-
-
-def transpose(a: Sequence[Sequence[int]]) -> Matrix:
-    return [list(col) for col in zip(*a)]
-
-
-def det2(a: int, b: int, c: int, d: int) -> int:
-    return a * d - b * c
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +61,7 @@ def k_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generator matrices and kernels of grading maps
+# Generator matrices and generation of K
 # ---------------------------------------------------------------------------
 
 
@@ -90,16 +79,6 @@ class NotGeneratorMatrixError(ValueError):
     pass
 
 
-def _signed_cofactor_kernel(p: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """The kernel vector of a 2x3 matrix via signed 2x2 cofactors."""
-    v = [(p[0][j], p[1][j]) for j in range(3)]
-    return (
-        det2(v[1][0], v[2][0], v[1][1], v[2][1]),
-        -det2(v[0][0], v[2][0], v[0][1], v[2][1]),
-        det2(v[0][0], v[1][0], v[0][1], v[1][1]),
-    )
-
-
 def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int]:
     """Check the projective generator matrix conditions for a 2x3 matrix.
 
@@ -109,13 +88,14 @@ def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int
     """
     if len(p) != 2 or any(len(row) != 3 for row in p):
         raise NotGeneratorMatrixError(f"expected a 2x3 matrix, got {p}")
-    cols = [(p[0][j], p[1][j]) for j in range(3)]
+    (a0, a1, a2), (b0, b1, b2) = p
+    cols = [(a0, b0), (a1, b1), (a2, b2)]
     for col in cols:
         if gcd(col[0], col[1]) != 1:
             raise NotGeneratorMatrixError(f"column {col} is not primitive")
     if len(set(cols)) != 3:
         raise NotGeneratorMatrixError(f"columns are not pairwise distinct: {cols}")
-    kernel = _signed_cofactor_kernel(p)
+    kernel = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     if 0 in kernel or len({k > 0 for k in kernel}) != 1:
         raise NotGeneratorMatrixError(f"columns of {p} do not positively span the plane")
     return tuple(abs(k) for k in kernel)
@@ -128,38 +108,6 @@ def annihilates(rows: Iterable[Sequence[int]], free: Sequence[int], tors: Sequen
         if sum(x * f for x, f in zip(row, free)) or sum(x * t for x, t in zip(row, tors)) % mu:
             return False
     return True
-
-
-def kernel_basis(u: Sequence[int], eta: Sequence[int], mu: int) -> Matrix:
-    """Basis of ``{m in Z^3 : sum m_i q_i == 0 in K}`` as a 3x2 matrix.
-
-    The columns are the rows of the lattice's row Hermite normal form
-    ``[[1, x, y], [0, mu*u_2, -mu*u_1]]``, a projective generator matrix for
-    the same plane.  Raises ``ValueError`` if a column pair fails to generate
-    ``K``.
-
-    With ``q_i = (u_i, eta_i)``, the pair checks force ``gcd(u_1, u_2) = 1``
-    and make ``D = u_1*eta_2 - u_2*eta_1`` a unit mod ``mu``.  Kernel vectors
-    ``(0, t*u_2, -t*u_1)`` have torsion ``-t*D``, so ``mu | t``: the second
-    row.  With ``alpha*u_1 + beta*u_2 = 1``, ``x_0 = -u_0*alpha`` and
-    ``y_0 = -u_0*beta``, the vector ``(1, x_0 + t*u_2, y_0 - t*u_1)`` has
-    free part 0 and torsion ``E - t*D``, ``E = eta_0 + x_0*eta_1 +
-    y_0*eta_2``, which vanishes for ``t = E/D mod mu``.  Reducing ``x`` into
-    ``[0, mu*u_2)`` gives the first row in Hermite form.
-    """
-    for i in range(3):
-        for j in range(i + 1, 3):
-            if not pair_generates((u[i], eta[i]), (u[j], eta[j]), mu):
-                raise ValueError(f"columns {i},{j} do not generate the full group")
-    (u0, u1, u2), (e0, e1, e2) = u, eta
-    alpha, beta = bezout(u1, u2)
-    x0, y0 = -u0 * alpha, -u0 * beta
-    s = (e0 + x0 * e1 + y0 * e2) * pow(u1 * e2 - u2 * e1, -1, mu) % mu
-    x = (x0 + s * u2) % (mu * u2)
-    y, rem = divmod(-(u0 + x * u1), u2)
-    if rem:
-        raise InvariantError(f"kernel basis of (mu={mu}, u={u}, eta={eta}) has no integral first row")
-    return [[1, 0], [x, mu * u2], [y, -mu * u1]]
 
 
 def pair_generates(x: Pair, y: Pair, mu: int) -> bool:

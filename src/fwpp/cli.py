@@ -35,16 +35,12 @@ DEFAULT_NORM_BOUND = 10**6
 DEFAULT_MAX_NODES = 4096
 
 
-class _InputError(Exception):
-    pass
-
-
 def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
     text = sys.stdin.read() if value == "-" else value
     try:
         return planes.DegreeMatrix.from_json_obj(json.loads(text))
     except (ValueError, KeyError, TypeError) as exc:
-        raise _InputError(f"not a degree matrix: {exc}") from exc
+        raise ValueError(f"not a degree matrix: {exc}") from exc
 
 
 def integer(text: str) -> int:
@@ -210,7 +206,7 @@ def main(argv=None) -> int:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (_InputError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except markov.EnumerationCapExceeded as exc:

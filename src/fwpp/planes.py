@@ -80,6 +80,8 @@ class DegreeMatrix:
     eta: Triple
 
     def __post_init__(self):
+        object.__setattr__(self, "u", tuple(self.u))
+        object.__setattr__(self, "eta", tuple(self.eta))
         if self.mu < 1:
             raise ValueError(f"torsion order must be positive, got {self.mu}")
         if len(self.u) != 3 or len(self.eta) != 3:
@@ -132,6 +134,7 @@ class GeneratorMatrix:
     weights: Triple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         object.__setattr__(self, "weights", abelian.validate_generator_matrix(self.rows))
 
     def column(self, j: int) -> tuple[int, int]:
@@ -266,15 +269,29 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
 
 
 def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
-    """A corresponding generator matrix, canonical via row Hermite form.
+    """The generator matrix ``[[1, x, y], [0, mu*u_2, -mu*u_1]]`` of ``q``:
+    the row Hermite form of the lattice ``{m in Z^3 : sum m_i q_i == 0 in
+    K}``, whose columns pair with the columns of ``q`` so per-fixed-point
+    data line up.
 
-    Its columns are a basis problem: the transpose spans the kernel of the
-    grading map, so column ``j`` of the result pairs with column ``j`` of
-    ``q`` and per-fixed-point data line up.
+    With ``q_i = (u_i, eta_i)``, the constructor's pair checks make
+    ``gcd(u_1, u_2) = 1`` and ``D = u_1*eta_2 - u_2*eta_1`` a unit mod
+    ``mu``.  Kernel vectors ``(0, t*u_2, -t*u_1)`` have torsion ``-t*D``, so
+    ``mu | t``: the second row.  With ``alpha*u_1 + beta*u_2 = 1``,
+    ``x_0 = -u_0*alpha`` and ``y_0 = -u_0*beta``, the vector ``(1, x_0 +
+    t*u_2, y_0 - t*u_1)`` has free part 0 and torsion ``E - t*D``, ``E =
+    eta_0 + x_0*eta_1 + y_0*eta_2``, which vanishes for ``t = E/D mod mu``.
+    Reducing ``x`` into ``[0, mu*u_2)`` gives the first row in Hermite form.
     """
-    basis = abelian.kernel_basis(q.u, q.eta, q.mu)
-    rows = abelian.transpose(basis)
-    p = GeneratorMatrix((tuple(rows[0]), tuple(rows[1])))
+    mu, (u0, u1, u2), (e0, e1, e2) = q.mu, q.u, q.eta
+    alpha, beta = abelian.bezout(u1, u2)
+    x0, y0 = -u0 * alpha, -u0 * beta
+    s = (e0 + x0 * e1 + y0 * e2) * pow(u1 * e2 - u2 * e1, -1, mu) % mu
+    x = (x0 + s * u2) % (mu * u2)
+    y, rem = divmod(-(u0 + x * u1), u2)
+    if rem:
+        raise InvariantError(f"kernel basis of {q} has no integral first row")
+    p = GeneratorMatrix(((1, x, y), (0, mu * u2, -mu * u1)))
     if not corresponds(q, p):
         raise InvariantError(f"kernel basis of {q} fails the correspondence test")
     return p

@@ -36,8 +36,14 @@ from math import gcd, isqrt
 from typing import Iterator, Sequence
 
 from fwpp import abelian, adjacency, markov, planes
-from fwpp.abelian import KAutomorphism, Matrix, Pair
+from fwpp.abelian import KAutomorphism, Pair
 from fwpp.adjacency import AdjacencyGraph, GraphEdge, GraphNode, KStarData
+
+Matrix = list[list[int]]
+
+
+def transpose(a: Sequence[Sequence[int]]) -> Matrix:
+    return [list(col) for col in zip(*a)]
 
 
 def identity_matrix(n: int) -> Matrix:
@@ -58,7 +64,7 @@ def det_unimodular(m: Sequence[Sequence[int]]) -> int:
     if n == 1:
         return m[0][0]
     if n == 2:
-        return abelian.det2(m[0][0], m[0][1], m[1][0], m[1][1])
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0]
     total = 0
     for j in range(n):
         minor = [row[:j] + row[j + 1 :] for row in m[1:]]
@@ -551,7 +557,7 @@ def snf_cokernel_structure(p):
     normal form ``U * P^T * V``, as ``(mu, u, eta)``: row 1 of ``U`` is the
     torsion row, row 2 (sign-normalized) the free row."""
     weights = abelian.validate_generator_matrix(p)
-    u_mat, s, _ = smith_normal_form(abelian.transpose(p))
+    u_mat, s, _ = smith_normal_form(transpose(p))
     assert s[0][0] == 1, f"first invariant factor of {p} is {s[0][0]}"
     mu = s[1][1]
     assert mu == gcd(gcd(weights[0], weights[1]), weights[2])
@@ -574,7 +580,7 @@ def hnf_kernel_basis(u, eta, mu: int):
     assert rank == 2
     rows = [[v[r][j] for r in range(3)] for j in range(rank, 4)]
     h, _ = hermite_normal_form(rows)
-    return abelian.transpose(h)
+    return transpose(h)
 
 
 def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):

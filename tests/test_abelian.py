@@ -45,8 +45,8 @@ def generator_matrices(draw, entry=25):
 
 @st.composite
 def valid_columns(draw, max_mu=59, entry=10**30):
-    """The integers ``(u, eta, mu)`` of a valid degree matrix, the
-    argument order of ``kernel_basis``: pairwise coprime free parts, each at most 30 or between ``entry / 10**10`` and ``entry``
+    """The integers ``(u, eta, mu)`` of a valid degree matrix: pairwise
+    coprime free parts, each at most 30 or between ``entry / 10**10`` and ``entry``
     (then moved up to the next value coprime to the earlier ones), and
     torsion parts drawn among the residues that keep every column pair
     generating."""
@@ -89,7 +89,7 @@ def test_public_names():
         "corresponds", "decompose", "degree",
         "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",
         "initial_solutions", "is_initial", "is_isomorphic", "is_solution", "is_t_singular",
-        "isomorphism_witness", "k_membership_multiple", "kernel_basis", "local_class_group_order",
+        "isomorphism_witness", "k_membership_multiple", "local_class_group_order",
         "local_gorenstein_index", "markov", "mutate", "one_step_mutations", "planes",
         "resolution_curve_count", "scaled_solution_class", "self_adjacency_census", "series_id",
         "singularity_report", "slice_matrices", "t_singular_chart",
@@ -110,7 +110,7 @@ class TestSmithNormalForm:
         assert abs(oracles.det_unimodular(v)) == 1
 
     def test_transpose_of_plane_generator_is_free(self):
-        m = abelian.transpose([[1, 1, -2], [0, 1, -1]])
+        m = oracles.transpose([[1, 1, -2], [0, 1, -1]])
         _, s, _ = oracles.smith_normal_form(m)
         assert (s[0][0], s[1][1]) == (1, 1)
 
@@ -233,15 +233,13 @@ class TestCokernel:
         assert mu == 9 and u == (1, 1, 1)
 
 
-class TestKernelBasis:
+class TestGeneratorOf:
     def test_free_projective_plane(self):
-        basis = abelian.kernel_basis((1, 1, 1), (0, 0, 0), 1)
-        rows = abelian.transpose(basis)
-        assert rows == [[1, 0, -1], [0, 1, -1]]
+        assert planes.generator_of(planes.DegreeMatrix(1, (1, 1, 1), (0, 0, 0))).rows == ((1, 0, -1), (0, 1, -1))
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
-            abelian.kernel_basis((1, 1, 4), (0, 1, 1), 9)
+            planes.DegreeMatrix(9, (1, 1, 4), (0, 1, 1))
 
     @pytest.mark.parametrize("bad", [(0, 1), (0, 2), (1, 2)])
     def test_each_failing_pair_is_rejected(self, bad):
@@ -251,20 +249,23 @@ class TestKernelBasis:
         i, j = bad
         u[j], eta[j] = u[i], eta[i]
         with pytest.raises(ValueError):
-            abelian.kernel_basis(u, eta, 9)
+            planes.DegreeMatrix(9, u, eta)
         with pytest.raises(ValueError):
             oracles.hnf_kernel_basis(u, eta, 9)
 
     @settings(max_examples=300, deadline=None)
     @given(valid_columns())
     def test_closed_form_matches_hermite_route(self, data):
-        assert abelian.kernel_basis(*data) == oracles.hnf_kernel_basis(*data)
+        u, eta, mu = data
+        rows = planes.generator_of(planes.DegreeMatrix(mu, u, eta)).rows
+        assert [list(row) for row in rows] == oracles.transpose(oracles.hnf_kernel_basis(u, eta, mu))
 
     def test_closed_form_matches_hermite_route_on_classified_planes(self):
         for a in markov.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**8 if a == 1 else 10**12):
                 q = c.matrix
-                assert abelian.kernel_basis(q.u, q.eta, q.mu) == oracles.hnf_kernel_basis(q.u, q.eta, q.mu)
+                rows = planes.generator_of(q).rows
+                assert [list(row) for row in rows] == oracles.transpose(oracles.hnf_kernel_basis(q.u, q.eta, q.mu))
 
     def test_generator_of_classified_planes_matches_sympy(self):
         # the rows of generator_of(q) span the kernel of q's grading map, so
@@ -283,11 +284,48 @@ class TestKernelBasis:
     def test_duality_roundtrip(self):
         # cokernel of the kernel reproduces the original columns up to
         # automorphism; checked via annihilation plus equal free parts
-        basis = abelian.kernel_basis((1, 1, 2), (0, 1, 3), 8)
-        rows = abelian.transpose(basis)
+        rows = planes.generator_of(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))).rows
         mu, u, _ = oracles.cokernel_structure(rows)
         assert mu == 8
         assert u == (1, 1, 2)
+
+    def test_singularity_report_checks_no_pair_again(self, monkeypatch):
+        # the DegreeMatrix constructor checks each column pair once; reading
+        # the generator matrix and the report off it checks none again
+        q = planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))
+        expected = planes.singularity_report(q)
+        calls = []
+        pair_generates = abelian.pair_generates
+        monkeypatch.setattr(abelian, "pair_generates", lambda *args: calls.append(args) or pair_generates(*args))
+        assert planes.singularity_report(q) == expected
+        assert calls == []
+
+
+class TestValidateGeneratorMatrix:
+    @settings(max_examples=200, deadline=None)
+    @given(generator_matrices())
+    def test_weights_are_the_absolute_minors(self, p):
+        sympy = pytest.importorskip("sympy")
+        m = sympy.Matrix(p)
+        minors = tuple(abs(int(m.extract([0, 1], [j for j in range(3) if j != k]).det())) for k in range(3))
+        assert abelian.validate_generator_matrix(p) == minors
+
+    @settings(max_examples=200, deadline=None)
+    @given(generator_matrices(), st.integers(0, 2))
+    def test_a_negated_column_mixes_the_signs(self, p, k):
+        # negating column k flips the sign of the two minors that use it
+        p[0][k], p[1][k] = -p[0][k], -p[1][k]
+        with pytest.raises(abelian.NotGeneratorMatrixError):
+            abelian.validate_generator_matrix(p)
+
+    @settings(max_examples=100, deadline=None)
+    @given(generator_matrices())
+    def test_a_zero_minor_is_refused(self, p):
+        # the third column on the ray opposite the first: the minor of
+        # columns 0 and 2 is 0, although all columns stay primitive and distinct
+        p[0][2], p[1][2] = -p[0][0], -p[1][0]
+        with pytest.raises(abelian.NotGeneratorMatrixError, match="positively span"):
+            abelian.validate_generator_matrix(p)
 
 
 class TestMembershipMultiple:

@@ -375,6 +375,16 @@ class TestSing:
         code, out, err = run(capsys, "iso", MATRIX_183, matrix)
         assert code == 2 and out == "" and err.startswith("error:")
 
+    @pytest.mark.parametrize(
+        "matrix",
+        ["[1,2,3]", '{"mu":1,"eta":[0,0,0]}', '{"mu":1,"u":[[1],1,1],"eta":[0,0,0]}', '"abc"'],
+    )
+    def test_json_that_is_no_matrix_is_named_so(self, capsys, matrix):
+        # the KeyError and TypeError of reading such JSON reach stderr as one ValueError
+        for argv in (("sing", matrix), ("iso", matrix, MATRIX_183), ("iso", MATRIX_183, matrix)):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == "" and err.startswith("error: not a degree matrix: ")
+
     @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
     def test_resolution_count_past_the_str_digit_limit(self, capsys, fmt):
         # z(2) is resolved by a 5,000-digit number of curves; json writes the

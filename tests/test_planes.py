@@ -56,6 +56,15 @@ class TestWeightsAndDegree:
     def test_degree_matrix_fields_are_its_integers(self):
         assert [f.name for f in dataclasses.fields(DegreeMatrix)] == ["mu", "u", "eta"]
 
+    def test_list_built_matrices_store_tuples(self):
+        q, q_tuple = DegreeMatrix(8, [1, 1, 2], [0, 1, 3]), DegreeMatrix(8, (1, 1, 2), (0, 1, 3))
+        assert q == q_tuple and hash(q) == hash(q_tuple)
+        assert (q.u, q.eta) == ((1, 1, 2), (0, 1, 3))
+        assert str(planes.series_id(q)) == "1-8-3"
+        p, p_tuple = GeneratorMatrix([[4, 4, -4], [1, -3, 1]]), GeneratorMatrix(((4, 4, -4), (1, -3, 1)))
+        assert p == p_tuple and hash(p) == hash(p_tuple)
+        assert p.rows == ((4, 4, -4), (1, -3, 1)) and p.weights == (8, 8, 16)
+
     def test_generator_validation(self):
         with pytest.raises(ValueError):
             GeneratorMatrix(((1, 1, 2), (0, 1, 1)))  # halfplane only
