@@ -39,7 +39,7 @@ def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
     text = sys.stdin.read() if value == "-" else value
     try:
         return planes.DegreeMatrix.from_json_obj(json.loads(text))
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ValueError(f"not a degree matrix: {exc}") from exc
 
 
@@ -112,10 +112,8 @@ def cmd_sing(args) -> int:
         obj = q.to_json_obj()
         weights = planes.fake_weights_of_degree_matrix(q)
         deg = planes.degree(weights)
-        try:
+        if deg.denominator == 1:  # only integral degrees have a series label
             obj["series"] = str(planes._series_label(planes.adjust(q), deg.numerator))
-        except ValueError:
-            pass  # non-integral degree has no series label
         obj["weights"] = [_decimal_str(w) for w in weights]
         obj["degree"] = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
         obj["report"] = report.to_json_obj()

@@ -18,8 +18,8 @@ the tests check every such merge against :func:`isomorphism_witness`.
 Singularity data at the three toric fixed points (local class group order,
 local Gorenstein index, T-singularity test and the exceptional curve count
 of the minimal resolution) are computed exactly: orders and indices by
-group arithmetic in ``K``, curve counts by lattice geometry of the fan
-cones.
+group arithmetic in ``K``, curve counts from the regular continued
+fraction of the type ``m/k`` of each fan cone.
 """
 
 from __future__ import annotations
@@ -212,27 +212,25 @@ def t_singular_chart(iota: int, d: int, b: int) -> tuple[tuple[int, int], tuple[
 
 
 def _hirzebruch_jung_length(m: int, k: int) -> int:
-    """Length of the negative continued fraction expansion of m/k.
+    """Length of the negative (Hirzebruch-Jung) continued fraction of m/k.
 
-    While ``k > m - k`` the next entry is 2 and the step keeps ``r = m - k``
-    fixed while lowering ``m`` and ``k`` by ``r``, so a run of ``(k-1)//r``
-    entries 2 is taken at once.  Steps are then bounded by those of the
-    Euclidean algorithm, O(log m).
+    Write the regular expansion as ``m/k = [a1; a2, ..., a_2n]``, making its
+    length even by splitting a last term ``a`` into ``a - 1, 1`` if need be.
+    Then ``m/k = [[a1+1, 2^(a2-1), a3+2, ..., a_(2n-1)+2, 2^(a_2n-1)]]``
+    (Popescu-Pampu, *The geometry of continued fractions and the topology
+    of surface singularities*, 2007), where ``2^j`` stands for ``j`` entries
+    2.  So the length is the sum of the even-position partial quotients of
+    the Euclidean algorithm on ``(m, k)``, plus one when that algorithm
+    takes an odd number of steps; by Lamé's theorem it takes O(log m).
     """
-    count = 0
-    while k > 0:
-        r = m - k
-        if 0 < r < k:
-            n = (k - 1) // r
-            m, k = m - n * r, k - n * r
-            count += n
-            continue
-        b = -(-m // k)
-        m, k = k, b * k - m
-        count += 1
+    quotients = []
+    while k:
+        a, r = divmod(m, k)
+        quotients.append(a)
+        m, k = k, r
     if m != 1:
         raise InvariantError("continued fraction expansion did not terminate at 1")
-    return count
+    return sum(quotients[1::2]) + len(quotients) % 2
 
 
 def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
@@ -241,8 +239,9 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
     The cone is moved to the standard position ``cone(e1, (t, m))`` with
     ``0 <= t < m``; the singularity is then the cyclic quotient of order
     ``m`` and weight ``k = m - t``, whose minimal resolution has as many
-    exceptional curves as the continued fraction expansion of ``m/k`` has
-    steps.  Zero for a smooth cone.
+    exceptional curves as the negative continued fraction of ``m/k`` has
+    entries, read off the regular one by :func:`_hirzebruch_jung_length`.
+    Zero for a smooth cone.
     """
     a, c = v
     b, d = vp

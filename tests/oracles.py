@@ -3,8 +3,10 @@
 These deliberately avoid the library's own algorithms: solutions are found
 by scanning all triples, group membership by scanning all multiples and
 resolution data by convex hull geometry, so agreement with the fast paths
-is meaningful.  The isomorphism witness is found by trying every positive
-automorphism against every column order, and the K*-surface data over a
+is meaningful.  Curve counts of large cones are checked against the
+negative continued fraction walked entry by entry.  The isomorphism
+witness is found by trying every positive automorphism against every
+column order, and the K*-surface data over a
 T-singular point by scanning every ``d1`` in ``[0, l1)``, or by testing
 each of the ``gcd(l1, l2)`` lifts that make ``d2`` integral.  The cokernel
 of a generator matrix and the kernel basis of a degree matrix are read off
@@ -334,22 +336,64 @@ def _cross(o, p, q):
     return (p[0] - o[0]) * (q[1] - o[1]) - (p[1] - o[1]) * (q[0] - o[0])
 
 
-def _convex_hull(points):
-    """Strict convex hull (no collinear vertices), counter-clockwise."""
-    pts = sorted(set(points))
-    if len(pts) <= 2:
-        return pts
-    lower = []
-    for p in pts:
-        while len(lower) >= 2 and _cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
+def _convex_chain(points):
+    """One half of Andrew's monotone chain: the chain through ``points``, in
+    their order, that keeps strict left turns only."""
+    chain = []
+    for p in points:
+        while len(chain) >= 2 and _cross(chain[-2], chain[-1], p) <= 0:
+            chain.pop()
+        chain.append(p)
+    return chain
+
+
+def _short_cone(v1, v2):
+    """A counter-clockwise image of ``cone(v1, v2)`` under GL2(Z) whose
+    generators have x-coordinates of size O(sqrt(det)).
+
+    The x- and y-coordinates of the generators are the rows of the matrix
+    ``[v1 v2]``.  Lagrange-Gauss reduction of those rows is a unimodular row
+    operation; it leaves as x-coordinates the shorter row, of length at most
+    ``sqrt(2*|det|/sqrt(3))``.
+    """
+    r1, r2 = (v1[0], v2[0]), (v1[1], v2[1])
+    if r1[0] ** 2 + r1[1] ** 2 > r2[0] ** 2 + r2[1] ** 2:
+        r1, r2 = r2, r1
+    while True:
+        n = r1[0] ** 2 + r1[1] ** 2
+        q = (2 * (r1[0] * r2[0] + r1[1] * r2[1]) + n) // (2 * n)  # nearest to <r1, r2> / n
+        r2 = (r2[0] - q * r1[0], r2[1] - q * r1[1])
+        if r2[0] ** 2 + r2[1] ** 2 >= n:
+            break
+        r1, r2 = r2, r1
+    w1, w2 = (r1[0], r2[0]), (r1[1], r2[1])
+    return (w1, w2) if _cross((0, 0), w1, w2) > 0 else (w2, w1)
+
+
+def _column_extremes(v1, v2):
+    """Lowest and highest lattice point of each column of the triangle
+    ``(0, v1, v2)`` without 0, for a counter-clockwise pair.
+
+    The triangle is where ``cross(v1, p)``, ``cross(p, v2)`` and ``cross(v2 -
+    v1, p - v1)`` are all ``>= 0``; in the column ``x`` each reads ``c*y + e
+    >= 0``.
+    """
+    (a, b), (c, d) = v1, v2
+    lows, highs = [], []
+    for x in range(min(0, a, c), max(0, a, c) + 1):
+        above, below = [], []
+        for coeff, e in ((a, -b * x), (-c, d * x), (c - a, (a - c) * b - (d - b) * (x - a))):
+            if coeff > 0:
+                above.append(-(e // coeff))
+            elif coeff < 0:
+                below.append(e // -coeff)
+        lo, hi = max(above), min(below)
+        if x == 0:  # 0 is a vertex, so an end of its column
+            lo, hi = lo + (lo == 0), hi - (hi == 0)
+        if lo <= hi:
+            lows.append((x, lo))
+            highs.append((x, hi))
+    return lows, highs
 
 
 def hull_resolution_count(v1, v2) -> int:
@@ -357,49 +401,49 @@ def hull_resolution_count(v1, v2) -> int:
 
     The minimal resolution inserts a ray through every lattice point on the
     bounded part of the boundary of conv(cone & Z^2 - 0).  Those points all
-    lie in the triangle (0, v1, v2); walking the hull chain between the two
-    generators and counting lattice points on it is an oracle wholly
-    independent of continued fractions.
+    lie in the triangle (0, v1, v2): for a counter-clockwise pair, the
+    convex hull of the triangle's lattice points other than 0 runs from v2
+    back to v1 along that boundary.  Counting lattice points on it is an
+    oracle wholly independent of continued fractions.
+
+    The count is invariant under GL2(Z), so the cone is first moved by
+    :func:`_short_cone` to a few columns.  A hull vertex is the lowest or
+    highest point of its column, so Andrew's lower chain runs through the
+    column minima and the upper chain through the column maxima.
     """
-    d = v1[0] * v2[1] - v1[1] * v2[0]
-    if d == 0:
+    if _cross((0, 0), v1, v2) == 0:
         raise ValueError("collinear generators")
-    if d < 0:
-        v1, v2 = v2, v1
-        d = -d
-    xs = [0, v1[0], v2[0]]
-    ys = [0, v1[1], v2[1]]
-    triangle = []
-    for x in range(min(xs), max(xs) + 1):
-        for y in range(min(ys), max(ys) + 1):
-            if (x, y) == (0, 0):
-                continue
-            alpha = x * v2[1] - y * v2[0]
-            beta = v1[0] * y - v1[1] * x
-            if alpha >= 0 and beta >= 0 and alpha + beta <= d:
-                triangle.append((x, y))
-    w = (v1[0] + v2[0], v1[1] + v2[1])
-    hull = _convex_hull(triangle + [w])
-    iv1, iv2, iw = hull.index(tuple(v1)), hull.index(tuple(v2)), hull.index(w)
-    n = len(hull)
-    path = None
-    for direction in (1, -1):  # walk from v1 to v2 in the direction avoiding w
-        idx = iv1
-        walked = [tuple(v1)]
-        while idx != iv2:
-            idx = (idx + direction) % n
-            if idx == iw:
-                walked = None
-                break
-            walked.append(hull[idx])
-        if walked is not None:
-            path = walked
-            break
-    assert path is not None and path[-1] == tuple(v2)
-    total = 0
-    for p, q in zip(path, path[1:]):
-        total += gcd(abs(q[0] - p[0]), abs(q[1] - p[1]))
-    return total - 1
+    v1, v2 = _short_cone(v1, v2)
+    lows, highs = _column_extremes(v1, v2)
+    hull = _convex_chain(lows + highs[-1:])[:-1] + _convex_chain(highs[::-1] + lows[:1])[:-1]
+    turned = hull[hull.index(v2) :] + hull[: hull.index(v2)]
+    path = turned[: turned.index(v1) + 1]
+    return sum(gcd(q[0] - p[0], q[1] - p[1]) for p, q in zip(path, path[1:])) - 1
+
+
+def hirzebruch_jung_walk(m: int, k: int) -> int:
+    """Length of the negative continued fraction of m/k, entry by entry.
+
+    Each step takes the entry ``b = ceil(m/k)`` and goes on with ``k/(b*k -
+    m)``.  While ``k > m - k`` the next entry is 2 and the step keeps ``r =
+    m - k`` fixed while lowering ``m`` and ``k`` by ``r``, so a run of
+    ``(k-1)//r`` entries 2 is taken at once.  Steps are then bounded by
+    those of the Euclidean algorithm, O(log m).
+    """
+    count = 0
+    while k > 0:
+        r = m - k
+        if 0 < r < k:
+            n = (k - 1) // r
+            m, k = m - n * r, k - n * r
+            count += n
+            continue
+        b = -(-m // k)
+        m, k = k, b * k - m
+        count += 1
+    if m != 1:
+        raise markov.InvariantError("continued fraction expansion did not terminate at 1")
+    return count
 
 
 def brute_initial_triples(a: int, cap: int) -> set[tuple[int, int, int]]:

@@ -3,9 +3,11 @@
 The Gorenstein index is computed by three independent routes (group
 arithmetic, a brute multiple scan and the cone formula on a corresponding
 generator matrix) and by a fourth, modular route on adjusted matrices;
-resolution counts are cross-checked against a convex hull oracle.
+resolution counts are cross-checked against a convex hull oracle and the
+negative continued fraction walked entry by entry.
 """
 
+import random
 from math import gcd
 
 import pytest
@@ -121,11 +123,38 @@ class TestResolutionCounts:
 
     def test_hull_oracle_on_every_small_cone_type(self):
         # cone(e1, (m - k, m)) is the cyclic quotient singularity of type (m, k)
-        for m in range(2, 36):
+        for m in range(2, 600):
             for k in range(1, m):
                 if gcd(m, k) == 1:
                     cone = ((1, 0), (m - k, m))
-                    assert planes.resolution_curve_count(*cone) == oracles.hull_resolution_count(*cone)
+                    count = planes.resolution_curve_count(*cone)
+                    assert count == oracles.hull_resolution_count(*cone) == oracles.hirzebruch_jung_walk(m, k), (m, k)
+
+    def test_walk_oracle_on_large_cone_types(self):
+        rng = random.Random(20)
+        for _ in range(2000):
+            digits = rng.randrange(20, 401)
+            m = rng.randrange(10 ** (digits - 1), 10**digits)
+            k = rng.randrange(1, m)
+            while gcd(m, k) != 1:
+                k = rng.randrange(1, m)
+            assert planes.resolution_curve_count((1, 0), (m - k, m)) == oracles.hirzebruch_jung_walk(m, k), (m, k)
+
+    def test_walk_oracle_on_large_partial_quotients(self):
+        # m/k = [a1; a2, ..., an + 1] with partial quotients of up to 40 digits,
+        # so runs of up to 10^40 entries 2 sit at every position of the expansion
+        rng = random.Random(20)
+        for _ in range(500):
+            quotients = [rng.randrange(1, 10 ** rng.randrange(1, 41)) for _ in range(rng.randrange(1, 12))]
+            m, k = quotients[-1] + 1, 1
+            for a in reversed(quotients[:-1]):
+                m, k = a * m + k, m
+            assert planes.resolution_curve_count((1, 0), (m - k, m)) == oracles.hirzebruch_jung_walk(m, k), quotients
+
+    @pytest.mark.parametrize("m, k", [(4, 2), (9, 6), (10**40, 10**20), (5, 0)])
+    def test_type_that_is_not_reduced_is_an_invariant_failure(self, m, k):
+        with pytest.raises(markov.InvariantError):
+            planes._hirzebruch_jung_length(m, k)
 
     def test_long_chain_of_twos(self):
         # type (10^40 + 1, 10^40) resolves by a chain of 10^40 curves
