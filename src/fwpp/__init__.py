@@ -8,10 +8,7 @@ from .adjacency import (
     KStarData,
     adjacency_graph,
     adjacent_partner,
-    assemble_3x4,
-    can_degenerate,
     self_adjacency_census,
-    slice_matrices,
 )
 from .markov import (
     EnumerationCapExceeded,
@@ -25,7 +22,6 @@ from .markov import (
     is_initial,
     is_solution,
     mutate,
-    one_step_mutations,
     scaled_solution_class,
 )
 from .planes import (
@@ -49,7 +45,6 @@ from .planes import (
     resolution_curve_count,
     series_id,
     singularity_report,
-    t_singular_chart,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -2,12 +2,15 @@
 
 A quasismooth rational K*-surface of Picard number one is cut out of a
 three-dimensional fake weighted projective space given by a 3x4 generator
-matrix built from data ``(l1, l2, d0, d1, d2)``; it degenerates into two
-fake weighted projective planes, the *slices*, with 2x3 generator matrices
+matrix built from data ``(l1, l2, d0, d1, d2)``, a :class:`KStarData`; it
+degenerates into two fake weighted projective planes, the *slices*, with
+2x3 generator matrices
 
     P1 = [[l1, l1, -l2], [d1, d1 + l1*d0, d2]],
     P2 = [[l2, l2, -l1], [d2, d2 + l2*d0, d1]].
 
+None of the three matrices is built: the rows of the slices enter only as
+relations that degree matrices must annihilate.
 Two planes are *adjacent* when they arise this way from a common surface.
 Given a plane whose fixed point ``z(k)`` is a T-singularity, the surface
 data is reconstructed uniquely: ``l1`` is the local Gorenstein index at the
@@ -19,10 +22,11 @@ each solved by a modular inverse, so no value of ``d1`` is searched.  The
 partner keeps the columns ``i`` and ``j`` of the given degree matrix; its
 new column is the one element of ``K`` that makes both rows of ``P2``
 relations, solved with a Bezout pair of ``l1`` and ``d1``, so the partner
-is the grading by the cokernel of ``P2`` without building ``P2``.  It is
-adjusted once.  Its weight triple is the one-step mutation of the original
-at that slot, so the adjacency graphs refine the mutation trees of the
-squared Markov equations.
+is the grading by the cokernel of ``P2``.  It is adjusted once.  Its weight
+triple is the one-step mutation of the original at that slot, so the
+adjacency graphs refine the mutation trees of the squared Markov equations.
+The surface is non-toric when ``l1`` and ``l2`` both exceed one, which is
+the degeneration test :attr:`KStarData.non_toric`.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
 the adjusted matrices :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
@@ -38,7 +42,7 @@ from math import gcd
 
 from . import abelian, markov, planes
 from .markov import InvariantError, _decimal_join, _decimal_str
-from .planes import ClassifiedPlane, DegreeMatrix, GeneratorMatrix, SeriesId
+from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
 Triple = tuple[int, int, int]
 
@@ -79,10 +83,6 @@ class KStarData:
             raise ValueError(f"slope inequalities fail for {self}")
 
     @property
-    def ordered(self) -> bool:
-        return self.l1 <= self.l2
-
-    @property
     def non_toric(self) -> bool:
         return self.l1 > 1 and self.l2 > 1
 
@@ -91,50 +91,12 @@ class KStarData:
         w2 = self.l2 * self.d1 + self.l1 * self.d2
         return (w1, w2, -self.l2 * self.d0, -self.l1 * self.d0)
 
-    def fixed_point_orders(self) -> tuple[int, int, int]:
-        """Local class group orders at the hyperbolic and elliptic points."""
-        w = self.weight_4vector()
-        return (-self.d0, w[1], w[0])
-
     def degree(self) -> Fraction:
         """Canonical self-intersection of the K*-surface, exact."""
         w1, w2, _, _ = self.weight_4vector()
         return (Fraction(1, w1) + Fraction(1, w2)) * (
             2 + Fraction(self.l1, self.l2) + Fraction(self.l2, self.l1)
         )
-
-    def hyperbolic_charts(self) -> tuple[tuple, tuple]:
-        """2x2 generator matrices of the charts at the hyperbolic point."""
-        return (
-            ((self.l1, self.l1), (self.d1, self.d1 + self.d0 * self.l1)),
-            ((self.l2, self.l2), (self.d2, self.d2 + self.d0 * self.l2)),
-        )
-
-
-def slice_matrices(kstar: KStarData) -> tuple[GeneratorMatrix, GeneratorMatrix]:
-    """Generator matrices of the two degenerate fibers."""
-    p1 = GeneratorMatrix(
-        (
-            (kstar.l1, kstar.l1, -kstar.l2),
-            (kstar.d1, kstar.d1 + kstar.l1 * kstar.d0, kstar.d2),
-        )
-    )
-    p2 = GeneratorMatrix(
-        (
-            (kstar.l2, kstar.l2, -kstar.l1),
-            (kstar.d2, kstar.d2 + kstar.l2 * kstar.d0, kstar.d1),
-        )
-    )
-    return p1, p2
-
-
-def assemble_3x4(kstar: KStarData) -> list[list[int]]:
-    """The ambient 3x4 generator matrix of the K*-surface."""
-    return [
-        [-1, -1, kstar.l1, 0],
-        [-1, -1, 0, kstar.l2],
-        [0, kstar.d0, kstar.d1, kstar.d2],
-    ]
 
 
 @dataclass(frozen=True)
@@ -144,7 +106,7 @@ class AdjacentPair:
     ``q2`` is the partner's canonical adjusted matrix, so the pair is a
     self-adjacency exactly when ``q2 == planes.adjust(q)``; ``q2_raw`` keeps
     the second slice's column order for per-slot checks.  Whether the
-    surface is ordered or non-toric is read from ``kstar``.
+    surface is non-toric is read from ``kstar``.
     """
 
     q2: DegreeMatrix
@@ -254,20 +216,6 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     return AdjacentPair(q2=planes._normalize(q2_raw, markov.admissible_arrangements(u2, mu * a)), q2_raw=q2_raw, kstar=kstar)
 
 
-def can_degenerate(q: DegreeMatrix, slot: int) -> bool:
-    """Whether ``z(slot)`` carries a degeneration from a non-toric surface.
-
-    Requires a T-singularity with local Gorenstein index above one and the
-    norm inequality making the second isotropy order exceed one as well.
-    Raises ``ValueError`` for a slot outside ``{0, 1, 2}``.
-    """
-    if slot not in (0, 1, 2):
-        raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
-    iota = planes.local_gorenstein_index(q, slot)
-    w = planes.fake_weights_of_degree_matrix(q)
-    return iota > 1 and w[slot] % (iota * iota) == 0 and iota * sum(w) > (iota + 1) * w[slot]
-
-
 @dataclass(frozen=True)
 class GraphNode:
     plane: ClassifiedPlane
@@ -349,9 +297,10 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     Nodes carry all isomorphic series labels; an edge is a *jump* when its
     endpoints share no series label.  Self-adjacency is a node attribute,
     never an edge.  ``max_nodes`` caps the family's tree and then its class
-    count in :func:`fwpp.planes.classify`, before any partner is built.  The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only
-    those of norm in ``[N, norm_bound]`` are built and checked: one per edge,
-    from its lower end, and the self-pairs.  Unreported ones are not checked;
+    count in :func:`fwpp.planes.classify`, before any partner is built.
+    The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only those of
+    norm in ``[N, norm_bound]`` are built and checked: one per edge, from
+    its lower end, and the self-pairs.  Unreported ones are not checked;
     a partner built but not classified raises ``InvariantError``.
     """
     if (a, mu) not in planes.SERIES_ETAS:

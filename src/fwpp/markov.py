@@ -117,19 +117,6 @@ def mutate(t: SolutionTriple) -> SolutionTriple:
     return SolutionTriple(t.a, (u0, u1, t.a * u0 * u1 - 2 * u0 - 2 * u1 - u2))
 
 
-def _play(u: Triple, a: int, slot: int) -> Triple:
-    """Mutate ``u`` at ``slot`` and return the ascendingly sorted result."""
-    rest = [u[j] for j in range(3) if j != slot]
-    new = a * rest[0] * rest[1] - 2 * rest[0] - 2 * rest[1] - u[slot]
-    rest.append(new)
-    return tuple(sorted(rest))
-
-
-def one_step_mutations(t: SolutionTriple) -> frozenset[SolutionTriple]:
-    """All results of mutating one entry, sorted ascendingly, deduplicated."""
-    return frozenset(SolutionTriple(t.a, _play(t.u, t.a, k)) for k in range(3))
-
-
 def is_initial(t: SolutionTriple) -> bool:
     """True iff the (sorted) triple does not mutate to a smaller norm.
 
@@ -232,7 +219,9 @@ def enumerate_tree(
     Only slots 0 and 1 are mutated: a slot's two values multiply to the
     square of the kept pair's sum, so the new entry exceeds ``u2``.  Slot 2
     gives back a non-root's parent, and at a root the root itself or, for the
-    scaled ``(1, 1, 1)``, the slot-0 child.  Negative bounds raise ``ValueError``.
+    scaled ``(1, 1, 1)``, the slot-0 child.  A negative ``depth_bound`` or
+    ``max_nodes`` raises ``ValueError``; a ``norm_bound`` below every root's
+    norm, negative or not, gives an empty tree.
     """
     if depth_bound is not None and depth_bound < 0:
         raise ValueError(f"depth bound must be non-negative, got {_decimal_str(depth_bound)}")

@@ -137,13 +137,10 @@ class GeneratorMatrix:
         object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
         object.__setattr__(self, "weights", abelian.validate_generator_matrix(self.rows))
 
-    def column(self, j: int) -> tuple[int, int]:
-        return (self.rows[0][j], self.rows[1][j])
-
     def cone_of_fixed_point(self, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Generators of the fan cone carrying the k-th toric fixed point."""
         j1, j2 = (j for j in range(3) if j != k)
-        return self.column(j1), self.column(j2)
+        return (self.rows[0][j1], self.rows[1][j1]), (self.rows[0][j2], self.rows[1][j2])
 
 
 def fake_weights_of_degree_matrix(q: DegreeMatrix) -> Triple:
@@ -196,19 +193,6 @@ def is_t_singular(q: DegreeMatrix, k: int) -> tuple[bool, int | None]:
 def _t_test(cl: int, iota: int) -> tuple[bool, int | None]:
     d, rem = divmod(cl, iota * iota)
     return (True, d) if rem == 0 else (False, None)
-
-
-def t_singular_chart(iota: int, d: int, b: int) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Affine chart matrix ``[[iota, iota], [d*iota + b, b]]`` of a
-    T-singularity with the given index and ``cl = d * iota^2``.
-
-    Requires ``gcd(b, iota) = 1`` so the columns are primitive.
-    """
-    if iota < 1 or d < 1:
-        raise ValueError("chart parameters must be positive")
-    if gcd(b, iota) != 1:
-        raise ValueError(f"gcd({b}, {iota}) != 1: chart columns would be imprimitive")
-    return ((iota, iota), (d * iota + b, b))
 
 
 def _hirzebruch_jung_length(m: int, k: int) -> int:
@@ -552,10 +536,8 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
     lines = [header, sep]
     for rep in reports:
         q = rep.matrix
-        try:
-            sid = str(series_id(q))
-        except ValueError:  # not adjusted, or not of integral degree
-            sid = "-"
+        deg = degree(fake_weights_of_degree_matrix(q))
+        sid = str(_series_label(q, deg.numerator)) if deg.denominator == 1 and adjust(q) == q else "-"
         group = "Z" if q.mu == 1 else f"Z + Z/{_decimal_str(q.mu)}"
         qtxt = f"[{_decimal_join(q.u)}]"
         if q.mu > 1:

@@ -16,12 +16,14 @@ automorphisms of ``Z + Z/mu``.  So do the closed-form cokernel of a
 generator matrix, the partner read off the second slice by it, and the
 lattice-geometry route to the Gorenstein index of a cone.  The mutation
 tree is enumerated by sorting every mutated triple, and its ``solve`` text
-is written with a parent found by ``_play`` and a label built for every
+is written with a parent found by ``play`` and a label built for every
 occurrence of a triple; arrangements are found by testing whole tuples.
 The classification adjusts every series eta of every tree node and merges
 equal adjusted forms, tied entries or not.
-Annihilation of integer rows in ``K`` is summed element by element, and
-the minors of the ambient 3x4 matrix come from cofactor expansion.  The
+Annihilation of integer rows in ``K`` is summed element by element.  The
+two slice generator matrices and the ambient 3x4 matrix of a K*-surface
+are built here, the 3x4 minors by cofactor expansion, and the non-toric
+degeneration test is read off a norm inequality at a T-singular point.  The
 connected components of an adjacency graph come from ``networkx``, and the
 unpruned graph and neighbour lists rebuild the partner at every T-singular
 point of every node.
@@ -82,6 +84,15 @@ def weights_of_3x4(p: list[list[int]]) -> tuple[int, int, int, int]:
         minor = [[p[i][j] for j in cols] for i in range(3)]
         out.append(abs(det_unimodular(minor)))
     return tuple(out)
+
+
+def assemble_3x4(kstar: KStarData) -> list[list[int]]:
+    """The ambient 3x4 generator matrix of the K*-surface."""
+    return [
+        [-1, -1, kstar.l1, 0],
+        [-1, -1, 0, kstar.l2],
+        [0, kstar.d0, kstar.d1, kstar.d2],
+    ]
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[Matrix, Matrix, Matrix]:
@@ -584,13 +595,44 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int,
     return mu, free_row, tors_row
 
 
+def slice_matrices(kstar: KStarData) -> tuple[planes.GeneratorMatrix, planes.GeneratorMatrix]:
+    """Generator matrices of the two degenerate fibers."""
+    p1 = planes.GeneratorMatrix(
+        (
+            (kstar.l1, kstar.l1, -kstar.l2),
+            (kstar.d1, kstar.d1 + kstar.l1 * kstar.d0, kstar.d2),
+        )
+    )
+    p2 = planes.GeneratorMatrix(
+        (
+            (kstar.l2, kstar.l2, -kstar.l1),
+            (kstar.d2, kstar.d2 + kstar.l2 * kstar.d0, kstar.d1),
+        )
+    )
+    return p1, p2
+
+
+def can_degenerate(q: planes.DegreeMatrix, slot: int) -> bool:
+    """Whether ``z(slot)`` carries a degeneration from a non-toric surface.
+
+    Requires a T-singularity with local Gorenstein index above one and the
+    norm inequality making the second isotropy order exceed one as well.
+    Raises ``ValueError`` for a slot outside ``{0, 1, 2}``.
+    """
+    if slot not in (0, 1, 2):
+        raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
+    iota = planes.local_gorenstein_index(q, slot)
+    w = planes.fake_weights_of_degree_matrix(q)
+    return iota > 1 and w[slot] % (iota * iota) == 0 and iota * sum(w) > (iota + 1) * w[slot]
+
+
 def cokernel_partner(q: planes.DegreeMatrix, slot: int) -> planes.DegreeMatrix:
     """The adjusted partner over ``z(slot)`` read off the second slice: the
     surface data of :func:`fwpp.adjacency.adjacent_partner`, both slice
     generator matrices built and checked, the cokernel of ``P2`` in closed
     form, then adjusted."""
     kstar = adjacency.adjacent_partner(q, slot).kstar
-    p1, p2 = adjacency.slice_matrices(kstar)
+    p1, p2 = slice_matrices(kstar)
     w = planes.fake_weights_of_degree_matrix(q)
     assert p1.weights[2] == w[slot] and sorted(p1.weights[:2]) == sorted(w[n] for n in range(3) if n != slot)
     return planes.adjust(planes.DegreeMatrix(*cokernel_structure(p2.rows)))
@@ -627,6 +669,14 @@ def hnf_kernel_basis(u, eta, mu: int):
     return transpose(h)
 
 
+def play(u: tuple[int, int, int], a: int, slot: int) -> tuple[int, int, int]:
+    """Mutate ``u`` at ``slot`` and return the ascendingly sorted result."""
+    rest = [u[j] for j in range(3) if j != slot]
+    new = a * rest[0] * rest[1] - 2 * rest[0] - 2 * rest[1] - u[slot]
+    rest.append(new)
+    return tuple(sorted(rest))
+
+
 def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
     """``(nodes, edges, depths)`` of the mutation forest by breadth-first
     search, sorting every mutated triple before testing the bound and
@@ -641,7 +691,7 @@ def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
         if depth_bound is not None and depths[u] >= depth_bound:
             continue
         for slot in range(3):
-            v = markov._play(u, a, slot)
+            v = play(u, a, slot)
             if v == u or sum(v) > norm_bound:
                 continue
             edges.add((min(u, v), max(u, v)))
@@ -655,7 +705,7 @@ def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
 
 def tree_text(tree: markov.MutationTree, fmt: str) -> str:
     """What ``fwpp solve --format fmt`` prints for ``tree``: each edge's parent
-    by ``_play``, each triple's text built wherever it occurs, one ``print``
+    by ``play``, each triple's text built wherever it occurs, one ``print``
     per row."""
     _decimal_str = markov._decimal_str
 
@@ -668,7 +718,7 @@ def tree_text(tree: markov.MutationTree, fmt: str) -> str:
     def label(u):
         return f"({_decimal_join(u)})"
 
-    edges = tuple(sorted((markov._play(v, tree.a, 2), v) for v in tree.nodes if tree.depths[v]))
+    edges = tuple(sorted((play(v, tree.a, 2), v) for v in tree.nodes if tree.depths[v]))
     rows = sorted(tree.nodes, key=lambda u: (markov.norm(u), u))
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -85,14 +85,14 @@ def test_public_names():
         "GeneratorMatrix", "InvariantError", "KAutomorphism", "KStarData",
         "MutationTree", "SeriesId", "SingularityReport", "SolutionTriple", "SquareDecomposition",
         "abelian", "adjacency", "adjacency_graph", "adjacent_partner", "adjust",
-        "anticanonical_class", "apply_automorphism", "assemble_3x4", "can_degenerate", "classify",
+        "anticanonical_class", "apply_automorphism", "classify",
         "corresponds", "decompose", "degree",
         "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",
         "initial_solutions", "is_initial", "is_isomorphic", "is_solution", "is_t_singular",
         "isomorphism_witness", "k_membership_multiple", "local_class_group_order",
-        "local_gorenstein_index", "markov", "mutate", "one_step_mutations", "planes",
+        "local_gorenstein_index", "markov", "mutate", "planes",
         "resolution_curve_count", "scaled_solution_class", "self_adjacency_census", "series_id",
-        "singularity_report", "slice_matrices", "t_singular_chart",
+        "singularity_report",
     ]
 
 

@@ -472,13 +472,14 @@ class TestSing:
         assert code == 0 and json.loads(out)["series"] == "1-8-3"
         assert len(adjusted) == 1
 
-    def test_a_value_error_of_adjust_is_not_swallowed(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("fmt", ["json", "md"])
+    def test_a_value_error_of_adjust_is_not_swallowed(self, capsys, monkeypatch, fmt):
         # the matrix has integral degree 1, so adjust must succeed; its failure is reported
         def refuse(q):
             raise ValueError("adjust refused")
 
         monkeypatch.setattr(planes, "adjust", refuse)
-        assert run(capsys, "sing", MATRIX_183) == (2, "", "error: adjust refused\n")
+        assert run(capsys, "sing", MATRIX_183, "--format", fmt) == (2, "", "error: adjust refused\n")
 
     def test_unknown_series_is_an_invariant_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(planes, "SERIES_ETAS", {k: v for k, v in planes.SERIES_ETAS.items() if k != (1, 8)})

@@ -18,6 +18,12 @@ def all_nodes(a, bound):
     return markov.enumerate_tree(a, bound).nodes
 
 
+def slot_mutations(t):
+    """The mutation of ``t`` at each slot in turn: :func:`markov.mutate` of
+    ``t`` with that slot's entry moved last."""
+    return [markov.mutate(SolutionTriple(t.a, (*(t.u[j] for j in range(3) if j != k), t.u[k]))) for k in range(3)]
+
+
 class TestIsSolution:
     def test_known_solutions(self):
         assert markov.is_solution((1, 1, 1), 9)
@@ -62,29 +68,22 @@ class TestMutate:
             for u in all_nodes(a, 2000):
                 t = SolutionTriple(a, u)
                 g = gcd(gcd(u[0], u[1]), u[2])
-                for m in markov.one_step_mutations(t):
+                for m in slot_mutations(t):
                     assert gcd(gcd(m.u[0], m.u[1]), m.u[2]) == g
 
-
-class TestOneStepMutations:
     def test_tree_neighbors_of_1_4_25(self):
-        got = {m.u for m in markov.one_step_mutations(SolutionTriple(9, (1, 4, 25)))}
+        got = {m.sorted().u for m in slot_mutations(SolutionTriple(9, (1, 4, 25)))}
         assert got == {(1, 1, 4), (1, 25, 169), (4, 25, 841)}
 
     def test_fixed_point_retained(self):
-        got = {m.u for m in markov.one_step_mutations(SolutionTriple(8, (1, 1, 2)))}
+        got = {m.sorted().u for m in slot_mutations(SolutionTriple(8, (1, 1, 2)))}
         assert got == {(1, 2, 9), (1, 1, 2)}
 
-    def test_brute_force_cross_check(self):
-        # replay all three slot plays by hand for (1, 4, 5) at a = 5
+    def test_slots_agree_with_the_sorting_oracle(self):
         u = (1, 4, 5)
-        expected = set()
-        for slot in range(3):
-            rest = [u[j] for j in range(3) if j != slot]
-            expected.add(tuple(sorted(rest + [(rest[0] + rest[1]) ** 2 // u[slot]])))
-        got = {m.u for m in markov.one_step_mutations(SolutionTriple(5, u))}
-        assert got == expected
-        assert {(1, 5, 9), (4, 5, 81)} <= got
+        got = [m.sorted().u for m in slot_mutations(SolutionTriple(5, u))]
+        assert got == [oracles.play(u, 5, k) for k in range(3)]
+        assert {(1, 5, 9), (4, 5, 81)} <= set(got)
 
 
 class TestInitialSolutions:
@@ -152,7 +151,7 @@ class TestEnumerateTree:
                 shallow, deep = sorted((x, y), key=lambda u: tree.depths[u])
                 assert tree.depths[deep] == tree.depths[shallow] + 1
                 assert markov.norm(deep) > markov.norm(shallow)
-                assert shallow == markov._play(deep, a, 2)
+                assert shallow == oracles.play(deep, a, 2)
 
     def test_dot_and_json(self):
         tree = markov.enumerate_tree(9, 40)
@@ -238,9 +237,10 @@ def test_mutation_properties_random_nodes(a, data):
     u = data.draw(st.sampled_from(nodes))
     t = SolutionTriple(a, u)
     assert markov.mutate(markov.mutate(t)) == t
-    for m in markov.one_step_mutations(t):
+    for k, m in enumerate(slot_mutations(t)):
         assert markov.is_solution(m.u, a)
-        assert m.u == tuple(sorted(m.u))
+        assert m.sorted().u == oracles.play(u, a, k)
+        assert markov.mutate(m).u == (*(u[j] for j in range(3) if j != k), u[k])
 
 
 def test_enumeration_deterministic():
@@ -294,7 +294,7 @@ def walk_past_the_digit_limit():
     passes 4,300 digits: the last two nodes of that walk, parent and child."""
     parent, child = None, (1, 1, 1)
     while child[2] < 10**4400:
-        parent, child = child, markov._play(child, 9, 0)
+        parent, child = child, oracles.play(child, 9, 0)
     return parent, child
 
 

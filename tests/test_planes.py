@@ -607,13 +607,13 @@ class TestSerialization:
         assert "| 1-8-3 |" in text and "(2,1,4)" in text
 
     def test_markdown_table_does_not_swallow_invariant_failures(self, monkeypatch):
-        # only a ValueError (unadjusted input, non-integral degree) means "no label"
+        # "no label" is decided from the degree and the adjusted form, never by an exception
         rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
 
-        def broken(q):
+        def broken(q, a):
             raise AssertionError("series invariant failed")
 
-        monkeypatch.setattr(planes, "series_id", broken)
+        monkeypatch.setattr(planes, "_series_label", broken)
         with pytest.raises(AssertionError, match="series invariant failed"):
             planes.report_markdown([rep])
 
@@ -624,3 +624,15 @@ class TestSerialization:
         ]
         rows = planes.report_markdown(reps).splitlines()[2:]
         assert [row.split(" | ")[0] for row in rows] == ["| -", "| -"]
+
+    def test_markdown_table_adjusts_only_integral_rows(self, monkeypatch):
+        # a non-integral degree already means "no label", so adjust is not asked
+        rep, integral = (planes.singularity_report(q) for q in (mk(1, (2, 3, 5)), mk(8, (1, 1, 2), (0, 1, 3))))
+
+        def refuse(q):
+            raise ValueError("adjust refused")
+
+        monkeypatch.setattr(planes, "adjust", refuse)
+        assert planes.report_markdown([rep]).splitlines()[2].startswith("| - | Z | [2,3,5] |")
+        with pytest.raises(ValueError, match="adjust refused"):
+            planes.report_markdown([integral])

@@ -68,24 +68,6 @@ class TestLocalInvariants:
         flag, d = planes.is_t_singular(mk(1, (1, 4, 5)), 0)
         assert flag and d == 1
 
-    def test_charts(self):
-        assert planes.t_singular_chart(1, 1, 0) == ((1, 1), (1, 0))
-        chart = planes.t_singular_chart(2, 2, 1)
-        assert chart == ((2, 2), (5, 1))
-        assert abs(chart[0][0] * chart[1][1] - chart[0][1] * chart[1][0]) == 8
-        chart = planes.t_singular_chart(4, 1, 1)
-        assert chart == ((4, 4), (5, 1))
-        assert abs(chart[0][0] * chart[1][1] - chart[0][1] * chart[1][0]) == 16
-        with pytest.raises(ValueError):
-            planes.t_singular_chart(4, 1, 2)
-
-    def test_chart_invariants_match_their_parameters(self):
-        for iota, d, b in [(2, 2, 1), (3, 1, 2), (4, 1, 3), (5, 2, 4)]:
-            rows = planes.t_singular_chart(iota, d, b)
-            cols = ((rows[0][0], rows[1][0]), (rows[0][1], rows[1][1]))
-            assert oracles.cone_gorenstein_index(*cols) == iota
-            assert abs(rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]) == d * iota * iota
-
 
 class TestConeFormula:
     def test_examples(self):
