@@ -114,14 +114,15 @@ class AdjacentPair:
     kstar: KStarData
 
 
-def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
+def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> AdjacentPair:
     """Reconstruct the K*-surface over the T-singular point ``z(slot)``
     and return the partner plane it degenerates to, with the surface.
 
     Raises ``ValueError`` for a slot outside ``{0, 1, 2}`` or when ``q`` has
     no integral degree, and :class:`NotDegenerableError` when the point is
     not a T-singularity.  The slice data is otherwise guaranteed to exist,
-    and it is solved, not searched.  Write ``perm = (i, j, k)``, ``w =
+    and it is solved, not searched.  A given ``l1`` is taken as the local
+    Gorenstein index at ``z(slot)``.  Write ``perm = (i, j, k)``, ``w =
     mu*u``, ``e = eta`` and ``g = gcd(l1, l2)``.  As ``w_k = d*l1**2`` and
     ``l2*w_k = l1*(w_i + w_j)``, the second row of ``P1`` has free part 0
     for ``d2 = (w_j - d1*l2) / l1``, integral exactly when ``d1*l2 == w_j
@@ -175,7 +176,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     (wi, wj, wk), up, etap = (tuple(v[n] for n in perm) for v in (w, q.u, q.eta))
     (ui, uj, uk), (ei, ej, ek), mu = up, etap, q.mu
 
-    l1 = planes.local_gorenstein_index(q, slot)
+    l1 = planes.local_gorenstein_index(q, slot) if l1 is None else l1
     d0, rem = divmod(-wk, l1 * l1)  # d0 = -w_k / l1**2 at a T-singularity
     if rem:
         raise NotDegenerableError(f"fixed point {slot} of {q} is not a T-singularity")
@@ -311,9 +312,10 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     series_of = {c.matrix: set(c.all_series) for c in classified}
     for c in classified:
         w, n = c.weights, c.norm
-        t_slots = [k for k in range(3) if planes.is_t_singular(c.matrix, k)[0]]
+        # the Gorenstein index of each T-singular slot, by is_t_singular's test on the local class group order w[k]
+        t_slots = {k: l1 for k in range(3) if w[k] % (l1 := planes.local_gorenstein_index(c.matrix, k)) ** 2 == 0}
         # w[k - 1] and w[k - 2] are the two weights other than w[k]
-        pairs = [adjacent_partner(c.matrix, k) for k in t_slots if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
+        pairs = [adjacent_partner(c.matrix, k, l1=l1) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
         self_kstar = min((p.kstar for p in pairs if p.q2 == c.matrix), key=lambda k: not k.non_toric, default=None)
         nodes.append(GraphNode(plane=c, self_kstar=self_kstar, all_t=len(t_slots) == 3))
         for pair in pairs:

@@ -9,10 +9,11 @@ Subcommands::
     iso       isomorphism test for two degree matrices
 
 Exit codes: 0 success (including empty results), 1 negative verdict from
-``iso``, 2 usage or input errors.  JSON output writes free parts, weights
-and orders as decimal strings so 64-bit consumers cannot truncate them
-(``mu``, ``eta``, curve counts and ``iso``'s automorphism stay numbers);
-every format prints integers of any size.  Output is byte-identical across runs.
+``iso``, 2 usage or input errors, 3 an I/O error such as a closed or full
+stdout, reported in one ``error:`` line.  JSON output writes free parts,
+weights and orders as decimal strings so 64-bit consumers cannot truncate
+them (``mu``, ``eta``, curve counts and ``iso``'s automorphism stay
+numbers); every format prints integers of any size.  Output is byte-identical across runs.
 While it writes JSON, :func:`main` lifts the process-wide ``int``-to-``str``
 digit limit (``sys.set_int_max_str_digits``) and restores it afterwards.
 
@@ -25,12 +26,14 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import adjacency, markov, planes
 from .markov import _decimal_join, _decimal_str
 
 USAGE_ERROR = 2
+OUTPUT_ERROR = 3
 DEFAULT_NORM_BOUND = 10**6
 DEFAULT_MAX_NODES = 4096
 
@@ -203,7 +206,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return USAGE_ERROR if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        if sys.stdout is None:  # descriptor 1 was closed before start-up
+            raise OSError("stdout is closed")
+        code = args.func(args)
+        sys.stdout.flush()  # a full stdout fails here, not in the interpreter's last flush
+        return code
+    except OSError as exc:  # stdout closed or full: one error line, then os.devnull takes what is left to flush
+        broken = [sys.stdout]
+        try:
+            print(f"error: {exc}", file=sys.stderr, flush=True)
+        except OSError:  # stderr is closed or full as well
+            broken.append(sys.stderr)
+        for stream in filter(None, broken):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return OUTPUT_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR

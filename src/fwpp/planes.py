@@ -393,7 +393,8 @@ class ClassifiedPlane:
     ``series`` is the canonical label; ``all_series`` collects every series
     label whose member at this weight vector is isomorphic to it (more than
     one only for the three sporadic coincidence sets).  ``weights`` is
-    derived once, at construction, and takes no part in equality.
+    derived once, at construction or per tree node in :func:`classify`,
+    and takes no part in equality.
     """
 
     series: SeriesId
@@ -415,14 +416,13 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     With ``mu`` given, only the ``(a, mu)`` family is enumerated (an empty
     list when it carries no series); the result is the ``mu`` part of the
     unfiltered one.  One entry per isomorphism class, keyed by the
-    canonical adjusted degree matrix.  Each tree node is arranged, and its
-    degree checked, once.  At a node with one admissible order,
-    ``(u_arr; 0, 1, eta)`` is already adjusted for every series eta: the
-    identity is its only order, and ``(0, 1, eta)`` normalizes with shift 0
-    and scale 1 (``gcd(u_0, mu) = 1`` by the constructor's check on columns
-    0 and 1, of determinant ``u_0``); distinct etas stay distinct, so
-    nothing merges.  Only a node with tied entries normalizes its etas over
-    its several orders and merges equal forms.
+    canonical adjusted degree matrix.  Each tree node is arranged, checked
+    by :func:`_check_node` and its degree checked once.  With one
+    admissible order, ``(u_arr; 0, 1, eta)`` is adjusted for every series
+    eta (shift 0 and scale 1, as ``gcd(u_0, mu) = 1``) and distinct etas
+    stay distinct, so :func:`_checked_class` builds each class.  Only a
+    node with tied entries builds its matrices, normalizes them over its
+    orders and merges equal forms.
     ``max_nodes`` caps each family's tree as in
     :func:`fwpp.markov.enumerate_tree`; its error names ``a``, the family's
     ``mu`` and ``norm_bound`` as given here.  It then caps the class total,
@@ -437,6 +437,9 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
         if deg != a or (mu is not None and fam_mu != mu):
             continue
         etas = SERIES_ETAS[(deg, fam_mu)]
+        if any(not 0 <= eta < fam_mu or gcd(eta, fam_mu) != 1 for eta in etas):  # pair 0,2 of _check_node
+            raise InvariantError(f"series etas {etas} are not all reduced units mod {fam_mu}")
+        sids = [SeriesId(a, fam_mu, eta) for eta in etas]
         try:
             tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu, max_nodes=max_nodes)
         except markov.EnumerationCapExceeded as exc:  # name the caller's degree and bound, not the scaled ones
@@ -446,20 +449,50 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
         for u_sorted in tree.nodes:
             perms = markov.admissible_arrangements(u_sorted, fam_mu * a)
             u_arr = tuple(u_sorted[i] for i in perms[0])
-            qs = [DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu)) for eta in etas]
-            if integral_degree(qs[0]) != a:
-                raise InvariantError(f"classified matrix {qs[0]} has wrong degree")
+            if not markov.is_solution(u_arr, fam_mu * a):  # the degree of w = mu*u is a, and u is positive
+                raise InvariantError(f"classified node {u_arr} of mu {fam_mu} is not of degree {a}")
+            _check_node(u_arr, fam_mu, etas)
+            w = (fam_mu * u_arr[0], fam_mu * u_arr[1], fam_mu * u_arr[2])
             if len(perms) == 1:
-                out.extend(ClassifiedPlane(_series_label(q, a), q, (SeriesId(a, fam_mu, eta),)) for eta, q in zip(etas, qs))
+                out += [_checked_class(s, u_arr, w) for s in sids]
                 continue
-            perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on qs
-            for eta, q in zip(etas, qs):
-                groups.setdefault(_normalize(q, perms), []).append(SeriesId(a, fam_mu, eta))
+            perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on u_arr
+            for s in sids:
+                groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, s.eta)), perms), []).append(s)
             out.extend(ClassifiedPlane(_series_label(q, a), q, tuple(sorted(ids))) for q, ids in groups.items())
     if max_nodes is not None and len(out) > max_nodes:
         raise markov.EnumerationCapExceeded(f"{len(out)} classes exceed the node cap {max_nodes}")
     out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
     return out
+
+
+def _check_node(u: Triple, mu: int, etas: Sequence[int]) -> None:
+    """Raise ``InvariantError`` unless ``DegreeMatrix(mu, u, (0, 1 % mu, eta))``
+    accepts a positive ``u`` with each ``eta`` of ``etas``, reduced units mod ``mu``.
+
+    Two columns generate ``K`` iff their free parts are coprime and their
+    minor is a unit mod ``mu`` (:func:`fwpp.abelian.pair_generates`; the
+    free parts' gcd divides the minor).  The minors of the pairs 0,1, 0,2
+    and 1,2 are ``u_0``, ``u_0*eta`` and ``u_1*eta - u_2`` mod ``mu`` (all
+    units at ``mu = 1``).  So the three pairs generate iff ``u`` is pairwise
+    coprime with ``gcd(u_0, mu) = 1`` (once per node), ``eta`` is a unit
+    (once per family, in :func:`classify`) and ``gcd(u_1*eta - u_2, mu) =
+    1`` (per eta, from ``u_1`` and ``u_2`` mod ``mu``).
+    """
+    u0, u1, u2 = u
+    if not gcd(u0, u1) == gcd(u0, u2) == gcd(u1, u2) == gcd(u0, mu) == 1:
+        raise InvariantError(f"node {u} is not pairwise coprime and prime to mu={mu}")
+    r1, r2 = u1 % mu, u2 % mu
+    if any(gcd(r1 * eta - r2, mu) != 1 for eta in etas):
+        raise InvariantError(f"columns 1,2 of (mu={mu}, u={u}, eta=(0, 1, e)) fail to generate K for an e in {etas}")
+
+
+def _checked_class(sid: SeriesId, u: Triple, weights: Triple) -> ClassifiedPlane:
+    """The class of ``(u; 0, 1, sid.eta)``, checked by :func:`classify`, built without ``__post_init__``."""
+    q, c = object.__new__(DegreeMatrix), object.__new__(ClassifiedPlane)
+    q.__dict__.update(mu=sid.mu, u=u, eta=(0, 1 % sid.mu, sid.eta))
+    c.__dict__.update(series=sid, matrix=q, all_series=(sid,), weights=weights)
+    return c
 
 
 def _series_label(q: DegreeMatrix, a: int) -> SeriesId:

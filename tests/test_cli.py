@@ -4,10 +4,13 @@ import argparse
 import contextlib
 import decimal
 import functools
+import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
 import sys
 from pathlib import Path
 from unittest import mock
@@ -240,6 +243,21 @@ class TestClassify:
         code, out, err = run(capsys, "classify", "--a", str(a), "--bound", str(10**12), "--report", "--format", "json")
         assert (code, err) == (0, "")
         assert out == oracles.classify_text(normalized_classes(a, 10**12), a, "json", report=True)
+
+    # sha256 of the 15,533 classes of degree 1 below 10^48, past the 10^12
+    # at which the benchmark stops degree 1; recorded while classify still
+    # built every class through the full constructors
+    DEGREE_1_AT_48_DIGITS = {
+        "tsv": "7e463622de793fa48c8fb1d8bd06ab90c5de644a02e0476576b154a2d91fa735",
+        "md": "842b26d1d7a0bdd80ae13472748f431e8621efde4cc725a0f480d61a8ee59a76",
+        "json": "464f4458e9f2db3d584d8632b950f284cf5eaa5ab963f761c2e0e1f2d14fd5dd",
+    }
+
+    @pytest.mark.parametrize("fmt", sorted(DEGREE_1_AT_48_DIGITS))
+    def test_degree_1_bytes_at_48_digits(self, capsys, fmt):
+        code, out, err = run(capsys, "classify", "--a", "1", "--bound", str(10**48), "--max-nodes", "20000", "--format", fmt)
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DEGREE_1_AT_48_DIGITS[fmt]
 
     def test_max_nodes_cap_counts_classes_past_the_trees(self, capsys):
         # each degree-1 tree at 600 has at most 5 nodes, but the classes
@@ -751,6 +769,56 @@ class TestDeterminism:
     def test_jobs_flag_is_rejected(self, capsys):
         code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "100", "--jobs", "4")
         assert code == 2 and out == ""
+
+
+FWPP = [sys.executable, "-m", "fwpp.cli"]
+
+
+def child(command, **kwargs) -> subprocess.Popen:
+    """``command`` in a child process that imports this ``fwpp``, with
+    stdout block-buffered as from a shell (``PYTHONUNBUFFERED`` would let
+    a write to a closed pipe end short without an error)."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    return subprocess.Popen(command, env=env, **{"stderr": subprocess.PIPE, **kwargs})
+
+
+class TestClosedStdout:
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [("classify", "--a", "2", "--bound", str(10**12)), ("solve", "--a", "9", "--bound", "40")],
+        ids=["large output fails in its write", "small output fails in the last flush"],
+    )
+    def test_full_stdout(self, argv):
+        with open("/dev/full", "wb") as full, child([*FWPP, *argv], stdout=full) as proc:
+            err = proc.stderr.read().decode()
+        assert proc.returncode == cli.OUTPUT_ERROR == 3
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+    def test_closed_descriptor(self):
+        # `>&-` starts the interpreter without a descriptor 1, so sys.stdout is None
+        with child(["/bin/sh", "-c", '"$@" >&-', "sh", *FWPP, "solve", "--a", "9", "--bound", "40"]) as proc:
+            err = proc.stderr.read().decode()
+        assert (proc.returncode, err) == (cli.OUTPUT_ERROR, "error: stdout is closed\n")
+
+    def test_closed_pipe(self):
+        # 336 kB of rows, more than a pipe holds: the child is still writing
+        # when the reader leaves after its first bytes, as with `| head -c 10`
+        with child([*FWPP, "classify", "--a", "2", "--bound", str(10**36)], stdout=subprocess.PIPE) as proc:
+            assert proc.stdout.read(10) == b"2-4-1\t1,1,"
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == cli.OUTPUT_ERROR
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Broken pipe" in err
+
+    def test_closed_pipe_for_both_streams(self):
+        # as with `2>&1 | head -c 10`: the error line cannot be written either
+        with child([*FWPP, "classify", "--a", "2", "--bound", str(10**36)], stdout=subprocess.PIPE, stderr=subprocess.STDOUT) as proc:
+            assert proc.stdout.read(10) == b"2-4-1\t1,1,"
+            proc.stdout.close()
+        assert proc.returncode == cli.OUTPUT_ERROR
 
 
 class TestReadmeExamples:

@@ -305,21 +305,61 @@ class TestClassify:
         parts.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
         assert planes.classify(a, bound) == parts
 
-    def test_builds_one_matrix_per_node(self, monkeypatch):
+    def test_checks_each_node_once_and_builds_no_matrix(self, monkeypatch):
         # degree 5 has one family with one eta and no ties among the
-        # entries: the node's matrix is already adjusted, so neither adjust
-        # nor series_id builds another
-        built = []
-        post_init = DegreeMatrix.__post_init__
+        # entries: each node is checked once, and its class is filled in
+        # without the full DegreeMatrix or ClassifiedPlane constructor
+        counts = {"node": 0, "matrix": 0, "plane": 0}
+        real_check = planes._check_node
 
-        def counting(self):
-            built.append(self)
-            post_init(self)
+        def checking(*args):
+            counts["node"] += 1
+            real_check(*args)
 
-        monkeypatch.setattr(DegreeMatrix, "__post_init__", counting)
+        def counting(key):
+            def post_init(self):
+                counts[key] += 1
+
+            return post_init
+
+        monkeypatch.setattr(planes, "_check_node", checking)
+        monkeypatch.setattr(DegreeMatrix, "__post_init__", counting("matrix"))
+        monkeypatch.setattr(planes.ClassifiedPlane, "__post_init__", counting("plane"))
         classes = planes.classify(5, 10**12)
-        assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == 125
-        assert len(built) == 125
+        assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == counts["node"] == 125
+        assert counts["matrix"] == counts["plane"] == 0
+        assert all(c.weights == planes.fake_weights_of_degree_matrix(c.matrix) for c in classes)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.integers(1, 12), st.tuples(*[st.integers(1, 60)] * 3), st.integers(0, 11))
+    def test_node_checks_match_the_constructor(self, mu, u, e):
+        # classify's family check (a reduced unit) and _check_node accept
+        # exactly the matrices (u; 0, 1, eta) the constructor accepts
+        eta = (0, 1 % mu, e % mu)
+        try:
+            DegreeMatrix(mu, u, eta)
+        except ValueError:
+            accepted = False
+        else:
+            accepted = True
+        try:
+            planes._check_node(u, mu, (eta[2],))
+        except markov.InvariantError:
+            checked = False
+        else:
+            checked = gcd(eta[2], mu) == 1
+        assert checked == accepted
+
+    def test_a_non_unit_series_eta_is_a_defect(self, monkeypatch):
+        monkeypatch.setitem(planes.SERIES_ETAS, (1, 8), (1, 2, 3, 5, 7))
+        with pytest.raises(markov.InvariantError, match="not all reduced units mod 8"):
+            planes.classify(1, 10**6)
+
+    def test_a_unit_eta_failing_columns_1_2_is_a_defect(self, monkeypatch):
+        # 1 is a unit mod 9, but (1, 1, 1; 0, 1, 1) has equal columns 1 and 2
+        monkeypatch.setitem(planes.SERIES_ETAS, (1, 9), (1, 2, 5, 8))
+        with pytest.raises(markov.InvariantError, match="columns 1,2"):
+            planes.classify(1, 10**6)
 
     @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
     def test_equals_the_normalizing_oracle(self, a):
