@@ -43,7 +43,6 @@ from .planes import (
     local_class_group_order,
     local_gorenstein_index,
     resolution_curve_count,
-    series_id,
     singularity_report,
 )
 

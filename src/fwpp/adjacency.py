@@ -36,6 +36,7 @@ self-adjacency census is the graph of each family at its base norm.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -275,8 +276,9 @@ class AdjacencyGraph:
             "selfAdjacent": [_label(n.plane.matrix) for n in self.nodes if n.self_kstar is not None],
         }
 
-    def to_dot(self) -> str:
-        lines = [f"graph adjacency_{self.a}_{self.mu} {{"]
+    def to_dot(self) -> Iterator[str]:
+        """The graph in Graphviz dot, one line at a time: ``"".join(graph.to_dot())`` is the whole text."""
+        yield f"graph adjacency_{self.a}_{self.mu} {{\n"
         for n in self.nodes:
             attrs = []
             if n.self_kstar is not None:
@@ -284,12 +286,11 @@ class AdjacencyGraph:
                 if n.self_kstar.non_toric:
                     attrs.append('comment="non-toric self-adjacency"')
             attr_txt = f" [{', '.join(attrs)}]" if attrs else ""
-            lines.append(f'  "{_label(n.plane.matrix)}"{attr_txt};')
+            yield f'  "{_label(n.plane.matrix)}"{attr_txt};\n'
         for e in self.edges:
             style = " [color=red]" if e.jump else ""
-            lines.append(f'  "{_label(e.a)}" -- "{_label(e.b)}"{style};')
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+            yield f'  "{_label(e.a)}" -- "{_label(e.b)}"{style};\n'
+        yield "}\n"
 
 
 def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = None) -> AdjacencyGraph:

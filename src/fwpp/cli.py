@@ -14,8 +14,9 @@ stdout, reported in one ``error:`` line.  JSON output writes free parts,
 weights and orders as decimal strings so 64-bit consumers cannot truncate
 them (``mu``, ``eta``, curve counts and ``iso``'s automorphism stay
 numbers); every format prints integers of any size.  Output is byte-identical across runs.
-While it writes JSON, :func:`main` lifts the process-wide ``int``-to-``str``
-digit limit (``sys.set_int_max_str_digits``) and restores it afterwards.
+Every command writes through :func:`_write`, ``CHUNK`` text parts at a time, so only the JSON of
+``solve`` and ``graph`` is held whole; the process-wide ``int``-to-``str`` digit limit of Python
+3.10.7 and later (``sys.set_int_max_str_digits``) is lifted for the whole write, then restored.
 
 :func:`build_parser` builds one parser per process and returns that same
 shared object on every call, :func:`main` included; callers must not mutate it.
@@ -25,9 +26,11 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 from . import adjacency, markov, planes
 from .markov import _decimal_join, _decimal_str
@@ -36,6 +39,8 @@ USAGE_ERROR = 2
 OUTPUT_ERROR = 3
 DEFAULT_NORM_BOUND = 10**6
 DEFAULT_MAX_NODES = 4096
+#: Text parts joined per write to stdout: no output is held whole, and a long table takes few writes.
+CHUNK = 4096
 
 
 def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
@@ -51,53 +56,56 @@ def integer(text: str) -> int:
     return markov._decimal_int(text)
 
 
-def _print_json(obj) -> None:
-    """Print ``obj`` as compact JSON, with integers of any size as JSON numbers.
-
-    Python 3.10.7 and later refuse to write an ``int`` of more than 4,300
-    digits by default; that limit is lifted only while ``json.dumps`` runs.
-    """
+def _write(parts: Iterable[str]) -> None:
+    """Write the text ``parts`` to stdout, ``CHUNK`` per write, building them with the digit limit lifted."""
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
-        text = json.dumps(obj, separators=(",", ":"))
+        parts = iter(parts)
+        while chunk := list(itertools.islice(parts, CHUNK)):
+            sys.stdout.write("".join(chunk))
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
-    print(text)
+
+
+def _json(obj) -> Iterator[str]:
+    """``obj`` as one line of compact JSON, encoded when :func:`_write` asks for it."""
+    yield json.dumps(obj, separators=(",", ":")) + "\n"
+
+
+def _json_array(objs: Iterable) -> Iterator[str]:
+    """The compact JSON array of ``objs`` and a newline, one element per part: the text of one ``json.dumps``."""
+    encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would build one encoder per item
+    yield "["
+    yield from (("," if i else "") + encode(obj) for i, obj in enumerate(objs))
+    yield "]\n"
 
 
 def cmd_solve(args) -> int:
     tree = markov.enumerate_tree(args.a, args.bound, args.depth, max_nodes=args.max_nodes)
-    if args.format == "json":
-        _print_json(tree.to_json_obj())
-    elif args.format == "dot":
-        sys.stdout.write(tree.to_dot())
+    if args.format in ("json", "dot"):
+        _write(_json(tree.to_json_obj()) if args.format == "json" else tree.to_dot())
     else:
         rows = sorted((markov.norm(u), u) for u in tree.nodes)
         if args.format == "md":
-            lines = ["| u | norm | initial |\n|---|---|---|\n"]
-            lines += [f"| ({_decimal_join(u)}) | {_decimal_str(n)} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |\n" for n, u in rows]
+            header = ["| u | norm | initial |\n|---|---|---|\n"]
+            _write(itertools.chain(header, (f"| ({_decimal_join(u)}) | {_decimal_str(n)} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |\n" for n, u in rows)))
         else:
-            lines = [_decimal_join((*u, n), "\t") + "\n" for n, u in rows]
-        sys.stdout.write("".join(lines))
+            _write(_decimal_join((*u, n), "\t") + "\n" for n, u in rows)
     return 0
 
 
 def cmd_classify(args) -> int:
     classes = planes.classify(args.a, args.bound, max_nodes=args.max_nodes)
     if args.format == "json":
-        payload = [planes.plane_json_obj(c, with_report=args.report) for c in classes]
-        _print_json(payload)
+        _write(_json_array(planes.plane_json_obj(c, with_report=args.report) for c in classes))
     else:
-        row = "{}\t{}\t{}\t{}\t{}\n"
-        lines = []
-        if args.format == "md":
-            lines.append("| series | u | eta | weights | degree |\n|---|---|---|---|---|\n")
-            row = "| {} | ({}) | ({}) | ({}) | {} |\n"
-        lines += [row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a) for c in classes]
-        sys.stdout.write("".join(lines))
+        md = args.format == "md"
+        header = ["| series | u | eta | weights | degree |\n|---|---|---|---|---|\n"] if md else []
+        row = "| {} | ({}) | ({}) | ({}) | {} |\n" if md else "{}\t{}\t{}\t{}\t{}\n"
+        _write(itertools.chain(header, (row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a) for c in classes)))
     return 0
 
 
@@ -105,12 +113,13 @@ def cmd_sing(args) -> int:
     q = _read_matrix_arg(args.matrix)
     report = planes.singularity_report(q)
     if args.format == "md":
-        sys.stdout.write(planes.report_markdown([report]))
+        _write([planes.report_markdown([report])])
     elif args.format == "tsv":
-        for k in range(3):
-            d = _decimal_str(report.d[k]) if report.d[k] is not None else "-"
-            cl, iota = _decimal_str(report.cl[k]), _decimal_str(report.iota[k])
-            print(f"z({k})\t{cl}\t{iota}\t{'+' if report.is_t[k] else '-'}\t{d}\t{_decimal_str(report.res_curves[k])}")
+        _write(
+            "\t".join((f"z({k})", _decimal_str(report.cl[k]), _decimal_str(report.iota[k]), "+" if report.is_t[k] else "-",
+                       "-" if report.d[k] is None else _decimal_str(report.d[k]), _decimal_str(report.res_curves[k]))) + "\n"
+            for k in range(3)
+        )
     else:
         obj = q.to_json_obj()
         weights = planes.fake_weights_of_degree_matrix(q)
@@ -120,35 +129,30 @@ def cmd_sing(args) -> int:
         obj["weights"] = [_decimal_str(w) for w in weights]
         obj["degree"] = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
         obj["report"] = report.to_json_obj()
-        _print_json(obj)
+        _write(_json(obj))
     return 0
 
 
 def cmd_graph(args) -> int:
     graph = adjacency.adjacency_graph(args.a, args.mu, args.bound, max_nodes=args.max_nodes)
-    if args.format == "json":
-        _print_json(graph.to_json_obj())
-    else:
-        sys.stdout.write(graph.to_dot())
+    _write(_json(graph.to_json_obj()) if args.format == "json" else graph.to_dot())
     return 0
 
 
 def cmd_iso(args) -> int:
-    q1 = _read_matrix_arg(args.first)
-    q2 = _read_matrix_arg(args.second)
-    witness = planes.isomorphism_witness(q1, q2)
+    witness = planes.isomorphism_witness(_read_matrix_arg(args.first), _read_matrix_arg(args.second))
     if args.format == "json":
         obj = {"isomorphic": witness is not None}
         if witness is not None:
             phi, perm = witness
             obj["automorphism"] = {"eps": phi.eps, "a": phi.a, "c": phi.c}
             obj["columnPermutation"] = list(perm)
-        _print_json(obj)
+        _write(_json(obj))
     elif witness is None:
-        print("not isomorphic")
+        _write(["not isomorphic\n"])
     else:
         phi, perm = witness
-        print(f"isomorphic\tphi=(eps={phi.eps},a={_decimal_str(phi.a)},c={_decimal_str(phi.c)})\tperm={list(perm)}")
+        _write([f"isomorphic\tphi=(eps={phi.eps},a={_decimal_str(phi.a)},c={_decimal_str(phi.c)})\tperm={list(perm)}\n"])
     return 0 if witness is not None else 1
 
 
@@ -200,16 +204,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return USAGE_ERROR if exc.code not in (0, None) else 0
-    try:
-        if sys.stdout is None:  # descriptor 1 was closed before start-up
-            raise OSError("stdout is closed")
-        code = args.func(args)
-        sys.stdout.flush()  # a full stdout fails here, not in the interpreter's last flush
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help printed, or a usage error reported
+            code = 0 if exc.code in (0, None) else USAGE_ERROR
+        else:
+            if sys.stdout is None:  # descriptor 1 was closed before start-up
+                raise OSError("stdout is closed")
+            code = args.func(args)
+        if sys.stdout is not None:  # with no stdout, argparse prints --help to stderr
+            sys.stdout.flush()  # a full stdout fails here, not in the interpreter's last flush
         return code
     except OSError as exc:  # stdout closed or full: one error line, then os.devnull takes what is left to flush
         broken = [sys.stdout]

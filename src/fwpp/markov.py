@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import decimal
 from collections import deque
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import gcd, isqrt
@@ -187,13 +188,13 @@ class MutationTree:
             "edges": [[text[x][:], text[y][:]] for x, y in self.edges],
         }
 
-    def to_dot(self) -> str:
+    def to_dot(self) -> Iterator[str]:
+        """The tree in Graphviz dot, one line at a time: ``"".join(tree.to_dot())`` is the whole text."""
         label = {u: f'"({_decimal_join(u)})"' for u in self.nodes}
-        lines = [f"graph mutation_tree_{self.a} {{"]
-        lines.extend(f"  {label[u]};" for u in self.nodes)
-        lines.extend(f"  {label[x]} -- {label[y]};" for x, y in self.edges)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        yield f"graph mutation_tree_{self.a} {{\n"
+        yield from (f"  {label[u]};\n" for u in self.nodes)
+        yield from (f"  {label[x]} -- {label[y]};\n" for x, y in self.edges)
+        yield "}\n"
 
 
 class InvariantError(AssertionError):

@@ -504,13 +504,6 @@ def _series_label(q: DegreeMatrix, a: int) -> SeriesId:
     return sid
 
 
-def series_id(q: DegreeMatrix) -> SeriesId:
-    """Series label ``degree-mu-eta`` of an adjusted degree matrix."""
-    if adjust(q) != q:
-        raise ValueError(f"{q} is not in adjusted form")
-    return _series_label(q, integral_degree(q))
-
-
 # ---------------------------------------------------------------------------
 # Singularity reports
 # ---------------------------------------------------------------------------

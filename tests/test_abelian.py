@@ -91,7 +91,7 @@ def test_public_names():
         "initial_solutions", "is_initial", "is_isomorphic", "is_solution", "is_t_singular",
         "isomorphism_witness", "k_membership_multiple", "local_class_group_order",
         "local_gorenstein_index", "markov", "mutate", "planes",
-        "resolution_curve_count", "scaled_solution_class", "self_adjacency_census", "series_id",
+        "resolution_curve_count", "scaled_solution_class", "self_adjacency_census",
         "singularity_report",
     ]
 

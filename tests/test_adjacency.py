@@ -521,7 +521,7 @@ class TestGraphs:
 
     def test_dot_output_styles_jumps(self):
         graph = adjacency.adjacency_graph(1, 5, 300)
-        dot = graph.to_dot()
+        dot = "".join(graph.to_dot())
         assert "color=red" in dot
         assert "peripheries=2" in dot  # the self-adjacent base of (1-5-1)
 
@@ -540,7 +540,7 @@ class TestPrunedGraph:
         assert graph.nodes == full.nodes
         assert [n.self_kstar for n in graph.nodes] == [n.self_kstar for n in full.nodes]
         assert graph.edges == full.edges
-        assert graph.to_dot() == full.to_dot()
+        assert "".join(graph.to_dot()) == "".join(full.to_dot())
         assert graph.to_json_obj() == full.to_json_obj()
 
     def test_partner_norm_is_closed_form(self):

@@ -161,7 +161,7 @@ class TestCapsOfAnyLength:
     def test_graph_cap_past_the_str_digit_limit_is_no_cap(self, capsys):
         code, out, err = run(capsys, "graph", "--a", "2", "--mu", "3", "--bound", str(10**12), "--max-nodes", HUGE_CAP)
         assert (code, err) == (0, "")
-        assert out == adjacency.adjacency_graph(2, 3, 10**12).to_dot()
+        assert out == "".join(adjacency.adjacency_graph(2, 3, 10**12).to_dot())
 
     @pytest.mark.parametrize("argv", [("solve", "--a", "9", "--depth"), ("solve", "--a", "9", "--max-nodes"),
                                       ("classify", "--a", "2", "--max-nodes"), ("graph", "--a", "2", "--mu", "3", "--max-nodes")])
@@ -695,6 +695,23 @@ class TestJsonDigitLimit:
             sys.set_int_max_str_digits(limit)
         assert len(markov._decimal_str(read_json(out)["report"]["resCurves"][2])) == 5000
 
+    def test_limit_is_restored_when_a_part_raises_partway(self, capsys, monkeypatch):
+        limit = sys.get_int_max_str_digits()
+        real = planes.plane_json_obj
+        encoded = []
+
+        def refuse_the_third(c, **kwargs):
+            encoded.append(c)
+            if len(encoded) == 3:
+                raise ValueError("refused")
+            return real(c, **kwargs)
+
+        monkeypatch.setattr(planes, "plane_json_obj", refuse_the_third)
+        monkeypatch.setattr(cli, "CHUNK", 1)  # the first parts are written before the third is built
+        code, out, err = run(capsys, "classify", "--a", "2", "--bound", "100", "--format", "json")
+        assert (code, err) == (2, "error: refused\n") and out.startswith("[{") and not out.endswith("\n")
+        assert sys.get_int_max_str_digits() == limit
+
     def test_python_without_the_limit(self, capsys, monkeypatch):
         # Python before 3.10.7 has neither the limit nor its setter
         expected = run(capsys, "sing", MATRIX_183)
@@ -771,6 +788,44 @@ class TestDeterminism:
         assert code == 2 and out == ""
 
 
+class TestChunkedWrites:
+    """Every command writes through ``cli._write``; where its chunks end changes no byte."""
+
+    COMMANDS = TestDeterminism.COMMANDS + [
+        ("solve", "--a", "9", "--bound", "10000", "--format", "md"),
+        ("solve", "--a", "9", "--bound", "10000", "--format", "dot"),
+        ("solve", "--a", "7"),
+        ("classify", "--a", "2", "--bound", "10000"),
+        ("classify", "--a", "7", "--format", "json"),
+        ("classify", "--a", "2", "--bound", "10000", "--format", "json", "--report"),
+        ("sing", MATRIX_183, "--format", "md"),
+        ("sing", MATRIX_183, "--format", "tsv"),
+        ("sing", MATRIX_5000_CURVES),
+        ("iso", MATRIX_183, MATRIX_187, "--format", "tsv"),
+        ("iso", MATRIX_181, MATRIX_187, "--format", "tsv"),
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda c: " ".join(x if len(x) < 20 else "MATRIX" for x in c))
+    def test_chunk_boundaries_change_no_byte(self, capsys, monkeypatch, argv):
+        expected = run(capsys, *argv)
+        for chunk in (1, 2):
+            monkeypatch.setattr(cli, "CHUNK", chunk)
+            assert run(capsys, *argv) == expected
+
+    def test_empty_outputs(self, capsys):
+        assert run(capsys, "solve", "--a", "7") == (0, "", "")
+        assert run(capsys, "classify", "--a", "7", "--format", "json") == (0, "[]\n", "")
+
+    def test_json_array_is_one_dump(self, capsys):
+        code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "10000", "--format", "json", "--report")
+        objs = [planes.plane_json_obj(c, with_report=True) for c in planes.classify(2, 10000)]
+        assert code == 0 and len(objs) > 1 and out == json.dumps(objs, separators=(",", ":")) + "\n"
+
+    def test_only_write_touches_stdout(self):
+        source = Path(cli.__file__).read_text()
+        assert source.count("sys.stdout.write(") == 1 and not re.search(r"print\((?![^\n]*file=sys\.stderr)", source)
+
+
 FWPP = [sys.executable, "-m", "fwpp.cli"]
 
 
@@ -813,12 +868,58 @@ class TestClosedStdout:
         assert proc.returncode == cli.OUTPUT_ERROR
         assert err.startswith("error: ") and err.count("\n") == 1 and "Broken pipe" in err
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_a_full_stdout(self):
+        with open("/dev/full", "wb") as full, child([*FWPP, "--help"], stdout=full) as proc:
+            err = proc.stderr.read().decode()
+        assert (proc.returncode, err) == (cli.OUTPUT_ERROR, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("argv, code", [(("--help",), 0), (("solve", "--help"), 0), (("solve", "--a", "x"), cli.USAGE_ERROR)])
+    def test_help_and_usage_errors_keep_their_codes(self, argv, code):
+        with child([*FWPP, *argv], stdout=subprocess.PIPE) as proc:
+            out, err = proc.communicate()
+        assert proc.returncode == code and (out.startswith(b"usage: fwpp") if code == 0 else err.startswith(b"usage: fwpp"))
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+    def test_help_with_a_closed_descriptor(self):
+        # with no stdout, argparse prints the help to stderr
+        with child(["/bin/sh", "-c", '"$@" >&-', "sh", *FWPP, "--help"]) as proc:
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 0 and err.startswith("usage: fwpp")
+
     def test_closed_pipe_for_both_streams(self):
         # as with `2>&1 | head -c 10`: the error line cannot be written either
         with child([*FWPP, "classify", "--a", "2", "--bound", str(10**36)], stdout=subprocess.PIPE, stderr=subprocess.STDOUT) as proc:
             assert proc.stdout.read(10) == b"2-4-1\t1,1,"
             proc.stdout.close()
         assert proc.returncode == cli.OUTPUT_ERROR
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux's")
+class TestBoundedMemory:
+    """Output is written in chunks, so a child's peak memory holds the result, not its text twice over."""
+
+    #: runs its arguments as a child with stdout to os.devnull and prints that child's peak RSS in KiB; a
+    #: child of the test process itself would start from the test process's peak, which it inherits
+    PEAK_RSS = (
+        "import resource, subprocess, sys; subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL, check=True); "
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+    )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("classify", "--a", "1", "--bound", str(10**96), "--format", "tsv"),
+            ("classify", "--a", "1", "--bound", str(10**96), "--format", "json"),
+            ("solve", "--a", "1", "--bound", str(10**192), "--format", "dot"),
+        ],
+        ids=["classify tsv at 10^96", "classify json at 10^96", "solve dot at 10^192"],
+    )
+    def test_peak_rss_below_100_mib(self, argv):
+        with child([sys.executable, "-c", self.PEAK_RSS, *FWPP, *argv, "--max-nodes", "100000"], stdout=subprocess.PIPE) as proc:
+            out, err = proc.communicate()
+        assert (proc.returncode, err) == (0, b"")
+        assert int(out) < 100 * 1024  # 119, 181 and 239 MiB when each output was built whole
 
 
 class TestReadmeExamples:

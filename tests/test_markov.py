@@ -155,7 +155,7 @@ class TestEnumerateTree:
 
     def test_dot_and_json(self):
         tree = markov.enumerate_tree(9, 40)
-        dot = tree.to_dot()
+        dot = "".join(tree.to_dot())
         assert '"(1,1,1)" -- "(1,1,4)"' in dot
         obj = tree.to_json_obj()
         assert obj["nodes"][0]["u"] == ["1", "1", "1"]
@@ -312,7 +312,7 @@ def test_tree_text_past_the_str_digit_limit():
     text = {u: [str(decimal.Decimal(c)) for c in u] for u in (parent, child)}
     assert len(text[child][2]) > 4300
     edge_line = f'  "({",".join(text[parent])})" -- "({",".join(text[child])})";'
-    assert tree.to_dot().splitlines()[-2] == edge_line
+    assert "".join(tree.to_dot()).splitlines()[-2] == edge_line
     obj = tree.to_json_obj()
     assert obj["edges"] == [[text[parent], text[child]]]
     assert [n["u"] for n in obj["nodes"]] == [text[parent], text[child]]

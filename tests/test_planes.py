@@ -21,6 +21,11 @@ def mk(mu, u, eta=None):
     return DegreeMatrix(mu, tuple(u), tuple(eta) if eta else (0, 0, 0))
 
 
+def series_label(q):
+    """The series label of ``q``'s class."""
+    return planes._series_label(planes.adjust(q), planes.integral_degree(q))
+
+
 def columns(q):
     """The columns ``(u_i, eta_i)`` of a degree matrix, as pairs."""
     return tuple(zip(q.u, q.eta))
@@ -60,7 +65,7 @@ class TestWeightsAndDegree:
         q, q_tuple = DegreeMatrix(8, [1, 1, 2], [0, 1, 3]), DegreeMatrix(8, (1, 1, 2), (0, 1, 3))
         assert q == q_tuple and hash(q) == hash(q_tuple)
         assert (q.u, q.eta) == ((1, 1, 2), (0, 1, 3))
-        assert str(planes.series_id(q)) == "1-8-3"
+        assert str(series_label(q)) == "1-8-3"
         p, p_tuple = GeneratorMatrix([[4, 4, -4], [1, -3, 1]]), GeneratorMatrix(((4, 4, -4), (1, -3, 1)))
         assert p == p_tuple and hash(p) == hash(p_tuple)
         assert p.rows == ((4, 4, -4), (1, -3, 1)) and p.weights == (8, 8, 16)
@@ -372,11 +377,11 @@ class TestClassify:
                 assert planes.classify(a, 10**24, mu=mu) == oracles.normalizing_classify(a, 10**24, mu=mu)
 
     def test_one_canonical_pass_per_node(self, monkeypatch):
-        # no runtime witness search, no public adjust or series_id; each
-        # node is arranged once, and only a node with tied entries is
-        # arranged again, for the orders of its arranged triple, and
-        # normalizes its etas
-        calls = {"witness": 0, "arrangements": 0, "adjust": 0, "series_id": 0}
+        # no runtime witness search and no public adjust; each node is
+        # arranged once, and only a node with tied entries is arranged
+        # again, for the orders of its arranged triple, normalizes its etas
+        # and labels its merged classes
+        calls = {"witness": 0, "arrangements": 0, "adjust": 0, "labels": 0}
         normalized = []
         real_normalize = planes._normalize
 
@@ -398,14 +403,16 @@ class TestClassify:
         counted(planes, "isomorphism_witness", "witness")
         counted(markov, "admissible_arrangements", "arrangements")
         counted(planes, "adjust", "adjust")
-        counted(planes, "series_id", "series_id")
+        counted(planes, "_series_label", "labels")
         classes = planes.classify(1, 10**12)
         arrangements = calls["arrangements"]
         trees = [(mu, markov.enumerate_tree(mu, 10**12 // mu).nodes) for a, mu in planes.SERIES_FAMILIES if a == 1]
         nodes = sum(len(t) for _, t in trees)
         tied = [(markov.arrange(u, mu)[0], mu) for mu, t in trees for u in t if len(markov.admissible_arrangements(u, mu)) > 1]
         assert len(classes) >= nodes > 0
-        assert calls["witness"] == calls["adjust"] == calls["series_id"] == 0
+        assert calls["witness"] == calls["adjust"] == 0
+        tied_nodes = {(tuple(sorted(u)), mu) for u, mu in tied}
+        assert calls["labels"] == sum((tuple(sorted(c.matrix.u)), c.matrix.mu) in tied_nodes for c in classes) > 0
         assert sorted(tied) == [((1, 1, 1), 9), ((1, 1, 2), 8), ((1, 1, 4), 9)]
         assert arrangements == nodes + len(tied)
         # each tied node normalizes each of its family's etas, and no other node normalizes
@@ -425,18 +432,14 @@ class TestClassify:
 
 class TestSeriesId:
     def test_examples(self):
-        assert str(planes.series_id(mk(4, (1, 1, 2), (0, 1, 3)))) == "2-4-3"
-        assert str(planes.series_id(mk(1, (1, 2, 3)))) == "6-1-0"
-        assert str(planes.series_id(mk(3, (1, 1, 1), (0, 1, 2)))) == "3-3-2"
-
-    def test_rejects_unadjusted(self):
-        with pytest.raises(ValueError):
-            planes.series_id(mk(9, (1, 1, 1), (0, 1, 5)))
+        assert str(series_label(mk(4, (1, 1, 2), (0, 1, 3)))) == "2-4-3"
+        assert str(series_label(mk(1, (1, 2, 3)))) == "6-1-0"
+        assert str(series_label(mk(3, (1, 1, 1), (0, 1, 2)))) == "3-3-2"
 
     def test_unknown_series_raises_the_typed_invariant_error(self, monkeypatch):
         monkeypatch.setattr(planes, "SERIES_ETAS", {(2, 4): (1,)})
         with pytest.raises(AssertionError) as info:
-            planes.series_id(mk(4, (1, 1, 2), (0, 1, 3)))
+            series_label(mk(4, (1, 1, 2), (0, 1, 3)))
         assert type(info.value) is fwpp.InvariantError is markov.InvariantError
         assert str(info.value) == "adjusted matrix DegreeMatrix(mu=4, u=(1, 1, 2), eta=(0, 1, 3)) maps to unknown series 2-4-3"
 
@@ -628,7 +631,7 @@ class TestSerialization:
         assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
         q = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
         assert parsed(q.to_json_obj()["u"]) == list(q.u)
-        c = planes.ClassifiedPlane(planes.series_id(q), q, (planes.series_id(q),))
+        c = planes.ClassifiedPlane(series_label(q), q, (series_label(q),))
         obj = planes.plane_json_obj(c, with_report=True)
         assert parsed(obj["weights"]) == list(c.weights)
         assert parsed(obj["report"]["cl"]) == list(c.weights)
@@ -636,7 +639,7 @@ class TestSerialization:
         text = [str(decimal.Decimal(x)) for x in u]
         assert [markov._decimal_int(x) for x in text] == list(u)
         assert markov._decimal_join(u, "\t") == "\t".join(text)
-        assert f'"({",".join(text)})";' in tree.to_dot()
+        assert f'"({",".join(text)})";' in "".join(tree.to_dot())
         assert adjacency._label(q) == f"({','.join(text)})"
         md = planes.report_markdown([planes.singularity_report(q)])
         assert f"| 9-1-0 | Z | [{','.join(text)}] |" in md
