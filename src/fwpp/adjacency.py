@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import abelian, markov, planes
-from .markov import InvariantError, _decimal_join, _decimal_str
+from .markov import InvariantError, _decimal_join, _decimal_str, _json_list, _json_strs
 from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
 Triple = tuple[int, int, int]
@@ -248,33 +248,22 @@ class AdjacencyGraph:
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
 
-    def to_json_obj(self) -> dict:
-        return {
-            "a": self.a,
-            "mu": self.mu,
-            "normBound": _decimal_str(self.norm_bound),
-            "nodes": [
-                {
-                    "label": _label(n.plane.matrix),
-                    "series": [str(s) for s in n.plane.all_series],
-                    "u": [_decimal_str(x) for x in n.plane.matrix.u],
-                    "eta": list(n.plane.matrix.eta),
-                    "selfAdjacent": n.self_kstar is not None,
-                    "nonToricSelf": n.self_kstar is not None and n.self_kstar.non_toric,
-                    "allT": n.all_t,
-                }
-                for n in self.nodes
-            ],
-            "edges": [
-                {
-                    "from": _label(e.a),
-                    "to": _label(e.b),
-                    "jump": e.jump,
-                }
-                for e in self.edges
-            ],
-            "selfAdjacent": [_label(n.plane.matrix) for n in self.nodes if n.self_kstar is not None],
-        }
+    def to_json(self) -> Iterator[str]:
+        """The graph as compact JSON, one node or edge per part: ``"".join(graph.to_json())`` is the whole text."""
+
+        def node(n: GraphNode) -> str:
+            q, kstar = n.plane.matrix, n.self_kstar
+            return (f'{{"label":"{_label(q)}","series":{_json_strs(n.plane.all_series)},"u":{_json_strs(q.u)},'
+                    f'"eta":[{_decimal_join(q.eta)}],"selfAdjacent":{str(kstar is not None).lower()},'
+                    f'"nonToricSelf":{str(kstar is not None and kstar.non_toric).lower()},"allT":{str(n.all_t).lower()}}}')
+
+        yield f'{{"a":{self.a},"mu":{self.mu},"normBound":"{_decimal_str(self.norm_bound)}","nodes":'
+        yield from _json_list(map(node, self.nodes))
+        yield ',"edges":'
+        yield from _json_list(f'{{"from":"{_label(e.a)}","to":"{_label(e.b)}","jump":{str(e.jump).lower()}}}' for e in self.edges)
+        yield ',"selfAdjacent":'
+        yield from _json_list(f'"{_label(n.plane.matrix)}"' for n in self.nodes if n.self_kstar is not None)
+        yield "}"
 
     def to_dot(self) -> Iterator[str]:
         """The graph in Graphviz dot, one line at a time: ``"".join(graph.to_dot())`` is the whole text."""

@@ -14,9 +14,10 @@ stdout, reported in one ``error:`` line.  JSON output writes free parts,
 weights and orders as decimal strings so 64-bit consumers cannot truncate
 them (``mu``, ``eta``, curve counts and ``iso``'s automorphism stay
 numbers); every format prints integers of any size.  Output is byte-identical across runs.
-Every command writes through :func:`_write`, ``CHUNK`` text parts at a time, so only the JSON of
-``solve`` and ``graph`` is held whole; the process-wide ``int``-to-``str`` digit limit of Python
-3.10.7 and later (``sys.set_int_max_str_digits``) is lifted for the whole write, then restored.
+Every command writes through :func:`_write`, ``CHUNK`` text parts at a time, and JSON is text
+from each type's ``to_json``, one node, edge or class per part, so no output is held whole; the
+process-wide ``int``-to-``str`` digit limit of Python 3.10.7 and later
+(``sys.set_int_max_str_digits``) is lifted for the whole write, then restored.
 
 :func:`build_parser` builds one parser per process and returns that same
 shared object on every call, :func:`main` included; callers must not mutate it.
@@ -33,7 +34,7 @@ import sys
 from collections.abc import Iterable, Iterator
 
 from . import adjacency, markov, planes
-from .markov import _decimal_join, _decimal_str
+from .markov import _decimal_join, _decimal_str, _json_list, _json_strs
 
 USAGE_ERROR = 2
 OUTPUT_ERROR = 3
@@ -57,36 +58,46 @@ def integer(text: str) -> int:
 
 
 def _write(parts: Iterable[str]) -> None:
-    """Write the text ``parts`` to stdout, ``CHUNK`` per write, building them with the digit limit lifted."""
+    """Write the text ``parts`` to stdout, ``CHUNK`` per write, building them with the digit limit lifted.
+
+    A stdout with a binary ``buffer`` takes each chunk encoded, written again until every byte
+    is taken: an unbuffered stream may take a write short, and its text layer would drop the rest.
+    """
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
     if limit is not None:
         sys.set_int_max_str_digits(0)
     try:
+        buffer = getattr(sys.stdout, "buffer", None)
+        if buffer is not None:
+            sys.stdout.flush()  # what the text layer holds goes first
         parts = iter(parts)
         while chunk := list(itertools.islice(parts, CHUNK)):
-            sys.stdout.write("".join(chunk))
+            if buffer is None:
+                sys.stdout.write("".join(chunk))
+                continue
+            data = memoryview("".join(chunk).encode(sys.stdout.encoding, sys.stdout.errors))
+            while data:
+                data = data[buffer.write(data):]
     finally:
         if limit is not None:
             sys.set_int_max_str_digits(limit)
 
 
-def _json(obj) -> Iterator[str]:
-    """``obj`` as one line of compact JSON, encoded when :func:`_write` asks for it."""
-    yield json.dumps(obj, separators=(",", ":")) + "\n"
+class _Parser(argparse.ArgumentParser):
+    """A parser whose ``--help`` goes through :func:`_write`, so a failed write reaches :func:`main`
+    (argparse's own print ignores an ``OSError``); with no stdout it prints to stderr as argparse does."""
 
-
-def _json_array(objs: Iterable) -> Iterator[str]:
-    """The compact JSON array of ``objs`` and a newline, one element per part: the text of one ``json.dumps``."""
-    encode = json.JSONEncoder(separators=(",", ":")).encode  # json.dumps would build one encoder per item
-    yield "["
-    yield from (("," if i else "") + encode(obj) for i, obj in enumerate(objs))
-    yield "]\n"
+    def print_help(self, file=None):
+        if file is None and sys.stdout is not None:
+            _write([self.format_help()])
+        else:
+            super().print_help(file)
 
 
 def cmd_solve(args) -> int:
     tree = markov.enumerate_tree(args.a, args.bound, args.depth, max_nodes=args.max_nodes)
     if args.format in ("json", "dot"):
-        _write(_json(tree.to_json_obj()) if args.format == "json" else tree.to_dot())
+        _write(itertools.chain(tree.to_json(), ["\n"]) if args.format == "json" else tree.to_dot())
     else:
         rows = sorted((markov.norm(u), u) for u in tree.nodes)
         if args.format == "md":
@@ -100,13 +111,23 @@ def cmd_solve(args) -> int:
 def cmd_classify(args) -> int:
     classes = planes.classify(args.a, args.bound, max_nodes=args.max_nodes)
     if args.format == "json":
-        _write(_json_array(planes.plane_json_obj(c, with_report=args.report) for c in classes))
+        _write(itertools.chain(_json_list(c.to_json(args.report) for c in classes), ["\n"]))
     else:
         md = args.format == "md"
         header = ["| series | u | eta | weights | degree |\n|---|---|---|---|---|\n"] if md else []
         row = "| {} | ({}) | ({}) | ({}) | {} |\n" if md else "{}\t{}\t{}\t{}\t{}\n"
         _write(itertools.chain(header, (row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a) for c in classes)))
     return 0
+
+
+def _sing_json(q: planes.DegreeMatrix, report: planes.SingularityReport) -> Iterator[str]:
+    """``sing``'s JSON line: the matrix as given, its series label at an integral degree, weights, degree and report."""
+    weights = planes.fake_weights_of_degree_matrix(q)
+    deg = planes.degree(weights)
+    series = f',"series":"{planes._series_label(planes.adjust(q), deg.numerator)}"' if deg.denominator == 1 else ""
+    degree = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
+    yield (f'{{"mu":{_decimal_str(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}]{series},'
+           f'"weights":{_json_strs(weights)},"degree":"{degree}","report":{report.to_json()}}}\n')
 
 
 def cmd_sing(args) -> int:
@@ -121,44 +142,33 @@ def cmd_sing(args) -> int:
             for k in range(3)
         )
     else:
-        obj = q.to_json_obj()
-        weights = planes.fake_weights_of_degree_matrix(q)
-        deg = planes.degree(weights)
-        if deg.denominator == 1:  # only integral degrees have a series label
-            obj["series"] = str(planes._series_label(planes.adjust(q), deg.numerator))
-        obj["weights"] = [_decimal_str(w) for w in weights]
-        obj["degree"] = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
-        obj["report"] = report.to_json_obj()
-        _write(_json(obj))
+        _write(_sing_json(q, report))
     return 0
 
 
 def cmd_graph(args) -> int:
     graph = adjacency.adjacency_graph(args.a, args.mu, args.bound, max_nodes=args.max_nodes)
-    _write(_json(graph.to_json_obj()) if args.format == "json" else graph.to_dot())
+    _write(itertools.chain(graph.to_json(), ["\n"]) if args.format == "json" else graph.to_dot())
     return 0
 
 
 def cmd_iso(args) -> int:
     witness = planes.isomorphism_witness(_read_matrix_arg(args.first), _read_matrix_arg(args.second))
-    if args.format == "json":
-        obj = {"isomorphic": witness is not None}
-        if witness is not None:
-            phi, perm = witness
-            obj["automorphism"] = {"eps": phi.eps, "a": phi.a, "c": phi.c}
-            obj["columnPermutation"] = list(perm)
-        _write(_json(obj))
-    elif witness is None:
-        _write(["not isomorphic\n"])
+    if witness is None:
+        _write(['{"isomorphic":false}\n' if args.format == "json" else "not isomorphic\n"])
     else:
         phi, perm = witness
-        _write([f"isomorphic\tphi=(eps={phi.eps},a={_decimal_str(phi.a)},c={_decimal_str(phi.c)})\tperm={list(perm)}\n"])
+        a, c = _decimal_str(phi.a), _decimal_str(phi.c)
+        if args.format == "json":
+            _write([f'{{"isomorphic":true,"automorphism":{{"eps":{phi.eps},"a":{a},"c":{c}}},"columnPermutation":[{_decimal_join(perm)}]}}\n'])
+        else:
+            _write([f"isomorphic\tphi=(eps={phi.eps},a={a},c={c})\tperm={list(perm)}\n"])
     return 0 if witness is not None else 1
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fwpp",
         description="Squared Markov equations, fake weighted projective planes and their adjacency graphs.",
     )

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import decimal
 from collections import deque
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from itertools import permutations
 from math import gcd, isqrt
@@ -62,6 +62,19 @@ def _decimal_join(values, sep: str = ",") -> str:
         return sep.join(map(str, values))
     except ValueError:  # an entry past the int-to-str digit limit
         return sep.join(map(_decimal_str, values))
+
+
+def _json_strs(values) -> str:
+    """The JSON array of the ``str`` of each of ``values``, integers of any size among them."""
+    return '["' + _decimal_join(values, '","') + '"]' if values else "[]"
+
+
+def _json_list(elements: Iterable[str]) -> Iterator[str]:
+    """``[``, the JSON texts ``elements`` separated by ``,``, and ``]``, one element per part."""
+    elements = iter(elements)
+    yield "[" + next(elements, "")
+    yield from map(",".__add__, elements)
+    yield "]"
 
 
 def _decimal_int(x) -> int:
@@ -174,19 +187,17 @@ class MutationTree:
                 pairs.append(((new, p, q) if new < p else (p, new, q) if new < q else (p, q, new), v))
         return tuple(sorted(pairs))
 
-    def to_json_obj(self) -> dict:
-        text = {u: _decimal_join(u).split(",") for u in self.nodes}
-        return {
-            "a": self.a,
-            "normBound": _decimal_str(self.norm_bound),
-            "depthBound": self.depth_bound,
-            "roots": [text[r][:] for r in self.roots],
-            "nodes": [
-                {"u": text[u], "norm": _decimal_str(norm(u)), "depth": self.depths[u]}
-                for u in self.nodes
-            ],
-            "edges": [[text[x][:], text[y][:]] for x, y in self.edges],
-        }
+    def to_json(self) -> Iterator[str]:
+        """The tree as compact JSON, one node or edge per part: ``"".join(tree.to_json())`` is the whole text."""
+        text = {u: _json_strs(u) for u in self.nodes}
+        depth_bound = "null" if self.depth_bound is None else _decimal_str(self.depth_bound)
+        yield f'{{"a":{self.a},"normBound":"{_decimal_str(self.norm_bound)}","depthBound":{depth_bound},"roots":'
+        yield from _json_list(text[r] for r in self.roots)
+        yield ',"nodes":'
+        yield from _json_list(f'{{"u":{t},"norm":"{_decimal_str(norm(u))}","depth":{self.depths[u]}}}' for u, t in text.items())
+        yield ',"edges":'
+        yield from _json_list(f"[{text[x]},{text[y]}]" for x, y in self.edges)
+        yield "}"
 
     def to_dot(self) -> Iterator[str]:
         """The tree in Graphviz dot, one line at a time: ``"".join(tree.to_dot())`` is the whole text."""

@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, Pair
-from .markov import InvariantError, _decimal_int, _decimal_join, _decimal_str
+from .markov import InvariantError, _decimal_int, _decimal_join, _decimal_str, _json_strs
 
 Triple = tuple[int, int, int]
 
@@ -97,13 +97,6 @@ class DegreeMatrix:
                         f"columns {i},{j} of (mu={self.mu}, u={self.u}, eta={self.eta})"
                         " fail to generate the class group"
                     )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "mu": self.mu,
-            "u": [_decimal_str(x) for x in self.u],
-            "eta": list(self.eta),
-        }
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
@@ -392,22 +385,28 @@ class ClassifiedPlane:
 
     ``series`` is the canonical label; ``all_series`` collects every series
     label whose member at this weight vector is isomorphic to it (more than
-    one only for the three sporadic coincidence sets).  ``weights`` is
-    derived once, at construction or per tree node in :func:`classify`,
-    and takes no part in equality.
+    one only for the three sporadic coincidence sets).  ``weights`` and
+    ``norm`` are derived once, at construction or per tree node in
+    :func:`classify`, and take no part in equality.
     """
 
     series: SeriesId
     matrix: DegreeMatrix
     all_series: tuple[SeriesId, ...]
     weights: Triple = field(init=False, compare=False, repr=False)
+    norm: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "weights", fake_weights_of_degree_matrix(self.matrix))
+        object.__setattr__(self, "norm", sum(self.weights))
 
-    @property
-    def norm(self) -> int:
-        return sum(self.weights)
+    def to_json(self, with_report: bool = False) -> str:
+        """The class as one compact JSON object, with its singularity report when ``with_report`` is set."""
+        q = self.matrix
+        merged = f',"mergedSeries":{_json_strs(self.all_series)}' if len(self.all_series) > 1 else ""
+        report = f',"report":{singularity_report(q).to_json()}' if with_report else ""
+        return (f'{{"series":"{self.series}","mu":{_decimal_str(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}],'
+                f'"weights":{_json_strs(self.weights)},"degree":"{self.series.a}"{merged}{report}}}')
 
 
 def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | None = None) -> list[ClassifiedPlane]:
@@ -454,7 +453,8 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
             _check_node(u_arr, fam_mu, etas)
             w = (fam_mu * u_arr[0], fam_mu * u_arr[1], fam_mu * u_arr[2])
             if len(perms) == 1:
-                out += [_checked_class(s, u_arr, w) for s in sids]
+                n = w[0] + w[1] + w[2]  # the norm, and the first sort key, of every class of the node
+                out += [_checked_class(s, u_arr, w, n) for s in sids]
                 continue
             perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on u_arr
             for s in sids:
@@ -487,11 +487,11 @@ def _check_node(u: Triple, mu: int, etas: Sequence[int]) -> None:
         raise InvariantError(f"columns 1,2 of (mu={mu}, u={u}, eta=(0, 1, e)) fail to generate K for an e in {etas}")
 
 
-def _checked_class(sid: SeriesId, u: Triple, weights: Triple) -> ClassifiedPlane:
+def _checked_class(sid: SeriesId, u: Triple, weights: Triple, norm: int) -> ClassifiedPlane:
     """The class of ``(u; 0, 1, sid.eta)``, checked by :func:`classify`, built without ``__post_init__``."""
     q, c = object.__new__(DegreeMatrix), object.__new__(ClassifiedPlane)
     q.__dict__.update(mu=sid.mu, u=u, eta=(0, 1 % sid.mu, sid.eta))
-    c.__dict__.update(series=sid, matrix=q, all_series=(sid,), weights=weights)
+    c.__dict__.update(series=sid, matrix=q, all_series=(sid,), weights=weights, norm=norm)
     return c
 
 
@@ -520,14 +520,12 @@ class SingularityReport:
     d: tuple[int | None, int | None, int | None]
     res_curves: Triple
 
-    def to_json_obj(self) -> dict:
-        return {
-            "cl": [_decimal_str(x) for x in self.cl],
-            "iota": [_decimal_str(x) for x in self.iota],
-            "isT": list(self.is_t),
-            "d": [None if x is None else _decimal_str(x) for x in self.d],
-            "resCurves": list(self.res_curves),
-        }
+    def to_json(self) -> str:
+        """The report as one compact JSON object."""
+        is_t = ",".join(map(str, self.is_t)).lower()
+        d = ",".join("null" if x is None else f'"{_decimal_str(x)}"' for x in self.d)
+        return (f'{{"cl":{_json_strs(self.cl)},"iota":{_json_strs(self.iota)},"isT":[{is_t}],'
+                f'"d":[{d}],"resCurves":[{_decimal_join(self.res_curves)}]}}')
 
 
 def singularity_report(q: DegreeMatrix) -> SingularityReport:
@@ -537,22 +535,6 @@ def singularity_report(q: DegreeMatrix) -> SingularityReport:
     flags, ds = zip(*(_t_test(cl[k], iota[k]) for k in range(3)))
     curves = tuple(resolution_curve_count(*p.cone_of_fixed_point(k)) for k in range(3))
     return SingularityReport(q, cl, iota, flags, ds, curves)
-
-
-def plane_json_obj(c: ClassifiedPlane, with_report: bool = False) -> dict:
-    obj = {
-        "series": str(c.series),
-        "mu": c.matrix.mu,
-        "u": [_decimal_str(x) for x in c.matrix.u],
-        "eta": list(c.matrix.eta),
-        "weights": [_decimal_str(w) for w in c.weights],
-        "degree": str(c.series.a),
-    }
-    if len(c.all_series) > 1:
-        obj["mergedSeries"] = [str(s) for s in c.all_series]
-    if with_report:
-        obj["report"] = singularity_report(c.matrix).to_json_obj()
-    return obj
 
 
 def report_markdown(reports: Sequence[SingularityReport]) -> str:

@@ -26,7 +26,8 @@ are built here, the 3x4 minors by cofactor expansion, and the non-toric
 degeneration test is read off a norm inequality at a T-singular point.  The
 connected components of an adjacency graph come from ``networkx``, and the
 unpruned graph and neighbour lists rebuild the partner at every T-singular
-point of every node.
+point of every node.  JSON output is built as dicts and lists and encoded by
+``json.dumps``, where the library writes its text directly.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import sys
 from collections import deque
 from itertools import permutations
 from math import gcd, isqrt
@@ -782,7 +784,7 @@ def classify_text(classes, a: int, fmt: str, report: bool = False) -> str:
     md one ``print`` per row, in json one ``json.dumps`` of every plane's
     object, with its singularity report when ``report`` is set."""
     if fmt == "json":
-        return json.dumps([planes.plane_json_obj(c, with_report=report) for c in classes], separators=(",", ":")) + "\n"
+        return dumps([plane_obj(c, with_report=report) for c in classes]) + "\n"
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         row = "{}\t{}\t{}\t{}\t{}"
@@ -874,3 +876,101 @@ def census(a: int, mu: int) -> list[adjacency.CensusEntry]:
         if kstar is not None:
             out.append(adjacency.CensusEntry(series=c.series, kstar=kstar))
     return out
+
+
+# ---------------------------------------------------------------------------
+# JSON objects as dicts and lists, for ``json.dumps``: the route the text
+# encoders (``to_json``) are checked against, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def dumps(obj) -> str:
+    """Compact ``json.dumps`` of ``obj``, its numbers written at any size."""
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(obj, separators=(",", ":"))
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
+
+
+def matrix_obj(q: planes.DegreeMatrix) -> dict:
+    return {"mu": q.mu, "u": [markov._decimal_str(x) for x in q.u], "eta": list(q.eta)}
+
+
+def tree_obj(tree: markov.MutationTree) -> dict:
+    def enc(u):
+        return [markov._decimal_str(x) for x in u]
+
+    return {
+        "a": tree.a,
+        "normBound": markov._decimal_str(tree.norm_bound),
+        "depthBound": tree.depth_bound,
+        "roots": [enc(r) for r in tree.roots],
+        "nodes": [{"u": enc(u), "norm": markov._decimal_str(markov.norm(u)), "depth": tree.depths[u]} for u in tree.nodes],
+        "edges": [[enc(x), enc(y)] for x, y in tree.edges],
+    }
+
+
+def report_obj(report: planes.SingularityReport) -> dict:
+    return {
+        "cl": [markov._decimal_str(x) for x in report.cl],
+        "iota": [markov._decimal_str(x) for x in report.iota],
+        "isT": list(report.is_t),
+        "d": [None if x is None else markov._decimal_str(x) for x in report.d],
+        "resCurves": list(report.res_curves),
+    }
+
+
+def plane_obj(c: planes.ClassifiedPlane, with_report: bool = False) -> dict:
+    obj = {
+        "series": str(c.series),
+        "mu": c.matrix.mu,
+        "u": [markov._decimal_str(x) for x in c.matrix.u],
+        "eta": list(c.matrix.eta),
+        "weights": [markov._decimal_str(w) for w in c.weights],
+        "degree": str(c.series.a),
+    }
+    if len(c.all_series) > 1:
+        obj["mergedSeries"] = [str(s) for s in c.all_series]
+    if with_report:
+        obj["report"] = report_obj(planes.singularity_report(c.matrix))
+    return obj
+
+
+def graph_obj(graph: AdjacencyGraph) -> dict:
+    label = adjacency._label
+    return {
+        "a": graph.a,
+        "mu": graph.mu,
+        "normBound": markov._decimal_str(graph.norm_bound),
+        "nodes": [
+            {
+                "label": label(n.plane.matrix),
+                "series": [str(s) for s in n.plane.all_series],
+                "u": [markov._decimal_str(x) for x in n.plane.matrix.u],
+                "eta": list(n.plane.matrix.eta),
+                "selfAdjacent": n.self_kstar is not None,
+                "nonToricSelf": n.self_kstar is not None and n.self_kstar.non_toric,
+                "allT": n.all_t,
+            }
+            for n in graph.nodes
+        ],
+        "edges": [{"from": label(e.a), "to": label(e.b), "jump": e.jump} for e in graph.edges],
+        "selfAdjacent": [label(n.plane.matrix) for n in graph.nodes if n.self_kstar is not None],
+    }
+
+
+def sing_obj(q: planes.DegreeMatrix) -> dict:
+    """What ``fwpp sing`` prints for ``q``: the matrix as given, its series label at an integral degree, weights, degree and report."""
+    obj = matrix_obj(q)
+    weights = planes.fake_weights_of_degree_matrix(q)
+    deg = planes.degree(weights)
+    if deg.denominator == 1:
+        obj["series"] = str(planes._series_label(planes.adjust(q), deg.numerator))
+    obj["weights"] = [markov._decimal_str(w) for w in weights]
+    obj["degree"] = "/".join(map(markov._decimal_str, (deg.numerator, deg.denominator)[: 1 + (deg.denominator > 1)]))
+    obj["report"] = report_obj(planes.singularity_report(q))
+    return obj

@@ -541,7 +541,7 @@ class TestPrunedGraph:
         assert [n.self_kstar for n in graph.nodes] == [n.self_kstar for n in full.nodes]
         assert graph.edges == full.edges
         assert "".join(graph.to_dot()) == "".join(full.to_dot())
-        assert graph.to_json_obj() == full.to_json_obj()
+        assert "".join(graph.to_json()) == "".join(full.to_json())
 
     def test_partner_norm_is_closed_form(self):
         for (a, mu) in planes.SERIES_FAMILIES:

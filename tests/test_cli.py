@@ -615,7 +615,7 @@ _FREE_PARTS = st.integers(1, 9) | st.integers(1, 10**80)
 
 @functools.cache
 def _classified_json():
-    return [c.matrix.to_json_obj() for a in markov.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**20)]
+    return [oracles.matrix_obj(c.matrix) for a in markov.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**20)]
 
 
 #: degree matrices, many of them valid, and JSON that is none
@@ -680,7 +680,7 @@ class TestJsonDigitLimit:
         def refuse(*args, **kwargs):
             raise ValueError("refused")
 
-        monkeypatch.setattr(json, "dumps", refuse)  # fails while the limit is lifted
+        monkeypatch.setattr(planes.SingularityReport, "to_json", refuse)  # fails while the limit is lifted
         code, out, err = run(capsys, "sing", MATRIX_183)
         assert (code, out, err) == (2, "", "error: refused\n")
         assert sys.get_int_max_str_digits() == limit
@@ -697,16 +697,16 @@ class TestJsonDigitLimit:
 
     def test_limit_is_restored_when_a_part_raises_partway(self, capsys, monkeypatch):
         limit = sys.get_int_max_str_digits()
-        real = planes.plane_json_obj
+        real = planes.ClassifiedPlane.to_json
         encoded = []
 
-        def refuse_the_third(c, **kwargs):
+        def refuse_the_third(c, *args):
             encoded.append(c)
             if len(encoded) == 3:
                 raise ValueError("refused")
-            return real(c, **kwargs)
+            return real(c, *args)
 
-        monkeypatch.setattr(planes, "plane_json_obj", refuse_the_third)
+        monkeypatch.setattr(planes.ClassifiedPlane, "to_json", refuse_the_third)
         monkeypatch.setattr(cli, "CHUNK", 1)  # the first parts are written before the third is built
         code, out, err = run(capsys, "classify", "--a", "2", "--bound", "100", "--format", "json")
         assert (code, err) == (2, "error: refused\n") and out.startswith("[{") and not out.endswith("\n")
@@ -818,7 +818,7 @@ class TestChunkedWrites:
 
     def test_json_array_is_one_dump(self, capsys):
         code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "10000", "--format", "json", "--report")
-        objs = [planes.plane_json_obj(c, with_report=True) for c in planes.classify(2, 10000)]
+        objs = [oracles.plane_obj(c, with_report=True) for c in planes.classify(2, 10000)]
         assert code == 0 and len(objs) > 1 and out == json.dumps(objs, separators=(",", ":")) + "\n"
 
     def test_only_write_touches_stdout(self):
@@ -829,11 +829,13 @@ class TestChunkedWrites:
 FWPP = [sys.executable, "-m", "fwpp.cli"]
 
 
-def child(command, **kwargs) -> subprocess.Popen:
+def child(command, unbuffered=False, **kwargs) -> subprocess.Popen:
     """``command`` in a child process that imports this ``fwpp``, with
-    stdout block-buffered as from a shell (``PYTHONUNBUFFERED`` would let
-    a write to a closed pipe end short without an error)."""
+    stdout block-buffered as from a shell, or unbuffered (``PYTHONUNBUFFERED=1``)
+    when ``unbuffered`` is set."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
     return subprocess.Popen(command, env=env, **{"stderr": subprocess.PIPE, **kwargs})
 
@@ -858,10 +860,12 @@ class TestClosedStdout:
             err = proc.stderr.read().decode()
         assert (proc.returncode, err) == (cli.OUTPUT_ERROR, "error: stdout is closed\n")
 
-    def test_closed_pipe(self):
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe(self, unbuffered):
         # 336 kB of rows, more than a pipe holds: the child is still writing
-        # when the reader leaves after its first bytes, as with `| head -c 10`
-        with child([*FWPP, "classify", "--a", "2", "--bound", str(10**36)], stdout=subprocess.PIPE) as proc:
+        # when the reader leaves after its first bytes, as with `| head -c 10`;
+        # unbuffered, the write that the reader cuts short returns a short count
+        with child([*FWPP, "classify", "--a", "2", "--bound", str(10**36)], unbuffered, stdout=subprocess.PIPE) as proc:
             assert proc.stdout.read(10) == b"2-4-1\t1,1,"
             proc.stdout.close()
             err = proc.stderr.read().decode()
@@ -873,6 +877,25 @@ class TestClosedStdout:
         with open("/dev/full", "wb") as full, child([*FWPP, "--help"], stdout=full) as proc:
             err = proc.stderr.read().decode()
         assert (proc.returncode, err) == (cli.OUTPUT_ERROR, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_help_to_a_full_unbuffered_stdout(self):
+        # argparse's own print ignores the OSError of an unbuffered write
+        with open("/dev/full", "wb") as full, child([*FWPP, "solve", "--help"], True, stdout=full) as proc:
+            err = proc.stderr.read().decode()
+        assert (proc.returncode, err) == (cli.OUTPUT_ERROR, "error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("classify", "--a", "2", "--bound", str(10**36), "--format", "json"), ("solve", "--a", "1", "--bound", str(10**12), "--format", "md"), ("--help",)],
+        ids=["classify json", "solve md", "help"],
+    )
+    def test_unbuffered_output_is_byte_identical(self, argv):
+        outputs = []
+        for unbuffered in (False, True):
+            with child([*FWPP, *argv], unbuffered, stdout=subprocess.PIPE) as proc:
+                outputs.append((*proc.communicate(), proc.returncode))
+        assert outputs[0] == outputs[1] and outputs[0][1:] == (b"", 0) and len(outputs[0][0]) > 500
 
     @pytest.mark.parametrize("argv, code", [(("--help",), 0), (("solve", "--help"), 0), (("solve", "--a", "x"), cli.USAGE_ERROR)])
     def test_help_and_usage_errors_keep_their_codes(self, argv, code):
@@ -897,7 +920,7 @@ class TestClosedStdout:
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss in KiB is Linux's")
 class TestBoundedMemory:
-    """Output is written in chunks, so a child's peak memory holds the result, not its text twice over."""
+    """Output is written in chunks, JSON included, so a child's peak memory holds the result, not its text twice over."""
 
     #: runs its arguments as a child with stdout to os.devnull and prints that child's peak RSS in KiB; a
     #: child of the test process itself would start from the test process's peak, which it inherits
@@ -912,14 +935,15 @@ class TestBoundedMemory:
             ("classify", "--a", "1", "--bound", str(10**96), "--format", "tsv"),
             ("classify", "--a", "1", "--bound", str(10**96), "--format", "json"),
             ("solve", "--a", "1", "--bound", str(10**192), "--format", "dot"),
+            ("solve", "--a", "1", "--bound", str(10**192), "--format", "json"),
         ],
-        ids=["classify tsv at 10^96", "classify json at 10^96", "solve dot at 10^192"],
+        ids=["classify tsv at 10^96", "classify json at 10^96", "solve dot at 10^192", "solve json at 10^192"],
     )
     def test_peak_rss_below_100_mib(self, argv):
         with child([sys.executable, "-c", self.PEAK_RSS, *FWPP, *argv, "--max-nodes", "100000"], stdout=subprocess.PIPE) as proc:
             out, err = proc.communicate()
         assert (proc.returncode, err) == (0, b"")
-        assert int(out) < 100 * 1024  # 119, 181 and 239 MiB when each output was built whole
+        assert int(out) < 100 * 1024  # 119, 181, 239 and 264 MiB when each output was built whole
 
 
 class TestReadmeExamples:

@@ -1,6 +1,7 @@
 """Solver, mutation and enumeration tests for the squared equations."""
 
 import decimal
+import json
 import random
 from math import gcd
 
@@ -157,7 +158,7 @@ class TestEnumerateTree:
         tree = markov.enumerate_tree(9, 40)
         dot = "".join(tree.to_dot())
         assert '"(1,1,1)" -- "(1,1,4)"' in dot
-        obj = tree.to_json_obj()
+        obj = json.loads("".join(tree.to_json()))
         assert obj["nodes"][0]["u"] == ["1", "1", "1"]
         assert [e for e in tree.edges if (1, 1, 4) in e] == [((1, 1, 1), (1, 1, 4)), ((1, 1, 4), (1, 4, 25))]
 
@@ -313,15 +314,17 @@ def test_tree_text_past_the_str_digit_limit():
     assert len(text[child][2]) > 4300
     edge_line = f'  "({",".join(text[parent])})" -- "({",".join(text[child])})";'
     assert "".join(tree.to_dot()).splitlines()[-2] == edge_line
-    obj = tree.to_json_obj()
+    obj = json.loads("".join(tree.to_json()))
     assert obj["edges"] == [[text[parent], text[child]]]
     assert [n["u"] for n in obj["nodes"]] == [text[parent], text[child]]
 
 
-def test_json_tree_holds_no_list_twice():
-    obj = markov.enumerate_tree(1, 10**12).to_json_obj()
-    lists = [*obj["roots"], *(n["u"] for n in obj["nodes"]), *(end for e in obj["edges"] for end in (e, *e))]
-    assert len({id(x) for x in lists}) == len(lists)
+def test_json_tree_is_written_one_node_or_edge_per_part():
+    tree = markov.enumerate_tree(1, 10**12)
+    parts = list(tree.to_json())
+    # one part per root, node and edge, and seven more: the head, two keys, three "]" and the closing "}"
+    assert len(tree.nodes) > 100 and len(parts) == len(tree.roots) + len(tree.nodes) + len(tree.edges) + 7
+    assert max(map(len, parts)) < 200
 
 
 @pytest.mark.parametrize("digits", [50, 5000])
