@@ -47,7 +47,11 @@ CHUNK = 4096
 def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
     text = sys.stdin.read() if value == "-" else value
     try:
-        return planes.DegreeMatrix.from_json_obj(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except ValueError:  # perhaps a JSON number past the str-to-int digit limit, which this reads
+            obj = json.loads(text, parse_int=markov._decimal_int)
+        return planes.DegreeMatrix.from_json_obj(obj)
     except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ValueError(f"not a degree matrix: {exc}") from exc
 
@@ -99,12 +103,12 @@ def cmd_solve(args) -> int:
     if args.format in ("json", "dot"):
         _write(itertools.chain(tree.to_json(), ["\n"]) if args.format == "json" else tree.to_dot())
     else:
-        rows = sorted((markov.norm(u), u) for u in tree.nodes)
-        if args.format == "md":
+        rows = sorted(tree.nodes, key=sum)  # stable: by norm, then as the nodes are sorted
+        if args.format == "md":  # initial iff a root: a child's largest entry mutates to a smaller one, a root's does not
             header = ["| u | norm | initial |\n|---|---|---|\n"]
-            _write(itertools.chain(header, (f"| ({_decimal_join(u)}) | {_decimal_str(n)} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |\n" for n, u in rows)))
+            _write(itertools.chain(header, (f"| ({_decimal_join(u)}) | {_decimal_str(sum(u))} | {'yes' if u in tree.roots else 'no'} |\n" for u in rows)))
         else:
-            _write(_decimal_join((*u, n), "\t") + "\n" for n, u in rows)
+            _write(_decimal_join((*u, sum(u)), "\t") + "\n" for u in rows)
     return 0
 
 

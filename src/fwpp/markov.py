@@ -21,11 +21,11 @@ steps below ``(1, 4, 5)`` for ``a = 5``).
 from __future__ import annotations
 
 import decimal
-from collections import deque
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, islice, permutations
 from math import gcd, isqrt
+from operator import eq
 
 #: Parameters whose equation has at least one solution.
 SOLVABLE_PARAMETERS = (1, 2, 3, 4, 5, 6, 8, 9)
@@ -162,39 +162,45 @@ def initial_solutions(a: int) -> frozenset[SolutionTriple]:
 class MutationTree:
     """Forest of all sorted solutions with norm below a bound.
 
-    Nodes are ascendingly sorted triples; two nodes are joined when one is a
-    one-step mutation of the other.  For parameters with a single initial
-    triple this is a tree, otherwise a disjoint union of trees.  Norms grow
-    strictly away from the roots, so each edge joins a non-root node to its
-    parent, the mutation of its largest entry: ``edges`` lists those
-    ``(parent, node)`` pairs, sorted, each parent computed in closed form.
+    Nodes are ascendingly sorted triples; two nodes are joined when one is a one-step mutation of
+    the other.  Norms grow strictly away from the roots, so each edge joins a non-root node to its
+    parent.  The edges are recorded, not computed: ``levels[d]`` lists the nodes at depth ``d``, the
+    roots and then each node's children in turn, sorted, and ``kids[d][i]`` counts those of
+    ``levels[d][i]``.  ``nodes`` lists them all, sorted; a node listed twice raises ``InvariantError``.
     """
 
     a: int
     norm_bound: int
     depth_bound: int | None
-    roots: tuple[Triple, ...]
-    nodes: tuple[Triple, ...]
-    depths: dict[Triple, int] = field(repr=False)
+    levels: tuple[tuple[Triple, ...], ...] = field(repr=False)
+    kids: tuple[bytes, ...] = field(repr=False)
+    roots: tuple[Triple, ...] = field(init=False, compare=False)
+    nodes: tuple[Triple, ...] = field(init=False, compare=False)
+
+    def __post_init__(self):
+        self.roots, self.nodes = self.levels[0], tuple(sorted(chain.from_iterable(self.levels)))
+        if any(map(eq, self.nodes, islice(self.nodes, 1, None))):
+            raise InvariantError(f"a node of the mutation forest of a={self.a} is reached twice")
+
+    @property
+    def depths(self) -> dict[Triple, int]:
+        return {u: d for d, level in enumerate(self.levels) for u in level}
 
     @property
     def edges(self) -> tuple[tuple[Triple, Triple], ...]:
-        a, pairs = self.a, []
-        for v in self.nodes:
-            if self.depths[v]:
-                p, q, old = v
-                new = a * p * q - 2 * p - 2 * q - old
-                pairs.append(((new, p, q) if new < p else (p, new, q) if new < q else (p, q, new), v))
-        return tuple(sorted(pairs))
+        """``(parent, node)`` pairs: the nodes in order, each with its children in order."""
+        below = chain.from_iterable(self.levels[1:])  # each node's children are the next ``kids`` of these
+        children = {u: tuple(islice(below, k)) for u, k in zip(chain.from_iterable(self.levels), chain.from_iterable(self.kids)) if k}
+        return tuple((u, v) for u in self.nodes for v in children.get(u, ()))
 
     def to_json(self) -> Iterator[str]:
         """The tree as compact JSON, one node or edge per part: ``"".join(tree.to_json())`` is the whole text."""
-        text = {u: _json_strs(u) for u in self.nodes}
+        text, depths = {u: _json_strs(u) for u in self.nodes}, self.depths
         depth_bound = "null" if self.depth_bound is None else _decimal_str(self.depth_bound)
         yield f'{{"a":{self.a},"normBound":"{_decimal_str(self.norm_bound)}","depthBound":{depth_bound},"roots":'
         yield from _json_list(text[r] for r in self.roots)
         yield ',"nodes":'
-        yield from _json_list(f'{{"u":{t},"norm":"{_decimal_str(norm(u))}","depth":{self.depths[u]}}}' for u, t in text.items())
+        yield from _json_list(f'{{"u":{t},"norm":"{_decimal_str(norm(u))}","depth":{depths[u]}}}' for u, t in text.items())
         yield ',"edges":'
         yield from _json_list(f"[{text[x]},{text[y]}]" for x, y in self.edges)
         yield "}"
@@ -222,43 +228,43 @@ def enumerate_tree(
     depth_bound: int | None = None,
     max_nodes: int | None = None,
 ) -> MutationTree:
-    """Breadth-first enumeration of all sorted solutions with norm <= bound.
+    """Level-by-level enumeration of all sorted solutions with norm <= bound.
 
-    Rooted at the initial triples; ``depth_bound`` optionally truncates at a
-    fixed mutation distance from the roots.  Termination is guaranteed by
-    the norm bound because norms strictly increase away from initial nodes;
-    ``max_nodes`` aborts early anyway when the enumeration grows past it.
-    Only slots 0 and 1 are mutated: a slot's two values multiply to the
-    square of the kept pair's sum, so the new entry exceeds ``u2``.  Slot 2
-    gives back a non-root's parent, and at a root the root itself or, for the
-    scaled ``(1, 1, 1)``, the slot-0 child.  A negative ``depth_bound`` or
-    ``max_nodes`` raises ``ValueError``; a ``norm_bound`` below every root's
-    norm, negative or not, gives an empty tree.
+    Rooted at the initial triples; ``depth_bound`` optionally truncates at a fixed mutation distance
+    from the roots.  The norm bound ends it, as norms grow away from the roots; a child past
+    ``max_nodes`` nodes raises.  Only slots 0 and 1 are mutated: the new entry exceeds ``u2`` (a
+    slot's two values multiply to the square of the kept pair's sum), so it is the child's largest
+    and mutating it back gives the node, its one parent; slot 2 gives back the parent, or at a root
+    the root or its slot-0 child.  So no child is a root, distinct nodes have distinct children, and
+    the one repeat, slot 0's child at ``u0 == u1``, is skipped; :class:`MutationTree` certifies that
+    no node is reached twice.  A child's norm is ``a*p*u2 - norm(u)`` for the kept entry ``p``, so
+    slot 1's is the smaller.  A negative ``depth_bound`` or ``max_nodes`` raises ``ValueError``; a
+    ``norm_bound`` below every root's norm gives an empty tree.
     """
     if depth_bound is not None and depth_bound < 0:
         raise ValueError(f"depth bound must be non-negative, got {_decimal_str(depth_bound)}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"node cap must be non-negative, got {_decimal_str(max_nodes)}")
-    roots = sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound)
-    depths: dict[Triple, int] = dict.fromkeys(roots, 0)
-    queue = deque(roots)
-    while queue:
-        u = queue.popleft()
-        d = depths[u]
-        if depth_bound is not None and d >= depth_bound:
-            continue
-        u0, u1, u2 = u
-        for p, old in ((u1, u0), (u0, u1)):  # slot 0, then slot 1; ``u2`` is kept by both
-            new = a * p * u2 - 2 * p - 2 * u2 - old
-            if p + u2 + new > norm_bound:
-                continue
-            v = (p, u2, new)
-            if v not in depths:
-                if max_nodes is not None and len(depths) >= max_nodes:
-                    raise EnumerationCapExceeded(f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for a={a}")
-                depths[v] = d + 1
-                queue.append(v)
-    return MutationTree(a, norm_bound, depth_bound, roots=tuple(roots), nodes=tuple(sorted(depths)), depths=depths)
+    levels, kids = [tuple(sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound))], []
+    total = len(levels[0])
+    while depth_bound is None or len(levels) <= depth_bound:
+        below, counts = [], bytearray()
+        for u0, u1, u2 in levels[-1]:
+            n, au2 = u0 + u1 + u2, a * u2
+            one = (m1 := au2 * u0 - n) <= norm_bound  # slot 1
+            two = one and u0 < u1 and (m0 := au2 * u1 - n) <= norm_bound  # slot 0
+            counts.append(one + two)
+            if one:
+                below.append((u0, u2, m1 - u0 - u2))
+            if two:
+                below.append((u1, u2, m0 - u1 - u2))
+        if not below:
+            break
+        if max_nodes is not None and (total := total + len(below)) > max_nodes:
+            raise EnumerationCapExceeded(f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for a={a}")
+        levels.append(tuple(below))
+        kids.append(bytes(counts))
+    return MutationTree(a, norm_bound, depth_bound, tuple(levels), tuple(kids))
 
 
 def scaled_solution_class(t: SolutionTriple) -> tuple[int, int]:

@@ -436,6 +436,15 @@ class TestSing:
             assert code == 0 and err == ""
             assert out.splitlines()[2].endswith(f",{curves}) |")
 
+    def test_own_json_line_reads_back(self, capsys):
+        # the line writes mu as a JSON number past the str-to-int digit limit; sing and iso read it back
+        matrix = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        code, line, err = run(capsys, "sing", matrix)
+        assert (code, err) == (0, "") and line.startswith(f'{{"mu":{MU_PAST_THE_LIMIT},"u":')
+        assert run(capsys, "sing", line) == (0, line, "")
+        identity = '{"isomorphic":true,"automorphism":{"eps":1,"a":0,"c":1},"columnPermutation":[0,1,2]}\n'
+        assert run(capsys, "iso", line, matrix) == run(capsys, "iso", matrix, line) == (0, identity, "")
+
     @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
     def test_torsion_order_past_the_str_digit_limit(self, capsys, fmt):
         # json writes mu as a JSON number past the str-to-int digit limit

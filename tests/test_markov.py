@@ -6,7 +6,7 @@ import random
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import golden
@@ -259,6 +259,13 @@ def test_enumeration_cap():
     assert markov.enumerate_tree(6, 11, max_nodes=0).nodes == ((1, 2, 3),)
     with pytest.raises(markov.EnumerationCapExceeded):
         markov.enumerate_tree(6, 12, max_nodes=0)
+    # four roots of norm 27 to 50 and no child below 54: a tree of roots only never raises
+    assert len(markov.enumerate_tree(1, 53, max_nodes=0).nodes) == 4
+
+
+def test_a_node_reached_twice_is_an_invariant_error():
+    with pytest.raises(markov.InvariantError, match="reached twice"):
+        markov.MutationTree(9, 30, None, (((1, 1, 1),), ((1, 1, 4), (1, 1, 4))), (b"\2",))
 
 
 def test_enumeration_cap_names_a_bound_past_the_str_digit_limit():
@@ -308,7 +315,7 @@ def test_decimal_join_mixes_short_and_long_entries():
 
 def test_tree_text_past_the_str_digit_limit():
     parent, child = walk_past_the_digit_limit()
-    tree = markov.MutationTree(9, markov.norm(child), None, (parent,), (parent, child), {parent: 0, child: 1})
+    tree = markov.MutationTree(9, markov.norm(child), None, ((parent,), (child,)), (b"\1",))
     assert tree.edges == ((parent, child),)
     text = {u: [str(decimal.Decimal(c)) for c in u] for u in (parent, child)}
     assert len(text[child][2]) > 4300
@@ -371,6 +378,35 @@ class TestAgainstSortingOracles:
             with pytest.raises(markov.EnumerationCapExceeded):
                 oracles.bfs_tree(a, bound, max_nodes=cap)
         assert markov.enumerate_tree(a, bound, max_nodes=n).nodes == oracles.bfs_tree(a, bound, max_nodes=n)[0]
+
+
+def capped_nodes(enumerate_fn, *args):
+    """The nodes that ``enumerate_fn(*args)`` returns, or ``None`` when its node cap raises."""
+    try:
+        tree = enumerate_fn(*args)
+    except markov.EnumerationCapExceeded:
+        return None
+    return tree[0] if isinstance(tree, tuple) else tree.nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((*markov.SOLVABLE_PARAMETERS, 7, 10)),
+    st.integers(0, 60).flatmap(lambda digits: st.integers(0, 10**digits)),
+    st.none() | st.integers(0, 8),
+)
+@example(9, 0, None)
+@example(9, 10**60, 8)
+def test_tree_matches_sorting_bfs_at_any_bound(a, bound, depth_bound):
+    """Bound 0 lies below every root; at ``max_nodes`` n - 1, n, and 0 for one root, the caps raise alike."""
+    nodes, edges, depths = oracles.bfs_tree(a, bound, depth_bound)
+    tree = markov.enumerate_tree(a, bound, depth_bound)
+    assert (tree.nodes, tree.edges, tree.depths) == (nodes, edges, depths)
+    caps = {len(nodes) - 1, len(nodes)} | ({0} if len(tree.roots) == 1 else set())
+    for cap in sorted(caps - {-1}):
+        expected = capped_nodes(oracles.bfs_tree, a, bound, depth_bound, cap)
+        assert capped_nodes(markov.enumerate_tree, a, bound, depth_bound, cap) == expected
+        assert (expected is None) == (cap < len(nodes) and len(nodes) > len(tree.roots))
 
 
 def arrangement_outcome(fn, u, reduced_a):

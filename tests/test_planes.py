@@ -627,7 +627,7 @@ class TestSerialization:
         def parsed(texts):
             return [int(decimal.Decimal(x)) for x in texts]
 
-        tree = markov.MutationTree(9, markov.norm(u), None, (u,), (u,), {u: 0})
+        tree = markov.MutationTree(9, markov.norm(u), None, ((u,),), ())
         node = json.loads("".join(tree.to_json()))["nodes"][0]
         assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
         q = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
