@@ -19,9 +19,7 @@ from .markov import (
     decompose,
     enumerate_tree,
     initial_solutions,
-    is_initial,
     is_solution,
-    mutate,
     scaled_solution_class,
 )
 from .planes import (

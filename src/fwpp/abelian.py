@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from math import gcd
 from typing import Iterable, Sequence
 
+from .markov import _text
+
 #: An element ``(free, tors)`` of ``Z + Z/mu``.
 Pair = tuple[int, int]
 
@@ -52,7 +54,7 @@ def k_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
     """
     (w_free, w_tors), (q_free, q_tors) = w, q
     if q_free <= 0:
-        raise ValueError(f"membership engine needs a positive free part, got {q_free}")
+        raise ValueError(f"membership engine needs a positive free part, got {_text(q_free)}")
     g = gcd(abs(w_free), q_free)
     step = q_free // g
     defect = (step * w_tors - (w_free // g) * q_tors) % mu
@@ -69,7 +71,7 @@ def bezout(a: int, c: int) -> tuple[int, int]:
     """Coefficients ``(s, r)`` with ``s*a + r*c == 1`` for coprime a, c."""
     if c == 0:  # pow refuses modulus 0, and only a = +-1 is coprime to 0
         if abs(a) != 1:
-            raise ValueError(f"{a} and {c} are not coprime")
+            raise ValueError(f"{_text(a)} and {_text(c)} are not coprime")
         return a, 0
     s = pow(a, -1, abs(c))  # a ValueError unless gcd(a, c) == 1
     return s, (1 - s * a) // c
@@ -87,17 +89,17 @@ def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int
     to the cofactor kernel vector having all entries of one sign.
     """
     if len(p) != 2 or any(len(row) != 3 for row in p):
-        raise NotGeneratorMatrixError(f"expected a 2x3 matrix, got {p}")
+        raise NotGeneratorMatrixError(f"expected a 2x3 matrix, got {_text(p)}")
     (a0, a1, a2), (b0, b1, b2) = p
     cols = [(a0, b0), (a1, b1), (a2, b2)]
     for col in cols:
         if gcd(col[0], col[1]) != 1:
-            raise NotGeneratorMatrixError(f"column {col} is not primitive")
+            raise NotGeneratorMatrixError(f"column {_text(col)} is not primitive")
     if len(set(cols)) != 3:
-        raise NotGeneratorMatrixError(f"columns are not pairwise distinct: {cols}")
+        raise NotGeneratorMatrixError(f"columns are not pairwise distinct: {_text(cols)}")
     kernel = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
     if 0 in kernel or len({k > 0 for k in kernel}) != 1:
-        raise NotGeneratorMatrixError(f"columns of {p} do not positively span the plane")
+        raise NotGeneratorMatrixError(f"columns of {_text(p)} do not positively span the plane")
     return tuple(abs(k) for k in kernel)
 
 

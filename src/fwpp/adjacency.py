@@ -42,7 +42,7 @@ from fractions import Fraction
 from math import gcd
 
 from . import abelian, markov, planes
-from .markov import InvariantError, _decimal_join, _decimal_str, _json_list, _json_strs
+from .markov import InvariantError, _decimal_join, _json_list, _json_strs, _text
 from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
 Triple = tuple[int, int, int]
@@ -71,17 +71,17 @@ class KStarData:
 
     def __post_init__(self):
         if self.l1 < 1 or self.l2 < 1:
-            raise ValueError(f"isotropy orders must be positive, got {self.l1}, {self.l2}")
+            raise ValueError(f"isotropy orders must be positive, got {_text(self.l1)}, {_text(self.l2)}")
         if gcd(self.l1, self.d1) != 1 or gcd(self.l2, self.d2) != 1:
-            raise ValueError(f"gcd(l_i, d_i) != 1 in {self}")
+            raise ValueError(f"gcd(l_i, d_i) != 1 in {_text(self)}")
         if not 0 <= self.d1 <= self.l1:
-            raise ValueError(f"d1={self.d1} is not normalized into [0, l1]")
+            raise ValueError(f"d1={_text(self.d1)} is not normalized into [0, l1]")
         if self.d1 == 0 and self.l1 != 1:
             raise ValueError("d1 = 0 is only allowed in the toric case l1 = 1")
         upper = self.d1 * self.l2 + self.d2 * self.l1
         lower = self.d0 * self.l1 * self.l2 + upper
         if not lower < 0 < upper:
-            raise ValueError(f"slope inequalities fail for {self}")
+            raise ValueError(f"slope inequalities fail for {_text(self)}")
 
     @property
     def non_toric(self) -> bool:
@@ -168,7 +168,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
     is adjusted over its arrangements for ``q``'s degree.
     """
     if slot not in (0, 1, 2):
-        raise ValueError(f"fixed point index must be 0, 1 or 2, got {slot!r}")
+        raise ValueError(f"fixed point index must be 0, 1 or 2, got {_text(slot, repr)}")
     # refuses a non-integral degree, where a failed certificate below would report bad input as a defect
     a = planes.integral_degree(q)
     w = planes.fake_weights_of_degree_matrix(q)
@@ -180,10 +180,10 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
     l1 = planes.local_gorenstein_index(q, slot) if l1 is None else l1
     d0, rem = divmod(-wk, l1 * l1)  # d0 = -w_k / l1**2 at a T-singularity
     if rem:
-        raise NotDegenerableError(f"fixed point {slot} of {q} is not a T-singularity")
+        raise NotDegenerableError(f"fixed point {_text(slot)} of {_text(q)} is not a T-singularity")
     l2, rem = divmod(l1 * (wi + wj), wk)
     if rem:
-        raise NotDegenerableError(f"second isotropy order of {q} at slot {slot} is not integral")
+        raise NotDegenerableError(f"second isotropy order of {_text(q)} at slot {_text(slot)} is not integral")
 
     # d1_0, then its lift, solved as in the docstring; g | w_j makes g divide
     # every weight, hence mu, so r = R(d1_0) / (mu/g) = g*R(d1_0) / mu
@@ -193,27 +193,27 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
     h, h_rem = divmod(l1 * (ei + ej) - l2 * ek, mu)
     r, r_rem = divmod(g * (d1 * ei + (d1 + l1 * d0) * ej + (wj - d1 * l2) // l1 * ek), mu)
     if wj % g or h_rem or r_rem:
-        raise InvariantError(f"slice congruences of {q} at slot {slot} have no solution")
+        raise InvariantError(f"slice congruences of {_text(q)} at slot {_text(slot)} have no solution")
     if gcd(h, g) != 1:
-        raise InvariantError(f"first slice torsion {h} of {q} at slot {slot} is not a unit mod {g}")
+        raise InvariantError(f"first slice torsion {_text(h)} of {_text(q)} at slot {_text(slot)} is not a unit mod {_text(g)}")
     d1 += -r * pow(h, -1, g) % g * step
     d2 = (wj - d1 * l2) // l1
     try:
         kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
     except ValueError as exc:
-        raise InvariantError(f"slice data of {q} at slot {slot}: {exc}") from exc
+        raise InvariantError(f"slice data of {_text(q)} at slot {_text(slot)}: {exc}") from exc
     if not abelian.annihilates(((l1, l1, -l2), (d1, d1 + l1 * d0, d2)), up, etap, mu):
-        raise InvariantError(f"slice data {kstar} does not annihilate the columns of {q}")
+        raise InvariantError(f"slice data {_text(kstar)} does not annihilate the columns of {_text(q)}")
 
     # the partner's column k, solved from both rows of P2 as in the docstring
     x, y = abelian.bezout(l1, d1)
     ci, cj = d2, d2 + l2 * d0
     uk2 = x * l2 * (ui + uj) - y * (ci * ui + cj * uj)
     if uk2 * uk != (ui + uj) ** 2:
-        raise InvariantError(f"partner column of {q} at slot {slot} has free part {uk2}, not the mutation's")
+        raise InvariantError(f"partner column of {_text(q)} at slot {_text(slot)} has free part {_text(uk2)}, not the mutation's")
     u2, eta2 = (ui, uj, uk2), (ei, ej, (x * l2 * (ei + ej) - y * (ci * ei + cj * ej)) % mu)
     if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, mu):
-        raise InvariantError(f"partner columns {u2}, {eta2} of {q} do not annihilate the second slice")
+        raise InvariantError(f"partner columns {_text(u2)}, {_text(eta2)} of {_text(q)} do not annihilate the second slice")
     q2_raw = DegreeMatrix(mu, u2, eta2)
     return AdjacentPair(q2=planes._normalize(q2_raw, markov.admissible_arrangements(u2, mu * a)), q2_raw=q2_raw, kstar=kstar)
 
@@ -257,7 +257,7 @@ class AdjacencyGraph:
                     f'"eta":[{_decimal_join(q.eta)}],"selfAdjacent":{str(kstar is not None).lower()},'
                     f'"nonToricSelf":{str(kstar is not None and kstar.non_toric).lower()},"allT":{str(n.all_t).lower()}}}')
 
-        yield f'{{"a":{self.a},"mu":{self.mu},"normBound":"{_decimal_str(self.norm_bound)}","nodes":'
+        yield f'{{"a":{self.a},"mu":{self.mu},"normBound":"{_text(self.norm_bound)}","nodes":'
         yield from _json_list(map(node, self.nodes))
         yield ',"edges":'
         yield from _json_list(f'{{"from":"{_label(e.a)}","to":"{_label(e.b)}","jump":{str(e.jump).lower()}}}' for e in self.edges)
@@ -295,7 +295,7 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     a partner built but not classified raises ``InvariantError``.
     """
     if (a, mu) not in planes.SERIES_ETAS:
-        raise ValueError(f"no series exists for degree {a} with torsion order {mu}")
+        raise ValueError(f"no series exists for degree {_text(a)} with torsion order {_text(mu)}")
     classified = planes.classify(a, norm_bound, mu=mu, max_nodes=max_nodes)
     nodes = []
     edges: dict[tuple[DegreeMatrix, DegreeMatrix], bool] = {}
@@ -312,7 +312,7 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
             if pair.q2 == c.matrix:
                 continue
             if pair.q2 not in series_of:
-                raise InvariantError(f"partner {pair.q2} of {c.matrix} is within the bound but not classified")
+                raise InvariantError(f"partner {_text(pair.q2)} of {_text(c.matrix)} is within the bound but not classified")
             # one family shares mu, so the DegreeMatrix order is the (u, eta) order
             edges[min(c.matrix, pair.q2), max(c.matrix, pair.q2)] = not (series_of[c.matrix] & series_of[pair.q2])
     edge_list = tuple(GraphEdge(x, y, jump) for (x, y), jump in sorted(edges.items()))

@@ -15,9 +15,8 @@ weights and orders as decimal strings so 64-bit consumers cannot truncate
 them (``mu``, ``eta``, curve counts and ``iso``'s automorphism stay
 numbers); every format prints integers of any size.  Output is byte-identical across runs.
 Every command writes through :func:`_write`, ``CHUNK`` text parts at a time, and JSON is text
-from each type's ``to_json``, one node, edge or class per part, so no output is held whole; the
-process-wide ``int``-to-``str`` digit limit of Python 3.10.7 and later
-(``sys.set_int_max_str_digits``) is lifted for the whole write, then restored.
+from each type's ``to_json``, one node, edge or class per part, so no output is held whole.  The
+helpers of :mod:`fwpp.markov` write every integer of output and error messages, lifting no limit.
 
 :func:`build_parser` builds one parser per process and returns that same
 shared object on every call, :func:`main` included; callers must not mutate it.
@@ -34,7 +33,7 @@ import sys
 from collections.abc import Iterable, Iterator
 
 from . import adjacency, markov, planes
-from .markov import _decimal_join, _decimal_str, _json_list, _json_strs
+from .markov import _decimal_join, _json_list, _json_strs, _text
 
 USAGE_ERROR = 2
 OUTPUT_ERROR = 3
@@ -62,29 +61,22 @@ def integer(text: str) -> int:
 
 
 def _write(parts: Iterable[str]) -> None:
-    """Write the text ``parts`` to stdout, ``CHUNK`` per write, building them with the digit limit lifted.
+    """Write the text ``parts`` to stdout, ``CHUNK`` per write.
 
     A stdout with a binary ``buffer`` takes each chunk encoded, written again until every byte
     is taken: an unbuffered stream may take a write short, and its text layer would drop the rest.
     """
-    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        buffer = getattr(sys.stdout, "buffer", None)
-        if buffer is not None:
-            sys.stdout.flush()  # what the text layer holds goes first
-        parts = iter(parts)
-        while chunk := list(itertools.islice(parts, CHUNK)):
-            if buffer is None:
-                sys.stdout.write("".join(chunk))
-                continue
-            data = memoryview("".join(chunk).encode(sys.stdout.encoding, sys.stdout.errors))
-            while data:
-                data = data[buffer.write(data):]
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is not None:
+        sys.stdout.flush()  # what the text layer holds goes first
+    parts = iter(parts)
+    while chunk := list(itertools.islice(parts, CHUNK)):
+        if buffer is None:
+            sys.stdout.write("".join(chunk))
+            continue
+        data = memoryview("".join(chunk).encode(sys.stdout.encoding, sys.stdout.errors))
+        while data:
+            data = data[buffer.write(data):]
 
 
 class _Parser(argparse.ArgumentParser):
@@ -106,7 +98,7 @@ def cmd_solve(args) -> int:
         rows = sorted(tree.nodes, key=sum)  # stable: by norm, then as the nodes are sorted
         if args.format == "md":  # initial iff a root: a child's largest entry mutates to a smaller one, a root's does not
             header = ["| u | norm | initial |\n|---|---|---|\n"]
-            _write(itertools.chain(header, (f"| ({_decimal_join(u)}) | {_decimal_str(sum(u))} | {'yes' if u in tree.roots else 'no'} |\n" for u in rows)))
+            _write(itertools.chain(header, (f"| ({_decimal_join(u)}) | {_text(sum(u))} | {'yes' if u in tree.roots else 'no'} |\n" for u in rows)))
         else:
             _write(_decimal_join((*u, sum(u)), "\t") + "\n" for u in rows)
     return 0
@@ -129,8 +121,8 @@ def _sing_json(q: planes.DegreeMatrix, report: planes.SingularityReport) -> Iter
     weights = planes.fake_weights_of_degree_matrix(q)
     deg = planes.degree(weights)
     series = f',"series":"{planes._series_label(planes.adjust(q), deg.numerator)}"' if deg.denominator == 1 else ""
-    degree = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _decimal_str(deg.numerator)
-    yield (f'{{"mu":{_decimal_str(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}]{series},'
+    degree = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _text(deg.numerator)
+    yield (f'{{"mu":{_text(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}]{series},'
            f'"weights":{_json_strs(weights)},"degree":"{degree}","report":{report.to_json()}}}\n')
 
 
@@ -141,8 +133,8 @@ def cmd_sing(args) -> int:
         _write([planes.report_markdown([report])])
     elif args.format == "tsv":
         _write(
-            "\t".join((f"z({k})", _decimal_str(report.cl[k]), _decimal_str(report.iota[k]), "+" if report.is_t[k] else "-",
-                       "-" if report.d[k] is None else _decimal_str(report.d[k]), _decimal_str(report.res_curves[k]))) + "\n"
+            "\t".join((f"z({k})", _text(report.cl[k]), _text(report.iota[k]), "+" if report.is_t[k] else "-",
+                       "-" if report.d[k] is None else _text(report.d[k]), _text(report.res_curves[k]))) + "\n"
             for k in range(3)
         )
     else:
@@ -162,7 +154,7 @@ def cmd_iso(args) -> int:
         _write(['{"isomorphic":false}\n' if args.format == "json" else "not isomorphic\n"])
     else:
         phi, perm = witness
-        a, c = _decimal_str(phi.a), _decimal_str(phi.c)
+        a, c = _text(phi.a), _text(phi.c)
         if args.format == "json":
             _write([f'{{"isomorphic":true,"automorphism":{{"eps":{phi.eps},"a":{a},"c":{c}}},"columnPermutation":[{_decimal_join(perm)}]}}\n'])
         else:

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import decimal
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from fractions import Fraction
 from itertools import chain, islice, permutations
 from math import gcd, isqrt
 from operator import eq
@@ -44,24 +45,32 @@ REDUCED_PARAMETERS = tuple(sorted(REDUCED_ROOTS))
 Triple = tuple[int, int, int]
 
 
-def _decimal_str(n: int) -> str:
-    """Decimal text of ``n`` at any size.
-
-    ``str(int)`` refuses integers longer than ``sys.get_int_max_str_digits()``
-    (4,300 digits by default); ``Decimal`` converts those without the limit.
-    """
-    try:
-        return str(n)
-    except ValueError:
-        return str(decimal.Decimal(n))
-
-
 def _decimal_join(values, sep: str = ",") -> str:
     """``sep``-joined decimal text of a sequence of integers of any size."""
     try:
         return sep.join(map(str, values))
     except ValueError:  # an entry past the int-to-str digit limit
-        return sep.join(map(_decimal_str, values))
+        return sep.join(map(_text, values))
+
+
+def _text(x, conv=str) -> str:
+    """``conv(x)`` (``str``, as in ``f"{x}"``, or ``repr``) at any size, the one way an integer becomes text.
+
+    ``str(int)`` refuses integers past the int-to-str digit limit (4,300 digits by default) and ``Decimal``
+    converts those without it; past the limit, ints, ``Fraction``s, tuples, lists and dataclass reprs are
+    written in full, and a class's own ``__str__`` is called as is."""
+    try:
+        return conv(x)
+    except ValueError:  # an int past the limit, perhaps inside x
+        if isinstance(x, int):
+            return str(decimal.Decimal(x))
+        if isinstance(x, Fraction):
+            n, d = _text(x.numerator), _text(x.denominator)
+            return f"Fraction({n}, {d})" if conv is repr else n if d == "1" else f"{n}/{d}"
+        if isinstance(x, (tuple, list)):
+            body = ", ".join(_text(e, repr) for e in x) + "," * (isinstance(x, tuple) and len(x) == 1)
+            return f"({body})" if isinstance(x, tuple) else f"[{body}]"
+        return f"{type(x).__qualname__}({', '.join(f'{f.name}={_text(getattr(x, f.name), repr)}' for f in fields(x) if f.repr)})"
 
 
 def _json_strs(values) -> str:
@@ -112,34 +121,11 @@ class SolutionTriple:
 
     def __post_init__(self):
         if not is_solution(self.u, self.a):
-            raise ValueError(f"{self.u} does not solve the equation with a={self.a}")
+            raise ValueError(f"{_text(self.u)} does not solve the equation with a={_text(self.a)}")
 
     @property
     def norm(self) -> int:
         return norm(self.u)
-
-    def sorted(self) -> "SolutionTriple":
-        return SolutionTriple(self.a, tuple(sorted(self.u)))
-
-
-def mutate(t: SolutionTriple) -> SolutionTriple:
-    """Replace the last entry by the second root of the quadratic in it.
-
-    The result is again a solution and mutating twice returns the input.
-    """
-    u0, u1, u2 = t.u
-    return SolutionTriple(t.a, (u0, u1, t.a * u0 * u1 - 2 * u0 - 2 * u1 - u2))
-
-
-def is_initial(t: SolutionTriple) -> bool:
-    """True iff the (sorted) triple does not mutate to a smaller norm.
-
-    Requires ascendingly sorted input; equivalent to ``u2 <= u0 + u1``.
-    """
-    u0, u1, u2 = t.u
-    if not (u0 <= u1 <= u2):
-        raise ValueError(f"is_initial expects an ascendingly sorted triple, got {t.u}")
-    return u2 <= u0 + u1
 
 
 def initial_solutions(a: int) -> frozenset[SolutionTriple]:
@@ -152,7 +138,7 @@ def initial_solutions(a: int) -> frozenset[SolutionTriple]:
     other positive ``a``.
     """
     if a < 1:
-        raise ValueError(f"parameter must be a positive integer, got {a}")
+        raise ValueError(f"parameter must be a positive integer, got {_text(a)}")
     return frozenset(
         SolutionTriple(a, tuple(A // a * c for c in root)) for A, root in REDUCED_ROOTS.items() if A % a == 0
     )
@@ -180,7 +166,7 @@ class MutationTree:
     def __post_init__(self):
         self.roots, self.nodes = self.levels[0], tuple(sorted(chain.from_iterable(self.levels)))
         if any(map(eq, self.nodes, islice(self.nodes, 1, None))):
-            raise InvariantError(f"a node of the mutation forest of a={self.a} is reached twice")
+            raise InvariantError(f"a node of the mutation forest of a={_text(self.a)} is reached twice")
 
     @property
     def depths(self) -> dict[Triple, int]:
@@ -196,11 +182,11 @@ class MutationTree:
     def to_json(self) -> Iterator[str]:
         """The tree as compact JSON, one node or edge per part: ``"".join(tree.to_json())`` is the whole text."""
         text, depths = {u: _json_strs(u) for u in self.nodes}, self.depths
-        depth_bound = "null" if self.depth_bound is None else _decimal_str(self.depth_bound)
-        yield f'{{"a":{self.a},"normBound":"{_decimal_str(self.norm_bound)}","depthBound":{depth_bound},"roots":'
+        depth_bound = "null" if self.depth_bound is None else _text(self.depth_bound)
+        yield f'{{"a":{self.a},"normBound":"{_text(self.norm_bound)}","depthBound":{depth_bound},"roots":'
         yield from _json_list(text[r] for r in self.roots)
         yield ',"nodes":'
-        yield from _json_list(f'{{"u":{t},"norm":"{_decimal_str(norm(u))}","depth":{depths[u]}}}' for u, t in text.items())
+        yield from _json_list(f'{{"u":{t},"norm":"{_text(norm(u))}","depth":{depths[u]}}}' for u, t in text.items())
         yield ',"edges":'
         yield from _json_list(f"[{text[x]},{text[y]}]" for x, y in self.edges)
         yield "}"
@@ -242,9 +228,9 @@ def enumerate_tree(
     ``norm_bound`` below every root's norm gives an empty tree.
     """
     if depth_bound is not None and depth_bound < 0:
-        raise ValueError(f"depth bound must be non-negative, got {_decimal_str(depth_bound)}")
+        raise ValueError(f"depth bound must be non-negative, got {_text(depth_bound)}")
     if max_nodes is not None and max_nodes < 0:
-        raise ValueError(f"node cap must be non-negative, got {_decimal_str(max_nodes)}")
+        raise ValueError(f"node cap must be non-negative, got {_text(max_nodes)}")
     levels, kids = [tuple(sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound))], []
     total = len(levels[0])
     while depth_bound is None or len(levels) <= depth_bound:
@@ -261,7 +247,7 @@ def enumerate_tree(
         if not below:
             break
         if max_nodes is not None and (total := total + len(below)) > max_nodes:
-            raise EnumerationCapExceeded(f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for a={a}")
+            raise EnumerationCapExceeded(f"more than {_text(max_nodes)} nodes below norm {_text(norm_bound)} for a={_text(a)}")
         levels.append(tuple(below))
         kids.append(bytes(counts))
     return MutationTree(a, norm_bound, depth_bound, tuple(levels), tuple(kids))
@@ -276,16 +262,16 @@ def scaled_solution_class(t: SolutionTriple) -> tuple[int, int]:
     scaling ``(1, a)``.
     """
     if t.a not in SOLVABLE_PARAMETERS:
-        raise ValueError(f"no solutions exist for a={t.a}")
+        raise ValueError(f"no solutions exist for a={_text(t.a)}")
     if t.a in REDUCED_PARAMETERS:
         return 1, t.a
     b = gcd(gcd(t.u[0], t.u[1]), t.u[2])
     reduced_a = t.a * b
     if reduced_a not in REDUCED_PARAMETERS:
-        raise InvariantError(f"scaling of {t.u} left the reduced classes: {reduced_a}")
+        raise InvariantError(f"scaling of {_text(t.u)} left the reduced classes: {_text(reduced_a)}")
     reduced = tuple(c // b for c in t.u)
     if not is_solution(reduced, reduced_a):
-        raise InvariantError(f"{t.u}/{b} is not a solution for a'={reduced_a}")
+        raise InvariantError(f"{_text(t.u)}/{_text(b)} is not a solution for a'={_text(reduced_a)}")
     return b, reduced_a
 
 
@@ -316,12 +302,12 @@ def admissible_arrangements(u, reduced_a: int) -> list[tuple[int, int, int]]:
     """
     ok = _ARRANGED_SHAPE.get(reduced_a)
     if ok is None:
-        raise ValueError(f"not a reduced parameter: {reduced_a}")
+        raise ValueError(f"not a reduced parameter: {_text(reduced_a)}")
     perms = [p for p in _PERMUTATIONS if ok(u[p[0]], u[p[1]], u[p[2]])]
     if not perms:
-        raise ValueError(f"{u} admits no arranged order for class {reduced_a}")
+        raise ValueError(f"{_text(u)} admits no arranged order for class {_text(reduced_a)}")
     if len(perms) > 1 and len({tuple(u[i] for i in p) for p in perms}) != 1:
-        raise InvariantError(f"ambiguous arrangement of {u} in class {reduced_a}")
+        raise InvariantError(f"ambiguous arrangement of {_text(u)} in class {_text(reduced_a)}")
     return perms
 
 
@@ -370,10 +356,10 @@ def decompose(t: SolutionTriple) -> SquareDecomposition:
     for i in range(3):
         quotient, remainder = divmod(v[perm[i]], xi[i])
         if remainder:
-            raise InvariantError(f"{v[perm[i]]} is not divisible by cofactor {xi[i]}")
+            raise InvariantError(f"{_text(v[perm[i]])} is not divisible by cofactor {_text(xi[i])}")
         root = isqrt(quotient)
         if root * root != quotient:
-            raise InvariantError(f"{quotient} is not a perfect square in {t.u}")
+            raise InvariantError(f"{_text(quotient)} is not a perfect square in {_text(t.u)}")
         xs.append(root)
     x = tuple(xs)
     coeff = isqrt(reduced_a * xi[0] * xi[1] * xi[2])
@@ -381,5 +367,5 @@ def decompose(t: SolutionTriple) -> SquareDecomposition:
         raise InvariantError("reduced equation coefficient is not a square")
     lhs = xi[0] * x[0] ** 2 + xi[1] * x[1] ** 2 + xi[2] * x[2] ** 2
     if lhs != coeff * x[0] * x[1] * x[2]:
-        raise InvariantError(f"square decomposition of {t.u} fails its equation")
+        raise InvariantError(f"square decomposition of {_text(t.u)} fails its equation")
     return SquareDecomposition(x=x, xi=xi, perm=perm, scale=b)

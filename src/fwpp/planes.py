@@ -32,7 +32,7 @@ from typing import Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, Pair
-from .markov import InvariantError, _decimal_int, _decimal_join, _decimal_str, _json_strs
+from .markov import InvariantError, _decimal_int, _decimal_join, _json_strs, _text
 
 Triple = tuple[int, int, int]
 
@@ -83,20 +83,18 @@ class DegreeMatrix:
         object.__setattr__(self, "u", tuple(self.u))
         object.__setattr__(self, "eta", tuple(self.eta))
         if self.mu < 1:
-            raise ValueError(f"torsion order must be positive, got {self.mu}")
+            raise ValueError(f"torsion order must be positive, got {_text(self.mu)}")
         if len(self.u) != 3 or len(self.eta) != 3:
             raise ValueError("a degree matrix has exactly three columns")
         if any(x <= 0 for x in self.u):
-            raise ValueError(f"free parts must be positive, got {self.u}")
+            raise ValueError(f"free parts must be positive, got {_text(self.u)}")
         if any(not 0 <= e < self.mu for e in self.eta):
-            raise ValueError(f"torsion parts must be reduced mod {self.mu}, got {self.eta}")
+            raise ValueError(f"torsion parts must be reduced mod {_text(self.mu)}, got {_text(self.eta)}")
         for i in range(3):
             for j in range(i + 1, 3):
                 if not abelian.pair_generates((self.u[i], self.eta[i]), (self.u[j], self.eta[j]), self.mu):
-                    raise ValueError(
-                        f"columns {i},{j} of (mu={self.mu}, u={self.u}, eta={self.eta})"
-                        " fail to generate the class group"
-                    )
+                    raise ValueError(f"columns {_text(i)},{_text(j)} of (mu={_text(self.mu)}, u={_text(self.u)}, "
+                                     f"eta={_text(self.eta)}) fail to generate the class group")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
@@ -108,7 +106,7 @@ class DegreeMatrix:
             raise ValueError("degree matrix columns u and eta must be JSON arrays")
         for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
             if isinstance(x, (bool, float)):
-                raise ValueError(f"degree matrix entries must be integers, got {x!r}")
+                raise ValueError(f"degree matrix entries must be integers, got {_text(x, repr)}")
         mu = _decimal_int(obj["mu"])
         u = tuple(_decimal_int(x) for x in obj["u"])
         eta = tuple(_decimal_int(x) for x in obj.get("eta", (0, 0, 0)))
@@ -144,7 +142,7 @@ def degree(weights) -> Fraction:
     """Canonical self-intersection ``(w0+w1+w2)^2 / (w0 w1 w2)``, exact."""
     w0, w1, w2 = weights
     if w0 <= 0 or w1 <= 0 or w2 <= 0:
-        raise ValueError(f"weights must be positive, got {weights}")
+        raise ValueError(f"weights must be positive, got {_text(weights)}")
     return Fraction((w0 + w1 + w2) ** 2, w0 * w1 * w2)
 
 
@@ -152,7 +150,7 @@ def integral_degree(q: DegreeMatrix) -> int:
     w = fake_weights_of_degree_matrix(q)
     a, rem = divmod(sum(w) ** 2, w[0] * w[1] * w[2])
     if rem:
-        raise ValueError(f"degree {degree(w)} of {q} is not integral")
+        raise ValueError(f"degree {_text(degree(w))} of {_text(q)} is not integral")
     return a
 
 
@@ -224,7 +222,7 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
     b, d = vp
     m = abs(a * d - b * c)
     if m == 0:
-        raise ValueError(f"vectors {v}, {vp} are collinear")
+        raise ValueError(f"vectors {_text(v)}, {_text(vp)} are collinear")
     if m == 1:
         return 0
     if gcd(a, c) != 1 or gcd(b, d) != 1:
@@ -235,7 +233,7 @@ def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
     t = (s * b + r * d) % m
     k = (m - t) % m
     if k == 0 or gcd(k, m) != 1:
-        raise InvariantError(f"normalized cone type ({m}, {k}) is not reduced")
+        raise InvariantError(f"normalized cone type ({_text(m)}, {_text(k)}) is not reduced")
     return _hirzebruch_jung_length(m, k)
 
 
@@ -266,10 +264,13 @@ def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
     x = (x0 + s * u2) % (mu * u2)
     y, rem = divmod(-(u0 + x * u1), u2)
     if rem:
-        raise InvariantError(f"kernel basis of {q} has no integral first row")
-    p = GeneratorMatrix(((1, x, y), (0, mu * u2, -mu * u1)))
+        raise InvariantError(f"kernel basis of {_text(q)} has no integral first row")
+    try:
+        p = GeneratorMatrix(((1, x, y), (0, mu * u2, -mu * u1)))
+    except ValueError as exc:  # a refusal of the row Hermite form is a defect here, not bad input
+        raise InvariantError(f"kernel basis of {_text(q)}: {exc}") from exc
     if not corresponds(q, p):
-        raise InvariantError(f"kernel basis of {q} fails the correspondence test")
+        raise InvariantError(f"kernel basis of {_text(q)} fails the correspondence test")
     return p
 
 
@@ -295,11 +296,11 @@ def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> Triple:
     """The torsion row turned into ``(0, 1, eta)`` by a positive
     automorphism; at ``mu = 1``, where every residue is 0, ``(0, 0, 0)``."""
     if gcd(u[0], mu) != 1:
-        raise ValueError(f"leading free part {u[0]} is not coprime to mu={mu}")
+        raise ValueError(f"leading free part {_text(u[0])} is not coprime to mu={_text(mu)}")
     shift = (-eta[0] * pow(u[0], -1, mu)) % mu
     shifted = tuple((eta[i] + shift * u[i]) % mu for i in range(3))
     if gcd(shifted[1], mu) != 1:
-        raise ValueError(f"second torsion entry {shifted[1]} is not a unit mod {mu}")
+        raise ValueError(f"second torsion entry {_text(shifted[1])} is not a unit mod {_text(mu)}")
     scale = pow(shifted[1], -1, mu)
     return tuple((scale * e) % mu for e in shifted)
 
@@ -405,7 +406,7 @@ class ClassifiedPlane:
         q = self.matrix
         merged = f',"mergedSeries":{_json_strs(self.all_series)}' if len(self.all_series) > 1 else ""
         report = f',"report":{singularity_report(q).to_json()}' if with_report else ""
-        return (f'{{"series":"{self.series}","mu":{_decimal_str(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}],'
+        return (f'{{"series":"{self.series}","mu":{_text(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}],'
                 f'"weights":{_json_strs(self.weights)},"degree":"{self.series.a}"{merged}{report}}}')
 
 
@@ -428,28 +429,27 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     with the same ``EnumerationCapExceeded``.
     """
     if a < 1:
-        raise ValueError(f"degree must be a positive integer, got {a}")
+        raise ValueError(f"degree must be a positive integer, got {_text(a)}")
     if max_nodes is not None and max_nodes < 0:  # a degree with no family never reaches the tree's check
-        raise ValueError(f"node cap must be non-negative, got {_decimal_str(max_nodes)}")
+        raise ValueError(f"node cap must be non-negative, got {_text(max_nodes)}")
     out: list[ClassifiedPlane] = []
     for (deg, fam_mu) in SERIES_FAMILIES:
         if deg != a or (mu is not None and fam_mu != mu):
             continue
         etas = SERIES_ETAS[(deg, fam_mu)]
         if any(not 0 <= eta < fam_mu or gcd(eta, fam_mu) != 1 for eta in etas):  # pair 0,2 of _check_node
-            raise InvariantError(f"series etas {etas} are not all reduced units mod {fam_mu}")
+            raise InvariantError(f"series etas {_text(etas)} are not all reduced units mod {_text(fam_mu)}")
         sids = [SeriesId(a, fam_mu, eta) for eta in etas]
         try:
             tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu, max_nodes=max_nodes)
         except markov.EnumerationCapExceeded as exc:  # name the caller's degree and bound, not the scaled ones
-            raise markov.EnumerationCapExceeded(
-                f"more than {max_nodes} nodes below norm {_decimal_str(norm_bound)} for degree {a}, mu {fam_mu}"
-            ) from exc
+            raise markov.EnumerationCapExceeded(f"more than {_text(max_nodes)} nodes below norm {_text(norm_bound)} for degree "
+                                                f"{_text(a)}, mu {_text(fam_mu)}") from exc
         for u_sorted in tree.nodes:
             perms = markov.admissible_arrangements(u_sorted, fam_mu * a)
             u_arr = tuple(u_sorted[i] for i in perms[0])
             if not markov.is_solution(u_arr, fam_mu * a):  # the degree of w = mu*u is a, and u is positive
-                raise InvariantError(f"classified node {u_arr} of mu {fam_mu} is not of degree {a}")
+                raise InvariantError(f"classified node {_text(u_arr)} of mu {_text(fam_mu)} is not of degree {_text(a)}")
             _check_node(u_arr, fam_mu, etas)
             w = (fam_mu * u_arr[0], fam_mu * u_arr[1], fam_mu * u_arr[2])
             if len(perms) == 1:
@@ -461,7 +461,7 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
                 groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, s.eta)), perms), []).append(s)
             out.extend(ClassifiedPlane(_series_label(q, a), q, tuple(sorted(ids))) for q, ids in groups.items())
     if max_nodes is not None and len(out) > max_nodes:
-        raise markov.EnumerationCapExceeded(f"{len(out)} classes exceed the node cap {max_nodes}")
+        raise markov.EnumerationCapExceeded(f"{_text(len(out))} classes exceed the node cap {_text(max_nodes)}")
     out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
     return out
 
@@ -481,10 +481,10 @@ def _check_node(u: Triple, mu: int, etas: Sequence[int]) -> None:
     """
     u0, u1, u2 = u
     if not gcd(u0, u1) == gcd(u0, u2) == gcd(u1, u2) == gcd(u0, mu) == 1:
-        raise InvariantError(f"node {u} is not pairwise coprime and prime to mu={mu}")
+        raise InvariantError(f"node {_text(u)} is not pairwise coprime and prime to mu={_text(mu)}")
     r1, r2 = u1 % mu, u2 % mu
     if any(gcd(r1 * eta - r2, mu) != 1 for eta in etas):
-        raise InvariantError(f"columns 1,2 of (mu={mu}, u={u}, eta=(0, 1, e)) fail to generate K for an e in {etas}")
+        raise InvariantError(f"columns 1,2 of (mu={_text(mu)}, u={_text(u)}, eta=(0, 1, e)) fail to generate K for an e in {_text(etas)}")
 
 
 def _checked_class(sid: SeriesId, u: Triple, weights: Triple, norm: int) -> ClassifiedPlane:
@@ -500,7 +500,7 @@ def _series_label(q: DegreeMatrix, a: int) -> SeriesId:
     eta = q.eta[2] if q.mu > 1 else 0
     sid = SeriesId(a, q.mu, eta)
     if eta not in SERIES_ETAS.get((a, q.mu), ()):
-        raise InvariantError(f"adjusted matrix {q} maps to unknown series {sid}")
+        raise InvariantError(f"adjusted matrix {_text(q)} maps to unknown series {_text(sid)}")
     return sid
 
 
@@ -523,7 +523,7 @@ class SingularityReport:
     def to_json(self) -> str:
         """The report as one compact JSON object."""
         is_t = ",".join(map(str, self.is_t)).lower()
-        d = ",".join("null" if x is None else f'"{_decimal_str(x)}"' for x in self.d)
+        d = ",".join("null" if x is None else f'"{_text(x)}"' for x in self.d)
         return (f'{{"cl":{_json_strs(self.cl)},"iota":{_json_strs(self.iota)},"isT":[{is_t}],'
                 f'"d":[{d}],"resCurves":[{_decimal_join(self.res_curves)}]}}')
 
@@ -546,12 +546,12 @@ def report_markdown(reports: Sequence[SingularityReport]) -> str:
         q = rep.matrix
         deg = degree(fake_weights_of_degree_matrix(q))
         sid = str(_series_label(q, deg.numerator)) if deg.denominator == 1 and adjust(q) == q else "-"
-        group = "Z" if q.mu == 1 else f"Z + Z/{_decimal_str(q.mu)}"
+        group = "Z" if q.mu == 1 else f"Z + Z/{_text(q.mu)}"
         qtxt = f"[{_decimal_join(q.u)}]"
         if q.mu > 1:
             qtxt += f"/[{_decimal_join(q.eta)}]"
         wz = anticanonical_class(q)
-        wz_txt = f"({_decimal_join(wz, ', ')})" if q.mu > 1 else f"({_decimal_str(wz[0])})"
+        wz_txt = f"({_decimal_join(wz, ', ')})" if q.mu > 1 else f"({_text(wz[0])})"
         iota = f"({_decimal_join(rep.iota)})"
         signs = "({},{},{})".format(*["+" if f else "-" for f in rep.is_t])
         curves = f"({_decimal_join(rep.res_curves)})"

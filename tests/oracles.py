@@ -14,7 +14,9 @@ general Smith and Hermite normal forms, which live here and not in the
 library, as do the enumeration, composition and inversion of the
 automorphisms of ``Z + Z/mu``.  So do the closed-form cokernel of a
 generator matrix, the partner read off the second slice by it, and the
-lattice-geometry route to the Gorenstein index of a cone.  The mutation
+lattice-geometry route to the Gorenstein index of a cone.  One solution is
+mutated at its last entry, tested for being initial and sorted here, as no
+library code does any of these.  The mutation
 tree is enumerated by sorting every mutated triple, and its ``solve`` text
 is written with a parent found by ``play`` and a label built for every
 occurrence of a triple; arrangements are found by testing whole tuples.
@@ -44,6 +46,7 @@ from typing import Iterator, Sequence
 from fwpp import abelian, adjacency, markov, planes
 from fwpp.abelian import KAutomorphism, Pair
 from fwpp.adjacency import AdjacencyGraph, GraphEdge, GraphNode, KStarData
+from fwpp.markov import SolutionTriple
 
 Matrix = list[list[int]]
 
@@ -671,6 +674,30 @@ def hnf_kernel_basis(u, eta, mu: int):
     return transpose(h)
 
 
+def mutate(t: SolutionTriple) -> SolutionTriple:
+    """Replace the last entry by the second root of the quadratic in it.
+
+    The result is again a solution and mutating twice returns the input.
+    """
+    u0, u1, u2 = t.u
+    return SolutionTriple(t.a, (u0, u1, t.a * u0 * u1 - 2 * u0 - 2 * u1 - u2))
+
+
+def is_initial(t: SolutionTriple) -> bool:
+    """True iff the (sorted) triple does not mutate to a smaller norm.
+
+    Requires ascendingly sorted input; equivalent to ``u2 <= u0 + u1``.
+    """
+    u0, u1, u2 = t.u
+    if not (u0 <= u1 <= u2):
+        raise ValueError(f"is_initial expects an ascendingly sorted triple, got {t.u}")
+    return u2 <= u0 + u1
+
+
+def sorted_solution(t: SolutionTriple) -> SolutionTriple:
+    return SolutionTriple(t.a, tuple(sorted(t.u)))
+
+
 def play(u: tuple[int, int, int], a: int, slot: int) -> tuple[int, int, int]:
     """Mutate ``u`` at ``slot`` and return the ascendingly sorted result."""
     rest = [u[j] for j in range(3) if j != slot]
@@ -709,13 +736,13 @@ def tree_text(tree: markov.MutationTree, fmt: str) -> str:
     """What ``fwpp solve --format fmt`` prints for ``tree``: each edge's parent
     by ``play``, each triple's text built wherever it occurs, one ``print``
     per row."""
-    _decimal_str = markov._decimal_str
+    _text = markov._text
 
     def _decimal_join(values, sep=","):
-        return sep.join(map(_decimal_str, values))
+        return sep.join(map(_text, values))
 
     def enc(u):
-        return [_decimal_str(c) for c in u]
+        return [_text(c) for c in u]
 
     def label(u):
         return f"({_decimal_join(u)})"
@@ -727,11 +754,11 @@ def tree_text(tree: markov.MutationTree, fmt: str) -> str:
         if fmt == "json":
             obj = {
                 "a": tree.a,
-                "normBound": _decimal_str(tree.norm_bound),
+                "normBound": _text(tree.norm_bound),
                 "depthBound": tree.depth_bound,
                 "roots": [enc(r) for r in tree.roots],
                 "nodes": [
-                    {"u": enc(u), "norm": _decimal_str(markov.norm(u)), "depth": tree.depths[u]}
+                    {"u": enc(u), "norm": _text(markov.norm(u)), "depth": tree.depths[u]}
                     for u in tree.nodes
                 ],
                 "edges": [[enc(x), enc(y)] for x, y in edges],
@@ -748,7 +775,7 @@ def tree_text(tree: markov.MutationTree, fmt: str) -> str:
         elif fmt == "md":
             print("| u | norm | initial |\n|---|---|---|")
             for u in rows:
-                print(f"| ({_decimal_join(u)}) | {_decimal_str(markov.norm(u))} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |")
+                print(f"| ({_decimal_join(u)}) | {_text(markov.norm(u))} | {'yes' if u[2] <= u[0] + u[1] else 'no'} |")
         else:
             for u in rows:
                 print(_decimal_join((*u, markov.norm(u)), "\t"))
@@ -897,29 +924,29 @@ def dumps(obj) -> str:
 
 
 def matrix_obj(q: planes.DegreeMatrix) -> dict:
-    return {"mu": q.mu, "u": [markov._decimal_str(x) for x in q.u], "eta": list(q.eta)}
+    return {"mu": q.mu, "u": [markov._text(x) for x in q.u], "eta": list(q.eta)}
 
 
 def tree_obj(tree: markov.MutationTree) -> dict:
     def enc(u):
-        return [markov._decimal_str(x) for x in u]
+        return [markov._text(x) for x in u]
 
     return {
         "a": tree.a,
-        "normBound": markov._decimal_str(tree.norm_bound),
+        "normBound": markov._text(tree.norm_bound),
         "depthBound": tree.depth_bound,
         "roots": [enc(r) for r in tree.roots],
-        "nodes": [{"u": enc(u), "norm": markov._decimal_str(markov.norm(u)), "depth": tree.depths[u]} for u in tree.nodes],
+        "nodes": [{"u": enc(u), "norm": markov._text(markov.norm(u)), "depth": tree.depths[u]} for u in tree.nodes],
         "edges": [[enc(x), enc(y)] for x, y in tree.edges],
     }
 
 
 def report_obj(report: planes.SingularityReport) -> dict:
     return {
-        "cl": [markov._decimal_str(x) for x in report.cl],
-        "iota": [markov._decimal_str(x) for x in report.iota],
+        "cl": [markov._text(x) for x in report.cl],
+        "iota": [markov._text(x) for x in report.iota],
         "isT": list(report.is_t),
-        "d": [None if x is None else markov._decimal_str(x) for x in report.d],
+        "d": [None if x is None else markov._text(x) for x in report.d],
         "resCurves": list(report.res_curves),
     }
 
@@ -928,9 +955,9 @@ def plane_obj(c: planes.ClassifiedPlane, with_report: bool = False) -> dict:
     obj = {
         "series": str(c.series),
         "mu": c.matrix.mu,
-        "u": [markov._decimal_str(x) for x in c.matrix.u],
+        "u": [markov._text(x) for x in c.matrix.u],
         "eta": list(c.matrix.eta),
-        "weights": [markov._decimal_str(w) for w in c.weights],
+        "weights": [markov._text(w) for w in c.weights],
         "degree": str(c.series.a),
     }
     if len(c.all_series) > 1:
@@ -945,12 +972,12 @@ def graph_obj(graph: AdjacencyGraph) -> dict:
     return {
         "a": graph.a,
         "mu": graph.mu,
-        "normBound": markov._decimal_str(graph.norm_bound),
+        "normBound": markov._text(graph.norm_bound),
         "nodes": [
             {
                 "label": label(n.plane.matrix),
                 "series": [str(s) for s in n.plane.all_series],
-                "u": [markov._decimal_str(x) for x in n.plane.matrix.u],
+                "u": [markov._text(x) for x in n.plane.matrix.u],
                 "eta": list(n.plane.matrix.eta),
                 "selfAdjacent": n.self_kstar is not None,
                 "nonToricSelf": n.self_kstar is not None and n.self_kstar.non_toric,
@@ -970,7 +997,7 @@ def sing_obj(q: planes.DegreeMatrix) -> dict:
     deg = planes.degree(weights)
     if deg.denominator == 1:
         obj["series"] = str(planes._series_label(planes.adjust(q), deg.numerator))
-    obj["weights"] = [markov._decimal_str(w) for w in weights]
-    obj["degree"] = "/".join(map(markov._decimal_str, (deg.numerator, deg.denominator)[: 1 + (deg.denominator > 1)]))
+    obj["weights"] = [markov._text(w) for w in weights]
+    obj["degree"] = "/".join(map(markov._text, (deg.numerator, deg.denominator)[: 1 + (deg.denominator > 1)]))
     obj["report"] = report_obj(planes.singularity_report(q))
     return obj

@@ -88,9 +88,9 @@ def test_public_names():
         "anticanonical_class", "apply_automorphism", "classify",
         "corresponds", "decompose", "degree",
         "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",
-        "initial_solutions", "is_initial", "is_isomorphic", "is_solution", "is_t_singular",
+        "initial_solutions", "is_isomorphic", "is_solution", "is_t_singular",
         "isomorphism_witness", "k_membership_multiple", "local_class_group_order",
-        "local_gorenstein_index", "markov", "mutate", "planes",
+        "local_gorenstein_index", "markov", "planes",
         "resolution_curve_count", "scaled_solution_class", "self_adjacency_census",
         "singularity_report",
     ]

@@ -1,6 +1,7 @@
 """K*-surface data, adjacent partners, graphs and the self-adjacency census."""
 
 import contextlib
+import decimal
 import functools
 import itertools
 from fractions import Fraction
@@ -359,6 +360,22 @@ class TestClosedFormPartner:
         monkeypatch.setattr(abelian, "annihilates", lambda rows, *args: rows[0][0] != 10 and real(rows, *args))
         with pytest.raises(markov.InvariantError, match="do not annihilate the second slice"):
             adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+
+    def test_data_off_the_first_slice_past_the_digit_limit(self, monkeypatch):
+        # a defect on a plane whose entries pass the 4,300 digits str(int) writes
+        # by default raises InvariantError, naming the slice data in full
+        u = (1, 1, 1)
+        while u[2] < 10**5000:
+            u = tuple(sorted((u[1], u[2], (u[1] + u[2]) ** 2 // u[0])))
+        q = mk(1, u)
+        kstar = adjacency.adjacent_partner(q, 0).kstar
+        monkeypatch.setattr(abelian, "annihilates", lambda *args: False)
+        with pytest.raises(markov.InvariantError) as info:
+            adjacency.adjacent_partner(q, 0)
+        fields = ", ".join(f"{name}={decimal.Decimal(getattr(kstar, name))}" for name in ("l1", "l2", "d0", "d1", "d2"))
+        columns = ", ".join(str(decimal.Decimal(x)) for x in u)
+        assert len(columns) > 4300
+        assert str(info.value) == f"slice data KStarData({fields}) does not annihilate the columns of DegreeMatrix(mu=1, u=({columns}), eta=(0, 0, 0))"
 
 
 class TestSlotRange:

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from fwpp import adjacency, cli, markov, planes
+from fwpp import abelian, adjacency, cli, markov, planes
 
 
 def run(capsys, *argv):
@@ -420,7 +420,7 @@ class TestSing:
         # z(2) is resolved by a 5,000-digit number of curves; json writes the
         # count as a JSON number past the str-to-int digit limit
         q = planes.DegreeMatrix.from_json_obj(json.loads(MATRIX_5000_CURVES))
-        curves = markov._decimal_str(planes.singularity_report(q).res_curves[2])
+        curves = markov._text(planes.singularity_report(q).res_curves[2])
         assert len(curves) == 5000
         limit = sys.get_int_max_str_digits()
         code, out, err = run(capsys, "sing", MATRIX_5000_CURVES, "--format", fmt)
@@ -428,7 +428,7 @@ class TestSing:
         if fmt == "json":
             assert code == 0 and err == ""
             assert f",{curves}]" in out
-            assert markov._decimal_str(read_json(out)["report"]["resCurves"][2]) == curves
+            assert markov._text(read_json(out)["report"]["resCurves"][2]) == curves
         elif fmt == "tsv":
             assert code == 0 and err == ""
             assert [row.split("\t")[5] for row in out.splitlines()][2] == curves
@@ -513,6 +513,29 @@ class TestSing:
         with pytest.raises(markov.InvariantError, match="unknown series"):
             cli.main(["sing", MATRIX_183])
 
+    def test_a_refused_kernel_basis_is_an_invariant_failure(self, monkeypatch):
+        # generator_of builds its matrix from a valid degree matrix: a refusal is a defect, not exit 2
+        def refuse(rows):
+            raise abelian.NotGeneratorMatrixError("column (1, 0) is not primitive")
+
+        monkeypatch.setattr(abelian, "validate_generator_matrix", refuse)
+        with pytest.raises(markov.InvariantError, match=r"^kernel basis of DegreeMatrix\(mu=8, .*: column \(1, 0\) is not primitive$"):
+            cli.main(["sing", MATRIX_183])
+
+    def test_a_defect_past_the_digit_limit_is_an_invariant_failure(self, monkeypatch):
+        # the message names the 5,001-digit u[0] in full; it used to raise the digit limit's
+        # ValueError, which main reported as an input error with exit 2
+        monkeypatch.setattr(planes, "corresponds", lambda q, p: False)
+        matrix = json.dumps({"mu": 1, "u": ["1" + "0" * 5000, "1", "1"], "eta": [0, 0, 0]})
+        with pytest.raises(markov.InvariantError) as info:
+            cli.main(["sing", matrix])
+        assert str(info.value) == f"kernel basis of DegreeMatrix(mu=1, u=(1{'0' * 5000}, 1, 1), eta=(0, 0, 0)) fails the correspondence test"
+
+    def test_a_refusal_past_the_digit_limit_keeps_its_reason(self, capsys):
+        matrix = json.dumps({"mu": 8, "u": ["1" + "0" * 5000, "1", "2"], "eta": [0, 1, 3]})
+        reason = f"columns 0,1 of (mu=8, u=(1{'0' * 5000}, 1, 2), eta=(0, 1, 3)) fail to generate the class group"
+        assert run(capsys, "sing", matrix) == (2, "", f"error: not a degree matrix: {reason}\n")
+
 
 class TestGraph:
     def test_dot(self, capsys):
@@ -566,7 +589,7 @@ class TestIso:
         # number past the str-to-int digit limit
         a_text = "1" + "0" * 4990
         mu = markov._decimal_int(MU_PAST_THE_LIMIT)
-        eta = [markov._decimal_str((markov._decimal_int(a_text) + e) % mu) for e in (0, 1, 2)]
+        eta = [markov._text((markov._decimal_int(a_text) + e) % mu) for e in (0, 1, 2)]
         first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
         second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": eta})
         limit = sys.get_int_max_str_digits()
@@ -678,55 +701,42 @@ class TestJsonFuzz:
 
 
 class TestJsonDigitLimit:
-    """``main`` lifts the str-to-int digit limit only while it writes JSON;
-    the json tests past the limit check that it is restored after success."""
+    """No command changes the int-to-str digit limit: every integer is written by the
+    helpers of :mod:`fwpp.markov`, at any size, in success and in failure alike."""
 
-    def test_limit_is_restored_after_exit_2(self, capsys, monkeypatch):
-        limit = sys.get_int_max_str_digits()
-        code, out, _ = run(capsys, "sing", "garbage")
-        assert (code, out) == (2, "") and sys.get_int_max_str_digits() == limit
-
-        def refuse(*args, **kwargs):
-            raise ValueError("refused")
-
-        monkeypatch.setattr(planes.SingularityReport, "to_json", refuse)  # fails while the limit is lifted
-        code, out, err = run(capsys, "sing", MATRIX_183)
-        assert (code, out, err) == (2, "", "error: refused\n")
-        assert sys.get_int_max_str_digits() == limit
-
-    def test_a_lowered_limit_is_restored(self, capsys):
-        limit = sys.get_int_max_str_digits()
-        sys.set_int_max_str_digits(640)
-        try:
-            code, out, _ = run(capsys, "sing", MATRIX_5000_CURVES)
-            assert code == 0 and sys.get_int_max_str_digits() == 640
-        finally:
-            sys.set_int_max_str_digits(limit)
-        assert len(markov._decimal_str(read_json(out)["report"]["resCurves"][2])) == 5000
-
-    def test_limit_is_restored_when_a_part_raises_partway(self, capsys, monkeypatch):
-        limit = sys.get_int_max_str_digits()
-        real = planes.ClassifiedPlane.to_json
-        encoded = []
-
-        def refuse_the_third(c, *args):
-            encoded.append(c)
-            if len(encoded) == 3:
-                raise ValueError("refused")
-            return real(c, *args)
-
-        monkeypatch.setattr(planes.ClassifiedPlane, "to_json", refuse_the_third)
-        monkeypatch.setattr(cli, "CHUNK", 1)  # the first parts are written before the third is built
-        code, out, err = run(capsys, "classify", "--a", "2", "--bound", "100", "--format", "json")
-        assert (code, err) == (2, "error: refused\n") and out.startswith("[{") and not out.endswith("\n")
-        assert sys.get_int_max_str_digits() == limit
-
-    def test_python_without_the_limit(self, capsys, monkeypatch):
-        # Python before 3.10.7 has neither the limit nor its setter
-        expected = run(capsys, "sing", MATRIX_183)
+    def test_no_command_sets_the_limit(self, capsys, monkeypatch):
+        # the commands of this class and of the tests of integers past the digit limit
+        mu_a = markov._decimal_int(MU_PAST_THE_LIMIT)
+        automorphism_eta = [markov._text((10**4990 + e) % mu_a) for e in (0, 1, 2)]
+        mu_first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        mu_second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 3]})
+        mu_image = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": automorphism_eta})
+        big_u = json.dumps({"mu": 1, "u": [str(decimal.Decimal(x)) for x in past_the_digit_limit()], "eta": [0, 0, 0]})
+        commands = [
+            ("sing", "garbage"),
+            ("sing", MATRIX_183),
+            ("sing", MATRIX_5000_CURVES),
+            ("classify", "--a", "2", "--bound", "100", "--format", "json"),
+            ("solve", "--a", "9", "--bound", "1" + "0" * 5000, "--depth", "2"),
+            *(("solve", "--a", "9", "--bound", str(10**24), flag, HUGE_CAP, "--format", fmt) for flag in ("--depth", "--max-nodes") for fmt in ("tsv", "md", "dot")),
+            *(("classify", "--a", "2", "--bound", str(10**24), "--max-nodes", HUGE_CAP, "--format", fmt) for fmt in ("tsv", "md")),
+            ("graph", "--a", "2", "--mu", "3", "--bound", str(10**12), "--max-nodes", HUGE_CAP),
+            *(("sing", matrix, "--format", fmt) for matrix in (big_u, MATRIX_5000_CURVES, mu_first) for fmt in ("json", "tsv", "md")),
+            ("iso", mu_first, mu_first),
+            ("iso", mu_first, mu_second),
+            *(("iso", mu_first, mu_image, "--format", fmt) for fmt in ("tsv", "json")),
+        ]
+        expected = [run(capsys, *argv) for argv in commands]
+        set_limit, limit = sys.set_int_max_str_digits, sys.get_int_max_str_digits()
+        set_limit(640)  # the lowest limit Python accepts changes no byte either
+        # nor does a Python without the limit's getter and setter, as before 3.10.7
         monkeypatch.delattr(sys, "get_int_max_str_digits")
         monkeypatch.delattr(sys, "set_int_max_str_digits")
-        assert run(capsys, "sing", MATRIX_183) == expected and expected[0] == 0
+        try:
+            assert [run(capsys, *argv) for argv in commands] == expected
+        finally:
+            set_limit(limit)
+        assert [code for code, _, _ in expected] == [2] + [0] * 23 + [1, 0, 0] and expected[0][1] == ""
 
 
 class TestParserReuse:
@@ -829,6 +839,22 @@ class TestChunkedWrites:
         code, out, _ = run(capsys, "classify", "--a", "2", "--bound", "10000", "--format", "json", "--report")
         objs = [oracles.plane_obj(c, with_report=True) for c in planes.classify(2, 10000)]
         assert code == 0 and len(objs) > 1 and out == json.dumps(objs, separators=(",", ":")) + "\n"
+
+    def test_a_part_that_raises_partway(self, capsys, monkeypatch):
+        # the parts written before the refusal stay written, and main exits 2 with its reason
+        real = planes.ClassifiedPlane.to_json
+        encoded = []
+
+        def refuse_the_third(c, *args):
+            encoded.append(c)
+            if len(encoded) == 3:
+                raise ValueError("refused")
+            return real(c, *args)
+
+        monkeypatch.setattr(planes.ClassifiedPlane, "to_json", refuse_the_third)
+        monkeypatch.setattr(cli, "CHUNK", 1)  # the first parts are written before the third is built
+        code, out, err = run(capsys, "classify", "--a", "2", "--bound", "100", "--format", "json")
+        assert (code, err) == (2, "error: refused\n") and out.startswith("[{") and not out.endswith("\n")
 
     def test_only_write_touches_stdout(self):
         source = Path(cli.__file__).read_text()

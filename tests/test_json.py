@@ -22,7 +22,7 @@ def check(text, obj):
 
 def matrix_arg(q):
     """``q`` as the JSON argument of ``sing`` and ``iso``, every entry a decimal string."""
-    return oracles.dumps({k: [markov._decimal_str(x) for x in v] if isinstance(v, list) else markov._decimal_str(v)
+    return oracles.dumps({k: [markov._text(x) for x in v] if isinstance(v, list) else markov._text(v)
                           for k, v in oracles.matrix_obj(q).items()})
 
 
@@ -42,7 +42,7 @@ class TestTree:
         u = past_the_digit_limit()
         parent = tuple(sorted((u[0], u[1], (u[0] + u[1]) ** 2 // u[2])))
         tree = markov.MutationTree(9, 10**6000, 18, ((parent,), (u,)), (b"\1",))
-        assert len(markov._decimal_str(u[2])) > 4300 and tree.edges == ((parent, u),)
+        assert len(markov._text(u[2])) > 4300 and tree.edges == ((parent, u),)
         check("".join(tree.to_json()), oracles.tree_obj(tree))
 
 

@@ -1,9 +1,12 @@
 """Solver, mutation and enumeration tests for the squared equations."""
 
+import ast
 import decimal
 import json
 import random
+from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 import golden
 import oracles
-from fwpp import markov
+from fwpp import adjacency, markov, planes
 from fwpp.markov import SolutionTriple
 
 
@@ -20,9 +23,9 @@ def all_nodes(a, bound):
 
 
 def slot_mutations(t):
-    """The mutation of ``t`` at each slot in turn: :func:`markov.mutate` of
+    """The mutation of ``t`` at each slot in turn: :func:`oracles.mutate` of
     ``t`` with that slot's entry moved last."""
-    return [markov.mutate(SolutionTriple(t.a, (*(t.u[j] for j in range(3) if j != k), t.u[k]))) for k in range(3)]
+    return [oracles.mutate(SolutionTriple(t.a, (*(t.u[j] for j in range(3) if j != k), t.u[k]))) for k in range(3)]
 
 
 class TestIsSolution:
@@ -42,21 +45,21 @@ class TestIsSolution:
 
 class TestMutate:
     def test_examples(self):
-        assert markov.mutate(SolutionTriple(9, (1, 1, 1))).u == (1, 1, 4)
-        assert markov.mutate(SolutionTriple(8, (1, 1, 2))).u == (1, 1, 2)
-        assert markov.mutate(SolutionTriple(9, (1, 4, 25))).u == (1, 4, 1)
+        assert oracles.mutate(SolutionTriple(9, (1, 1, 1))).u == (1, 1, 4)
+        assert oracles.mutate(SolutionTriple(8, (1, 1, 2))).u == (1, 1, 2)
+        assert oracles.mutate(SolutionTriple(9, (1, 4, 25))).u == (1, 4, 1)
 
     def test_involution_on_enumerated_nodes(self):
         for a in markov.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 500):
                 t = SolutionTriple(a, u)
-                assert markov.mutate(markov.mutate(t)) == t
+                assert oracles.mutate(oracles.mutate(t)) == t
 
     def test_norm_law(self):
         for a in markov.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 500):
                 t = SolutionTriple(a, u)
-                image = markov.mutate(t)
+                image = oracles.mutate(t)
                 if u[2] == u[0] + u[1]:
                     assert image.norm == t.norm
                 elif u[2] < u[0] + u[1]:
@@ -73,16 +76,16 @@ class TestMutate:
                     assert gcd(gcd(m.u[0], m.u[1]), m.u[2]) == g
 
     def test_tree_neighbors_of_1_4_25(self):
-        got = {m.sorted().u for m in slot_mutations(SolutionTriple(9, (1, 4, 25)))}
+        got = {oracles.sorted_solution(m).u for m in slot_mutations(SolutionTriple(9, (1, 4, 25)))}
         assert got == {(1, 1, 4), (1, 25, 169), (4, 25, 841)}
 
     def test_fixed_point_retained(self):
-        got = {m.sorted().u for m in slot_mutations(SolutionTriple(8, (1, 1, 2)))}
+        got = {oracles.sorted_solution(m).u for m in slot_mutations(SolutionTriple(8, (1, 1, 2)))}
         assert got == {(1, 2, 9), (1, 1, 2)}
 
     def test_slots_agree_with_the_sorting_oracle(self):
         u = (1, 4, 5)
-        got = [m.sorted().u for m in slot_mutations(SolutionTriple(5, u))]
+        got = [oracles.sorted_solution(m).u for m in slot_mutations(SolutionTriple(5, u))]
         assert got == [oracles.play(u, 5, k) for k in range(3)]
         assert {(1, 5, 9), (4, 5, 81)} <= set(got)
 
@@ -102,11 +105,11 @@ class TestInitialSolutions:
             assert {t.u for t in markov.initial_solutions(a)} == oracles.brute_initial_triples(a, 70)
 
     def test_is_initial(self):
-        assert markov.is_initial(SolutionTriple(9, (1, 1, 1)))
-        assert not markov.is_initial(SolutionTriple(9, (1, 1, 4)))
-        assert markov.is_initial(SolutionTriple(2, (3, 6, 9)))
+        assert oracles.is_initial(SolutionTriple(9, (1, 1, 1)))
+        assert not oracles.is_initial(SolutionTriple(9, (1, 1, 4)))
+        assert oracles.is_initial(SolutionTriple(2, (3, 6, 9)))
         with pytest.raises(ValueError):
-            markov.is_initial(SolutionTriple(9, (4, 1, 1)))
+            oracles.is_initial(SolutionTriple(9, (4, 1, 1)))
 
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
@@ -237,11 +240,11 @@ def test_mutation_properties_random_nodes(a, data):
     nodes = all_nodes(a, 5000)
     u = data.draw(st.sampled_from(nodes))
     t = SolutionTriple(a, u)
-    assert markov.mutate(markov.mutate(t)) == t
+    assert oracles.mutate(oracles.mutate(t)) == t
     for k, m in enumerate(slot_mutations(t)):
         assert markov.is_solution(m.u, a)
-        assert m.sorted().u == oracles.play(u, a, k)
-        assert markov.mutate(m).u == (*(u[j] for j in range(3) if j != k), u[k])
+        assert oracles.sorted_solution(m).u == oracles.play(u, a, k)
+        assert oracles.mutate(m).u == (*(u[j] for j in range(3) if j != k), u[k])
 
 
 def test_enumeration_deterministic():
@@ -282,7 +285,7 @@ def test_negative_bounds_are_refused(flags):
 
 def test_sorted_and_json_helpers():
     t = SolutionTriple(8, (1, 9, 2))
-    assert t.sorted().u == (1, 2, 9)
+    assert oracles.sorted_solution(t).u == (1, 2, 9)
 
 
 def test_decimal_text_helpers():
@@ -291,7 +294,7 @@ def test_decimal_text_helpers():
     assert markov._decimal_int("12") == markov._decimal_int(12) == 12
     big = "7" * 5000
     assert markov._decimal_int(big) == 7 * (10**5000 - 1) // 9
-    assert markov._decimal_str(markov._decimal_int(big)) == big
+    assert markov._text(markov._decimal_int(big)) == big
     for bad in ("x", "1e3", "7" * 5000 + "\n7", "-" + big + "x", "_" + big, big + "_", "7__" + big):
         with pytest.raises(ValueError):
             markov._decimal_int(bad)
@@ -311,6 +314,65 @@ def test_decimal_join_mixes_short_and_long_entries():
     text = "3" + "0" * 4499 + "7"
     assert markov._decimal_join((5, long, 12)) == f"5,{text},12"
     assert markov._decimal_join([long, 1], "\t") == f"{text}\t1"
+
+
+#: 4,501 digits, past the 4,300 that ``str(int)`` writes by default, and its text
+BIG, BIG_TEXT = 3 * 10**4500 + 7, "3" + "0" * 4499 + "7"
+
+
+@pytest.mark.parametrize(
+    "x",
+    [12, -5, (1, 2, 3), (7,), [4, (5, 6)], Fraction(9, 4), Fraction(8), planes.SeriesId(1, 8, 3),
+     planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), planes.GeneratorMatrix(((1, 0, -1), (0, 1, -1))),
+     adjacency.KStarData(1, 1, -3, 1, 1), "text", None, True],
+    ids=repr,
+)
+def test_text_is_the_f_string_below_the_digit_limit(x):
+    assert markov._text(x) == f"{x}" and markov._text(x, repr) == f"{x!r}"
+
+
+BIG_MATRIX = f"DegreeMatrix(mu=1, u=({BIG_TEXT}, 1, 1), eta=(0, 0, 0))"
+
+
+@pytest.mark.parametrize(
+    "x, text, text_of_repr",
+    [
+        (BIG, BIG_TEXT, BIG_TEXT),
+        (-BIG, f"-{BIG_TEXT}", f"-{BIG_TEXT}"),
+        ((BIG, 1), f"({BIG_TEXT}, 1)", f"({BIG_TEXT}, 1)"),
+        ((BIG,), f"({BIG_TEXT},)", f"({BIG_TEXT},)"),
+        ([1, (BIG, 2)], f"[1, ({BIG_TEXT}, 2)]", f"[1, ({BIG_TEXT}, 2)]"),
+        (Fraction(BIG, 2), f"{BIG_TEXT}/2", f"Fraction({BIG_TEXT}, 2)"),
+        (Fraction(BIG), BIG_TEXT, f"Fraction({BIG_TEXT}, 1)"),
+        (planes.DegreeMatrix(1, (BIG, 1, 1), (0, 0, 0)), BIG_MATRIX, None),
+        (adjacency.KStarData(1, BIG, -BIG, 1, 1), f"KStarData(l1=1, l2={BIG_TEXT}, d0=-{BIG_TEXT}, d1=1, d2=1)", None),
+        (planes.ClassifiedPlane(planes.SeriesId(9, 1, 0), planes.DegreeMatrix(1, (BIG, 1, 1), (0, 0, 0)), (planes.SeriesId(9, 1, 0),)),
+         f"ClassifiedPlane(series=SeriesId(a=9, mu=1, eta=0), matrix={BIG_MATRIX}, all_series=(SeriesId(a=9, mu=1, eta=0),))", None),
+    ],
+    ids=["int", "negative", "pair", "one-tuple", "list", "fraction", "whole-fraction", "DegreeMatrix", "KStarData", "ClassifiedPlane"],
+)
+def test_text_past_the_digit_limit_is_written_in_full(x, text, text_of_repr):
+    assert markov._text(x) == text and markov._text(x, repr) == (text_of_repr or text)
+
+
+def test_every_raised_message_formats_its_values_through_text():
+    # a value past the int-to-str digit limit formatted any other way turns the raise into
+    # that limit's ValueError: a defect then reads as an input error, a refusal loses its reason.
+    # The rule holds for every value but an exception's own text, also for values that cannot
+    # pass the limit (the indices i and j, a checked slot, a count, a bool or float entry):
+    # one rule a scan can check costs a _text call at those few sites and changes no message.
+    sites = 0
+    for path in Path(markov.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Raise):
+                continue
+            for value in (v for s in ast.walk(node) if isinstance(s, ast.JoinedStr) for v in s.values if isinstance(v, ast.FormattedValue)):
+                sites += 1
+                through_text = isinstance(value.value, ast.Call) and ast.unparse(value.value.func) == "_text"
+                assert (through_text or ast.unparse(value.value) == "exc") and value.conversion == -1 and value.format_spec is None, (
+                    f"{path.name}:{node.lineno}: {{{ast.unparse(value.value)}}}"
+                )
+    assert sites > 100
 
 
 def test_tree_text_past_the_str_digit_limit():

@@ -112,6 +112,45 @@ class TestCorrespondence:
         assert not planes.corresponds(mk(8, (1, 1, 2), (0, 1, 5)), p)
 
 
+def digits(n):
+    """The decimal text of ``n``, at any size."""
+    return str(decimal.Decimal(n))
+
+
+class TestDefectsPastTheDigitLimit:
+    """A defect on integers past the 4,300 digits ``str(int)`` writes by default raises
+    ``InvariantError`` naming them in full, never the digit limit's ``ValueError``."""
+
+    U = (10**5000, 1, 1)  # u[0] has 5,001 digits; no integral degree, but a plane
+
+    def test_generator_of_failing_the_correspondence_test(self, monkeypatch):
+        monkeypatch.setattr(planes, "corresponds", lambda q, p: False)
+        with pytest.raises(markov.InvariantError) as info:
+            planes.generator_of(mk(1, self.U))
+        u0 = digits(self.U[0])
+        assert str(info.value) == f"kernel basis of DegreeMatrix(mu=1, u=({u0}, 1, 1), eta=(0, 0, 0)) fails the correspondence test"
+
+    def test_generator_of_with_a_refused_kernel_basis(self, monkeypatch):
+        real = abelian.validate_generator_matrix
+
+        def negate(rows):  # the kernel basis with its first column negated
+            return real(tuple((-r[0], *r[1:]) for r in rows))
+
+        monkeypatch.setattr(abelian, "validate_generator_matrix", negate)
+        with pytest.raises(markov.InvariantError) as info:
+            planes.generator_of(mk(1, self.U))
+        u0 = digits(self.U[0])
+        assert str(info.value).startswith(f"kernel basis of DegreeMatrix(mu=1, u=({u0}, 1, 1), eta=(0, 0, 0)): columns of ((-1, ")
+        assert str(info.value).endswith(") do not positively span the plane")
+
+    def test_classify_given_a_node_off_its_equation(self, monkeypatch):
+        u = (1, 1, 10**5000)
+        monkeypatch.setattr(markov, "enumerate_tree", lambda a, bound, **kwargs: markov.MutationTree(a, bound, None, ((u,),), ()))
+        with pytest.raises(markov.InvariantError) as info:
+            planes.classify(9, 10**5001)
+        assert str(info.value) == f"classified node (1, 1, {digits(u[2])}) of mu 1 is not of degree 9"
+
+
 class TestAdjust:
     def test_idempotent(self):
         q = mk(4, (1, 1, 2), (0, 1, 1))
