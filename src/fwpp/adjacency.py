@@ -28,7 +28,7 @@ adjacency graphs refine the mutation trees of the squared Markov equations.
 The surface is non-toric when ``l1`` and ``l2`` both exceed one, which is
 the degeneration test :attr:`KStarData.non_toric`.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
-the adjusted matrices :func:`fwpp.planes.classify` returns; it rebuilds a
+the class records :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
 That loop is the only caller of :func:`adjacent_partner`: the
 self-adjacency census is the graph of each family at its base norm.
@@ -40,12 +40,14 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import attrgetter
 
 from . import abelian, markov, planes
 from .markov import InvariantError, _decimal_join, _json_list, _json_strs, _text
 from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
 Triple = tuple[int, int, int]
+_columns = attrgetter("u", "eta")  # the key of a class or matrix within one (degree, mu) family
 
 
 class NotDegenerableError(ValueError):
@@ -225,16 +227,16 @@ class GraphNode:
     all_t: bool  # every fixed point is at most a T-singularity
 
 
-def _label(q: DegreeMatrix) -> str:
-    """Node label ``(u0,u1,u2; eta2)`` of an adjusted matrix; ``(u0,u1,u2)`` at ``mu = 1``."""
+def _label(q: DegreeMatrix | ClassifiedPlane) -> str:
+    """Node label ``(u0,u1,u2; eta2)`` of an adjusted matrix or a class; ``(u0,u1,u2)`` at ``mu = 1``."""
     tail = "" if q.mu == 1 else f"; {q.eta[2]}"
     return f"({_decimal_join(q.u)}{tail})"
 
 
 @dataclass(frozen=True)
 class GraphEdge:
-    a: DegreeMatrix
-    b: DegreeMatrix
+    a: ClassifiedPlane
+    b: ClassifiedPlane
     jump: bool
 
 
@@ -252,7 +254,7 @@ class AdjacencyGraph:
         """The graph as compact JSON, one node or edge per part: ``"".join(graph.to_json())`` is the whole text."""
 
         def node(n: GraphNode) -> str:
-            q, kstar = n.plane.matrix, n.self_kstar
+            q, kstar = n.plane, n.self_kstar
             return (f'{{"label":"{_label(q)}","series":{_json_strs(n.plane.all_series)},"u":{_json_strs(q.u)},'
                     f'"eta":[{_decimal_join(q.eta)}],"selfAdjacent":{str(kstar is not None).lower()},'
                     f'"nonToricSelf":{str(kstar is not None and kstar.non_toric).lower()},"allT":{str(n.all_t).lower()}}}')
@@ -262,7 +264,7 @@ class AdjacencyGraph:
         yield ',"edges":'
         yield from _json_list(f'{{"from":"{_label(e.a)}","to":"{_label(e.b)}","jump":{str(e.jump).lower()}}}' for e in self.edges)
         yield ',"selfAdjacent":'
-        yield from _json_list(f'"{_label(n.plane.matrix)}"' for n in self.nodes if n.self_kstar is not None)
+        yield from _json_list(f'"{_label(n.plane)}"' for n in self.nodes if n.self_kstar is not None)
         yield "}"
 
     def to_dot(self) -> Iterator[str]:
@@ -275,7 +277,7 @@ class AdjacencyGraph:
                 if n.self_kstar.non_toric:
                     attrs.append('comment="non-toric self-adjacency"')
             attr_txt = f" [{', '.join(attrs)}]" if attrs else ""
-            yield f'  "{_label(n.plane.matrix)}"{attr_txt};\n'
+            yield f'  "{_label(n.plane)}"{attr_txt};\n'
         for e in self.edges:
             style = " [color=red]" if e.jump else ""
             yield f'  "{_label(e.a)}" -- "{_label(e.b)}"{style};\n'
@@ -285,37 +287,35 @@ class AdjacencyGraph:
 def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = None) -> AdjacencyGraph:
     """Graph on the classified planes of one family, edges by adjacency.
 
-    Nodes carry all isomorphic series labels; an edge is a *jump* when its
-    endpoints share no series label.  Self-adjacency is a node attribute,
-    never an edge.  ``max_nodes`` caps the family's tree and then its class
-    count in :func:`fwpp.planes.classify`, before any partner is built.
-    The partner over ``z(k)`` has norm ``a*w_i*w_j - N``, so only those of
-    norm in ``[N, norm_bound]`` are built and checked: one per edge, from
-    its lower end, and the self-pairs.  Unreported ones are not checked;
-    a partner built but not classified raises ``InvariantError``.
+    Nodes are the classes, with all isomorphic series labels; an edge joins
+    two, ordered by ``(u, eta)``, and is a *jump* when they share no label.
+    Self-adjacency is a node attribute, never an edge.  ``max_nodes`` caps
+    the family's tree and then its class count in :func:`fwpp.planes.classify`,
+    before any partner is built.  The partner over ``z(k)`` has norm
+    ``a*w_i*w_j - N``, so only those of norm in ``[N, norm_bound]`` are
+    built and looked up by ``(u, eta)``: one per edge, from its lower end,
+    and the self-pairs.  One built but not classified raises ``InvariantError``.
     """
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {_text(a)} with torsion order {_text(mu)}")
     classified = planes.classify(a, norm_bound, mu=mu, max_nodes=max_nodes)
-    nodes = []
-    edges: dict[tuple[DegreeMatrix, DegreeMatrix], bool] = {}
-    series_of = {c.matrix: set(c.all_series) for c in classified}
+    nodes, edges = [], set()
+    by_columns = {_columns(c): c for c in classified}  # one family shares mu
     for c in classified:
         w, n = c.weights, c.norm
         # the Gorenstein index of each T-singular slot, by is_t_singular's test on the local class group order w[k]
-        t_slots = {k: l1 for k in range(3) if w[k] % (l1 := planes.local_gorenstein_index(c.matrix, k)) ** 2 == 0}
+        t_slots = {k: l1 for k in range(3) if w[k] % (l1 := planes.local_gorenstein_index(c, k)) ** 2 == 0}
         # w[k - 1] and w[k - 2] are the two weights other than w[k]
-        pairs = [adjacent_partner(c.matrix, k, l1=l1) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
-        self_kstar = min((p.kstar for p in pairs if p.q2 == c.matrix), key=lambda k: not k.non_toric, default=None)
+        pairs = [adjacent_partner(c, k, l1=l1) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
+        ends = [by_columns.get(_columns(p.q2)) for p in pairs]
+        self_kstar = min((p.kstar for p, d in zip(pairs, ends) if d is c), key=lambda k: not k.non_toric, default=None)
         nodes.append(GraphNode(plane=c, self_kstar=self_kstar, all_t=len(t_slots) == 3))
-        for pair in pairs:
-            if pair.q2 == c.matrix:
-                continue
-            if pair.q2 not in series_of:
-                raise InvariantError(f"partner {_text(pair.q2)} of {_text(c.matrix)} is within the bound but not classified")
-            # one family shares mu, so the DegreeMatrix order is the (u, eta) order
-            edges[min(c.matrix, pair.q2), max(c.matrix, pair.q2)] = not (series_of[c.matrix] & series_of[pair.q2])
-    edge_list = tuple(GraphEdge(x, y, jump) for (x, y), jump in sorted(edges.items()))
+        for pair, d in zip(pairs, ends):
+            if d is None:
+                raise InvariantError(f"partner {_text(pair.q2)} of {_text(c)} is within the bound but not classified")
+            if d is not c:
+                edges.add(GraphEdge(*sorted((c, d), key=_columns), set(c.all_series).isdisjoint(d.all_series)))
+    edge_list = tuple(sorted(edges, key=lambda e: (_columns(e.a), _columns(e.b))))
     return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=edge_list)
 
 

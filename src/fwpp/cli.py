@@ -112,7 +112,7 @@ def cmd_classify(args) -> int:
         md = args.format == "md"
         header = ["| series | u | eta | weights | degree |\n|---|---|---|---|---|\n"] if md else []
         row = "| {} | ({}) | ({}) | ({}) | {} |\n" if md else "{}\t{}\t{}\t{}\t{}\n"
-        _write(itertools.chain(header, (row.format(c.series, *map(_decimal_join, (c.matrix.u, c.matrix.eta, c.weights)), args.a) for c in classes)))
+        _write(itertools.chain(header, (row.format(c.series, *map(_decimal_join, (c.u, c.eta, c.weights)), args.a) for c in classes)))
     return 0
 
 

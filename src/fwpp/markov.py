@@ -57,7 +57,7 @@ def _text(x, conv=str) -> str:
     """``conv(x)`` (``str``, as in ``f"{x}"``, or ``repr``) at any size, the one way an integer becomes text.
 
     ``str(int)`` refuses integers past the int-to-str digit limit (4,300 digits by default) and ``Decimal``
-    converts those without it; past the limit, ints, ``Fraction``s, tuples, lists and dataclass reprs are
+    converts those without it; past the limit, ints, ``Fraction``s, tuples, lists, named tuples and dataclass reprs are
     written in full, and a class's own ``__str__`` is called as is."""
     try:
         return conv(x)
@@ -67,10 +67,11 @@ def _text(x, conv=str) -> str:
         if isinstance(x, Fraction):
             n, d = _text(x.numerator), _text(x.denominator)
             return f"Fraction({n}, {d})" if conv is repr else n if d == "1" else f"{n}/{d}"
-        if isinstance(x, (tuple, list)):
+        if isinstance(x, (tuple, list)) and not hasattr(x, "_fields"):
             body = ", ".join(_text(e, repr) for e in x) + "," * (isinstance(x, tuple) and len(x) == 1)
             return f"({body})" if isinstance(x, tuple) else f"[{body}]"
-        return f"{type(x).__qualname__}({', '.join(f'{f.name}={_text(getattr(x, f.name), repr)}' for f in fields(x) if f.repr)})"
+        names = x._fields if isinstance(x, tuple) else [f.name for f in fields(x) if f.repr]
+        return f"{type(x).__qualname__}({', '.join(f'{n}={_text(getattr(x, n), repr)}' for n in names)})"
 
 
 def _json_strs(values) -> str:

@@ -11,9 +11,9 @@ The canonical self-intersection degree is ``(w0+w1+w2)^2 / (w0*w1*w2)`` for
 the fake weight vector ``w``; it is an integer exactly when ``w`` solves the
 squared Markov type equation with parameter equal to the degree.  The planes
 of integral degree fall into 24 series indexed by ``(degree, mu, eta)``;
-:func:`classify` enumerates them below a norm bound, merging the sporadic
-isomorphisms among small members by the adjusted form of :func:`adjust`;
-the tests check every such merge against :func:`isomorphism_witness`.
+:func:`classify` lists one :class:`ClassifiedPlane` record per class below a
+norm bound, merging the sporadic isomorphisms among small members by the
+adjusted form of :func:`adjust`; tests check each merge by :func:`isomorphism_witness`.
 
 Singularity data at the three toric fixed points (local class group order,
 local Gorenstein index, T-singularity test and the exceptional curve count
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, Pair
@@ -135,7 +135,7 @@ class GeneratorMatrix:
 
 
 def fake_weights_of_degree_matrix(q: DegreeMatrix) -> Triple:
-    return tuple(q.mu * x for x in q.u)
+    return q.mu * q.u[0], q.mu * q.u[1], q.mu * q.u[2]
 
 
 def degree(weights) -> Fraction:
@@ -380,33 +380,37 @@ def is_isomorphic(q1: DegreeMatrix, q2: DegreeMatrix) -> bool:
     return isomorphism_witness(q1, q2) is not None
 
 
-@dataclass(frozen=True)
-class ClassifiedPlane:
-    """One isomorphism class from the classification.
+class ClassifiedPlane(NamedTuple):
+    """One isomorphism class, the record of its canonical adjusted degree
+    matrix; tuples sort in :func:`classify`'s order.  ``all_series`` lists,
+    least first, every series label whose member at this weight vector is
+    isomorphic to it (more than one only for the three sporadic coincidence
+    sets); ``series`` is the least.  ``matrix`` builds the checked
+    :class:`DegreeMatrix` on every access."""
 
-    ``series`` is the canonical label; ``all_series`` collects every series
-    label whose member at this weight vector is isomorphic to it (more than
-    one only for the three sporadic coincidence sets).  ``weights`` and
-    ``norm`` are derived once, at construction or per tree node in
-    :func:`classify`, and take no part in equality.
-    """
-
-    series: SeriesId
-    matrix: DegreeMatrix
+    norm: int
+    u: Triple
+    eta: Triple
+    mu: int
     all_series: tuple[SeriesId, ...]
-    weights: Triple = field(init=False, compare=False, repr=False)
-    norm: int = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", fake_weights_of_degree_matrix(self.matrix))
-        object.__setattr__(self, "norm", sum(self.weights))
+    @property
+    def series(self) -> SeriesId:
+        return self.all_series[0]
+
+    @property
+    def weights(self) -> Triple:
+        return fake_weights_of_degree_matrix(self)
+
+    @property
+    def matrix(self) -> DegreeMatrix:
+        return DegreeMatrix(self.mu, self.u, self.eta)
 
     def to_json(self, with_report: bool = False) -> str:
         """The class as one compact JSON object, with its singularity report when ``with_report`` is set."""
-        q = self.matrix
         merged = f',"mergedSeries":{_json_strs(self.all_series)}' if len(self.all_series) > 1 else ""
-        report = f',"report":{singularity_report(q).to_json()}' if with_report else ""
-        return (f'{{"series":"{self.series}","mu":{_text(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}],'
+        report = f',"report":{singularity_report(self).to_json()}' if with_report else ""
+        return (f'{{"series":"{self.series}","mu":{_text(self.mu)},"u":{_json_strs(self.u)},"eta":[{_decimal_join(self.eta)}],'
                 f'"weights":{_json_strs(self.weights)},"degree":"{self.series.a}"{merged}{report}}}')
 
 
@@ -415,18 +419,18 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
 
     With ``mu`` given, only the ``(a, mu)`` family is enumerated (an empty
     list when it carries no series); the result is the ``mu`` part of the
-    unfiltered one.  One entry per isomorphism class, keyed by the
+    unfiltered one.  One record per isomorphism class, keyed by the
     canonical adjusted degree matrix.  Each tree node is arranged, checked
     by :func:`_check_node` and its degree checked once.  With one
     admissible order, ``(u_arr; 0, 1, eta)`` is adjusted for every series
     eta (shift 0 and scale 1, as ``gcd(u_0, mu) = 1``) and distinct etas
-    stay distinct, so :func:`_checked_class` builds each class.  Only a
-    node with tied entries builds its matrices, normalizes them over its
-    orders and merges equal forms.
-    ``max_nodes`` caps each family's tree as in
-    :func:`fwpp.markov.enumerate_tree`; its error names ``a``, the family's
-    ``mu`` and ``norm_bound`` as given here.  It then caps the class total,
-    with the same ``EnumerationCapExceeded``.
+    stay distinct, so each class is ``u_arr`` with a shared row and label.
+    Only a node with tied entries builds its matrices, normalizes them over
+    its orders and merges equal forms; the identity order leaves ``(u_arr;
+    0, 1, eta)`` as it is, so each label must be the least merged one.
+    ``max_nodes`` caps each family's tree as in :func:`fwpp.markov.enumerate_tree`,
+    its error naming ``a``, the family's ``mu`` and ``norm_bound`` as given
+    here, and then the class total, with the same ``EnumerationCapExceeded``.
     """
     if a < 1:
         raise ValueError(f"degree must be a positive integer, got {_text(a)}")
@@ -439,7 +443,7 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
         etas = SERIES_ETAS[(deg, fam_mu)]
         if any(not 0 <= eta < fam_mu or gcd(eta, fam_mu) != 1 for eta in etas):  # pair 0,2 of _check_node
             raise InvariantError(f"series etas {_text(etas)} are not all reduced units mod {_text(fam_mu)}")
-        sids = [SeriesId(a, fam_mu, eta) for eta in etas]
+        rows = [((0, 1 % fam_mu, eta), (SeriesId(a, fam_mu, eta),)) for eta in etas]  # shared by the family's classes
         try:
             tree = markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu, max_nodes=max_nodes)
         except markov.EnumerationCapExceeded as exc:  # name the caller's degree and bound, not the scaled ones
@@ -451,18 +455,20 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
             if not markov.is_solution(u_arr, fam_mu * a):  # the degree of w = mu*u is a, and u is positive
                 raise InvariantError(f"classified node {_text(u_arr)} of mu {_text(fam_mu)} is not of degree {_text(a)}")
             _check_node(u_arr, fam_mu, etas)
-            w = (fam_mu * u_arr[0], fam_mu * u_arr[1], fam_mu * u_arr[2])
+            n = fam_mu * (u_arr[0] + u_arr[1] + u_arr[2])
             if len(perms) == 1:
-                n = w[0] + w[1] + w[2]  # the norm, and the first sort key, of every class of the node
-                out += [_checked_class(s, u_arr, w, n) for s in sids]
+                out += [ClassifiedPlane(n, u_arr, eta, fam_mu, ids) for eta, ids in rows]
                 continue
             perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on u_arr
-            for s in sids:
-                groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, s.eta)), perms), []).append(s)
-            out.extend(ClassifiedPlane(_series_label(q, a), q, tuple(sorted(ids))) for q, ids in groups.items())
+            for eta, ids in rows:
+                groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, eta), perms), []).extend(ids)
+            for q, ids in groups.items():
+                if _series_label(q, a) != min(ids):
+                    raise InvariantError(f"adjusted matrix {_text(q)} is not labelled by the least of its series {_text(ids)}")
+                out.append(ClassifiedPlane(n, q.u, q.eta, fam_mu, tuple(sorted(ids))))
     if max_nodes is not None and len(out) > max_nodes:
         raise markov.EnumerationCapExceeded(f"{_text(len(out))} classes exceed the node cap {_text(max_nodes)}")
-    out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
+    out.sort()
     return out
 
 
@@ -485,14 +491,6 @@ def _check_node(u: Triple, mu: int, etas: Sequence[int]) -> None:
     r1, r2 = u1 % mu, u2 % mu
     if any(gcd(r1 * eta - r2, mu) != 1 for eta in etas):
         raise InvariantError(f"columns 1,2 of (mu={_text(mu)}, u={_text(u)}, eta=(0, 1, e)) fail to generate K for an e in {_text(etas)}")
-
-
-def _checked_class(sid: SeriesId, u: Triple, weights: Triple, norm: int) -> ClassifiedPlane:
-    """The class of ``(u; 0, 1, sid.eta)``, checked by :func:`classify`, built without ``__post_init__``."""
-    q, c = object.__new__(DegreeMatrix), object.__new__(ClassifiedPlane)
-    q.__dict__.update(mu=sid.mu, u=u, eta=(0, 1 % sid.mu, sid.eta))
-    c.__dict__.update(series=sid, matrix=q, all_series=(sid,), weights=weights, norm=norm)
-    return c
 
 
 def _series_label(q: DegreeMatrix, a: int) -> SeriesId:

@@ -801,9 +801,16 @@ def normalizing_classify(a: int, norm_bound: int, mu: int | None = None) -> list
                 groups.setdefault(planes.adjust(q), []).append(eta)
             for canonical in sorted(groups):
                 series = tuple(sorted(planes.SeriesId(a, fam_mu, eta) for eta in groups[canonical]))
-                out.append(planes.ClassifiedPlane(planes._series_label(canonical, a), canonical, series))
-    out.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
+                # the adjusted eta is the least merged eta, so the canonical label is the least merged label
+                assert planes._series_label(canonical, a) == series[0]
+                out.append(classified_plane(canonical, series))
+    out.sort(key=lambda c: (c.norm, c.u, c.eta, c.mu))
     return out
+
+
+def classified_plane(q: planes.DegreeMatrix, all_series) -> planes.ClassifiedPlane:
+    """The class record of the adjusted matrix ``q`` with the merged labels ``all_series``."""
+    return planes.ClassifiedPlane(sum(planes.fake_weights_of_degree_matrix(q)), q.u, q.eta, q.mu, tuple(all_series))
 
 
 def classify_text(classes, a: int, fmt: str, report: bool = False) -> str:
@@ -820,7 +827,7 @@ def classify_text(classes, a: int, fmt: str, report: bool = False) -> str:
             print("|---|---|---|---|---|")
             row = "| {} | ({}) | ({}) | ({}) | {} |"
         for c in classes:
-            cols = (",".join(map(str, v)) for v in (c.matrix.u, c.matrix.eta, c.weights))
+            cols = (",".join(map(str, v)) for v in (c.u, c.eta, c.weights))
             print(row.format(c.series, *cols, a))
     return out.getvalue()
 
@@ -848,12 +855,12 @@ def tuple_admissible_arrangements(u, reduced_a: int):
     return perms
 
 
-def graph_components(graph) -> list[set[planes.DegreeMatrix]]:
+def graph_components(graph) -> list[set[planes.ClassifiedPlane]]:
     """Connected components of an adjacency graph, isolated nodes included."""
     import networkx
 
     g = networkx.Graph()
-    g.add_nodes_from(n.plane.matrix for n in graph.nodes)
+    g.add_nodes_from(n.plane for n in graph.nodes)
     g.add_edges_from((e.a, e.b) for e in graph.edges)
     return list(networkx.connected_components(g))
 
@@ -881,13 +888,13 @@ def full_adjacency_graph(a: int, mu: int, norm_bound: int) -> AdjacencyGraph:
     classified = planes.classify(a, norm_bound, mu=mu)
     nodes = []
     edges: dict[frozenset, bool] = {}
-    series_of = {c.matrix: set(c.all_series) for c in classified}
-    for c in classified:
-        pairs = adjacency_neighbors(c.matrix)
-        nodes.append(GraphNode(plane=c, self_kstar=self_kstar(c.matrix, pairs), all_t=len(pairs) == 3))
+    class_of = {c.matrix: c for c in classified}
+    for q, c in class_of.items():
+        pairs = adjacency_neighbors(q)
+        nodes.append(GraphNode(plane=c, self_kstar=self_kstar(q, pairs), all_t=len(pairs) == 3))
         for pair in pairs:
-            if pair.q2 != c.matrix and pair.q2 in series_of:
-                edges[frozenset((c.matrix, pair.q2))] = not (series_of[c.matrix] & series_of[pair.q2])
+            if pair.q2 != q and pair.q2 in class_of:
+                edges[frozenset((c, class_of[pair.q2]))] = not (set(c.all_series) & set(class_of[pair.q2].all_series))
     edge_list = [GraphEdge(*sorted(key, key=lambda m: (m.u, m.eta)), jump=jump) for key, jump in edges.items()]
     edge_list.sort(key=lambda e: (e.a.u, e.a.eta, e.b.u, e.b.eta))
     return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=tuple(edge_list))
@@ -954,10 +961,10 @@ def report_obj(report: planes.SingularityReport) -> dict:
 def plane_obj(c: planes.ClassifiedPlane, with_report: bool = False) -> dict:
     obj = {
         "series": str(c.series),
-        "mu": c.matrix.mu,
-        "u": [markov._text(x) for x in c.matrix.u],
-        "eta": list(c.matrix.eta),
-        "weights": [markov._text(w) for w in c.weights],
+        "mu": c.mu,
+        "u": [markov._text(x) for x in c.u],
+        "eta": list(c.eta),
+        "weights": [markov._text(c.mu * x) for x in c.u],
         "degree": str(c.series.a),
     }
     if len(c.all_series) > 1:
@@ -975,10 +982,10 @@ def graph_obj(graph: AdjacencyGraph) -> dict:
         "normBound": markov._text(graph.norm_bound),
         "nodes": [
             {
-                "label": label(n.plane.matrix),
+                "label": label(n.plane),
                 "series": [str(s) for s in n.plane.all_series],
-                "u": [markov._text(x) for x in n.plane.matrix.u],
-                "eta": list(n.plane.matrix.eta),
+                "u": [markov._text(x) for x in n.plane.u],
+                "eta": list(n.plane.eta),
                 "selfAdjacent": n.self_kstar is not None,
                 "nonToricSelf": n.self_kstar is not None and n.self_kstar.non_toric,
                 "allT": n.all_t,
@@ -986,7 +993,7 @@ def graph_obj(graph: AdjacencyGraph) -> dict:
             for n in graph.nodes
         ],
         "edges": [{"from": label(e.a), "to": label(e.b), "jump": e.jump} for e in graph.edges],
-        "selfAdjacent": [label(n.plane.matrix) for n in graph.nodes if n.self_kstar is not None],
+        "selfAdjacent": [label(n.plane) for n in graph.nodes if n.self_kstar is not None],
     }
 
 

@@ -248,7 +248,7 @@ def test_criterion_8_adjacency():
         mu = fig["mu"]
         bound = max(mu * sum(u) for (u, _) in fig["nodes"])
         graph = adjacency.adjacency_graph(fig["a"], mu, bound)
-        labels = {(n.plane.matrix.u, n.plane.matrix.eta[2]): n.plane.matrix for n in graph.nodes}
+        labels = {(n.plane.u, n.plane.eta[2]): n.plane for n in graph.nodes}
         assert all(key in labels for key in fig["nodes"])
         wanted = {labels[key] for key in fig["nodes"]}
         expected = {frozenset((labels[x], labels[y])): jump for (x, y, jump) in fig["edges"]}
@@ -279,7 +279,7 @@ def test_criterion_8_adjacency():
         tree_edges = {frozenset((x, y)) for x, y in tree.edges}
         for (a, mu) in families:
             graph = adjacency.adjacency_graph(a, mu, 300 * mu)
-            keep = {n.plane.matrix for n in graph.nodes if n.all_t}
+            keep = {n.plane for n in graph.nodes if n.all_t}
             assert {tuple(sorted(k.u)) for k in keep} == set(tree.nodes)
             got = {
                 frozenset((tuple(sorted(e.a.u)), tuple(sorted(e.b.u))))

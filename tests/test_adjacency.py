@@ -480,8 +480,8 @@ class TestGraphs:
             tree_edges = {frozenset((x, y)) for x, y in tree.edges}
             for (a, mu) in families:
                 graph = adjacency.adjacency_graph(a, mu, 400 * mu)
-                keep = {n.plane.matrix for n in graph.nodes if n.all_t}
-                assert {tuple(sorted(n.plane.matrix.u)) for n in graph.nodes if n.all_t} == set(tree.nodes)
+                keep = {n.plane for n in graph.nodes if n.all_t}
+                assert {tuple(sorted(n.plane.u)) for n in graph.nodes if n.all_t} == set(tree.nodes)
                 got = {
                     frozenset((tuple(sorted(e.a.u)), tuple(sorted(e.b.u))))
                     for e in graph.edges
@@ -513,7 +513,7 @@ class TestGraphs:
         mu = fig["mu"]
         bound = max(mu * sum(u) for (u, _) in fig["nodes"])
         graph = adjacency.adjacency_graph(fig["a"], mu, bound)
-        labels = {(n.plane.matrix.u, n.plane.matrix.eta[2]): n.plane.matrix for n in graph.nodes}
+        labels = {(n.plane.u, n.plane.eta[2]): n.plane for n in graph.nodes}
         wanted = set()
         for (u, eta) in fig["nodes"]:
             assert (u, eta) in labels, f"figure node {(u, eta)} missing"
@@ -596,7 +596,7 @@ class TestPrunedGraph:
         def lossy(*args, **kwargs):
             return [c for c in real(*args, **kwargs) if c.matrix != lost]
 
-        assert lost in {e.b for e in adjacency.adjacency_graph(1, 8, 10**5).edges}
+        assert lost in {e.b.matrix for e in adjacency.adjacency_graph(1, 8, 10**5).edges}
         monkeypatch.setattr(adjacency.planes, "classify", lossy)
         with pytest.raises(markov.InvariantError, match=r"u=\(1, 9, 2\).*u=\(1, 1, 2\)"):
             adjacency.adjacency_graph(1, 8, 10**5)

@@ -62,8 +62,7 @@ class TestPlane:
 
     def test_entries_past_the_digit_limit(self):
         q = planes.adjust(planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)))
-        sid = planes._series_label(q, 9)
-        c = planes.ClassifiedPlane(sid, q, (sid,))
+        c = oracles.classified_plane(q, [planes._series_label(q, 9)])
         for report in (False, True):
             check(c.to_json(report), oracles.plane_obj(c, with_report=report))
 
@@ -104,9 +103,8 @@ class TestGraph:
 
     def test_entries_past_the_digit_limit(self):
         q = planes.adjust(planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)))
-        sid = planes._series_label(q, 9)
-        node = adjacency.GraphNode(planes.ClassifiedPlane(sid, q, (sid,)), None, False)
-        graph = adjacency.AdjacencyGraph(9, 1, 10**6000, (node,), (adjacency.GraphEdge(q, q, True),))
+        c = oracles.classified_plane(q, [planes._series_label(q, 9)])
+        graph = adjacency.AdjacencyGraph(9, 1, 10**6000, (adjacency.GraphNode(c, None, False),), (adjacency.GraphEdge(c, c, True),))
         check("".join(graph.to_json()), oracles.graph_obj(graph))
 
 

@@ -324,7 +324,8 @@ BIG, BIG_TEXT = 3 * 10**4500 + 7, "3" + "0" * 4499 + "7"
     "x",
     [12, -5, (1, 2, 3), (7,), [4, (5, 6)], Fraction(9, 4), Fraction(8), planes.SeriesId(1, 8, 3),
      planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), planes.GeneratorMatrix(((1, 0, -1), (0, 1, -1))),
-     adjacency.KStarData(1, 1, -3, 1, 1), "text", None, True],
+     adjacency.KStarData(1, 1, -3, 1, 1), planes.ClassifiedPlane(32, (1, 1, 2), (0, 1, 3), 8, (planes.SeriesId(1, 8, 3),)),
+     "text", None, True],
     ids=repr,
 )
 def test_text_is_the_f_string_below_the_digit_limit(x):
@@ -346,8 +347,9 @@ BIG_MATRIX = f"DegreeMatrix(mu=1, u=({BIG_TEXT}, 1, 1), eta=(0, 0, 0))"
         (Fraction(BIG), BIG_TEXT, f"Fraction({BIG_TEXT}, 1)"),
         (planes.DegreeMatrix(1, (BIG, 1, 1), (0, 0, 0)), BIG_MATRIX, None),
         (adjacency.KStarData(1, BIG, -BIG, 1, 1), f"KStarData(l1=1, l2={BIG_TEXT}, d0=-{BIG_TEXT}, d1=1, d2=1)", None),
-        (planes.ClassifiedPlane(planes.SeriesId(9, 1, 0), planes.DegreeMatrix(1, (BIG, 1, 1), (0, 0, 0)), (planes.SeriesId(9, 1, 0),)),
-         f"ClassifiedPlane(series=SeriesId(a=9, mu=1, eta=0), matrix={BIG_MATRIX}, all_series=(SeriesId(a=9, mu=1, eta=0),))", None),
+        (planes.ClassifiedPlane(BIG + 2, (BIG, 1, 1), (0, 0, 0), 1, (planes.SeriesId(9, 1, 0),)),
+         f"ClassifiedPlane(norm=3{'0' * 4499}9, u=({BIG_TEXT}, 1, 1), eta=(0, 0, 0), mu=1, "
+         "all_series=(SeriesId(a=9, mu=1, eta=0),))", None),
     ],
     ids=["int", "negative", "pair", "one-tuple", "list", "fraction", "whole-fraction", "DegreeMatrix", "KStarData", "ClassifiedPlane"],
 )

@@ -177,7 +177,8 @@ class TestAdjust:
     def test_adjusted_input_is_returned_itself(self):
         for a in markov.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**6):
-                assert planes.adjust(c.matrix) is c.matrix
+                q = c.matrix
+                assert planes.adjust(q) is q
 
     def test_free_group_needs_the_identity_automorphism(self):
         # at mu = 1 every residue and modular inverse is 0, so normalizing
@@ -347,32 +348,41 @@ class TestClassify:
                 part = planes.classify(a, bound, mu=mu)
                 assert part and all(c.matrix.mu == mu for c in part)
                 parts.extend(part)
-        parts.sort(key=lambda c: (c.norm, c.matrix.u, c.matrix.eta, c.matrix.mu))
+        parts.sort(key=lambda c: (c.norm, c.u, c.eta, c.mu))
         assert planes.classify(a, bound) == parts
 
     def test_checks_each_node_once_and_builds_no_matrix(self, monkeypatch):
         # degree 5 has one family with one eta and no ties among the
-        # entries: each node is checked once, and its class is filled in
-        # without the full DegreeMatrix or ClassifiedPlane constructor
-        counts = {"node": 0, "matrix": 0, "plane": 0}
-        real_check = planes._check_node
+        # entries: each node is checked once, and its class is a record
+        # built without any DegreeMatrix; its graph builds partners only
+        counts = {"node": 0, "matrix": 0, "partner": 0, "outside a partner": 0}
+        real_check, real_partner = planes._check_node, adjacency.adjacent_partner
 
         def checking(*args):
             counts["node"] += 1
             real_check(*args)
 
-        def counting(key):
-            def post_init(self):
-                counts[key] += 1
+        def post_init(self):
+            counts["matrix"] += 1
+            counts["outside a partner"] += counts["partner"] == 0
 
-            return post_init
+        def partner(*args, **kwargs):
+            counts["partner"] += 1
+            try:
+                return real_partner(*args, **kwargs)
+            finally:
+                counts["partner"] -= 1
 
         monkeypatch.setattr(planes, "_check_node", checking)
-        monkeypatch.setattr(DegreeMatrix, "__post_init__", counting("matrix"))
-        monkeypatch.setattr(planes.ClassifiedPlane, "__post_init__", counting("plane"))
+        monkeypatch.setattr(DegreeMatrix, "__post_init__", post_init)
+        monkeypatch.setattr(adjacency, "adjacent_partner", partner)
         classes = planes.classify(5, 10**12)
         assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == counts["node"] == 125
-        assert counts["matrix"] == counts["plane"] == 0
+        assert counts["matrix"] == 0
+        graph = adjacency.adjacency_graph(5, 1, 10**12)
+        assert len(graph.nodes) == 125 and graph.edges
+        assert counts["matrix"] > 0 and counts["outside a partner"] == 0
+        monkeypatch.undo()
         assert all(c.weights == planes.fake_weights_of_degree_matrix(c.matrix) for c in classes)
 
     @settings(max_examples=400, deadline=None)
@@ -409,8 +419,8 @@ class TestClassify:
     @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
     def test_equals_the_normalizing_oracle(self, a):
         # same classes, matrices, labels, merged labels and order as adjusting
-        # every eta of every node: ClassifiedPlane equality compares series,
-        # matrix and all_series
+        # every eta of every node: ClassifiedPlane equality compares norm, u,
+        # eta, mu and all_series, so the label is the oracle's least merged one
         assert planes.classify(a, 10**48) == oracles.normalizing_classify(a, 10**48)
         for deg, mu in planes.SERIES_FAMILIES:
             if deg == a:
@@ -458,12 +468,27 @@ class TestClassify:
         # each tied node normalizes each of its family's etas, and no other node normalizes
         assert sorted(normalized) == sorted(u for u, mu in tied for _ in planes.SERIES_ETAS[(1, mu)])
 
-    def test_weights_are_stored_once(self, monkeypatch):
+    def test_series_weights_and_matrix_are_derived(self):
         c = planes.classify(2, 100)[0]
-        assert c == planes.ClassifiedPlane(c.series, c.matrix, c.all_series)
-        monkeypatch.setattr(planes, "fake_weights_of_degree_matrix", None)
-        assert c.weights == tuple(c.matrix.mu * x for x in c.matrix.u)
+        assert c == planes.ClassifiedPlane(c.norm, c.u, c.eta, c.mu, c.all_series)
+        assert c.series == c.all_series[0] == min(c.all_series)
+        assert c.weights == tuple(c.mu * x for x in c.u)
         assert c.norm == sum(c.weights)
+        assert c.matrix == DegreeMatrix(c.mu, c.u, c.eta) and c.matrix is not c.matrix
+
+    def test_a_tied_label_other_than_the_least_merged_one_is_a_defect(self, monkeypatch):
+        # the tied node (1, 1, 2) of (1, 8) merges etas 3 and 7 into the adjusted (1, 1, 2; 0, 1, 3)
+        real = planes._series_label
+
+        def last_label(q, a):
+            return planes.SeriesId(a, 8, 7) if (q.mu, q.u, q.eta) == (8, (1, 1, 2), (0, 1, 3)) else real(q, a)
+
+        assert [c.all_series for c in planes.classify(1, 32, mu=8) if len(c.all_series) > 1] == [
+            (planes.SeriesId(1, 8, 3), planes.SeriesId(1, 8, 7))
+        ]
+        monkeypatch.setattr(planes, "_series_label", last_label)
+        with pytest.raises(markov.InvariantError, match="not labelled by the least of its series"):
+            planes.classify(1, 32, mu=8)
 
     def test_mu_filter_without_a_family(self):
         assert planes.classify(1, 10**4, mu=7) == []
@@ -670,7 +695,7 @@ class TestSerialization:
         node = json.loads("".join(tree.to_json()))["nodes"][0]
         assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
         q = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
-        c = planes.ClassifiedPlane(series_label(q), q, (series_label(q),))
+        c = oracles.classified_plane(q, [series_label(q)])
         obj = json.loads(c.to_json(with_report=True))
         assert parsed(obj["u"]) == list(q.u) and parsed(obj["weights"]) == list(c.weights)
         assert parsed(obj["report"]["cl"]) == list(c.weights)
