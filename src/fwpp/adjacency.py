@@ -180,8 +180,8 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
     (ui, uj, uk), (ei, ej, ek), mu = up, etap, q.mu
 
     l1 = planes.local_gorenstein_index(q, slot) if l1 is None else l1
-    d0, rem = divmod(-wk, l1 * l1)  # d0 = -w_k / l1**2 at a T-singularity
-    if rem:
+    is_t, d0 = planes._t_test(-wk, l1)  # is_t_singular's test, giving d0 = -w_k / l1**2
+    if not is_t:
         raise NotDegenerableError(f"fixed point {_text(slot)} of {_text(q)} is not a T-singularity")
     l2, rem = divmod(l1 * (wi + wj), wk)
     if rem:
@@ -216,8 +216,12 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
     u2, eta2 = (ui, uj, uk2), (ei, ej, (x * l2 * (ei + ej) - y * (ci * ei + cj * ej)) % mu)
     if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, mu):
         raise InvariantError(f"partner columns {_text(u2)}, {_text(eta2)} of {_text(q)} do not annihilate the second slice")
-    q2_raw = DegreeMatrix(mu, u2, eta2)
-    return AdjacentPair(q2=planes._normalize(q2_raw, markov.admissible_arrangements(u2, mu * a)), q2_raw=q2_raw, kstar=kstar)
+    try:
+        q2_raw = DegreeMatrix(mu, u2, eta2)
+        q2 = planes._normalize(q2_raw, markov.admissible_arrangements(u2, mu * a))
+    except ValueError as exc:  # the certificates above make the partner a plane: a refusal is a defect here, not bad input
+        raise InvariantError(f"partner of {_text(q)} at slot {_text(slot)}: {exc}") from exc
+    return AdjacentPair(q2=q2, q2_raw=q2_raw, kstar=kstar)
 
 
 @dataclass(frozen=True)
@@ -269,19 +273,14 @@ class AdjacencyGraph:
 
     def to_dot(self) -> Iterator[str]:
         """The graph in Graphviz dot, one line at a time: ``"".join(graph.to_dot())`` is the whole text."""
-        yield f"graph adjacency_{self.a}_{self.mu} {{\n"
-        for n in self.nodes:
-            attrs = []
-            if n.self_kstar is not None:
-                attrs.append("peripheries=2")
-                if n.self_kstar.non_toric:
-                    attrs.append('comment="non-toric self-adjacency"')
-            attr_txt = f" [{', '.join(attrs)}]" if attrs else ""
-            yield f'  "{_label(n.plane)}"{attr_txt};\n'
-        for e in self.edges:
-            style = " [color=red]" if e.jump else ""
-            yield f'  "{_label(e.a)}" -- "{_label(e.b)}"{style};\n'
-        yield "}\n"
+
+        def node(n: GraphNode) -> str:
+            kstar = n.self_kstar
+            attrs = "" if kstar is None else ' [peripheries=2, comment="non-toric self-adjacency"]' if kstar.non_toric else " [peripheries=2]"
+            return f'"{_label(n.plane)}"{attrs}'
+
+        edges = (f'"{_label(e.a)}" -- "{_label(e.b)}"{" [color=red]" if e.jump else ""}' for e in self.edges)
+        return markov._dot(f"adjacency_{self.a}_{self.mu}", map(node, self.nodes), edges)
 
 
 def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = None) -> AdjacencyGraph:
@@ -304,7 +303,7 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     for c in classified:
         w, n = c.weights, c.norm
         # the Gorenstein index of each T-singular slot, by is_t_singular's test on the local class group order w[k]
-        t_slots = {k: l1 for k in range(3) if w[k] % (l1 := planes.local_gorenstein_index(c, k)) ** 2 == 0}
+        t_slots = {k: l1 for k in range(3) if planes._t_test(w[k], l1 := planes.local_gorenstein_index(c, k))[0]}
         # w[k - 1] and w[k - 2] are the two weights other than w[k]
         pairs = [adjacent_partner(c, k, l1=l1) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
         ends = [by_columns.get(_columns(p.q2)) for p in pairs]
@@ -313,8 +312,9 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
         for pair, d in zip(pairs, ends):
             if d is None:
                 raise InvariantError(f"partner {_text(pair.q2)} of {_text(c)} is within the bound but not classified")
-            if d is not c:
-                edges.add(GraphEdge(*sorted((c, d), key=_columns), set(c.all_series).isdisjoint(d.all_series)))
+            if d is not c:  # class order is (u, eta) order: the partner's free parts are the node's with one entry mutated within
+                # its cofactor, so arranged they compare componentwise, as the norms do; equal norms mean equal u, and eta decides
+                edges.add(GraphEdge(*sorted((c, d)), set(c.all_series).isdisjoint(d.all_series)))
     edge_list = tuple(sorted(edges, key=lambda e: (_columns(e.a), _columns(e.b))))
     return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=edge_list)
 

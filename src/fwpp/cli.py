@@ -41,22 +41,21 @@ DEFAULT_NORM_BOUND = 10**6
 DEFAULT_MAX_NODES = 4096
 #: Text parts joined per write to stdout: no output is held whole, and a long table takes few writes.
 CHUNK = 4096
+_JSON = json.JSONDecoder(parse_int=markov._decimal_int)  # reads each JSON number at any length, as the integer flags are read
 
 
 def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
     text = sys.stdin.read() if value == "-" else value
     try:
-        try:
-            obj = json.loads(text)
-        except ValueError:  # perhaps a JSON number past the str-to-int digit limit, which this reads
-            obj = json.loads(text, parse_int=markov._decimal_int)
-        return planes.DegreeMatrix.from_json_obj(obj)
+        if text.startswith("\ufeff"):  # json.loads's check, which the decoder leaves to its caller
+            raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", text, 0)
+        return planes.DegreeMatrix.from_json_obj(_JSON.decode(text))
     except (ValueError, KeyError, TypeError, RecursionError) as exc:  # RecursionError: JSON nested too deep
         raise ValueError(f"not a degree matrix: {exc}") from exc
 
 
 def integer(text: str) -> int:
-    """``int(text)`` at any length, for ``--bound``, ``--depth`` and ``--max-nodes``; argparse names the type in its refusal."""
+    """``int(text)`` at any length, for every integer flag; argparse names the type in its refusal."""
     return markov._decimal_int(text)
 
 
@@ -176,14 +175,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-nodes", type=integer, default=DEFAULT_MAX_NODES, help="abort when the enumeration grows past this many nodes")
 
     p_solve = sub.add_parser("solve", help="enumerate equation solutions up to a norm bound")
-    p_solve.add_argument("--a", type=int, required=True)
+    p_solve.add_argument("--a", type=integer, required=True)
     p_solve.add_argument("--depth", type=integer, default=None, help="optional mutation-depth truncation")
     bounded(p_solve)
     p_solve.add_argument("--format", choices=("tsv", "json", "md", "dot"), default="tsv")
     p_solve.set_defaults(func=cmd_solve)
 
     p_classify = sub.add_parser("classify", help="list plane classes of one integral degree")
-    p_classify.add_argument("--a", type=int, required=True)
+    p_classify.add_argument("--a", type=integer, required=True)
     p_classify.add_argument("--report", action="store_true", help="attach singularity reports (json format)")
     bounded(p_classify)
     p_classify.add_argument("--format", choices=("tsv", "json", "md"), default="tsv")
@@ -195,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_sing.set_defaults(func=cmd_sing)
 
     p_graph = sub.add_parser("graph", help="adjacency graph of one (degree, mu) family")
-    p_graph.add_argument("--a", type=int, required=True)
-    p_graph.add_argument("--mu", type=int, required=True)
+    p_graph.add_argument("--a", type=integer, required=True)
+    p_graph.add_argument("--mu", type=integer, required=True)
     bounded(p_graph)
     p_graph.add_argument("--format", choices=("dot", "json"), default="dot")
     p_graph.set_defaults(func=cmd_graph)

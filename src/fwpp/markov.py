@@ -87,6 +87,13 @@ def _json_list(elements: Iterable[str]) -> Iterator[str]:
     yield "]"
 
 
+def _dot(name: str, nodes: Iterable[str], edges: Iterable[str]) -> Iterator[str]:
+    """Graphviz ``graph name``, one line per part: each of the ``nodes`` and then the ``edges`` as one statement."""
+    yield f"graph {name} {{\n"
+    yield from (f"  {statement};\n" for statement in chain(nodes, edges))
+    yield "}\n"
+
+
 def _decimal_int(x) -> int:
     """``int(x)`` at any length: past the str-to-int digit limit, strings are read under
     the grammar ``int()`` applies below it (whitespace, a sign, single ``_`` between digits)."""
@@ -195,10 +202,7 @@ class MutationTree:
     def to_dot(self) -> Iterator[str]:
         """The tree in Graphviz dot, one line at a time: ``"".join(tree.to_dot())`` is the whole text."""
         label = {u: f'"({_decimal_join(u)})"' for u in self.nodes}
-        yield f"graph mutation_tree_{self.a} {{\n"
-        yield from (f"  {label[u]};\n" for u in self.nodes)
-        yield from (f"  {label[x]} -- {label[y]};\n" for x, y in self.edges)
-        yield "}\n"
+        return _dot(f"mutation_tree_{self.a}", label.values(), (f"{label[x]} -- {label[y]}" for x, y in self.edges))
 
 
 class InvariantError(AssertionError):

@@ -408,10 +408,11 @@ class ClassifiedPlane(NamedTuple):
 
     def to_json(self, with_report: bool = False) -> str:
         """The class as one compact JSON object, with its singularity report when ``with_report`` is set."""
+        series = self.all_series[0]
         merged = f',"mergedSeries":{_json_strs(self.all_series)}' if len(self.all_series) > 1 else ""
         report = f',"report":{singularity_report(self).to_json()}' if with_report else ""
-        return (f'{{"series":"{self.series}","mu":{_text(self.mu)},"u":{_json_strs(self.u)},"eta":[{_decimal_join(self.eta)}],'
-                f'"weights":{_json_strs(self.weights)},"degree":"{self.series.a}"{merged}{report}}}')
+        return (f'{{"series":"{series}","mu":{_text(self.mu)},"u":{_json_strs(self.u)},"eta":[{_decimal_join(self.eta)}],'
+                f'"weights":{_json_strs(self.weights)},"degree":"{series.a}"{merged}{report}}}')
 
 
 def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | None = None) -> list[ClassifiedPlane]:
@@ -460,8 +461,11 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
                 out += [ClassifiedPlane(n, u_arr, eta, fam_mu, ids) for eta, ids in rows]
                 continue
             perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on u_arr
-            for eta, ids in rows:
-                groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, eta), perms), []).extend(ids)
+            try:
+                for eta, ids in rows:
+                    groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, eta), perms), []).extend(ids)
+            except ValueError as exc:  # _check_node certified every matrix: a refusal is a defect here, not bad input
+                raise InvariantError(f"tied node {_text(u_arr)} of mu {_text(fam_mu)}: {exc}") from exc
             for q, ids in groups.items():
                 if _series_label(q, a) != min(ids):
                     raise InvariantError(f"adjusted matrix {_text(q)} is not labelled by the least of its series {_text(ids)}")

@@ -361,6 +361,22 @@ class TestClosedFormPartner:
         with pytest.raises(markov.InvariantError, match="do not annihilate the second slice"):
             adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
+    def test_a_refused_partner_is_an_invariant_failure(self, monkeypatch):
+        # the certificates make the partner a plane: its refusal is a defect, not bad input
+        q = mk(8, (1, 9, 2), (0, 1, 1))
+        monkeypatch.setattr(abelian, "pair_generates", lambda *args: False)
+        with pytest.raises(markov.InvariantError, match=r"^partner of DegreeMatrix\(mu=8, u=\(1, 9, 2\), eta=\(0, 1, 1\)\) at slot 2: "
+                                                        r"columns 0,1 .* fail to generate the class group$"):
+            adjacency.adjacent_partner(q, 2)
+
+    def test_a_refused_partner_adjustment_is_an_invariant_failure(self, monkeypatch):
+        def refuse(q, perms):
+            raise ValueError("normalization refused")
+
+        monkeypatch.setattr(planes, "_normalize", refuse)
+        with pytest.raises(markov.InvariantError, match=r"^partner of DegreeMatrix\(.*\) at slot 2: normalization refused$"):
+            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+
     def test_data_off_the_first_slice_past_the_digit_limit(self, monkeypatch):
         # a defect on a plane whose entries pass the 4,300 digits str(int) writes
         # by default raises InvariantError, naming the slice data in full
@@ -624,6 +640,16 @@ class TestGlobalInvariants:
                     key = (c.matrix.mu, tuple(sorted([(c.matrix.u, c.matrix.eta), (pair.q2.u, pair.q2.eta)])))
                     data = (tuple(sorted((pair.kstar.l1, pair.kstar.l2))), pair.kstar.d0)
                     assert seen.setdefault(key, data) == data
+
+
+    def test_edge_ends_in_class_order_are_in_column_order(self):
+        # adjacency_graph sorts each edge's two ends as classes, norm first; (u, eta) order must agree
+        edges = 0
+        for (a, mu) in planes.SERIES_FAMILIES:
+            for e in adjacency.adjacency_graph(a, mu, 10**40).edges:
+                assert e.a < e.b and (e.a.u, e.a.eta) < (e.b.u, e.b.eta)
+                edges += 1
+        assert edges == 15174
 
 
 class TestClassifyOneFamily:

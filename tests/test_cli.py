@@ -109,10 +109,13 @@ class TestSolve:
         assert len(rows) == 3
         assert code == 0 and err == "" and out == "".join(f"{u[0]}\t{u[1]}\t{u[2]}\t{n}\n" for n, u in rows)
 
-    @pytest.mark.parametrize("bound", ["1e5", "1.5", "abc"])
-    def test_bound_that_is_not_an_integer_is_refused(self, capsys, bound):
-        code, out, err = run(capsys, "solve", "--a", "9", "--bound", bound)
-        assert code == 2 and out == "" and f"argument --bound: invalid integer value: '{bound}'" in err
+    @pytest.mark.parametrize("argv", [("solve", "--a", "9", "--bound"), ("solve", "--a"), ("classify", "--a"),
+                                      ("graph", "--mu", "8", "--a"), ("graph", "--a", "1", "--mu")])
+    @pytest.mark.parametrize("value", ["1e5", "1.5", "abc"])
+    def test_integer_flag_that_is_not_an_integer_is_refused(self, capsys, argv, value):
+        # --a and --mu are read as --bound is, and named so in the refusal
+        code, out, err = run(capsys, *argv, value)
+        assert code == 2 and out == "" and f"argument {argv[-1]}: invalid integer value: '{value}'" in err
 
     def test_max_nodes_cap(self, capsys):
         code, _, err = run(capsys, "solve", "--a", "9", "--bound", str(10**6), "--max-nodes", "2")
@@ -162,6 +165,16 @@ class TestCapsOfAnyLength:
         code, out, err = run(capsys, "graph", "--a", "2", "--mu", "3", "--bound", str(10**12), "--max-nodes", HUGE_CAP)
         assert (code, err) == (0, "")
         assert out == "".join(adjacency.adjacency_graph(2, 3, 10**12).to_dot())
+
+    @pytest.mark.parametrize("argv", [("solve", "--a", HUGE_CAP), ("classify", "--a", HUGE_CAP),
+                                      ("graph", "--a", HUGE_CAP, "--mu", "8"), ("graph", "--a", "1", "--mu", HUGE_CAP)])
+    def test_a_and_mu_past_the_str_digit_limit_are_read(self, capsys, argv):
+        # a degree or torsion order with no solutions, as --a 7: solve and classify print nothing, graph names both in full
+        code, out, err = run(capsys, *argv)
+        if argv[0] == "graph":
+            assert (code, out, err) == (2, "", f"error: no series exists for degree {argv[2]} with torsion order {argv[4]}\n")
+        else:
+            assert (code, out, err) == (0, "", "")
 
     @pytest.mark.parametrize("argv", [("solve", "--a", "9", "--depth"), ("solve", "--a", "9", "--max-nodes"),
                                       ("classify", "--a", "2", "--max-nodes"), ("graph", "--a", "2", "--mu", "3", "--max-nodes")])
@@ -415,6 +428,14 @@ class TestSing:
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error: not a degree matrix: ")
 
+    @pytest.mark.parametrize("argv", [("sing", "\ufeff" + MATRIX_183), ("sing", "-"), ("iso", "\ufeff" + MATRIX_183, MATRIX_183),
+                                      ("iso", MATRIX_183, "\ufeff" + MATRIX_183)])
+    def test_a_byte_order_mark_is_named_so(self, capsys, monkeypatch, argv):
+        # the bare decoder skips json.loads's check for a byte-order mark, so the reader makes it, with the same message
+        monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff" + MATRIX_183))
+        reason = "Unexpected UTF-8 BOM (decode using utf-8-sig): line 1 column 1 (char 0)"
+        assert run(capsys, *argv) == (2, "", f"error: not a degree matrix: {reason}\n")
+
     @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
     def test_resolution_count_past_the_str_digit_limit(self, capsys, fmt):
         # z(2) is resolved by a 5,000-digit number of curves; json writes the
@@ -552,6 +573,16 @@ class TestGraph:
         obj = json.loads(out)
         assert {n["label"] for n in obj["nodes"]} >= {"(1,1,2; 1)", "(1,1,2; 3)"}
         assert obj["selfAdjacent"]
+
+    @pytest.mark.parametrize("argv, where", [(("graph", "--a", "1", "--mu", "5"), "partner of ClassifiedPlane"),
+                                             (("graph", "--a", "1", "--mu", "8"), r"tied node \(1, 1, 2\) of mu 8"),
+                                             (("classify", "--a", "1", "--bound", "1000"), r"tied node \(1, 1, 2\) of mu 8")])
+    def test_a_refused_internal_matrix_is_a_defect_not_bad_input(self, monkeypatch, argv, where):
+        # the matrices of a partner and of a tied node are certified planes: a refusal raises, never exit 2; the
+        # family (1, 5) has no tied node, so a partner is the first matrix its graph builds
+        monkeypatch.setattr(abelian, "pair_generates", lambda *args: False)
+        with pytest.raises(markov.InvariantError, match=f"^{where}.*: columns 0,1 .* fail to generate the class group$"):
+            cli.main(list(argv))
 
 
 class TestIso:

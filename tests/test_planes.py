@@ -416,6 +416,20 @@ class TestClassify:
         with pytest.raises(markov.InvariantError, match="columns 1,2"):
             planes.classify(1, 10**6)
 
+    def test_a_refused_tied_node_matrix_is_a_defect(self, monkeypatch):
+        # _check_node certified the matrices of the tied node (1, 1, 2) of (1, 8): a refusal is no input error
+        monkeypatch.setattr(abelian, "pair_generates", lambda *args: False)
+        with pytest.raises(markov.InvariantError, match=r"^tied node \(1, 1, 2\) of mu 8: columns 0,1 .* fail to generate the class group$"):
+            planes.classify(1, 1000)
+
+    def test_a_refused_tied_node_adjustment_is_a_defect(self, monkeypatch):
+        def refuse(q, perms):
+            raise ValueError("normalization refused")
+
+        monkeypatch.setattr(planes, "_normalize", refuse)
+        with pytest.raises(markov.InvariantError, match=r"^tied node \(1, 1, 2\) of mu 8: normalization refused$"):
+            planes.classify(1, 1000)
+
     @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
     def test_equals_the_normalizing_oracle(self, a):
         # same classes, matrices, labels, merged labels and order as adjusting
