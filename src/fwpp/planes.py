@@ -17,9 +17,8 @@ adjusted form of :func:`adjust`; tests check each merge by :func:`isomorphism_wi
 
 Singularity data at the three toric fixed points (local class group order,
 local Gorenstein index, T-singularity test and the exceptional curve count
-of the minimal resolution) are computed exactly: orders and indices by
-group arithmetic in ``K``, curve counts from the regular continued
-fraction of the type ``m/k`` of each fan cone.
+of the minimal resolution, from the type ``m/t`` of the local class group
+``K/<q_k>``) are computed exactly by group arithmetic in ``K``.
 """
 
 from __future__ import annotations
@@ -102,6 +101,8 @@ class DegreeMatrix:
         strings of any length; a float or bool entry (``int()`` would
         truncate or read it) and a ``u`` or ``eta`` that is not an array
         are refused."""
+        if not isinstance(obj, dict):  # an index into any other JSON value fails in Python's words
+            raise ValueError("expected a JSON object with mu, u and eta")
         if not isinstance(obj["u"], list) or not isinstance(obj.get("eta", []), list):
             raise ValueError("degree matrix columns u and eta must be JSON arrays")
         for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
@@ -208,33 +209,32 @@ def _hirzebruch_jung_length(m: int, k: int) -> int:
     return sum(quotients[1::2]) + len(quotients) % 2
 
 
-def resolution_curve_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
-    """Number of exceptional curves of the minimal resolution of the cone.
+def resolution_curve_count(q: DegreeMatrix, k: int) -> int:
+    """Number of exceptional curves of the minimal resolution at ``z(k)``.
 
-    The cone is moved to the standard position ``cone(e1, (t, m))`` with
-    ``0 <= t < m``; the singularity is then the cyclic quotient of order
-    ``m`` and weight ``k = m - t``, whose minimal resolution has as many
-    exceptional curves as the negative continued fraction of ``m/k`` has
-    entries, read off the regular one by :func:`_hirzebruch_jung_length`.
-    Zero for a smooth cone.
+    With ``i < j`` the other columns, ``q_i`` and ``q_k`` generate ``K``, so ``K/<q_k>`` is cyclic of order ``m = mu*u_k``
+    and generated by ``q_i``; with ``q_j = t*q_i + s*q_k`` the point is ``1/m(1, t)``, resolved by as many curves as the
+    negative continued fraction of ``m/t`` has entries (none at ``m = 1``, ``t = 0``; swapping ``i`` and ``j`` inverts ``t``
+    mod ``m``, which reverses it).  :func:`_quotient_weight` solves ``t``; the identity is checked on both parts here.
     """
-    a, c = v
-    b, d = vp
-    m = abs(a * d - b * c)
-    if m == 0:
-        raise ValueError(f"vectors {_text(v)}, {_text(vp)} are collinear")
-    if m == 1:
-        return 0
-    if gcd(a, c) != 1 or gcd(b, d) != 1:
-        raise ValueError("cone generators must be primitive")
-    # the unimodular map [[s, r], [-c, a]] sends v to (1, 0) and vp to
-    # (s*b + r*d, a*d - b*c), whose second entry is +-m
-    s, r = abelian.bezout(a, c)
-    t = (s * b + r * d) % m
-    k = (m - t) % m
-    if k == 0 or gcd(k, m) != 1:
-        raise InvariantError(f"normalized cone type ({_text(m)}, {_text(k)}) is not reduced")
-    return _hirzebruch_jung_length(m, k)
+    i, j = (n for n in range(3) if n != k)
+    try:
+        t = _quotient_weight(q, i, j, k)
+    except ValueError as exc:  # pow met a non-unit, which a valid q never has: a defect, not bad input
+        raise InvariantError(f"weight at z({_text(k)}) of {_text(q)}: {exc}") from exc
+    s, rem = divmod(q.u[j] - t * q.u[i], q.u[k])
+    if rem or (q.eta[j] - t * q.eta[i] - s * q.eta[k]) % q.mu:
+        raise InvariantError(f"weight {_text(t)} at z({_text(k)}) of {_text(q)} fails q_j = t*q_i + s*q_k")
+    return _hirzebruch_jung_length(q.mu * q.u[k], t % (q.mu * q.u[k]))
+
+
+def _quotient_weight(q: DegreeMatrix, i: int, j: int, k: int) -> int:
+    """The ``t`` in ``[0, mu*u_k)`` with ``q_j - t*q_i`` in ``<q_k>``: ``t0 = u_j/u_i mod u_k`` fits the free parts, and ``t =
+    t0 + u_k*r`` moves the torsion residue by ``-r*D``, ``D = u_k*eta_i - u_i*eta_k``, a unit mod ``mu``, which fixes ``r``."""
+    (ui, uj, uk), (ei, ej, ek) = (q.u[i], q.u[j], q.u[k]), (q.eta[i], q.eta[j], q.eta[k])
+    t0 = uj * pow(ui, -1, uk) % uk
+    r = (ej - t0 * ei - (uj - t0 * ui) // uk * ek) * pow(uk * ei - ui * ek, -1, q.mu) % q.mu
+    return t0 + uk * r
 
 
 # ---------------------------------------------------------------------------
@@ -531,11 +531,10 @@ class SingularityReport:
 
 
 def singularity_report(q: DegreeMatrix) -> SingularityReport:
-    p = generator_of(q)
     cl = tuple(local_class_group_order(q, k) for k in range(3))
     iota = tuple(local_gorenstein_index(q, k) for k in range(3))
     flags, ds = zip(*(_t_test(cl[k], iota[k]) for k in range(3)))
-    curves = tuple(resolution_curve_count(*p.cone_of_fixed_point(k)) for k in range(3))
+    curves = tuple(resolution_curve_count(q, k) for k in range(3))
     return SingularityReport(q, cl, iota, flags, ds, curves)
 
 

@@ -4,7 +4,8 @@ These deliberately avoid the library's own algorithms: solutions are found
 by scanning all triples, group membership by scanning all multiples and
 resolution data by convex hull geometry, so agreement with the fast paths
 is meaningful.  Curve counts of large cones are checked against the
-negative continued fraction walked entry by entry.  The isomorphism
+negative continued fraction walked entry by entry, and the count at a
+fixed point against the fan cone of the generator matrix.  The isomorphism
 witness is found by trying every positive automorphism against every
 column order, and the K*-surface data over a
 T-singular point by scanning every ``d1`` in ``[0, l1)``, or by testing
@@ -460,6 +461,34 @@ def hirzebruch_jung_walk(m: int, k: int) -> int:
     if m != 1:
         raise markov.InvariantError("continued fraction expansion did not terminate at 1")
     return count
+
+
+def cone_resolution_count(v: tuple[int, int], vp: tuple[int, int]) -> int:
+    """Exceptional curve count of the minimal resolution of a fan cone.
+
+    The cone is moved to the standard position ``cone(e1, (t, m))`` with
+    ``0 <= t < m``; the singularity is then the cyclic quotient of order
+    ``m`` and weight ``k = m - t``, whose minimal resolution has as many
+    exceptional curves as the negative continued fraction of ``m/k`` has
+    entries, walked by :func:`hirzebruch_jung_walk`.  Zero for a smooth
+    cone.  The library reads the type off the degree matrix instead.
+    """
+    a, c = v
+    b, d = vp
+    m = abs(a * d - b * c)
+    if m == 0:
+        raise ValueError(f"vectors {v}, {vp} are collinear")
+    if m == 1:
+        return 0
+    if gcd(a, c) != 1 or gcd(b, d) != 1:
+        raise ValueError("cone generators must be primitive")
+    # the unimodular map [[s, r], [-c, a]] sends v to (1, 0) and vp to
+    # (s*b + r*d, a*d - b*c), whose second entry is +-m
+    s, r = abelian.bezout(a, c)
+    k = (m - (s * b + r * d)) % m
+    if k == 0 or gcd(k, m) != 1:
+        raise markov.InvariantError(f"normalized cone type ({m}, {k}) is not reduced")
+    return hirzebruch_jung_walk(m, k)
 
 
 def brute_initial_triples(a: int, cap: int) -> set[tuple[int, int, int]]:

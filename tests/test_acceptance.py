@@ -182,13 +182,14 @@ def test_criterion_6_singularity_tables():
                 group_route = planes.local_gorenstein_index(q, k)
                 assert group_route == oracles.brute_gorenstein_index(q, k)
                 assert group_route == oracles.cone_gorenstein_index(*p.cone_of_fixed_point(k))
+                assert rep.res_curves[k] == oracles.cone_resolution_count(*p.cone_of_fixed_point(k))
                 assert rep.cl[k] % group_route == 0
                 assert group_route % d.x[k] == 0
             checked += 1
     assert seen_series == set(golden.ALL_SERIES)
     for sid in golden.ONE_T_SERIES:
         assert sid in seen_series
-    report(6, f"constellations, T-flags and dual index oracles agree on {checked} planes")
+    report(6, f"constellations, T-flags and dual index and curve count oracles agree on {checked} planes")
 
 
 def test_criterion_7_worked_examples():

@@ -411,13 +411,16 @@ class TestSing:
 
     @pytest.mark.parametrize(
         "matrix",
-        ["[1,2,3]", '{"mu":1,"eta":[0,0,0]}', '{"mu":1,"u":[[1],1,1],"eta":[0,0,0]}', '"abc"'],
+        ["[1,2,3]", '{"mu":1,"eta":[0,0,0]}', '{"mu":1,"u":[[1],1,1],"eta":[0,0,0]}', '"abc"', "5", "null"],
     )
     def test_json_that_is_no_matrix_is_named_so(self, capsys, matrix):
-        # the KeyError and TypeError of reading such JSON reach stderr as one ValueError
+        # the KeyError and TypeError of reading such JSON reach stderr as one ValueError;
+        # JSON that is no object is refused before any field is read, in one message
         for argv in (("sing", matrix), ("iso", matrix, MATRIX_183), ("iso", MATRIX_183, matrix)):
             code, out, err = run(capsys, *argv)
             assert code == 2 and out == "" and err.startswith("error: not a degree matrix: ")
+            if not matrix.startswith("{"):
+                assert err == "error: not a degree matrix: expected a JSON object with mu, u and eta\n"
 
     @pytest.mark.parametrize("template", ["{}", '{{"mu":8,"u":{},"eta":[0,1,3]}}'])
     def test_json_nested_too_deep_is_named_so(self, capsys, monkeypatch, template):
@@ -534,23 +537,24 @@ class TestSing:
         with pytest.raises(markov.InvariantError, match="unknown series"):
             cli.main(["sing", MATRIX_183])
 
-    def test_a_refused_kernel_basis_is_an_invariant_failure(self, monkeypatch):
-        # generator_of builds its matrix from a valid degree matrix: a refusal is a defect, not exit 2
-        def refuse(rows):
-            raise abelian.NotGeneratorMatrixError("column (1, 0) is not primitive")
+    def test_a_refused_weight_solve_is_an_invariant_failure(self, monkeypatch):
+        # the weight of a fixed point is solved from a valid degree matrix: pow's refusal of a non-unit is a defect, not exit 2
+        def refuse(q, i, j, k):
+            raise ValueError("base is not invertible for the given modulus")
 
-        monkeypatch.setattr(abelian, "validate_generator_matrix", refuse)
-        with pytest.raises(markov.InvariantError, match=r"^kernel basis of DegreeMatrix\(mu=8, .*: column \(1, 0\) is not primitive$"):
+        monkeypatch.setattr(planes, "_quotient_weight", refuse)
+        with pytest.raises(markov.InvariantError, match=r"^weight at z\(0\) of DegreeMatrix\(mu=8, .*: base is not invertible for the given modulus$"):
             cli.main(["sing", MATRIX_183])
 
     def test_a_defect_past_the_digit_limit_is_an_invariant_failure(self, monkeypatch):
         # the message names the 5,001-digit u[0] in full; it used to raise the digit limit's
         # ValueError, which main reported as an input error with exit 2
-        monkeypatch.setattr(planes, "corresponds", lambda q, p: False)
+        monkeypatch.setattr(planes, "_quotient_weight", lambda q, i, j, k: 2)  # the weight at z(0) is 1
         matrix = json.dumps({"mu": 1, "u": ["1" + "0" * 5000, "1", "1"], "eta": [0, 0, 0]})
         with pytest.raises(markov.InvariantError) as info:
             cli.main(["sing", matrix])
-        assert str(info.value) == f"kernel basis of DegreeMatrix(mu=1, u=(1{'0' * 5000}, 1, 1), eta=(0, 0, 0)) fails the correspondence test"
+        q = f"DegreeMatrix(mu=1, u=(1{'0' * 5000}, 1, 1), eta=(0, 0, 0))"
+        assert str(info.value) == f"weight 2 at z(0) of {q} fails q_j = t*q_i + s*q_k"
 
     def test_a_refusal_past_the_digit_limit_keeps_its_reason(self, capsys):
         matrix = json.dumps({"mu": 8, "u": ["1" + "0" * 5000, "1", "2"], "eta": [0, 1, 3]})

@@ -3,18 +3,21 @@
 The Gorenstein index is computed by three independent routes (group
 arithmetic, a brute multiple scan and the cone formula on a corresponding
 generator matrix) and by a fourth, modular route on adjusted matrices;
-resolution counts are cross-checked against a convex hull oracle and the
-negative continued fraction walked entry by entry.
+resolution counts, read off the degree matrix, are cross-checked against
+the fan cone of the generator matrix, a convex hull oracle and the negative
+continued fraction walked entry by entry.
 """
 
 import random
-from math import gcd
+from math import gcd, prod
 
 import pytest
+from hypothesis import example, given, reject, settings
+from hypothesis import strategies as st
 
 import golden
 import oracles
-from fwpp import markov, planes
+from fwpp import abelian, cli, markov, planes
 from fwpp.planes import DegreeMatrix, GeneratorMatrix
 
 
@@ -83,25 +86,30 @@ class TestConeFormula:
         for c in classified_planes(1500):
             p = planes.generator_of(c.matrix)
             for k in range(3):
-                assert oracles.cone_gorenstein_index(*p.cone_of_fixed_point(k)) == planes.local_gorenstein_index(c.matrix, k)
+                cone = p.cone_of_fixed_point(k)
+                assert oracles.cone_gorenstein_index(*cone) == planes.local_gorenstein_index(c.matrix, k)
+                assert oracles.cone_resolution_count(*cone) == planes.resolution_curve_count(c, k)
 
 
 class TestResolutionCounts:
     def test_smooth(self):
-        assert planes.resolution_curve_count((1, 0), (0, 1)) == 0
+        assert oracles.cone_resolution_count((1, 0), (0, 1)) == 0
+        assert [planes.resolution_curve_count(mk(1, (1, 1, 1)), k) for k in range(3)] == [0, 0, 0]
 
     def test_example_cones(self):
-        p = GeneratorMatrix(((3, 3, -6), (1, -2, 1)))
-        assert [planes.resolution_curve_count(*p.cone_of_fixed_point(k)) for k in range(3)] == [2, 8, 2]
-        p = GeneratorMatrix(((1, 1, -1), (0, -16, 8)))
-        assert [planes.resolution_curve_count(*p.cone_of_fixed_point(k)) for k in range(3)] == [1, 1, 15]
+        for rows, curves in ((((3, 3, -6), (1, -2, 1)), [2, 8, 2]), (((1, 1, -1), (0, -16, 8)), [1, 1, 15])):
+            p = GeneratorMatrix(rows)
+            assert [oracles.cone_resolution_count(*p.cone_of_fixed_point(k)) for k in range(3)] == curves
+            q = DegreeMatrix(*oracles.cokernel_structure(rows))  # the degree matrix of p, columns in p's order
+            assert planes.corresponds(q, p)
+            assert [planes.resolution_curve_count(q, k) for k in range(3)] == curves
 
     def test_hull_oracle_agreement(self):
         for c in classified_planes(260):
             p = planes.generator_of(c.matrix)
             for k in range(3):
                 v, vp = p.cone_of_fixed_point(k)
-                assert planes.resolution_curve_count(v, vp) == oracles.hull_resolution_count(v, vp)
+                assert planes.resolution_curve_count(c, k) == oracles.cone_resolution_count(v, vp) == oracles.hull_resolution_count(v, vp)
 
     def test_hull_oracle_on_every_small_cone_type(self):
         # cone(e1, (m - k, m)) is the cyclic quotient singularity of type (m, k)
@@ -109,8 +117,9 @@ class TestResolutionCounts:
             for k in range(1, m):
                 if gcd(m, k) == 1:
                     cone = ((1, 0), (m - k, m))
-                    count = planes.resolution_curve_count(*cone)
+                    count = planes._hirzebruch_jung_length(m, k)
                     assert count == oracles.hull_resolution_count(*cone) == oracles.hirzebruch_jung_walk(m, k), (m, k)
+                    assert oracles.cone_resolution_count(*cone) == count, (m, k)
 
     def test_walk_oracle_on_large_cone_types(self):
         rng = random.Random(20)
@@ -120,7 +129,7 @@ class TestResolutionCounts:
             k = rng.randrange(1, m)
             while gcd(m, k) != 1:
                 k = rng.randrange(1, m)
-            assert planes.resolution_curve_count((1, 0), (m - k, m)) == oracles.hirzebruch_jung_walk(m, k), (m, k)
+            assert planes._hirzebruch_jung_length(m, k) == oracles.hirzebruch_jung_walk(m, k), (m, k)
 
     def test_walk_oracle_on_large_partial_quotients(self):
         # m/k = [a1; a2, ..., an + 1] with partial quotients of up to 40 digits,
@@ -131,7 +140,7 @@ class TestResolutionCounts:
             m, k = quotients[-1] + 1, 1
             for a in reversed(quotients[:-1]):
                 m, k = a * m + k, m
-            assert planes.resolution_curve_count((1, 0), (m - k, m)) == oracles.hirzebruch_jung_walk(m, k), quotients
+            assert planes._hirzebruch_jung_length(m, k) == oracles.hirzebruch_jung_walk(m, k), quotients
 
     @pytest.mark.parametrize("m, k", [(4, 2), (9, 6), (10**40, 10**20), (5, 0)])
     def test_type_that_is_not_reduced_is_an_invariant_failure(self, m, k):
@@ -140,9 +149,70 @@ class TestResolutionCounts:
 
     def test_long_chain_of_twos(self):
         # type (10^40 + 1, 10^40) resolves by a chain of 10^40 curves
-        assert planes.resolution_curve_count((1, 0), (1, 10**40 + 1)) == 10**40
+        assert planes._hirzebruch_jung_length(10**40 + 1, 10**40) == oracles.hirzebruch_jung_walk(10**40 + 1, 10**40) == 10**40
+        assert oracles.cone_resolution_count((1, 0), (1, 10**40 + 1)) == 10**40
         n = 10**40
         assert planes.singularity_report(DegreeMatrix(1, (1, n, n + 1), (0, 0, 0))).res_curves == (0, 1, n)
+
+
+#: free parts for the differential test: 1, so that some ``u_k = 1``, small, or of 20 to 30 digits
+FREE_PARTS = st.one_of(st.just(1), st.integers(2, 10**6), st.integers(10**19, 10**30 - 1))
+
+
+@st.composite
+def large_degree_matrices(draw):
+    """Valid degree matrices with ``mu`` in 1..60 and free parts of up to 30
+    digits: common factors are divided out of the drawn free parts, and each
+    torsion entry is drawn among the residues that keep every pair of
+    columns generating ``K``."""
+    mu = draw(st.integers(1, 60))
+    u = list(draw(st.tuples(FREE_PARTS, FREE_PARTS, FREE_PARTS)))
+    for k in (1, 2):
+        while (g := gcd(u[k], prod(u[:k]))) > 1:
+            u[k] //= g
+    eta = []
+    for k in range(3):
+        allowed = [e for e in range(mu) if all(abelian.pair_generates((u[j], eta[j]), (u[k], e), mu) for j in range(k))]
+        if not allowed:
+            reject()
+        eta.append(draw(st.sampled_from(allowed)))
+    return DegreeMatrix(mu, tuple(u), tuple(eta))
+
+
+class TestCurveCountFromTheDegreeMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(large_degree_matrices())
+    @example(DegreeMatrix(1, (1, 10**29 + 1, 10**29 + 2), (0, 0, 0)))
+    @example(DegreeMatrix(60, (1, 7, 10**29 + 4), (0, 1, 1)))
+    def test_agrees_with_the_fan_cone(self, q):
+        p = planes.generator_of(q)
+        for k in range(3):
+            assert planes.resolution_curve_count(q, k) == oracles.cone_resolution_count(*p.cone_of_fixed_point(k)), (q, k)
+
+    def test_reports_build_no_generator_matrix(self, monkeypatch, capsys):
+        calls = []
+        validate = abelian.validate_generator_matrix
+        monkeypatch.setattr(abelian, "validate_generator_matrix", lambda rows: calls.append(rows) or validate(rows))
+        reports = [planes.singularity_report(c) for c in planes.classify(1, 10**24)]
+        assert len(reports) == 3867
+        assert cli.main(["sing", '{"mu":8,"u":[1,1,2],"eta":[0,1,3]}', "--format", "md"]) == 0
+        assert cli.main(["sing", '{"mu":8,"u":[1,1,2],"eta":[0,1,3]}']) == 0
+        assert "resCurves" in capsys.readouterr().out
+        assert calls == []
+
+    @pytest.mark.parametrize("shift", [1, 2], ids=["free part", "torsion part"])
+    def test_a_wrong_weight_fails_the_check(self, monkeypatch, shift):
+        # at z(2) of (mu=8, u=(1, 1, 2)) a shift by u_2 = 2 keeps the free parts and moves the torsion by a unit
+        solve = planes._quotient_weight
+        monkeypatch.setattr(planes, "_quotient_weight", lambda q, i, j, k: solve(q, i, j, k) + shift)
+        with pytest.raises(markov.InvariantError, match=r"fails q_j = t\*q_i \+ s\*q_k$"):
+            planes.resolution_curve_count(mk(8, (1, 1, 2), (0, 1, 3)), 2)
+
+    def test_a_matrix_whose_columns_fail_to_generate_is_a_defect(self):
+        # a class record is not checked on construction: pow's refusal must not reach the CLI as exit 2
+        plane = planes.ClassifiedPlane(12, (2, 4, 6), (0, 1, 1), 1, ())
+        with pytest.raises(markov.InvariantError, match=r"^weight at z\(0\) of ClassifiedPlane\(.*: base is not invertible"):
+            planes.singularity_report(plane)
 
 
 class TestWorkedExamples:
@@ -163,7 +233,7 @@ class TestWorkedExamples:
             for k in range(3):
                 v, vp = printed.cone_of_fixed_point(k)
                 assert oracles.cone_gorenstein_index(v, vp) == iota[k]
-                assert planes.resolution_curve_count(v, vp) == curves[k]
+                assert oracles.cone_resolution_count(v, vp) == curves[k]
         iso_pairs = {
             (i, j)
             for i in range(len(matrices))
