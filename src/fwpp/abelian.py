@@ -105,9 +105,11 @@ def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int
 
 def annihilates(rows: Iterable[Sequence[int]], free: Sequence[int], tors: Sequence[int], mu: int) -> bool:
     """Whether ``sum_i row[i] * (free[i], tors[i]) == 0`` in ``Z + Z/mu``
-    for every row: the free sum is 0 and ``mu`` divides the torsion sum."""
-    for row in rows:
-        if sum(x * f for x, f in zip(row, free)) or sum(x * t for x, t in zip(row, tors)) % mu:
+    for every row of three entries, against three columns: the free sum is
+    0 and ``mu`` divides the torsion sum."""
+    (f0, f1, f2), (t0, t1, t2) = free, tors
+    for x0, x1, x2 in rows:
+        if x0 * f0 + x1 * f1 + x2 * f2 or (x0 * t0 + x1 * t1 + x2 * t2) % mu:
             return False
     return True
 

@@ -30,8 +30,11 @@ the degeneration test :attr:`KStarData.non_toric`.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
 the class records :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
-That loop is the only caller of :func:`adjacent_partner`: the
-self-adjacency census is the graph of each family at its base norm.
+Both it and :func:`adjacent_partner` solve and certify a partner by one
+integer core, :func:`_partner`, which builds no object: the graph looks its
+result up among the classes and builds a :class:`KStarData` only for a
+self-pair.  The self-adjacency census is the graph of each family at its
+base norm.
 """
 
 from __future__ import annotations
@@ -72,18 +75,7 @@ class KStarData:
     d2: int
 
     def __post_init__(self):
-        if self.l1 < 1 or self.l2 < 1:
-            raise ValueError(f"isotropy orders must be positive, got {_text(self.l1)}, {_text(self.l2)}")
-        if gcd(self.l1, self.d1) != 1 or gcd(self.l2, self.d2) != 1:
-            raise ValueError(f"gcd(l_i, d_i) != 1 in {_text(self)}")
-        if not 0 <= self.d1 <= self.l1:
-            raise ValueError(f"d1={_text(self.d1)} is not normalized into [0, l1]")
-        if self.d1 == 0 and self.l1 != 1:
-            raise ValueError("d1 = 0 is only allowed in the toric case l1 = 1")
-        upper = self.d1 * self.l2 + self.d2 * self.l1
-        lower = self.d0 * self.l1 * self.l2 + upper
-        if not lower < 0 < upper:
-            raise ValueError(f"slope inequalities fail for {_text(self)}")
+        _check_kstar(self.l1, self.l2, self.d0, self.d1, self.d2)
 
     @property
     def non_toric(self) -> bool:
@@ -102,6 +94,26 @@ class KStarData:
         )
 
 
+def _check_kstar(l1: int, l2: int, d0: int, d1: int, d2: int) -> None:
+    """Raise ``ValueError`` unless :class:`KStarData` accepts ``(l1, l2, d0, d1, d2)``."""
+    if l1 < 1 or l2 < 1:
+        raise ValueError(f"isotropy orders must be positive, got {_text(l1)}, {_text(l2)}")
+    if gcd(l1, d1) != 1 or gcd(l2, d2) != 1:
+        raise ValueError(f"gcd(l_i, d_i) != 1 in {_text((l1, l2, d0, d1, d2), _kstar_repr)}")
+    if not 0 <= d1 <= l1:
+        raise ValueError(f"d1={_text(d1)} is not normalized into [0, l1]")
+    if d1 == 0 and l1 != 1:
+        raise ValueError("d1 = 0 is only allowed in the toric case l1 = 1")
+    upper = d1 * l2 + d2 * l1
+    if not d0 * l1 * l2 + upper < 0 < upper:
+        raise ValueError(f"slope inequalities fail for {_text((l1, l2, d0, d1, d2), _kstar_repr)}")
+
+
+def _kstar_repr(data: tuple[int, ...]) -> str:
+    """The text of ``KStarData(*data)``, written without building it."""
+    return "KStarData(" + ", ".join(f"{n}={_text(x)}" for n, x in zip(("l1", "l2", "d0", "d1", "d2"), data)) + ")"
+
+
 @dataclass(frozen=True)
 class AdjacentPair:
     """The partner of a plane ``q`` over a common K*-surface ``kstar``.
@@ -118,68 +130,66 @@ class AdjacentPair:
 
 
 def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> AdjacentPair:
-    """Reconstruct the K*-surface over the T-singular point ``z(slot)``
-    and return the partner plane it degenerates to, with the surface.
-
-    Raises ``ValueError`` for a slot outside ``{0, 1, 2}`` or when ``q`` has
-    no integral degree, and :class:`NotDegenerableError` when the point is
-    not a T-singularity.  The slice data is otherwise guaranteed to exist,
-    and it is solved, not searched.  A given ``l1`` is taken as the local
-    Gorenstein index at ``z(slot)``.  Write ``perm = (i, j, k)``, ``w =
-    mu*u``, ``e = eta`` and ``g = gcd(l1, l2)``.  As ``w_k = d*l1**2`` and
-    ``l2*w_k = l1*(w_i + w_j)``, the second row of ``P1`` has free part 0
-    for ``d2 = (w_j - d1*l2) / l1``, integral exactly when ``d1*l2 == w_j
-    (mod l1)``: ``d1 == d1_0 (mod l1/g)``, if ``g`` divides ``w_j``.  The
-    first row of ``P1`` has torsion ``h*mu = l1*(e_i + e_j) - l2*e_k``, and
-    the lift ``d1_0 + t*l1/g`` lowers ``d2`` by ``t*l2/g``, so it moves the
-    torsion ``R`` of the second row by ``t*h*mu/g``.  The lift that
-    annihilates is ``t = -r * h**-1 (mod g)``, ``r = R(d1_0) / (mu/g)``.
-
-    ``h`` is a unit mod ``g``.  The rows of ``P1`` span the whole relation
-    lattice of ``q``, by the surjection argument below for ``P2``.  If a
-    prime ``p`` divided both ``h`` and ``g``, then ``(l1, l1, -l2)/p`` would
-    be a relation.  The columns 0 and 1 of ``P1`` differ only by ``l1*d0 !=
-    0``, so a combination of the rows equal to it takes none of the second
-    row and ``1/p`` of the first, which is not an integer combination.
-
-    Each step is certified, or an ``InvariantError`` is raised: ``g``
-    divides ``w_j``, ``mu`` divides ``h*mu`` and ``mu/g`` divides
-    ``R(d1_0)``; ``gcd(h, g) = 1``; :class:`KStarData` accepts the gcds and
-    the slope inequalities, the sign conditions of ``P1`` and ``P2``; and
-    both rows of ``P1`` annihilate ``q``, so ``P1`` corresponds to ``q``.
-
-    The partner needs no second slice.  Write ``q_n = (u_n, eta_n)`` in
-    ``K = Z + Z/mu`` and ``x*l1 + y*d1 = 1`` (``gcd(l1, d1) = 1``), and set
-
-        q'_k = x*l2*(q_i + q_j) - y*(d2*q_i + (d2 + l2*d0)*q_j).
-
-    Applied to ``(q_i, q_j, q'_k)``, the first row of ``P2`` gives
-    ``y*(w_j*q_i - w_i*q_j)`` and the second ``x*(w_j*q_i - w_i*q_j)``; that
-    element is 0 in ``K`` because ``w = mu*u``.  So ``e_n -> q_i, q_j,
-    q'_k`` induces a map ``Z^3 / im(P2^T) -> K``, onto because ``q_i`` and
-    ``q_j`` generate ``K``.  Both groups are ``Z + Z/mu``: the torsion
-    order of the cokernel is the gcd of the weights of ``P2``, and
-    ``gcd(w_i, w_j) = mu`` divides ``w'_k``.  A surjection of ``Z + Z/mu``
-    onto itself is an isomorphism, so ``(mu; u_i, u_j, u'_k; eta_i, eta_j,
-    e)`` with ``(u'_k, e) = q'_k`` is a degree matrix of ``P2``.  Its
-    certificates run on every partner: ``u'_k`` must be ``(u_i + u_j)**2 /
-    u_k`` and both rows of ``P2`` must be annihilated, or an
-    ``InvariantError`` is raised, and :class:`~fwpp.planes.DegreeMatrix`
-    checks that every column pair generates ``K``.  By Vieta, the first makes
-    ``w'_k`` the other root of ``q``'s equation in slot ``k``, so the partner
-    is adjusted over its arrangements for ``q``'s degree.
-    """
+    """Reconstruct the K*-surface over the T-singular point ``z(slot)`` and return the partner plane it degenerates to,
+    with the surface, as solved and certified by :func:`_partner`.  Raises ``ValueError`` for a slot outside ``{0, 1,
+    2}`` or when ``q`` has no integral degree, and :class:`NotDegenerableError` when the point is not a T-singularity.
+    A given ``l1`` is taken as the local Gorenstein index at ``z(slot)``."""
     if slot not in (0, 1, 2):
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {_text(slot, repr)}")
-    # refuses a non-integral degree, where a failed certificate below would report bad input as a defect
+    # refuses a non-integral degree, where a failed certificate in _partner would report bad input as a defect
     a = planes.integral_degree(q)
-    w = planes.fake_weights_of_degree_matrix(q)
-    rest = sorted((i for i in range(3) if i != slot), key=lambda i: (w[i], i))
-    perm = (rest[0], rest[1], slot)
-    (wi, wj, wk), up, etap = (tuple(v[n] for n in perm) for v in (w, q.u, q.eta))
-    (ui, uj, uk), (ei, ej, ek), mu = up, etap, q.mu
+    kstar, raw, adjusted = _partner(q, slot, planes.local_gorenstein_index(q, slot) if l1 is None else l1, a)
+    try:
+        q2_raw = DegreeMatrix(q.mu, *raw)
+        q2 = q2_raw if adjusted == raw else DegreeMatrix(q.mu, *adjusted)
+    except ValueError as exc:  # _partner certified the partner: a refusal is a defect here, not bad input
+        raise InvariantError(f"partner of {_text(q)} at slot {_text(slot)}: {exc}") from exc
+    return AdjacentPair(q2=q2, q2_raw=q2_raw, kstar=KStarData(*kstar))
 
-    l1 = planes.local_gorenstein_index(q, slot) if l1 is None else l1
+
+def _partner(q: DegreeMatrix | ClassifiedPlane, slot: int, l1: int, a: int):
+    """The surface data ``(l1, l2, d0, d1, d2)`` over ``z(slot)`` of ``q``, of degree ``a`` and local Gorenstein index
+    ``l1`` there, with the partner's raw columns ``(u, eta)`` in the second slice's order and its adjusted columns, all
+    solved, not searched, on the integers of ``q``, which names the plane in errors.
+
+    Write ``perm = (i, j, k)``, ``k = slot``, ``w = mu*u``, ``e = eta`` and ``g = gcd(l1, l2)``.  As ``w_k = d*l1**2``
+    and ``l2*w_k = l1*(w_i + w_j)``, the second row of ``P1`` has free part 0 for ``d2 = (w_j - d1*l2) / l1``, integral
+    exactly when ``d1*l2 == w_j (mod l1)``: ``d1 == d1_0 (mod l1/g)``, if ``g`` divides ``w_j``.  The first row of
+    ``P1`` has torsion ``h*mu = l1*(e_i + e_j) - l2*e_k``, and the lift ``d1_0 + t*l1/g`` lowers ``d2`` by ``t*l2/g``,
+    so it moves the torsion ``R`` of the second row by ``t*h*mu/g``.  The lift that annihilates is ``t = -r * h**-1
+    (mod g)``, ``r = R(d1_0) / (mu/g)``.  ``h`` is a unit mod ``g``: the rows of ``P1`` span the whole relation lattice
+    of ``q``, by the surjection argument below for ``P2``.  If a prime ``p`` divided both ``h`` and ``g``, then ``(l1,
+    l1, -l2)/p`` would be a relation.  The columns 0 and 1 of ``P1`` differ only by ``l1*d0 != 0``, so a combination of
+    the rows equal to it takes none of the second row and ``1/p`` of the first, which is not an integer combination.
+
+    The partner needs no second slice.  Write ``q_n = (u_n, eta_n)`` in ``K = Z + Z/mu`` and ``x*l1 + y*d1 = 1``
+    (``gcd(l1, d1) = 1``), and set ``q'_k = x*l2*(q_i + q_j) - y*(d2*q_i + (d2 + l2*d0)*q_j)``.  Applied to ``(q_i,
+    q_j, q'_k)``, the first row of ``P2`` gives ``y*(w_j*q_i - w_i*q_j)`` and the second ``x*(w_j*q_i - w_i*q_j)``;
+    that element is 0 in ``K`` because ``w = mu*u``.  So ``e_n -> q_i, q_j, q'_k`` induces a map ``Z^3 / im(P2^T) ->
+    K``, onto because ``q_i`` and ``q_j`` generate ``K``.  Both groups are ``Z + Z/mu``: the torsion order of the
+    cokernel is the gcd of the weights of ``P2``, and ``gcd(w_i, w_j) = mu`` divides ``w'_k``.  A surjection of ``Z +
+    Z/mu`` onto itself is an isomorphism, so ``(mu; u_i, u_j, u'_k; eta_i, eta_j, e)`` with ``(u'_k, e) = q'_k`` is a
+    degree matrix of ``P2``.  By Vieta, ``u'_k = (u_i + u_j)**2 / u_k`` makes ``w'_k`` the other root of ``q``'s
+    equation in slot ``k``, so the partner is adjusted over its arrangements for the degree ``a``.
+
+    Each step is certified, or ``NotDegenerableError`` (the first two) or ``InvariantError`` is raised: the T-test
+    gives ``d0``; ``l2`` is integral; ``g`` divides ``w_j``, ``mu`` divides ``h*mu`` and ``mu/g`` divides ``R(d1_0)``;
+    ``gcd(h, g) = 1``; :func:`_check_kstar` accepts the gcds and the slope inequalities, the sign conditions of ``P1``
+    and ``P2``; both rows of ``P1`` annihilate ``q``; ``u'_k`` is the mutation's; both rows of ``P2`` annihilate the
+    partner; any two of its columns generate ``K`` (its ``u`` is positive and its ``eta`` reduced as built), so it is a
+    plane; and :func:`fwpp.planes._normalize_second_row` finds its units.  The adjusted copy is the image of the checked
+    partner under a column permutation and a positive automorphism of ``K``, so its columns generate ``K`` pairwise
+    with no second check.  The caller checks the slot range and the integral degree: :func:`adjacent_partner` refuses
+    bad input, and :func:`adjacency_graph` passes slots of classes whose degree :func:`fwpp.planes.classify` checked,
+    and then finds the adjusted partner among those classes.
+    """
+    mu, u, eta = q.mu, q.u, q.eta
+    i, j = (n for n in range(3) if n != slot)
+    if u[j] < u[i]:  # the two other columns by weight, then index
+        i, j = j, i
+    (ui, uj, uk), (ei, ej, ek) = (u[i], u[j], u[slot]), (eta[i], eta[j], eta[slot])
+    wi, wj, wk = mu * ui, mu * uj, mu * uk
+
     is_t, d0 = planes._t_test(-wk, l1)  # is_t_singular's test, giving d0 = -w_k / l1**2
     if not is_t:
         raise NotDegenerableError(f"fixed point {_text(slot)} of {_text(q)} is not a T-singularity")
@@ -200,12 +210,13 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
         raise InvariantError(f"first slice torsion {_text(h)} of {_text(q)} at slot {_text(slot)} is not a unit mod {_text(g)}")
     d1 += -r * pow(h, -1, g) % g * step
     d2 = (wj - d1 * l2) // l1
+    kstar = (l1, l2, d0, d1, d2)
     try:
-        kstar = KStarData(l1=l1, l2=l2, d0=d0, d1=d1, d2=d2)
+        _check_kstar(*kstar)
     except ValueError as exc:
         raise InvariantError(f"slice data of {_text(q)} at slot {_text(slot)}: {exc}") from exc
-    if not abelian.annihilates(((l1, l1, -l2), (d1, d1 + l1 * d0, d2)), up, etap, mu):
-        raise InvariantError(f"slice data {_text(kstar)} does not annihilate the columns of {_text(q)}")
+    if not abelian.annihilates(((l1, l1, -l2), (d1, d1 + l1 * d0, d2)), (ui, uj, uk), (ei, ej, ek), mu):
+        raise InvariantError(f"slice data {_text(kstar, _kstar_repr)} does not annihilate the columns of {_text(q)}")
 
     # the partner's column k, solved from both rows of P2 as in the docstring
     x, y = abelian.bezout(l1, d1)
@@ -217,11 +228,11 @@ def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> Ad
     if not abelian.annihilates(((l2, l2, -l1), (ci, cj, d1)), u2, eta2, mu):
         raise InvariantError(f"partner columns {_text(u2)}, {_text(eta2)} of {_text(q)} do not annihilate the second slice")
     try:
-        q2_raw = DegreeMatrix(mu, u2, eta2)
-        q2 = planes._normalize(q2_raw, markov.admissible_arrangements(u2, mu * a))
+        planes._check_pairs(mu, u2, eta2)
+        adjusted = planes._adjusted(mu, u2, eta2, markov.admissible_arrangements(u2, mu * a))
     except ValueError as exc:  # the certificates above make the partner a plane: a refusal is a defect here, not bad input
         raise InvariantError(f"partner of {_text(q)} at slot {_text(slot)}: {exc}") from exc
-    return AdjacentPair(q2=q2, q2_raw=q2_raw, kstar=kstar)
+    return kstar, (u2, eta2), adjusted
 
 
 @dataclass(frozen=True)
@@ -292,8 +303,9 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     the family's tree and then its class count in :func:`fwpp.planes.classify`,
     before any partner is built.  The partner over ``z(k)`` has norm
     ``a*w_i*w_j - N``, so only those of norm in ``[N, norm_bound]`` are
-    built and looked up by ``(u, eta)``: one per edge, from its lower end,
-    and the self-pairs.  One built but not classified raises ``InvariantError``.
+    solved by :func:`_partner` and looked up by their adjusted ``(u, eta)``:
+    one per edge, from its lower end, and the self-pairs.  One solved but not
+    classified raises ``InvariantError``.
     """
     if (a, mu) not in planes.SERIES_ETAS:
         raise ValueError(f"no series exists for degree {_text(a)} with torsion order {_text(mu)}")
@@ -305,13 +317,16 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
         # the Gorenstein index of each T-singular slot, by is_t_singular's test on the local class group order w[k]
         t_slots = {k: l1 for k in range(3) if planes._t_test(w[k], l1 := planes.local_gorenstein_index(c, k))[0]}
         # w[k - 1] and w[k - 2] are the two weights other than w[k]
-        pairs = [adjacent_partner(c, k, l1=l1) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
-        ends = [by_columns.get(_columns(p.q2)) for p in pairs]
-        self_kstar = min((p.kstar for p, d in zip(pairs, ends) if d is c), key=lambda k: not k.non_toric, default=None)
-        nodes.append(GraphNode(plane=c, self_kstar=self_kstar, all_t=len(t_slots) == 3))
-        for pair, d in zip(pairs, ends):
+        pairs = [_partner(c, k, l1, a) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]
+        ends = [by_columns.get(adjusted) for _, _, adjusted in pairs]
+        for (_, _, adjusted), d in zip(pairs, ends):
             if d is None:
-                raise InvariantError(f"partner {_text(pair.q2)} of {_text(c)} is within the bound but not classified")
+                raise InvariantError(f"partner {_text(DegreeMatrix(mu, *adjusted))} of {_text(c)} is within the bound but not classified")
+        # the surface of a self-pair, a non-toric one (l1 = kstar[0] and l2 = kstar[1] above 1) first
+        selves = [kstar for (kstar, _, _), d in zip(pairs, ends) if d is c]
+        self_kstar = KStarData(*min(selves, key=lambda k: k[0] == 1 or k[1] == 1)) if selves else None
+        nodes.append(GraphNode(plane=c, self_kstar=self_kstar, all_t=len(t_slots) == 3))
+        for d in ends:
             if d is not c:  # class order is (u, eta) order: the partner's free parts are the node's with one entry mutated within
                 # its cofactor, so arranged they compare componentwise, as the norms do; equal norms mean equal u, and eta decides
                 edges.add(GraphEdge(*sorted((c, d)), set(c.all_series).isdisjoint(d.all_series)))

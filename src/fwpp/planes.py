@@ -89,29 +89,34 @@ class DegreeMatrix:
             raise ValueError(f"free parts must be positive, got {_text(self.u)}")
         if any(not 0 <= e < self.mu for e in self.eta):
             raise ValueError(f"torsion parts must be reduced mod {_text(self.mu)}, got {_text(self.eta)}")
-        for i in range(3):
-            for j in range(i + 1, 3):
-                if not abelian.pair_generates((self.u[i], self.eta[i]), (self.u[j], self.eta[j]), self.mu):
-                    raise ValueError(f"columns {_text(i)},{_text(j)} of (mu={_text(self.mu)}, u={_text(self.u)}, "
-                                     f"eta={_text(self.eta)}) fail to generate the class group")
+        _check_pairs(self.mu, self.u, self.eta)
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
         """Read ``mu`` and the arrays ``u`` and ``eta`` of integers or integer
-        strings of any length; a float or bool entry (``int()`` would
-        truncate or read it) and a ``u`` or ``eta`` that is not an array
-        are refused."""
+        strings of any length; a missing ``mu`` or ``u``, an entry of any
+        other JSON type (``int()`` would truncate a float and read a bool)
+        and a ``u`` or ``eta`` that is not an array are refused, each by name."""
         if not isinstance(obj, dict):  # an index into any other JSON value fails in Python's words
             raise ValueError("expected a JSON object with mu, u and eta")
+        if missing := [key for key in ("mu", "u") if key not in obj]:
+            raise ValueError(f"expected a JSON object with mu, u and eta, missing {_text(' and '.join(missing))}")
         if not isinstance(obj["u"], list) or not isinstance(obj.get("eta", []), list):
             raise ValueError("degree matrix columns u and eta must be JSON arrays")
         for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
-            if isinstance(x, (bool, float)):
+            if isinstance(x, bool) or not isinstance(x, (int, str)):
                 raise ValueError(f"degree matrix entries must be integers, got {_text(x, repr)}")
         mu = _decimal_int(obj["mu"])
         u = tuple(_decimal_int(x) for x in obj["u"])
         eta = tuple(_decimal_int(x) for x in obj.get("eta", (0, 0, 0)))
         return cls(mu, u, tuple(e % mu for e in eta))
+
+
+def _check_pairs(mu: int, u: Triple, eta: Triple) -> None:
+    """Raise ``ValueError`` unless every two of the columns ``(u_i, eta_i)`` generate ``K = Z + Z/mu``."""
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        if not abelian.pair_generates((u[i], eta[i]), (u[j], eta[j]), mu):
+            raise ValueError(f"columns {_text(i)},{_text(j)} of (mu={_text(mu)}, u={_text(u)}, eta={_text(eta)}) fail to generate the class group")
 
 
 @dataclass(frozen=True, order=True)
@@ -305,19 +310,15 @@ def _normalize_second_row(u: Triple, eta: Triple, mu: int) -> Triple:
     return tuple((scale * e) % mu for e in shifted)
 
 
-def _normalize(q: DegreeMatrix, perms) -> DegreeMatrix:
-    """:func:`adjust` of ``q`` over its admissible column orders ``perms``."""
+def _adjusted(mu: int, u: Triple, eta: Triple, perms) -> tuple[Triple, Triple]:
+    """The columns ``(u, eta)`` of :func:`adjust` over their admissible column orders ``perms``."""
     best = None
     for perm in perms:
-        u_p = tuple(q.u[i] for i in perm)
-        eta_p = tuple(q.eta[i] for i in perm)
-        eta_n = _normalize_second_row(u_p, eta_p, q.mu)
-        candidate = (eta_n[2], perm)
-        if best is None or candidate < best[0]:
-            best = (candidate, u_p, eta_n)
-    _, u_p, eta_n = best
-    unchanged = u_p == q.u and eta_n == q.eta
-    return q if unchanged else DegreeMatrix(q.mu, u_p, eta_n)
+        u_p = (u[perm[0]], u[perm[1]], u[perm[2]])
+        eta_n = _normalize_second_row(u_p, (eta[perm[0]], eta[perm[1]], eta[perm[2]]), mu)
+        if best is None or (eta_n[2], perm) < best[0]:
+            best = (eta_n[2], perm), u_p, eta_n
+    return best[1], best[2]
 
 
 def adjust(q: DegreeMatrix) -> DegreeMatrix:
@@ -333,7 +334,8 @@ def adjust(q: DegreeMatrix) -> DegreeMatrix:
     map from ``q`` to it is :func:`isomorphism_witness` of the two.  An
     input already in adjusted form is returned itself, not rebuilt.
     """
-    return _normalize(q, markov.admissible_arrangements(q.u, q.mu * integral_degree(q)))
+    u, eta = _adjusted(q.mu, q.u, q.eta, markov.admissible_arrangements(q.u, q.mu * integral_degree(q)))
+    return q if (u, eta) == (q.u, q.eta) else DegreeMatrix(q.mu, u, eta)
 
 
 def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
@@ -426,9 +428,10 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     admissible order, ``(u_arr; 0, 1, eta)`` is adjusted for every series
     eta (shift 0 and scale 1, as ``gcd(u_0, mu) = 1``) and distinct etas
     stay distinct, so each class is ``u_arr`` with a shared row and label.
-    Only a node with tied entries builds its matrices, normalizes them over
-    its orders and merges equal forms; the identity order leaves ``(u_arr;
-    0, 1, eta)`` as it is, so each label must be the least merged one.
+    Only a node with tied entries checks its column pairs, normalizes its
+    columns over its orders and merges equal forms; the identity order
+    leaves ``(u_arr; 0, 1, eta)`` as it is, so each label must be the least
+    merged one.
     ``max_nodes`` caps each family's tree as in :func:`fwpp.markov.enumerate_tree`,
     its error naming ``a``, the family's ``mu`` and ``norm_bound`` as given
     here, and then the class total, with the same ``EnumerationCapExceeded``.
@@ -463,13 +466,15 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
             perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on u_arr
             try:
                 for eta, ids in rows:
-                    groups.setdefault(_normalize(DegreeMatrix(fam_mu, u_arr, eta), perms), []).extend(ids)
+                    _check_pairs(fam_mu, u_arr, eta)
+                    groups.setdefault(_adjusted(fam_mu, u_arr, eta, perms), []).extend(ids)
             except ValueError as exc:  # _check_node certified every matrix: a refusal is a defect here, not bad input
                 raise InvariantError(f"tied node {_text(u_arr)} of mu {_text(fam_mu)}: {exc}") from exc
-            for q, ids in groups.items():
-                if _series_label(q, a) != min(ids):
-                    raise InvariantError(f"adjusted matrix {_text(q)} is not labelled by the least of its series {_text(ids)}")
-                out.append(ClassifiedPlane(n, q.u, q.eta, fam_mu, tuple(sorted(ids))))
+            for (u, eta), ids in groups.items():
+                c = ClassifiedPlane(n, u, eta, fam_mu, tuple(sorted(ids)))
+                if _series_label(c, a) != c.series:
+                    raise InvariantError(f"adjusted matrix {_text(c.matrix)} is not labelled by the least of its series {_text(ids)}")
+                out.append(c)
     if max_nodes is not None and len(out) > max_nodes:
         raise markov.EnumerationCapExceeded(f"{_text(len(out))} classes exceed the node cap {_text(max_nodes)}")
     out.sort()
@@ -497,8 +502,8 @@ def _check_node(u: Triple, mu: int, etas: Sequence[int]) -> None:
         raise InvariantError(f"columns 1,2 of (mu={_text(mu)}, u={_text(u)}, eta=(0, 1, e)) fail to generate K for an e in {_text(etas)}")
 
 
-def _series_label(q: DegreeMatrix, a: int) -> SeriesId:
-    """Series label of ``q``, an adjusted matrix of integral degree ``a``."""
+def _series_label(q: DegreeMatrix | ClassifiedPlane, a: int) -> SeriesId:
+    """Series label of ``q``, an adjusted matrix or class of integral degree ``a``."""
     eta = q.eta[2] if q.mu > 1 else 0
     sid = SeriesId(a, q.mu, eta)
     if eta not in SERIES_ETAS.get((a, q.mu), ()):

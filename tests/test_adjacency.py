@@ -370,10 +370,10 @@ class TestClosedFormPartner:
             adjacency.adjacent_partner(q, 2)
 
     def test_a_refused_partner_adjustment_is_an_invariant_failure(self, monkeypatch):
-        def refuse(q, perms):
+        def refuse(mu, u, eta, perms):
             raise ValueError("normalization refused")
 
-        monkeypatch.setattr(planes, "_normalize", refuse)
+        monkeypatch.setattr(planes, "_adjusted", refuse)
         with pytest.raises(markov.InvariantError, match=r"^partner of DegreeMatrix\(.*\) at slot 2: normalization refused$"):
             adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
@@ -568,8 +568,8 @@ class TestPrunedGraph:
 
     @pytest.mark.parametrize("a, mu", planes.SERIES_FAMILIES)
     def test_equals_the_unpruned_graph(self, a, mu):
-        graph = adjacency.adjacency_graph(a, mu, graph_bound(a))
-        full = oracles.full_adjacency_graph(a, mu, graph_bound(a))
+        graph = adjacency.adjacency_graph(a, mu, 10**30)
+        full = oracles.full_adjacency_graph(a, mu, 10**30)
         assert graph.nodes == full.nodes
         assert [n.self_kstar for n in graph.nodes] == [n.self_kstar for n in full.nodes]
         assert graph.edges == full.edges
@@ -590,13 +590,13 @@ class TestPrunedGraph:
     def test_node_cap_refuses_before_any_partner(self, monkeypatch):
         # the tree of (2, 3) has 30 nodes below 10^6, its classes 60
         partners = []
-        real = adjacency.adjacent_partner
+        real = adjacency._partner
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             partners.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(adjacency, "adjacent_partner", counting)
+        monkeypatch.setattr(adjacency, "_partner", counting)
         with pytest.raises(markov.EnumerationCapExceeded, match="60 classes exceed the node cap 40"):
             adjacency.adjacency_graph(2, 3, 10**6, max_nodes=40)
         assert partners == []
@@ -616,6 +616,109 @@ class TestPrunedGraph:
         monkeypatch.setattr(adjacency.planes, "classify", lossy)
         with pytest.raises(markov.InvariantError, match=r"u=\(1, 9, 2\).*u=\(1, 1, 2\)"):
             adjacency.adjacency_graph(1, 8, 10**5)
+
+
+def _nth_call_fails(n):
+    """``abelian.annihilates`` refusing its ``n``-th call in each run: 1 is the first slice, 2 the second."""
+
+    def inject(monkeypatch, c, k):
+        calls, real = itertools.count(1), abelian.annihilates
+        monkeypatch.setattr(abelian, "annihilates", lambda *args: next(calls) != n and real(*args))
+
+    return inject
+
+
+def _wrong_index(index):
+    """``planes.local_gorenstein_index`` reading ``index`` at the slot under test: the graph's T-test still passes."""
+
+    def inject(monkeypatch, c, k):
+        real = planes.local_gorenstein_index
+        monkeypatch.setattr(planes, "local_gorenstein_index", lambda q, n: index if (q.u, q.eta, n) == (c.u, c.eta, k) else real(q, n))
+
+    return inject
+
+
+def _wrapped(module, name, wrap):
+    def inject(monkeypatch, c, k):
+        monkeypatch.setattr(module, name, wrap(getattr(module, name)))
+
+    return inject
+
+
+#: one injected defect per certificate of ``adjacency._partner``: the family, the class (``u``, ``eta``, slot) it hits,
+#: or None for the first partner of the family's graph, and the message with ``{q}`` for the class, as both routes raise it
+PARTNER_CERTIFICATES = {
+    "T-test": ((1, 5), None, _wrapped(planes, "_t_test", lambda real: lambda cl, iota: (False, None) if cl < 0 else real(cl, iota)),
+               adjacency.NotDegenerableError, "fixed point 2 of {q} is not a T-singularity"),
+    "integral l2": ((5, 1), ((1, 4, 5), (0, 0, 0), 1), _wrong_index(1),
+                    adjacency.NotDegenerableError, "second isotropy order of {q} at slot 1 is not integral"),
+    "slice congruences": ((3, 2), ((1, 2, 3), (0, 1, 1), 1), _wrong_index(1),
+                          markov.InvariantError, "slice congruences of {q} at slot 1 have no solution"),
+    "gcd(h, g)": ((4, 2), ((1, 1, 2), (0, 1, 1), 2), _wrong_index(2),
+                  markov.InvariantError, "first slice torsion 0 of {q} at slot 2 is not a unit mod 2"),
+    "KStarData checks": ((1, 5), None, _wrapped(adjacency, "_check_kstar", lambda real: lambda l1, l2, d0, d1, d2: real(l1, l2, -d0, d1, d2)),
+                         markov.InvariantError, "slice data of {q} at slot 2: slope inequalities fail for KStarData(l1=1, l2=1, d0=25, d1=0, d2=20)"),
+    "first slice": ((1, 5), None, _nth_call_fails(1),
+                    markov.InvariantError, "slice data KStarData(l1=1, l2=1, d0=-25, d1=0, d2=20) does not annihilate the columns of {q}"),
+    "mutation": ((1, 5), None, _wrapped(abelian, "bezout", lambda real: lambda a, c: (0, 0)),
+                 markov.InvariantError, "partner column of {q} at slot 2 has free part 0, not the mutation's"),
+    "second slice": ((1, 5), None, _nth_call_fails(2),
+                     markov.InvariantError, "partner columns (1, 4, 5), (0, 1, 1) of {q} do not annihilate the second slice"),
+    "pair generation": ((1, 5), None, _wrapped(abelian, "pair_generates", lambda real: lambda *args: False),
+                        markov.InvariantError, "partner of {q} at slot 2: columns 0,1 of (mu=5, u=(1, 4, 5), eta=(0, 1, 1)) fail to generate the class group"),
+    "leading unit": ((1, 5), None, _wrapped(planes, "_normalize_second_row", lambda real: lambda u, eta, mu: real((mu * u[0], *u[1:]), eta, mu)),
+                     markov.InvariantError, "partner of {q} at slot 2: leading free part 5 is not coprime to mu=5"),
+    "second unit": ((1, 5), None, _wrapped(planes, "_normalize_second_row", lambda real: lambda u, eta, mu: real(u, (0, 0, eta[2]), mu)),
+                    markov.InvariantError, "partner of {q} at slot 2: second torsion entry 0 is not a unit mod 5"),
+}
+
+
+class TestGraphCertificates:
+    """Every certificate of a partner runs on the graph's partners as on :func:`adjacency.adjacent_partner`'s."""
+
+    @pytest.mark.parametrize("name", PARTNER_CERTIFICATES)
+    def test_a_defect_is_refused_on_both_routes(self, monkeypatch, name):
+        (a, mu), target, inject, error, message = PARTNER_CERTIFICATES[name]
+        bound = 10**5
+        window = [(c, k) for c in planes.classify(a, bound, mu=mu) for k in range(3)
+                  if planes.is_t_singular(c, k)[0] and c.norm <= a * c.weights[k - 1] * c.weights[k - 2] - c.norm <= bound]
+        c, k = window[0] if target is None else next((c, k) for c, k in window if (c.u, c.eta, k) == target)
+        pinned = message.format(q=repr(c))
+        inject(monkeypatch, c, k)
+        with pytest.raises(error) as partner:
+            adjacency.adjacent_partner(c, k)
+        monkeypatch.undo()
+        inject(monkeypatch, c, k)
+        with pytest.raises(error) as graph:
+            adjacency.adjacency_graph(a, mu, bound)
+        assert str(partner.value) == str(graph.value) == pinned
+
+    def test_the_graph_builds_objects_only_for_self_pairs(self, monkeypatch):
+        built = {"DegreeMatrix": 0, "AdjacentPair": 0, "KStarData": 0}
+        for cls in (DegreeMatrix, adjacency.AdjacentPair, KStarData):
+            real_init = cls.__init__
+
+            def counting(self, *args, real_init=real_init, **kwargs):
+                built[type(self).__name__] += 1
+                real_init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        graph = adjacency.adjacency_graph(1, 8, 10**48)
+        self_pairs = sum(n.self_kstar is not None for n in graph.nodes)
+        assert self_pairs == 3 and len(graph.edges) == 2214
+        assert built == {"DegreeMatrix": 0, "AdjacentPair": 0, "KStarData": self_pairs}
+
+    @settings(max_examples=150, deadline=None)
+    @given(deep_series_members(max_digits=30))
+    def test_core_equals_the_lift_scan_and_adjacent_partner(self, q):
+        a = planes.integral_degree(q)
+        for k in range(3):
+            if planes.is_t_singular(q, k)[0]:
+                kstar, raw, (u, eta) = adjacency._partner(q, k, planes.local_gorenstein_index(q, k), a)
+                assert KStarData(*kstar) == oracles.lift_partner_kstar(q, k)
+                pair = adjacency.adjacent_partner(q, k)
+                assert raw == (pair.q2_raw.u, pair.q2_raw.eta)
+                assert (u, eta) == (pair.q2.u, pair.q2.eta)
 
 
 class TestGlobalInvariants:
@@ -676,9 +779,9 @@ class TestClassifyOneFamily:
 
     @staticmethod
     def _check_t_point_work(monkeypatch, bound, partners):
-        # one Gorenstein index per node slot, handed to the partner built
-        # there; a partner is solved in K, so no slice generator matrix is
-        # built or validated
+        # one Gorenstein index per node slot, handed to the partner solved
+        # there by the integer core; a partner is solved in K, so no slice
+        # generator matrix is built or validated
         counts = {"iota": 0, "validate": 0, "partner": 0, "adjust": 0, "normalize": 0, "degree": 0}
 
         def counted(module, name, key):
@@ -692,9 +795,9 @@ class TestClassifyOneFamily:
 
         counted(planes, "local_gorenstein_index", "iota")
         counted(abelian, "validate_generator_matrix", "validate")
-        counted(adjacency, "adjacent_partner", "partner")
+        counted(adjacency, "_partner", "partner")
         counted(planes, "adjust", "adjust")
-        counted(planes, "_normalize", "normalize")
+        counted(planes, "_adjusted", "normalize")
         counted(planes, "integral_degree", "degree")
         graph = adjacency.adjacency_graph(1, 8, bound)
         assert counts["partner"] == partners == len(graph.edges) + sum(n.self_kstar is not None for n in graph.nodes)
@@ -703,10 +806,10 @@ class TestClassifyOneFamily:
         # nodes come adjusted from classify, which checks each node's degree
         # in its node check and normalizes the four etas of its one tied
         # node, (1, 1, 2); each partner is normalized once, over the
-        # arrangements for its input's degree, which it derives once
+        # arrangements for the family's degree, which no partner derives again
         assert counts["adjust"] == 0
         assert counts["normalize"] == 4 + counts["partner"]
-        assert counts["degree"] == counts["partner"]
+        assert counts["degree"] == 0
 
 
 class TestCensus:
@@ -725,13 +828,13 @@ class TestCensus:
         # every T-singular point of the base classes builds 49
         expected = [e for (a, mu) in planes.SERIES_FAMILIES for e in oracles.census(a, mu)]
         partners = []
-        real = adjacency.adjacent_partner
+        real = adjacency._partner
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             partners.append(args)
-            return real(*args, **kwargs)
+            return real(*args)
 
-        monkeypatch.setattr(adjacency, "adjacent_partner", counting)
+        monkeypatch.setattr(adjacency, "_partner", counting)
         assert adjacency.self_adjacency_census() == expected
         assert len(partners) == 18
 

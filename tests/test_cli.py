@@ -422,6 +422,19 @@ class TestSing:
             if not matrix.startswith("{"):
                 assert err == "error: not a degree matrix: expected a JSON object with mu, u and eta\n"
 
+    @pytest.mark.parametrize("matrix, reason", [
+        ("{}", "expected a JSON object with mu, u and eta, missing mu and u"),
+        ('{"u":[1,1,1]}', "expected a JSON object with mu, u and eta, missing mu"),
+        ('{"mu":1,"eta":[0,0,0]}', "expected a JSON object with mu, u and eta, missing u"),
+        ('{"mu":1,"u":[[1],1,1],"eta":[0,0,0]}', "degree matrix entries must be integers, got [1]"),
+        ('{"mu":[8],"u":[1,1,2]}', "degree matrix entries must be integers, got [8]"),
+        ('{"mu":8,"u":[1,1,2],"eta":[0,null,3]}', "degree matrix entries must be integers, got None"),
+    ])
+    def test_a_missing_field_or_bad_entry_is_named(self, capsys, matrix, reason):
+        # not Python's bare KeyError text ('u') or int()'s own words for a nested array
+        for argv in (("sing", matrix), ("iso", matrix, MATRIX_183)):
+            assert run(capsys, *argv) == (2, "", f"error: not a degree matrix: {reason}\n")
+
     @pytest.mark.parametrize("template", ["{}", '{{"mu":8,"u":{},"eta":[0,1,3]}}'])
     def test_json_nested_too_deep_is_named_so(self, capsys, monkeypatch, template):
         # json.loads raises RecursionError long before 100,000 levels

@@ -354,9 +354,10 @@ class TestClassify:
     def test_checks_each_node_once_and_builds_no_matrix(self, monkeypatch):
         # degree 5 has one family with one eta and no ties among the
         # entries: each node is checked once, and its class is a record
-        # built without any DegreeMatrix; its graph builds partners only
-        counts = {"node": 0, "matrix": 0, "partner": 0, "outside a partner": 0}
-        real_check, real_partner = planes._check_node, adjacency.adjacent_partner
+        # built without any DegreeMatrix; its graph solves each partner on
+        # the integers of its node, so it builds none either
+        counts = {"node": 0, "matrix": 0, "partner": 0}
+        real_check, real_partner = planes._check_node, adjacency._partner
 
         def checking(*args):
             counts["node"] += 1
@@ -364,24 +365,20 @@ class TestClassify:
 
         def post_init(self):
             counts["matrix"] += 1
-            counts["outside a partner"] += counts["partner"] == 0
 
-        def partner(*args, **kwargs):
+        def partner(*args):
             counts["partner"] += 1
-            try:
-                return real_partner(*args, **kwargs)
-            finally:
-                counts["partner"] -= 1
+            return real_partner(*args)
 
         monkeypatch.setattr(planes, "_check_node", checking)
         monkeypatch.setattr(DegreeMatrix, "__post_init__", post_init)
-        monkeypatch.setattr(adjacency, "adjacent_partner", partner)
+        monkeypatch.setattr(adjacency, "_partner", partner)
         classes = planes.classify(5, 10**12)
         assert len(classes) == len(markov.enumerate_tree(5, 10**12).nodes) == counts["node"] == 125
         assert counts["matrix"] == 0
         graph = adjacency.adjacency_graph(5, 1, 10**12)
         assert len(graph.nodes) == 125 and graph.edges
-        assert counts["matrix"] > 0 and counts["outside a partner"] == 0
+        assert counts["partner"] >= len(graph.edges) and counts["matrix"] == 0
         monkeypatch.undo()
         assert all(c.weights == planes.fake_weights_of_degree_matrix(c.matrix) for c in classes)
 
@@ -423,10 +420,10 @@ class TestClassify:
             planes.classify(1, 1000)
 
     def test_a_refused_tied_node_adjustment_is_a_defect(self, monkeypatch):
-        def refuse(q, perms):
+        def refuse(mu, u, eta, perms):
             raise ValueError("normalization refused")
 
-        monkeypatch.setattr(planes, "_normalize", refuse)
+        monkeypatch.setattr(planes, "_adjusted", refuse)
         with pytest.raises(markov.InvariantError, match=r"^tied node \(1, 1, 2\) of mu 8: normalization refused$"):
             planes.classify(1, 1000)
 
@@ -447,13 +444,13 @@ class TestClassify:
         # and labels its merged classes
         calls = {"witness": 0, "arrangements": 0, "adjust": 0, "labels": 0}
         normalized = []
-        real_normalize = planes._normalize
+        real_adjusted = planes._adjusted
 
-        def normalizing(q, perms):
-            normalized.append(q.u)
-            return real_normalize(q, perms)
+        def normalizing(mu, u, eta, perms):
+            normalized.append(u)
+            return real_adjusted(mu, u, eta, perms)
 
-        monkeypatch.setattr(planes, "_normalize", normalizing)
+        monkeypatch.setattr(planes, "_adjusted", normalizing)
 
         def counted(module, name, key):
             real = getattr(module, name)
