@@ -129,16 +129,15 @@ class AdjacentPair:
     kstar: KStarData
 
 
-def adjacent_partner(q: DegreeMatrix, slot: int, *, l1: int | None = None) -> AdjacentPair:
+def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     """Reconstruct the K*-surface over the T-singular point ``z(slot)`` and return the partner plane it degenerates to,
     with the surface, as solved and certified by :func:`_partner`.  Raises ``ValueError`` for a slot outside ``{0, 1,
-    2}`` or when ``q`` has no integral degree, and :class:`NotDegenerableError` when the point is not a T-singularity.
-    A given ``l1`` is taken as the local Gorenstein index at ``z(slot)``."""
+    2}`` or when ``q`` has no integral degree, and :class:`NotDegenerableError` when the point is not a T-singularity."""
     if slot not in (0, 1, 2):
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {_text(slot, repr)}")
     # refuses a non-integral degree, where a failed certificate in _partner would report bad input as a defect
     a = planes.integral_degree(q)
-    kstar, raw, adjusted = _partner(q, slot, planes.local_gorenstein_index(q, slot) if l1 is None else l1, a)
+    kstar, raw, adjusted = _partner(q, slot, planes.local_gorenstein_index(q, slot), a)
     try:
         q2_raw = DegreeMatrix(q.mu, *raw)
         q2 = q2_raw if adjusted == raw else DegreeMatrix(q.mu, *adjusted)
@@ -322,9 +321,8 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
         for (_, _, adjusted), d in zip(pairs, ends):
             if d is None:
                 raise InvariantError(f"partner {_text(DegreeMatrix(mu, *adjusted))} of {_text(c)} is within the bound but not classified")
-        # the surface of a self-pair, a non-toric one (l1 = kstar[0] and l2 = kstar[1] above 1) first
-        selves = [kstar for (kstar, _, _), d in zip(pairs, ends) if d is c]
-        self_kstar = KStarData(*min(selves, key=lambda k: k[0] == 1 or k[1] == 1)) if selves else None
+        selves = [KStarData(*kstar) for (kstar, _, _), d in zip(pairs, ends) if d is c]
+        self_kstar = min(selves, key=lambda k: not k.non_toric, default=None)  # the surface of a self-pair, a non-toric one first
         nodes.append(GraphNode(plane=c, self_kstar=self_kstar, all_t=len(t_slots) == 3))
         for d in ends:
             if d is not c:  # class order is (u, eta) order: the partner's free parts are the node's with one entry mutated within

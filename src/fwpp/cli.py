@@ -30,7 +30,7 @@ import itertools
 import json
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable
 
 from . import adjacency, markov, planes
 from .markov import _decimal_join, _json_list, _json_strs, _text
@@ -115,29 +115,35 @@ def cmd_classify(args) -> int:
     return 0
 
 
-def _sing_json(q: planes.DegreeMatrix, report: planes.SingularityReport) -> Iterator[str]:
-    """``sing``'s JSON line: the matrix as given, its series label at an integral degree, weights, degree and report."""
-    weights = planes.fake_weights_of_degree_matrix(q)
-    deg = planes.degree(weights)
-    series = f',"series":"{planes._series_label(planes.adjust(q), deg.numerator)}"' if deg.denominator == 1 else ""
-    degree = _decimal_join((deg.numerator, deg.denominator), "/") if deg.denominator > 1 else _text(deg.numerator)
-    yield (f'{{"mu":{_text(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}]{series},'
-           f'"weights":{_json_strs(weights)},"degree":"{degree}","report":{report.to_json()}}}\n')
-
-
 def cmd_sing(args) -> int:
     q = _read_matrix_arg(args.matrix)
     report = planes.singularity_report(q)
-    if args.format == "md":
-        _write([planes.report_markdown([report])])
-    elif args.format == "tsv":
+    if args.format == "tsv":  # from the report alone, with no head
         _write(
             "\t".join((f"z({k})", _text(report.cl[k]), _text(report.iota[k]), "+" if report.is_t[k] else "-",
                        "-" if report.d[k] is None else _text(report.d[k]), _text(report.res_curves[k]))) + "\n"
             for k in range(3)
         )
-    else:
-        _write(_sing_json(q, report))
+        return 0
+    # the head of md and json, the one place a sing matrix is labelled: by the series of its adjusted form
+    weights = planes.fake_weights_of_degree_matrix(q)
+    deg = planes.degree(weights)
+    adjusted = planes.adjust(q) if deg.denominator == 1 else None
+    series = None if adjusted is None else planes._series_label(adjusted, deg.numerator)
+    if args.format == "md":  # one row: the matrix as given, its label and its report
+        torsion = q.mu > 1
+        group = f"Z + Z/{_text(q.mu)}" if torsion else "Z"
+        matrix = f"[{_decimal_join(q.u)}]" + (f"/[{_decimal_join(q.eta)}]" if torsion else "")
+        wz = planes.anticanonical_class(q)
+        signs = ",".join("+" if flag else "-" for flag in report.is_t)
+        label = series if adjusted == q else "-"  # json labels the class of any input, md only an adjusted one: ROADMAP item 1
+        _write(["| ID | Cl(Z) | Q | w_Z | (iota_0,iota_1,iota_2) | T | res curves |\n|---|---|---|---|---|---|---|\n"
+                f"| {label} | {group} | {matrix} | ({_decimal_join(wz if torsion else wz[:1], ', ')}) | "
+                f"({_decimal_join(report.iota)}) | ({signs}) | ({_decimal_join(report.res_curves)}) |\n"])
+    else:  # one line: the matrix as given, its label at an integral degree, weights, degree and report
+        member = "" if series is None else f',"series":"{series}"'
+        _write([f'{{"mu":{_text(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}]{member},'
+                f'"weights":{_json_strs(weights)},"degree":"{_text(deg)}","report":{report.to_json()}}}\n'])
     return 0
 
 

@@ -518,9 +518,8 @@ def _series_label(q: DegreeMatrix | ClassifiedPlane, a: int) -> SeriesId:
 
 @dataclass(frozen=True)
 class SingularityReport:
-    """Per-fixed-point singularity data of a plane of integral degree."""
+    """Per-fixed-point singularity data of a plane, of integral degree or not; the plane itself is not kept."""
 
-    matrix: DegreeMatrix
     cl: Triple
     iota: Triple
     is_t: tuple[bool, bool, bool]
@@ -540,26 +539,4 @@ def singularity_report(q: DegreeMatrix) -> SingularityReport:
     iota = tuple(local_gorenstein_index(q, k) for k in range(3))
     flags, ds = zip(*(_t_test(cl[k], iota[k]) for k in range(3)))
     curves = tuple(resolution_curve_count(q, k) for k in range(3))
-    return SingularityReport(q, cl, iota, flags, ds, curves)
-
-
-def report_markdown(reports: Sequence[SingularityReport]) -> str:
-    """Markdown table of singularity data, one row per plane."""
-    header = "| ID | Cl(Z) | Q | w_Z | (iota_0,iota_1,iota_2) | T | res curves |"
-    sep = "|---|---|---|---|---|---|---|"
-    lines = [header, sep]
-    for rep in reports:
-        q = rep.matrix
-        deg = degree(fake_weights_of_degree_matrix(q))
-        sid = str(_series_label(q, deg.numerator)) if deg.denominator == 1 and adjust(q) == q else "-"
-        group = "Z" if q.mu == 1 else f"Z + Z/{_text(q.mu)}"
-        qtxt = f"[{_decimal_join(q.u)}]"
-        if q.mu > 1:
-            qtxt += f"/[{_decimal_join(q.eta)}]"
-        wz = anticanonical_class(q)
-        wz_txt = f"({_decimal_join(wz, ', ')})" if q.mu > 1 else f"({_text(wz[0])})"
-        iota = f"({_decimal_join(rep.iota)})"
-        signs = "({},{},{})".format(*["+" if f else "-" for f in rep.is_t])
-        curves = f"({_decimal_join(rep.res_curves)})"
-        lines.append(f"| {sid} | {group} | {qtxt} | {wz_txt} | {iota} | {signs} | {curves} |")
-    return "\n".join(lines) + "\n"
+    return SingularityReport(cl, iota, flags, ds, curves)

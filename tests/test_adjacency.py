@@ -141,6 +141,11 @@ class TestAdjacentPartner:
         assert pair.q2.u == (1, 1, 4)
         assert pair.kstar.l1 == 1 and not pair.kstar.non_toric
 
+    def test_takes_no_gorenstein_index(self):
+        # the index is computed, never trusted: a wrong one would report bad input as a library defect
+        with pytest.raises(TypeError, match="l1"):
+            adjacency.adjacent_partner(mk(2, (1, 1, 2), (0, 1, 1)), 2, l1=2)
+
     def test_not_t_singular_slot_rejected(self):
         with pytest.raises(adjacency.NotDegenerableError):
             adjacency.adjacent_partner(mk(3, (1, 2, 3), (0, 1, 1)), 0)

@@ -1,6 +1,8 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import argparse
+import ast
+import builtins
 import contextlib
 import decimal
 import functools
@@ -12,6 +14,7 @@ import re
 import shlex
 import subprocess
 import sys
+import tokenize
 from pathlib import Path
 from unittest import mock
 
@@ -19,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fwpp
 import oracles
 from fwpp import abelian, adjacency, cli, markov, planes
 
@@ -332,7 +336,47 @@ class TestSing:
 
     def test_md_table(self, capsys):
         code, out, _ = run(capsys, "sing", MATRIX_183, "--format", "md")
-        assert code == 0 and "| 1-8-3 |" in out
+        assert code == 0 and "| 1-8-3 |" in out and "(2,1,4)" in out
+
+    def test_md_row_of_a_torsion_order_past_the_str_digit_limit(self, capsys):
+        matrix = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
+        code, out, err = run(capsys, "sing", matrix, "--format", "md")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[2].startswith(f"| - | Z + Z/{MU_PAST_THE_LIMIT} | [1,1,1]/[0,1,2] |")
+
+    def test_md_table_does_not_swallow_invariant_failures(self, monkeypatch):
+        # "no label" is decided from the degree and the adjusted form, never by an exception
+        def broken(q, a):
+            raise markov.InvariantError("series invariant failed")
+
+        monkeypatch.setattr(planes, "_series_label", broken)
+        with pytest.raises(markov.InvariantError, match="series invariant failed"):
+            cli.main(["sing", MATRIX_183, "--format", "md"])
+
+    @pytest.mark.parametrize("matrix", ['{"mu":1,"u":["2","3","5"],"eta":[0,0,0]}', MATRIX_187])
+    def test_md_table_labels_only_adjusted_integral_rows(self, capsys, matrix):
+        # a non-integral degree, and an integral one not in adjusted form
+        code, out, _ = run(capsys, "sing", matrix, "--format", "md")
+        assert code == 0 and out.splitlines()[2].split(" | ")[0] == "| -"
+
+    def test_md_table_adjusts_only_integral_rows(self, capsys, monkeypatch):
+        # a non-integral degree already means "no label", so adjust is not asked
+        def refuse(q):
+            raise ValueError("adjust refused")
+
+        monkeypatch.setattr(planes, "adjust", refuse)
+        code, out, _ = run(capsys, "sing", '{"mu":1,"u":["2","3","5"],"eta":[0,0,0]}', "--format", "md")
+        assert code == 0 and out.splitlines()[2].startswith("| - | Z | [2,3,5] |")
+        assert run(capsys, "sing", MATRIX_183, "--format", "md") == (2, "", "error: adjust refused\n")
+
+    @pytest.mark.parametrize("fmt, calls", [("tsv", 0), ("md", 1), ("json", 1)])
+    def test_only_md_and_json_compute_the_head(self, capsys, monkeypatch, fmt, calls):
+        # tsv is written from the report alone; md and json each adjust and label once
+        spies = {name: mock.Mock(wraps=getattr(planes, name)) for name in ("degree", "adjust", "_series_label")}
+        for name, spy in spies.items():
+            monkeypatch.setattr(planes, name, spy)
+        assert run(capsys, "sing", MATRIX_183, "--format", fmt)[0] == 0
+        assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(spies, calls)
 
     @pytest.mark.xfail(
         strict=True,
@@ -1046,3 +1090,20 @@ class TestReadmeExamples:
         for argv in examples:
             code, out, err = run(capsys, *argv)
             assert code == 0 and out and err == "", argv
+
+    def test_library_quick_tour_runs(self):
+        # each statement runs in turn; one whose comment names an exception must raise it
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
+        comments = {t.start[0]: t.string for t in tokenize.generate_tokens(io.StringIO(block).readline) if t.type == tokenize.COMMENT}
+        namespace, raising = {}, 0
+        for statement in ast.parse(block).body:
+            code = compile(ast.Module([statement], []), "README.md", "exec")
+            names = re.findall(r"\b[A-Z]\w*(?:Error|Exceeded)\b", comments.get(statement.end_lineno, ""))
+            if not names:
+                exec(code, namespace)
+                continue
+            with pytest.raises(tuple(getattr(fwpp, n, None) or getattr(builtins, n) for n in names)):
+                exec(code, namespace)
+            raising += 1
+        assert raising == 1  # classify(1, 10**96, max_nodes=10)

@@ -688,8 +688,6 @@ class TestSerialization:
         mu_text = "3" + "0" * 4998 + "1"
         q = DegreeMatrix.from_json_obj({"mu": mu_text, "u": ["1", "1", "1"], "eta": ["0", "1", "2"]})
         assert q == DegreeMatrix(3 * 10**4999 + 1, (1, 1, 1), (0, 1, 2))
-        md = planes.report_markdown([planes.singularity_report(q)])
-        assert md.splitlines()[2].startswith(f"| - | Z + Z/{mu_text} | [1,1,1]/[0,1,2] |")
 
     def test_integers_past_the_str_digit_limit(self):
         # str(int) refuses more than 4,300 digits by default; 18 mutations
@@ -716,41 +714,3 @@ class TestSerialization:
         assert markov._decimal_join(u, "\t") == "\t".join(text)
         assert f'"({",".join(text)})";' in "".join(tree.to_dot())
         assert adjacency._label(q) == f"({','.join(text)})"
-        md = planes.report_markdown([planes.singularity_report(q)])
-        assert f"| 9-1-0 | Z | [{','.join(text)}] |" in md
-
-    def test_markdown_table(self):
-        rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
-        text = planes.report_markdown([rep])
-        assert "| 1-8-3 |" in text and "(2,1,4)" in text
-
-    def test_markdown_table_does_not_swallow_invariant_failures(self, monkeypatch):
-        # "no label" is decided from the degree and the adjusted form, never by an exception
-        rep = planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 3)))
-
-        def broken(q, a):
-            raise AssertionError("series invariant failed")
-
-        monkeypatch.setattr(planes, "_series_label", broken)
-        with pytest.raises(AssertionError, match="series invariant failed"):
-            planes.report_markdown([rep])
-
-    def test_markdown_table_labels_only_adjusted_integral_rows(self):
-        reps = [
-            planes.singularity_report(mk(1, (2, 3, 5))),
-            planes.singularity_report(mk(8, (1, 1, 2), (0, 1, 7))),
-        ]
-        rows = planes.report_markdown(reps).splitlines()[2:]
-        assert [row.split(" | ")[0] for row in rows] == ["| -", "| -"]
-
-    def test_markdown_table_adjusts_only_integral_rows(self, monkeypatch):
-        # a non-integral degree already means "no label", so adjust is not asked
-        rep, integral = (planes.singularity_report(q) for q in (mk(1, (2, 3, 5)), mk(8, (1, 1, 2), (0, 1, 3))))
-
-        def refuse(q):
-            raise ValueError("adjust refused")
-
-        monkeypatch.setattr(planes, "adjust", refuse)
-        assert planes.report_markdown([rep]).splitlines()[2].startswith("| - | Z | [2,3,5] |")
-        with pytest.raises(ValueError, match="adjust refused"):
-            planes.report_markdown([integral])
