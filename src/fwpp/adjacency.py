@@ -39,14 +39,13 @@ base norm.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 
 from . import abelian, markov, planes
-from .markov import InvariantError, _decimal_join, _json_list, _json_strs, _text
+from .markov import InvariantError, _text
 from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
 Triple = tuple[int, int, int]
@@ -241,12 +240,6 @@ class GraphNode:
     all_t: bool  # every fixed point is at most a T-singularity
 
 
-def _label(q: DegreeMatrix | ClassifiedPlane) -> str:
-    """Node label ``(u0,u1,u2; eta2)`` of an adjusted matrix or a class; ``(u0,u1,u2)`` at ``mu = 1``."""
-    tail = "" if q.mu == 1 else f"; {q.eta[2]}"
-    return f"({_decimal_join(q.u)}{tail})"
-
-
 @dataclass(frozen=True)
 class GraphEdge:
     a: ClassifiedPlane
@@ -263,35 +256,6 @@ class AdjacencyGraph:
     norm_bound: int
     nodes: tuple[GraphNode, ...]
     edges: tuple[GraphEdge, ...]
-
-    def to_json(self) -> Iterator[str]:
-        """The graph as compact JSON, one node or edge per part: ``"".join(graph.to_json())`` is the whole text."""
-
-        def node(n: GraphNode) -> str:
-            q, kstar = n.plane, n.self_kstar
-            return (f'{{"label":"{_label(q)}","series":{_json_strs(n.plane.all_series)},"u":{_json_strs(q.u)},'
-                    f'"eta":[{_decimal_join(q.eta)}],"selfAdjacent":{str(kstar is not None).lower()},'
-                    f'"nonToricSelf":{str(kstar is not None and kstar.non_toric).lower()},"allT":{str(n.all_t).lower()}}}')
-
-        yield f'{{"a":{self.a},"mu":{self.mu},"normBound":"{_text(self.norm_bound)}","nodes":'
-        yield from _json_list(map(node, self.nodes))
-        yield ',"edges":'
-        yield from _json_list(f'{{"from":"{_label(e.a)}","to":"{_label(e.b)}","jump":{str(e.jump).lower()}}}' for e in self.edges)
-        yield ',"selfAdjacent":'
-        yield from _json_list(f'"{_label(n.plane)}"' for n in self.nodes if n.self_kstar is not None)
-        yield "}"
-
-    def to_dot(self) -> Iterator[str]:
-        """The graph in Graphviz dot, one line at a time: ``"".join(graph.to_dot())`` is the whole text."""
-
-        def node(n: GraphNode) -> str:
-            kstar = n.self_kstar
-            attrs = "" if kstar is None else ' [peripheries=2, comment="non-toric self-adjacency"]' if kstar.non_toric else " [peripheries=2]"
-            return f'"{_label(n.plane)}"{attrs}'
-
-        edges = (f'"{_label(e.a)}" -- "{_label(e.b)}"{" [color=red]" if e.jump else ""}' for e in self.edges)
-        return markov._dot(f"adjacency_{self.a}_{self.mu}", map(node, self.nodes), edges)
-
 
 def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = None) -> AdjacencyGraph:
     """Graph on the classified planes of one family, edges by adjacency.

@@ -21,7 +21,6 @@ steps below ``(1, 4, 5)`` for ``a = 5``).
 from __future__ import annotations
 
 import decimal
-from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from itertools import chain, islice, permutations
@@ -45,14 +44,6 @@ REDUCED_PARAMETERS = tuple(sorted(REDUCED_ROOTS))
 Triple = tuple[int, int, int]
 
 
-def _decimal_join(values, sep: str = ",") -> str:
-    """``sep``-joined decimal text of a sequence of integers of any size."""
-    try:
-        return sep.join(map(str, values))
-    except ValueError:  # an entry past the int-to-str digit limit
-        return sep.join(map(_text, values))
-
-
 def _text(x, conv=str) -> str:
     """``conv(x)`` (``str``, as in ``f"{x}"``, or ``repr``) at any size, the one way an integer becomes text.
 
@@ -72,39 +63,6 @@ def _text(x, conv=str) -> str:
             return f"({body})" if isinstance(x, tuple) else f"[{body}]"
         names = x._fields if isinstance(x, tuple) else [f.name for f in fields(x) if f.repr]
         return f"{type(x).__qualname__}({', '.join(f'{n}={_text(getattr(x, n), repr)}' for n in names)})"
-
-
-def _json_strs(values) -> str:
-    """The JSON array of the ``str`` of each of ``values``, integers of any size among them."""
-    return '["' + _decimal_join(values, '","') + '"]' if values else "[]"
-
-
-def _json_list(elements: Iterable[str]) -> Iterator[str]:
-    """``[``, the JSON texts ``elements`` separated by ``,``, and ``]``, one element per part."""
-    elements = iter(elements)
-    yield "[" + next(elements, "")
-    yield from map(",".__add__, elements)
-    yield "]"
-
-
-def _dot(name: str, nodes: Iterable[str], edges: Iterable[str]) -> Iterator[str]:
-    """Graphviz ``graph name``, one line per part: each of the ``nodes`` and then the ``edges`` as one statement."""
-    yield f"graph {name} {{\n"
-    yield from (f"  {statement};\n" for statement in chain(nodes, edges))
-    yield "}\n"
-
-
-def _decimal_int(x) -> int:
-    """``int(x)`` at any length: past the str-to-int digit limit, strings are read under
-    the grammar ``int()`` applies below it (whitespace, a sign, single ``_`` between digits)."""
-    try:
-        return int(x)
-    except ValueError:  # past the str-to-int digit limit, or not an integer
-        text = x.strip() if isinstance(x, str) else ""
-        digits = text[1:] if text[:1] in ("+", "-") else text
-        if not digits.replace("_", "").isdecimal() or "__" in f"_{digits}_":
-            raise
-        return int(decimal.Decimal(text.replace("_", "")))
 
 
 def is_solution(u, a: int) -> bool:
@@ -186,23 +144,6 @@ class MutationTree:
         below = chain.from_iterable(self.levels[1:])  # each node's children are the next ``kids`` of these
         children = {u: tuple(islice(below, k)) for u, k in zip(chain.from_iterable(self.levels), chain.from_iterable(self.kids)) if k}
         return tuple((u, v) for u in self.nodes for v in children.get(u, ()))
-
-    def to_json(self) -> Iterator[str]:
-        """The tree as compact JSON, one node or edge per part: ``"".join(tree.to_json())`` is the whole text."""
-        text, depths = {u: _json_strs(u) for u in self.nodes}, self.depths
-        depth_bound = "null" if self.depth_bound is None else _text(self.depth_bound)
-        yield f'{{"a":{self.a},"normBound":"{_text(self.norm_bound)}","depthBound":{depth_bound},"roots":'
-        yield from _json_list(text[r] for r in self.roots)
-        yield ',"nodes":'
-        yield from _json_list(f'{{"u":{t},"norm":"{_text(norm(u))}","depth":{depths[u]}}}' for u, t in text.items())
-        yield ',"edges":'
-        yield from _json_list(f"[{text[x]},{text[y]}]" for x, y in self.edges)
-        yield "}"
-
-    def to_dot(self) -> Iterator[str]:
-        """The tree in Graphviz dot, one line at a time: ``"".join(tree.to_dot())`` is the whole text."""
-        label = {u: f'"({_decimal_join(u)})"' for u in self.nodes}
-        return _dot(f"mutation_tree_{self.a}", label.values(), (f"{label[x]} -- {label[y]}" for x, y in self.edges))
 
 
 class InvariantError(AssertionError):

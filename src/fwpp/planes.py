@@ -31,7 +31,7 @@ from typing import NamedTuple, Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, Pair
-from .markov import InvariantError, _decimal_int, _decimal_join, _json_strs, _text
+from .markov import InvariantError, _text
 
 Triple = tuple[int, int, int]
 
@@ -90,27 +90,6 @@ class DegreeMatrix:
         if any(not 0 <= e < self.mu for e in self.eta):
             raise ValueError(f"torsion parts must be reduced mod {_text(self.mu)}, got {_text(self.eta)}")
         _check_pairs(self.mu, self.u, self.eta)
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "DegreeMatrix":
-        """Read ``mu`` and the arrays ``u`` and ``eta`` of integers or integer
-        strings of any length; a missing ``mu`` or ``u``, an entry of any
-        other JSON type (``int()`` would truncate a float and read a bool)
-        and a ``u`` or ``eta`` that is not an array are refused, each by name."""
-        if not isinstance(obj, dict):  # an index into any other JSON value fails in Python's words
-            raise ValueError("expected a JSON object with mu, u and eta")
-        if missing := [key for key in ("mu", "u") if key not in obj]:
-            raise ValueError(f"expected a JSON object with mu, u and eta, missing {_text(' and '.join(missing))}")
-        if not isinstance(obj["u"], list) or not isinstance(obj.get("eta", []), list):
-            raise ValueError("degree matrix columns u and eta must be JSON arrays")
-        for x in (obj["mu"], *obj["u"], *obj.get("eta", ())):
-            if isinstance(x, bool) or not isinstance(x, (int, str)):
-                raise ValueError(f"degree matrix entries must be integers, got {_text(x, repr)}")
-        mu = _decimal_int(obj["mu"])
-        u = tuple(_decimal_int(x) for x in obj["u"])
-        eta = tuple(_decimal_int(x) for x in obj.get("eta", (0, 0, 0)))
-        return cls(mu, u, tuple(e % mu for e in eta))
-
 
 def _check_pairs(mu: int, u: Triple, eta: Triple) -> None:
     """Raise ``ValueError`` unless every two of the columns ``(u_i, eta_i)`` generate ``K = Z + Z/mu``."""
@@ -408,15 +387,6 @@ class ClassifiedPlane(NamedTuple):
     def matrix(self) -> DegreeMatrix:
         return DegreeMatrix(self.mu, self.u, self.eta)
 
-    def to_json(self, with_report: bool = False) -> str:
-        """The class as one compact JSON object, with its singularity report when ``with_report`` is set."""
-        series = self.all_series[0]
-        merged = f',"mergedSeries":{_json_strs(self.all_series)}' if len(self.all_series) > 1 else ""
-        report = f',"report":{singularity_report(self).to_json()}' if with_report else ""
-        return (f'{{"series":"{series}","mu":{_text(self.mu)},"u":{_json_strs(self.u)},"eta":[{_decimal_join(self.eta)}],'
-                f'"weights":{_json_strs(self.weights)},"degree":"{series.a}"{merged}{report}}}')
-
-
 def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | None = None) -> list[ClassifiedPlane]:
     """All planes of integral degree ``a`` with fake weight norm <= bound.
 
@@ -472,7 +442,7 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
                 raise InvariantError(f"tied node {_text(u_arr)} of mu {_text(fam_mu)}: {exc}") from exc
             for (u, eta), ids in groups.items():
                 c = ClassifiedPlane(n, u, eta, fam_mu, tuple(sorted(ids)))
-                if _series_label(c, a) != c.series:
+                if _series_of(c, a) != c.series:
                     raise InvariantError(f"adjusted matrix {_text(c.matrix)} is not labelled by the least of its series {_text(ids)}")
                 out.append(c)
     if max_nodes is not None and len(out) > max_nodes:
@@ -502,7 +472,7 @@ def _check_node(u: Triple, mu: int, etas: Sequence[int]) -> None:
         raise InvariantError(f"columns 1,2 of (mu={_text(mu)}, u={_text(u)}, eta=(0, 1, e)) fail to generate K for an e in {_text(etas)}")
 
 
-def _series_label(q: DegreeMatrix | ClassifiedPlane, a: int) -> SeriesId:
+def _series_of(q: DegreeMatrix | ClassifiedPlane, a: int) -> SeriesId:
     """Series label of ``q``, an adjusted matrix or class of integral degree ``a``."""
     eta = q.eta[2] if q.mu > 1 else 0
     sid = SeriesId(a, q.mu, eta)
@@ -525,14 +495,6 @@ class SingularityReport:
     is_t: tuple[bool, bool, bool]
     d: tuple[int | None, int | None, int | None]
     res_curves: Triple
-
-    def to_json(self) -> str:
-        """The report as one compact JSON object."""
-        is_t = ",".join(map(str, self.is_t)).lower()
-        d = ",".join("null" if x is None else f'"{_text(x)}"' for x in self.d)
-        return (f'{{"cl":{_json_strs(self.cl)},"iota":{_json_strs(self.iota)},"isT":[{is_t}],'
-                f'"d":[{d}],"resCurves":[{_decimal_join(self.res_curves)}]}}')
-
 
 def singularity_report(q: DegreeMatrix) -> SingularityReport:
     cl = tuple(local_class_group_order(q, k) for k in range(3))

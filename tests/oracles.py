@@ -44,7 +44,7 @@ from itertools import permutations
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
-from fwpp import abelian, adjacency, markov, planes
+from fwpp import abelian, adjacency, cli, markov, planes
 from fwpp.abelian import KAutomorphism, Pair
 from fwpp.adjacency import AdjacencyGraph, GraphEdge, GraphNode, KStarData
 from fwpp.markov import SolutionTriple
@@ -831,7 +831,7 @@ def normalizing_classify(a: int, norm_bound: int, mu: int | None = None) -> list
             for canonical in sorted(groups):
                 series = tuple(sorted(planes.SeriesId(a, fam_mu, eta) for eta in groups[canonical]))
                 # the adjusted eta is the least merged eta, so the canonical label is the least merged label
-                assert planes._series_label(canonical, a) == series[0]
+                assert planes._series_of(canonical, a) == series[0]
                 out.append(classified_plane(canonical, series))
     out.sort(key=lambda c: (c.norm, c.u, c.eta, c.mu))
     return out
@@ -943,7 +943,7 @@ def census(a: int, mu: int) -> list[adjacency.CensusEntry]:
 
 # ---------------------------------------------------------------------------
 # JSON objects as dicts and lists, for ``json.dumps``: the route the text
-# encoders (``to_json``) are checked against, byte for byte
+# writers of ``fwpp.cli`` (``_tree_json``, ``_class_json``, ...) are checked against, byte for byte
 # ---------------------------------------------------------------------------
 
 
@@ -1004,7 +1004,7 @@ def plane_obj(c: planes.ClassifiedPlane, with_report: bool = False) -> dict:
 
 
 def graph_obj(graph: AdjacencyGraph) -> dict:
-    label = adjacency._label
+    label = cli._label
     return {
         "a": graph.a,
         "mu": graph.mu,
@@ -1032,7 +1032,7 @@ def sing_obj(q: planes.DegreeMatrix) -> dict:
     weights = planes.fake_weights_of_degree_matrix(q)
     deg = planes.degree(weights)
     if deg.denominator == 1:
-        obj["series"] = str(planes._series_label(planes.adjust(q), deg.numerator))
+        obj["series"] = str(planes._series_of(planes.adjust(q), deg.numerator))
     obj["weights"] = [markov._text(w) for w in weights]
     obj["degree"] = "/".join(map(markov._text, (deg.numerator, deg.denominator)[: 1 + (deg.denominator > 1)]))
     obj["report"] = report_obj(planes.singularity_report(q))

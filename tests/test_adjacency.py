@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 import golden
 import oracles
-from fwpp import abelian, adjacency, markov, planes
+from fwpp import abelian, adjacency, cli, markov, planes
 from fwpp.adjacency import KStarData
 from fwpp.planes import DegreeMatrix
 
@@ -559,7 +559,7 @@ class TestGraphs:
 
     def test_dot_output_styles_jumps(self):
         graph = adjacency.adjacency_graph(1, 5, 300)
-        dot = "".join(graph.to_dot())
+        dot = "".join(cli._graph_dot(graph))
         assert "color=red" in dot
         assert "peripheries=2" in dot  # the self-adjacent base of (1-5-1)
 
@@ -578,8 +578,8 @@ class TestPrunedGraph:
         assert graph.nodes == full.nodes
         assert [n.self_kstar for n in graph.nodes] == [n.self_kstar for n in full.nodes]
         assert graph.edges == full.edges
-        assert "".join(graph.to_dot()) == "".join(full.to_dot())
-        assert "".join(graph.to_json()) == "".join(full.to_json())
+        assert "".join(cli._graph_dot(graph)) == "".join(cli._graph_dot(full))
+        assert "".join(cli._graph_json(graph)) == "".join(cli._graph_json(full))
 
     def test_partner_norm_is_closed_form(self):
         for (a, mu) in planes.SERIES_FAMILIES:

@@ -35,7 +35,7 @@ def run(capsys, *argv):
 
 def read_json(out):
     """Parse CLI json output, reading numbers of any size."""
-    return json.loads(out, parse_int=markov._decimal_int)
+    return json.loads(out, parse_int=cli.integer)
 
 
 @functools.cache
@@ -168,7 +168,7 @@ class TestCapsOfAnyLength:
     def test_graph_cap_past_the_str_digit_limit_is_no_cap(self, capsys):
         code, out, err = run(capsys, "graph", "--a", "2", "--mu", "3", "--bound", str(10**12), "--max-nodes", HUGE_CAP)
         assert (code, err) == (0, "")
-        assert out == "".join(adjacency.adjacency_graph(2, 3, 10**12).to_dot())
+        assert out == "".join(cli._graph_dot(adjacency.adjacency_graph(2, 3, 10**12)))
 
     @pytest.mark.parametrize("argv", [("solve", "--a", HUGE_CAP), ("classify", "--a", HUGE_CAP),
                                       ("graph", "--a", HUGE_CAP, "--mu", "8"), ("graph", "--a", "1", "--mu", HUGE_CAP)])
@@ -261,6 +261,12 @@ class TestClassify:
         assert (code, err) == (0, "")
         assert out == oracles.classify_text(normalized_classes(a, 10**12), a, "json", report=True)
 
+    @pytest.mark.parametrize("fmt", [(), ("--format", "tsv"), ("--format", "md")], ids=["default", "tsv", "md"])
+    def test_report_outside_json_is_refused(self, capsys, fmt):
+        # the tables have no column for a report, so the flag is refused rather than ignored
+        code, out, err = run(capsys, "classify", "--a", "2", "--bound", "30", "--report", *fmt)
+        assert (code, out, err) == (2, "", "error: --report needs --format json\n")
+
     # sha256 of the 15,533 classes of degree 1 below 10^48, past the 10^12
     # at which the benchmark stops degree 1; recorded while classify still
     # built every class through the full constructors
@@ -349,7 +355,7 @@ class TestSing:
         def broken(q, a):
             raise markov.InvariantError("series invariant failed")
 
-        monkeypatch.setattr(planes, "_series_label", broken)
+        monkeypatch.setattr(planes, "_series_of", broken)
         with pytest.raises(markov.InvariantError, match="series invariant failed"):
             cli.main(["sing", MATRIX_183, "--format", "md"])
 
@@ -372,7 +378,7 @@ class TestSing:
     @pytest.mark.parametrize("fmt, calls", [("tsv", 0), ("md", 1), ("json", 1)])
     def test_only_md_and_json_compute_the_head(self, capsys, monkeypatch, fmt, calls):
         # tsv is written from the report alone; md and json each adjust and label once
-        spies = {name: mock.Mock(wraps=getattr(planes, name)) for name in ("degree", "adjust", "_series_label")}
+        spies = {name: mock.Mock(wraps=getattr(planes, name)) for name in ("degree", "adjust", "_series_of")}
         for name, spy in spies.items():
             monkeypatch.setattr(planes, name, spy)
         assert run(capsys, "sing", MATRIX_183, "--format", fmt)[0] == 0
@@ -500,7 +506,7 @@ class TestSing:
     def test_resolution_count_past_the_str_digit_limit(self, capsys, fmt):
         # z(2) is resolved by a 5,000-digit number of curves; json writes the
         # count as a JSON number past the str-to-int digit limit
-        q = planes.DegreeMatrix.from_json_obj(json.loads(MATRIX_5000_CURVES))
+        q = cli._read_matrix_arg(MATRIX_5000_CURVES)
         curves = markov._text(planes.singularity_report(q).res_curves[2])
         assert len(curves) == 5000
         limit = sys.get_int_max_str_digits()
@@ -537,7 +543,7 @@ class TestSing:
             assert code == 0 and err == ""
             assert out.startswith(f'{{"mu":{MU_PAST_THE_LIMIT},"u":["1","1","1"],"eta":[0,1,2],')
             obj = read_json(out)
-            assert obj["mu"] == markov._decimal_int(MU_PAST_THE_LIMIT) and obj["eta"] == [0, 1, 2]
+            assert obj["mu"] == cli.integer(MU_PAST_THE_LIMIT) and obj["eta"] == [0, 1, 2]
         elif fmt == "tsv":
             assert code == 0 and err == ""
             assert [row.split("\t")[1] for row in out.splitlines()] == [MU_PAST_THE_LIMIT] * 3
@@ -680,8 +686,8 @@ class TestIso:
         # (k, m) -> (k, a*k + m) with a 4,991-digit a; json writes a as a JSON
         # number past the str-to-int digit limit
         a_text = "1" + "0" * 4990
-        mu = markov._decimal_int(MU_PAST_THE_LIMIT)
-        eta = [markov._text((markov._decimal_int(a_text) + e) % mu) for e in (0, 1, 2)]
+        mu = cli.integer(MU_PAST_THE_LIMIT)
+        eta = [markov._text((cli.integer(a_text) + e) % mu) for e in (0, 1, 2)]
         first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
         second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": eta})
         limit = sys.get_int_max_str_digits()
@@ -690,7 +696,7 @@ class TestIso:
         if fmt == "json":
             assert (code, err) == (0, "")
             assert out == f'{{"isomorphic":true,"automorphism":{{"eps":1,"a":{a_text},"c":1}},"columnPermutation":[0,1,2]}}\n'
-            assert read_json(out)["automorphism"]["a"] == markov._decimal_int(a_text)
+            assert read_json(out)["automorphism"]["a"] == cli.integer(a_text)
         else:
             assert (code, out, err) == (0, f"isomorphic\tphi=(eps=1,a={a_text},c=1)\tperm=[0, 1, 2]\n", "")
 
@@ -757,7 +763,7 @@ _MATRICES = (
 
 def _mu_is_zero(obj) -> bool:
     try:
-        return not isinstance(obj["mu"], (bool, float)) and markov._decimal_int(obj["mu"]) == 0
+        return not isinstance(obj["mu"], (bool, float)) and cli.integer(obj["mu"]) == 0
     except (KeyError, TypeError, ValueError):
         return False
 
@@ -798,7 +804,7 @@ class TestJsonDigitLimit:
 
     def test_no_command_sets_the_limit(self, capsys, monkeypatch):
         # the commands of this class and of the tests of integers past the digit limit
-        mu_a = markov._decimal_int(MU_PAST_THE_LIMIT)
+        mu_a = cli.integer(MU_PAST_THE_LIMIT)
         automorphism_eta = [markov._text((10**4990 + e) % mu_a) for e in (0, 1, 2)]
         mu_first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
         mu_second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 3]})
@@ -934,7 +940,7 @@ class TestChunkedWrites:
 
     def test_a_part_that_raises_partway(self, capsys, monkeypatch):
         # the parts written before the refusal stay written, and main exits 2 with its reason
-        real = planes.ClassifiedPlane.to_json
+        real = cli._class_json
         encoded = []
 
         def refuse_the_third(c, *args):
@@ -943,7 +949,7 @@ class TestChunkedWrites:
                 raise ValueError("refused")
             return real(c, *args)
 
-        monkeypatch.setattr(planes.ClassifiedPlane, "to_json", refuse_the_third)
+        monkeypatch.setattr(cli, "_class_json", refuse_the_third)
         monkeypatch.setattr(cli, "CHUNK", 1)  # the first parts are written before the third is built
         code, out, err = run(capsys, "classify", "--a", "2", "--bound", "100", "--format", "json")
         assert (code, err) == (2, "error: refused\n") and out.startswith("[{") and not out.endswith("\n")
@@ -1036,6 +1042,42 @@ class TestClosedStdout:
         with child(["/bin/sh", "-c", '"$@" >&-', "sh", *FWPP, "--help"]) as proc:
             err = proc.stderr.read().decode()
         assert proc.returncode == 0 and err.startswith("usage: fwpp")
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+    @pytest.mark.parametrize("argv", [("sing", "-"), ("iso", "-", MATRIX_183)], ids=["sing", "iso"])
+    def test_closed_stdin(self, argv):
+        # `<&-` starts the interpreter without a descriptor 0, so sys.stdin is None
+        with child(["/bin/sh", "-c", '"$@" <&-', "sh", *FWPP, *argv], stdout=subprocess.PIPE) as proc:
+            out, err = proc.communicate()
+        assert (proc.returncode, out, err) == (cli.OUTPUT_ERROR, b"", b"error: stdin is closed\n")
+
+    USAGE_ERRORS = [("sing", "5"), ("classify", "--a", "1", "--bound", "100000", "--max-nodes", "1")]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=["input error", "node cap"])
+    def test_usage_error_to_a_full_stderr(self, argv):
+        with open("/dev/full", "wb") as full, child([*FWPP, *argv], stdout=subprocess.PIPE, stderr=full) as proc:
+            out = proc.stdout.read()
+        assert (proc.wait(), out) == (cli.USAGE_ERROR, b"")
+
+    @pytest.mark.skipif(not os.path.exists("/bin/sh"), reason="needs /bin/sh")
+    @pytest.mark.parametrize("argv", USAGE_ERRORS, ids=["input error", "node cap"])
+    def test_usage_error_with_a_closed_stderr(self, argv):
+        # `2>&-` leaves sys.stderr None, and print(file=None) would write the line to stdout
+        with child(["/bin/sh", "-c", '"$@" 2>&-', "sh", *FWPP, *argv], stdout=subprocess.PIPE) as proc:
+            out, err = proc.communicate()
+        assert (proc.returncode, out, err) == (cli.USAGE_ERROR, b"", b"")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    def test_usage_error_in_process_raises_nothing(self, capsys, monkeypatch):
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stderr", full)
+            assert cli.main(["sing", "5"]) == cli.USAGE_ERROR
+        monkeypatch.setattr(sys, "stderr", None)
+        assert cli.main(["sing", "5"]) == cli.USAGE_ERROR
+        monkeypatch.setattr(sys, "stdin", None)
+        assert cli.main(["sing", "-"]) == cli.OUTPUT_ERROR
+        assert capsys.readouterr().out == ""
 
     def test_closed_pipe_for_both_streams(self):
         # as with `2>&1 | head -c 10`: the error line cannot be written either

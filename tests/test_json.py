@@ -1,4 +1,4 @@
-"""JSON text encoders against the dict oracles: ``to_json`` writes, byte for byte,
+"""JSON text writers against the dict oracles: each writer of ``fwpp.cli`` writes, byte for byte,
 what ``json.dumps`` writes for the object built in ``tests/oracles.py``."""
 
 import json
@@ -12,7 +12,7 @@ from test_cli import past_the_digit_limit
 
 def parsed(text):
     """``json.loads`` that reads numbers of any size."""
-    return json.loads(text, parse_int=markov._decimal_int)
+    return json.loads(text, parse_int=cli.integer)
 
 
 def check(text, obj):
@@ -36,14 +36,14 @@ class TestTree:
     def test_equals_the_dict(self, a, depth):
         for bound in BOUNDS:
             tree = markov.enumerate_tree(a, bound, depth)
-            check("".join(tree.to_json()), oracles.tree_obj(tree))
+            check("".join(cli._tree_json(tree)), oracles.tree_obj(tree))
 
     def test_entries_past_the_digit_limit(self):
         u = past_the_digit_limit()
         parent = tuple(sorted((u[0], u[1], (u[0] + u[1]) ** 2 // u[2])))
         tree = markov.MutationTree(9, 10**6000, 18, ((parent,), (u,)), (b"\1",))
         assert len(markov._text(u[2])) > 4300 and tree.edges == ((parent, u),)
-        check("".join(tree.to_json()), oracles.tree_obj(tree))
+        check("".join(cli._tree_json(tree)), oracles.tree_obj(tree))
 
 
 class TestPlane:
@@ -52,19 +52,19 @@ class TestPlane:
         classes = [c for bound in BOUNDS[:3] for c in planes.classify(a, bound)] + planes.classify(a, 10**12)
         for report in (False, True):
             for c in classes:
-                check(c.to_json(report), oracles.plane_obj(c, with_report=report))
+                check(cli._class_json(c, report), oracles.plane_obj(c, with_report=report))
 
     def test_merged_series(self):
         merged = [c for c in planes.classify(1, 32) if len(c.all_series) > 1]
-        assert merged and all('"mergedSeries":[' in c.to_json() for c in merged)
+        assert merged and all('"mergedSeries":[' in cli._class_json(c, False) for c in merged)
         for c in merged:
-            check(c.to_json(True), oracles.plane_obj(c, with_report=True))
+            check(cli._class_json(c, True), oracles.plane_obj(c, with_report=True))
 
     def test_entries_past_the_digit_limit(self):
         q = planes.adjust(planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)))
-        c = oracles.classified_plane(q, [planes._series_label(q, 9)])
+        c = oracles.classified_plane(q, [planes._series_of(q, 9)])
         for report in (False, True):
-            check(c.to_json(report), oracles.plane_obj(c, with_report=report))
+            check(cli._class_json(c, report), oracles.plane_obj(c, with_report=report))
 
 
 class TestReport:
@@ -80,13 +80,13 @@ class TestReport:
     @pytest.mark.parametrize("q", MATRICES, ids=range(len(MATRICES)))
     def test_equals_the_dict(self, q):
         report = planes.singularity_report(q)
-        check(report.to_json(), oracles.report_obj(report))
+        check(cli._report_json(report), oracles.report_obj(report))
 
     def test_every_t_flag_and_d(self):
         reports = [planes.singularity_report(c.matrix) for a in markov.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**6)]
         assert {None} < {d for r in reports for d in r.d} and {True, False} <= {t for r in reports for t in r.is_t}
         for report in reports:
-            check(report.to_json(), oracles.report_obj(report))
+            check(cli._report_json(report), oracles.report_obj(report))
 
 
 class TestGraph:
@@ -94,7 +94,7 @@ class TestGraph:
     def test_equals_the_dict(self, a, mu):
         for bound in (0, 10**3, 10**8):
             graph = adjacency.adjacency_graph(a, mu, bound)
-            check("".join(graph.to_json()), oracles.graph_obj(graph))
+            check("".join(cli._graph_json(graph)), oracles.graph_obj(graph))
 
     def test_every_node_flag(self):
         nodes = [n for a, mu in planes.SERIES_FAMILIES for n in adjacency.adjacency_graph(a, mu, 10**8).nodes]
@@ -103,9 +103,9 @@ class TestGraph:
 
     def test_entries_past_the_digit_limit(self):
         q = planes.adjust(planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)))
-        c = oracles.classified_plane(q, [planes._series_label(q, 9)])
+        c = oracles.classified_plane(q, [planes._series_of(q, 9)])
         graph = adjacency.AdjacencyGraph(9, 1, 10**6000, (adjacency.GraphNode(c, None, False),), (adjacency.GraphEdge(c, c, True),))
-        check("".join(graph.to_json()), oracles.graph_obj(graph))
+        check("".join(cli._graph_json(graph)), oracles.graph_obj(graph))
 
 
 class TestCommands:

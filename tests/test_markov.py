@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import golden
 import oracles
-from fwpp import adjacency, markov, planes
+from fwpp import adjacency, cli, markov, planes
 from fwpp.markov import SolutionTriple
 
 
@@ -159,9 +159,9 @@ class TestEnumerateTree:
 
     def test_dot_and_json(self):
         tree = markov.enumerate_tree(9, 40)
-        dot = "".join(tree.to_dot())
+        dot = "".join(cli._tree_dot(tree))
         assert '"(1,1,1)" -- "(1,1,4)"' in dot
-        obj = json.loads("".join(tree.to_json()))
+        obj = json.loads("".join(cli._tree_json(tree)))
         assert obj["nodes"][0]["u"] == ["1", "1", "1"]
         assert [e for e in tree.edges if (1, 1, 4) in e] == [((1, 1, 1), (1, 1, 4)), ((1, 1, 4), (1, 4, 25))]
 
@@ -289,15 +289,15 @@ def test_sorted_and_json_helpers():
 
 
 def test_decimal_text_helpers():
-    assert markov._decimal_join((1, 22, 333)) == "1,22,333"
-    assert markov._decimal_join((4, 5), "\t") == "4\t5"
-    assert markov._decimal_int("12") == markov._decimal_int(12) == 12
+    assert cli._decimal_join((1, 22, 333)) == "1,22,333"
+    assert cli._decimal_join((4, 5), "\t") == "4\t5"
+    assert cli.integer("12") == cli.integer(12) == 12
     big = "7" * 5000
-    assert markov._decimal_int(big) == 7 * (10**5000 - 1) // 9
-    assert markov._text(markov._decimal_int(big)) == big
+    assert cli.integer(big) == 7 * (10**5000 - 1) // 9
+    assert markov._text(cli.integer(big)) == big
     for bad in ("x", "1e3", "7" * 5000 + "\n7", "-" + big + "x", "_" + big, big + "_", "7__" + big):
         with pytest.raises(ValueError):
-            markov._decimal_int(bad)
+            cli.integer(bad)
 
 
 def walk_past_the_digit_limit():
@@ -312,8 +312,8 @@ def walk_past_the_digit_limit():
 def test_decimal_join_mixes_short_and_long_entries():
     long = 3 * 10**4500 + 7
     text = "3" + "0" * 4499 + "7"
-    assert markov._decimal_join((5, long, 12)) == f"5,{text},12"
-    assert markov._decimal_join([long, 1], "\t") == f"{text}\t1"
+    assert cli._decimal_join((5, long, 12)) == f"5,{text},12"
+    assert cli._decimal_join([long, 1], "\t") == f"{text}\t1"
 
 
 #: 4,501 digits, past the 4,300 that ``str(int)`` writes by default, and its text
@@ -384,15 +384,15 @@ def test_tree_text_past_the_str_digit_limit():
     text = {u: [str(decimal.Decimal(c)) for c in u] for u in (parent, child)}
     assert len(text[child][2]) > 4300
     edge_line = f'  "({",".join(text[parent])})" -- "({",".join(text[child])})";'
-    assert "".join(tree.to_dot()).splitlines()[-2] == edge_line
-    obj = json.loads("".join(tree.to_json()))
+    assert "".join(cli._tree_dot(tree)).splitlines()[-2] == edge_line
+    obj = json.loads("".join(cli._tree_json(tree)))
     assert obj["edges"] == [[text[parent], text[child]]]
     assert [n["u"] for n in obj["nodes"]] == [text[parent], text[child]]
 
 
 def test_json_tree_is_written_one_node_or_edge_per_part():
     tree = markov.enumerate_tree(1, 10**12)
-    parts = list(tree.to_json())
+    parts = list(cli._tree_json(tree))
     # one part per root, node and edge, and seven more: the head, two keys, three "]" and the closing "}"
     assert len(tree.nodes) > 100 and len(parts) == len(tree.roots) + len(tree.nodes) + len(tree.edges) + 7
     assert max(map(len, parts)) < 200
@@ -404,7 +404,7 @@ def test_decimal_int_reads_the_int_grammar_at_every_length(digits, text):
     """Past the str-to-int digit limit a string reads as ``int()`` reads it below."""
     body = "7" * digits
     expected = decimal.Decimal(text.format(body).replace("_", "").replace("\u0661", "1"))
-    assert markov._decimal_int(text.format(body)) == int(expected)
+    assert cli.integer(text.format(body)) == int(expected)
 
 
 def test_arrangement_errors():

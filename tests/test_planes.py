@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 import fwpp
 import golden
 import oracles
-from fwpp import abelian, adjacency, markov, planes
+from fwpp import abelian, adjacency, cli, markov, planes
 from fwpp.abelian import KAutomorphism
 from fwpp.planes import DegreeMatrix, GeneratorMatrix
 
@@ -24,7 +24,7 @@ def mk(mu, u, eta=None):
 
 def series_label(q):
     """The series label of ``q``'s class."""
-    return planes._series_label(planes.adjust(q), planes.integral_degree(q))
+    return planes._series_of(planes.adjust(q), planes.integral_degree(q))
 
 
 def columns(q):
@@ -464,7 +464,7 @@ class TestClassify:
         counted(planes, "isomorphism_witness", "witness")
         counted(markov, "admissible_arrangements", "arrangements")
         counted(planes, "adjust", "adjust")
-        counted(planes, "_series_label", "labels")
+        counted(planes, "_series_of", "labels")
         classes = planes.classify(1, 10**12)
         arrangements = calls["arrangements"]
         trees = [(mu, markov.enumerate_tree(mu, 10**12 // mu).nodes) for a, mu in planes.SERIES_FAMILIES if a == 1]
@@ -489,7 +489,7 @@ class TestClassify:
 
     def test_a_tied_label_other_than_the_least_merged_one_is_a_defect(self, monkeypatch):
         # the tied node (1, 1, 2) of (1, 8) merges etas 3 and 7 into the adjusted (1, 1, 2; 0, 1, 3)
-        real = planes._series_label
+        real = planes._series_of
 
         def last_label(q, a):
             return planes.SeriesId(a, 8, 7) if (q.mu, q.u, q.eta) == (8, (1, 1, 2), (0, 1, 3)) else real(q, a)
@@ -497,7 +497,7 @@ class TestClassify:
         assert [c.all_series for c in planes.classify(1, 32, mu=8) if len(c.all_series) > 1] == [
             (planes.SeriesId(1, 8, 3), planes.SeriesId(1, 8, 7))
         ]
-        monkeypatch.setattr(planes, "_series_label", last_label)
+        monkeypatch.setattr(planes, "_series_of", last_label)
         with pytest.raises(markov.InvariantError, match="not labelled by the least of its series"):
             planes.classify(1, 32, mu=8)
 
@@ -675,18 +675,18 @@ def test_integer_annihilation_matches_element_sum(q, data):
 class TestSerialization:
     def test_degree_matrix_json_roundtrip(self):
         q = mk(8, (1, 9, 2), (0, 1, 5))
-        assert DegreeMatrix.from_json_obj(oracles.matrix_obj(q)) == q
+        assert cli._read_matrix_arg(oracles.dumps(oracles.matrix_obj(q))) == q
 
     def test_plane_json(self):
         c = planes.classify(2, 50)[0]
-        obj = json.loads(c.to_json(with_report=True))
+        obj = json.loads(cli._class_json(c, True))
         assert obj["series"] in {"2-4-1", "2-4-3", "2-3-1", "2-3-2"}
         assert all(isinstance(x, str) for x in obj["weights"])
         assert set(obj["report"]) == {"cl", "iota", "isT", "d", "resCurves"}
 
     def test_torsion_order_past_the_str_digit_limit(self):
         mu_text = "3" + "0" * 4998 + "1"
-        q = DegreeMatrix.from_json_obj({"mu": mu_text, "u": ["1", "1", "1"], "eta": ["0", "1", "2"]})
+        q = cli._read_matrix_arg(json.dumps({"mu": mu_text, "u": ["1", "1", "1"], "eta": ["0", "1", "2"]}))
         assert q == DegreeMatrix(3 * 10**4999 + 1, (1, 1, 1), (0, 1, 2))
 
     def test_integers_past_the_str_digit_limit(self):
@@ -701,16 +701,16 @@ class TestSerialization:
             return [int(decimal.Decimal(x)) for x in texts]
 
         tree = markov.MutationTree(9, markov.norm(u), None, ((u,),), ())
-        node = json.loads("".join(tree.to_json()))["nodes"][0]
+        node = json.loads("".join(cli._tree_json(tree)))["nodes"][0]
         assert parsed(node["u"]) == list(u) and parsed([node["norm"]]) == [markov.norm(u)]
         q = planes.adjust(DegreeMatrix(1, u, (0, 0, 0)))
         c = oracles.classified_plane(q, [series_label(q)])
-        obj = json.loads(c.to_json(with_report=True))
+        obj = json.loads(cli._class_json(c, True))
         assert parsed(obj["u"]) == list(q.u) and parsed(obj["weights"]) == list(c.weights)
         assert parsed(obj["report"]["cl"]) == list(c.weights)
         # text output: labels, tables and the parser reading them back
         text = [str(decimal.Decimal(x)) for x in u]
-        assert [markov._decimal_int(x) for x in text] == list(u)
-        assert markov._decimal_join(u, "\t") == "\t".join(text)
-        assert f'"({",".join(text)})";' in "".join(tree.to_dot())
-        assert adjacency._label(q) == f"({','.join(text)})"
+        assert [cli.integer(x) for x in text] == list(u)
+        assert cli._decimal_join(u, "\t") == "\t".join(text)
+        assert f'"({",".join(text)})";' in "".join(cli._tree_dot(tree))
+        assert cli._label(q) == f"({','.join(text)})"
