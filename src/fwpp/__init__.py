@@ -20,7 +20,6 @@ from .markov import (
     enumerate_tree,
     initial_solutions,
     is_solution,
-    scaled_solution_class,
 )
 from .planes import (
     ClassifiedPlane,
@@ -35,10 +34,7 @@ from .planes import (
     degree,
     fake_weights_of_degree_matrix,
     generator_of,
-    is_isomorphic,
-    is_t_singular,
     isomorphism_witness,
-    local_class_group_order,
     local_gorenstein_index,
     resolution_curve_count,
     singularity_report,

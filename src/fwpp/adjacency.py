@@ -188,7 +188,7 @@ def _partner(q: DegreeMatrix | ClassifiedPlane, slot: int, l1: int, a: int):
     (ui, uj, uk), (ei, ej, ek) = (u[i], u[j], u[slot]), (eta[i], eta[j], eta[slot])
     wi, wj, wk = mu * ui, mu * uj, mu * uk
 
-    is_t, d0 = planes._t_test(-wk, l1)  # is_t_singular's test, giving d0 = -w_k / l1**2
+    is_t, d0 = planes._t_test(-wk, l1)  # the T-test of singularity_report, giving d0 = -w_k / l1**2
     if not is_t:
         raise NotDegenerableError(f"fixed point {_text(slot)} of {_text(q)} is not a T-singularity")
     l2, rem = divmod(l1 * (wi + wj), wk)
@@ -277,7 +277,7 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     by_columns = {_columns(c): c for c in classified}  # one family shares mu
     for c in classified:
         w, n = c.weights, c.norm
-        # the Gorenstein index of each T-singular slot, by is_t_singular's test on the local class group order w[k]
+        # the Gorenstein index of each T-singular slot, by the T-test of singularity_report on the local class group order w[k]
         t_slots = {k: l1 for k in range(3) if planes._t_test(w[k], l1 := planes.local_gorenstein_index(c, k))[0]}
         # w[k - 1] and w[k - 2] are the two weights other than w[k]
         pairs = [_partner(c, k, l1, a) for k, l1 in t_slots.items() if n <= a * w[k - 1] * w[k - 2] - n <= norm_bound]

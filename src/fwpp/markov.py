@@ -99,7 +99,7 @@ def initial_solutions(a: int) -> frozenset[SolutionTriple]:
 
     Every solution for ``a`` is ``b = A // a`` times one for a reduced
     parameter ``A = a*b``, and scaling commutes with mutation (see
-    :func:`scaled_solution_class`), so these are the scaled
+    :func:`decompose`), so these are the scaled
     ``REDUCED_ROOTS[A]`` for each ``A`` divisible by ``a``; empty for every
     other positive ``a``.
     """
@@ -199,28 +199,6 @@ def enumerate_tree(
     return MutationTree(a, norm_bound, depth_bound, tuple(levels), tuple(kids))
 
 
-def scaled_solution_class(t: SolutionTriple) -> tuple[int, int]:
-    """The unique scaling ``(b, a')`` with ``u/b`` solving the parameter-``a'``
-    equation, where ``a' = a*b`` lies in {5, 6, 8, 9}.
-
-    Solutions of the reduced parameters have coprime entries, so ``b`` is the
-    gcd of the entries; for ``a`` in {5, 6, 8, 9} this is the identity
-    scaling ``(1, a)``.
-    """
-    if t.a not in SOLVABLE_PARAMETERS:
-        raise ValueError(f"no solutions exist for a={_text(t.a)}")
-    if t.a in REDUCED_PARAMETERS:
-        return 1, t.a
-    b = gcd(gcd(t.u[0], t.u[1]), t.u[2])
-    reduced_a = t.a * b
-    if reduced_a not in REDUCED_PARAMETERS:
-        raise InvariantError(f"scaling of {_text(t.u)} left the reduced classes: {_text(reduced_a)}")
-    reduced = tuple(c // b for c in t.u)
-    if not is_solution(reduced, reduced_a):
-        raise InvariantError(f"{_text(t.u)}/{_text(b)} is not a solution for a'={_text(reduced_a)}")
-    return b, reduced_a
-
-
 #: The six column orders, in ``itertools.permutations`` order.
 _PERMUTATIONS = tuple(permutations(range(3)))
 
@@ -289,29 +267,23 @@ class SquareDecomposition:
 
 
 def decompose(t: SolutionTriple) -> SquareDecomposition:
-    """Express a solution as ``scale * (xi0*x0^2, xi1*x1^2, xi2*x2^2)``.
+    """Express a solution as ``scale * (xi0*x0^2, xi1*x1^2, xi2*x2^2)``, the cofactors in their arranged slots.
 
-    The decomposition exists for every solution; the slots are ordered so
-    that the squarefree cofactors sit in their canonical arranged positions.
+    Reduced solutions are pairwise coprime, so ``scale`` is the entries' gcd ``b`` (1 for ``a`` in {5, 6, 8, 9}) and
+    ``v = u/b`` solves the equation of ``A = a*b``.  That is the one equation certificate: with ``v_i = xi_i*x_i**2`` in
+    arranged order, ``sum(v)**2 == A*v0*v1*v2`` reads ``sum(v)**2 == (c*x0*x1*x2)**2`` for ``c**2 = A*xi0*xi1*xi2`` (9,
+    16, 36 or 25), so, both sides being positive, it holds exactly when ``sum(v) == c*x0*x1*x2``.
     """
-    b, reduced_a = scaled_solution_class(t)
+    b = gcd(gcd(t.u[0], t.u[1]), t.u[2])
+    reduced_a = t.a * b
+    if reduced_a not in REDUCED_XI:
+        raise InvariantError(f"scaling of {_text(t.u)} left the reduced classes: {_text(reduced_a)}")
     v = tuple(c // b for c in t.u)
+    if not is_solution(v, reduced_a):
+        raise InvariantError(f"{_text(t.u)}/{_text(b)} is not a solution for a'={_text(reduced_a)}")
     xi = REDUCED_XI[reduced_a]
-    _, perm = arrange(v, reduced_a)
-    xs = []
-    for i in range(3):
-        quotient, remainder = divmod(v[perm[i]], xi[i])
-        if remainder:
-            raise InvariantError(f"{_text(v[perm[i]])} is not divisible by cofactor {_text(xi[i])}")
-        root = isqrt(quotient)
-        if root * root != quotient:
-            raise InvariantError(f"{_text(quotient)} is not a perfect square in {_text(t.u)}")
-        xs.append(root)
-    x = tuple(xs)
-    coeff = isqrt(reduced_a * xi[0] * xi[1] * xi[2])
-    if coeff**2 != reduced_a * xi[0] * xi[1] * xi[2]:
-        raise InvariantError("reduced equation coefficient is not a square")
-    lhs = xi[0] * x[0] ** 2 + xi[1] * x[1] ** 2 + xi[2] * x[2] ** 2
-    if lhs != coeff * x[0] * x[1] * x[2]:
-        raise InvariantError(f"square decomposition of {_text(t.u)} fails its equation")
+    arranged, perm = arrange(v, reduced_a)
+    x = tuple(isqrt(c // k) for c, k in zip(arranged, xi))
+    if any(k * r * r != c for c, k, r in zip(arranged, xi, x)):
+        raise InvariantError(f"{_text(arranged)} is not {_text(xi)} times squares in {_text(t.u)}")
     return SquareDecomposition(x=x, xi=xi, perm=perm, scale=b)

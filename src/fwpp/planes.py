@@ -144,11 +144,6 @@ def anticanonical_class(q: DegreeMatrix) -> Pair:
     return sum(q.u), sum(q.eta) % q.mu
 
 
-def local_class_group_order(q: DegreeMatrix, k: int) -> int:
-    """Order ``mu * u_k`` of the local class group at the k-th fixed point."""
-    return q.mu * q.u[k]
-
-
 def local_gorenstein_index(q: DegreeMatrix, k: int) -> int:
     """Order of the canonical class in the local class group at ``z(k)``.
 
@@ -158,15 +153,9 @@ def local_gorenstein_index(q: DegreeMatrix, k: int) -> int:
     return abelian.k_membership_multiple(anticanonical_class(q), (q.u[k], q.eta[k]), q.mu)
 
 
-def is_t_singular(q: DegreeMatrix, k: int) -> tuple[bool, int | None]:
-    """T-singularity test at ``z(k)``: the index squared divides the order.
-
-    Returns ``(flag, d)`` where ``d = cl / iota^2`` when the test holds.
-    """
-    return _t_test(local_class_group_order(q, k), local_gorenstein_index(q, k))
-
-
 def _t_test(cl: int, iota: int) -> tuple[bool, int | None]:
+    """T-singularity test at a fixed point of local class group order ``cl`` and Gorenstein index ``iota``: the index
+    squared divides the order.  Returns ``(flag, d)`` where ``d = cl / iota^2`` when the test holds, else ``(False, None)``."""
     d, rem = divmod(cl, iota * iota)
     return (True, d) if rem == 0 else (False, None)
 
@@ -300,7 +289,7 @@ def _adjusted(mu: int, u: Triple, eta: Triple, perms) -> tuple[Triple, Triple]:
     return best[1], best[2]
 
 
-def adjust(q: DegreeMatrix) -> DegreeMatrix:
+def adjust(q: DegreeMatrix | ClassifiedPlane) -> DegreeMatrix:
     """Canonical adjusted representative of the isomorphism class of ``q``.
 
     The columns are permuted so the fake weight vector is arranged for its
@@ -310,11 +299,13 @@ def adjust(q: DegreeMatrix) -> DegreeMatrix:
     ``eta`` wins; this resolves the sporadic coincidences among small
     series members, so equality of adjusted matrices is equivalent to
     isomorphism of the planes.  Only the adjusted matrix is returned; the
-    map from ``q`` to it is :func:`isomorphism_witness` of the two.  An
-    input already in adjusted form is returned itself, not rebuilt.
+    map from ``q`` to it is :func:`isomorphism_witness` of the two.  A
+    ``DegreeMatrix`` already in adjusted form is returned itself, not
+    rebuilt; any other ``q``, such as a :class:`ClassifiedPlane`, gives a
+    ``DegreeMatrix``.
     """
     u, eta = _adjusted(q.mu, q.u, q.eta, markov.admissible_arrangements(q.u, q.mu * integral_degree(q)))
-    return q if (u, eta) == (q.u, q.eta) else DegreeMatrix(q.mu, u, eta)
+    return q if isinstance(q, DegreeMatrix) and (u, eta) == (q.u, q.eta) else DegreeMatrix(q.mu, u, eta)
 
 
 def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
@@ -355,10 +346,6 @@ def isomorphism_witness(q1: DegreeMatrix, q2: DegreeMatrix):
         return None
     a, c, perm = min(found)
     return KAutomorphism(1, a, c), perm
-
-
-def is_isomorphic(q1: DegreeMatrix, q2: DegreeMatrix) -> bool:
-    return isomorphism_witness(q1, q2) is not None
 
 
 class ClassifiedPlane(NamedTuple):
@@ -497,7 +484,7 @@ class SingularityReport:
     res_curves: Triple
 
 def singularity_report(q: DegreeMatrix) -> SingularityReport:
-    cl = tuple(local_class_group_order(q, k) for k in range(3))
+    cl = fake_weights_of_degree_matrix(q)
     iota = tuple(local_gorenstein_index(q, k) for k in range(3))
     flags, ds = zip(*(_t_test(cl[k], iota[k]) for k in range(3)))
     curves = tuple(resolution_curve_count(q, k) for k in range(3))

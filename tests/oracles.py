@@ -570,7 +570,8 @@ def lift_partner_kstar(q: planes.DegreeMatrix, slot: int) -> KStarData:
     wp = tuple(w[i] for i in perm)
     up = tuple(q.u[i] for i in perm)
     etap = tuple(q.eta[i] for i in perm)
-    flag, d = planes.is_t_singular(q, slot)
+    rep = planes.singularity_report(q)
+    flag, d = rep.is_t[slot], rep.d[slot]
     assert flag, "not a T-singular point"
     l1 = isqrt(wp[2] // d)
     d0 = -d
@@ -901,7 +902,7 @@ def adjacency_neighbors(q: planes.DegreeMatrix) -> list[adjacency.AdjacentPair]:
     several slots may reach the same partner class.  Toric pairs count;
     adjacency does not require the common surface to be non-toric.
     """
-    return [adjacency.adjacent_partner(q, k) for k in range(3) if planes.is_t_singular(q, k)[0]]
+    return [adjacency.adjacent_partner(q, k) for k in range(3) if planes.singularity_report(q).is_t[k]]
 
 
 def self_kstar(q: planes.DegreeMatrix, pairs) -> KStarData | None:

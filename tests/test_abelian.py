@@ -88,10 +88,10 @@ def test_public_names():
         "anticanonical_class", "apply_automorphism", "classify",
         "corresponds", "decompose", "degree",
         "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",
-        "initial_solutions", "is_isomorphic", "is_solution", "is_t_singular",
-        "isomorphism_witness", "k_membership_multiple", "local_class_group_order",
+        "initial_solutions", "is_solution",
+        "isomorphism_witness", "k_membership_multiple",
         "local_gorenstein_index", "markov", "planes",
-        "resolution_curve_count", "scaled_solution_class", "self_adjacency_census",
+        "resolution_curve_count", "self_adjacency_census",
         "singularity_report",
     ]
 
@@ -219,7 +219,7 @@ class TestCokernel:
         mu_ref, u_ref, eta_ref = oracles.snf_cokernel_structure(p)
         assert mu == mu_ref
         assert u == u_ref
-        assert planes.is_isomorphic(planes.DegreeMatrix(mu, u, eta), planes.DegreeMatrix(mu_ref, u_ref, eta_ref))
+        assert planes.isomorphism_witness(planes.DegreeMatrix(mu, u, eta), planes.DegreeMatrix(mu_ref, u_ref, eta_ref)) is not None
 
     @settings(max_examples=200, deadline=None)
     @given(generator_matrices())

@@ -113,7 +113,7 @@ def test_criterion_5_classification_table():
         for m1 in members:
             for m2 in members:
                 same = planes.adjust(m1) == planes.adjust(m2)
-                assert planes.is_isomorphic(m1, m2) == same
+                assert (planes.isomorphism_witness(m1, m2) is not None) == same
     # the published sporadic sets are isomorphic pairwise
     for mu, u, group in [
         (9, (1, 1, 1), (2, 5, 8)),
@@ -123,7 +123,7 @@ def test_criterion_5_classification_table():
         mats = [DegreeMatrix(mu, u, (0, 1, e)) for e in group]
         for m1 in mats:
             for m2 in mats:
-                assert planes.is_isomorphic(m1, m2)
+                assert planes.isomorphism_witness(m1, m2) is not None
 
     assert len(golden.MATRIX_TABLE) == 21
     for rows, mu, u, eta in golden.MATRIX_TABLE:
@@ -207,7 +207,7 @@ def test_criterion_7_worked_examples():
             (i, j)
             for i in range(len(matrices))
             for j in range(i + 1, len(matrices))
-            if planes.is_isomorphic(matrices[i], matrices[j])
+            if planes.isomorphism_witness(matrices[i], matrices[j]) is not None
         }
         assert got_pairs == set(example["isomorphic_pairs"])
     report(7, "worked examples: weights, indices, flags, curve counts, verdicts exact")
@@ -220,7 +220,7 @@ def test_criterion_8_adjacency():
         for c in planes.classify(a, 1000):
             w = planes.fake_weights_of_degree_matrix(c.matrix)
             for slot in range(3):
-                if not planes.is_t_singular(c.matrix, slot)[0]:
+                if not planes.singularity_report(c.matrix).is_t[slot]:
                     continue
                 pair = adjacency.adjacent_partner(c.matrix, slot)
                 w2 = planes.fake_weights_of_degree_matrix(pair.q2)

@@ -158,7 +158,8 @@ class TestAdjacentPartner:
         monkeypatch.setattr(abelian, "annihilates", lambda *args: rows_tested.append(args) or real(*args))
         n = 10**4 + 1
         q = mk(n * n, (1, 1, 1), (1, n - 1, 0))
-        assert planes.is_t_singular(q, 2) == (True, 1) and planes.local_gorenstein_index(q, 2) == n
+        rep = planes.singularity_report(q)
+        assert (rep.is_t[2], rep.d[2]) == (True, 1) and planes.local_gorenstein_index(q, 2) == n
         with pytest.raises(ValueError, match="not integral"):
             adjacency.adjacent_partner(q, 2)
         assert rows_tested == []
@@ -175,7 +176,7 @@ class TestAdjacentPartner:
             for c in planes.classify(a, 700):
                 w = planes.fake_weights_of_degree_matrix(c.matrix)
                 for slot in range(3):
-                    if not planes.is_t_singular(c.matrix, slot)[0]:
+                    if not planes.singularity_report(c.matrix).is_t[slot]:
                         continue
                     pair = adjacency.adjacent_partner(c.matrix, slot)
                     w2 = planes.fake_weights_of_degree_matrix(pair.q2)
@@ -184,7 +185,7 @@ class TestAdjacentPartner:
                     assert tuple(sorted(w2)) == mutated
                     assert planes.degree(w2) == planes.degree(w) == pair.kstar.degree()
                     # the last fixed point of the partner slice stays at most T-singular
-                    flag, _ = planes.is_t_singular(pair.q2_raw, 2)
+                    flag = planes.singularity_report(pair.q2_raw).is_t[2]
                     assert flag
                     assert planes.local_gorenstein_index(pair.q2_raw, 2) == pair.kstar.l2
 
@@ -210,7 +211,7 @@ class TestDeepPartners:
         w = planes.fake_weights_of_degree_matrix(q)
         q_canon = planes.adjust(q)
         for slot in range(3):
-            if not planes.is_t_singular(q, slot)[0]:
+            if not planes.singularity_report(q).is_t[slot]:
                 continue
             pair = adjacency.adjacent_partner(q, slot)
             assert adjacency.adjacent_partner(pair.q2_raw, 2).q2 == q_canon
@@ -232,7 +233,7 @@ class TestPartnerReconstruction:
             for node in graph.nodes:
                 q = node.plane.matrix
                 for slot in range(3):
-                    if not planes.is_t_singular(q, slot)[0]:
+                    if not planes.singularity_report(q).is_t[slot]:
                         continue
                     kstar = adjacency.adjacent_partner(q, slot).kstar
                     assert kstar == oracles.scan_partner_kstar(q, slot)
@@ -275,7 +276,7 @@ class TestSliceCokernel:
             for node in graph.nodes:
                 q = node.plane.matrix
                 for slot in range(3):
-                    if not planes.is_t_singular(q, slot)[0]:
+                    if not planes.singularity_report(q).is_t[slot]:
                         continue
                     pair = adjacency.adjacent_partner(q, slot)
                     _, p2 = oracles.slice_matrices(pair.kstar)
@@ -284,7 +285,7 @@ class TestSliceCokernel:
                     assert mu == mu_ref == pair.q2_raw.mu
                     assert u == u_ref == pair.q2_raw.u
                     q_ref = DegreeMatrix(mu_ref, u_ref, eta_ref)
-                    assert planes.is_isomorphic(pair.q2_raw, q_ref)
+                    assert planes.isomorphism_witness(pair.q2_raw, q_ref) is not None
                     assert planes.adjust(q_ref) == pair.q2
                     slices += 1
         assert slices > 1000
@@ -296,7 +297,7 @@ def partner_slots():
     for (a, mu) in planes.SERIES_FAMILIES:
         for c in planes.classify(a, 10**12 if a == 1 else 10**24, mu=mu):
             for k in range(3):
-                if planes.is_t_singular(c.matrix, k)[0]:
+                if planes.singularity_report(c.matrix).is_t[k]:
                     yield c.matrix, k
 
 
@@ -344,7 +345,7 @@ class TestClosedFormPartner:
         for (a, mu) in planes.SERIES_FAMILIES:
             for c in planes.classify(a, 10**8, mu=mu):
                 for k in range(3):
-                    if planes.is_t_singular(c.matrix, k)[0]:
+                    if planes.singularity_report(c.matrix).is_t[k]:
                         del calls[:]
                         kstar = adjacency.adjacent_partner(c.matrix, k).kstar
                         p1, p2 = (p.rows for p in oracles.slice_matrices(kstar))
@@ -426,7 +427,7 @@ class TestCanDegenerate:
         # the base member of series 1-8-1 has index 1 at its T-point, so no
         # non-toric degeneration exists there and the node is isolated
         q = mk(8, (1, 1, 2), (0, 1, 1))
-        assert planes.is_t_singular(q, 2)[0]
+        assert planes.singularity_report(q).is_t[2]
         assert planes.local_gorenstein_index(q, 2) == 1
         assert not oracles.can_degenerate(q, 2)
 
@@ -438,7 +439,7 @@ class TestCanDegenerate:
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
             for c in planes.classify(a, 700):
                 for slot in range(3):
-                    if planes.is_t_singular(c.matrix, slot)[0]:
+                    if planes.singularity_report(c.matrix).is_t[slot]:
                         pair = adjacency.adjacent_partner(c.matrix, slot)
                         assert oracles.can_degenerate(c.matrix, slot) == pair.kstar.non_toric
 
@@ -447,7 +448,7 @@ class TestCanDegenerate:
     def test_equivalent_on_deep_members(self, q):
         # non_toric drives nonToricSelf in graph JSON and the dot comments
         for slot in range(3):
-            if planes.is_t_singular(q, slot)[0]:
+            if planes.singularity_report(q).is_t[slot]:
                 assert oracles.can_degenerate(q, slot) == adjacency.adjacent_partner(q, slot).kstar.non_toric
 
 
@@ -455,7 +456,7 @@ class TestNeighbors:
     def test_one_pair_per_t_singular_slot(self):
         for a in (1, 2, 5, 9):
             for c in planes.classify(a, 700):
-                slots = [k for k in range(3) if planes.is_t_singular(c.matrix, k)[0]]
+                slots = [k for k in range(3) if planes.singularity_report(c.matrix).is_t[k]]
                 pairs = oracles.adjacency_neighbors(c.matrix)
                 assert pairs == [adjacency.adjacent_partner(c.matrix, k) for k in slots]
 
@@ -586,7 +587,7 @@ class TestPrunedGraph:
             for node in adjacency.adjacency_graph(a, mu, graph_bound(a)).nodes:
                 q, w, n = node.plane.matrix, node.plane.weights, node.plane.norm
                 for k in range(3):
-                    if not planes.is_t_singular(q, k)[0]:
+                    if not planes.singularity_report(q).is_t[k]:
                         continue
                     wi, wj = (w[j] for j in range(3) if j != k)
                     partner = adjacency.adjacent_partner(q, k).q2
@@ -686,7 +687,7 @@ class TestGraphCertificates:
         (a, mu), target, inject, error, message = PARTNER_CERTIFICATES[name]
         bound = 10**5
         window = [(c, k) for c in planes.classify(a, bound, mu=mu) for k in range(3)
-                  if planes.is_t_singular(c, k)[0] and c.norm <= a * c.weights[k - 1] * c.weights[k - 2] - c.norm <= bound]
+                  if planes.singularity_report(c).is_t[k] and c.norm <= a * c.weights[k - 1] * c.weights[k - 2] - c.norm <= bound]
         c, k = window[0] if target is None else next((c, k) for c, k in window if (c.u, c.eta, k) == target)
         pinned = message.format(q=repr(c))
         inject(monkeypatch, c, k)
@@ -718,7 +719,7 @@ class TestGraphCertificates:
     def test_core_equals_the_lift_scan_and_adjacent_partner(self, q):
         a = planes.integral_degree(q)
         for k in range(3):
-            if planes.is_t_singular(q, k)[0]:
+            if planes.singularity_report(q).is_t[k]:
                 kstar, raw, (u, eta) = adjacency._partner(q, k, planes.local_gorenstein_index(q, k), a)
                 assert KStarData(*kstar) == oracles.lift_partner_kstar(q, k)
                 pair = adjacency.adjacent_partner(q, k)
@@ -740,7 +741,7 @@ class TestGlobalInvariants:
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
             for c in planes.classify(a, 700):
                 for slot in range(3):
-                    if not planes.is_t_singular(c.matrix, slot)[0]:
+                    if not planes.singularity_report(c.matrix).is_t[slot]:
                         continue
                     pair = adjacency.adjacent_partner(c.matrix, slot)
                     if not pair.kstar.non_toric:
@@ -842,6 +843,17 @@ class TestCensus:
         monkeypatch.setattr(adjacency, "_partner", counting)
         assert adjacency.self_adjacency_census() == expected
         assert len(partners) == 18
+
+    def test_a_self_pair_of_a_class_record_reads_adjust_of_the_record(self):
+        # the documented self-adjacency test, pair.q2 == planes.adjust(q), holds for a class record q as for its matrix
+        self_adjacent = set()
+        for (a, mu) in planes.SERIES_FAMILIES:
+            for c in planes.classify(a, mu * markov.norm(markov.REDUCED_ROOTS[mu * a]), mu=mu):
+                for k in range(3):
+                    if planes.singularity_report(c).is_t[k] and (pair := adjacency.adjacent_partner(c, k)).q2 == c.matrix:
+                        assert pair.q2 == planes.adjust(c)
+                        self_adjacent.add(str(c.series))
+        assert self_adjacent == golden.SELF_ADJACENT_SERIES
 
     def test_9_1_0_not_self_adjacent(self):
         nbrs, selfp = split_neighbors(mk(1, (1, 1, 1)))

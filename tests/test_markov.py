@@ -197,15 +197,16 @@ class TestModularFacts:
 
 class TestScaling:
     def test_examples(self):
-        assert markov.scaled_solution_class(SolutionTriple(3, (3, 3, 3))) == (3, 9)
-        assert markov.scaled_solution_class(SolutionTriple(1, (5, 20, 25))) == (5, 5)
-        assert markov.scaled_solution_class(SolutionTriple(2, (4, 4, 8))) == (4, 8)
-        assert markov.scaled_solution_class(SolutionTriple(9, (1, 1, 1))) == (1, 9)
+        examples = {(3, (3, 3, 3)): (3, 9), (1, (5, 20, 25)): (5, 5), (2, (4, 4, 8)): (4, 8), (9, (1, 1, 1)): (1, 9)}
+        for (a, u), scaling in examples.items():
+            d = markov.decompose(SolutionTriple(a, u))
+            assert (d.scale, a * d.scale) == scaling
 
     def test_reduced_class_is_always_reduced(self):
         for a in (1, 2, 3, 4):
             for u in all_nodes(a, 2000):
-                b, reduced = markov.scaled_solution_class(SolutionTriple(a, u))
+                d = markov.decompose(SolutionTriple(a, u))
+                b, reduced = d.scale, a * d.scale
                 assert reduced == a * b and reduced in markov.REDUCED_PARAMETERS
 
     def test_identities_on_small_sets(self):
@@ -232,6 +233,24 @@ class TestDecompose:
                 coeff = d.reduced_parameter * d.xi[0] * d.xi[1] * d.xi[2]
                 lhs = sum(d.xi[i] * d.x[i] ** 2 for i in range(3))
                 assert lhs * lhs == coeff * (d.x[0] * d.x[1] * d.x[2]) ** 2
+
+    @pytest.mark.parametrize("a, u", [(8, (1, 1, 2)), (4, (2, 2, 4)), (1, (8, 8, 16))])
+    def test_a_wrong_cofactor_fails_the_square_certificate(self, monkeypatch, a, u):
+        monkeypatch.setitem(markov.REDUCED_XI, 8, (1, 1, 3))
+        with pytest.raises(markov.InvariantError, match=r"is not \(1, 1, 3\) times squares"):
+            markov.decompose(SolutionTriple(a, u))
+
+    @pytest.mark.parametrize("a, u", [(8, (1, 1, 2)), (4, (2, 2, 4)), (1, (8, 8, 16))])
+    def test_a_missing_class_leaves_the_reduced_classes(self, monkeypatch, a, u):
+        monkeypatch.delitem(markov.REDUCED_XI, 8)
+        with pytest.raises(markov.InvariantError, match=f"left the reduced classes: 8$"):
+            markov.decompose(SolutionTriple(a, u))
+
+    def test_a_triple_off_the_equation_fails_the_equation_certificate(self):
+        t = SolutionTriple(9, (1, 1, 1))
+        object.__setattr__(t, "u", (1, 1, 2))  # past the constructor's check
+        with pytest.raises(markov.InvariantError, match=r"\(1, 1, 2\)/1 is not a solution for a'=9"):
+            markov.decompose(t)
 
 
 @settings(max_examples=60, deadline=None)
@@ -375,6 +394,23 @@ def test_every_raised_message_formats_its_values_through_text():
                     f"{path.name}:{node.lineno}: {{{ast.unparse(value.value)}}}"
                 )
     assert sites > 100
+
+
+def test_every_import_of_the_package_is_used():
+    # a deleted function must not leave its imports behind; __init__ only re-exports, and __future__ imports are features
+    imports = 0
+    for path in Path(markov.__file__).parent.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+                for alias in node.names:
+                    imports += 1
+                    name = alias.asname or alias.name.partition(".")[0]
+                    assert name in used, f"{path.name}:{node.lineno}: {name} is imported and never used"
+    assert imports > 30
 
 
 def test_tree_text_past_the_str_digit_limit():

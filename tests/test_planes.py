@@ -180,6 +180,12 @@ class TestAdjust:
                 q = c.matrix
                 assert planes.adjust(q) is q
 
+    def test_a_class_record_adjusts_to_its_matrix(self):
+        for a in markov.SOLVABLE_PARAMETERS:
+            for c in planes.classify(a, 10**6):
+                q = planes.adjust(c)
+                assert type(q) is DegreeMatrix and q == c.matrix
+
     def test_free_group_needs_the_identity_automorphism(self):
         # at mu = 1 every residue and modular inverse is 0, so normalizing
         # the torsion row applies (k, m) -> (k, 0), in every column order
@@ -207,21 +213,21 @@ class TestAdjust:
                     q = mk(c.matrix.mu, c.matrix.u, (0, 1, eta))
                 except ValueError:
                     continue
-                assert planes.is_isomorphic(q, planes.adjust(q))
+                assert planes.isomorphism_witness(q, planes.adjust(q)) is not None
 
 
 class TestIsomorphism:
     def test_sporadic_pairs(self):
-        assert planes.is_isomorphic(mk(9, (1, 1, 1), (0, 1, 2)), mk(9, (1, 1, 1), (0, 1, 5)))
-        assert planes.is_isomorphic(mk(9, (1, 1, 4), (0, 1, 5)), mk(9, (1, 1, 4), (0, 1, 8)))
-        assert not planes.is_isomorphic(mk(9, (1, 4, 25), (0, 1, 2)), mk(9, (1, 4, 25), (0, 1, 5)))
-        assert planes.is_isomorphic(mk(8, (1, 1, 2), (0, 1, 3)), mk(8, (1, 1, 2), (0, 1, 7)))
-        assert not planes.is_isomorphic(mk(8, (1, 1, 2), (0, 1, 1)), mk(8, (1, 1, 2), (0, 1, 7)))
+        assert planes.isomorphism_witness(mk(9, (1, 1, 1), (0, 1, 2)), mk(9, (1, 1, 1), (0, 1, 5))) is not None
+        assert planes.isomorphism_witness(mk(9, (1, 1, 4), (0, 1, 5)), mk(9, (1, 1, 4), (0, 1, 8))) is not None
+        assert planes.isomorphism_witness(mk(9, (1, 4, 25), (0, 1, 2)), mk(9, (1, 4, 25), (0, 1, 5))) is None
+        assert planes.isomorphism_witness(mk(8, (1, 1, 2), (0, 1, 3)), mk(8, (1, 1, 2), (0, 1, 7))) is not None
+        assert planes.isomorphism_witness(mk(8, (1, 1, 2), (0, 1, 1)), mk(8, (1, 1, 2), (0, 1, 7))) is None
 
     def test_reflexive_and_mu_mismatch(self):
         q = mk(8, (1, 1, 2), (0, 1, 3))
-        assert planes.is_isomorphic(q, q)
-        assert not planes.is_isomorphic(q, mk(4, (1, 1, 2), (0, 1, 3)))
+        assert planes.isomorphism_witness(q, q) is not None
+        assert planes.isomorphism_witness(q, mk(4, (1, 1, 2), (0, 1, 3))) is None
 
     def test_witness_is_valid(self):
         q1 = mk(9, (1, 1, 4), (0, 1, 5))
@@ -273,12 +279,12 @@ class TestIsomorphism:
             for eta in (2, 5, 8):
                 sample.append(mk(9, u, (0, 1, eta)))
         for x in sample:
-            assert planes.is_isomorphic(x, x)
+            assert planes.isomorphism_witness(x, x) is not None
             for y in sample:
-                assert planes.is_isomorphic(x, y) == planes.is_isomorphic(y, x)
+                assert (planes.isomorphism_witness(x, y) is None) == (planes.isomorphism_witness(y, x) is None)
                 for z in sample:
-                    if planes.is_isomorphic(x, y) and planes.is_isomorphic(y, z):
-                        assert planes.is_isomorphic(x, z)
+                    if planes.isomorphism_witness(x, y) is not None and planes.isomorphism_witness(y, z) is not None:
+                        assert planes.isomorphism_witness(x, z) is not None
 
 
 class TestClassify:
@@ -314,7 +320,7 @@ class TestClassify:
             for c in planes.classify(a, 300):
                 p = planes.generator_of(c.matrix)
                 q2 = DegreeMatrix(*oracles.cokernel_structure([list(r) for r in p.rows]))
-                assert planes.is_isomorphic(c.matrix, q2)
+                assert planes.isomorphism_witness(c.matrix, q2) is not None
 
     def test_weights_solve_scaled_equation(self):
         for a in (1, 2, 3, 4, 5, 6, 8, 9):
@@ -545,7 +551,7 @@ def test_adjust_recovers_canonical_from_any_presentation(data):
     cols = [cols[i] for i in perm]
     q = DegreeMatrix(mu, tuple(x[0] for x in cols), tuple(x[1] for x in cols))
     assert planes.adjust(q) == c.matrix
-    assert planes.is_isomorphic(q, c.matrix)
+    assert planes.isomorphism_witness(q, c.matrix) is not None
 
 
 def same_weight_classes():

@@ -54,9 +54,9 @@ class TestAnticanonical:
 
 class TestLocalInvariants:
     def test_class_group_orders(self):
-        assert planes.local_class_group_order(mk(4, (1, 1, 2), (0, 1, 1)), 2) == 8
-        assert planes.local_class_group_order(mk(1, (1, 4, 5)), 0) == 1
-        assert planes.local_class_group_order(mk(9, (1, 1, 1), (0, 1, 2)), 1) == 9
+        assert planes.fake_weights_of_degree_matrix(mk(4, (1, 1, 2), (0, 1, 1)))[2] == 8
+        assert planes.fake_weights_of_degree_matrix(mk(1, (1, 4, 5)))[0] == 1
+        assert planes.fake_weights_of_degree_matrix(mk(9, (1, 1, 1), (0, 1, 2)))[1] == 9
 
     def test_gorenstein_examples(self):
         assert [planes.local_gorenstein_index(mk(3, (1, 2, 3), (0, 1, 1)), k) for k in range(3)] == [3, 3, 1]
@@ -65,10 +65,12 @@ class TestLocalInvariants:
 
     def test_t_singularity_examples(self):
         q = mk(8, (1, 1, 2), (0, 1, 1))
-        assert planes.is_t_singular(q, 0) == (False, None)
-        flag, d = planes.is_t_singular(q, 2)
+        rep = planes.singularity_report(q)
+        assert (rep.is_t[0], rep.d[0]) == (False, None)
+        flag, d = rep.is_t[2], rep.d[2]
         assert flag and d * planes.local_gorenstein_index(q, 2) ** 2 == 16
-        flag, d = planes.is_t_singular(mk(1, (1, 4, 5)), 0)
+        rep = planes.singularity_report(mk(1, (1, 4, 5)))
+        flag, d = rep.is_t[0], rep.d[0]
         assert flag and d == 1
 
 
@@ -238,7 +240,7 @@ class TestWorkedExamples:
             (i, j)
             for i in range(len(matrices))
             for j in range(i + 1, len(matrices))
-            if planes.is_isomorphic(matrices[i], matrices[j])
+            if planes.isomorphism_witness(matrices[i], matrices[j]) is not None
         }
         assert iso_pairs == set(example["isomorphic_pairs"])
 
