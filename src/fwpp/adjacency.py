@@ -48,7 +48,6 @@ from . import abelian, markov, planes
 from .markov import InvariantError, _text
 from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
-Triple = tuple[int, int, int]
 _columns = attrgetter("u", "eta")  # the key of a class or matrix within one (degree, mu) family
 
 

@@ -27,9 +27,6 @@ from itertools import chain, islice, permutations
 from math import gcd, isqrt
 from operator import eq
 
-#: Parameters whose equation has at least one solution.
-SOLVABLE_PARAMETERS = (1, 2, 3, 4, 5, 6, 8, 9)
-
 #: Squarefree cofactor pattern of the reduced equation classes: a solution of
 #: the reduced equation with parameter ``A`` is, up to order, of the shape
 #: ``(xi0*x0**2, xi1*x1**2, xi2*x2**2)`` with ``xi = REDUCED_XI[A]``.
@@ -37,9 +34,6 @@ REDUCED_XI = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 1, 5)}
 
 #: The single initial triple of each reduced parameter.
 REDUCED_ROOTS = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 4, 5)}
-
-#: Parameters whose solutions have pairwise coprime entries.
-REDUCED_PARAMETERS = tuple(sorted(REDUCED_ROOTS))
 
 Triple = tuple[int, int, int]
 
@@ -254,10 +248,6 @@ class SquareDecomposition:
     xi: Triple
     perm: tuple[int, int, int]
     scale: int
-
-    @property
-    def reduced_parameter(self) -> int:
-        return next(a for a, xi in REDUCED_XI.items() if xi == self.xi)
 
     def apply(self) -> Triple:
         out = [0, 0, 0]

@@ -31,9 +31,7 @@ from typing import NamedTuple, Sequence
 
 from . import abelian, markov
 from .abelian import KAutomorphism, Pair
-from .markov import InvariantError, _text
-
-Triple = tuple[int, int, int]
+from .markov import InvariantError, Triple, _text
 
 #: eta values of the adjusted degree matrices in each series family,
 #: keyed by (degree, mu).  mu = 1 families carry no torsion data.
@@ -172,14 +170,16 @@ def _hirzebruch_jung_length(m: int, k: int) -> int:
     the Euclidean algorithm on ``(m, k)``, plus one when that algorithm
     takes an odd number of steps; by Lamé's theorem it takes O(log m).
     """
-    quotients = []
+    length, odd = 0, False  # the even-position quotients so far; whether the step count is odd
     while k:
         a, r = divmod(m, k)
-        quotients.append(a)
+        if odd:
+            length += a
+        odd = not odd
         m, k = k, r
     if m != 1:
         raise InvariantError("continued fraction expansion did not terminate at 1")
-    return sum(quotients[1::2]) + len(quotients) % 2
+    return length + odd
 
 
 def resolution_curve_count(q: DegreeMatrix, k: int) -> int:

@@ -1,15 +1,21 @@
 """Normal forms, cokernels and the arithmetic of Z + Z/mu."""
 
+import ast
+import subprocess
+import sys
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import fwpp
+import golden
 import oracles
-from fwpp import abelian, markov, planes
+from fwpp import abelian, planes
 from fwpp.abelian import KAutomorphism
+from test_cli import child
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -77,23 +83,52 @@ def sympy_invariant_factors(p):
     return abs(int(s[0, 0])), abs(int(s[1, 1]))
 
 
+def public_definitions(module) -> list[str]:
+    """The names without a leading underscore that ``module`` binds at its top level by ``def``, ``class`` or assignment."""
+    names = set()
+    for node in ast.parse(Path(module.__file__).read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.add(node.target.id)
+    return sorted(n for n in names if not n.startswith("_"))
+
+
 def test_public_names():
-    # the normal forms, automorphism enumeration and other test-only helpers
-    # live in tests/oracles.py, not in the package namespace
-    assert sorted(fwpp.__all__) == [
-        "AdjacencyGraph", "AdjacentPair", "ClassifiedPlane", "DegreeMatrix", "EnumerationCapExceeded",
-        "GeneratorMatrix", "InvariantError", "KAutomorphism", "KStarData",
-        "MutationTree", "SeriesId", "SingularityReport", "SolutionTriple", "SquareDecomposition",
-        "abelian", "adjacency", "adjacency_graph", "adjacent_partner", "adjust",
-        "anticanonical_class", "apply_automorphism", "classify",
-        "corresponds", "decompose", "degree",
-        "enumerate_tree", "fake_weights_of_degree_matrix", "generator_of",
-        "initial_solutions", "is_solution",
-        "isomorphism_witness", "k_membership_multiple",
-        "local_gorenstein_index", "markov", "planes",
-        "resolution_curve_count", "self_adjacency_census",
-        "singularity_report",
-    ]
+    # each public name lives in the one module that defines it; the normal forms, automorphism
+    # enumeration and other test-only helpers live in tests/oracles.py
+    assert fwpp.__all__ == ["abelian", "adjacency", "markov", "planes"]
+    assert {m: public_definitions(getattr(fwpp, m)) for m in fwpp.__all__} == {
+        "abelian": [
+            "KAutomorphism", "NotGeneratorMatrixError", "Pair", "annihilates", "apply_automorphism", "bezout",
+            "k_membership_multiple", "pair_generates", "validate_generator_matrix",
+        ],
+        "adjacency": [
+            "AdjacencyGraph", "AdjacentPair", "CensusEntry", "GraphEdge", "GraphNode", "KStarData",
+            "NotDegenerableError", "adjacency_graph", "adjacent_partner", "self_adjacency_census",
+        ],
+        "markov": [
+            "EnumerationCapExceeded", "InvariantError", "MutationTree", "REDUCED_ROOTS", "REDUCED_XI",
+            "SolutionTriple", "SquareDecomposition", "Triple", "admissible_arrangements", "arrange", "decompose",
+            "enumerate_tree", "initial_solutions", "is_solution", "norm",
+        ],
+        "planes": [
+            "ClassifiedPlane", "DegreeMatrix", "GeneratorMatrix", "SERIES_ETAS", "SERIES_FAMILIES", "SeriesId",
+            "SingularityReport", "adjust", "anticanonical_class", "classify", "corresponds", "degree",
+            "fake_weights_of_degree_matrix", "generator_of", "integral_degree", "isomorphism_witness",
+            "local_gorenstein_index", "resolution_curve_count", "singularity_report",
+        ],
+    }
+
+
+def test_import_binds_the_four_modules_and_not_the_cli():
+    # perfbench/tracing.py reads getattr(fwpp, layer) for each of the four; the CLI loads only when run
+    code = "import sys, fwpp; print(sorted(n for n in vars(fwpp) if not n.startswith('_')), 'fwpp.cli' in sys.modules)"
+    with child([sys.executable, "-c", code], stdout=subprocess.PIPE) as proc:
+        out, err = proc.communicate()
+    assert (proc.returncode, out, err) == (0, b"['abelian', 'adjacency', 'markov', 'planes'] False\n", b"")
 
 
 class TestSmithNormalForm:
@@ -261,7 +296,7 @@ class TestGeneratorOf:
         assert [list(row) for row in rows] == oracles.transpose(oracles.hnf_kernel_basis(u, eta, mu))
 
     def test_closed_form_matches_hermite_route_on_classified_planes(self):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**8 if a == 1 else 10**12):
                 q = c.matrix
                 rows = planes.generator_of(q).rows
@@ -270,7 +305,7 @@ class TestGeneratorOf:
     def test_generator_of_classified_planes_matches_sympy(self):
         # the rows of generator_of(q) span the kernel of q's grading map, so
         # their cokernel is Z + Z/mu: invariant factors (1, mu)
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**5 if a == 1 else 10**8):
                 q = c.matrix
                 assert sympy_invariant_factors(planes.generator_of(q).rows) == (1, q.mu)

@@ -79,7 +79,7 @@ def test_criterion_3_scaling_identities():
 
 def test_criterion_4_square_decomposition():
     expected_xi = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 1, 5)}
-    for a in markov.SOLVABLE_PARAMETERS:
+    for a in golden.SOLVABLE_PARAMETERS:
         for u in tree_nodes(a, 10**4):
             t = markov.SolutionTriple(a, u)
             d = markov.decompose(t)
@@ -89,7 +89,7 @@ def test_criterion_4_square_decomposition():
             coeff2 = reduced * d.xi[0] * d.xi[1] * d.xi[2]
             lhs = sum(d.xi[i] * d.x[i] ** 2 for i in range(3))
             assert lhs * lhs == coeff2 * (d.x[0] * d.x[1] * d.x[2]) ** 2
-            if a in markov.REDUCED_PARAMETERS:
+            if a in markov.REDUCED_ROOTS:
                 assert gcd(u[0], u[1]) == gcd(u[0], u[2]) == gcd(u[1], u[2]) == 1
     report(4, "every enumerated solution decomposes with the stated cofactors, exactly")
 

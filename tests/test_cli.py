@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import fwpp
+import golden
 import oracles
 from fwpp import abelian, adjacency, cli, markov, planes
 
@@ -132,7 +132,7 @@ class TestSolve:
         assert "| (1,1,4) | 6 | no |" in out
 
     @pytest.mark.parametrize("fmt", ["tsv", "json", "md", "dot"])
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     @pytest.mark.parametrize("depth", [None, 3])
     def test_text_matches_the_per_row_oracle(self, capsys, fmt, a, depth):
         depth_flag = () if depth is None else ("--depth", str(depth))
@@ -243,19 +243,19 @@ class TestClassify:
 
     @pytest.mark.parametrize("fmt", ["tsv", "md"])
     def test_text_formats_match_the_per_row_writer(self, capsys, fmt):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             code, out, _ = run(capsys, "classify", "--a", str(a), "--bound", str(10**24), "--max-nodes", "100000", "--format", fmt)
             assert code == 0
             assert out == oracles.classify_text(planes.classify(a, 10**24), a, fmt)
 
     @pytest.mark.parametrize("fmt", ["tsv", "md", "json"])
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     def test_stdout_equals_the_normalizing_oracle(self, capsys, a, fmt):
         code, out, err = run(capsys, "classify", "--a", str(a), "--bound", str(10**48), "--max-nodes", "100000", "--format", fmt)
         assert (code, err) == (0, "")
         assert out == oracles.classify_text(normalized_classes(a, 10**48), a, fmt)
 
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     def test_report_json_equals_the_normalizing_oracle(self, capsys, a):
         code, out, err = run(capsys, "classify", "--a", str(a), "--bound", str(10**12), "--report", "--format", "json")
         assert (code, err) == (0, "")
@@ -745,7 +745,7 @@ _FREE_PARTS = st.integers(1, 9) | st.integers(1, 10**80)
 
 @functools.cache
 def _classified_json():
-    return [oracles.matrix_obj(c.matrix) for a in markov.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**20)]
+    return [oracles.matrix_obj(c.matrix) for a in golden.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**20)]
 
 
 #: degree matrices, many of them valid, and JSON that is none
@@ -1145,7 +1145,7 @@ class TestReadmeExamples:
             if not names:
                 exec(code, namespace)
                 continue
-            with pytest.raises(tuple(getattr(fwpp, n, None) or getattr(builtins, n) for n in names)):
+            with pytest.raises(tuple(getattr(markov, n, None) or getattr(builtins, n) for n in names)):
                 exec(code, namespace)
             raising += 1
         assert raising == 1  # classify(1, 10**96, max_nodes=10)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+import golden
 import oracles
 from fwpp import adjacency, cli, markov, planes
 from test_cli import past_the_digit_limit
@@ -31,7 +32,7 @@ BOUNDS = (0, 32, 10**4, 10**24)
 
 
 class TestTree:
-    @pytest.mark.parametrize("a", (*markov.SOLVABLE_PARAMETERS, 7))
+    @pytest.mark.parametrize("a", (*golden.SOLVABLE_PARAMETERS, 7))
     @pytest.mark.parametrize("depth", (None, 0, 3))
     def test_equals_the_dict(self, a, depth):
         for bound in BOUNDS:
@@ -47,7 +48,7 @@ class TestTree:
 
 
 class TestPlane:
-    @pytest.mark.parametrize("a", (*markov.SOLVABLE_PARAMETERS, 7))
+    @pytest.mark.parametrize("a", (*golden.SOLVABLE_PARAMETERS, 7))
     def test_equals_the_dict(self, a):
         classes = [c for bound in BOUNDS[:3] for c in planes.classify(a, bound)] + planes.classify(a, 10**12)
         for report in (False, True):
@@ -83,7 +84,7 @@ class TestReport:
         check(cli._report_json(report), oracles.report_obj(report))
 
     def test_every_t_flag_and_d(self):
-        reports = [planes.singularity_report(c.matrix) for a in markov.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**6)]
+        reports = [planes.singularity_report(c.matrix) for a in golden.SOLVABLE_PARAMETERS for c in planes.classify(a, 10**6)]
         assert {None} < {d for r in reports for d in r.d} and {True, False} <= {t for r in reports for t in r.is_t}
         for report in reports:
             check(cli._report_json(report), oracles.report_obj(report))

@@ -50,13 +50,13 @@ class TestMutate:
         assert oracles.mutate(SolutionTriple(9, (1, 4, 25))).u == (1, 4, 1)
 
     def test_involution_on_enumerated_nodes(self):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 500):
                 t = SolutionTriple(a, u)
                 assert oracles.mutate(oracles.mutate(t)) == t
 
     def test_norm_law(self):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 500):
                 t = SolutionTriple(a, u)
                 image = oracles.mutate(t)
@@ -68,7 +68,7 @@ class TestMutate:
                     assert image.norm < t.norm
 
     def test_gcd_invariance(self):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 2000):
                 t = SolutionTriple(a, u)
                 g = gcd(gcd(u[0], u[1]), u[2])
@@ -137,7 +137,7 @@ class TestEnumerateTree:
         for x, y in zip(path, path[1:]):
             assert (min(x, y), max(x, y)) in tree.edges
 
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     def test_matches_brute_scan(self, a):
         assert set(all_nodes(a, 200)) == oracles.brute_solutions(a, 200)
 
@@ -149,7 +149,7 @@ class TestEnumerateTree:
         assert set(comps) == {2, 3}
 
     def test_norms_increase_away_from_roots(self):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             tree = markov.enumerate_tree(a, 3000)
             for x, y in tree.edges:
                 shallow, deep = sorted((x, y), key=lambda u: tree.depths[u])
@@ -190,7 +190,7 @@ class TestModularFacts:
             assert (v[0] % 5, v[1] % 5) in {(1, 4), (4, 1)}
 
     def test_pairwise_coprime_for_reduced(self):
-        for a in markov.REDUCED_PARAMETERS:
+        for a in sorted(markov.REDUCED_ROOTS):
             for u in all_nodes(a, 3000):
                 assert gcd(u[0], u[1]) == gcd(u[0], u[2]) == gcd(u[1], u[2]) == 1
 
@@ -207,7 +207,7 @@ class TestScaling:
             for u in all_nodes(a, 2000):
                 d = markov.decompose(SolutionTriple(a, u))
                 b, reduced = d.scale, a * d.scale
-                assert reduced == a * b and reduced in markov.REDUCED_PARAMETERS
+                assert reduced == a * b and reduced in markov.REDUCED_ROOTS
 
     def test_identities_on_small_sets(self):
         s4 = set(all_nodes(4, 800))
@@ -226,11 +226,11 @@ class TestDecompose:
         assert d.scale == 4 and d.xi == (1, 1, 2)
 
     def test_roundtrip_and_equation(self):
-        for a in markov.SOLVABLE_PARAMETERS:
+        for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 2000):
                 d = markov.decompose(SolutionTriple(a, u))
                 assert d.apply() == u
-                coeff = d.reduced_parameter * d.xi[0] * d.xi[1] * d.xi[2]
+                coeff = a * d.scale * d.xi[0] * d.xi[1] * d.xi[2]
                 lhs = sum(d.xi[i] * d.x[i] ** 2 for i in range(3))
                 assert lhs * lhs == coeff * (d.x[0] * d.x[1] * d.x[2]) ** 2
 
@@ -254,7 +254,7 @@ class TestDecompose:
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.sampled_from(markov.SOLVABLE_PARAMETERS), st.data())
+@given(st.sampled_from(golden.SOLVABLE_PARAMETERS), st.data())
 def test_mutation_properties_random_nodes(a, data):
     nodes = all_nodes(a, 5000)
     u = data.draw(st.sampled_from(nodes))
@@ -397,7 +397,7 @@ def test_every_raised_message_formats_its_values_through_text():
 
 
 def test_every_import_of_the_package_is_used():
-    # a deleted function must not leave its imports behind; __init__ only re-exports, and __future__ imports are features
+    # a deleted function must not leave its imports behind; __init__ only binds the four modules, and __future__ imports are features
     imports = 0
     for path in Path(markov.__file__).parent.glob("*.py"):
         if path.name == "__init__.py":
@@ -451,7 +451,7 @@ def test_arrangement_errors():
 
 
 class TestAgainstSortingOracles:
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     @pytest.mark.parametrize("depth_bound", [None, 4])
     def test_tree_matches_sorting_bfs(self, a, depth_bound, bound=10**24):
         tree = markov.enumerate_tree(a, bound, depth_bound)
@@ -459,17 +459,17 @@ class TestAgainstSortingOracles:
         assert tree.nodes == nodes and tree.edges == edges and tree.depths == depths
 
     @pytest.mark.parametrize("digits", [48, 96])
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     @pytest.mark.parametrize("depth_bound", [None, 4])
     def test_tree_matches_sorting_bfs_at_longer_bounds(self, a, depth_bound, digits):
         self.test_tree_matches_sorting_bfs(a, depth_bound, 10**digits)
 
     @pytest.mark.parametrize("digits", [48, 96])
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     def test_node_cap_raises_at_the_same_size_at_longer_bounds(self, a, digits):
         self.test_node_cap_raises_at_the_same_size(a, 10**digits)
 
-    @pytest.mark.parametrize("a", markov.SOLVABLE_PARAMETERS)
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
     def test_node_cap_raises_at_the_same_size(self, a, bound=10**24):
         n = len(markov.enumerate_tree(a, bound).nodes)
         for cap in (1, n // 2, n - 1):
@@ -491,7 +491,7 @@ def capped_nodes(enumerate_fn, *args):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    st.sampled_from((*markov.SOLVABLE_PARAMETERS, 7, 10)),
+    st.sampled_from((*golden.SOLVABLE_PARAMETERS, 7, 10)),
     st.integers(0, 60).flatmap(lambda digits: st.integers(0, 10**digits)),
     st.none() | st.integers(0, 8),
 )
@@ -517,14 +517,14 @@ def arrangement_outcome(fn, u, reduced_a):
 
 
 @settings(max_examples=400, deadline=None)
-@given(st.sampled_from(markov.REDUCED_PARAMETERS), st.tuples(*[st.integers(1, 40)] * 3))
+@given(st.sampled_from(sorted(markov.REDUCED_ROOTS)), st.tuples(*[st.integers(1, 40)] * 3))
 def test_arrangements_match_tuple_oracle(reduced_a, u):
     assert arrangement_outcome(markov.admissible_arrangements, u, reduced_a) == arrangement_outcome(
         oracles.tuple_admissible_arrangements, u, reduced_a
     )
 
 
-@pytest.mark.parametrize("reduced_a", markov.REDUCED_PARAMETERS + (7,))
+@pytest.mark.parametrize("reduced_a", (*sorted(markov.REDUCED_ROOTS), 7))
 @pytest.mark.parametrize("u", [(1, 1, 1), (1, 1, 2), (2, 2, 1), (5, 1, 1), (1, 2, 3), (6, 6, 6), (2, 6, 3), (10, 10, 5)])
 def test_arrangements_match_tuple_oracle_on_ties(reduced_a, u):
     assert arrangement_outcome(markov.admissible_arrangements, u, reduced_a) == arrangement_outcome(
