@@ -16,7 +16,8 @@ them (``mu``, ``eta``, curve counts and ``iso``'s automorphism stay
 numbers); every format prints integers of any size.  Output is byte-identical across runs.
 Only this module reads or writes text; the library computes.  Every command writes through
 :func:`_write`, ``CHUNK`` text parts at a time, JSON one node, edge or class per part, so no output
-is held whole.  ``markov._text`` and the helpers here write integers of any size, lifting no limit.
+is held whole.  Each row and JSON record is one format call (:func:`_rows`), past the int-to-str digit limit again
+from ``markov._text`` of its entries, lifting no limit; ``classify`` converts ``u`` and weights once per tree node.
 
 :func:`build_parser` builds one parser per process and returns that same
 shared object on every call, :func:`main` included; callers must not mutate it.
@@ -87,73 +88,91 @@ def _read_matrix_arg(value: str) -> planes.DegreeMatrix:
         raise ValueError(f"not a degree matrix: {exc}") from exc
 
 
-def _decimal_join(values, sep: str = ",") -> str:
-    """``sep``-joined decimal text of a sequence of integers of any size."""
+def _row(template: str, values: tuple) -> str:
+    """``template % values``: a whole row in one format call, ``%s`` for each of ``values``.  A row with an integer past the
+    int-to-str digit limit is formatted again from the ``_text`` of each value."""
     try:
-        return sep.join(map(str, values))
-    except ValueError:  # an entry past the int-to-str digit limit
-        return sep.join(map(_text, values))
+        return template % values
+    except ValueError:  # an integer past the digit limit
+        return template % tuple(map(_text, values))
 
 
-def _json_strs(values) -> str:
-    """The JSON array of the ``str`` of each of ``values``, integers of any size among them."""
-    return '["' + _decimal_join(values, '","') + '"]' if values else "[]"
+def _rows(template: str, records: Iterable[tuple]) -> Iterator[str]:
+    """:func:`_row` of each of ``records``, with no Python call per row below the digit limit."""
+    for values in records:
+        try:
+            yield template % values
+        except ValueError:
+            yield _row(template, values)
 
 
-def _json_list(elements: Iterable[str]) -> Iterator[str]:
-    """``[``, the JSON texts ``elements`` separated by ``,``, and ``]``, one element per part."""
-    elements = iter(elements)
-    yield "[" + next(elements, "")
-    yield from map(",".__add__, elements)
-    yield "]"
+def _triple_texts(triples: Iterable[tuple], open_: str = '["', sep: str = '","', close: str = '"]') -> Iterator[str]:
+    """``open_``, the decimal entries of each of ``triples`` separated by ``sep``, and ``close`` (by default a JSON array of
+    strings): text kept per node, so of exact size, where a ``%`` format keeps up to a quarter of slack."""
+    for a, b, c in triples:
+        try:
+            yield f"{open_}{a}{sep}{b}{sep}{c}{close}"
+        except ValueError:  # an integer past the digit limit
+            yield f"{open_}{_text(a)}{sep}{_text(b)}{sep}{_text(c)}{close}"
+
+
+def _json_list(elements: Iterator[str]) -> Iterator[str]:
+    """``[``, the JSON texts ``elements`` separated by ``,``, and ``]``, one element per part, with no Python frame per part."""
+    return itertools.chain(("[" + next(elements, ""),), map(",".__add__, elements), ("]",))
 
 
 def _dot(name: str, nodes: Iterable[str], edges: Iterable[str]) -> Iterator[str]:
     """Graphviz ``graph name``, one line per part: each of the ``nodes`` and then the ``edges`` as one statement."""
-    yield f"graph {name} {{\n"
-    yield from (f"  {statement};\n" for statement in itertools.chain(nodes, edges))
-    yield "}\n"
+    return itertools.chain((f"graph {name} {{\n",), (f"  {statement};\n" for statement in itertools.chain(nodes, edges)), ("}\n",))
 
 
 def _tree_json(tree: markov.MutationTree) -> Iterator[str]:
-    """The tree as compact JSON, one node or edge per part."""
-    text, depths = {u: _json_strs(u) for u in tree.nodes}, tree.depths
+    """The tree as compact JSON, one node or edge per part, each node's triple converted once."""
+    text = dict(zip(tree.nodes, _triple_texts(tree.nodes)))
     depth_bound = "null" if tree.depth_bound is None else _text(tree.depth_bound)
-    yield f'{{"a":{tree.a},"normBound":"{_text(tree.norm_bound)}","depthBound":{depth_bound},"roots":'
-    yield from _json_list(text[r] for r in tree.roots)
-    yield ',"nodes":'
-    yield from _json_list(f'{{"u":{t},"norm":"{_text(sum(u))}","depth":{depths[u]}}}' for u, t in text.items())
-    yield ',"edges":'
-    yield from _json_list(f"[{text[x]},{text[y]}]" for x, y in tree.edges)
-    yield "}"
+    nodes = _rows('{"u":%s,"norm":"%s","depth":%s}', zip(text.values(), map(sum, tree.nodes), map(tree.depths.__getitem__, tree.nodes)))
+    return itertools.chain(
+        (f'{{"a":{_text(tree.a)},"normBound":"{_text(tree.norm_bound)}","depthBound":{depth_bound},"roots":',),
+        _json_list(text[r] for r in tree.roots), (',"nodes":',), _json_list(nodes),
+        (',"edges":',), _json_list(f"[{text[x]},{text[y]}]" for x, y in tree.edges), ("}",))
 
 
 def _tree_dot(tree: markov.MutationTree) -> Iterator[str]:
     """The tree in Graphviz dot, one line per part."""
-    label = {u: f'"({_decimal_join(u)})"' for u in tree.nodes}
-    return _dot(f"mutation_tree_{tree.a}", label.values(), (f"{label[x]} -- {label[y]}" for x, y in tree.edges))
+    label = dict(zip(tree.nodes, _triple_texts(tree.nodes, '"(', ",", ')"')))
+    return _dot(f"mutation_tree_{_text(tree.a)}", label.values(), (f"{label[x]} -- {label[y]}" for x, y in tree.edges))
 
 
 def _report_json(report: planes.SingularityReport) -> str:
     """The report as one compact JSON object."""
-    is_t = ",".join(map(str, report.is_t)).lower()
-    d = ",".join("null" if x is None else f'"{_text(x)}"' for x in report.d)
-    return (f'{{"cl":{_json_strs(report.cl)},"iota":{_json_strs(report.iota)},"isT":[{is_t}],'
-            f'"d":[{d}],"resCurves":[{_decimal_join(report.res_curves)}]}}')
+    d = ("null" if x is None else f'"{_text(x)}"' for x in report.d)
+    return _row('{"cl":["%s","%s","%s"],"iota":["%s","%s","%s"],"isT":[%s,%s,%s],"d":[%s,%s,%s],"resCurves":[%s,%s,%s]}',
+                (*report.cl, *report.iota, *(str(t).lower() for t in report.is_t), *d, *report.res_curves))
 
 
-def _class_json(c: planes.ClassifiedPlane, with_report: bool) -> str:
-    """The class as one compact JSON object, with its singularity report when ``with_report`` is set."""
-    series = c.all_series[0]
-    merged = f',"mergedSeries":{_json_strs(c.all_series)}' if len(c.all_series) > 1 else ""
+def _class_json(c: planes.ClassifiedPlane, with_report: bool, texts: tuple[str, str] | None = None) -> str:
+    """The class as one compact JSON object, with its singularity report when ``with_report`` is set.  ``texts``, when
+    given, are the JSON arrays of its ``u`` and of its weights, as :func:`_node_texts` shares them."""
+    u, weights = texts or _triple_texts((c.u, c.weights))
+    merged = ',"mergedSeries":["%s"]' % '","'.join(map(str, c.all_series)) if len(c.all_series) > 1 else ""
     report = f',"report":{_report_json(planes.singularity_report(c))}' if with_report else ""
-    return (f'{{"series":"{series}","mu":{_text(c.mu)},"u":{_json_strs(c.u)},"eta":[{_decimal_join(c.eta)}],'
-            f'"weights":{_json_strs(c.weights)},"degree":"{series.a}"{merged}{report}}}')
+    return _row('{"series":"%s","mu":%s,"u":%s,"eta":[%s,%s,%s],"weights":%s,"degree":"%s"%s%s}',
+                (c.series, c.mu, u, *c.eta, weights, c.series.a, merged, report))
+
+
+def _node_texts(classes: Iterable[planes.ClassifiedPlane], *triple: str) -> Iterator[tuple[planes.ClassifiedPlane, tuple[str, str]]]:
+    """Each class with the :func:`_triple_texts` of its ``u`` and of its weights (``mu * u``), converted once per run of classes
+    with equal ``u`` and ``mu``: the classes of one untied tree node, adjacent in :func:`planes.classify`'s order."""
+    key = None
+    for c in classes:
+        if key != (c.u, c.mu):
+            key, texts = (c.u, c.mu), tuple(_triple_texts((c.u, c.weights), *triple))
+        yield c, texts
 
 
 def _label(q: planes.DegreeMatrix | planes.ClassifiedPlane) -> str:
     """Graph node label ``(u0,u1,u2; eta2)`` of an adjusted matrix or a class; ``(u0,u1,u2)`` at ``mu = 1``."""
-    return f"({_decimal_join(q.u)}{'' if q.mu == 1 else f'; {q.eta[2]}'})"
+    return _row("(%s,%s,%s)", q.u) if q.mu == 1 else _row("(%s,%s,%s; %s)", (*q.u, q.eta[2]))
 
 
 def _graph_json(graph: adjacency.AdjacencyGraph) -> Iterator[str]:
@@ -161,17 +180,14 @@ def _graph_json(graph: adjacency.AdjacencyGraph) -> Iterator[str]:
 
     def node(n: adjacency.GraphNode) -> str:
         q, kstar = n.plane, n.self_kstar
-        return (f'{{"label":"{_label(q)}","series":{_json_strs(q.all_series)},"u":{_json_strs(q.u)},'
-                f'"eta":[{_decimal_join(q.eta)}],"selfAdjacent":{str(kstar is not None).lower()},'
-                f'"nonToricSelf":{str(kstar is not None and kstar.non_toric).lower()},"allT":{str(n.all_t).lower()}}}')
+        return _row('{"label":"%s","series":["%s"],"u":["%s","%s","%s"],"eta":[%s,%s,%s],"selfAdjacent":%s,"nonToricSelf":%s,"allT":%s}',
+                    (_label(q), '","'.join(map(str, q.all_series)), *q.u, *q.eta, str(kstar is not None).lower(),
+                     str(kstar is not None and kstar.non_toric).lower(), str(n.all_t).lower()))
 
-    yield f'{{"a":{graph.a},"mu":{graph.mu},"normBound":"{_text(graph.norm_bound)}","nodes":'
-    yield from _json_list(map(node, graph.nodes))
-    yield ',"edges":'
-    yield from _json_list(f'{{"from":"{_label(e.a)}","to":"{_label(e.b)}","jump":{str(e.jump).lower()}}}' for e in graph.edges)
-    yield ',"selfAdjacent":'
-    yield from _json_list(f'"{_label(n.plane)}"' for n in graph.nodes if n.self_kstar is not None)
-    yield "}"
+    return itertools.chain(
+        (f'{{"a":{graph.a},"mu":{graph.mu},"normBound":"{_text(graph.norm_bound)}","nodes":',), _json_list(map(node, graph.nodes)),
+        (',"edges":',), _json_list(f'{{"from":"{_label(e.a)}","to":"{_label(e.b)}","jump":{str(e.jump).lower()}}}' for e in graph.edges),
+        (',"selfAdjacent":',), _json_list(f'"{_label(n.plane)}"' for n in graph.nodes if n.self_kstar is not None), ("}",))
 
 
 def _graph_dot(graph: adjacency.AdjacencyGraph) -> Iterator[str]:
@@ -224,9 +240,9 @@ def cmd_solve(args) -> int:
         rows = sorted(tree.nodes, key=sum)  # stable: by norm, then as the nodes are sorted
         if args.format == "md":  # initial iff a root: a child's largest entry mutates to a smaller one, a root's does not
             header = ["| u | norm | initial |\n|---|---|---|\n"]
-            _write(itertools.chain(header, (f"| ({_decimal_join(u)}) | {_text(sum(u))} | {'yes' if u in tree.roots else 'no'} |\n" for u in rows)))
+            _write(itertools.chain(header, _rows("| (%s,%s,%s) | %s | %s |\n", ((*u, sum(u), "yes" if u in tree.roots else "no") for u in rows))))
         else:
-            _write(_decimal_join((*u, sum(u)), "\t") + "\n" for u in rows)
+            _write(_rows("%s\t%s\t%s\t%s\n", ((*u, sum(u)) for u in rows)))
     return 0
 
 
@@ -235,12 +251,12 @@ def cmd_classify(args) -> int:
         raise ValueError("--report needs --format json")
     classes = planes.classify(args.a, args.bound, max_nodes=args.max_nodes)
     if args.format == "json":
-        _write(itertools.chain(_json_list(_class_json(c, args.report) for c in classes), ["\n"]))
+        _write(itertools.chain(_json_list(_class_json(c, args.report, texts) for c, texts in _node_texts(classes)), ["\n"]))
     else:
         md = args.format == "md"
         header = ["| series | u | eta | weights | degree |\n|---|---|---|---|---|\n"] if md else []
-        row = "| {} | ({}) | ({}) | ({}) | {} |\n" if md else "{}\t{}\t{}\t{}\t{}\n"
-        _write(itertools.chain(header, (row.format(c.series, *map(_decimal_join, (c.u, c.eta, c.weights)), args.a) for c in classes)))
+        row = "| %s | (%s) | (%s,%s,%s) | (%s) | %s |\n" if md else "%s\t%s\t%s,%s,%s\t%s\t%s\n"
+        _write(itertools.chain(header, _rows(row, ((c.series, u, *c.eta, w, args.a) for c, (u, w) in _node_texts(classes, "", ",", "")))))
     return 0
 
 
@@ -248,8 +264,8 @@ def cmd_sing(args) -> int:
     q = _read_matrix_arg(args.matrix)
     report = planes.singularity_report(q)
     if args.format == "tsv":  # from the report alone, with no head
-        _write("\t".join((f"z({k})", _text(report.cl[k]), _text(report.iota[k]), "+" if report.is_t[k] else "-",
-                          "-" if report.d[k] is None else _text(report.d[k]), _text(report.res_curves[k]))) + "\n" for k in range(3))
+        _write(_rows("z(%s)\t%s\t%s\t%s\t%s\t%s\n", ((k, report.cl[k], report.iota[k], "+" if report.is_t[k] else "-",
+                                                         "-" if report.d[k] is None else report.d[k], report.res_curves[k]) for k in range(3))))
         return 0
     # the head of md and json, the one place a sing matrix is labelled: by the series of its adjusted form
     weights = planes.fake_weights_of_degree_matrix(q)
@@ -259,17 +275,17 @@ def cmd_sing(args) -> int:
     if args.format == "md":  # one row: the matrix as given, its label and its report
         torsion = q.mu > 1
         group = f"Z + Z/{_text(q.mu)}" if torsion else "Z"
-        matrix = f"[{_decimal_join(q.u)}]" + (f"/[{_decimal_join(q.eta)}]" if torsion else "")
+        matrix = _row("[%s,%s,%s]/[%s,%s,%s]", (*q.u, *q.eta)) if torsion else _row("[%s,%s,%s]", q.u)
         wz = planes.anticanonical_class(q)
         signs = ",".join("+" if flag else "-" for flag in report.is_t)
         label = series if adjusted == q else "-"  # json labels the class of any input, md only an adjusted one: ROADMAP item 1
-        _write(["| ID | Cl(Z) | Q | w_Z | (iota_0,iota_1,iota_2) | T | res curves |\n|---|---|---|---|---|---|---|\n"
-                f"| {label} | {group} | {matrix} | ({_decimal_join(wz if torsion else wz[:1], ', ')}) | "
-                f"({_decimal_join(report.iota)}) | ({signs}) | ({_decimal_join(report.res_curves)}) |\n"])
+        _write(["| ID | Cl(Z) | Q | w_Z | (iota_0,iota_1,iota_2) | T | res curves |\n|---|---|---|---|---|---|---|\n",
+                _row("| %s | %s | %s | (%s) | (%s,%s,%s) | (%s) | (%s,%s,%s) |\n",
+                     (label, group, matrix, _row("%s, %s", wz) if torsion else wz[0], *report.iota, signs, *report.res_curves))])
     else:  # one line: the matrix as given, its label at an integral degree, weights, degree and report
         member = "" if series is None else f',"series":"{series}"'
-        _write([f'{{"mu":{_text(q.mu)},"u":{_json_strs(q.u)},"eta":[{_decimal_join(q.eta)}]{member},'
-                f'"weights":{_json_strs(weights)},"degree":"{_text(deg)}","report":{_report_json(report)}}}\n'])
+        _write([_row('{"mu":%s,"u":["%s","%s","%s"],"eta":[%s,%s,%s]%s,"weights":["%s","%s","%s"],"degree":"%s","report":%s}\n',
+                     (q.mu, *q.u, *q.eta, member, *weights, deg, _report_json(report)))])
     return 0
 
 
@@ -284,12 +300,10 @@ def cmd_iso(args) -> int:
     if witness is None:
         _write(['{"isomorphic":false}\n' if args.format == "json" else "not isomorphic\n"])
     else:
-        phi, perm = witness
-        a, c = _text(phi.a), _text(phi.c)
-        if args.format == "json":
-            _write([f'{{"isomorphic":true,"automorphism":{{"eps":{phi.eps},"a":{a},"c":{c}}},"columnPermutation":[{_decimal_join(perm)}]}}\n'])
-        else:
-            _write([f"isomorphic\tphi=(eps={phi.eps},a={a},c={c})\tperm={list(perm)}\n"])
+        phi, perm = witness  # one row of the same values in either format
+        row = ('{"isomorphic":true,"automorphism":{"eps":%s,"a":%s,"c":%s},"columnPermutation":[%s,%s,%s]}\n' if args.format == "json"
+               else "isomorphic\tphi=(eps=%s,a=%s,c=%s)\tperm=[%s, %s, %s]\n")
+        _write([_row(row, (phi.eps, phi.a, phi.c, *perm))])
     return 0 if witness is not None else 1
 
 

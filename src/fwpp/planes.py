@@ -170,16 +170,17 @@ def _hirzebruch_jung_length(m: int, k: int) -> int:
     the Euclidean algorithm on ``(m, k)``, plus one when that algorithm
     takes an odd number of steps; by Lamé's theorem it takes O(log m).
     """
-    length, odd = 0, False  # the even-position quotients so far; whether the step count is odd
+    length = 0  # the even-position quotients so far; two steps per turn
     while k:
-        a, r = divmod(m, k)
-        if odd:
-            length += a
-        odd = not odd
-        m, k = k, r
+        m, k = k, m % k  # an odd-position step: its quotient is not counted
+        if not k:
+            length += 1  # the step count is odd
+            break
+        a, r = divmod(m, k)  # an even-position step: its quotient is counted
+        length, m, k = length + a, k, r
     if m != 1:
         raise InvariantError("continued fraction expansion did not terminate at 1")
-    return length + odd
+    return length
 
 
 def resolution_curve_count(q: DegreeMatrix, k: int) -> int:

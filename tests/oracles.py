@@ -857,7 +857,7 @@ def classify_text(classes, a: int, fmt: str, report: bool = False) -> str:
             print("|---|---|---|---|---|")
             row = "| {} | ({}) | ({}) | ({}) | {} |"
         for c in classes:
-            cols = (",".join(map(str, v)) for v in (c.u, c.eta, c.weights))
+            cols = (",".join(map(markov._text, v)) for v in (c.u, c.eta, c.weights))
             print(row.format(c.series, *cols, a))
     return out.getvalue()
 

@@ -86,6 +86,12 @@ class TestSolve:
         code, out, _ = run(capsys, "solve", "--a", "7", "--bound", "100")
         assert code == 0 and out == ""
 
+    @pytest.mark.parametrize("fmt, head", [("json", '{{"a":{},"normBound":"10","depthBound":null,"roots":[],"nodes":[],"edges":[]}}\n'),
+                                           ("dot", "graph mutation_tree_{} {{\n}}\n")])
+    def test_parameter_past_the_digit_limit_heads_its_empty_tree(self, capsys, fmt, head):
+        a = "1" + "0" * 5000
+        assert run(capsys, "solve", "--a", a, "--bound", "10", "--format", fmt) == (0, head.format(a), "")
+
     def test_invalid_parameter(self, capsys):
         code, _, err = run(capsys, "solve", "--a", "0")
         assert code == 2 and "error" in err
@@ -835,6 +841,51 @@ class TestJsonDigitLimit:
         finally:
             set_limit(limit)
         assert [code for code, _, _ in expected] == [2] + [0] * 23 + [1, 0, 0] and expected[0][1] == ""
+
+
+def walk_tree():
+    """The mutation path at ``a = 9`` from the root ``(1, 1, 1)``, each step mutating the smallest entry, to the first node
+    past 4,400 digits: a one-branch tree whose last rows pass the 4,300 digits ``str(int)`` writes by default."""
+    path = [(1, 1, 1)]
+    while path[-1][2] < 10**4400:
+        path.append(oracles.play(path[-1], 9, 0))
+    return markov.MutationTree(9, markov.norm(path[-1]), None, tuple((u,) for u in path), (b"\1",) * (len(path) - 1))
+
+
+class TestRowsPastTheDigitLimit:
+    """Each row template of ``solve`` and ``classify`` on rows past the digit limit: such a row is formatted again from
+    the ``_text`` of its entries, at the default limit and at the lowest one, and the text is the oracle's."""
+
+    TREE = walk_tree()
+
+    @staticmethod
+    def at_both_limits(capsys, argv):
+        outputs = [run(capsys, *argv)]
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            outputs.append(run(capsys, *argv))
+        finally:
+            sys.set_int_max_str_digits(limit)
+        return outputs
+
+    @pytest.mark.parametrize("fmt", ["tsv", "md", "json", "dot"])
+    def test_solve(self, capsys, monkeypatch, fmt):
+        monkeypatch.setattr(markov, "enumerate_tree", lambda *args, **kwargs: self.TREE)
+        assert len(markov._text(self.TREE.nodes[-1][2])) > 4300
+        expected = (0, oracles.tree_text(self.TREE, fmt), "")
+        assert self.at_both_limits(capsys, ["solve", "--a", "9", "--format", fmt]) == [expected] * 2
+
+    @pytest.mark.parametrize("fmt, report", [("tsv", False), ("md", False), ("json", False), ("json", True)])
+    def test_classify(self, capsys, monkeypatch, fmt, report):
+        # the family of degree 1 and mu 9 reads the tree of parameter 9; its untied nodes give three classes each
+        empty = markov.MutationTree(1, 0, None, ((),), ())
+        monkeypatch.setattr(markov, "enumerate_tree", lambda a, *args, **kwargs: self.TREE if a == 9 else empty)
+        classes = planes.classify(1, 1)
+        assert len(classes) > 3 * (len(self.TREE.nodes) - 2) and len(markov._text(classes[-1].u[2])) > 4300
+        expected = (0, oracles.classify_text(classes, 1, fmt, report), "")
+        argv = ["classify", "--a", "1", "--bound", "1", "--format", fmt, *(["--report"] if report else [])]
+        assert self.at_both_limits(capsys, argv) == [expected] * 2
 
 
 class TestParserReuse:

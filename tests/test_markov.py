@@ -308,8 +308,8 @@ def test_sorted_and_json_helpers():
 
 
 def test_decimal_text_helpers():
-    assert cli._decimal_join((1, 22, 333)) == "1,22,333"
-    assert cli._decimal_join((4, 5), "\t") == "4\t5"
+    assert cli._row("%s,%s,%s", (1, 22, 333)) == "1,22,333"
+    assert cli._row("%s\t%s", (4, 5)) == "4\t5"
     assert cli.integer("12") == cli.integer(12) == 12
     big = "7" * 5000
     assert cli.integer(big) == 7 * (10**5000 - 1) // 9
@@ -328,11 +328,11 @@ def walk_past_the_digit_limit():
     return parent, child
 
 
-def test_decimal_join_mixes_short_and_long_entries():
+def test_row_format_mixes_short_and_long_entries():
     long = 3 * 10**4500 + 7
     text = "3" + "0" * 4499 + "7"
-    assert cli._decimal_join((5, long, 12)) == f"5,{text},12"
-    assert cli._decimal_join([long, 1], "\t") == f"{text}\t1"
+    assert cli._row("%s,%s,%s", (5, long, 12)) == f"5,{text},12"
+    assert cli._row("%s\t%s", (long, 1)) == f"{text}\t1"
 
 
 #: 4,501 digits, past the 4,300 that ``str(int)`` writes by default, and its text

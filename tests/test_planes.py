@@ -716,6 +716,6 @@ class TestSerialization:
         # text output: labels, tables and the parser reading them back
         text = [str(decimal.Decimal(x)) for x in u]
         assert [cli.integer(x) for x in text] == list(u)
-        assert cli._decimal_join(u, "\t") == "\t".join(text)
+        assert cli._row("%s\t%s\t%s", u) == "\t".join(text)
         assert f'"({",".join(text)})";' in "".join(cli._tree_dot(tree))
         assert cli._label(q) == f"({','.join(text)})"
