@@ -11,9 +11,8 @@ means the free group; torsion residues are then identically zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .markov import _text
 
@@ -26,8 +25,7 @@ Pair = tuple[int, int]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class KAutomorphism:
+class KAutomorphism(NamedTuple):
     """The automorphism ``(k, m) -> (eps*k, a*k + c*m)`` of ``Z + Z/mu``.
 
     ``eps`` is +-1, ``a`` any residue, ``c`` a unit; these exhaust the

@@ -39,10 +39,11 @@ base norm.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
+from typing import NamedTuple
 
 from . import abelian, markov, planes
 from .markov import InvariantError, _text
@@ -55,8 +56,7 @@ class NotDegenerableError(ValueError):
     """Raised when a fixed point does not admit the partner construction."""
 
 
-@dataclass(frozen=True)
-class KStarData:
+class KStarData(namedtuple("KStarData", "l1 l2 d0 d1 d2")):
     """Defining data of the ambient 3x4 generator matrix.
 
     ``gcd(l_i, d_i) = 1`` keeps the slice columns primitive and the slope
@@ -66,14 +66,11 @@ class KStarData:
     accepted.
     """
 
-    l1: int
-    l2: int
-    d0: int
-    d1: int
-    d2: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_kstar(self.l1, self.l2, self.d0, self.d1, self.d2)
+    def __new__(cls, l1: int, l2: int, d0: int, d1: int, d2: int):
+        _check_kstar(l1, l2, d0, d1, d2)
+        return super().__new__(cls, l1, l2, d0, d1, d2)
 
     @property
     def non_toric(self) -> bool:
@@ -112,8 +109,7 @@ def _kstar_repr(data: tuple[int, ...]) -> str:
     return "KStarData(" + ", ".join(f"{n}={_text(x)}" for n, x in zip(("l1", "l2", "d0", "d1", "d2"), data)) + ")"
 
 
-@dataclass(frozen=True)
-class AdjacentPair:
+class AdjacentPair(NamedTuple):
     """The partner of a plane ``q`` over a common K*-surface ``kstar``.
 
     ``q2`` is the partner's canonical adjusted matrix, so the pair is a
@@ -232,22 +228,19 @@ def _partner(q: DegreeMatrix | ClassifiedPlane, slot: int, l1: int, a: int):
     return kstar, (u2, eta2), adjusted
 
 
-@dataclass(frozen=True)
-class GraphNode:
+class GraphNode(NamedTuple):
     plane: ClassifiedPlane
     self_kstar: KStarData | None  # the surface of a self-pair, a non-toric one first
     all_t: bool  # every fixed point is at most a T-singularity
 
 
-@dataclass(frozen=True)
-class GraphEdge:
+class GraphEdge(NamedTuple):
     a: ClassifiedPlane
     b: ClassifiedPlane
     jump: bool
 
 
-@dataclass
-class AdjacencyGraph:
+class AdjacencyGraph(NamedTuple):
     """Adjacency structure on the classes of one ``(degree, mu)`` family."""
 
     a: int
@@ -295,8 +288,7 @@ def adjacency_graph(a: int, mu: int, norm_bound: int, max_nodes: int | None = No
     return AdjacencyGraph(a=a, mu=mu, norm_bound=norm_bound, nodes=tuple(nodes), edges=edge_list)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     series: SeriesId
     kstar: KStarData
 

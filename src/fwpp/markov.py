@@ -21,11 +21,12 @@ steps below ``(1, 4, 5)`` for ``a = 5``).
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice, permutations
 from math import gcd, isqrt
 from operator import eq
+from typing import NamedTuple
 
 #: Squarefree cofactor pattern of the reduced equation classes: a solution of
 #: the reduced equation with parameter ``A`` is, up to order, of the shape
@@ -42,8 +43,8 @@ def _text(x, conv=str) -> str:
     """``conv(x)`` (``str``, as in ``f"{x}"``, or ``repr``) at any size, the one way an integer becomes text.
 
     ``str(int)`` refuses integers past the int-to-str digit limit (4,300 digits by default) and ``Decimal``
-    converts those without it; past the limit, ints, ``Fraction``s, tuples, lists, named tuples and dataclass reprs are
-    written in full, and a class's own ``__str__`` is called as is."""
+    converts those without it; past the limit, ints, ``Fraction``s, tuples, lists and named tuple reprs (every record of
+    the library is a named tuple) are written in full, and a class's own ``__str__`` is called as is."""
     try:
         return conv(x)
     except ValueError:  # an int past the limit, perhaps inside x
@@ -55,8 +56,7 @@ def _text(x, conv=str) -> str:
         if isinstance(x, (tuple, list)) and not hasattr(x, "_fields"):
             body = ", ".join(_text(e, repr) for e in x) + "," * (isinstance(x, tuple) and len(x) == 1)
             return f"({body})" if isinstance(x, tuple) else f"[{body}]"
-        names = x._fields if isinstance(x, tuple) else [f.name for f in fields(x) if f.repr]
-        return f"{type(x).__qualname__}({', '.join(f'{n}={_text(getattr(x, n), repr)}' for n in names)})"
+        return f"{type(x).__qualname__}({', '.join(f'{n}={_text(getattr(x, n), repr)}' for n in x._fields)})"
 
 
 def is_solution(u, a: int) -> bool:
@@ -72,16 +72,15 @@ def norm(u) -> int:
     return u[0] + u[1] + u[2]
 
 
-@dataclass(frozen=True, order=True)
-class SolutionTriple:
+class SolutionTriple(namedtuple("SolutionTriple", "a u")):
     """A verified solution of the squared Markov type equation."""
 
-    a: int
-    u: Triple
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not is_solution(self.u, self.a):
-            raise ValueError(f"{_text(self.u)} does not solve the equation with a={_text(self.a)}")
+    def __new__(cls, a: int, u: Triple):
+        if not is_solution(u, a):
+            raise ValueError(f"{_text(u)} does not solve the equation with a={_text(a)}")
+        return super().__new__(cls, a, u)
 
     @property
     def norm(self) -> int:
@@ -104,29 +103,27 @@ def initial_solutions(a: int) -> frozenset[SolutionTriple]:
     )
 
 
-@dataclass
-class MutationTree:
+class MutationTree(NamedTuple):
     """Forest of all sorted solutions with norm below a bound.
 
     Nodes are ascendingly sorted triples; two nodes are joined when one is a one-step mutation of
     the other.  Norms grow strictly away from the roots, so each edge joins a non-root node to its
     parent.  The edges are recorded, not computed: ``levels[d]`` lists the nodes at depth ``d``, the
     roots and then each node's children in turn, sorted, and ``kids[d][i]`` counts those of
-    ``levels[d][i]``.  ``nodes`` lists them all, sorted; a node listed twice raises ``InvariantError``.
+    ``levels[d][i]``.  ``nodes`` lists them all, sorted, each once: :func:`enumerate_tree`, which
+    builds every tree, certifies that no node is reached twice.  ``roots`` is ``levels[0]``.
     """
 
     a: int
     norm_bound: int
     depth_bound: int | None
-    levels: tuple[tuple[Triple, ...], ...] = field(repr=False)
-    kids: tuple[bytes, ...] = field(repr=False)
-    roots: tuple[Triple, ...] = field(init=False, compare=False)
-    nodes: tuple[Triple, ...] = field(init=False, compare=False)
+    levels: tuple[tuple[Triple, ...], ...]
+    kids: tuple[bytes, ...]
+    nodes: tuple[Triple, ...]
 
-    def __post_init__(self):
-        self.roots, self.nodes = self.levels[0], tuple(sorted(chain.from_iterable(self.levels)))
-        if any(map(eq, self.nodes, islice(self.nodes, 1, None))):
-            raise InvariantError(f"a node of the mutation forest of a={_text(self.a)} is reached twice")
+    @property
+    def roots(self) -> tuple[Triple, ...]:
+        return self.levels[0]
 
     @property
     def depths(self) -> dict[Triple, int]:
@@ -162,10 +159,10 @@ def enumerate_tree(
     slot's two values multiply to the square of the kept pair's sum), so it is the child's largest
     and mutating it back gives the node, its one parent; slot 2 gives back the parent, or at a root
     the root or its slot-0 child.  So no child is a root, distinct nodes have distinct children, and
-    the one repeat, slot 0's child at ``u0 == u1``, is skipped; :class:`MutationTree` certifies that
-    no node is reached twice.  A child's norm is ``a*p*u2 - norm(u)`` for the kept entry ``p``, so
-    slot 1's is the smaller.  A negative ``depth_bound`` or ``max_nodes`` raises ``ValueError``; a
-    ``norm_bound`` below every root's norm gives an empty tree.
+    the one repeat, slot 0's child at ``u0 == u1``, is skipped; the sorted nodes certify that no node
+    is reached twice, else ``InvariantError`` is raised.  A child's norm is ``a*p*u2 - norm(u)`` for
+    the kept entry ``p``, so slot 1's is the smaller.  A negative ``depth_bound`` or ``max_nodes``
+    raises ``ValueError``; a ``norm_bound`` below every root's norm gives an empty tree.
     """
     if depth_bound is not None and depth_bound < 0:
         raise ValueError(f"depth bound must be non-negative, got {_text(depth_bound)}")
@@ -190,7 +187,10 @@ def enumerate_tree(
             raise EnumerationCapExceeded(f"more than {_text(max_nodes)} nodes below norm {_text(norm_bound)} for a={_text(a)}")
         levels.append(tuple(below))
         kids.append(bytes(counts))
-    return MutationTree(a, norm_bound, depth_bound, tuple(levels), tuple(kids))
+    nodes = tuple(sorted(chain.from_iterable(levels)))
+    if any(map(eq, nodes, islice(nodes, 1, None))):
+        raise InvariantError(f"a node of the mutation forest of a={_text(a)} is reached twice")
+    return MutationTree(a, norm_bound, depth_bound, tuple(levels), tuple(kids), nodes)
 
 
 #: The six column orders, in ``itertools.permutations`` order.
@@ -235,8 +235,7 @@ def arrange(u, reduced_a: int):
     return tuple(u[i] for i in perm), perm
 
 
-@dataclass(frozen=True)
-class SquareDecomposition:
+class SquareDecomposition(NamedTuple):
     """Square decomposition ``u[perm[i]] == scale * xi[i] * x[i]**2``.
 
     ``xi`` is one of (1,1,1), (1,1,2), (1,2,3), (1,1,5) and the parts satisfy

@@ -23,7 +23,7 @@ of the minimal resolution, from the type ``m/t`` of the local class group
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -55,8 +55,7 @@ SERIES_ETAS: dict[tuple[int, int], tuple[int, ...]] = {
 SERIES_FAMILIES = tuple(sorted(SERIES_ETAS, key=lambda t: (-t[0], t[1])))
 
 
-@dataclass(frozen=True, order=True)
-class SeriesId:
+class SeriesId(NamedTuple):
     a: int
     mu: int
     eta: int
@@ -65,29 +64,26 @@ class SeriesId:
         return f"{self.a}-{self.mu}-{self.eta}"
 
 
-@dataclass(frozen=True, order=True)
-class DegreeMatrix:
+class DegreeMatrix(namedtuple("DegreeMatrix", "mu u eta")):
     """A plane with ``Cl = K = Z + Z/mu``, given by its integers alone: the
     torsion order ``mu >= 1`` and three columns ``(u_i, eta_i)`` of ``K``,
     free parts in ``u`` and reduced residues in ``eta``, any two of which
     generate ``K``."""
 
-    mu: int
-    u: Triple
-    eta: Triple
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "u", tuple(self.u))
-        object.__setattr__(self, "eta", tuple(self.eta))
-        if self.mu < 1:
-            raise ValueError(f"torsion order must be positive, got {_text(self.mu)}")
-        if len(self.u) != 3 or len(self.eta) != 3:
+    def __new__(cls, mu: int, u: Triple, eta: Triple):
+        u, eta = tuple(u), tuple(eta)
+        if mu < 1:
+            raise ValueError(f"torsion order must be positive, got {_text(mu)}")
+        if len(u) != 3 or len(eta) != 3:
             raise ValueError("a degree matrix has exactly three columns")
-        if any(x <= 0 for x in self.u):
-            raise ValueError(f"free parts must be positive, got {_text(self.u)}")
-        if any(not 0 <= e < self.mu for e in self.eta):
-            raise ValueError(f"torsion parts must be reduced mod {_text(self.mu)}, got {_text(self.eta)}")
-        _check_pairs(self.mu, self.u, self.eta)
+        if any(x <= 0 for x in u):
+            raise ValueError(f"free parts must be positive, got {_text(u)}")
+        if any(not 0 <= e < mu for e in eta):
+            raise ValueError(f"torsion parts must be reduced mod {_text(mu)}, got {_text(eta)}")
+        _check_pairs(mu, u, eta)
+        return super().__new__(cls, mu, u, eta)
 
 def _check_pairs(mu: int, u: Triple, eta: Triple) -> None:
     """Raise ``ValueError`` unless every two of the columns ``(u_i, eta_i)`` generate ``K = Z + Z/mu``."""
@@ -96,20 +92,21 @@ def _check_pairs(mu: int, u: Triple, eta: Triple) -> None:
             raise ValueError(f"columns {_text(i)},{_text(j)} of (mu={_text(mu)}, u={_text(u)}, eta={_text(eta)}) fail to generate the class group")
 
 
-@dataclass(frozen=True, order=True)
-class GeneratorMatrix:
-    """2x3 integer matrix with primitive columns positively spanning Q^2.
+class GeneratorMatrix(namedtuple("GeneratorMatrix", "rows")):
+    """2x3 integer matrix with primitive columns positively spanning Q^2,
+    its ``rows`` validated at construction."""
 
-    ``weights``, the fake weight vector, is the result of validating the
-    rows at construction; it takes no part in equality, hashing or order.
-    """
+    __slots__ = ()
 
-    rows: tuple[tuple[int, int, int], tuple[int, int, int]]
-    weights: Triple = field(init=False, compare=False, repr=False)
+    def __new__(cls, rows: tuple[tuple[int, int, int], tuple[int, int, int]]):
+        rows = tuple(map(tuple, rows))
+        abelian.validate_generator_matrix(rows)
+        return super().__new__(cls, rows)
 
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(map(tuple, self.rows)))
-        object.__setattr__(self, "weights", abelian.validate_generator_matrix(self.rows))
+    @property
+    def weights(self) -> Triple:
+        """The fake weight vector: the result of validating the rows."""
+        return abelian.validate_generator_matrix(self.rows)
 
     def cone_of_fixed_point(self, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
         """Generators of the fan cone carrying the k-th toric fixed point."""
@@ -474,8 +471,7 @@ def _series_of(q: DegreeMatrix | ClassifiedPlane, a: int) -> SeriesId:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SingularityReport:
+class SingularityReport(NamedTuple):
     """Per-fixed-point singularity data of a plane, of integral degree or not; the plane itself is not kept."""
 
     cl: Triple

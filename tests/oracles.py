@@ -762,6 +762,12 @@ def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
     return tuple(sorted(depths)), tuple(sorted(edges)), depths
 
 
+def tree_of(a: int, norm_bound: int, depth_bound: int | None, levels, kids) -> markov.MutationTree:
+    """A tree built by hand from its ``levels`` and ``kids``, its ``nodes`` sorted as :func:`fwpp.markov.enumerate_tree`,
+    which builds every tree of the library, sorts them."""
+    return markov.MutationTree(a, norm_bound, depth_bound, levels, kids, tuple(sorted(u for level in levels for u in level)))
+
+
 def tree_text(tree: markov.MutationTree, fmt: str) -> str:
     """What ``fwpp solve --format fmt`` prints for ``tree``: each edge's parent
     by ``play``, each triple's text built wherever it occurs, one ``print``

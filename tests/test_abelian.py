@@ -131,6 +131,15 @@ def test_import_binds_the_four_modules_and_not_the_cli():
     assert (proc.returncode, out, err) == (0, b"['abelian', 'adjacency', 'markov', 'planes'] False\n", b"")
 
 
+def test_the_cli_starts_without_dataclasses_and_what_it_imports():
+    # every record is a named tuple: importing dataclasses, which imports inspect, ast, dis and tokenize, was most of set-up
+    heavy = ("dataclasses", "inspect", "ast", "dis", "tokenize")
+    code = f"import sys, fwpp.cli; fwpp.cli.build_parser(); print([m for m in {heavy!r} if m in sys.modules])"
+    with child([sys.executable, "-s", "-c", code], stdout=subprocess.PIPE) as proc:
+        out, err = proc.communicate()
+    assert (proc.returncode, out, err) == (0, b"[]\n", b"")
+
+
 class TestSmithNormalForm:
     def test_identity(self):
         u, s, v = oracles.smith_normal_form([[1, 0], [0, 1]])

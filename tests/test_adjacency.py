@@ -702,13 +702,13 @@ class TestGraphCertificates:
     def test_the_graph_builds_objects_only_for_self_pairs(self, monkeypatch):
         built = {"DegreeMatrix": 0, "AdjacentPair": 0, "KStarData": 0}
         for cls in (DegreeMatrix, adjacency.AdjacentPair, KStarData):
-            real_init = cls.__init__
+            real_new = cls.__new__
 
-            def counting(self, *args, real_init=real_init, **kwargs):
-                built[type(self).__name__] += 1
-                real_init(self, *args, **kwargs)
+            def counting(cls, *args, real_new=real_new, **kwargs):
+                built[cls.__name__] += 1
+                return real_new(cls, *args, **kwargs)
 
-            monkeypatch.setattr(cls, "__init__", counting)
+            monkeypatch.setattr(cls, "__new__", counting)
         graph = adjacency.adjacency_graph(1, 8, 10**48)
         self_pairs = sum(n.self_kstar is not None for n in graph.nodes)
         assert self_pairs == 3 and len(graph.edges) == 2214

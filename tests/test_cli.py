@@ -65,13 +65,13 @@ def past_the_digit_limit():
 
 def count_matrices_built(monkeypatch):
     built = []
-    post_init = planes.DegreeMatrix.__post_init__
+    new = planes.DegreeMatrix.__new__
 
-    def counting(self):
-        built.append(self)
-        post_init(self)
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
-    monkeypatch.setattr(planes.DegreeMatrix, "__post_init__", counting)
+    monkeypatch.setattr(planes.DegreeMatrix, "__new__", counting)
     return built
 
 
@@ -849,7 +849,7 @@ def walk_tree():
     path = [(1, 1, 1)]
     while path[-1][2] < 10**4400:
         path.append(oracles.play(path[-1], 9, 0))
-    return markov.MutationTree(9, markov.norm(path[-1]), None, tuple((u,) for u in path), (b"\1",) * (len(path) - 1))
+    return oracles.tree_of(9, markov.norm(path[-1]), None, tuple((u,) for u in path), (b"\1",) * (len(path) - 1))
 
 
 class TestRowsPastTheDigitLimit:
@@ -879,7 +879,7 @@ class TestRowsPastTheDigitLimit:
     @pytest.mark.parametrize("fmt, report", [("tsv", False), ("md", False), ("json", False), ("json", True)])
     def test_classify(self, capsys, monkeypatch, fmt, report):
         # the family of degree 1 and mu 9 reads the tree of parameter 9; its untied nodes give three classes each
-        empty = markov.MutationTree(1, 0, None, ((),), ())
+        empty = oracles.tree_of(1, 0, None, ((),), ())
         monkeypatch.setattr(markov, "enumerate_tree", lambda a, *args, **kwargs: self.TREE if a == 9 else empty)
         classes = planes.classify(1, 1)
         assert len(classes) > 3 * (len(self.TREE.nodes) - 2) and len(markov._text(classes[-1].u[2])) > 4300

@@ -42,7 +42,7 @@ class TestTree:
     def test_entries_past_the_digit_limit(self):
         u = past_the_digit_limit()
         parent = tuple(sorted((u[0], u[1], (u[0] + u[1]) ** 2 // u[2])))
-        tree = markov.MutationTree(9, 10**6000, 18, ((parent,), (u,)), (b"\1",))
+        tree = oracles.tree_of(9, 10**6000, 18, ((parent,), (u,)), (b"\1",))
         assert len(markov._text(u[2])) > 4300 and tree.edges == ((parent, u),)
         check("".join(cli._tree_json(tree)), oracles.tree_obj(tree))
 

@@ -1,8 +1,10 @@
 """Solver, mutation and enumeration tests for the squared equations."""
 
 import ast
+import copy
 import decimal
 import json
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
@@ -14,7 +16,7 @@ from hypothesis import strategies as st
 
 import golden
 import oracles
-from fwpp import adjacency, cli, markov, planes
+from fwpp import abelian, adjacency, cli, markov, planes
 from fwpp.markov import SolutionTriple
 
 
@@ -247,8 +249,7 @@ class TestDecompose:
             markov.decompose(SolutionTriple(a, u))
 
     def test_a_triple_off_the_equation_fails_the_equation_certificate(self):
-        t = SolutionTriple(9, (1, 1, 1))
-        object.__setattr__(t, "u", (1, 1, 2))  # past the constructor's check
+        t = tuple.__new__(SolutionTriple, (9, (1, 1, 2)))  # past the constructor's check
         with pytest.raises(markov.InvariantError, match=r"\(1, 1, 2\)/1 is not a solution for a'=9"):
             markov.decompose(t)
 
@@ -285,9 +286,11 @@ def test_enumeration_cap():
     assert len(markov.enumerate_tree(1, 53, max_nodes=0).nodes) == 4
 
 
-def test_a_node_reached_twice_is_an_invariant_error():
+def test_a_node_reached_twice_is_an_invariant_error(monkeypatch):
+    # (1, 1, 4) is the child of (1, 1, 1): as a second root it is reached again one level down
+    monkeypatch.setattr(markov, "initial_solutions", lambda a: frozenset({SolutionTriple(9, (1, 1, 1)), SolutionTriple(9, (1, 1, 4))}))
     with pytest.raises(markov.InvariantError, match="reached twice"):
-        markov.MutationTree(9, 30, None, (((1, 1, 1),), ((1, 1, 4), (1, 1, 4))), (b"\2",))
+        markov.enumerate_tree(9, 30)
 
 
 def test_enumeration_cap_names_a_bound_past_the_str_digit_limit():
@@ -376,6 +379,41 @@ def test_text_past_the_digit_limit_is_written_in_full(x, text, text_of_repr):
     assert markov._text(x) == text and markov._text(x, repr) == (text_of_repr or text)
 
 
+#: One of each record of the library, as the library builds it where it builds it.
+RECORDS = {
+    "SolutionTriple": lambda: SolutionTriple(9, (1, 1, 4)),
+    "MutationTree": lambda: markov.enumerate_tree(6, 10**4),
+    "SquareDecomposition": lambda: markov.decompose(SolutionTriple(5, (1, 4, 5))),
+    "KAutomorphism": lambda: planes.isomorphism_witness(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), planes.DegreeMatrix(8, (1, 1, 2), (1, 0, 3)))[0],
+    "SeriesId": lambda: planes.SeriesId(1, 8, 3),
+    "DegreeMatrix": lambda: planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)),
+    "GeneratorMatrix": lambda: planes.generator_of(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))),
+    "ClassifiedPlane": lambda: planes.classify(1, 10**6)[-1],
+    "SingularityReport": lambda: planes.singularity_report(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))),
+    "KStarData": lambda: adjacency.KStarData(2, 6, -2, 1, 5),
+    "AdjacentPair": lambda: adjacency.adjacent_partner(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), 0),
+    "GraphNode": lambda: adjacency.adjacency_graph(1, 8, 10**6).nodes[0],
+    "GraphEdge": lambda: adjacency.adjacency_graph(1, 8, 10**6).edges[-1],
+    "AdjacencyGraph": lambda: adjacency.adjacency_graph(1, 8, 10**6),
+    "CensusEntry": lambda: adjacency.self_adjacency_census()[0],
+}
+
+
+def test_records_are_the_tuple_classes_of_the_library():
+    defined = {name for module in (abelian, adjacency, markov, planes) for name, obj in vars(module).items()
+               if isinstance(obj, type) and issubclass(obj, tuple) and obj.__module__ == module.__name__}
+    assert defined == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_records_survive_pickle_and_copy(name):
+    # pickle and copy rebuild a record from its fields, through the constructor and its checks
+    x = RECORDS[name]()
+    assert type(x).__name__ == name
+    for y in (pickle.loads(pickle.dumps(x)), copy.copy(x), copy.deepcopy(x)):
+        assert y == x and type(y) is type(x)
+
+
 def test_every_raised_message_formats_its_values_through_text():
     # a value past the int-to-str digit limit formatted any other way turns the raise into
     # that limit's ValueError: a defect then reads as an input error, a refusal loses its reason.
@@ -415,7 +453,7 @@ def test_every_import_of_the_package_is_used():
 
 def test_tree_text_past_the_str_digit_limit():
     parent, child = walk_past_the_digit_limit()
-    tree = markov.MutationTree(9, markov.norm(child), None, ((parent,), (child,)), (b"\1",))
+    tree = oracles.tree_of(9, markov.norm(child), None, ((parent,), (child,)), (b"\1",))
     assert tree.edges == ((parent, child),)
     text = {u: [str(decimal.Decimal(c)) for c in u] for u in (parent, child)}
     assert len(text[child][2]) > 4300
@@ -486,7 +524,7 @@ def capped_nodes(enumerate_fn, *args):
         tree = enumerate_fn(*args)
     except markov.EnumerationCapExceeded:
         return None
-    return tree[0] if isinstance(tree, tuple) else tree.nodes
+    return tree.nodes if isinstance(tree, markov.MutationTree) else tree[0]
 
 
 @settings(max_examples=200, deadline=None)
