@@ -1,8 +1,8 @@
-"""Closed-form integer arithmetic of generator matrices and the groups ``Z + Z/mu``.
+"""Closed-form integer arithmetic in the groups ``K = Z + Z/mu``.
 
-All operations are exact on plain Python integers: the validation of a 2x3
-generator matrix, Bezout coefficients, annihilation and pair generation in
-``K``, and membership multiples.
+All operations are exact on plain Python integers: automorphisms of ``K``,
+membership multiples, Bezout coefficients, and annihilation of integer rows
+and pair generation in ``K``.
 
 An element of the group ``K = Z + Z/mu`` is an integer pair ``(free, tors)``
 with ``0 <= tors < mu``, and the group is given by ``mu`` itself.  ``mu = 1``
@@ -61,7 +61,7 @@ def k_membership_multiple(w: Pair, q: Pair, mu: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Generator matrices and generation of K
+# Bezout pairs, annihilation and generation of K
 # ---------------------------------------------------------------------------
 
 
@@ -73,32 +73,6 @@ def bezout(a: int, c: int) -> tuple[int, int]:
         return a, 0
     s = pow(a, -1, abs(c))  # a ValueError unless gcd(a, c) == 1
     return s, (1 - s * a) // c
-
-
-class NotGeneratorMatrixError(ValueError):
-    pass
-
-
-def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int]:
-    """Check the projective generator matrix conditions for a 2x3 matrix.
-
-    Columns must be primitive, pairwise distinct and positively span the
-    plane; returns the fake weight vector.  Positive spanning is equivalent
-    to the cofactor kernel vector having all entries of one sign.
-    """
-    if len(p) != 2 or any(len(row) != 3 for row in p):
-        raise NotGeneratorMatrixError(f"expected a 2x3 matrix, got {_text(p)}")
-    (a0, a1, a2), (b0, b1, b2) = p
-    cols = [(a0, b0), (a1, b1), (a2, b2)]
-    for col in cols:
-        if gcd(col[0], col[1]) != 1:
-            raise NotGeneratorMatrixError(f"column {_text(col)} is not primitive")
-    if len(set(cols)) != 3:
-        raise NotGeneratorMatrixError(f"columns are not pairwise distinct: {_text(cols)}")
-    kernel = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
-    if 0 in kernel or len({k > 0 for k in kernel}) != 1:
-        raise NotGeneratorMatrixError(f"columns of {_text(p)} do not positively span the plane")
-    return tuple(abs(k) for k in kernel)
 
 
 def annihilates(rows: Iterable[Sequence[int]], free: Sequence[int], tors: Sequence[int], mu: int) -> bool:

@@ -1,22 +1,23 @@
 """Toric degenerations of rational K*-surfaces of Picard number one.
 
 A quasismooth rational K*-surface of Picard number one is cut out of a
-three-dimensional fake weighted projective space given by a 3x4 generator
-matrix built from data ``(l1, l2, d0, d1, d2)``, a :class:`KStarData`; it
-degenerates into two fake weighted projective planes, the *slices*, with
-2x3 generator matrices
+three-dimensional fake weighted projective space whose fan has a 3x4
+generator matrix built from data ``(l1, l2, d0, d1, d2)``, a
+:class:`KStarData`; it degenerates into two fake weighted projective planes,
+the *slices*, whose fans have the 2x3 generator matrices
 
     P1 = [[l1, l1, -l2], [d1, d1 + l1*d0, d2]],
     P2 = [[l2, l2, -l1], [d2, d2 + l2*d0, d1]].
 
-None of the three matrices is built: the rows of the slices enter only as
-relations that degree matrices must annihilate.
+No generator matrix is built here: the surface is its five integers, and the
+rows of the slices enter only as relations that degree matrices in
+``K = Z + Z/mu`` must annihilate.
 Two planes are *adjacent* when they arise this way from a common surface.
 Given a plane whose fixed point ``z(k)`` is a T-singularity, the surface
 data is reconstructed uniquely: ``l1`` is the local Gorenstein index at the
 point, ``d0 = -w_k / l1**2``, ``l2 = l1*(w_i + w_j) / w_k``, and ``d1`` is
-pinned down by the requirement that ``P1`` corresponds to the given degree
-matrix.  Integrality of ``d2`` is a linear congruence fixing ``d1`` modulo
+pinned down by the requirement that both rows of ``P1`` annihilate the given
+degree matrix.  Integrality of ``d2`` is a linear congruence fixing ``d1`` modulo
 ``l1 / gcd(l1, l2)``, and the torsion of ``P1``'s second row fixes the lift,
 each solved by a modular inverse, so no value of ``d1`` is searched.  The
 partner keeps the columns ``i`` and ``j`` of the given degree matrix; its
@@ -40,7 +41,6 @@ base norm.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 from math import gcd
 from operator import attrgetter
 from typing import NamedTuple
@@ -75,18 +75,6 @@ class KStarData(namedtuple("KStarData", "l1 l2 d0 d1 d2")):
     @property
     def non_toric(self) -> bool:
         return self.l1 > 1 and self.l2 > 1
-
-    def weight_4vector(self) -> tuple[int, int, int, int]:
-        w1 = -self.l1 * self.l2 * self.d0 - self.l2 * self.d1 - self.l1 * self.d2
-        w2 = self.l2 * self.d1 + self.l1 * self.d2
-        return (w1, w2, -self.l2 * self.d0, -self.l1 * self.d0)
-
-    def degree(self) -> Fraction:
-        """Canonical self-intersection of the K*-surface, exact."""
-        w1, w2, _, _ = self.weight_4vector()
-        return (Fraction(1, w1) + Fraction(1, w2)) * (
-            2 + Fraction(self.l1, self.l2) + Fraction(self.l2, self.l1)
-        )
 
 
 def _check_kstar(l1: int, l2: int, d0: int, d1: int, d2: int) -> None:

@@ -239,8 +239,8 @@ def cmd_solve(args) -> int:
     else:
         rows = sorted(tree.nodes, key=sum)  # stable: by norm, then as the nodes are sorted
         if args.format == "md":  # initial iff a root: a child's largest entry mutates to a smaller one, a root's does not
-            header = ["| u | norm | initial |\n|---|---|---|\n"]
-            _write(itertools.chain(header, _rows("| (%s,%s,%s) | %s | %s |\n", ((*u, sum(u), "yes" if u in tree.roots else "no") for u in rows))))
+            header, roots = ["| u | norm | initial |\n|---|---|---|\n"], tree.roots
+            _write(itertools.chain(header, _rows("| (%s,%s,%s) | %s | %s |\n", ((*u, sum(u), "yes" if u in roots else "no") for u in rows))))
         else:
             _write(_rows("%s\t%s\t%s\t%s\n", ((*u, sum(u)) for u in rows)))
     return 0

@@ -1,11 +1,10 @@
-"""Fake weighted projective planes via degree and generator matrices.
+"""Fake weighted projective planes via degree matrices.
 
-A plane of Picard number one is encoded either by a *generator matrix*, an
-integer 2x3 matrix whose primitive, pairwise distinct columns positively
-span the plane, or dually by a *degree matrix*: the induced grading map
-``Z^3 -> K = Z + Z/mu`` recorded as three columns ``(u_i, eta_i)`` with
-``mu * u`` the fake weight vector.  Any two columns of a degree matrix
-generate ``K``.
+A plane of Picard number one is encoded by its *degree matrix*: the grading
+map ``Z^3 -> K = Z + Z/mu`` of its class group, recorded as three columns
+``(u_i, eta_i)`` with ``mu * u`` the fake weight vector.  Any two columns of
+a degree matrix generate ``K``.  Every computation here runs in ``K``; the
+dual generator matrix of the fan is never built.
 
 The canonical self-intersection degree is ``(w0+w1+w2)^2 / (w0*w1*w2)`` for
 the fake weight vector ``w``; it is an integer exactly when ``w`` solves the
@@ -90,28 +89,6 @@ def _check_pairs(mu: int, u: Triple, eta: Triple) -> None:
     for i, j in ((0, 1), (0, 2), (1, 2)):
         if not abelian.pair_generates((u[i], eta[i]), (u[j], eta[j]), mu):
             raise ValueError(f"columns {_text(i)},{_text(j)} of (mu={_text(mu)}, u={_text(u)}, eta={_text(eta)}) fail to generate the class group")
-
-
-class GeneratorMatrix(namedtuple("GeneratorMatrix", "rows")):
-    """2x3 integer matrix with primitive columns positively spanning Q^2,
-    its ``rows`` validated at construction."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[tuple[int, int, int], tuple[int, int, int]]):
-        rows = tuple(map(tuple, rows))
-        abelian.validate_generator_matrix(rows)
-        return super().__new__(cls, rows)
-
-    @property
-    def weights(self) -> Triple:
-        """The fake weight vector: the result of validating the rows."""
-        return abelian.validate_generator_matrix(self.rows)
-
-    def cone_of_fixed_point(self, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
-        """Generators of the fan cone carrying the k-th toric fixed point."""
-        j1, j2 = (j for j in range(3) if j != k)
-        return (self.rows[0][j1], self.rows[1][j1]), (self.rows[0][j2], self.rows[1][j2])
 
 
 def fake_weights_of_degree_matrix(q: DegreeMatrix) -> Triple:
@@ -206,56 +183,6 @@ def _quotient_weight(q: DegreeMatrix, i: int, j: int, k: int) -> int:
     t0 = uj * pow(ui, -1, uk) % uk
     r = (ej - t0 * ei - (uj - t0 * ui) // uk * ek) * pow(uk * ei - ui * ek, -1, q.mu) % q.mu
     return t0 + uk * r
-
-
-# ---------------------------------------------------------------------------
-# Correspondence between degree and generator matrices
-# ---------------------------------------------------------------------------
-
-
-def generator_of(q: DegreeMatrix) -> GeneratorMatrix:
-    """The generator matrix ``[[1, x, y], [0, mu*u_2, -mu*u_1]]`` of ``q``:
-    the row Hermite form of the lattice ``{m in Z^3 : sum m_i q_i == 0 in
-    K}``, whose columns pair with the columns of ``q`` so per-fixed-point
-    data line up.
-
-    With ``q_i = (u_i, eta_i)``, the constructor's pair checks make
-    ``gcd(u_1, u_2) = 1`` and ``D = u_1*eta_2 - u_2*eta_1`` a unit mod
-    ``mu``.  Kernel vectors ``(0, t*u_2, -t*u_1)`` have torsion ``-t*D``, so
-    ``mu | t``: the second row.  With ``alpha*u_1 + beta*u_2 = 1``,
-    ``x_0 = -u_0*alpha`` and ``y_0 = -u_0*beta``, the vector ``(1, x_0 +
-    t*u_2, y_0 - t*u_1)`` has free part 0 and torsion ``E - t*D``, ``E =
-    eta_0 + x_0*eta_1 + y_0*eta_2``, which vanishes for ``t = E/D mod mu``.
-    Reducing ``x`` into ``[0, mu*u_2)`` gives the first row in Hermite form.
-    """
-    mu, (u0, u1, u2), (e0, e1, e2) = q.mu, q.u, q.eta
-    alpha, beta = abelian.bezout(u1, u2)
-    x0, y0 = -u0 * alpha, -u0 * beta
-    s = (e0 + x0 * e1 + y0 * e2) * pow(u1 * e2 - u2 * e1, -1, mu) % mu
-    x = (x0 + s * u2) % (mu * u2)
-    y, rem = divmod(-(u0 + x * u1), u2)
-    if rem:
-        raise InvariantError(f"kernel basis of {_text(q)} has no integral first row")
-    try:
-        p = GeneratorMatrix(((1, x, y), (0, mu * u2, -mu * u1)))
-    except ValueError as exc:  # a refusal of the row Hermite form is a defect here, not bad input
-        raise InvariantError(f"kernel basis of {_text(q)}: {exc}") from exc
-    if not corresponds(q, p):
-        raise InvariantError(f"kernel basis of {_text(q)} fails the correspondence test")
-    return p
-
-
-def corresponds(q: DegreeMatrix, p: GeneratorMatrix) -> bool:
-    """Correspondence test: same fake weights and ``q`` annihilates ``p``.
-
-    For matrices sharing the fake weight vector, annihilation of both rows
-    (by :func:`fwpp.abelian.annihilates`) already forces the cokernel
-    projection to agree with ``q`` up to automorphism, so this is an
-    if-and-only-if test.
-    """
-    if p.weights != fake_weights_of_degree_matrix(q):
-        return False
-    return abelian.annihilates(p.rows, q.u, q.eta, q.mu)
 
 
 # ---------------------------------------------------------------------------

@@ -24,9 +24,14 @@ occurrence of a triple; arrangements are found by testing whole tuples.
 The classification adjusts every series eta of every tree node and merges
 equal adjusted forms, tied entries or not.
 Annihilation of integer rows in ``K`` is summed element by element.  The
-two slice generator matrices and the ambient 3x4 matrix of a K*-surface
-are built here, the 3x4 minors by cofactor expansion, and the non-toric
-degeneration test is read off a norm inequality at a T-singular point.  The
+fan side lives here alone, as the library computes in ``K = Z + Z/mu``:
+generator matrices and their validation, the generator matrix of a degree
+matrix and the correspondence test, the two slice generator matrices and
+the ambient 3x4 matrix of a K*-surface with its weights and degree, the
+3x4 minors by cofactor expansion; the non-toric degeneration test is read
+off a norm inequality at a T-singular point.  The completeness of the
+classification is checked from every degree matrix of every solution below
+a bound and from every K*-surface in a box of its data.  The
 connected components of an adjacency graph come from ``networkx``, and the
 unpruned graph and neighbour lists rebuild the partner at every T-singular
 point of every node.  JSON output is built as dicts and lists and encoded by
@@ -39,8 +44,9 @@ import contextlib
 import io
 import json
 import sys
-from collections import deque
-from itertools import permutations
+from collections import deque, namedtuple
+from fractions import Fraction
+from itertools import permutations, product
 from math import gcd, isqrt
 from typing import Iterator, Sequence
 
@@ -510,11 +516,12 @@ def brute_isomorphism_witness(q1: planes.DegreeMatrix, q2: planes.DegreeMatrix):
     if q1.mu != q2.mu or sorted(q1.u) != sorted(q2.u):
         return None
     cols2 = tuple(zip(q2.u, q2.eta))
+    perms = tuple(permutations(range(3)))
     for phi in automorphisms(q1.mu, positive_only=True):
         image = [abelian.apply_automorphism(phi, col, q1.mu) for col in zip(q1.u, q1.eta)]
-        for perm in permutations(range(3)):
-            if tuple(image[perm[j]] for j in range(3)) == cols2:
-                return phi, perm
+        for i, j, k in perms:
+            if (image[i], image[j], image[k]) == cols2:
+                return phi, (i, j, k)
     return None
 
 
@@ -598,6 +605,118 @@ def lift_partner_kstar(q: planes.DegreeMatrix, slot: int) -> KStarData:
     return hits[0]
 
 
+# ---------------------------------------------------------------------------
+# The fan side: generator matrices, their correspondence with degree
+# matrices, and the weights and degree of a K*-surface read off its fan.
+# The library computes in K = Z + Z/mu alone; these are the dual route.
+# ---------------------------------------------------------------------------
+
+
+class NotGeneratorMatrixError(ValueError):
+    pass
+
+
+def validate_generator_matrix(p: Sequence[Sequence[int]]) -> tuple[int, int, int]:
+    """Check the projective generator matrix conditions for a 2x3 matrix.
+
+    Columns must be primitive, pairwise distinct and positively span the
+    plane; returns the fake weight vector.  Positive spanning is equivalent
+    to the cofactor kernel vector having all entries of one sign.
+    """
+    if len(p) != 2 or any(len(row) != 3 for row in p):
+        raise NotGeneratorMatrixError(f"expected a 2x3 matrix, got {markov._text(p)}")
+    (a0, a1, a2), (b0, b1, b2) = p
+    cols = [(a0, b0), (a1, b1), (a2, b2)]
+    for col in cols:
+        if gcd(col[0], col[1]) != 1:
+            raise NotGeneratorMatrixError(f"column {markov._text(col)} is not primitive")
+    if len(set(cols)) != 3:
+        raise NotGeneratorMatrixError(f"columns are not pairwise distinct: {markov._text(cols)}")
+    kernel = (a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0)
+    if 0 in kernel or len({k > 0 for k in kernel}) != 1:
+        raise NotGeneratorMatrixError(f"columns of {markov._text(p)} do not positively span the plane")
+    return tuple(abs(k) for k in kernel)
+
+
+class GeneratorMatrix(namedtuple("GeneratorMatrix", "rows")):
+    """2x3 integer matrix with primitive columns positively spanning Q^2,
+    its ``rows`` validated at construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[int, int, int], tuple[int, int, int]]):
+        rows = tuple(map(tuple, rows))
+        validate_generator_matrix(rows)
+        return super().__new__(cls, rows)
+
+    @property
+    def weights(self) -> tuple[int, int, int]:
+        """The fake weight vector: the result of validating the rows."""
+        return validate_generator_matrix(self.rows)
+
+    def cone_of_fixed_point(self, k: int) -> tuple[tuple[int, int], tuple[int, int]]:
+        """Generators of the fan cone carrying the k-th toric fixed point."""
+        j1, j2 = (j for j in range(3) if j != k)
+        return (self.rows[0][j1], self.rows[1][j1]), (self.rows[0][j2], self.rows[1][j2])
+
+
+def generator_of(q: planes.DegreeMatrix) -> GeneratorMatrix:
+    """The generator matrix ``[[1, x, y], [0, mu*u_2, -mu*u_1]]`` of ``q``:
+    the row Hermite form of the lattice ``{m in Z^3 : sum m_i q_i == 0 in
+    K}``, whose columns pair with the columns of ``q`` so per-fixed-point
+    data line up.
+
+    With ``q_i = (u_i, eta_i)``, the constructor's pair checks make
+    ``gcd(u_1, u_2) = 1`` and ``D = u_1*eta_2 - u_2*eta_1`` a unit mod
+    ``mu``.  Kernel vectors ``(0, t*u_2, -t*u_1)`` have torsion ``-t*D``, so
+    ``mu | t``: the second row.  With ``alpha*u_1 + beta*u_2 = 1``,
+    ``x_0 = -u_0*alpha`` and ``y_0 = -u_0*beta``, the vector ``(1, x_0 +
+    t*u_2, y_0 - t*u_1)`` has free part 0 and torsion ``E - t*D``, ``E =
+    eta_0 + x_0*eta_1 + y_0*eta_2``, which vanishes for ``t = E/D mod mu``.
+    Reducing ``x`` into ``[0, mu*u_2)`` gives the first row in Hermite form.
+    """
+    mu, (u0, u1, u2), (e0, e1, e2) = q.mu, q.u, q.eta
+    alpha, beta = abelian.bezout(u1, u2)
+    x0, y0 = -u0 * alpha, -u0 * beta
+    s = (e0 + x0 * e1 + y0 * e2) * pow(u1 * e2 - u2 * e1, -1, mu) % mu
+    x = (x0 + s * u2) % (mu * u2)
+    y, rem = divmod(-(u0 + x * u1), u2)
+    if rem:
+        raise markov.InvariantError(f"kernel basis of {markov._text(q)} has no integral first row")
+    try:
+        p = GeneratorMatrix(((1, x, y), (0, mu * u2, -mu * u1)))
+    except ValueError as exc:  # a refusal of the row Hermite form is a defect here, not bad input
+        raise markov.InvariantError(f"kernel basis of {markov._text(q)}: {exc}") from exc
+    if not corresponds(q, p):
+        raise markov.InvariantError(f"kernel basis of {markov._text(q)} fails the correspondence test")
+    return p
+
+
+def corresponds(q: planes.DegreeMatrix, p: GeneratorMatrix) -> bool:
+    """Correspondence test: same fake weights and ``q`` annihilates ``p``.
+
+    For matrices sharing the fake weight vector, annihilation of both rows
+    (by :func:`fwpp.abelian.annihilates`) already forces the cokernel
+    projection to agree with ``q`` up to automorphism, so this is an
+    if-and-only-if test.
+    """
+    if p.weights != planes.fake_weights_of_degree_matrix(q):
+        return False
+    return abelian.annihilates(p.rows, q.u, q.eta, q.mu)
+
+
+def weight_4vector(kstar: KStarData) -> tuple[int, int, int, int]:
+    """The four fake weights of the ambient 3x4 generator matrix of ``kstar``, in closed form."""
+    l1, l2, d0, d1, d2 = kstar
+    return (-l1 * l2 * d0 - l2 * d1 - l1 * d2, l2 * d1 + l1 * d2, -l2 * d0, -l1 * d0)
+
+
+def kstar_degree(kstar: KStarData) -> Fraction:
+    """Canonical self-intersection of the K*-surface, exact."""
+    w1, w2, _, _ = weight_4vector(kstar)
+    return (Fraction(1, w1) + Fraction(1, w2)) * (2 + Fraction(kstar.l1, kstar.l2) + Fraction(kstar.l2, kstar.l1))
+
+
 def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int, int], tuple[int, int, int]]:
     """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix, in closed form.
 
@@ -615,7 +734,7 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int,
     to annihilate ``P``, and the first two columns to generate ``K``, which
     together certify the cokernel.
     """
-    weights = abelian.validate_generator_matrix(p)
+    weights = validate_generator_matrix(p)
     mu = gcd(gcd(weights[0], weights[1]), weights[2])
     free_row = tuple(w // mu for w in weights)
     (x0, x1, x2), (y0, y1, y2) = p
@@ -630,15 +749,15 @@ def cokernel_structure(p: Sequence[Sequence[int]]) -> tuple[int, tuple[int, int,
     return mu, free_row, tors_row
 
 
-def slice_matrices(kstar: KStarData) -> tuple[planes.GeneratorMatrix, planes.GeneratorMatrix]:
+def slice_matrices(kstar: KStarData) -> tuple[GeneratorMatrix, GeneratorMatrix]:
     """Generator matrices of the two degenerate fibers."""
-    p1 = planes.GeneratorMatrix(
+    p1 = GeneratorMatrix(
         (
             (kstar.l1, kstar.l1, -kstar.l2),
             (kstar.d1, kstar.d1 + kstar.l1 * kstar.d0, kstar.d2),
         )
     )
-    p2 = planes.GeneratorMatrix(
+    p2 = GeneratorMatrix(
         (
             (kstar.l2, kstar.l2, -kstar.l1),
             (kstar.d2, kstar.d2 + kstar.l2 * kstar.d0, kstar.d1),
@@ -677,7 +796,7 @@ def snf_cokernel_structure(p):
     """Cokernel ``Z^3 / im(P^T)`` of a 2x3 generator matrix from the Smith
     normal form ``U * P^T * V``, as ``(mu, u, eta)``: row 1 of ``U`` is the
     torsion row, row 2 (sign-normalized) the free row."""
-    weights = abelian.validate_generator_matrix(p)
+    weights = validate_generator_matrix(p)
     u_mat, s, _ = smith_normal_form(transpose(p))
     assert s[0][0] == 1, f"first invariant factor of {p} is {s[0][0]}"
     mu = s[1][1]
@@ -946,6 +1065,67 @@ def census(a: int, mu: int) -> list[adjacency.CensusEntry]:
         if kstar is not None:
             out.append(adjacency.CensusEntry(series=c.series, kstar=kstar))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Completeness: the classification checked from the other side, starting
+# from every degree matrix of a solution and every K*-surface in a box,
+# never from the series table or the partner construction
+# ---------------------------------------------------------------------------
+
+
+def toric_families(a: int, norm_bound: int) -> dict[tuple[int, int], list[planes.DegreeMatrix]]:
+    """Every plane of integral degree ``a`` and norm at most ``norm_bound``, one adjusted matrix per isomorphism class,
+    keyed by ``(a, mu)`` for each ``mu`` whose family has solutions, each list sorted.
+
+    ``w = mu*u`` has degree ``a`` exactly when ``u`` solves the equation with parameter ``a*mu``, which has solutions
+    only up to 9.  For every node ``u`` of that tree, every ``eta`` in ``(Z/mu)^3`` whose columns generate ``K`` pairwise
+    is a plane; the planes of one node are grouped by :func:`brute_isomorphism_witness`, and one of each group is
+    adjusted.  A column order other than the sorted one is a permutation, so an isomorphism, of a plane met here.
+    """
+    out = {}
+    for mu in range(1, 9 // a + 1):
+        if not markov.initial_solutions(a * mu):
+            continue
+        classes = out[(a, mu)] = []
+        for u in markov.enumerate_tree(a * mu, norm_bound // mu).nodes:
+            groups: list[planes.DegreeMatrix] = []
+            for eta in product(range(mu), repeat=3):
+                try:
+                    q = planes.DegreeMatrix(mu, u, eta)
+                except ValueError:  # two columns fail to generate K
+                    continue
+                if all(brute_isomorphism_witness(r, q) is None for r in groups):
+                    groups.append(q)
+            classes += [planes.adjust(r) for r in groups]
+        classes.sort()
+    return out
+
+
+def kstar_box(l_max: int, d0_max: int, d2_max: int) -> Iterator[KStarData]:
+    """Every ``KStarData`` the constructor accepts with ``l1, l2 <= l_max``, ``-d0_max <= d0 <= -1``, ``0 <= d1 <= l1``
+    and ``|d2| <= d2_max``."""
+    for l1, l2, d0 in product(range(1, l_max + 1), range(1, l_max + 1), range(-d0_max, 0)):
+        for d1 in range(l1 + 1):
+            # the slope inequalities 0 < d1*l2 + d2*l1 < -d0*l1*l2 hold d2 in an open window; the constructor checks the rest
+            low, high = max(-d1 * l2 // l1 + 1, -d2_max), min((-d0 * l1 * l2 - d1 * l2 - 1) // l1, d2_max)
+            for d2 in range(low, high + 1):
+                with contextlib.suppress(ValueError):
+                    yield KStarData(l1, l2, d0, d1, d2)
+
+
+def slice_planes(kstar: KStarData) -> tuple[planes.DegreeMatrix, planes.DegreeMatrix]:
+    """The adjusted degree matrices of the two slices of ``kstar``: the cokernels of its slice generator matrices."""
+    return tuple(planes.adjust(planes.DegreeMatrix(*cokernel_structure(p.rows))) for p in slice_matrices(kstar))
+
+
+def past_the_digit_limit() -> tuple[int, int, int]:
+    """The degree-9 triple 18 mutations below (1, 1, 1): 2,009, 3,251 and
+    5,261 digits, past the 4,300 that ``str(int)`` converts by default."""
+    u = (1, 1, 1)
+    while u[2] < 10**5000:
+        u = tuple(sorted((u[1], u[2], (u[1] + u[2]) ** 2 // u[0])))
+    return u
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Normal forms, cokernels and the arithmetic of Z + Z/mu."""
 
 import ast
+import re
 import subprocess
 import sys
 from math import gcd
@@ -15,7 +16,7 @@ import golden
 import oracles
 from fwpp import abelian, planes
 from fwpp.abelian import KAutomorphism
-from test_cli import child
+from conftest import child
 
 small_entries = st.integers(min_value=-30, max_value=30)
 
@@ -102,8 +103,8 @@ def test_public_names():
     assert fwpp.__all__ == ["abelian", "adjacency", "markov", "planes"]
     assert {m: public_definitions(getattr(fwpp, m)) for m in fwpp.__all__} == {
         "abelian": [
-            "KAutomorphism", "NotGeneratorMatrixError", "Pair", "annihilates", "apply_automorphism", "bezout",
-            "k_membership_multiple", "pair_generates", "validate_generator_matrix",
+            "KAutomorphism", "Pair", "annihilates", "apply_automorphism", "bezout", "k_membership_multiple",
+            "pair_generates",
         ],
         "adjacency": [
             "AdjacencyGraph", "AdjacentPair", "CensusEntry", "GraphEdge", "GraphNode", "KStarData",
@@ -115,12 +116,38 @@ def test_public_names():
             "enumerate_tree", "initial_solutions", "is_solution", "norm",
         ],
         "planes": [
-            "ClassifiedPlane", "DegreeMatrix", "GeneratorMatrix", "SERIES_ETAS", "SERIES_FAMILIES", "SeriesId",
-            "SingularityReport", "adjust", "anticanonical_class", "classify", "corresponds", "degree",
-            "fake_weights_of_degree_matrix", "generator_of", "integral_degree", "isomorphism_witness",
-            "local_gorenstein_index", "resolution_curve_count", "singularity_report",
+            "ClassifiedPlane", "DegreeMatrix", "SERIES_ETAS", "SERIES_FAMILIES", "SeriesId", "SingularityReport",
+            "adjust", "anticanonical_class", "classify", "degree", "fake_weights_of_degree_matrix",
+            "integral_degree", "isomorphism_witness", "local_gorenstein_index", "resolution_curve_count",
+            "singularity_report",
         ],
     }
+
+
+#: the fan side, which lives in ``tests/oracles.py``: the library computes in ``K = Z + Z/mu`` alone
+FAN_SIDE = {"GeneratorMatrix", "NotGeneratorMatrixError", "cone_of_fixed_point", "corresponds", "generator_of",
+            "kstar_degree", "validate_generator_matrix", "weight_4vector"}
+
+
+def test_the_library_neither_defines_nor_reads_the_fan_side():
+    # every name, attribute, import, string constant and definition of the package, and no class defines a degree method
+    assert {n for n in FAN_SIDE if n != "cone_of_fixed_point"} <= set(vars(oracles))
+    for path in sorted(Path(fwpp.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        names = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.ClassDef):
+                assert "degree" not in {f.name for f in node.body if isinstance(f, ast.FunctionDef)}, (path.name, node.name)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+                names.add(node.name)
+            elif isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                names.add(node.value)
+        assert not names & FAN_SIDE, path.name
+        assert not re.search(r"GeneratorMatrix|generator_of|validate_generator_matrix|weight_4vector|corresponds\(|def degree\(self", source), path.name
 
 
 def test_import_binds_the_four_modules_and_not_the_cli():
@@ -246,11 +273,11 @@ class TestCokernel:
                 assert abelian.pair_generates((u[i], eta[i]), (u[j], eta[j]), mu)
 
     def test_rejects_bad_matrices(self):
-        with pytest.raises(abelian.NotGeneratorMatrixError):
+        with pytest.raises(oracles.NotGeneratorMatrixError):
             oracles.cokernel_structure([[1, 1, 2], [0, 1, 1]])  # spans a halfplane only
-        with pytest.raises(abelian.NotGeneratorMatrixError):
+        with pytest.raises(oracles.NotGeneratorMatrixError):
             oracles.cokernel_structure([[2, 1, -1], [0, 1, -1]])  # imprimitive column
-        with pytest.raises(abelian.NotGeneratorMatrixError):
+        with pytest.raises(oracles.NotGeneratorMatrixError):
             oracles.cokernel_structure([[1, 1, -2], [0, 0, 0]])  # collinear columns
 
     @settings(max_examples=300, deadline=None)
@@ -279,7 +306,7 @@ class TestCokernel:
 
 class TestGeneratorOf:
     def test_free_projective_plane(self):
-        assert planes.generator_of(planes.DegreeMatrix(1, (1, 1, 1), (0, 0, 0))).rows == ((1, 0, -1), (0, 1, -1))
+        assert oracles.generator_of(planes.DegreeMatrix(1, (1, 1, 1), (0, 0, 0))).rows == ((1, 0, -1), (0, 1, -1))
 
     def test_degenerate_pair_rejected(self):
         with pytest.raises(ValueError):
@@ -301,14 +328,14 @@ class TestGeneratorOf:
     @given(valid_columns())
     def test_closed_form_matches_hermite_route(self, data):
         u, eta, mu = data
-        rows = planes.generator_of(planes.DegreeMatrix(mu, u, eta)).rows
+        rows = oracles.generator_of(planes.DegreeMatrix(mu, u, eta)).rows
         assert [list(row) for row in rows] == oracles.transpose(oracles.hnf_kernel_basis(u, eta, mu))
 
     def test_closed_form_matches_hermite_route_on_classified_planes(self):
         for a in golden.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**8 if a == 1 else 10**12):
                 q = c.matrix
-                rows = planes.generator_of(q).rows
+                rows = oracles.generator_of(q).rows
                 assert [list(row) for row in rows] == oracles.transpose(oracles.hnf_kernel_basis(q.u, q.eta, q.mu))
 
     def test_generator_of_classified_planes_matches_sympy(self):
@@ -317,18 +344,18 @@ class TestGeneratorOf:
         for a in golden.SOLVABLE_PARAMETERS:
             for c in planes.classify(a, 10**5 if a == 1 else 10**8):
                 q = c.matrix
-                assert sympy_invariant_factors(planes.generator_of(q).rows) == (1, q.mu)
+                assert sympy_invariant_factors(oracles.generator_of(q).rows) == (1, q.mu)
 
     def test_generator_of_runs_no_normal_form(self):
         assert not hasattr(abelian, "smith_normal_form")
         assert not hasattr(abelian, "hermite_normal_form")
         q = planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))
-        assert planes.generator_of(q).rows == ((1, 13, -7), (0, 16, -8))
+        assert oracles.generator_of(q).rows == ((1, 13, -7), (0, 16, -8))
 
     def test_duality_roundtrip(self):
         # cokernel of the kernel reproduces the original columns up to
         # automorphism; checked via annihilation plus equal free parts
-        rows = planes.generator_of(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))).rows
+        rows = oracles.generator_of(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))).rows
         mu, u, _ = oracles.cokernel_structure(rows)
         assert mu == 8
         assert u == (1, 1, 2)
@@ -352,15 +379,15 @@ class TestValidateGeneratorMatrix:
         sympy = pytest.importorskip("sympy")
         m = sympy.Matrix(p)
         minors = tuple(abs(int(m.extract([0, 1], [j for j in range(3) if j != k]).det())) for k in range(3))
-        assert abelian.validate_generator_matrix(p) == minors
+        assert oracles.validate_generator_matrix(p) == minors
 
     @settings(max_examples=200, deadline=None)
     @given(generator_matrices(), st.integers(0, 2))
     def test_a_negated_column_mixes_the_signs(self, p, k):
         # negating column k flips the sign of the two minors that use it
         p[0][k], p[1][k] = -p[0][k], -p[1][k]
-        with pytest.raises(abelian.NotGeneratorMatrixError):
-            abelian.validate_generator_matrix(p)
+        with pytest.raises(oracles.NotGeneratorMatrixError):
+            oracles.validate_generator_matrix(p)
 
     @settings(max_examples=100, deadline=None)
     @given(generator_matrices())
@@ -368,8 +395,8 @@ class TestValidateGeneratorMatrix:
         # the third column on the ray opposite the first: the minor of
         # columns 0 and 2 is 0, although all columns stay primitive and distinct
         p[0][2], p[1][2] = -p[0][0], -p[1][0]
-        with pytest.raises(abelian.NotGeneratorMatrixError, match="positively span"):
-            abelian.validate_generator_matrix(p)
+        with pytest.raises(oracles.NotGeneratorMatrixError, match="positively span"):
+            oracles.validate_generator_matrix(p)
 
 
 class TestMembershipMultiple:

@@ -1,6 +1,5 @@
 """K*-surface data, adjacent partners, graphs and the self-adjacency census."""
 
-import contextlib
 import decimal
 import functools
 import itertools
@@ -38,13 +37,8 @@ def split_neighbors(q):
 @functools.cache
 def accepted_kstar_data():
     """Every ``KStarData`` the constructor accepts with ``l1, l2 <= 8``,
-    ``-9 <= d0 <= 0`` and ``|d2| <= 20``."""
-    out = []
-    for l1, l2, d0, d2 in itertools.product(range(1, 9), range(1, 9), range(-9, 1), range(-20, 21)):
-        for d1 in range(l1 + 1):
-            with contextlib.suppress(ValueError):
-                out.append(KStarData(l1, l2, d0, d1, d2))
-    return out
+    ``-9 <= d0 <= -1`` and ``|d2| <= 20``."""
+    return list(oracles.kstar_box(8, 9, 20))
 
 
 class TestKStarData:
@@ -59,8 +53,8 @@ class TestKStarData:
             KStarData(2, 2, 1, 1, 1)  # slope inequality fails
 
     def test_weight_4vector(self):
-        assert KStarData(2, 2, -2, 1, 1).weight_4vector() == (4, 4, 4, 4)
-        assert KStarData(4, 4, -1, 1, 1).weight_4vector() == (8, 8, 4, 4)
+        assert oracles.weight_4vector(KStarData(2, 2, -2, 1, 1)) == (4, 4, 4, 4)
+        assert oracles.weight_4vector(KStarData(4, 4, -1, 1, 1)) == (8, 8, 4, 4)
 
 
 class TestSlices:
@@ -94,33 +88,33 @@ class TestSlices:
         p1, p2 = oracles.slice_matrices(kstar)  # each validated as a generator matrix
         assert p1.weights[:2] == p2.weights[:2]
         assert (p1.weights[2], p2.weights[2]) == (-kstar.d0 * kstar.l1**2, -kstar.d0 * kstar.l2**2)
-        assert planes.degree(p1.weights) == planes.degree(p2.weights) == kstar.degree()
+        assert planes.degree(p1.weights) == planes.degree(p2.weights) == oracles.kstar_degree(kstar)
 
 
 class TestKStarDegree:
     def test_examples(self):
-        assert KStarData(2, 2, -2, 1, 1).degree() == 2
-        assert KStarData(4, 4, -1, 1, 1).degree() == 1
+        assert oracles.kstar_degree(KStarData(2, 2, -2, 1, 1)) == 2
+        assert oracles.kstar_degree(KStarData(4, 4, -1, 1, 1)) == 1
 
     def test_equals_slice_degrees(self):
         for kstar in (KStarData(2, 2, -2, 1, 1), KStarData(1, 2, -1, 0, 1), KStarData(2, 6, -2, 1, 5)):
             p1, p2 = oracles.slice_matrices(kstar)
-            d = kstar.degree()
+            d = oracles.kstar_degree(kstar)
             assert d == planes.degree(p1.weights)
             assert d == planes.degree(p2.weights)
 
     def test_closed_forms_agree(self):
         for kstar in (KStarData(2, 2, -2, 1, 1), KStarData(3, 3, -1, 1, 1), KStarData(2, 10, -4, 1, 31)):
-            w = kstar.weight_4vector()
+            w = oracles.weight_4vector(kstar)
             alt = Fraction(-kstar.d0, w[0] * w[1]) * (kstar.l1 + kstar.l2) ** 2
-            assert kstar.degree() == alt
+            assert oracles.kstar_degree(kstar) == alt
 
 
 class TestAssemble3x4:
     def test_minors_match_weight_formula(self):
         for kstar in (KStarData(2, 2, -2, 1, 1), KStarData(4, 4, -1, 1, 1), KStarData(1, 1, -3, 0, 1)):
             p = oracles.assemble_3x4(kstar)
-            assert oracles.weights_of_3x4(p) == kstar.weight_4vector()
+            assert oracles.weights_of_3x4(p) == oracles.weight_4vector(kstar)
 
 
 class TestAdjacentPartner:
@@ -183,7 +177,7 @@ class TestAdjacentPartner:
                     rest = [w[j] for j in range(3) if j != slot]
                     mutated = tuple(sorted(rest + [(rest[0] + rest[1]) ** 2 // w[slot]]))
                     assert tuple(sorted(w2)) == mutated
-                    assert planes.degree(w2) == planes.degree(w) == pair.kstar.degree()
+                    assert planes.degree(w2) == planes.degree(w) == oracles.kstar_degree(pair.kstar)
                     # the last fixed point of the partner slice stays at most T-singular
                     flag = planes.singularity_report(pair.q2_raw).is_t[2]
                     assert flag
@@ -320,15 +314,6 @@ class TestClosedFormPartner:
             assert (l1 * l1 * e - l2 * l2 * eta[k]) % mu == 0
             slots += 1
         assert slots == 11084
-
-    def test_no_slice_generator_matrix_is_built(self, monkeypatch):
-        validated = []
-        real = abelian.validate_generator_matrix
-        monkeypatch.setattr(abelian, "validate_generator_matrix", lambda p: validated.append(p) or real(p))
-        pair = adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
-        assert pair.q2.u == (1, 9, 50) and validated == []
-        oracles.slice_matrices(pair.kstar)
-        assert len(validated) == 2
 
     def test_a_wrong_partner_column_is_refused(self, monkeypatch):
         # a Bezout pair that is not one gives a column off the mutation
@@ -786,9 +771,8 @@ class TestClassifyOneFamily:
     @staticmethod
     def _check_t_point_work(monkeypatch, bound, partners):
         # one Gorenstein index per node slot, handed to the partner solved
-        # there by the integer core; a partner is solved in K, so no slice
-        # generator matrix is built or validated
-        counts = {"iota": 0, "validate": 0, "partner": 0, "adjust": 0, "normalize": 0, "degree": 0}
+        # there by the integer core
+        counts = {"iota": 0, "partner": 0, "adjust": 0, "normalize": 0, "degree": 0}
 
         def counted(module, name, key):
             real = getattr(module, name)
@@ -800,7 +784,6 @@ class TestClassifyOneFamily:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(planes, "local_gorenstein_index", "iota")
-        counted(abelian, "validate_generator_matrix", "validate")
         counted(adjacency, "_partner", "partner")
         counted(planes, "adjust", "adjust")
         counted(planes, "_adjusted", "normalize")
@@ -808,7 +791,6 @@ class TestClassifyOneFamily:
         graph = adjacency.adjacency_graph(1, 8, bound)
         assert counts["partner"] == partners == len(graph.edges) + sum(n.self_kstar is not None for n in graph.nodes)
         assert counts["iota"] == 3 * len(graph.nodes)
-        assert counts["validate"] == 0
         # nodes come adjusted from classify, which checks each node's degree
         # in its node check and normalizes the four etas of its one tied
         # node, (1, 1, 2); each partner is normalized once, over the

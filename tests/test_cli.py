@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 import golden
 import oracles
+from conftest import child
 from fwpp import abelian, adjacency, cli, markov, planes
 
 
@@ -52,15 +53,6 @@ MATRIX_SMOOTH = '{"mu":1,"u":["1","1","1"],"eta":[0,0,0]}'
 MU_PAST_THE_LIMIT = "3" + "0" * 4998 + "1"
 #: z(2) of this plane is resolved by a 5,000-digit number of curves
 MATRIX_5000_CURVES = json.dumps({"mu": 1, "u": ["1", "1" + "0" * 4999, "1" + "0" * 4998 + "1"], "eta": [0, 0, 0]})
-
-
-def past_the_digit_limit():
-    """The degree-9 triple 18 mutations below (1, 1, 1): 2,009, 3,251 and
-    5,261 digits, past the 4,300 that ``str(int)`` converts by default."""
-    u = (1, 1, 1)
-    while u[2] < 10**5000:
-        u = tuple(sorted((u[1], u[2], (u[1] + u[2]) ** 2 // u[0])))
-    return u
 
 
 def count_matrices_built(monkeypatch):
@@ -405,7 +397,7 @@ class TestSing:
 
     @pytest.mark.parametrize("fmt", ["json", "tsv", "md"])
     def test_integers_past_the_str_digit_limit(self, capsys, fmt):
-        u = past_the_digit_limit()
+        u = oracles.past_the_digit_limit()
         text = [str(decimal.Decimal(x)) for x in u]
         matrix = json.dumps({"mu": 1, "u": text, "eta": [0, 0, 0]})
         code, out, err = run(capsys, "sing", matrix, "--format", fmt)
@@ -815,7 +807,7 @@ class TestJsonDigitLimit:
         mu_first = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 2]})
         mu_second = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": [0, 1, 3]})
         mu_image = json.dumps({"mu": MU_PAST_THE_LIMIT, "u": ["1", "1", "1"], "eta": automorphism_eta})
-        big_u = json.dumps({"mu": 1, "u": [str(decimal.Decimal(x)) for x in past_the_digit_limit()], "eta": [0, 0, 0]})
+        big_u = json.dumps({"mu": 1, "u": [str(decimal.Decimal(x)) for x in oracles.past_the_digit_limit()], "eta": [0, 0, 0]})
         commands = [
             ("sing", "garbage"),
             ("sing", MATRIX_183),
@@ -1011,17 +1003,6 @@ class TestChunkedWrites:
 
 
 FWPP = [sys.executable, "-m", "fwpp.cli"]
-
-
-def child(command, unbuffered=False, **kwargs) -> subprocess.Popen:
-    """``command`` in a child process that imports this ``fwpp``, with
-    stdout block-buffered as from a shell, or unbuffered (``PYTHONUNBUFFERED=1``)
-    when ``unbuffered`` is set."""
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
-        env["PYTHONUNBUFFERED"] = "1"
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
-    return subprocess.Popen(command, env=env, **{"stderr": subprocess.PIPE, **kwargs})
 
 
 class TestClosedStdout:

@@ -8,7 +8,6 @@ import pytest
 import golden
 import oracles
 from fwpp import adjacency, cli, markov, planes
-from test_cli import past_the_digit_limit
 
 
 def parsed(text):
@@ -40,7 +39,7 @@ class TestTree:
             check("".join(cli._tree_json(tree)), oracles.tree_obj(tree))
 
     def test_entries_past_the_digit_limit(self):
-        u = past_the_digit_limit()
+        u = oracles.past_the_digit_limit()
         parent = tuple(sorted((u[0], u[1], (u[0] + u[1]) ** 2 // u[2])))
         tree = oracles.tree_of(9, 10**6000, 18, ((parent,), (u,)), (b"\1",))
         assert len(markov._text(u[2])) > 4300 and tree.edges == ((parent, u),)
@@ -62,7 +61,7 @@ class TestPlane:
             check(cli._class_json(c, True), oracles.plane_obj(c, with_report=True))
 
     def test_entries_past_the_digit_limit(self):
-        q = planes.adjust(planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)))
+        q = planes.adjust(planes.DegreeMatrix(1, oracles.past_the_digit_limit(), (0, 0, 0)))
         c = oracles.classified_plane(q, [planes._series_of(q, 9)])
         for report in (False, True):
             check(cli._class_json(c, report), oracles.plane_obj(c, with_report=report))
@@ -75,7 +74,7 @@ class TestReport:
         planes.DegreeMatrix(1, (2, 3, 5), (0, 0, 0)),  # of degree 10/3, with no series label
         planes.DegreeMatrix(1, (1, 10**4999, 10**4999 + 1), (0, 0, 0)),  # a 5,000-digit curve count, a JSON number
         planes.DegreeMatrix(3 * 10**4999 + 1, (1, 1, 1), (0, 1, 2)),
-        planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)),
+        planes.DegreeMatrix(1, oracles.past_the_digit_limit(), (0, 0, 0)),
     ]
 
     @pytest.mark.parametrize("q", MATRICES, ids=range(len(MATRICES)))
@@ -103,7 +102,7 @@ class TestGraph:
         assert {(True, True), (True, False), (False, False)} <= {f[:2] for f in flags} and {True, False} <= {f[2] for f in flags}
 
     def test_entries_past_the_digit_limit(self):
-        q = planes.adjust(planes.DegreeMatrix(1, past_the_digit_limit(), (0, 0, 0)))
+        q = planes.adjust(planes.DegreeMatrix(1, oracles.past_the_digit_limit(), (0, 0, 0)))
         c = oracles.classified_plane(q, [planes._series_of(q, 9)])
         graph = adjacency.AdjacencyGraph(9, 1, 10**6000, (adjacency.GraphNode(c, None, False),), (adjacency.GraphEdge(c, c, True),))
         check("".join(cli._graph_json(graph)), oracles.graph_obj(graph))

@@ -345,7 +345,7 @@ BIG, BIG_TEXT = 3 * 10**4500 + 7, "3" + "0" * 4499 + "7"
 @pytest.mark.parametrize(
     "x",
     [12, -5, (1, 2, 3), (7,), [4, (5, 6)], Fraction(9, 4), Fraction(8), planes.SeriesId(1, 8, 3),
-     planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), planes.GeneratorMatrix(((1, 0, -1), (0, 1, -1))),
+     planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), oracles.GeneratorMatrix(((1, 0, -1), (0, 1, -1))),
      adjacency.KStarData(1, 1, -3, 1, 1), planes.ClassifiedPlane(32, (1, 1, 2), (0, 1, 3), 8, (planes.SeriesId(1, 8, 3),)),
      "text", None, True],
     ids=repr,
@@ -387,7 +387,6 @@ RECORDS = {
     "KAutomorphism": lambda: planes.isomorphism_witness(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), planes.DegreeMatrix(8, (1, 1, 2), (1, 0, 3)))[0],
     "SeriesId": lambda: planes.SeriesId(1, 8, 3),
     "DegreeMatrix": lambda: planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)),
-    "GeneratorMatrix": lambda: planes.generator_of(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))),
     "ClassifiedPlane": lambda: planes.classify(1, 10**6)[-1],
     "SingularityReport": lambda: planes.singularity_report(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))),
     "KStarData": lambda: adjacency.KStarData(2, 6, -2, 1, 5),
