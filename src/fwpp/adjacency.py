@@ -115,8 +115,7 @@ def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
     """Reconstruct the K*-surface over the T-singular point ``z(slot)`` and return the partner plane it degenerates to,
     with the surface, as solved and certified by :func:`_partner`.  Raises ``ValueError`` for a slot outside ``{0, 1,
     2}`` or when ``q`` has no integral degree, and :class:`NotDegenerableError` when the point is not a T-singularity."""
-    if slot not in (0, 1, 2):
-        raise ValueError(f"fixed point index must be 0, 1 or 2, got {_text(slot, repr)}")
+    planes._check_slot(slot)
     # refuses a non-integral degree, where a failed certificate in _partner would report bad input as a defect
     a = planes.integral_degree(q)
     kstar, raw, adjusted = _partner(q, slot, planes.local_gorenstein_index(q, slot), a)

@@ -21,17 +21,10 @@ steps below ``(1, 4, 5)`` for ``a = 5``).
 from __future__ import annotations
 
 import decimal
-from collections import namedtuple
 from fractions import Fraction
 from itertools import chain, islice, permutations
-from math import gcd, isqrt
 from operator import eq
 from typing import NamedTuple
-
-#: Squarefree cofactor pattern of the reduced equation classes: a solution of
-#: the reduced equation with parameter ``A`` is, up to order, of the shape
-#: ``(xi0*x0**2, xi1*x1**2, xi2*x2**2)`` with ``xi = REDUCED_XI[A]``.
-REDUCED_XI = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 1, 5)}
 
 #: The single initial triple of each reduced parameter.
 REDUCED_ROOTS = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 4, 5)}
@@ -72,35 +65,22 @@ def norm(u) -> int:
     return u[0] + u[1] + u[2]
 
 
-class SolutionTriple(namedtuple("SolutionTriple", "a u")):
-    """A verified solution of the squared Markov type equation."""
+def initial_solutions(a: int) -> tuple[Triple, ...]:
+    """The finite set of initial triples for parameter ``a``, in ascending order.
 
-    __slots__ = ()
-
-    def __new__(cls, a: int, u: Triple):
-        if not is_solution(u, a):
-            raise ValueError(f"{_text(u)} does not solve the equation with a={_text(a)}")
-        return super().__new__(cls, a, u)
-
-    @property
-    def norm(self) -> int:
-        return norm(self.u)
-
-
-def initial_solutions(a: int) -> frozenset[SolutionTriple]:
-    """The finite set of initial triples for parameter ``a``.
-
-    Every solution for ``a`` is ``b = A // a`` times one for a reduced
-    parameter ``A = a*b``, and scaling commutes with mutation (see
-    :func:`decompose`), so these are the scaled
-    ``REDUCED_ROOTS[A]`` for each ``A`` divisible by ``a``; empty for every
-    other positive ``a``.
+    Every solution for ``a`` is its entries' gcd ``b`` times one for the
+    reduced parameter ``A = a*b``, and scaling commutes with mutation, so
+    these are the scaled ``REDUCED_ROOTS[A]`` for each ``A`` divisible by
+    ``a``; empty for every other positive ``a``.  Each is certified to
+    solve the equation, else ``InvariantError`` is raised.
     """
     if a < 1:
         raise ValueError(f"parameter must be a positive integer, got {_text(a)}")
-    return frozenset(
-        SolutionTriple(a, tuple(A // a * c for c in root)) for A, root in REDUCED_ROOTS.items() if A % a == 0
-    )
+    roots = tuple(sorted(tuple(A // a * c for c in root) for A, root in REDUCED_ROOTS.items() if A % a == 0))
+    for u in roots:
+        if not is_solution(u, a):
+            raise InvariantError(f"initial triple {_text(u)} does not solve the equation with a={_text(a)}")
+    return roots
 
 
 class MutationTree(NamedTuple):
@@ -168,7 +148,7 @@ def enumerate_tree(
         raise ValueError(f"depth bound must be non-negative, got {_text(depth_bound)}")
     if max_nodes is not None and max_nodes < 0:
         raise ValueError(f"node cap must be non-negative, got {_text(max_nodes)}")
-    levels, kids = [tuple(sorted(t.u for t in initial_solutions(a) if t.norm <= norm_bound))], []
+    levels, kids = [tuple(u for u in initial_solutions(a) if norm(u) <= norm_bound)], []
     total = len(levels[0])
     while depth_bound is None or len(levels) <= depth_bound:
         below, counts = [], bytearray()
@@ -216,7 +196,10 @@ def admissible_arrangements(u, reduced_a: int) -> list[tuple[int, int, int]]:
     * ``A = 5``: the multiple of 5 last, the other two ascending.
 
     Several orders are admissible exactly when two arrangeable entries are
-    equal; all of them produce the same arranged triple.
+    equal; all of them produce the same arranged triple, or ``ValueError``
+    is raised.  A pairwise coprime ``u``, as every node of a reduced
+    class is, has at most one entry divisible by 2, 3 or 5 and ties only
+    at entries 1, so its orders never disagree.
     """
     ok = _ARRANGED_SHAPE.get(reduced_a)
     if ok is None:
@@ -225,54 +208,5 @@ def admissible_arrangements(u, reduced_a: int) -> list[tuple[int, int, int]]:
     if not perms:
         raise ValueError(f"{_text(u)} admits no arranged order for class {_text(reduced_a)}")
     if len(perms) > 1 and len({tuple(u[i] for i in p) for p in perms}) != 1:
-        raise InvariantError(f"ambiguous arrangement of {_text(u)} in class {_text(reduced_a)}")
+        raise ValueError(f"ambiguous arrangement of {_text(u)} in class {_text(reduced_a)}")
     return perms
-
-
-def arrange(u, reduced_a: int):
-    """Canonically arranged copy of ``u`` plus the column order used."""
-    perm = admissible_arrangements(u, reduced_a)[0]
-    return tuple(u[i] for i in perm), perm
-
-
-class SquareDecomposition(NamedTuple):
-    """Square decomposition ``u[perm[i]] == scale * xi[i] * x[i]**2``.
-
-    ``xi`` is one of (1,1,1), (1,1,2), (1,2,3), (1,1,5) and the parts satisfy
-    ``xi0*x0^2 + xi1*x1^2 + xi2*x2^2 == sqrt(a' * xi0*xi1*xi2) * x0*x1*x2``
-    for the reduced parameter ``a' = a * scale``.
-    """
-
-    x: Triple
-    xi: Triple
-    perm: tuple[int, int, int]
-    scale: int
-
-    def apply(self) -> Triple:
-        out = [0, 0, 0]
-        for i in range(3):
-            out[self.perm[i]] = self.scale * self.xi[i] * self.x[i] ** 2
-        return tuple(out)
-
-
-def decompose(t: SolutionTriple) -> SquareDecomposition:
-    """Express a solution as ``scale * (xi0*x0^2, xi1*x1^2, xi2*x2^2)``, the cofactors in their arranged slots.
-
-    Reduced solutions are pairwise coprime, so ``scale`` is the entries' gcd ``b`` (1 for ``a`` in {5, 6, 8, 9}) and
-    ``v = u/b`` solves the equation of ``A = a*b``.  That is the one equation certificate: with ``v_i = xi_i*x_i**2`` in
-    arranged order, ``sum(v)**2 == A*v0*v1*v2`` reads ``sum(v)**2 == (c*x0*x1*x2)**2`` for ``c**2 = A*xi0*xi1*xi2`` (9,
-    16, 36 or 25), so, both sides being positive, it holds exactly when ``sum(v) == c*x0*x1*x2``.
-    """
-    b = gcd(gcd(t.u[0], t.u[1]), t.u[2])
-    reduced_a = t.a * b
-    if reduced_a not in REDUCED_XI:
-        raise InvariantError(f"scaling of {_text(t.u)} left the reduced classes: {_text(reduced_a)}")
-    v = tuple(c // b for c in t.u)
-    if not is_solution(v, reduced_a):
-        raise InvariantError(f"{_text(t.u)}/{_text(b)} is not a solution for a'={_text(reduced_a)}")
-    xi = REDUCED_XI[reduced_a]
-    arranged, perm = arrange(v, reduced_a)
-    x = tuple(isqrt(c // k) for c, k in zip(arranged, xi))
-    if any(k * r * r != c for c, k, r in zip(arranged, xi, x)):
-        raise InvariantError(f"{_text(arranged)} is not {_text(xi)} times squares in {_text(t.u)}")
-    return SquareDecomposition(x=x, xi=xi, perm=perm, scale=b)

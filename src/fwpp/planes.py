@@ -116,12 +116,19 @@ def anticanonical_class(q: DegreeMatrix) -> Pair:
     return sum(q.u), sum(q.eta) % q.mu
 
 
+def _check_slot(k) -> None:
+    """Raise ``ValueError`` unless ``k`` names a fixed point, 0, 1 or 2."""
+    if k not in (0, 1, 2):
+        raise ValueError(f"fixed point index must be 0, 1 or 2, got {_text(k, repr)}")
+
+
 def local_gorenstein_index(q: DegreeMatrix, k: int) -> int:
     """Order of the canonical class in the local class group at ``z(k)``.
 
     This is the least ``n >= 1`` with ``n * w_Z`` in the subgroup generated
-    by the k-th column.
+    by the k-th column.  A ``k`` outside ``{0, 1, 2}`` raises ``ValueError``.
     """
+    _check_slot(k)
     return abelian.k_membership_multiple(anticanonical_class(q), (q.u[k], q.eta[k]), q.mu)
 
 
@@ -164,7 +171,9 @@ def resolution_curve_count(q: DegreeMatrix, k: int) -> int:
     and generated by ``q_i``; with ``q_j = t*q_i + s*q_k`` the point is ``1/m(1, t)``, resolved by as many curves as the
     negative continued fraction of ``m/t`` has entries (none at ``m = 1``, ``t = 0``; swapping ``i`` and ``j`` inverts ``t``
     mod ``m``, which reverses it).  :func:`_quotient_weight` solves ``t``; the identity is checked on both parts here.
+    A ``k`` outside ``{0, 1, 2}`` raises ``ValueError``.
     """
+    _check_slot(k)
     i, j = (n for n in range(3) if n != k)
     try:
         t = _quotient_weight(q, i, j, k)
@@ -310,10 +319,10 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
     admissible order, ``(u_arr; 0, 1, eta)`` is adjusted for every series
     eta (shift 0 and scale 1, as ``gcd(u_0, mu) = 1``) and distinct etas
     stay distinct, so each class is ``u_arr`` with a shared row and label.
-    Only a node with tied entries checks its column pairs, normalizes its
-    columns over its orders and merges equal forms; the identity order
-    leaves ``(u_arr; 0, 1, eta)`` as it is, so each label must be the least
-    merged one.
+    Only a node with tied entries normalizes its columns over its orders,
+    on the matrices :func:`_check_node` certified, and merges equal forms;
+    the identity order leaves ``(u_arr; 0, 1, eta)`` as it is, so each
+    label must be the least merged one.
     ``max_nodes`` caps each family's tree as in :func:`fwpp.markov.enumerate_tree`,
     its error naming ``a``, the family's ``mu`` and ``norm_bound`` as given
     here, and then the class total, with the same ``EnumerationCapExceeded``.
@@ -348,7 +357,6 @@ def classify(a: int, norm_bound: int, mu: int | None = None, max_nodes: int | No
             perms, groups = markov.admissible_arrangements(u_arr, fam_mu * a), {}  # the orders acting on u_arr
             try:
                 for eta, ids in rows:
-                    _check_pairs(fam_mu, u_arr, eta)
                     groups.setdefault(_adjusted(fam_mu, u_arr, eta, perms), []).extend(ids)
             except ValueError as exc:  # _check_node certified every matrix: a refusal is a defect here, not bad input
                 raise InvariantError(f"tied node {_text(u_arr)} of mu {_text(fam_mu)}: {exc}") from exc

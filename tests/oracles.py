@@ -16,8 +16,8 @@ library, as do the enumeration, composition and inversion of the
 automorphisms of ``Z + Z/mu``.  So do the closed-form cokernel of a
 generator matrix, the partner read off the second slice by it, and the
 lattice-geometry route to the Gorenstein index of a cone.  One solution is
-mutated at its last entry, tested for being initial and sorted here, as no
-library code does any of these.  The mutation
+mutated at its last entry, tested for being initial, sorted and written as
+its square decomposition here, as no library code does any of these.  The mutation
 tree is enumerated by sorting every mutated triple, and its ``solve`` text
 is written with a parent found by ``play`` and a label built for every
 occurrence of a triple; arrangements are found by testing whole tuples.
@@ -53,7 +53,6 @@ from typing import Iterator, Sequence
 from fwpp import abelian, adjacency, cli, markov, planes
 from fwpp.abelian import KAutomorphism, Pair
 from fwpp.adjacency import AdjacencyGraph, GraphEdge, GraphNode, KStarData
-from fwpp.markov import SolutionTriple
 
 Matrix = list[list[int]]
 
@@ -304,11 +303,9 @@ def modular_gorenstein_index(q: planes.DegreeMatrix, k: int) -> int:
     into the k-th column's span; the index is x_k times the smallest such n.
     Only valid for adjusted matrices of integral degree.
     """
-    from fwpp import markov
-
     a = planes.integral_degree(q)
     reduced = q.mu * a
-    xi = markov.REDUCED_XI[reduced]
+    xi = REDUCED_XI[reduced]
     xs = []
     for i in range(3):
         quotient = q.u[i] // xi[i]
@@ -823,28 +820,58 @@ def hnf_kernel_basis(u, eta, mu: int):
     return transpose(h)
 
 
-def mutate(t: SolutionTriple) -> SolutionTriple:
-    """Replace the last entry by the second root of the quadratic in it.
+def _solution(u: tuple[int, int, int], a: int) -> tuple[int, int, int]:
+    """``u`` itself, or ``ValueError`` unless it solves the equation of parameter ``a``, read off the equation."""
+    u0, u1, u2 = u
+    if min(u) <= 0 or (u0 + u1 + u2) ** 2 != a * u0 * u1 * u2:
+        raise ValueError(f"{u} does not solve the equation with a={a}")
+    return u
+
+
+def mutate(u: tuple[int, int, int], a: int) -> tuple[int, int, int]:
+    """Replace the last entry of the solution ``u`` by the second root of the quadratic in it.
 
     The result is again a solution and mutating twice returns the input.
     """
-    u0, u1, u2 = t.u
-    return SolutionTriple(t.a, (u0, u1, t.a * u0 * u1 - 2 * u0 - 2 * u1 - u2))
+    u0, u1, u2 = _solution(u, a)
+    return u0, u1, a * u0 * u1 - 2 * u0 - 2 * u1 - u2
 
 
-def is_initial(t: SolutionTriple) -> bool:
-    """True iff the (sorted) triple does not mutate to a smaller norm.
+def is_initial(u: tuple[int, int, int], a: int) -> bool:
+    """True iff the (sorted) solution ``u`` does not mutate to a smaller norm.
 
     Requires ascendingly sorted input; equivalent to ``u2 <= u0 + u1``.
     """
-    u0, u1, u2 = t.u
+    u0, u1, u2 = _solution(u, a)
     if not (u0 <= u1 <= u2):
-        raise ValueError(f"is_initial expects an ascendingly sorted triple, got {t.u}")
+        raise ValueError(f"is_initial expects an ascendingly sorted triple, got {u}")
     return u2 <= u0 + u1
 
 
-def sorted_solution(t: SolutionTriple) -> SolutionTriple:
-    return SolutionTriple(t.a, tuple(sorted(t.u)))
+def sorted_solution(u: tuple[int, int, int], a: int) -> tuple[int, int, int]:
+    """The solution ``u`` of parameter ``a``, ascendingly sorted."""
+    return tuple(sorted(_solution(u, a)))
+
+
+#: Squarefree cofactor pattern of the reduced equation classes: a solution of
+#: the reduced equation with parameter ``A`` is, up to order, of the shape
+#: ``(xi0*x0**2, xi1*x1**2, xi2*x2**2)`` with ``xi = REDUCED_XI[A]``.
+REDUCED_XI = {9: (1, 1, 1), 8: (1, 1, 2), 6: (1, 2, 3), 5: (1, 1, 5)}
+
+
+def decompose(u: tuple[int, int, int], a: int):
+    """The square decomposition ``(x, xi, perm, scale)`` of the solution ``u`` of parameter ``a``.
+
+    Reduced solutions are pairwise coprime, so ``scale`` is the entries' gcd ``b`` and ``u/b`` solves the equation of
+    ``A = a*b``, of cofactors ``xi = REDUCED_XI[A]``.  ``perm`` is the first order of
+    :func:`tuple_admissible_arrangements` and ``x[i]`` the integer square root of ``u[perm[i]] / (b * xi[i])``.  Nothing
+    is certified here: ``u[perm[i]] == scale * xi[i] * x[i]**2`` holds exactly when these are squares, which the callers
+    assert.
+    """
+    b = gcd(gcd(u[0], u[1]), u[2])
+    xi = REDUCED_XI[a * b]
+    perm = tuple_admissible_arrangements(tuple(c // b for c in u), a * b)[0]
+    return tuple(isqrt(u[p] // (b * k)) for p, k in zip(perm, xi)), xi, perm, b
 
 
 def play(u: tuple[int, int, int], a: int, slot: int) -> tuple[int, int, int]:
@@ -860,7 +887,7 @@ def bfs_tree(a: int, norm_bound: int, depth_bound=None, max_nodes=None):
     search, sorting every mutated triple before testing the bound and
     reaching each edge from both ends, over all three slots; raises
     ``EnumerationCapExceeded`` where the library's enumeration must."""
-    roots = sorted(t.u for t in markov.initial_solutions(a) if t.norm <= norm_bound)
+    roots = [u for u in markov.initial_solutions(a) if markov.norm(u) <= norm_bound]
     depths = {r: 0 for r in roots}
     edges = set()
     queue = deque(roots)
@@ -947,7 +974,7 @@ def normalizing_classify(a: int, norm_bound: int, mu: int | None = None) -> list
             continue
         etas = planes.SERIES_ETAS[(deg, fam_mu)]
         for u_sorted in markov.enumerate_tree(fam_mu * a, norm_bound // fam_mu).nodes:
-            u_arr, _ = markov.arrange(u_sorted, fam_mu * a)
+            u_arr = tuple(u_sorted[i] for i in markov.admissible_arrangements(u_sorted, fam_mu * a)[0])
             groups: dict[planes.DegreeMatrix, list[int]] = {}
             for eta in etas:
                 q = planes.DegreeMatrix(fam_mu, u_arr, (0, 1 % fam_mu, eta % fam_mu))
@@ -1006,7 +1033,7 @@ def tuple_admissible_arrangements(u, reduced_a: int):
     if not perms:
         raise ValueError(f"{u} admits no arranged order for class {reduced_a}")
     if len({tuple(u[i] for i in p) for p in perms}) != 1:
-        raise markov.InvariantError(f"ambiguous arrangement of {u} in class {reduced_a}")
+        raise ValueError(f"ambiguous arrangement of {u} in class {reduced_a}")
     return perms
 
 

@@ -111,9 +111,8 @@ def test_public_names():
             "NotDegenerableError", "adjacency_graph", "adjacent_partner", "self_adjacency_census",
         ],
         "markov": [
-            "EnumerationCapExceeded", "InvariantError", "MutationTree", "REDUCED_ROOTS", "REDUCED_XI",
-            "SolutionTriple", "SquareDecomposition", "Triple", "admissible_arrangements", "arrange", "decompose",
-            "enumerate_tree", "initial_solutions", "is_solution", "norm",
+            "EnumerationCapExceeded", "InvariantError", "MutationTree", "REDUCED_ROOTS", "Triple",
+            "admissible_arrangements", "enumerate_tree", "initial_solutions", "is_solution", "norm",
         ],
         "planes": [
             "ClassifiedPlane", "DegreeMatrix", "SERIES_ETAS", "SERIES_FAMILIES", "SeriesId", "SingularityReport",
@@ -128,10 +127,14 @@ def test_public_names():
 FAN_SIDE = {"GeneratorMatrix", "NotGeneratorMatrixError", "cone_of_fixed_point", "corresponds", "generator_of",
             "kstar_degree", "validate_generator_matrix", "weight_4vector"}
 
+#: the square decomposition, with which the paper proves its tables and no command computes, lives in ``tests/oracles.py``
+#: as ``decompose`` and ``REDUCED_XI``; the checked solution record ``SolutionTriple`` and ``arrange`` are deleted
+SQUARE_SIDE = {"REDUCED_XI", "SolutionTriple", "SquareDecomposition", "arrange", "decompose"}
+
 
 def test_the_library_neither_defines_nor_reads_the_fan_side():
     # every name, attribute, import, string constant and definition of the package, and no class defines a degree method
-    assert {n for n in FAN_SIDE if n != "cone_of_fixed_point"} <= set(vars(oracles))
+    assert {n for n in FAN_SIDE if n != "cone_of_fixed_point"} | {"REDUCED_XI", "decompose"} <= set(vars(oracles))
     for path in sorted(Path(fwpp.__file__).parent.glob("*.py")):
         source = path.read_text()
         names = set()
@@ -146,8 +149,9 @@ def test_the_library_neither_defines_nor_reads_the_fan_side():
                 names.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str):
                 names.add(node.value)
-        assert not names & FAN_SIDE, path.name
-        assert not re.search(r"GeneratorMatrix|generator_of|validate_generator_matrix|weight_4vector|corresponds\(|def degree\(self", source), path.name
+        assert not names & (FAN_SIDE | SQUARE_SIDE), path.name
+        assert not re.search(r"GeneratorMatrix|generator_of|validate_generator_matrix|weight_4vector|corresponds\(|def degree\(self"
+                             r"|REDUCED_XI|SolutionTriple|SquareDecomposition|\barrange\(|\bdecompose\(", source), path.name
 
 
 def test_import_binds_the_four_modules_and_not_the_cli():

@@ -190,12 +190,13 @@ def deep_series_members(draw, max_digits=60):
     an initial triple, until its largest entry has at least the drawn number
     of digits (at most ``max_digits``); the last step may overshoot it."""
     a, mu = draw(st.sampled_from(planes.SERIES_FAMILIES))
-    u = draw(st.sampled_from(sorted(t.u for t in markov.initial_solutions(a * mu))))
+    u = draw(st.sampled_from(markov.initial_solutions(a * mu)))
     digits = draw(st.integers(1, max_digits))
     while len(str(u[2])) < digits:
         u = draw(st.sampled_from(sorted({v for v in (oracles.play(u, a * mu, k) for k in range(3)) if sum(v) > sum(u)})))
     eta = draw(st.sampled_from(planes.SERIES_ETAS[(a, mu)]))
-    return DegreeMatrix(mu, markov.arrange(u, a * mu)[0], (0, 1 % mu, eta % mu))
+    perm = markov.admissible_arrangements(u, a * mu)[0]
+    return DegreeMatrix(mu, tuple(u[i] for i in perm), (0, 1 % mu, eta % mu))
 
 
 class TestDeepPartners:
@@ -391,6 +392,13 @@ class TestSlotRange:
         # -1 used to index slot 2 and return its partner; 3 raised IndexError
         with pytest.raises(ValueError, match="0, 1 or 2"):
             adjacency.adjacent_partner(mk(4, (1, 1, 2), (0, 1, 3)), slot)
+
+    @pytest.mark.parametrize("slot", [-1, 3])
+    @pytest.mark.parametrize("local", [planes.local_gorenstein_index, planes.resolution_curve_count], ids=lambda f: f.__name__)
+    def test_the_local_invariants_refuse(self, local, slot):
+        # -1 read slot 2, and 3 raised an IndexError or an unpacking error
+        with pytest.raises(ValueError, match=f"^fixed point index must be 0, 1 or 2, got {slot}$"):
+            local(mk(8, (1, 1, 2), (0, 1, 3)), slot)
 
     @pytest.mark.parametrize("slot", [-1, 3])
     def test_can_degenerate_refuses(self, slot):

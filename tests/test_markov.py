@@ -17,17 +17,16 @@ from hypothesis import strategies as st
 import golden
 import oracles
 from fwpp import abelian, adjacency, cli, markov, planes
-from fwpp.markov import SolutionTriple
 
 
 def all_nodes(a, bound):
     return markov.enumerate_tree(a, bound).nodes
 
 
-def slot_mutations(t):
-    """The mutation of ``t`` at each slot in turn: :func:`oracles.mutate` of
-    ``t`` with that slot's entry moved last."""
-    return [oracles.mutate(SolutionTriple(t.a, (*(t.u[j] for j in range(3) if j != k), t.u[k]))) for k in range(3)]
+def slot_mutations(u, a):
+    """The mutation of the solution ``u`` at each slot in turn: :func:`oracles.mutate`
+    of ``u`` with that slot's entry moved last."""
+    return [oracles.mutate((*(u[j] for j in range(3) if j != k), u[k]), a) for k in range(3)]
 
 
 class TestIsSolution:
@@ -40,54 +39,53 @@ class TestIsSolution:
         assert not markov.is_solution((0, 1, 1), 9)
         assert not markov.is_solution((1, 1, -1), 9)
 
-    def test_constructor_validates(self):
-        with pytest.raises(ValueError):
-            SolutionTriple(9, (1, 1, 2))
+    def test_the_solution_oracles_refuse_a_non_solution(self):
+        for oracle in (oracles.mutate, oracles.is_initial, oracles.sorted_solution):
+            with pytest.raises(ValueError, match=r"^\(1, 1, 2\) does not solve the equation with a=9$"):
+                oracle((1, 1, 2), 9)
 
 
 class TestMutate:
     def test_examples(self):
-        assert oracles.mutate(SolutionTriple(9, (1, 1, 1))).u == (1, 1, 4)
-        assert oracles.mutate(SolutionTriple(8, (1, 1, 2))).u == (1, 1, 2)
-        assert oracles.mutate(SolutionTriple(9, (1, 4, 25))).u == (1, 4, 1)
+        assert oracles.mutate((1, 1, 1), 9) == (1, 1, 4)
+        assert oracles.mutate((1, 1, 2), 8) == (1, 1, 2)
+        assert oracles.mutate((1, 4, 25), 9) == (1, 4, 1)
 
     def test_involution_on_enumerated_nodes(self):
         for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 500):
-                t = SolutionTriple(a, u)
-                assert oracles.mutate(oracles.mutate(t)) == t
+                assert markov.is_solution(oracles.mutate(u, a), a)
+                assert oracles.mutate(oracles.mutate(u, a), a) == u
 
     def test_norm_law(self):
         for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 500):
-                t = SolutionTriple(a, u)
-                image = oracles.mutate(t)
+                image = markov.norm(oracles.mutate(u, a))
                 if u[2] == u[0] + u[1]:
-                    assert image.norm == t.norm
+                    assert image == markov.norm(u)
                 elif u[2] < u[0] + u[1]:
-                    assert image.norm > t.norm
+                    assert image > markov.norm(u)
                 else:
-                    assert image.norm < t.norm
+                    assert image < markov.norm(u)
 
     def test_gcd_invariance(self):
         for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 2000):
-                t = SolutionTriple(a, u)
                 g = gcd(gcd(u[0], u[1]), u[2])
-                for m in slot_mutations(t):
-                    assert gcd(gcd(m.u[0], m.u[1]), m.u[2]) == g
+                for m in slot_mutations(u, a):
+                    assert markov.is_solution(m, a) and gcd(gcd(m[0], m[1]), m[2]) == g
 
     def test_tree_neighbors_of_1_4_25(self):
-        got = {oracles.sorted_solution(m).u for m in slot_mutations(SolutionTriple(9, (1, 4, 25)))}
+        got = {oracles.sorted_solution(m, 9) for m in slot_mutations((1, 4, 25), 9)}
         assert got == {(1, 1, 4), (1, 25, 169), (4, 25, 841)}
 
     def test_fixed_point_retained(self):
-        got = {oracles.sorted_solution(m).u for m in slot_mutations(SolutionTriple(8, (1, 1, 2)))}
+        got = {oracles.sorted_solution(m, 8) for m in slot_mutations((1, 1, 2), 8)}
         assert got == {(1, 2, 9), (1, 1, 2)}
 
     def test_slots_agree_with_the_sorting_oracle(self):
         u = (1, 4, 5)
-        got = [oracles.sorted_solution(m).u for m in slot_mutations(SolutionTriple(5, u))]
+        got = [oracles.sorted_solution(m, 5) for m in slot_mutations(u, 5)]
         assert got == [oracles.play(u, 5, k) for k in range(3)]
         assert {(1, 5, 9), (4, 5, 81)} <= set(got)
 
@@ -95,23 +93,28 @@ class TestMutate:
 class TestInitialSolutions:
     @pytest.mark.parametrize("a,expected", sorted(golden.INITIAL_TRIPLES.items()))
     def test_table(self, a, expected):
-        assert {t.u for t in markov.initial_solutions(a)} == expected
+        assert markov.initial_solutions(a) == tuple(sorted(expected))
 
     def test_empty_parameters(self):
-        assert markov.initial_solutions(7) == frozenset()
+        assert markov.initial_solutions(7) == ()
         for a in range(10, 51):
-            assert markov.initial_solutions(a) == frozenset()
+            assert markov.initial_solutions(a) == ()
 
     def test_matches_brute_scan(self):
         for a in range(1, 12):
-            assert {t.u for t in markov.initial_solutions(a)} == oracles.brute_initial_triples(a, 70)
+            assert set(markov.initial_solutions(a)) == oracles.brute_initial_triples(a, 70)
 
     def test_is_initial(self):
-        assert oracles.is_initial(SolutionTriple(9, (1, 1, 1)))
-        assert not oracles.is_initial(SolutionTriple(9, (1, 1, 4)))
-        assert oracles.is_initial(SolutionTriple(2, (3, 6, 9)))
-        with pytest.raises(ValueError):
-            oracles.is_initial(SolutionTriple(9, (4, 1, 1)))
+        assert oracles.is_initial((1, 1, 1), 9)
+        assert not oracles.is_initial((1, 1, 4), 9)
+        assert oracles.is_initial((3, 6, 9), 2)
+        with pytest.raises(ValueError, match="ascendingly sorted"):
+            oracles.is_initial((4, 1, 1), 9)
+
+    def test_a_root_off_its_equation_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setitem(markov.REDUCED_ROOTS, 8, (1, 1, 3))
+        with pytest.raises(markov.InvariantError, match=r"^initial triple \(2, 2, 6\) does not solve the equation with a=4$"):
+            markov.initial_solutions(4)
 
     def test_invalid_parameter(self):
         with pytest.raises(ValueError):
@@ -175,19 +178,19 @@ class TestModularFacts:
 
     def test_a8_arranged_mod_4_and_8(self):
         for u in all_nodes(8, 3000):
-            v, _ = markov.arrange(u, 8)
+            v = tuple(u[i] for i in markov.admissible_arrangements(u, 8)[0])
             assert tuple(x % 4 for x in v) == (1, 1, 2)
             assert tuple(x % 8 for x in v) == (1, 1, 2)
 
     def test_a6_arranged_mod_3_and_6(self):
         for u in all_nodes(6, 3000):
-            v, _ = markov.arrange(u, 6)
+            v = tuple(u[i] for i in markov.admissible_arrangements(u, 6)[0])
             assert tuple(x % 3 for x in v) == (1, 2, 0)
             assert tuple(x % 6 for x in v) == (1, 2, 3)
 
     def test_a5_arranged_mod_5(self):
         for u in all_nodes(5, 3000):
-            v, _ = markov.arrange(u, 5)
+            v = tuple(u[i] for i in markov.admissible_arrangements(u, 5)[0])
             assert v[2] % 5 == 0
             assert (v[0] % 5, v[1] % 5) in {(1, 4), (4, 1)}
 
@@ -201,15 +204,14 @@ class TestScaling:
     def test_examples(self):
         examples = {(3, (3, 3, 3)): (3, 9), (1, (5, 20, 25)): (5, 5), (2, (4, 4, 8)): (4, 8), (9, (1, 1, 1)): (1, 9)}
         for (a, u), scaling in examples.items():
-            d = markov.decompose(SolutionTriple(a, u))
-            assert (d.scale, a * d.scale) == scaling
+            assert markov.is_solution(u, a)
+            scale = oracles.decompose(u, a)[3]
+            assert (scale, a * scale) == scaling
 
     def test_reduced_class_is_always_reduced(self):
         for a in (1, 2, 3, 4):
             for u in all_nodes(a, 2000):
-                d = markov.decompose(SolutionTriple(a, u))
-                b, reduced = d.scale, a * d.scale
-                assert reduced == a * b and reduced in markov.REDUCED_ROOTS
+                assert a * oracles.decompose(u, a)[3] in markov.REDUCED_ROOTS
 
     def test_identities_on_small_sets(self):
         s4 = set(all_nodes(4, 800))
@@ -219,39 +221,21 @@ class TestScaling:
 
 class TestDecompose:
     def test_examples(self):
-        d = markov.decompose(SolutionTriple(9, (1, 4, 25)))
-        assert d.x == (1, 2, 5) and d.xi == (1, 1, 1) and d.scale == 1
-        d = markov.decompose(SolutionTriple(8, (1, 9, 2)))
-        assert d.x == (1, 3, 1) and d.xi == (1, 1, 2) and d.scale == 1
-        assert d.perm[2] == 2
-        d = markov.decompose(SolutionTriple(2, (4, 4, 8)))
-        assert d.scale == 4 and d.xi == (1, 1, 2)
+        assert oracles.decompose((1, 4, 25), 9) == ((1, 2, 5), (1, 1, 1), (0, 1, 2), 1)
+        x, xi, perm, scale = oracles.decompose((1, 9, 2), 8)
+        assert x == (1, 3, 1) and xi == (1, 1, 2) and scale == 1
+        assert perm[2] == 2
+        x, xi, perm, scale = oracles.decompose((4, 4, 8), 2)
+        assert scale == 4 and xi == (1, 1, 2)
 
     def test_roundtrip_and_equation(self):
         for a in golden.SOLVABLE_PARAMETERS:
             for u in all_nodes(a, 2000):
-                d = markov.decompose(SolutionTriple(a, u))
-                assert d.apply() == u
-                coeff = a * d.scale * d.xi[0] * d.xi[1] * d.xi[2]
-                lhs = sum(d.xi[i] * d.x[i] ** 2 for i in range(3))
-                assert lhs * lhs == coeff * (d.x[0] * d.x[1] * d.x[2]) ** 2
-
-    @pytest.mark.parametrize("a, u", [(8, (1, 1, 2)), (4, (2, 2, 4)), (1, (8, 8, 16))])
-    def test_a_wrong_cofactor_fails_the_square_certificate(self, monkeypatch, a, u):
-        monkeypatch.setitem(markov.REDUCED_XI, 8, (1, 1, 3))
-        with pytest.raises(markov.InvariantError, match=r"is not \(1, 1, 3\) times squares"):
-            markov.decompose(SolutionTriple(a, u))
-
-    @pytest.mark.parametrize("a, u", [(8, (1, 1, 2)), (4, (2, 2, 4)), (1, (8, 8, 16))])
-    def test_a_missing_class_leaves_the_reduced_classes(self, monkeypatch, a, u):
-        monkeypatch.delitem(markov.REDUCED_XI, 8)
-        with pytest.raises(markov.InvariantError, match=f"left the reduced classes: 8$"):
-            markov.decompose(SolutionTriple(a, u))
-
-    def test_a_triple_off_the_equation_fails_the_equation_certificate(self):
-        t = tuple.__new__(SolutionTriple, (9, (1, 1, 2)))  # past the constructor's check
-        with pytest.raises(markov.InvariantError, match=r"\(1, 1, 2\)/1 is not a solution for a'=9"):
-            markov.decompose(t)
+                x, xi, perm, scale = oracles.decompose(u, a)
+                assert all(u[perm[i]] == scale * xi[i] * x[i] ** 2 for i in range(3))
+                coeff = a * scale * xi[0] * xi[1] * xi[2]
+                lhs = sum(xi[i] * x[i] ** 2 for i in range(3))
+                assert lhs * lhs == coeff * (x[0] * x[1] * x[2]) ** 2
 
 
 @settings(max_examples=60, deadline=None)
@@ -259,12 +243,11 @@ class TestDecompose:
 def test_mutation_properties_random_nodes(a, data):
     nodes = all_nodes(a, 5000)
     u = data.draw(st.sampled_from(nodes))
-    t = SolutionTriple(a, u)
-    assert oracles.mutate(oracles.mutate(t)) == t
-    for k, m in enumerate(slot_mutations(t)):
-        assert markov.is_solution(m.u, a)
-        assert oracles.sorted_solution(m).u == oracles.play(u, a, k)
-        assert oracles.mutate(m).u == (*(u[j] for j in range(3) if j != k), u[k])
+    assert oracles.mutate(oracles.mutate(u, a), a) == u
+    for k, m in enumerate(slot_mutations(u, a)):
+        assert markov.is_solution(m, a)
+        assert oracles.sorted_solution(m, a) == oracles.play(u, a, k)
+        assert oracles.mutate(m, a) == (*(u[j] for j in range(3) if j != k), u[k])
 
 
 def test_enumeration_deterministic():
@@ -288,7 +271,7 @@ def test_enumeration_cap():
 
 def test_a_node_reached_twice_is_an_invariant_error(monkeypatch):
     # (1, 1, 4) is the child of (1, 1, 1): as a second root it is reached again one level down
-    monkeypatch.setattr(markov, "initial_solutions", lambda a: frozenset({SolutionTriple(9, (1, 1, 1)), SolutionTriple(9, (1, 1, 4))}))
+    monkeypatch.setattr(markov, "initial_solutions", lambda a: ((1, 1, 1), (1, 1, 4)))
     with pytest.raises(markov.InvariantError, match="reached twice"):
         markov.enumerate_tree(9, 30)
 
@@ -306,8 +289,7 @@ def test_negative_bounds_are_refused(flags):
 
 
 def test_sorted_and_json_helpers():
-    t = SolutionTriple(8, (1, 9, 2))
-    assert oracles.sorted_solution(t).u == (1, 2, 9)
+    assert oracles.sorted_solution((1, 9, 2), 8) == (1, 2, 9)
 
 
 def test_decimal_text_helpers():
@@ -381,9 +363,7 @@ def test_text_past_the_digit_limit_is_written_in_full(x, text, text_of_repr):
 
 #: One of each record of the library, as the library builds it where it builds it.
 RECORDS = {
-    "SolutionTriple": lambda: SolutionTriple(9, (1, 1, 4)),
     "MutationTree": lambda: markov.enumerate_tree(6, 10**4),
-    "SquareDecomposition": lambda: markov.decompose(SolutionTriple(5, (1, 4, 5))),
     "KAutomorphism": lambda: planes.isomorphism_witness(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), planes.DegreeMatrix(8, (1, 1, 2), (1, 0, 3)))[0],
     "SeriesId": lambda: planes.SeriesId(1, 8, 3),
     "DegreeMatrix": lambda: planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)),
@@ -482,9 +462,16 @@ def test_decimal_int_reads_the_int_grammar_at_every_length(digits, text):
 
 def test_arrangement_errors():
     with pytest.raises(ValueError):
-        markov.arrange((1, 3, 5), 8)  # no even entry
+        markov.admissible_arrangements((1, 3, 5), 8)  # no even entry
     with pytest.raises(ValueError):
-        markov.arrange((1, 2, 3), 7)  # not a reduced class
+        markov.admissible_arrangements((1, 2, 3), 7)  # not a reduced class
+
+
+@pytest.mark.parametrize("u, reduced_a", [((2, 4, 6), 8), ((2, 4, 6), 6), ((5, 10, 3), 5)])
+def test_an_ambiguous_arrangement_is_bad_input(u, reduced_a):
+    # entries not pairwise coprime, as no tree node has, can fit the shape in orders giving different triples
+    with pytest.raises(ValueError, match=r"^ambiguous arrangement of \(.*\) in class \d$"):
+        markov.admissible_arrangements(u, reduced_a)
 
 
 class TestAgainstSortingOracles:

@@ -421,11 +421,12 @@ class TestClassify:
         with pytest.raises(markov.InvariantError, match="columns 1,2"):
             planes.classify(1, 10**6)
 
-    def test_a_refused_tied_node_matrix_is_a_defect(self, monkeypatch):
-        # _check_node certified the matrices of the tied node (1, 1, 2) of (1, 8): a refusal is no input error
+    @pytest.mark.parametrize("a", golden.SOLVABLE_PARAMETERS)
+    def test_classify_checks_no_column_pair(self, monkeypatch, a):
+        # _check_node certifies every matrix of a node, the tied ones too: no pair is checked again
+        expected = planes.classify(a, 10**6)
         monkeypatch.setattr(abelian, "pair_generates", lambda *args: False)
-        with pytest.raises(markov.InvariantError, match=r"^tied node \(1, 1, 2\) of mu 8: columns 0,1 .* fail to generate the class group$"):
-            planes.classify(1, 1000)
+        assert planes.classify(a, 10**6) == expected
 
     def test_a_refused_tied_node_adjustment_is_a_defect(self, monkeypatch):
         def refuse(mu, u, eta, perms):
@@ -477,7 +478,7 @@ class TestClassify:
         arrangements = calls["arrangements"]
         trees = [(mu, markov.enumerate_tree(mu, 10**12 // mu).nodes) for a, mu in planes.SERIES_FAMILIES if a == 1]
         nodes = sum(len(t) for _, t in trees)
-        tied = [(markov.arrange(u, mu)[0], mu) for mu, t in trees for u in t if len(markov.admissible_arrangements(u, mu)) > 1]
+        tied = [(tuple(u[i] for i in perms[0]), mu) for mu, t in trees for u in t if len(perms := markov.admissible_arrangements(u, mu)) > 1]
         assert len(classes) >= nodes > 0
         assert calls["witness"] == calls["adjust"] == 0
         tied_nodes = {(tuple(sorted(u)), mu) for u, mu in tied}

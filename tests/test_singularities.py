@@ -40,14 +40,14 @@ class TestAnticanonical:
     def test_closed_form_on_series(self):
         for c in classified_planes(500):
             q = c.matrix
-            d = markov.decompose(markov.SolutionTriple(q.mu * c.series.a, tuple(sorted(q.u))))
+            x, xi, _, _ = oracles.decompose(q.u, q.mu * c.series.a)
             coeff = 1
-            target = q.mu * c.series.a * d.xi[1] * d.xi[2]
+            target = q.mu * c.series.a * xi[1] * xi[2]
             while coeff * coeff < target:
                 coeff += 1
             assert coeff * coeff == target
             wz_free, wz_tors = planes.anticanonical_class(q)
-            assert wz_free == coeff * d.x[0] * d.x[1] * d.x[2]
+            assert wz_free == coeff * x[0] * x[1] * x[2]
             key = str(c.series)
             if key in golden.ANTICANONICAL_TORSION:
                 assert wz_tors == golden.ANTICANONICAL_TORSION[key]
@@ -239,8 +239,7 @@ class TestConstellationTables:
     def test_iota_lies_in_table_and_flags_match(self):
         for c in classified_planes(2000):
             q = c.matrix
-            d = markov.decompose(markov.SolutionTriple(q.mu * c.series.a, tuple(sorted(q.u))))
-            x = d.x
+            x = oracles.decompose(q.u, q.mu * c.series.a)[0]
             rep = planes.singularity_report(q)
             allowed = golden.CONSTELLATIONS[str(c.series)]
             multipliers = tuple(rep.iota[k] // x[k] for k in range(3))
