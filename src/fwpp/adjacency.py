@@ -31,11 +31,10 @@ the degeneration test :attr:`KStarData.non_toric`.
 A graph classifies only its own ``(degree, mu)`` family, and its nodes are
 the class records :func:`fwpp.planes.classify` returns; it rebuilds a
 partner only when the mutation puts its norm between the node's and the bound.
-Both it and :func:`adjacent_partner` solve and certify a partner by one
-integer core, :func:`_partner`, which builds no object: the graph looks its
-result up among the classes and builds a :class:`KStarData` only for a
-self-pair.  The self-adjacency census is the graph of each family at its
-base norm.
+It solves and certifies each partner by one integer core, :func:`_partner`,
+which builds no object: the graph looks its result up among the classes and
+builds a :class:`KStarData` only for a self-pair.  The self-adjacency census
+is the graph of each family at its base norm.
 """
 
 from __future__ import annotations
@@ -50,10 +49,6 @@ from .markov import InvariantError, _text
 from .planes import ClassifiedPlane, DegreeMatrix, SeriesId
 
 _columns = attrgetter("u", "eta")  # the key of a class or matrix within one (degree, mu) family
-
-
-class NotDegenerableError(ValueError):
-    """Raised when a fixed point does not admit the partner construction."""
 
 
 class KStarData(namedtuple("KStarData", "l1 l2 d0 d1 d2")):
@@ -97,36 +92,6 @@ def _kstar_repr(data: tuple[int, ...]) -> str:
     return "KStarData(" + ", ".join(f"{n}={_text(x)}" for n, x in zip(("l1", "l2", "d0", "d1", "d2"), data)) + ")"
 
 
-class AdjacentPair(NamedTuple):
-    """The partner of a plane ``q`` over a common K*-surface ``kstar``.
-
-    ``q2`` is the partner's canonical adjusted matrix, so the pair is a
-    self-adjacency exactly when ``q2 == planes.adjust(q)``; ``q2_raw`` keeps
-    the second slice's column order for per-slot checks.  Whether the
-    surface is non-toric is read from ``kstar``.
-    """
-
-    q2: DegreeMatrix
-    q2_raw: DegreeMatrix
-    kstar: KStarData
-
-
-def adjacent_partner(q: DegreeMatrix, slot: int) -> AdjacentPair:
-    """Reconstruct the K*-surface over the T-singular point ``z(slot)`` and return the partner plane it degenerates to,
-    with the surface, as solved and certified by :func:`_partner`.  Raises ``ValueError`` for a slot outside ``{0, 1,
-    2}`` or when ``q`` has no integral degree, and :class:`NotDegenerableError` when the point is not a T-singularity."""
-    planes._check_slot(slot)
-    # refuses a non-integral degree, where a failed certificate in _partner would report bad input as a defect
-    a = planes.integral_degree(q)
-    kstar, raw, adjusted = _partner(q, slot, planes.local_gorenstein_index(q, slot), a)
-    try:
-        q2_raw = DegreeMatrix(q.mu, *raw)
-        q2 = q2_raw if adjusted == raw else DegreeMatrix(q.mu, *adjusted)
-    except ValueError as exc:  # _partner certified the partner: a refusal is a defect here, not bad input
-        raise InvariantError(f"partner of {_text(q)} at slot {_text(slot)}: {exc}") from exc
-    return AdjacentPair(q2=q2, q2_raw=q2_raw, kstar=KStarData(*kstar))
-
-
 def _partner(q: DegreeMatrix | ClassifiedPlane, slot: int, l1: int, a: int):
     """The surface data ``(l1, l2, d0, d1, d2)`` over ``z(slot)`` of ``q``, of degree ``a`` and local Gorenstein index
     ``l1`` there, with the partner's raw columns ``(u, eta)`` in the second slice's order and its adjusted columns, all
@@ -152,16 +117,16 @@ def _partner(q: DegreeMatrix | ClassifiedPlane, slot: int, l1: int, a: int):
     degree matrix of ``P2``.  By Vieta, ``u'_k = (u_i + u_j)**2 / u_k`` makes ``w'_k`` the other root of ``q``'s
     equation in slot ``k``, so the partner is adjusted over its arrangements for the degree ``a``.
 
-    Each step is certified, or ``NotDegenerableError`` (the first two) or ``InvariantError`` is raised: the T-test
-    gives ``d0``; ``l2`` is integral; ``g`` divides ``w_j``, ``mu`` divides ``h*mu`` and ``mu/g`` divides ``R(d1_0)``;
-    ``gcd(h, g) = 1``; :func:`_check_kstar` accepts the gcds and the slope inequalities, the sign conditions of ``P1``
-    and ``P2``; both rows of ``P1`` annihilate ``q``; ``u'_k`` is the mutation's; both rows of ``P2`` annihilate the
-    partner; any two of its columns generate ``K`` (its ``u`` is positive and its ``eta`` reduced as built), so it is a
-    plane; and :func:`fwpp.planes._normalize_second_row` finds its units.  The adjusted copy is the image of the checked
-    partner under a column permutation and a positive automorphism of ``K``, so its columns generate ``K`` pairwise
-    with no second check.  The caller checks the slot range and the integral degree: :func:`adjacent_partner` refuses
-    bad input, and :func:`adjacency_graph` passes slots of classes whose degree :func:`fwpp.planes.classify` checked,
-    and then finds the adjusted partner among those classes.
+    Each step is certified, or ``InvariantError`` is raised: the T-test gives ``d0``; ``l2`` is integral; ``g`` divides
+    ``w_j``, ``mu`` divides ``h*mu`` and ``mu/g`` divides ``R(d1_0)``; ``gcd(h, g) = 1``; :func:`_check_kstar` accepts
+    the gcds and the slope inequalities, the sign conditions of ``P1`` and ``P2``; both rows of ``P1`` annihilate
+    ``q``; ``u'_k`` is the mutation's; both rows of ``P2`` annihilate the partner; any two of its columns generate
+    ``K`` (its ``u`` is positive and its ``eta`` reduced as built), so it is a plane; and
+    :func:`fwpp.planes._normalize_second_row` finds its units.  The adjusted copy is the image of the checked partner
+    under a column permutation and a positive automorphism of ``K``, so its columns generate ``K`` pairwise with no
+    second check.  The caller checks the slot range and the integral degree: :func:`adjacency_graph` passes the slots
+    that pass the same T-test, of classes whose degree :func:`fwpp.planes.classify` checked, and then finds the
+    adjusted partner among those classes.
     """
     mu, u, eta = q.mu, q.u, q.eta
     i, j = (n for n in range(3) if n != slot)
@@ -172,10 +137,10 @@ def _partner(q: DegreeMatrix | ClassifiedPlane, slot: int, l1: int, a: int):
 
     is_t, d0 = planes._t_test(-wk, l1)  # the T-test of singularity_report, giving d0 = -w_k / l1**2
     if not is_t:
-        raise NotDegenerableError(f"fixed point {_text(slot)} of {_text(q)} is not a T-singularity")
+        raise InvariantError(f"fixed point {_text(slot)} of {_text(q)} is not a T-singularity")
     l2, rem = divmod(l1 * (wi + wj), wk)
     if rem:
-        raise NotDegenerableError(f"second isotropy order of {_text(q)} at slot {_text(slot)} is not integral")
+        raise InvariantError(f"second isotropy order of {_text(q)} at slot {_text(slot)} is not integral")
 
     # d1_0, then its lift, solved as in the docstring; g | w_j makes g divide
     # every weight, hence mu, so r = R(d1_0) / (mu/g) = g*R(d1_0) / mu

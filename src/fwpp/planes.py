@@ -117,8 +117,8 @@ def anticanonical_class(q: DegreeMatrix) -> Pair:
 
 
 def _check_slot(k) -> None:
-    """Raise ``ValueError`` unless ``k`` names a fixed point, 0, 1 or 2."""
-    if k not in (0, 1, 2):
+    """Raise ``ValueError`` unless ``k`` is the ``int`` 0, 1 or 2; a ``bool`` or a float equal to one is refused."""
+    if type(k) is not int or not 0 <= k <= 2:
         raise ValueError(f"fixed point index must be 0, 1 or 2, got {_text(k, repr)}")
 
 

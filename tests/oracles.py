@@ -34,8 +34,10 @@ classification is checked from every degree matrix of every solution below
 a bound and from every K*-surface in a box of its data.  The
 connected components of an adjacency graph come from ``networkx``, and the
 unpruned graph and neighbour lists rebuild the partner at every T-singular
-point of every node.  JSON output is built as dicts and lists and encoded by
-``json.dumps``, where the library writes its text directly.
+point of every node on the fan side: the surface by the lift test, the
+partner as the cokernel of the second slice.  JSON output is built as dicts
+and lists and encoded by ``json.dumps``, where the library writes its text
+directly.
 """
 
 from __future__ import annotations
@@ -777,16 +779,22 @@ def can_degenerate(q: planes.DegreeMatrix, slot: int) -> bool:
     return iota > 1 and w[slot] % (iota * iota) == 0 and iota * sum(w) > (iota + 1) * w[slot]
 
 
-def cokernel_partner(q: planes.DegreeMatrix, slot: int) -> planes.DegreeMatrix:
-    """The adjusted partner over ``z(slot)`` read off the second slice: the
-    surface data of :func:`fwpp.adjacency.adjacent_partner`, both slice
-    generator matrices built and checked, the cokernel of ``P2`` in closed
-    form, then adjusted."""
-    kstar = adjacency.adjacent_partner(q, slot).kstar
+#: A partner over a common K*-surface ``kstar``: ``q2`` adjusted, ``q2_raw`` in the second slice's column order
+Partner = namedtuple("Partner", "q2 q2_raw kstar")
+
+
+def cokernel_partner(q: planes.DegreeMatrix, slot: int) -> Partner:
+    """The partner over the T-singular point ``z(slot)`` read off the fan
+    side: the surface data of :func:`lift_partner_kstar`, both slice
+    generator matrices built and checked, and the cokernel of ``P2`` in
+    closed form as the raw partner, whose column 2 is the new fixed point,
+    with its adjusted form.  No code of :mod:`fwpp.adjacency` runs here."""
+    kstar = lift_partner_kstar(q, slot)
     p1, p2 = slice_matrices(kstar)
     w = planes.fake_weights_of_degree_matrix(q)
     assert p1.weights[2] == w[slot] and sorted(p1.weights[:2]) == sorted(w[n] for n in range(3) if n != slot)
-    return planes.adjust(planes.DegreeMatrix(*cokernel_structure(p2.rows)))
+    raw = planes.DegreeMatrix(*cokernel_structure(p2.rows))
+    return Partner(q2=planes.adjust(raw), q2_raw=raw, kstar=kstar)
 
 
 def snf_cokernel_structure(p):
@@ -1047,14 +1055,15 @@ def graph_components(graph) -> list[set[planes.ClassifiedPlane]]:
     return list(networkx.connected_components(g))
 
 
-def adjacency_neighbors(q: planes.DegreeMatrix) -> list[adjacency.AdjacentPair]:
-    """The partner over each T-singular fixed point of ``q``, in slot order.
+def adjacency_neighbors(q: planes.DegreeMatrix) -> list[Partner]:
+    """The fan-side partner over each T-singular fixed point of ``q``, in slot order.
 
     A pair is a self-adjacency when ``pair.q2 == planes.adjust(q)``, and
     several slots may reach the same partner class.  Toric pairs count;
     adjacency does not require the common surface to be non-toric.
     """
-    return [adjacency.adjacent_partner(q, k) for k in range(3) if planes.singularity_report(q).is_t[k]]
+    is_t = planes.singularity_report(q).is_t
+    return [cokernel_partner(q, k) for k in range(3) if is_t[k]]
 
 
 def self_kstar(q: planes.DegreeMatrix, pairs) -> KStarData | None:

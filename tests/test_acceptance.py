@@ -223,7 +223,7 @@ def test_criterion_8_adjacency():
             for slot in range(3):
                 if not planes.singularity_report(c.matrix).is_t[slot]:
                     continue
-                pair = adjacency.adjacent_partner(c.matrix, slot)
+                pair = oracles.cokernel_partner(c.matrix, slot)
                 w2 = planes.fake_weights_of_degree_matrix(pair.q2)
                 assert planes.degree(w2) == planes.degree(w) == oracles.kstar_degree(pair.kstar) == a
                 rest = [w[j] for j in range(3) if j != slot]

@@ -1,4 +1,9 @@
-"""K*-surface data, adjacent partners, graphs and the self-adjacency census."""
+"""K*-surface data, adjacent partners, graphs and the self-adjacency census.
+
+The library solves a partner only in its integer core ``adjacency._partner``,
+called here by :func:`core_partner`; every partner it solves is checked
+against :func:`oracles.cokernel_partner`, the fan-side route.
+"""
 
 import decimal
 import functools
@@ -19,6 +24,13 @@ from fwpp.planes import DegreeMatrix
 
 def mk(mu, u, eta=None):
     return DegreeMatrix(mu, tuple(u), tuple(eta) if eta else (0, 0, 0))
+
+
+def core_partner(q, k) -> oracles.Partner:
+    """The partner over ``z(k)`` of ``q`` solved by ``adjacency._partner``, handed the Gorenstein index and the degree
+    as :func:`adjacency.adjacency_graph` hands them, with its raw and adjusted columns as degree matrices."""
+    kstar, raw, adjusted = adjacency._partner(q, k, planes.local_gorenstein_index(q, k), planes.integral_degree(q))
+    return oracles.Partner(q2=DegreeMatrix(q.mu, *adjusted), q2_raw=DegreeMatrix(q.mu, *raw), kstar=KStarData(*kstar))
 
 
 def split_neighbors(q):
@@ -83,7 +95,7 @@ class TestSlices:
     @settings(max_examples=300, deadline=None)
     @given(st.deferred(lambda: st.sampled_from(accepted_kstar_data())))
     def test_accepted_data_has_valid_slices_of_its_degree(self, kstar):
-        # adjacent_partner certifies its surface by this constructor; only this
+        # the partner core certifies its surface by this constructor's checks; only this
         # direction holds: (1, 1, 2, 0, -1) has valid slices but is refused
         p1, p2 = oracles.slice_matrices(kstar)  # each validated as a generator matrix
         assert p1.weights[:2] == p2.weights[:2]
@@ -117,49 +129,33 @@ class TestAssemble3x4:
             assert oracles.weights_of_3x4(p) == oracles.weight_4vector(kstar)
 
 
-class TestAdjacentPartner:
+class TestPartners:
     def test_self_adjacent_2_4_3(self):
         q = mk(4, (1, 1, 2), (0, 1, 3))
-        pair = adjacency.adjacent_partner(q, 2)
+        pair = core_partner(q, 2)
         assert pair.kstar == KStarData(2, 2, -2, 1, 1)
         assert pair.q2 == planes.adjust(q) and pair.kstar.non_toric and pair.kstar.l1 <= pair.kstar.l2
 
     def test_self_adjacent_1_8_3(self):
         q = mk(8, (1, 1, 2), (0, 1, 3))
-        pair = adjacency.adjacent_partner(q, 2)
+        pair = core_partner(q, 2)
         assert pair.kstar == KStarData(4, 4, -1, 1, 1)
         assert pair.q2 == planes.adjust(q) and pair.kstar.non_toric
 
     def test_projective_plane_partner_is_toric(self):
-        pair = adjacency.adjacent_partner(mk(1, (1, 1, 1)), 2)
+        pair = core_partner(mk(1, (1, 1, 1)), 2)
         assert pair.q2.u == (1, 1, 4)
         assert pair.kstar.l1 == 1 and not pair.kstar.non_toric
 
-    def test_takes_no_gorenstein_index(self):
-        # the index is computed, never trusted: a wrong one would report bad input as a library defect
-        with pytest.raises(TypeError, match="l1"):
-            adjacency.adjacent_partner(mk(2, (1, 1, 2), (0, 1, 1)), 2, l1=2)
-
     def test_not_t_singular_slot_rejected(self):
-        with pytest.raises(adjacency.NotDegenerableError):
-            adjacency.adjacent_partner(mk(3, (1, 2, 3), (0, 1, 1)), 0)
-
-    def test_non_integral_degree_refused_before_the_d1_scan(self, monkeypatch):
-        # mu = n**2 makes z(2) T-singular with l1 = n and l2 = 2n, so the
-        # d1 scan would test candidates in a number growing with sqrt(mu)
-        rows_tested = []
-        real = abelian.annihilates
-        monkeypatch.setattr(abelian, "annihilates", lambda *args: rows_tested.append(args) or real(*args))
-        n = 10**4 + 1
-        q = mk(n * n, (1, 1, 1), (1, n - 1, 0))
-        rep = planes.singularity_report(q)
-        assert (rep.is_t[2], rep.d[2]) == (True, 1) and planes.local_gorenstein_index(q, 2) == n
-        with pytest.raises(ValueError, match="not integral"):
-            adjacency.adjacent_partner(q, 2)
-        assert rows_tested == []
+        # the core's T-test refuses a slot that is not a T-singularity; the graph passes none, so it is a defect there
+        q = mk(3, (1, 2, 3), (0, 1, 1))
+        assert not planes.singularity_report(q).is_t[0]
+        with pytest.raises(markov.InvariantError, match=r"^fixed point 0 of DegreeMatrix\(.*\) is not a T-singularity$"):
+            core_partner(q, 0)
 
     def test_worked_slice_for_1_8_1_deep_node(self):
-        pair = adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+        pair = core_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
         assert pair.kstar == KStarData(2, 10, -4, 1, 31)
         p1, _ = oracles.slice_matrices(pair.kstar)
         assert p1.rows == ((2, 2, -10), (1, -7, 31))
@@ -172,7 +168,7 @@ class TestAdjacentPartner:
                 for slot in range(3):
                     if not planes.singularity_report(c.matrix).is_t[slot]:
                         continue
-                    pair = adjacency.adjacent_partner(c.matrix, slot)
+                    pair = oracles.cokernel_partner(c.matrix, slot)
                     w2 = planes.fake_weights_of_degree_matrix(pair.q2)
                     rest = [w[j] for j in range(3) if j != slot]
                     mutated = tuple(sorted(rest + [(rest[0] + rest[1]) ** 2 // w[slot]]))
@@ -208,8 +204,8 @@ class TestDeepPartners:
         for slot in range(3):
             if not planes.singularity_report(q).is_t[slot]:
                 continue
-            pair = adjacency.adjacent_partner(q, slot)
-            assert adjacency.adjacent_partner(pair.q2_raw, 2).q2 == q_canon
+            pair = core_partner(q, slot)
+            assert core_partner(pair.q2_raw, 2).q2 == q_canon
             r0, r1 = (w[j] for j in range(3) if j != slot)
             new, rem = divmod((r0 + r1) ** 2, w[slot])
             assert rem == 0
@@ -230,14 +226,14 @@ class TestPartnerReconstruction:
                 for slot in range(3):
                     if not planes.singularity_report(q).is_t[slot]:
                         continue
-                    kstar = adjacency.adjacent_partner(q, slot).kstar
+                    kstar = core_partner(q, slot).kstar
                     assert kstar == oracles.scan_partner_kstar(q, slot)
                     largest_gcd = max(largest_gcd, gcd(kstar.l1, kstar.l2))
         assert largest_gcd > 1
 
     def test_isotropy_orders_with_common_factor(self):
         q = mk(9, (1, 1, 1), (0, 1, 2))
-        pair = adjacency.adjacent_partner(q, 2)
+        pair = core_partner(q, 2)
         assert pair.kstar == KStarData(l1=3, l2=6, d0=-1, d1=1, d2=1)
         assert pair.kstar == oracles.scan_partner_kstar(q, 2)
 
@@ -252,7 +248,7 @@ class TestPartnerReconstruction:
 
         monkeypatch.setattr(abelian, "annihilates", counting)
         q = mk(3, (5365416001, 98, 3144124620363), (0, 1, 2))
-        pair = adjacency.adjacent_partner(q, 2)
+        pair = core_partner(q, 2)
         assert pair.kstar == KStarData(l1=3071217, l2=5241, d0=-1, d1=663350, d2=4109)
         # no value of d1 is tested: one call certifies the first slice and one
         # the partner's second; a count of 0 would mean the patch no longer sees the calls
@@ -273,7 +269,7 @@ class TestSliceCokernel:
                 for slot in range(3):
                     if not planes.singularity_report(q).is_t[slot]:
                         continue
-                    pair = adjacency.adjacent_partner(q, slot)
+                    pair = core_partner(q, slot)
                     _, p2 = oracles.slice_matrices(pair.kstar)
                     mu, u, _ = oracles.cokernel_structure(p2.rows)
                     mu_ref, u_ref, eta_ref = oracles.snf_cokernel_structure(p2.rows)
@@ -302,9 +298,10 @@ class TestClosedFormPartner:
     def test_equals_the_slice_cokernel_and_keeps_columns_i_and_j(self):
         slots = 0
         for q, k in partner_slots():
-            pair = adjacency.adjacent_partner(q, k)
-            assert pair.q2 == oracles.cokernel_partner(q, k)
-            assert pair.kstar == oracles.lift_partner_kstar(q, k)
+            pair, fan = core_partner(q, k), oracles.cokernel_partner(q, k)
+            assert (pair.q2, pair.kstar) == (fan.q2, fan.kstar)
+            # the cokernel writes the same free parts with torsion parts of its own
+            assert pair.q2_raw.u == fan.q2_raw.u and planes.isomorphism_witness(pair.q2_raw, fan.q2_raw) is not None
             raw, mu = pair.q2_raw, q.mu
             i, j = sorted((n for n in range(3) if n != k), key=lambda n: (mu * q.u[n], n))
             assert (raw.u[:2], raw.eta[:2]) == ((q.u[i], q.u[j]), (q.eta[i], q.eta[j]))
@@ -320,7 +317,7 @@ class TestClosedFormPartner:
         # a Bezout pair that is not one gives a column off the mutation
         monkeypatch.setattr(abelian, "bezout", lambda a, c: (0, 0))
         with pytest.raises(markov.InvariantError, match="free part"):
-            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+            core_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
     def test_two_annihilation_certificates_per_partner(self, monkeypatch):
         # the first slice, then the second: no d1 candidate is tested
@@ -333,7 +330,7 @@ class TestClosedFormPartner:
                 for k in range(3):
                     if planes.singularity_report(c.matrix).is_t[k]:
                         del calls[:]
-                        kstar = adjacency.adjacent_partner(c.matrix, k).kstar
+                        kstar = core_partner(c.matrix, k).kstar
                         p1, p2 = (p.rows for p in oracles.slice_matrices(kstar))
                         assert calls == [p1, p2]
                         partners += 1
@@ -344,14 +341,14 @@ class TestClosedFormPartner:
         real = abelian.annihilates
         monkeypatch.setattr(abelian, "annihilates", lambda rows, *args: rows[0][0] != 2 and real(rows, *args))
         with pytest.raises(markov.InvariantError, match="does not annihilate the columns"):
-            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+            core_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
     def test_a_partner_off_the_second_slice_is_refused(self, monkeypatch):
         # l1 = 2 and l2 = 10 here, so rows starting with 10 are those of P2
         real = abelian.annihilates
         monkeypatch.setattr(abelian, "annihilates", lambda rows, *args: rows[0][0] != 10 and real(rows, *args))
         with pytest.raises(markov.InvariantError, match="do not annihilate the second slice"):
-            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+            core_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
     def test_a_refused_partner_is_an_invariant_failure(self, monkeypatch):
         # the certificates make the partner a plane: its refusal is a defect, not bad input
@@ -359,7 +356,7 @@ class TestClosedFormPartner:
         monkeypatch.setattr(abelian, "pair_generates", lambda *args: False)
         with pytest.raises(markov.InvariantError, match=r"^partner of DegreeMatrix\(mu=8, u=\(1, 9, 2\), eta=\(0, 1, 1\)\) at slot 2: "
                                                         r"columns 0,1 .* fail to generate the class group$"):
-            adjacency.adjacent_partner(q, 2)
+            core_partner(q, 2)
 
     def test_a_refused_partner_adjustment_is_an_invariant_failure(self, monkeypatch):
         def refuse(mu, u, eta, perms):
@@ -367,7 +364,7 @@ class TestClosedFormPartner:
 
         monkeypatch.setattr(planes, "_adjusted", refuse)
         with pytest.raises(markov.InvariantError, match=r"^partner of DegreeMatrix\(.*\) at slot 2: normalization refused$"):
-            adjacency.adjacent_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
+            core_partner(mk(8, (1, 9, 2), (0, 1, 1)), 2)
 
     def test_data_off_the_first_slice_past_the_digit_limit(self, monkeypatch):
         # a defect on a plane whose entries pass the 4,300 digits str(int) writes
@@ -376,10 +373,10 @@ class TestClosedFormPartner:
         while u[2] < 10**5000:
             u = tuple(sorted((u[1], u[2], (u[1] + u[2]) ** 2 // u[0])))
         q = mk(1, u)
-        kstar = adjacency.adjacent_partner(q, 0).kstar
+        kstar = oracles.lift_partner_kstar(q, 0)
         monkeypatch.setattr(abelian, "annihilates", lambda *args: False)
         with pytest.raises(markov.InvariantError) as info:
-            adjacency.adjacent_partner(q, 0)
+            core_partner(q, 0)
         fields = ", ".join(f"{name}={decimal.Decimal(getattr(kstar, name))}" for name in ("l1", "l2", "d0", "d1", "d2"))
         columns = ", ".join(str(decimal.Decimal(x)) for x in u)
         assert len(columns) > 4300
@@ -387,16 +384,12 @@ class TestClosedFormPartner:
 
 
 class TestSlotRange:
-    @pytest.mark.parametrize("slot", [-1, 3])
-    def test_adjacent_partner_refuses(self, slot):
-        # -1 used to index slot 2 and return its partner; 3 raised IndexError
-        with pytest.raises(ValueError, match="0, 1 or 2"):
-            adjacency.adjacent_partner(mk(4, (1, 1, 2), (0, 1, 3)), slot)
-
-    @pytest.mark.parametrize("slot", [-1, 3])
+    @pytest.mark.parametrize("slot", [-1, 3, 1.0, True, 2.5])
     @pytest.mark.parametrize("local", [planes.local_gorenstein_index, planes.resolution_curve_count], ids=lambda f: f.__name__)
     def test_the_local_invariants_refuse(self, local, slot):
-        # -1 read slot 2, and 3 raised an IndexError or an unpacking error
+        # -1 read slot 2, and 3 raised an IndexError or an unpacking error; 1.0 compared equal
+        # to 1 and then failed to index a tuple, and True compared equal to 1 and read slot 1;
+        # 2.5, a float equal to no slot, gets the same message
         with pytest.raises(ValueError, match=f"^fixed point index must be 0, 1 or 2, got {slot}$"):
             local(mk(8, (1, 1, 2), (0, 1, 3)), slot)
 
@@ -433,7 +426,7 @@ class TestCanDegenerate:
             for c in planes.classify(a, 700):
                 for slot in range(3):
                     if planes.singularity_report(c.matrix).is_t[slot]:
-                        pair = adjacency.adjacent_partner(c.matrix, slot)
+                        pair = oracles.cokernel_partner(c.matrix, slot)
                         assert oracles.can_degenerate(c.matrix, slot) == pair.kstar.non_toric
 
     @settings(max_examples=100, deadline=None)
@@ -442,7 +435,7 @@ class TestCanDegenerate:
         # non_toric drives nonToricSelf in graph JSON and the dot comments
         for slot in range(3):
             if planes.singularity_report(q).is_t[slot]:
-                assert oracles.can_degenerate(q, slot) == adjacency.adjacent_partner(q, slot).kstar.non_toric
+                assert oracles.can_degenerate(q, slot) == oracles.cokernel_partner(q, slot).kstar.non_toric
 
 
 class TestNeighbors:
@@ -450,8 +443,8 @@ class TestNeighbors:
         for a in (1, 2, 5, 9):
             for c in planes.classify(a, 700):
                 slots = [k for k in range(3) if planes.singularity_report(c.matrix).is_t[k]]
-                pairs = oracles.adjacency_neighbors(c.matrix)
-                assert pairs == [adjacency.adjacent_partner(c.matrix, k) for k in slots]
+                pairs, cores = oracles.adjacency_neighbors(c.matrix), [core_partner(c.matrix, k) for k in slots]
+                assert [(p.q2, p.kstar) for p in pairs] == [(p.q2, p.kstar) for p in cores]
 
     def test_2_3_1_node(self):
         nbrs, selfp = split_neighbors(mk(3, (1, 8, 3), (0, 1, 1)))
@@ -583,7 +576,7 @@ class TestPrunedGraph:
                     if not planes.singularity_report(q).is_t[k]:
                         continue
                     wi, wj = (w[j] for j in range(3) if j != k)
-                    partner = adjacency.adjacent_partner(q, k).q2
+                    partner = oracles.cokernel_partner(q, k).q2
                     assert sum(planes.fake_weights_of_degree_matrix(partner)) == a * wi * wj - n
 
     def test_node_cap_refuses_before_any_partner(self, monkeypatch):
@@ -645,12 +638,12 @@ def _wrapped(module, name, wrap):
 
 
 #: one injected defect per certificate of ``adjacency._partner``: the family, the class (``u``, ``eta``, slot) it hits,
-#: or None for the first partner of the family's graph, and the message with ``{q}`` for the class, as both routes raise it
+#: or None for the first partner of the family's graph, and the message with ``{q}`` for the class, as the graph raises it
 PARTNER_CERTIFICATES = {
     "T-test": ((1, 5), None, _wrapped(planes, "_t_test", lambda real: lambda cl, iota: (False, None) if cl < 0 else real(cl, iota)),
-               adjacency.NotDegenerableError, "fixed point 2 of {q} is not a T-singularity"),
+               markov.InvariantError, "fixed point 2 of {q} is not a T-singularity"),
     "integral l2": ((5, 1), ((1, 4, 5), (0, 0, 0), 1), _wrong_index(1),
-                    adjacency.NotDegenerableError, "second isotropy order of {q} at slot 1 is not integral"),
+                    markov.InvariantError, "second isotropy order of {q} at slot 1 is not integral"),
     "slice congruences": ((3, 2), ((1, 2, 3), (0, 1, 1), 1), _wrong_index(1),
                           markov.InvariantError, "slice congruences of {q} at slot 1 have no solution"),
     "gcd(h, g)": ((4, 2), ((1, 1, 2), (0, 1, 1), 2), _wrong_index(2),
@@ -673,10 +666,10 @@ PARTNER_CERTIFICATES = {
 
 
 class TestGraphCertificates:
-    """Every certificate of a partner runs on the graph's partners as on :func:`adjacency.adjacent_partner`'s."""
+    """Every certificate of a partner runs on the graph's partners."""
 
     @pytest.mark.parametrize("name", PARTNER_CERTIFICATES)
-    def test_a_defect_is_refused_on_both_routes(self, monkeypatch, name):
+    def test_a_defect_is_refused_by_the_graph(self, monkeypatch, name):
         (a, mu), target, inject, error, message = PARTNER_CERTIFICATES[name]
         bound = 10**5
         window = [(c, k) for c in planes.classify(a, bound, mu=mu) for k in range(3)
@@ -684,17 +677,13 @@ class TestGraphCertificates:
         c, k = window[0] if target is None else next((c, k) for c, k in window if (c.u, c.eta, k) == target)
         pinned = message.format(q=repr(c))
         inject(monkeypatch, c, k)
-        with pytest.raises(error) as partner:
-            adjacency.adjacent_partner(c, k)
-        monkeypatch.undo()
-        inject(monkeypatch, c, k)
         with pytest.raises(error) as graph:
             adjacency.adjacency_graph(a, mu, bound)
-        assert str(partner.value) == str(graph.value) == pinned
+        assert str(graph.value) == pinned
 
     def test_the_graph_builds_objects_only_for_self_pairs(self, monkeypatch):
-        built = {"DegreeMatrix": 0, "AdjacentPair": 0, "KStarData": 0}
-        for cls in (DegreeMatrix, adjacency.AdjacentPair, KStarData):
+        built = {"DegreeMatrix": 0, "KStarData": 0}
+        for cls in (DegreeMatrix, KStarData):
             real_new = cls.__new__
 
             def counting(cls, *args, real_new=real_new, **kwargs):
@@ -705,19 +694,16 @@ class TestGraphCertificates:
         graph = adjacency.adjacency_graph(1, 8, 10**48)
         self_pairs = sum(n.self_kstar is not None for n in graph.nodes)
         assert self_pairs == 3 and len(graph.edges) == 2214
-        assert built == {"DegreeMatrix": 0, "AdjacentPair": 0, "KStarData": self_pairs}
+        assert built == {"DegreeMatrix": 0, "KStarData": self_pairs}
 
     @settings(max_examples=150, deadline=None)
     @given(deep_series_members(max_digits=30))
-    def test_core_equals_the_lift_scan_and_adjacent_partner(self, q):
-        a = planes.integral_degree(q)
+    def test_core_equals_the_fan_side_partner(self, q):
         for k in range(3):
             if planes.singularity_report(q).is_t[k]:
-                kstar, raw, (u, eta) = adjacency._partner(q, k, planes.local_gorenstein_index(q, k), a)
-                assert KStarData(*kstar) == oracles.lift_partner_kstar(q, k)
-                pair = adjacency.adjacent_partner(q, k)
-                assert raw == (pair.q2_raw.u, pair.q2_raw.eta)
-                assert (u, eta) == (pair.q2.u, pair.q2.eta)
+                pair, fan = core_partner(q, k), oracles.cokernel_partner(q, k)
+                assert (pair.q2, pair.kstar) == (fan.q2, fan.kstar)
+                assert pair.q2_raw.u == fan.q2_raw.u and planes.isomorphism_witness(pair.q2_raw, fan.q2_raw) is not None
 
 
 class TestGlobalInvariants:
@@ -736,7 +722,7 @@ class TestGlobalInvariants:
                 for slot in range(3):
                     if not planes.singularity_report(c.matrix).is_t[slot]:
                         continue
-                    pair = adjacency.adjacent_partner(c.matrix, slot)
+                    pair = oracles.cokernel_partner(c.matrix, slot)
                     if not pair.kstar.non_toric:
                         continue
                     key = (c.matrix.mu, tuple(sorted([(c.matrix.u, c.matrix.eta), (pair.q2.u, pair.q2.eta)])))
@@ -835,12 +821,13 @@ class TestCensus:
         assert len(partners) == 18
 
     def test_a_self_pair_of_a_class_record_reads_adjust_of_the_record(self):
-        # the documented self-adjacency test, pair.q2 == planes.adjust(q), holds for a class record q as for its matrix
+        # the core solves the graph's partners on class records: the self-adjacency test pair.q2 == planes.adjust(q)
+        # holds for a class record q as for its matrix
         self_adjacent = set()
         for (a, mu) in planes.SERIES_FAMILIES:
             for c in planes.classify(a, mu * markov.norm(markov.REDUCED_ROOTS[mu * a]), mu=mu):
                 for k in range(3):
-                    if planes.singularity_report(c).is_t[k] and (pair := adjacency.adjacent_partner(c, k)).q2 == c.matrix:
+                    if planes.singularity_report(c).is_t[k] and (pair := core_partner(c, k)).q2 == c.matrix:
                         assert pair.q2 == planes.adjust(c)
                         self_adjacent.add(str(c.series))
         assert self_adjacent == golden.SELF_ADJACENT_SERIES

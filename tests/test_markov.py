@@ -370,7 +370,6 @@ RECORDS = {
     "ClassifiedPlane": lambda: planes.classify(1, 10**6)[-1],
     "SingularityReport": lambda: planes.singularity_report(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3))),
     "KStarData": lambda: adjacency.KStarData(2, 6, -2, 1, 5),
-    "AdjacentPair": lambda: adjacency.adjacent_partner(planes.DegreeMatrix(8, (1, 1, 2), (0, 1, 3)), 0),
     "GraphNode": lambda: adjacency.adjacency_graph(1, 8, 10**6).nodes[0],
     "GraphEdge": lambda: adjacency.adjacency_graph(1, 8, 10**6).edges[-1],
     "AdjacencyGraph": lambda: adjacency.adjacency_graph(1, 8, 10**6),
