@@ -1164,18 +1164,44 @@ class TestReadmeExamples:
             assert code == 0 and out and err == "", argv
 
     def test_library_quick_tour_runs(self):
-        # each statement runs in turn; one whose comment names an exception must raise it
+        # each statement runs in turn; one whose comment names an exception must raise it,
+        # and the values the comments state are the values computed
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
         block = re.search(r"## Library quick tour\n\n```python\n(.*?)```", readme, re.S).group(1)
         comments = {t.start[0]: t.string for t in tokenize.generate_tokens(io.StringIO(block).readline) if t.type == tokenize.COMMENT}
-        namespace, raising = {}, 0
+        namespace, raising, stated = {}, 0, {}
         for statement in ast.parse(block).body:
             code = compile(ast.Module([statement], []), "README.md", "exec")
-            names = re.findall(r"\b[A-Z]\w*(?:Error|Exceeded)\b", comments.get(statement.end_lineno, ""))
+            comment = comments.get(statement.end_lineno, "")
+            names = re.findall(r"\b[A-Z]\w*(?:Error|Exceeded)\b", comment)
             if not names:
-                exec(code, namespace)
+                if isinstance(statement, ast.Expr):
+                    value = eval(compile(ast.Expression(statement.value), "README.md", "eval"), namespace)
+                    stated[ast.get_source_segment(block, statement)] = value, comment
+                else:
+                    exec(code, namespace)
                 continue
             with pytest.raises(tuple(getattr(markov, n, None) or getattr(builtins, n) for n in names)):
                 exec(code, namespace)
             raising += 1
         assert raising == 1  # classify(1, 10**96, max_nodes=10)
+        for source, text in (("markov.admissible_arrangements((1, 2, 9), 8)", "[(0, 2, 1)]"),
+                             ("planes.resolution_curve_count(q, 1)", "7"),
+                             ("node.self_kstar", "KStarData(l1=4, l2=4, d0=-1, d1=1, d2=1)")):
+            value, comment = stated[source]
+            assert repr(value) == text
+            assert comment.startswith(f"# {text}"), source
+        census, comment = stated["adjacency.self_adjacency_census()"]
+        assert (len(census), sum(e.kstar.non_toric for e in census)) == (16, 6)
+        assert comment == "# 16 series, 6 non-toric"
+
+    def test_every_library_name_it_names_exists(self):
+        # a backticked `markov.x` (or `fwpp.markov.x`) of the modules and of tests/oracles.py
+        # resolves on that module, so README names no name that has left; a path is not a name
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        modules = {"markov": markov, "abelian": abelian, "planes": planes, "adjacency": adjacency, "cli": cli, "oracles": oracles}
+        dotted = re.compile(rf"(?<![\w./])(?:fwpp\.)?({'|'.join(modules)})\.(?!py\b)(\w+)")
+        names = {m.group(1, 2) for span in re.findall(r"`([^`\n]+)`", readme) for m in dotted.finditer(span)}
+        assert len(names) >= 5
+        missing = sorted(f"{m}.{x}" for m, x in names if not hasattr(modules[m], x))
+        assert not missing, f"README names {len(missing)} names that do not exist: {', '.join(missing)}"
